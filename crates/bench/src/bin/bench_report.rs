@@ -7,13 +7,15 @@
 //! convergence. The file sequence (`BENCH_1.json`, `BENCH_2.json`, ...)
 //! tracks the perf trajectory across PRs; CI and reviewers diff the numbers.
 //!
-//! Four substrate families are tracked: the discrete-event simulator
-//! (entries as in `BENCH_1.json`), the threaded runtime (same workloads
-//! re-executed on real OS threads, suffixed `/threaded`), the sharded
-//! runtime at 2 and 4 shards (suffixed `/sharded2`, `/sharded4`), and the
-//! async task-per-peer runtime (suffixed `/async`). All report wall-clock
-//! ns per injected op; for the DES that is time spent *simulating*, for the
-//! concurrent substrates it is time spent actually *executing*.
+//! Three substrate families are tracked: the discrete-event simulator
+//! (entries as in `BENCH_1.json`), the async task-per-peer runtime (same
+//! workloads re-executed on one executor thread, suffixed `/async`), and
+//! the sharded runtime at 2 and 4 async shards (suffixed `/sharded-async2`,
+//! `/sharded-async4` — *not* a continuation of the `/sharded2`, `/sharded4`
+//! entries up to `BENCH_10.json`, which ran thread-per-peer shards). All
+//! report wall-clock ns per injected op; for the DES that is time spent
+//! *simulating*, for the concurrent substrates it is time spent actually
+//! *executing*.
 //!
 //! Each entry also reports the transport-batching ratio as
 //! `<name>#envelopes_per_op` — physical envelopes shipped per injected op
@@ -57,7 +59,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use netrec_core::{FaultPlan, RunBudget, RuntimeKind, ShardedConfig, System, SystemConfig};
+use netrec_core::{FaultPlan, RunBudget, RuntimeKind, System, SystemConfig};
 use netrec_engine::{ServeSpec, Strategy};
 use netrec_topo::{transit_stub, BaseOp, TransitStubParams, Workload};
 use netrec_types::{NetAddr, Tuple, UpdateKind, Value};
@@ -124,16 +126,9 @@ fn main() {
 
     let substrates: Vec<(String, RuntimeKind)> = vec![
         (String::new(), RuntimeKind::des()),
-        ("/threaded".to_string(), RuntimeKind::threaded()),
         ("/async".to_string(), RuntimeKind::asynchronous()),
-        (
-            "/sharded2".to_string(),
-            RuntimeKind::Sharded(ShardedConfig::with_shards(2)),
-        ),
-        (
-            "/sharded4".to_string(),
-            RuntimeKind::Sharded(ShardedConfig::with_shards(4)),
-        ),
+        ("/sharded-async2".to_string(), RuntimeKind::sharded_async(2)),
+        ("/sharded-async4".to_string(), RuntimeKind::sharded_async(4)),
     ];
 
     for (label, strategy) in &schemes {
@@ -309,7 +304,7 @@ fn main() {
     //    epoch's blobs. Checkpointing *off* is the default everywhere else
     //    in this file, so the fig07/fig08 entries diffed against the
     //    previous BENCH file are the machinery-present-but-disabled gate.
-    //  * `recovery/relative_lazy/sharded4_crash` — wall nanoseconds from
+    //  * `recovery/relative_lazy/sharded-async4_crash` — wall nanoseconds from
     //    `recover()` on a mid-session crash of the 4-shard composite
     //    through checkpoint restore, delta replay and reconvergence to the
     //    clean fixpoint (absolute ns, not ns/op).
@@ -372,10 +367,10 @@ fn main() {
             report.insert(name, ns);
         }
 
-        let name = "checkpointing/recovery/relative_lazy/sharded4_crash";
+        let name = "checkpointing/recovery/relative_lazy/sharded-async4_crash";
         if wanted(name) {
             let build = |fault: Option<FaultPlan>| {
-                let mut kind = RuntimeKind::Sharded(ShardedConfig::with_shards(4));
+                let mut kind = RuntimeKind::sharded_async(4);
                 if let Some(f) = fault {
                     kind = kind.with_fault(f);
                 }
@@ -474,8 +469,8 @@ fn main() {
     //    time over the clean TCP run, divided by the supervision
     //    counter's reconnect count.
     {
-        let chan2 = RuntimeKind::Sharded(ShardedConfig::with_shards(2));
-        let tcp2 = RuntimeKind::Sharded(ShardedConfig::with_shards(2).with_tcp());
+        let chan2 = RuntimeKind::sharded_async(2);
+        let tcp2 = RuntimeKind::sharded_async_tcp(2);
         let tcp_ins = |name: &str, strategy: Strategy, kind: &RuntimeKind| {
             measure(samples, load.ops.len(), || {
                 let mut sys = System::reachable(
@@ -518,8 +513,8 @@ fn main() {
             ),
         ] {
             let base = format!("transport_tcp/{fig}/{label}");
-            let chan_name = format!("{base}/sharded2_channel");
-            let tcp_name = format!("{base}/sharded2_tcp");
+            let chan_name = format!("{base}/sharded-async2_channel");
+            let tcp_name = format!("{base}/sharded-async2_tcp");
             if !wanted(&chan_name) && !wanted(&tcp_name) {
                 continue;
             }
@@ -541,7 +536,7 @@ fn main() {
             report.insert(tcp_name, tcp_ns);
         }
 
-        let name = "transport_tcp/reconnect/relative_lazy/sharded2_kill";
+        let name = "transport_tcp/reconnect/relative_lazy/sharded-async2_kill";
         if wanted(name) {
             let (clean_ns, _) = tcp_del(
                 "transport_tcp/reconnect baseline",
@@ -564,9 +559,10 @@ fn main() {
 
     // --- Serving-layer read path ---------------------------------------
     //
-    // Same reduced fig07 topology, absorption-lazy on the threaded runtime
-    // (real OS threads — the concurrent scenario needs true reader/writer
-    // parallelism). The lookup set is every (src, dst) pair over the
+    // Same reduced fig07 topology, absorption-lazy on the async runtime
+    // (its executor is a real OS thread beside the reader threads — the
+    // concurrent scenario needs true reader/writer parallelism). The
+    // lookup set is every (src, dst) pair over the
     // topology's addresses: a mix of hits and misses, so both membership
     // outcomes stay on the measured path.
     let serving_names = [
@@ -595,7 +591,7 @@ fn main() {
         let mut sys = System::reachable(
             SystemConfig::new(Strategy::absorption_lazy(), peers)
                 .with_budget(budget())
-                .with_runtime(RuntimeKind::threaded()),
+                .with_runtime(RuntimeKind::asynchronous()),
         );
         sys.apply(&load);
         assert!(sys.run("load").converged(), "read_serving: load converged");
@@ -711,15 +707,15 @@ fn main() {
     // sharded cliff and what should hold now that transport coalescing
     // batches the tiny per-update messages.
     let mut entries: Vec<String> = vec![format!(
-        "  \"_guardrail/fig07/reachable_ins/set/sharded2\": \"{}\"",
-        "BENCH_4 cliff: 51.8us/op vs 18.6us threaded - every tiny set-mode \
-         Msg crossed the bounded transport as its own envelope, paying a \
-         controller park/re-wake per message. Envelope coalescing \
+        "  \"_guardrail/fig07/reachable_ins/set/sharded-async2\": \"{}\"",
+        "BENCH_4 cliff: 51.8us/op sharded vs 18.6us unsharded - every tiny \
+         set-mode Msg crossed the bounded transport as its own envelope, \
+         paying a controller park/re-wake per message. Envelope coalescing \
          (netrec_sim::coalesce) batches each quantum's same-destination \
          messages into one transport slot; watch #envelopes_per_op here and \
-         keep this entry within ~2.5x of fig07/reachable_ins/set/threaded - \
-         a drift back toward 50us/op means per-envelope controller wakes \
-         have crept back in"
+         keep this entry within ~2.5x of fig07/reachable_ins/set/async \
+         (18.3us/op in BENCH_10) - a drift back toward 50us/op means \
+         per-envelope controller wakes have crept back in"
     )];
     entries.push(format!(
         "  \"_guardrail/fault_injection/reachable_del\": \"{}\"",
@@ -745,9 +741,9 @@ fn main() {
          replayed-delta reconvergence, not blob decode"
     ));
     entries.push(format!(
-        "  \"_guardrail/transport_tcp/sharded2\": \"{}\"",
+        "  \"_guardrail/transport_tcp/sharded-async2\": \"{}\"",
         "TCP transport acceptance: the socket path is pay-for-use - the \
-         sharded2_channel entries here and the fig07/fig08 sharded entries \
+         sharded-async2_channel entries here and the fig07/fig08 sharded entries \
          above must stay within noise of the previous BENCH file (the \
          channel fast path gained only a None check on tcp_links). \
          #tcp_overhead_ratio prices the loopback hop and is expected to be \

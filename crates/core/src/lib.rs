@@ -50,5 +50,5 @@ pub use system::{System, SystemConfig};
 pub use netrec_engine::{dred, reference, RunReport, Runner, RunnerConfig, Strategy};
 pub use netrec_sim::{
     AsyncConfig, ClusterSpec, CostModel, DesConfig, FaultPlan, FaultStats, Partitioner, RunBudget,
-    RunOutcome, Runtime, RuntimeKind, ShardAssignment, ShardKind, ShardedConfig, ThreadedConfig,
+    RunOutcome, Runtime, RuntimeKind, ShardAssignment, ShardedConfig,
 };

@@ -26,8 +26,8 @@ pub struct SystemConfig {
     pub cost: CostModel,
     /// Per-phase budget.
     pub budget: RunBudget,
-    /// Execution substrate: discrete-event simulation (default) or the
-    /// concurrent threaded runtime.
+    /// Execution substrate: discrete-event simulation (default), the
+    /// concurrent async runtime, or the sharded composite.
     pub runtime: RuntimeKind,
 }
 
@@ -66,7 +66,7 @@ impl SystemConfig {
         self
     }
 
-    /// Select the execution substrate (e.g. [`RuntimeKind::threaded`]).
+    /// Select the execution substrate (e.g. [`RuntimeKind::asynchronous`]).
     pub fn with_runtime(mut self, runtime: RuntimeKind) -> SystemConfig {
         self.runtime = runtime;
         self

@@ -76,9 +76,9 @@ fn datalog_reachable_round_trip() {
 }
 
 #[test]
-fn datalog_reachable_on_threaded_runtime() {
+fn datalog_reachable_on_async_runtime() {
     // The compiled plan is substrate-agnostic: the same program executed on
-    // the concurrent threaded runtime reaches the same fixpoint as on the
+    // the concurrent async runtime reaches the same fixpoint as on the
     // deterministic discrete-event simulator.
     let src = "reachable(@X, Y) :- link(@X, Y, C).\n\
                reachable(@X, Y) :- link(@X, Z, C), reachable(@Z, Y).";
@@ -100,9 +100,9 @@ fn datalog_reachable_on_threaded_runtime() {
         runner.view("reachable")
     };
     let des = run(netrec_sim::RuntimeKind::des());
-    let thr = run(netrec_sim::RuntimeKind::threaded());
+    let conc = run(netrec_sim::RuntimeKind::asynchronous());
     assert!(!des.is_empty());
-    assert_eq!(des, thr, "datalog views must agree across runtimes");
+    assert_eq!(des, conc, "datalog views must agree across runtimes");
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! evaluation metrics per phase.
 //!
 //! The [`Runner`] is generic over the [`Runtime`] trait: the same driver
-//! code executes on the deterministic discrete-event [`Simulator`] or on the
-//! concurrent [`ThreadedRuntime`], selected by [`RunnerConfig::runtime`].
+//! code executes on the deterministic discrete-event [`Simulator`], on the
+//! concurrent [`AsyncRuntime`], or on the [`ShardedRuntime`] composite,
+//! selected by [`RunnerConfig::runtime`].
 //! The default instantiation is the [`EngineRuntime`] enum, which makes the
 //! choice at configuration time; code that wants a statically-known
 //! substrate can name `Runner<Simulator<Msg, EnginePeer>>` directly.
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use netrec_serve::views::{self, ServeSpec, ViewOp, ViewReader, ViewWriter};
 use netrec_sim::{
     AsyncRuntime, ClusterSpec, CostModel, NetMetrics, Partitioner, PeerId, Port, RunBudget,
-    RunOutcome, Runtime, RuntimeKind, ShardedRuntime, Simulator, ThreadedRuntime,
+    RunOutcome, Runtime, RuntimeKind, ShardedRuntime, Simulator,
 };
 use netrec_types::wire::WireError;
 use netrec_types::{Duration, RelId, SimTime, Tuple, UpdateKind};
@@ -35,16 +36,16 @@ pub struct RunnerConfig {
     pub strategy: Strategy,
     /// Key placement across peers.
     pub partitioner: Partitioner,
-    /// Cluster latency/bandwidth model (DES only; the threaded runtime does
-    /// not model links).
+    /// Cluster latency/bandwidth model (DES only; the concurrent runtimes
+    /// do not model links).
     pub cluster: ClusterSpec,
     /// CPU cost model (DES only).
     pub cost: CostModel,
     /// Run budget (the paper cuts runs off at 5 minutes): `max_wall` caps
     /// each phase, `max_time`/`max_events` cap the session cumulatively.
     pub budget: RunBudget,
-    /// Execution substrate: discrete-event simulation (default) or the
-    /// threaded runtime.
+    /// Execution substrate: discrete-event simulation (default), the async
+    /// runtime, or the sharded composite.
     pub runtime: RuntimeKind,
 }
 
@@ -90,7 +91,7 @@ pub struct RunReport {
     pub label: String,
     /// Converged or budget-exceeded.
     pub outcome: RunOutcome,
-    /// Simulated (DES) or elapsed (threaded) time from phase start to
+    /// Simulated (DES) or elapsed wall-clock (concurrent) time from phase start to
     /// quiescence.
     pub convergence: Duration,
     /// Logical bytes shipped between peers during the phase.
@@ -167,11 +168,9 @@ impl RunReport {
 pub enum EngineRuntime {
     /// Deterministic discrete-event simulation.
     Des(Simulator<Msg, EnginePeer>),
-    /// Concurrent threaded execution.
-    Threaded(ThreadedRuntime<Msg, EnginePeer>),
     /// Cooperative task-per-peer execution on one executor thread.
     Async(AsyncRuntime<Msg, EnginePeer>),
-    /// Peer-partitioned execution across several threaded or async shards.
+    /// Peer-partitioned execution across several async shards.
     Sharded(ShardedRuntime<Msg, EnginePeer>),
 }
 
@@ -179,7 +178,6 @@ macro_rules! dispatch {
     ($self:expr, $rt:ident => $body:expr) => {
         match $self {
             EngineRuntime::Des($rt) => $body,
-            EngineRuntime::Threaded($rt) => $body,
             EngineRuntime::Async($rt) => $body,
             EngineRuntime::Sharded($rt) => $body,
         }
@@ -370,7 +368,7 @@ pub struct Runner<R: Runtime<Msg, EnginePeer> = EngineRuntime> {
     cfg: RunnerConfig,
     rt: R,
     /// Metric/event baselines for the next phase, captured at the previous
-    /// quiescent boundary. On the threaded substrate workers start
+    /// quiescent boundary. On the concurrent substrates peers start
     /// processing injections as soon as they are pushed — before
     /// `run_phase` is even called — so reading the baseline at phase start
     /// would nondeterministically undercount the phase's traffic.
@@ -528,9 +526,6 @@ fn build_runtime(nodes: Vec<EnginePeer>, cfg: &RunnerConfig) -> EngineRuntime {
                 .with_coalescing(dc.coalesce)
                 .with_fault_plan(dc.fault),
         ),
-        RuntimeKind::Threaded(tc) => {
-            EngineRuntime::Threaded(ThreadedRuntime::new(nodes, tc.clone()))
-        }
         RuntimeKind::Async(ac) => EngineRuntime::Async(AsyncRuntime::new(nodes, ac.clone())),
         RuntimeKind::Sharded(sc) => EngineRuntime::Sharded(ShardedRuntime::new(nodes, sc.clone())),
     }
@@ -983,7 +978,7 @@ impl<R: Runtime<Msg, EnginePeer>> Runner<R> {
     }
 
     /// Inspect one peer's operator state (tests / provenance explorer).
-    /// Takes a closure because the threaded substrate holds peers behind
+    /// Takes a closure because the concurrent substrates hold peers behind
     /// per-peer locks.
     pub fn with_peer<T>(&self, p: PeerId, f: impl FnOnce(&EnginePeer) -> T) -> T {
         self.rt.with_peer(p, f)

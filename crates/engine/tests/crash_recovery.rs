@@ -16,8 +16,8 @@
 //! 2. **Pinned mid-cascade crashes** — crash points placed *inside* the
 //!    churn deletion cascade of the pinned churn-race case restore from the
 //!    post-load epoch and still replay byte-identically.
-//! 3. **Sharded acceptance gate** — both sharded composites (threaded and
-//!    async shards) crash mid-session under all four deletion strategies and
+//! 3. **Sharded acceptance gate** — the sharded composite crashes
+//!    mid-session under all four deletion strategies and
 //!    must recover to the clean DES fixpoint; on the purpose-built confluent
 //!    chain workload the recovered sharded runs are additionally pinned to
 //!    the oracle's exact per-peer traffic matrices.
@@ -32,7 +32,7 @@
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
 use netrec_engine::ServeSpec;
-use netrec_sim::{AsyncConfig, FaultPlan, RuntimeKind, ShardKind, ShardedConfig, ThreadedConfig};
+use netrec_sim::{AsyncConfig, FaultPlan, RuntimeKind, ShardedConfig};
 use netrec_testutil::churn::ChurnCase;
 use netrec_testutil::fixtures::{link, reachable_plan};
 use netrec_testutil::{
@@ -66,23 +66,9 @@ fn dilated_async() -> AsyncConfig {
     }
 }
 
-fn dilated_threaded() -> ThreadedConfig {
-    ThreadedConfig {
-        time_dilation: 0.02,
-        ..ThreadedConfig::default()
-    }
-}
-
-fn sharded_threaded(shards: u32) -> RuntimeKind {
-    RuntimeKind::Sharded(ShardedConfig {
-        shard: ShardKind::Threaded(dilated_threaded()),
-        ..ShardedConfig::with_shards(shards)
-    })
-}
-
 fn sharded_async(shards: u32) -> RuntimeKind {
     RuntimeKind::Sharded(ShardedConfig {
-        shard: ShardKind::Async(dilated_async()),
+        shard: dilated_async(),
         ..ShardedConfig::with_shards(shards)
     })
 }
@@ -262,14 +248,13 @@ fn sharded_crash_recovery_reaches_the_clean_churn_fixpoint() {
         // Aim mid-cascade on the DES event scale; concurrent substrates'
         // counts differ, so run_crashing halves until the crash fires.
         let aim = load_events + (total - load_events) / 2;
-        for kind in [sharded_threaded(2), sharded_async(2)] {
-            let (got, fired_at) = run_crashing(&w, &kind, aim);
-            assert_views_match(
-                &oracle,
-                &got,
-                &format!("{} crash@{fired_at} {}", kind.label(), strategy.label()),
-            );
-        }
+        let kind = sharded_async(2);
+        let (got, fired_at) = run_crashing(&w, &kind, aim);
+        assert_views_match(
+            &oracle,
+            &got,
+            &format!("{} crash@{fired_at} {}", kind.label(), strategy.label()),
+        );
     }
 }
 
@@ -287,17 +272,16 @@ fn sharded_crash_recovery_is_byte_identical_on_confluent_traffic() {
             assert!(obs.converged, "oracle must converge");
         }
         let total = oracle.last().expect("phases").events;
-        for kind in [sharded_threaded(2), sharded_async(2)] {
-            let (got, fired_at) = run_crashing(&w, &kind, total / 2);
-            let ctx = format!("{} crash@{fired_at} {}", kind.label(), strategy.label());
-            assert_views_match(&oracle, &got, &ctx);
-            for (want, have) in oracle.iter().zip(&got) {
-                assert_eq!(
-                    want.metrics, have.metrics,
-                    "{ctx}: per-peer traffic matrices diverge after phase {}",
-                    want.label
-                );
-            }
+        let kind = sharded_async(2);
+        let (got, fired_at) = run_crashing(&w, &kind, total / 2);
+        let ctx = format!("{} crash@{fired_at} {}", kind.label(), strategy.label());
+        assert_views_match(&oracle, &got, &ctx);
+        for (want, have) in oracle.iter().zip(&got) {
+            assert_eq!(
+                want.metrics, have.metrics,
+                "{ctx}: per-peer traffic matrices diverge after phase {}",
+                want.label
+            );
         }
     }
 }

@@ -23,7 +23,7 @@
 
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
-use netrec_sim::{AsyncConfig, FaultPlan, RuntimeKind, ShardKind, ShardedConfig, ThreadedConfig};
+use netrec_sim::{AsyncConfig, FaultPlan, RuntimeKind, ShardedConfig};
 use netrec_testutil::churn::ChurnCase;
 use netrec_testutil::fixtures::reachable_plan;
 use netrec_testutil::{assert_substrates_agree, run_workload_on};
@@ -53,23 +53,9 @@ fn dilated_async() -> AsyncConfig {
     }
 }
 
-fn dilated_threaded() -> ThreadedConfig {
-    ThreadedConfig {
-        time_dilation: 0.02,
-        ..ThreadedConfig::default()
-    }
-}
-
-fn sharded_threaded(shards: u32) -> RuntimeKind {
-    RuntimeKind::Sharded(ShardedConfig {
-        shard: ShardKind::Threaded(dilated_threaded()),
-        ..ShardedConfig::with_shards(shards)
-    })
-}
-
 fn sharded_async(shards: u32) -> RuntimeKind {
     RuntimeKind::Sharded(ShardedConfig {
-        shard: ShardKind::Async(dilated_async()),
+        shard: dilated_async(),
         ..ShardedConfig::with_shards(shards)
     })
 }
@@ -119,9 +105,7 @@ fn pinned_fault_schedules_reach_the_clean_fixpoint_on_all_substrates() {
             let kinds = vec![
                 RuntimeKind::des(),
                 RuntimeKind::des().with_fault(plan),
-                RuntimeKind::Threaded(dilated_threaded()).with_fault(plan),
                 RuntimeKind::Async(dilated_async()).with_fault(plan),
-                sharded_threaded(2).with_fault(plan),
                 sharded_async(2).with_fault(plan),
             ];
             // Panic messages name the diverging substrate; `label` names

@@ -1,9 +1,9 @@
 //! Substrate differential test: the same multi-phase reachability workload
 //! must produce **identical final store contents and identical per-peer
 //! msgs/bytes/tuples/prov_bytes metrics** on every execution substrate —
-//! the deterministic DES reference, the threaded runtime, the async
-//! task-per-peer runtime, and the sharded runtime over threaded shards (2
-//! hash / 4 contiguous) and async shards — in every maintenance strategy.
+//! the deterministic DES reference, the async task-per-peer runtime, and
+//! the sharded runtime (2 hash-assigned / 4 contiguous async shards) — in
+//! every maintenance strategy.
 //! The comparison machinery lives in `netrec-testutil`
 //! (`assert_substrates_agree`), so future substrates get this gate by
 //! adding one `RuntimeKind` to the list.
@@ -40,7 +40,7 @@ use std::collections::BTreeSet;
 
 use netrec_engine::runner::RunnerConfig;
 use netrec_engine::strategy::Strategy;
-use netrec_sim::{RuntimeKind, ShardAssignment, ShardedConfig, Simulator, ThreadedConfig};
+use netrec_sim::{AsyncConfig, RuntimeKind, ShardAssignment, ShardedConfig, Simulator};
 use netrec_testutil::fixtures::{link, reachable_plan};
 use netrec_testutil::{assert_substrates_agree, run_workload_custom, DiffPhase, DiffWorkload};
 use netrec_topo::BaseOp;
@@ -73,28 +73,24 @@ fn chain_workload(strategy: Strategy) -> DiffWorkload {
     w
 }
 
-/// Every substrate in the matrix: DES reference, threaded, async
-/// (task-per-peer), sharded at 2 hash-assigned and 4 contiguous threaded
-/// shards, and sharded over 2 async shards.
+/// Every substrate in the matrix: DES reference, async (task-per-peer),
+/// and sharded at 2 hash-assigned and 4 contiguous async shards.
 fn substrates() -> Vec<RuntimeKind> {
     vec![
         RuntimeKind::des(),
-        RuntimeKind::threaded(),
         RuntimeKind::asynchronous(),
-        RuntimeKind::sharded(2),
+        RuntimeKind::sharded_async(2),
         RuntimeKind::Sharded(
             ShardedConfig::with_shards(4).with_assignment(ShardAssignment::Contiguous),
         ),
-        RuntimeKind::sharded_async(2),
     ]
 }
 
-/// A reduced coalescing-off matrix: the threaded runtime is the reference
-/// (the DES's off-mode is not expressible through [`RuntimeKind`] and is
-/// compared separately via [`run_workload_custom`]).
+/// A reduced coalescing-off matrix: the async runtime is the reference
+/// (the DES's off-mode is compared separately via [`run_workload_custom`]).
 fn substrates_coalescing_off() -> Vec<RuntimeKind> {
     vec![
-        RuntimeKind::Threaded(ThreadedConfig::default().with_coalescing(false)),
+        RuntimeKind::Async(AsyncConfig::default().with_coalescing(false)),
         RuntimeKind::Sharded(ShardedConfig::with_shards(2).with_coalescing(false)),
     ]
 }
@@ -131,7 +127,7 @@ fn assert_identical(strategy: Strategy) {
         let phase = &on.label;
         assert!(des.converged, "[des-off] phase {phase} did not converge");
         assert_eq!(on.views, des.views, "views diverge des-on/off in {phase}");
-        for (name, off) in [("des-off", des), ("threaded-off", conc)] {
+        for (name, off) in [("des-off", des), ("async-off", conc)] {
             assert_eq!(
                 on.metrics.logical(),
                 off.metrics.logical(),
@@ -196,9 +192,7 @@ fn ttl_expiry_is_fenced_inside_the_phase() {
         &w,
         &[
             RuntimeKind::des(),
-            RuntimeKind::threaded(),
             RuntimeKind::asynchronous(),
-            RuntimeKind::sharded(2),
             RuntimeKind::sharded_async(2),
         ],
     );

@@ -1,9 +1,8 @@
 //! Property-based substrate differential: proptest-generated random
 //! topologies and update/delete scripts (from `netrec-topo`'s generators)
-//! run through the DES, the threaded runtime, the async task-per-peer
-//! runtime, and the sharded runtime at 1, 2, and 4 threaded shards plus 2
-//! async shards, in all 5 maintenance strategies — every substrate must
-//! reach the DES fixpoint.
+//! run through the DES, the async task-per-peer runtime, and the sharded
+//! runtime at 1, 2, and 4 async shards, in all 5 maintenance strategies —
+//! every substrate must reach the DES fixpoint.
 //!
 //! Random injection orders are *not* traffic-confluent (batch composition
 //! depends on arrival interleavings), so these phases are relaxed: the
@@ -39,11 +38,11 @@
 //! pass).
 
 use netrec_engine::strategy::Strategy;
-use netrec_sim::{
-    AsyncConfig, DesConfig, FaultPlan, RuntimeKind, ShardKind, ShardedConfig, ThreadedConfig,
-};
+use netrec_sim::{AsyncConfig, DesConfig, FaultPlan, RuntimeKind, ShardedConfig};
 use netrec_testutil::churn::ChurnCase;
-use netrec_testutil::{assert_substrates_agree, run_workload_on, run_workload_recovering};
+use netrec_testutil::{
+    assert_substrates_agree, run_workload_on, run_workload_recovering, DiffWorkload, PhaseObs,
+};
 use proptest::prelude::*;
 
 fn cases_from_env() -> u32 {
@@ -53,8 +52,8 @@ fn cases_from_env() -> u32 {
         .unwrap_or(5)
 }
 
-/// The substrate matrix: DES reference, threaded, async task-per-peer,
-/// sharded at 1/2/4 threaded shards, and sharded over 2 async shards.
+/// The substrate matrix: DES reference, async task-per-peer, and sharded
+/// at 1/2/4 async shards.
 /// The concurrent substrates compress timer delays 50× (`time_dilation`):
 /// eager-mode 1 s flush periods would otherwise map to real one-second
 /// sleeps per flush round, and the timer fence makes every phase wait them
@@ -62,14 +61,6 @@ fn cases_from_env() -> u32 {
 /// `coalesce` switches transport coalescing on every concurrent substrate
 /// (the DES reference always coalesces; relaxed phases compare views, which
 /// must be mode-independent).
-fn dilated_threaded(coalesce: bool) -> ThreadedConfig {
-    ThreadedConfig {
-        time_dilation: 0.02,
-        coalesce,
-        ..ThreadedConfig::default()
-    }
-}
-
 fn dilated_async(coalesce: bool) -> AsyncConfig {
     AsyncConfig {
         time_dilation: 0.02,
@@ -79,25 +70,18 @@ fn dilated_async(coalesce: bool) -> AsyncConfig {
 }
 
 fn substrates(coalesce: bool) -> Vec<RuntimeKind> {
-    let threaded = dilated_threaded(coalesce);
-    let async_cfg = dilated_async(coalesce);
     let sharded = |shards: u32| {
         RuntimeKind::Sharded(ShardedConfig {
-            shard: ShardKind::Threaded(threaded.clone()),
+            shard: dilated_async(coalesce),
             ..ShardedConfig::with_shards(shards)
         })
     };
     vec![
         RuntimeKind::des(),
-        RuntimeKind::Threaded(threaded.clone()),
-        RuntimeKind::Async(async_cfg.clone()),
+        RuntimeKind::Async(dilated_async(coalesce)),
         sharded(1),
         sharded(2),
         sharded(4),
-        RuntimeKind::Sharded(ShardedConfig {
-            shard: ShardKind::Async(async_cfg),
-            ..ShardedConfig::with_shards(2)
-        }),
     ]
 }
 
@@ -111,7 +95,7 @@ fn faulted_substrates(fault: &FaultPlan) -> Vec<RuntimeKind> {
         RuntimeKind::des().with_fault(*fault),
         RuntimeKind::Async(dilated_async(true)).with_fault(*fault),
         RuntimeKind::Sharded(ShardedConfig {
-            shard: ShardKind::Async(dilated_async(true)),
+            shard: dilated_async(true),
             ..ShardedConfig::with_shards(2)
         })
         .with_fault(*fault),
@@ -174,6 +158,85 @@ fn churn_cascade_race_pinned_repro() {
     }
 }
 
+/// Crash-recovery dimension: a seeded crash point inside the DES session,
+/// recovered from interval-1 epoch checkpoints, must replay to the exact
+/// clean observations `obs` — views AND the full per-peer traffic matrix at
+/// every phase boundary (the DES is deterministic, so recovery is
+/// byte-identical, not merely fixpoint-equal). Deeper crash sweeps live in
+/// `crash_recovery.rs`.
+///
+/// Dials span `1..=total-1`, so the crash always destroys work still in
+/// flight (a dial of `total` also fires, but only after the last event has
+/// retired). The counter is logical — an envelope of N messages adds N —
+/// so a dial can fall *inside* an envelope, including the session's final
+/// one; it must fire all the same.
+fn des_crash_recovery_is_byte_identical(
+    w: &DiffWorkload,
+    obs: &[PhaseObs],
+    fault_seed: u64,
+    strategy: &Strategy,
+) -> Result<(), TestCaseError> {
+    let total_events = obs.last().expect("phases").events.max(2);
+    let crash_at = 1 + fault_seed % (total_events - 1);
+    let (rec, crashes) = run_workload_recovering(
+        w,
+        &RuntimeKind::des().with_fault(FaultPlan::crash_at(crash_at)),
+        1,
+    );
+    prop_assert_eq!(
+        crashes,
+        1,
+        "crash at event {} of {} must fire exactly once ({})",
+        crash_at,
+        total_events,
+        strategy.label()
+    );
+    for (want, have) in obs.iter().zip(&rec) {
+        prop_assert_eq!(
+            &want.views,
+            &have.views,
+            "recovered views diverge after {} ({})",
+            &want.label,
+            strategy.label()
+        );
+        prop_assert_eq!(
+            &want.metrics,
+            &have.metrics,
+            "recovered metrics diverge after {} ({})",
+            &want.label,
+            strategy.label()
+        );
+    }
+    Ok(())
+}
+
+/// Regression gate for the **DES crash dial inside the final envelope**.
+///
+/// Found by the default-seed run of the property below
+/// (`NETREC_DIFF_CASES=24`, case 23): under absorption/lazy the session's
+/// last two pops carry 3 and 2 logical events (counter 292 → 295 → 297),
+/// and this fault seed places the dial at 296 of 297 — crossed by the
+/// final pop with nothing left in the queue, so the simulator used to
+/// report `Converged` and the crash never fired.
+#[test]
+fn crash_dial_inside_final_envelope_pinned_repro() {
+    let case = ChurnCase {
+        nodes: 7,
+        extra: 0,
+        peers: 3,
+        topo_seed: 2008909284646477082,
+        script_seed: 11046538666961493124,
+        del_pick: 0,
+    };
+    let strategy = Strategy::absorption_lazy();
+    let w = case.workload(strategy);
+    let obs = run_workload_on(&w, &RuntimeKind::des());
+    if let Err(e) = des_crash_recovery_is_byte_identical(&w, &obs, 17176305093492510959, &strategy)
+    {
+        panic!("{e}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases_from_env(), ..ProptestConfig::default() })]
 
@@ -212,40 +275,7 @@ proptest! {
             // fixpoint (the faulted DES replays its plan exactly; the
             // concurrent substrates draw seeded per-worker schedules).
             assert_substrates_agree(&w, &faulted_substrates(&FaultPlan::from_seed(fault_seed)));
-            // Crash-recovery dimension: a seeded crash point inside the DES
-            // session, recovered from interval-1 epoch checkpoints, must
-            // replay to the exact clean observations — views AND the full
-            // per-peer traffic matrix at every phase boundary (the DES is
-            // deterministic, so recovery is byte-identical, not merely
-            // fixpoint-equal). Deeper crash sweeps live in
-            // `crash_recovery.rs`.
-            // Dials span 1..=total-1: the crash check fires on an event pop
-            // with the counter at the dial, so a dial of `total` lands after
-            // the final pop and the session converges instead of crashing.
-            let total_events = obs.last().expect("phases").events.max(2);
-            let crash_at = 1 + fault_seed % (total_events - 1);
-            let (rec, crashes) = run_workload_recovering(
-                &w,
-                &RuntimeKind::des().with_fault(FaultPlan::crash_at(crash_at)),
-                1,
-            );
-            prop_assert_eq!(
-                crashes, 1,
-                "crash at event {} of {} must fire exactly once ({})",
-                crash_at, total_events, strategy.label()
-            );
-            for (want, have) in obs.iter().zip(&rec) {
-                prop_assert_eq!(
-                    &want.views, &have.views,
-                    "recovered views diverge after {} ({})",
-                    &want.label, strategy.label()
-                );
-                prop_assert_eq!(
-                    &want.metrics, &have.metrics,
-                    "recovered metrics diverge after {} ({})",
-                    &want.label, strategy.label()
-                );
-            }
+            des_crash_recovery_is_byte_identical(&w, &obs, fault_seed, &strategy)?;
             // The coalescing on/off differential on the deterministic DES:
             // same script, coalescing disabled. The fixpoint must be
             // mode-independent, and the transport invariants must hold

@@ -45,9 +45,8 @@ fn phases() -> Vec<Phase> {
 fn substrates() -> Vec<RuntimeKind> {
     vec![
         RuntimeKind::des(),
-        RuntimeKind::threaded(),
         RuntimeKind::asynchronous(),
-        RuntimeKind::sharded(2),
+        RuntimeKind::sharded_async(2),
     ]
 }
 

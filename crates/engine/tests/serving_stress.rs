@@ -1,7 +1,8 @@
 //! Serving-layer stress test: concurrent reader threads hammer a
 //! [`ViewReader`] while the engine runs insert/delete churn phases, on the
-//! threaded and sharded substrates (real OS threads — actual concurrency
-//! between readers and the publish handshake).
+//! sharded substrate (several executor OS threads on the writer side —
+//! actual concurrency between peers, readers and the publish handshake; a
+//! standalone async session would put every peer on one thread).
 //!
 //! Invariants asserted by every reader on every read:
 //!
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
 use netrec_engine::ServeSpec;
-use netrec_sim::RuntimeKind;
+use netrec_sim::{RuntimeKind, ShardAssignment, ShardedConfig};
 use netrec_testutil::fixtures::{link, reachable_plan};
 use netrec_types::{RelId, UpdateKind};
 
@@ -143,12 +144,15 @@ fn stress(kind: RuntimeKind) {
     );
 }
 
+/// One peer per executor thread: the thread-per-peer regime.
 #[test]
-fn readers_observe_only_converged_boundaries_threaded() {
-    stress(RuntimeKind::threaded());
+fn readers_observe_only_converged_boundaries_thread_per_peer() {
+    stress(RuntimeKind::Sharded(
+        ShardedConfig::with_shards(PEERS).with_assignment(ShardAssignment::Contiguous),
+    ));
 }
 
 #[test]
 fn readers_observe_only_converged_boundaries_sharded() {
-    stress(RuntimeKind::sharded(2));
+    stress(RuntimeKind::sharded_async(2));
 }

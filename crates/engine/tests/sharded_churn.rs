@@ -1,12 +1,12 @@
-//! Churn/fault scenario for the sharded runtime — over threaded *and* async
-//! shards: soft-state TTL expiry plus interleaved insert/delete phases whose
+//! Churn/fault scenario for the sharded runtime: soft-state TTL expiry plus
+//! interleaved insert/delete phases whose
 //! cascades cross shard boundaries at every hop — the chain 0→1→…→5 is
 //! deliberately placed so consecutive peers always live on *different*
 //! shards.
 //!
 //! After every phase the test asserts the **global timer fence** directly
 //! on the concrete runtime: a converged phase leaves zero pending events
-//! anywhere (no armed timer in any shard's timer service) and zero
+//! anywhere (no armed timer in any shard's timer heap) and zero
 //! cross-shard messages in flight (transport channel and controller parking
 //! both empty). Views are pinned to a DES run of the identical script —
 //! churn traffic is scheduling-dependent, fixpoints are not.
@@ -17,10 +17,7 @@ use netrec_engine::peer::EnginePeer;
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
 use netrec_engine::update::Msg;
-use netrec_sim::{
-    AsyncConfig, RuntimeKind, ShardAssignment, ShardKind, ShardedConfig, ShardedRuntime,
-    ThreadedConfig,
-};
+use netrec_sim::{AsyncConfig, RuntimeKind, ShardAssignment, ShardedConfig, ShardedRuntime};
 use netrec_testutil::fixtures::{link, reachable_plan};
 use netrec_testutil::{run_workload_on, DiffPhase, DiffWorkload};
 use netrec_topo::BaseOp;
@@ -99,35 +96,28 @@ fn des_views(strategy: Strategy) -> Vec<BTreeSet<Tuple>> {
         .collect()
 }
 
-/// Compress timer delays so eager 1 s flush periods and the TTLs don't
-/// pace the test in real time; the fence holds regardless.
-fn shard_kind(async_shards: bool) -> ShardKind {
-    if async_shards {
-        ShardKind::Async(AsyncConfig {
+/// `shards` interleaved shards with timer delays compressed, so eager 1 s
+/// flush periods and the TTLs don't pace the test in real time; the fence
+/// holds regardless.
+fn dilated_shards(shards: u32) -> ShardedConfig {
+    ShardedConfig {
+        shards,
+        assignment: interleaved(shards),
+        shard: AsyncConfig {
             time_dilation: 0.05,
             ..AsyncConfig::default()
-        })
-    } else {
-        ShardKind::Threaded(ThreadedConfig {
-            time_dilation: 0.05,
-            ..ThreadedConfig::default()
-        })
+        },
+        ..ShardedConfig::default()
     }
 }
 
-fn churn_on_sharded(strategy: Strategy, shards: u32, async_shards: bool) {
+fn uncoalesced(shards: u32) -> ShardedConfig {
+    dilated_shards(shards).with_coalescing(false)
+}
+
+fn churn_on_sharded(strategy: Strategy, cfg: ShardedConfig) {
     let des = des_views(strategy);
-    let cfg = ShardedConfig {
-        shards,
-        assignment: interleaved(shards),
-        shard: shard_kind(async_shards),
-        ..ShardedConfig::default()
-    };
-    let tag = if async_shards {
-        "sharded-async"
-    } else {
-        "sharded"
-    };
+    let (shards, coalesce) = (cfg.shards, cfg.shard.coalesce);
     let mut runner = Runner::with_runtime(
         reachable_plan(),
         RunnerConfig::direct(strategy, PEERS).with_runtime(RuntimeKind::Sharded(cfg.clone())),
@@ -136,25 +126,32 @@ fn churn_on_sharded(strategy: Strategy, shards: u32, async_shards: bool) {
     for ((label, ops), want) in phases().into_iter().zip(des) {
         inject_all(&mut runner, &ops);
         let rep = runner.run_phase(label);
-        assert!(rep.converged(), "[{tag}/{shards}] {label} converged");
+        assert!(
+            rep.converged(),
+            "[sharded-async/{shards}] {label} converged"
+        );
         // The global fence, asserted on the concrete runtime: no phase ends
         // with a cross-shard message or an armed timer in flight anywhere.
         let rt: &ShardedRuntime<Msg, EnginePeer> = runner.runtime();
         assert_eq!(
             rt.cross_shard_in_flight(),
             0,
-            "[{tag}/{shards}] {label}: cross-shard messages in flight at a phase boundary"
+            "[sharded-async/{shards}] {label}: cross-shard messages in flight at a phase boundary"
         );
         assert_eq!(
             rt.pending_events(),
             0,
-            "[{tag}/{shards}] {label}: events or armed timers survive the phase"
+            "[sharded-async/{shards}] {label}: events or armed timers survive the phase"
         );
         assert_eq!(
             runner.view("reachable"),
             want,
-            "[{tag}/{shards}] {label}: view diverges from DES"
+            "[sharded-async/{shards}] {label}: view diverges from DES"
         );
+    }
+    if !coalesce {
+        let m = runner.metrics();
+        assert_eq!(m.total_envelopes(), m.total_msgs(), "one envelope each");
     }
 }
 
@@ -180,12 +177,7 @@ fn des_reference_views_are_the_expected_closures() {
 /// per-peer invariant envelopes ≤ msgs must hold everywhere).
 #[test]
 fn coalescing_is_active_on_the_churn_scenario() {
-    let cfg = ShardedConfig {
-        shards: 2,
-        assignment: interleaved(2),
-        shard: shard_kind(false),
-        ..ShardedConfig::default()
-    };
+    let cfg = dilated_shards(2);
     let mut runner = Runner::with_runtime(
         reachable_plan(),
         RunnerConfig::direct(Strategy::absorption_lazy(), PEERS)
@@ -221,53 +213,54 @@ fn coalescing_is_active_on_the_churn_scenario() {
 
 #[test]
 fn churn_absorption_lazy_2_shards() {
-    churn_on_sharded(Strategy::absorption_lazy(), 2, false);
+    churn_on_sharded(Strategy::absorption_lazy(), dilated_shards(2));
 }
 
 #[test]
 fn churn_absorption_lazy_3_shards() {
-    churn_on_sharded(Strategy::absorption_lazy(), 3, false);
+    churn_on_sharded(Strategy::absorption_lazy(), dilated_shards(3));
 }
 
 #[test]
 fn churn_absorption_eager_3_shards() {
-    churn_on_sharded(Strategy::absorption_eager(), 3, false);
+    churn_on_sharded(Strategy::absorption_eager(), dilated_shards(3));
 }
 
 #[test]
 fn churn_relative_lazy_3_shards() {
-    churn_on_sharded(Strategy::relative_lazy(), 3, false);
+    churn_on_sharded(Strategy::relative_lazy(), dilated_shards(3));
 }
 
 #[test]
 fn churn_relative_eager_3_shards() {
-    churn_on_sharded(Strategy::relative_eager(), 3, false);
+    churn_on_sharded(Strategy::relative_eager(), dilated_shards(3));
 }
 
-// The same churn/fence scenario over async shards: cooperative peer tasks,
-// in-loop timer heap, identical global quiescence contract.
+// The same churn/fence scenario with transport coalescing off: every
+// message is its own envelope and its own in-flight count, on both
+// cross-shard paths — the fence must hold in the degraded mode too.
 
 #[test]
 fn churn_absorption_lazy_2_async_shards() {
-    churn_on_sharded(Strategy::absorption_lazy(), 2, true);
+    churn_on_sharded(Strategy::absorption_lazy(), uncoalesced(2));
 }
 
 #[test]
 fn churn_absorption_lazy_3_async_shards() {
-    churn_on_sharded(Strategy::absorption_lazy(), 3, true);
+    churn_on_sharded(Strategy::absorption_lazy(), uncoalesced(3));
 }
 
 #[test]
 fn churn_absorption_eager_3_async_shards() {
-    churn_on_sharded(Strategy::absorption_eager(), 3, true);
+    churn_on_sharded(Strategy::absorption_eager(), uncoalesced(3));
 }
 
 #[test]
 fn churn_relative_lazy_3_async_shards() {
-    churn_on_sharded(Strategy::relative_lazy(), 3, true);
+    churn_on_sharded(Strategy::relative_lazy(), uncoalesced(3));
 }
 
 #[test]
 fn churn_relative_eager_3_async_shards() {
-    churn_on_sharded(Strategy::relative_eager(), 3, true);
+    churn_on_sharded(Strategy::relative_eager(), uncoalesced(3));
 }

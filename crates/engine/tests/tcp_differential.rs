@@ -57,8 +57,8 @@ fn chain_workload(strategy: Strategy) -> DiffWorkload {
     w
 }
 
-/// Layer 1: DES reference, channel-transport sharded, and both TCP
-/// composites, held to identical views and — on every strict boundary —
+/// Layer 1: DES reference, channel-transport sharded, and the TCP
+/// composite, held to identical views and — on every strict boundary —
 /// identical logical *and* envelope traffic; then the full per-peer
 /// matrices are pinned pairwise against the reference.
 fn assert_tcp_parity(strategy: Strategy) {
@@ -68,8 +68,7 @@ fn assert_tcp_parity(strategy: Strategy) {
         assert!(obs.converged, "DES reference must converge");
     }
     for kind in [
-        RuntimeKind::sharded(2),
-        RuntimeKind::sharded_tcp(2),
+        RuntimeKind::sharded_async(2),
         RuntimeKind::sharded_async_tcp(2),
     ] {
         let name = kind.label();
@@ -130,14 +129,7 @@ fn churn_cascades_reach_the_oracle_fixpoint_over_tcp() {
     ] {
         for strategy in [Strategy::relative_lazy(), Strategy::absorption_eager()] {
             let w = case.workload(strategy);
-            assert_substrates_agree(
-                &w,
-                &[
-                    RuntimeKind::des(),
-                    RuntimeKind::sharded_tcp(2),
-                    RuntimeKind::sharded_async_tcp(2),
-                ],
-            );
+            assert_substrates_agree(&w, &[RuntimeKind::des(), RuntimeKind::sharded_async_tcp(2)]);
         }
     }
 }

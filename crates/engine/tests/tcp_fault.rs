@@ -54,7 +54,7 @@ fn chain_workload(strategy: Strategy) -> DiffWorkload {
 /// statistics (which include the transport supervision counters).
 fn run_faulted(w: &DiffWorkload, oracle: &[PhaseObs], plan: FaultPlan, ctx: &str) -> FaultStats {
     let cfg = RunnerConfig {
-        runtime: RuntimeKind::sharded_tcp(2).with_fault(plan),
+        runtime: RuntimeKind::sharded_async_tcp(2).with_fault(plan),
         ..w.config_ref().clone()
     };
     let mut runner = Runner::new(reachable_plan(), cfg);

@@ -27,7 +27,7 @@
 //!
 //! The publish cadence is owned by the engine's `Runner`: it drains
 //! per-store membership deltas at every run-to-quiescence boundary (on every
-//! substrate — DES, threaded, async, sharded) and publishes them as one
+//! substrate — DES, async, sharded) and publishes them as one
 //! epoch. DESIGN.md "Serving layer" carries the protocol ledger and the
 //! proof sketch for why readers can never observe a half-applied cascade.
 

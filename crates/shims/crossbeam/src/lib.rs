@@ -1,6 +1,7 @@
 //! Offline shim for `crossbeam`: the `channel` module mapped onto
-//! `std::sync::mpsc` (unbounded and bounded MPSC are all the threaded
-//! runtime needs).
+//! `std::sync::mpsc` (unbounded and bounded MPSC are all the concurrent
+//! runtimes' controller signals, cross-shard relay and TCP link queues
+//! need).
 
 pub mod channel {
     //! MPSC channels with crossbeam's names.

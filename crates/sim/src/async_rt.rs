@@ -1,50 +1,55 @@
-//! The async runtime: one **cooperative task per peer** on a single-threaded
-//! executor — thousands of peers per core, where the thread-per-peer
-//! [`ThreadedRuntime`](crate::threaded::ThreadedRuntime) tops out at OS
-//! thread limits.
+//! The async runtime: the workspace's one concurrent event loop — one
+//! **cooperative task per peer** on a single executor thread, thousands of
+//! peers per core. It runs standalone and as every shard of a
+//! [`ShardedRuntime`](crate::sharded::ShardedRuntime) (N executor threads,
+//! many tasks each).
 //!
 //! An [`AsyncRuntime`] is a long-lived session implementing
 //! [`Runtime`]: one executor OS thread hosts every peer as a `!Send` future
 //! on the offline `futures` shim's `LocalPool` (no tokio). Each peer task
 //! pulls from a **bounded** async inbox, runs the same [`PeerNode`] callback
-//! the DES and the threaded runtime drive, and routes outputs under the very
-//! same in-flight-counter discipline — so the quiescence and timer-fence
-//! contract transfers verbatim.
+//! the DES drives, and routes its outputs under the in-flight-counter
+//! discipline below. The controller injects inputs, runs phases to
+//! quiescence, snapshots metrics and inspects peers between phases — the
+//! same session shape as the DES.
 //!
 //! Design notes (DESIGN.md "Runtimes" has the full ledger):
 //!
-//! * **Termination detection** — the identical global in-flight counter: a
-//!   message counts from send until its callback has run *and registered its
-//!   own outputs*; an armed timer counts from arming until its firing's
-//!   callback retires. Zero ⇒ global quiescence including timers.
+//! * **Termination detection** — one global in-flight counter covers every
+//!   produced-but-unprocessed event: a message counts from send until its
+//!   callback has run *and registered its own outputs*; an armed timer
+//!   counts from arming until its firing's callback retires. Zero therefore
+//!   certifies global quiescence *including timers* — the timer fence the
+//!   DES gets for free from its event queue.
 //! * **Backpressure without starvation** — inboxes are bounded; a task whose
 //!   `try_send` hits a full inbox drains its *own* inbox into a local
-//!   backlog and **yields** (the cooperative analogue of the threaded
-//!   runtime's spin-and-drain). The yield puts the sender back on the ready
-//!   queue behind the destination task — which is ready, because its inbox
-//!   is non-empty — so the destination always gets scheduled to free space,
-//!   and the in-flight counter keeps every parked message accounted: a
+//!   backlog and **yields**, so a cycle of peers blocked on each other
+//!   always has someone freeing space. The yield puts the sender back on
+//!   the ready queue behind the destination task — which is ready, because
+//!   its inbox is non-empty — so the destination always gets scheduled, and
+//!   the in-flight counter keeps every parked message accounted: a
 //!   cooperative yield can never starve quiescence detection into a false
 //!   zero.
-//! * **Timers** — the timer-service pattern moves *into* the executor loop:
-//!   one min-heap of armed timers (zero threads and zero tasks per timer),
+//! * **Timers** — the timer service lives *in* the executor loop: one
+//!   min-heap of armed timers (zero threads and zero tasks per timer),
 //!   fired between task slices by re-injecting `Timer` messages, with
 //!   full-inbox firings deferred per peer in FIFO order. Arming is a plain
 //!   heap push — peer tasks share the executor thread, so no channel is
 //!   needed.
 //! * **Peer-panic propagation** — callbacks run under `catch_unwind` inside
 //!   the task; the first panic is recorded, teardown begins, and the
-//!   controller re-panics from [`Runtime::run`]. A backstop `catch_unwind`
+//!   controller re-panics from [`Runtime::run`] instead of hanging on a
+//!   quiescence signal that will never come. A backstop `catch_unwind`
 //!   around the executor loop covers plumbing panics.
-//! * **Budget / freeze** — the controller enforces [`RunBudget`] exactly
-//!   like the threaded runtime; exhaustion freezes the session (executor
-//!   thread joined, armed timers retired), after which `run` fails fast and
-//!   never claims convergence.
+//! * **Budget / freeze** — the controller enforces [`RunBudget`]
+//!   (`max_events` over the event counter, `max_time` over cumulative
+//!   wall time spent inside `run`, `max_wall` per phase); exhaustion freezes
+//!   the session (executor thread joined, armed timers retired), after
+//!   which `run` fails fast and never claims convergence.
 //!
-//! Like the threaded runtime, timing is wall-clock (timer delays dilated by
-//! [`AsyncConfig::time_dilation`]) and link latency/bandwidth are not
-//! modelled. The runtime also hosts *shards*: see
-//! [`ShardKind::Async`](crate::sharded::ShardKind).
+//! Timing is wall-clock (timer delays dilated by
+//! [`AsyncConfig::time_dilation`]), convergence "time" is elapsed
+//! wall-clock microseconds, and link latency/bandwidth are not modelled.
 
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, VecDeque};
@@ -70,7 +75,7 @@ use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics::{MsgMeta, NetMetrics};
 use crate::net::{PeerId, Port};
 use crate::runtime::{RunBudget, RunOutcome, Runtime};
-use crate::substrate_common::{dilate, panic_message, Shared, TimerEntry};
+use crate::substrate_common::Shared;
 
 /// Tuning knobs for the async runtime.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,7 +84,8 @@ pub struct AsyncConfig {
     /// inbox is full drains its own inbox and yields until space frees.
     pub channel_capacity: usize,
     /// Wall-clock microseconds slept per simulated microsecond of timer
-    /// delay, as in [`ThreadedConfig`](crate::threaded::ThreadedConfig).
+    /// delay. `1.0` maps simulated delays to real time; tests compress long
+    /// TTLs with smaller factors.
     pub time_dilation: f64,
     /// Controller poll tick while waiting for quiescence (a safety net — the
     /// controller is also woken by an explicit signal).
@@ -91,7 +97,8 @@ pub struct AsyncConfig {
     /// are simulated microseconds scaled by `time_dilation`; a faulted task
     /// *yields* until its dilated deadline rather than sleeping — every
     /// task shares the one executor thread — so other peers keep running
-    /// through the stall. See [`mod@crate::fault`].
+    /// through the stall. A seed gives a reproducible fault *distribution*
+    /// here, not an exact schedule — see [`mod@crate::fault`].
     pub fault: Option<FaultPlan>,
 }
 
@@ -127,6 +134,49 @@ enum AsyncMsg<M> {
     /// allocation-free).
     Deliver(FrameBody<M>),
     Timer(u64),
+}
+
+/// Min-heap entry for the in-loop timer service (reversed ordering:
+/// earliest first).
+struct TimerEntry {
+    at: Instant,
+    seq: u64,
+    peer: u32,
+    id: u64,
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl Eq for TimerEntry {}
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// Format a panic payload for propagation to the controller thread.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Map a simulated timer delay to a wall-clock sleep via the runtime's
+/// dilation factor.
+fn dilate(delay: netrec_types::Duration, factor: f64) -> WallDuration {
+    WallDuration::from_secs_f64((delay.micros() as f64 * factor / 1_000_000.0).max(0.0))
 }
 
 /// Armed timers, owned by the executor thread and shared with the peer
@@ -181,8 +231,7 @@ struct TaskCtx<M, N> {
     inboxes: Rc<Vec<mpsc::Sender<AsyncMsg<M>>>>,
     timers: Rc<RefCell<TimerState>>,
     /// One metrics table for the whole runtime: every task runs on the one
-    /// executor thread, so the threaded runtime's contention-avoiding
-    /// per-peer shards would only add O(peers²) zeroed counters here.
+    /// executor thread, so the lock is never contended.
     metrics: Arc<Mutex<NetMetrics>>,
     shared: Arc<Shared>,
     ctl_tx: Sender<()>,
@@ -202,8 +251,7 @@ struct TaskCtx<M, N> {
 
 /// Backpressure-aware cooperative send: on a full inbox, drain our own
 /// inbox into the backlog (so cycles of mutually-blocked peers always free
-/// space — the threaded runtime's invariant, with a yield instead of a
-/// spin) and retry on the next slice.
+/// space) and retry on the next slice.
 async fn send_coop<M: Send + 'static, N: PeerNode<M>>(
     ctx: &mut TaskCtx<M, N>,
     backlog: &mut VecDeque<AsyncMsg<M>>,
@@ -266,9 +314,8 @@ async fn partition_hold<M: Send + 'static, N: PeerNode<M>>(ctx: &TaskCtx<M, N>, 
     }
 }
 
-/// One peer's cooperative task: the async analogue of the threaded
-/// runtime's worker loop — pull, run the callback under `catch_unwind`,
-/// register outputs before retiring the processed event.
+/// One peer's cooperative task: pull, run the callback under
+/// `catch_unwind`, register outputs before retiring the processed event.
 async fn peer_task<M: Send + 'static, N: PeerNode<M>>(mut ctx: TaskCtx<M, N>) {
     let mut backlog: VecDeque<AsyncMsg<M>> = VecDeque::new();
     loop {
@@ -568,7 +615,7 @@ fn executor_loop<M: Send + 'static, N: PeerNode<M> + Send + 'static>(args: Execu
     // firing, so the in-flight counter stays consistent when a
     // budget-exceeded session is torn down mid-phase. Dropping the pool
     // drops the peer tasks and their inbox receivers — later sends observe
-    // `Disconnected` and retire, exactly like the threaded teardown.
+    // `Disconnected` and retire.
     for _ in timers.borrow_mut().heap.drain() {
         shared.retire_one(&ctl_tx);
     }
@@ -585,15 +632,18 @@ fn executor_loop<M: Send + 'static, N: PeerNode<M> + Send + 'static>(args: Execu
 pub struct AsyncRuntime<M, N> {
     nodes: Vec<Arc<Mutex<N>>>,
     metrics: Arc<Mutex<NetMetrics>>,
-    inboxes: Vec<mpsc::Sender<AsyncMsg<M>>>,
+    /// The inbox senders (plus the retire plumbing): the controller's own
+    /// delivery handle, cloned out to other shards for the direct
+    /// cross-shard path.
+    injector: AsyncInjector<M>,
     notify_tx: Sender<()>,
-    ctl_tx: Sender<()>,
     ctl_rx: Receiver<()>,
     shared: Arc<Shared>,
     executor: Option<JoinHandle<()>>,
     epoch: Instant,
-    /// Wall-clock time spent inside `run` — the session's `max_time` clock,
-    /// mirroring the threaded runtime.
+    /// Wall-clock time spent inside `run` — the session's `max_time` clock
+    /// (like the DES sim clock, it does not advance while the controller is
+    /// idle between phases).
     active: WallDuration,
     /// Set when the plan's `crash_at_event` fired: the session is dead and
     /// every later `run` reports [`RunOutcome::Crashed`] — a crashed session
@@ -604,18 +654,32 @@ pub struct AsyncRuntime<M, N> {
     cfg: AsyncConfig,
 }
 
-/// A thread-safe handle for delivering envelopes straight into this
-/// runtime's inboxes from another shard's worker — the direct cross-shard
-/// path (see `ThreadedInjector`).
+/// A thread-safe handle for delivering envelopes straight into a runtime's
+/// inboxes: used by the runtime's own controller, and cloned to *other*
+/// shards' executor threads for the sharded runtime's direct cross-shard
+/// path, which skips the controller relay whenever the destination inbox
+/// has room.
 pub(crate) struct AsyncInjector<M> {
     shared: Arc<Shared>,
     ctl_tx: Sender<()>,
     inboxes: Vec<mpsc::Sender<AsyncMsg<M>>>,
 }
 
+impl<M> Clone for AsyncInjector<M> {
+    fn clone(&self) -> Self {
+        AsyncInjector {
+            shared: Arc::clone(&self.shared),
+            ctl_tx: self.ctl_tx.clone(),
+            inboxes: self.inboxes.clone(),
+        }
+    }
+}
+
 impl<M: Send> AsyncInjector<M> {
-    /// Move an already-registered envelope into `to`'s inbox; `Err` hands
-    /// it back on backpressure, a disconnected inbox drops and retires.
+    /// Non-blocking envelope hand-off with **move semantics**: the envelope
+    /// is already registered in the in-flight counter by its producer;
+    /// `Err` hands it back on backpressure, a disconnected inbox drops it
+    /// and retires its count.
     pub(crate) fn try_inject(&self, to: PeerId, msgs: FrameBody<M>) -> Result<(), FrameBody<M>> {
         match self.inboxes[to.0 as usize].try_send(AsyncMsg::Deliver(msgs)) {
             Ok(()) => Ok(()),
@@ -635,9 +699,15 @@ impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> AsyncRuntime<M, N> {
         AsyncRuntime::build(peers, cfg, Arc::new(Shared::new()), true)
     }
 
-    /// Like [`AsyncRuntime::new`] with an externally-owned [`Shared`] block
-    /// — one in-flight counter for a whole sharded composite, task-side
-    /// metrics recording disabled (see `ThreadedRuntime::new_with_shared`).
+    /// Like [`AsyncRuntime::new`], but sharing an externally-owned
+    /// [`Shared`] bookkeeping block. The sharded runtime passes **one**
+    /// block to every shard, so a single in-flight counter covers the whole
+    /// composite: register-before-retire on one atomic certifies global
+    /// quiescence with a single load, no matter which shard registers an
+    /// event produced in another (the direct cross-shard path). Shard-hosted
+    /// runtimes skip task-side metrics recording: their tables are keyed by
+    /// shard-local ids and never snapshotted — the `ShardPeer` adapters
+    /// account traffic in global ids instead.
     pub(crate) fn new_with_shared(
         peers: Vec<N>,
         cfg: AsyncConfig,
@@ -704,9 +774,12 @@ impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> AsyncRuntime<M, N> {
         AsyncRuntime {
             nodes,
             metrics,
-            inboxes,
+            injector: AsyncInjector {
+                shared: Arc::clone(&shared),
+                ctl_tx,
+                inboxes,
+            },
             notify_tx,
-            ctl_tx,
             ctl_rx,
             shared,
             executor: Some(executor),
@@ -722,54 +795,10 @@ impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> AsyncRuntime<M, N> {
         SimTime(self.epoch.elapsed().as_micros() as u64)
     }
 
-    /// Controller-side send: register, then spin until the inbox accepts
-    /// (the executor always drains, so this terminates).
-    fn push(&self, to: PeerId, m: AsyncMsg<M>) {
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let mut m = m;
-        loop {
-            match self.inboxes[to.0 as usize].try_send(m) {
-                Ok(()) => return,
-                Err(mpsc::TrySendError::Full(back)) => {
-                    m = back;
-                    std::thread::sleep(WallDuration::from_micros(50));
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => {
-                    // Executor already gone (frozen session): drop.
-                    self.shared.retire_one(&self.ctl_tx);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Non-blocking envelope hand-off for composite runtimes, mirroring
-    /// `ThreadedRuntime::try_inject` — **move semantics**: the envelope is
-    /// already registered by its producer; `Err` hands it back on
-    /// backpressure, a disconnected inbox drops it and retires its count.
-    pub(crate) fn try_inject(
-        &mut self,
-        to: PeerId,
-        msgs: FrameBody<M>,
-    ) -> Result<(), FrameBody<M>> {
-        match self.inboxes[to.0 as usize].try_send(AsyncMsg::Deliver(msgs)) {
-            Ok(()) => Ok(()),
-            Err(mpsc::TrySendError::Full(AsyncMsg::Deliver(msgs))) => Err(msgs),
-            Err(mpsc::TrySendError::Full(_)) => unreachable!("try_inject only sends Deliver"),
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.shared.retire_one(&self.ctl_tx);
-                Ok(())
-            }
-        }
-    }
-
-    /// A cross-thread delivery handle for the direct cross-shard path.
-    pub(crate) fn injector(&self) -> AsyncInjector<M> {
-        AsyncInjector {
-            shared: Arc::clone(&self.shared),
-            ctl_tx: self.ctl_tx.clone(),
-            inboxes: self.inboxes.clone(),
-        }
+    /// The delivery handle into this runtime's inboxes (composite runtimes
+    /// clone it for the direct cross-shard path).
+    pub(crate) fn injector(&self) -> &AsyncInjector<M> {
+        &self.injector
     }
 }
 
@@ -809,8 +838,15 @@ impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Async
     }
 
     fn inject(&mut self, to: PeerId, port: Port, msg: M) {
-        let body = FrameBody::One((port, msg, MsgMeta::default()));
-        self.push(to, AsyncMsg::Deliver(body));
+        // Register, then spin until the inbox accepts: the executor always
+        // drains, so this terminates (and once it is gone — a frozen
+        // session — the injector drops the envelope and retires it).
+        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        let mut body = FrameBody::One((port, msg, MsgMeta::default()));
+        while let Err(back) = self.injector.try_inject(to, body) {
+            body = back;
+            std::thread::sleep(WallDuration::from_micros(50));
+        }
     }
 
     fn run(&mut self, budget: RunBudget) -> RunOutcome {
@@ -965,13 +1001,8 @@ mod tests {
         assert_eq!(cfg.channel_capacity, 256);
         assert_eq!(cfg.time_dilation, 1.0);
         assert_eq!(cfg.poll, WallDuration::from_millis(1));
-        // The knobs mirror the threaded runtime's, so shard tuning carries
-        // over between the two kinds.
-        let t = crate::threaded::ThreadedConfig::default();
-        assert_eq!(cfg.channel_capacity, t.channel_capacity);
-        assert_eq!(cfg.time_dilation, t.time_dilation);
-        assert_eq!(cfg.poll, t.poll);
-        assert!(cfg.coalesce && t.coalesce, "coalescing defaults on");
+        assert!(cfg.coalesce, "coalescing defaults on");
+        assert_eq!(cfg.fault, None);
     }
 
     #[test]
@@ -1258,9 +1289,9 @@ mod tests {
 
     #[test]
     fn thousands_of_peers_on_one_core() {
-        // The scale point the thread-per-peer runtime cannot reach: 2000
-        // peers as cooperative tasks on a single executor thread, passing a
-        // token down the whole chain.
+        // The scale point a thread per peer cannot reach: 2000 peers as
+        // cooperative tasks on a single executor thread, passing a token
+        // down the whole chain.
         const N: u32 = 2000;
         let peers: Vec<Counter> = (0..N)
             .map(|i| Counter {

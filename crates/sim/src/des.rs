@@ -248,20 +248,25 @@ impl<M, N: PeerNode<M>> Simulator<M, N> {
             };
         }
         let wall_start = std::time::Instant::now();
-        while let Some(ev) = self.queue.pop() {
-            if let Some(plan) = &self.fault {
-                // Exact, replayable crash point: the same seed dies after
-                // the same logical-event prefix of the deterministic
-                // schedule, every run. Everything still in flight is lost —
-                // that is the point of a state-destroying fault.
-                if plan.crash_at_event > 0 && self.events_processed >= plan.crash_at_event {
-                    self.crashed = true;
-                    self.queue.clear();
-                    return RunOutcome::Crashed {
-                        at: self.last_finish,
-                    };
-                }
+        loop {
+            // Exact, replayable crash point: the same seed dies after the
+            // same logical-event prefix of the deterministic schedule, every
+            // run. Everything still in flight is lost — that is the point
+            // of a state-destroying fault. Tested before every pop *and*
+            // once more after the queue drains (like the concurrent
+            // substrates, which test the dial before claiming quiescence):
+            // the counter is logical, so the final envelope can jump it
+            // across a dial that no later pop would ever observe.
+            if self.fault.as_ref().is_some_and(|plan| {
+                plan.crash_at_event > 0 && self.events_processed >= plan.crash_at_event
+            }) {
+                self.crashed = true;
+                self.queue.clear();
+                return RunOutcome::Crashed {
+                    at: self.last_finish,
+                };
             }
+            let Some(ev) = self.queue.pop() else { break };
             let wall_blown = wall_start.elapsed() > budget.max_wall;
             if self.events_processed >= budget.max_events || ev.at > budget.max_time || wall_blown {
                 let at = self.last_finish.max(ev.at);
@@ -720,6 +725,43 @@ mod tests {
         });
         assert!(matches!(out, RunOutcome::BudgetExceeded { pending, .. } if pending >= 1));
         assert_eq!(sim.events_processed(), 100);
+    }
+
+    /// The event counter is logical, so a session whose final envelope
+    /// carries two messages jumps from `total - 2` to `total` in one pop: a
+    /// crash dial at `total - 1` is crossed with nothing left to pop, and
+    /// must still fire before the run may claim convergence.
+    #[test]
+    fn crash_dial_inside_the_final_envelope_still_fires() {
+        struct Burst;
+        impl PeerNode<u64> for Burst {
+            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
+                if net.me() == PeerId(0) {
+                    net.send(PeerId(1), Port(0), m, MsgMeta::default());
+                    net.send(PeerId(1), Port(0), m, MsgMeta::default());
+                }
+            }
+        }
+        let run = |crash_at: u64| {
+            let mut sim = Simulator::new(
+                vec![Burst, Burst],
+                ClusterSpec::single(2),
+                CostModel::default(),
+            )
+            .with_fault_plan(Some(FaultPlan::crash_at(crash_at)));
+            sim.inject(SimTime::ZERO, PeerId(0), Port(0), 0);
+            let out = sim.run(RunBudget::default());
+            (out, sim.run(RunBudget::default()), sim.events_processed())
+        };
+        // Injection + one two-message envelope: 3 logical events in all.
+        let (clean, _, total) = run(u64::MAX);
+        assert!(clean.converged_at().is_some());
+        assert_eq!(total, 3);
+        for dial in 1..=total {
+            let (first, later, _) = run(dial);
+            assert!(first.crashed(), "dial {dial} of {total}: got {first:?}");
+            assert!(later.crashed(), "dial {dial}: a crashed session stays dead");
+        }
     }
 
     #[test]

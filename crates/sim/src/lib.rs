@@ -18,32 +18,29 @@
 //!   standing in for FreePastry).
 //! * [`metrics`] — per-peer byte/message/tuple accounting; every number in
 //!   `EXPERIMENTS.md` flows from here.
-//! * [`runtime`] — the **runtime seam**: the [`Runtime`] trait both
-//!   substrates implement (inject → run-to-quiescence → snapshot, honoring
+//! * [`runtime`] — the **runtime seam**: the [`Runtime`] trait every
+//!   substrate implements (inject → run-to-quiescence → snapshot, honoring
 //!   [`RunBudget`]), plus [`RuntimeKind`] for drivers that select a
 //!   substrate at configuration time.
-//! * [`threaded`] — a production-grade concurrent runtime (one worker thread
-//!   per peer over bounded channels, a single timer-service thread with a
-//!   min-heap, peer-panic propagation, multi-phase sessions) running the
-//!   same [`PeerNode`] logic, used to demonstrate that the operator
-//!   implementations are actually thread-safe/distributable. Timing is
-//!   wall-clock rather than modelled.
+//! * [`async_rt`] — the one concurrent event loop: every peer is a
+//!   cooperative task on a single executor thread (the offline `futures`
+//!   shim — no tokio) over bounded inboxes, with an in-loop timer min-heap,
+//!   peer-panic propagation and multi-phase sessions, running the same
+//!   [`PeerNode`] logic as the DES — one core hosts thousands of peers.
+//!   Timing is wall-clock rather than modelled.
 //! * [`sharded`] — the composite runtime: the peer set partitioned across
-//!   several inner shards (threaded or async, pluggable [`ShardAssignment`]
-//!   and [`ShardKind`]), with a bounded cross-shard transport whose
+//!   several async shards (one executor thread each, pluggable
+//!   [`ShardAssignment`]), with a bounded cross-shard transport whose
 //!   in-flight accounting extends the quiescence/timer-fence contract
-//!   globally. With [`TransportKind::Tcp`] the cross-shard seam becomes a
-//!   real socket (see [`tcp`]).
+//!   globally — real OS-thread parallelism, up to one peer per thread
+//!   (`shards == peers`). With [`TransportKind::Tcp`] the cross-shard seam
+//!   becomes a real socket (see [`tcp`]).
 //! * [`tcp`] — the supervised TCP shard transport: length-framed,
 //!   CRC-checked loopback sockets between shards under per-link connection
 //!   supervision (reconnect with backoff + jitter, heartbeat failure
 //!   detection, ack-ledger retransmit, sequence dedup) — exactly-once
 //!   per-channel FIFO preserved across connection death.
-//! * [`async_rt`] — the task-per-peer cooperative runtime: every peer is an
-//!   async task on a single executor thread (the offline `futures` shim —
-//!   no tokio), so one core hosts thousands of peers under the same
-//!   bounded-inbox + in-flight-counter discipline.
-//! * [`mod@coalesce`] — the transport batching layer all four substrates share:
+//! * [`mod@coalesce`] — the transport batching layer every substrate shares:
 //!   same-destination messages from one scheduling quantum merge into one
 //!   physical [`Frame`] (one channel send, one in-flight count, one wake),
 //!   split back in FIFO order at the receiver; logical metrics stay
@@ -67,7 +64,6 @@ pub mod runtime;
 pub mod sharded;
 mod substrate_common;
 pub mod tcp;
-pub mod threaded;
 
 pub use async_rt::{AsyncConfig, AsyncRuntime};
 pub use coalesce::{coalesce, frames, Frame, FrameBody, Frames};
@@ -76,6 +72,5 @@ pub use fault::{FaultDecision, FaultPlan, FaultStats};
 pub use metrics::{EnvelopeMeta, MsgMeta, NetMetrics, PeerMetrics};
 pub use net::{ClusterSpec, CostModel, Partitioner, PeerId, Port};
 pub use runtime::{DesConfig, RunBudget, RunOutcome, Runtime, RuntimeKind};
-pub use sharded::{ShardAssignment, ShardKind, ShardedConfig, ShardedRuntime, TransportKind};
+pub use sharded::{ShardAssignment, ShardedConfig, ShardedRuntime, TransportKind};
 pub use tcp::{LinkState, TcpConfig, WireMsg};
-pub use threaded::{run_threaded, ThreadedConfig, ThreadedOutcome, ThreadedRuntime};

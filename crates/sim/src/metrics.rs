@@ -131,7 +131,7 @@ impl NetMetrics {
     }
 
     /// Merge another metrics matrix into this one (peer-wise sum). Used by
-    /// the threaded runtime, where each peer thread accounts its own traffic
+    /// the sharded runtime, where each shard accounts its own peers' traffic
     /// and the controller folds the shards into the run total.
     pub fn merge(&mut self, other: &NetMetrics) {
         if self.per_peer.len() < other.per_peer.len() {

@@ -10,12 +10,12 @@
 //! per-substrate ledger.
 //!
 //! Implementations: the deterministic discrete-event
-//! [`Simulator`](crate::des::Simulator), the concurrent
-//! [`ThreadedRuntime`](crate::threaded::ThreadedRuntime) (one worker thread
-//! per peer), the cooperative [`AsyncRuntime`](crate::async_rt::AsyncRuntime)
-//! (one task per peer, thousands of peers per core), and the composite
+//! [`Simulator`](crate::des::Simulator) (the oracle every test diffs
+//! against), the concurrent [`AsyncRuntime`](crate::async_rt::AsyncRuntime)
+//! (one cooperative task per peer on one executor thread, thousands of
+//! peers per core), and the composite
 //! [`ShardedRuntime`](crate::sharded::ShardedRuntime) (peer-partitioned
-//! threaded or async shards behind one runtime).
+//! async shards behind one runtime, over in-process channels or TCP).
 
 use netrec_types::SimTime;
 
@@ -23,8 +23,7 @@ use crate::async_rt::AsyncConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::NetMetrics;
 use crate::net::{PeerId, Port};
-use crate::sharded::{ShardKind, ShardedConfig, TransportKind};
-use crate::threaded::ThreadedConfig;
+use crate::sharded::ShardedConfig;
 
 /// Bounds on a run, so that configurations the paper reports as "did not
 /// complete within 5 minutes" terminate with an explicit verdict.
@@ -39,10 +38,10 @@ pub struct RunBudget {
     /// Maximum number of events to process.
     pub max_events: u64,
     /// Maximum time on the substrate's clock, cumulative across the
-    /// session's phases: simulated time for the DES; for the threaded
-    /// runtime, wall-clock microseconds spent inside `run` (its clock, like
-    /// the DES sim clock, does not advance while the controller is idle
-    /// between phases).
+    /// session's phases: simulated time for the DES; for the concurrent
+    /// runtimes, wall-clock microseconds spent inside `run` (their clock,
+    /// like the DES sim clock, does not advance while the controller is
+    /// idle between phases).
     pub max_time: SimTime,
     /// Maximum *wall-clock* time per phase — guards configurations whose
     /// state genuinely explodes (relative provenance on dense graphs,
@@ -156,16 +155,13 @@ pub enum RuntimeKind {
     /// The deterministic discrete-event simulator (modelled latency,
     /// bandwidth, and CPU occupancy; reproducible convergence times).
     Des(DesConfig),
-    /// The concurrent threaded runtime (real OS threads, bounded channels,
-    /// wall-clock timers) with its tuning knobs.
-    Threaded(ThreadedConfig),
     /// The async runtime (one cooperative task per peer on a single
-    /// executor thread — thousands of peers per core) with its tuning
-    /// knobs.
+    /// executor thread — thousands of peers per core; bounded inboxes,
+    /// wall-clock timers) with its tuning knobs.
     Async(AsyncConfig),
-    /// The sharded runtime: the peer set partitioned across several inner
-    /// shards (threaded or async, per [`ShardKind`]) behind one composite
-    /// runtime, cross-shard messages routed over a bounded transport.
+    /// The sharded runtime: the peer set partitioned across several async
+    /// shards (one executor thread each) behind one composite runtime,
+    /// cross-shard messages routed over a bounded transport.
     Sharded(ShardedConfig),
 }
 
@@ -181,60 +177,32 @@ impl RuntimeKind {
         RuntimeKind::Des(DesConfig::default())
     }
 
-    /// Threaded runtime with default tuning.
-    pub fn threaded() -> RuntimeKind {
-        RuntimeKind::Threaded(ThreadedConfig::default())
-    }
-
     /// Async task-per-peer runtime with default tuning.
     pub fn asynchronous() -> RuntimeKind {
         RuntimeKind::Async(AsyncConfig::default())
     }
 
-    /// Sharded runtime with `shards` hash-assigned threaded shards and
+    /// Sharded runtime with `shards` hash-assigned async shards and
     /// default tuning.
-    pub fn sharded(shards: u32) -> RuntimeKind {
+    pub fn sharded_async(shards: u32) -> RuntimeKind {
         RuntimeKind::Sharded(ShardedConfig::with_shards(shards))
     }
 
-    /// Sharded runtime with `shards` hash-assigned **async** shards and
-    /// default tuning.
-    pub fn sharded_async(shards: u32) -> RuntimeKind {
-        RuntimeKind::Sharded(
-            ShardedConfig::with_shards(shards)
-                .with_shard_kind(ShardKind::Async(AsyncConfig::default())),
-        )
-    }
-
-    /// Sharded runtime with `shards` threaded shards whose cross-shard
+    /// Sharded runtime with `shards` async shards whose cross-shard
     /// envelopes travel over supervised loopback TCP.
-    pub fn sharded_tcp(shards: u32) -> RuntimeKind {
-        RuntimeKind::Sharded(ShardedConfig::with_shards(shards).with_tcp())
-    }
-
-    /// Sharded runtime with `shards` **async** shards over supervised
-    /// loopback TCP.
     pub fn sharded_async_tcp(shards: u32) -> RuntimeKind {
-        RuntimeKind::Sharded(
-            ShardedConfig::with_shards(shards)
-                .with_shard_kind(ShardKind::Async(AsyncConfig::default()))
-                .with_tcp(),
-        )
+        RuntimeKind::Sharded(ShardedConfig::with_shards(shards).with_tcp())
     }
 
     /// Install a seeded transport [`FaultPlan`] on whichever substrate this
     /// kind denotes (builder style). For the sharded composite the plan
     /// lands in the inner shard config, so same-shard and cross-shard
-    /// deliveries alike are perturbed by the shard workers.
+    /// deliveries alike are perturbed by the receiving shard.
     pub fn with_fault(mut self, plan: FaultPlan) -> RuntimeKind {
         match &mut self {
             RuntimeKind::Des(cfg) => cfg.fault = Some(plan),
-            RuntimeKind::Threaded(cfg) => cfg.fault = Some(plan),
             RuntimeKind::Async(cfg) => cfg.fault = Some(plan),
-            RuntimeKind::Sharded(cfg) => match &mut cfg.shard {
-                ShardKind::Threaded(inner) => inner.fault = Some(plan),
-                ShardKind::Async(inner) => inner.fault = Some(plan),
-            },
+            RuntimeKind::Sharded(cfg) => cfg.shard.fault = Some(plan),
         }
         self
     }
@@ -253,12 +221,8 @@ impl RuntimeKind {
         };
         match &mut self {
             RuntimeKind::Des(cfg) => strip(&mut cfg.fault),
-            RuntimeKind::Threaded(cfg) => strip(&mut cfg.fault),
             RuntimeKind::Async(cfg) => strip(&mut cfg.fault),
-            RuntimeKind::Sharded(cfg) => match &mut cfg.shard {
-                ShardKind::Threaded(inner) => strip(&mut inner.fault),
-                ShardKind::Async(inner) => strip(&mut inner.fault),
-            },
+            RuntimeKind::Sharded(cfg) => strip(&mut cfg.shard.fault),
         }
         self
     }
@@ -267,14 +231,8 @@ impl RuntimeKind {
     pub fn label(&self) -> &'static str {
         match self {
             RuntimeKind::Des(_) => "des",
-            RuntimeKind::Threaded(_) => "threaded",
             RuntimeKind::Async(_) => "async",
-            RuntimeKind::Sharded(cfg) => match (&cfg.shard, &cfg.transport) {
-                (ShardKind::Threaded(_), TransportKind::Channel) => "sharded",
-                (ShardKind::Async(_), TransportKind::Channel) => "sharded-async",
-                (ShardKind::Threaded(_), TransportKind::Tcp(_)) => "sharded-tcp",
-                (ShardKind::Async(_), TransportKind::Tcp(_)) => "sharded-async-tcp",
-            },
+            RuntimeKind::Sharded(cfg) => cfg.label(),
         }
     }
 }
@@ -285,8 +243,8 @@ impl RuntimeKind {
 /// # The session contract
 ///
 /// A `Runtime` is a long-lived **session** driven in **phases**; every
-/// substrate — deterministic simulation, threads, cooperative tasks,
-/// shards — must honor the same four clauses, which is what lets one
+/// substrate — deterministic simulation, cooperative tasks, shards —
+/// must honor the same four clauses, which is what lets one
 /// generic driver (`netrec-engine`'s `Runner`) and one differential harness
 /// (`netrec_testutil::assert_substrates_agree`) cover them all:
 ///
@@ -322,7 +280,7 @@ impl RuntimeKind {
 ///    execute.
 /// 4. **Budget exhaustion freezes.** When [`RunBudget`] is exceeded, `run`
 ///    returns [`RunOutcome::BudgetExceeded`] and the session **freezes**:
-///    workers/tasks stop, armed timers are retired, snapshots stay stable,
+///    peer tasks stop, armed timers are retired, snapshots stay stable,
 ///    and every later `run` fails fast with `BudgetExceeded` — never
 ///    `Converged`, because teardown itself drains the pending-event
 ///    counter. A peer panic likewise freezes the session and re-panics
@@ -389,8 +347,8 @@ impl RuntimeKind {
 /// assert_eq!(rt.events_processed(), 6 + 6, "deliveries + timer firings");
 /// ```
 pub trait Runtime<M, N> {
-    /// Substrate name for reports ("des", "threaded", "async", "sharded",
-    /// "sharded-async").
+    /// Substrate name for reports ("des", "async", "sharded-async",
+    /// "sharded-async-tcp").
     fn name(&self) -> &'static str;
 
     /// Deliver an external input (EDB stream element) at the current
@@ -413,7 +371,8 @@ pub trait Runtime<M, N> {
     fn events_processed(&self) -> u64;
 
     /// The current time frontier: simulated time of the last completed event
-    /// (DES) or elapsed microseconds since the session started (threaded).
+    /// (DES) or elapsed wall-clock microseconds since the session started
+    /// (concurrent runtimes).
     fn frontier(&self) -> SimTime;
 
     /// Number of peers hosted.

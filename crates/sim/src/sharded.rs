@@ -1,17 +1,17 @@
 //! The sharded runtime: one composite [`Runtime`] over peer-partitioned
-//! inner shards — the step from "one thread per peer" to "many peers per
-//! shard, many shards per box".
+//! inner shards — many peers per shard, many shards per box.
 //!
 //! A [`ShardedRuntime`] partitions the global peer set across N inner
 //! shards via a pluggable [`ShardAssignment`] (hash, contiguous blocks, or
-//! an explicit map); each shard runs on a pluggable substrate
-//! ([`ShardKind`]): a [`ThreadedRuntime`] (one worker thread per peer) or
-//! an [`AsyncRuntime`] (one cooperative task per peer — thousands of peers
-//! per shard). Each peer is wrapped in a shard-local adapter that keeps the
+//! an explicit map); each shard is an [`AsyncRuntime`] — one executor
+//! thread hosting one cooperative task per peer, thousands of peers per
+//! shard. (`shards == peers` with [`ShardAssignment::Contiguous`] is the
+//! thread-per-peer regime: one peer per executor thread.) Each peer is
+//! wrapped in a shard-local adapter that keeps the
 //! peer's *global* identity: same-shard traffic uses the shard's own
-//! bounded inboxes exactly as in the standalone runtimes, and cross-shard
+//! bounded inboxes exactly as in the standalone runtime, and cross-shard
 //! **envelopes** (coalesced per quantum, see [`mod@crate::coalesce`]) take one
-//! of two paths — the **direct path**, where the sending worker delivers
+//! of two paths — the **direct path**, where the sending executor delivers
 //! straight into the destination shard's inbox (no controller hop), or the
 //! **relay fallback**, a bounded transport channel drained by the composite
 //! controller, used when the destination inbox is full or earlier envelopes
@@ -43,7 +43,8 @@
 //!   draining it.
 //! * **Budget / freeze** — [`RunBudget`] is honored at the composite level
 //!   (`max_events` over the shared event counter, `max_time` over
-//!   cumulative active wall time, `max_wall` per phase). Exhaustion freezes
+//!   cumulative wall time spent inside `run`, `max_wall` per phase).
+//!   Exhaustion freezes
 //!   every shard (one shared teardown flag); a frozen session fails fast on
 //!   later runs and never claims convergence. A peer panic in any shard
 //!   freezes all shards and re-panics from `run`.
@@ -52,8 +53,8 @@
 //!   folds the shards with [`NetMetrics::merge`], and
 //!   [`ShardedRuntime::shard_metrics`] exposes the per-shard breakdown.
 //!
-//! The sharded runtime is the stepping stone to the TCP-transport runtime:
-//! the transport layer is the seam where a socket goes.
+//! The cross-shard transport is the seam where a socket goes: see
+//! [`TransportKind::Tcp`] and [`mod@crate::tcp`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -73,7 +74,6 @@ use crate::net::{PeerId, Port};
 use crate::runtime::{RunBudget, RunOutcome, Runtime};
 use crate::substrate_common::Shared;
 use crate::tcp::{LinkSenders, TcpConfig, TcpTransport, WireMsg};
-use crate::threaded::{ThreadedConfig, ThreadedInjector, ThreadedRuntime};
 
 /// Strategy for placing global peers onto shards.
 #[derive(Clone, Debug, PartialEq)]
@@ -122,36 +122,6 @@ impl ShardAssignment {
     }
 }
 
-/// Which substrate each inner shard runs on. The adapter/transport layer
-/// and the global quiescence contract are identical either way — only the
-/// scheduling of peers *within* a shard differs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ShardKind {
-    /// One OS worker thread per peer ([`ThreadedRuntime`]).
-    Threaded(ThreadedConfig),
-    /// One cooperative task per peer on a single executor thread
-    /// ([`AsyncRuntime`]) — thousands of peers per shard.
-    Async(AsyncConfig),
-}
-
-impl Default for ShardKind {
-    fn default() -> Self {
-        ShardKind::Threaded(ThreadedConfig::default())
-    }
-}
-
-impl ShardKind {
-    /// Whether this shard kind coalesces same-destination sends. The
-    /// cross-shard transport follows the inner shard's setting, so one flag
-    /// governs the whole composite.
-    fn coalesce(&self) -> bool {
-        match self {
-            ShardKind::Threaded(cfg) => cfg.coalesce,
-            ShardKind::Async(cfg) => cfg.coalesce,
-        }
-    }
-}
-
 /// How cross-shard envelopes physically travel between shards. Same-shard
 /// traffic always uses the hosting shard's in-process inboxes; only the
 /// cross-shard seam is pluggable — it is exactly where one-shard-per-box
@@ -176,9 +146,10 @@ pub struct ShardedConfig {
     pub shards: u32,
     /// Peer → shard placement.
     pub assignment: ShardAssignment,
-    /// Substrate and tuning for each inner shard (inbox capacity, timer
-    /// dilation, poll).
-    pub shard: ShardKind,
+    /// Tuning for each inner shard (inbox capacity, timer dilation, poll,
+    /// coalescing, fault plan). The cross-shard transport follows the
+    /// shard's `coalesce` flag, so one flag governs the whole composite.
+    pub shard: AsyncConfig,
     /// Capacity of the bounded cross-shard transport channel; senders
     /// observe backpressure once it fills.
     pub transport_capacity: usize,
@@ -195,7 +166,7 @@ impl Default for ShardedConfig {
         ShardedConfig {
             shards: 2,
             assignment: ShardAssignment::Hash,
-            shard: ShardKind::default(),
+            shard: AsyncConfig::default(),
             transport_capacity: 1024,
             poll: WallDuration::from_millis(1),
             transport: TransportKind::Channel,
@@ -204,7 +175,7 @@ impl Default for ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// `shards` hash-assigned threaded shards with default tuning.
+    /// `shards` hash-assigned shards with default tuning.
     pub fn with_shards(shards: u32) -> ShardedConfig {
         ShardedConfig {
             shards,
@@ -218,34 +189,21 @@ impl ShardedConfig {
         self
     }
 
-    /// Select the inner shard substrate (builder style).
-    pub fn with_shard_kind(mut self, shard: ShardKind) -> ShardedConfig {
-        self.shard = shard;
-        self
-    }
-
     /// Enable or disable transport coalescing (builder style): sets the
-    /// inner shard kind's flag, which also governs the cross-shard
-    /// transport.
+    /// inner shards' flag, which also governs the cross-shard transport.
     pub fn with_coalescing(mut self, on: bool) -> ShardedConfig {
-        match &mut self.shard {
-            ShardKind::Threaded(cfg) => cfg.coalesce = on,
-            ShardKind::Async(cfg) => cfg.coalesce = on,
-        }
+        self.shard.coalesce = on;
         self
     }
 
     /// Install a seeded transport fault schedule (builder style): sets the
-    /// inner shard kind's plan, so every delivery — same-shard and
+    /// inner shards' plan, so every delivery — same-shard and
     /// cross-shard alike — passes through the receiving shard's fault hook.
     /// Decisions are keyed on shard-*local* peer ids, so the same plan
     /// lands on different envelopes under different shard counts: sweeping
     /// topologies multiplies interleavings, which is the point.
     pub fn with_fault(mut self, plan: FaultPlan) -> ShardedConfig {
-        match &mut self.shard {
-            ShardKind::Threaded(cfg) => cfg.fault = Some(plan),
-            ShardKind::Async(cfg) => cfg.fault = Some(plan),
-        }
+        self.shard.fault = Some(plan);
         self
     }
 
@@ -259,6 +217,14 @@ impl ShardedConfig {
     /// default tuning (builder style).
     pub fn with_tcp(self) -> ShardedConfig {
         self.with_transport(TransportKind::Tcp(TcpConfig::default()))
+    }
+
+    /// Short substrate label for reports and bench entries.
+    pub fn label(&self) -> &'static str {
+        match self.transport {
+            TransportKind::Channel => "sharded-async",
+            TransportKind::Tcp(_) => "sharded-async-tcp",
+        }
     }
 }
 
@@ -303,7 +269,7 @@ pub(crate) struct TransportState<M> {
     /// cross-shard envelope takes the controller path (and the TCP receive
     /// side refuses delivery, killing the connection so the sender's
     /// ledger retries).
-    pub(crate) injectors: OnceLock<Vec<ShardInjector<M>>>,
+    pub(crate) injectors: OnceLock<Vec<AsyncInjector<M>>>,
 }
 
 /// Shard-local wrapper keeping a peer's global identity: runs the inner
@@ -355,7 +321,7 @@ impl<M: Send, N: PeerNode<M>> ShardPeer<M, N> {
     /// controller-relay fallback). The controller always drains the channel
     /// (it never blocks), so this terminates unless the session is tearing
     /// down — then the envelope is dropped and its global count retired,
-    /// like the threaded runtime drops on teardown.
+    /// like every other send on teardown.
     fn send_cross(&self, env: Envelope<M>) {
         self.state.relay_in_flight.fetch_add(1, Ordering::SeqCst);
         let mut env = env;
@@ -387,7 +353,7 @@ impl<M: Send, N: PeerNode<M>> ShardPeer<M, N> {
 
     /// Route one cross-shard envelope, already registered in the global
     /// in-flight counter. Fast path: deliver straight into the destination
-    /// shard's inbox from this worker thread — no controller hop. Fallback
+    /// shard's inbox from this executor thread — no controller hop. Fallback
     /// (inbox full, relay still draining earlier envelopes for this
     /// destination, or injectors not yet installed): the bounded transport,
     /// drained by the composite controller. `transport_dests` keeps the
@@ -443,8 +409,8 @@ impl<M: Send, N: PeerNode<M>> ShardPeer<M, N> {
         f(&mut self.inner, &mut api);
         let (out, timers) = api.into_parts();
         if out.iter().any(|(to, ..)| *to != self.me) {
-            // One metrics lock per callback, like the threaded workers.
-            // Logical sends are recorded here; envelope records follow at
+            // One metrics lock per callback. Logical sends are recorded
+            // here; envelope records follow at
             // quantum end, once the frame compositions are known.
             let mut m = self.metrics.lock();
             for (to, _, _, meta) in &out {
@@ -526,92 +492,13 @@ struct Parked<M> {
     msgs: FrameBody<M>,
 }
 
-/// One inner shard: a threaded or async runtime hosting this shard's
-/// [`ShardPeer`]s. The composite controller drives both kinds through the
-/// same non-blocking-inject / freeze surface; in-flight/event/panic
-/// bookkeeping lives in the one [`Shared`] block every shard shares.
-enum Shard<M, N> {
-    Threaded(ThreadedRuntime<M, ShardPeer<M, N>>),
-    Async(AsyncRuntime<M, ShardPeer<M, N>>),
-}
-
-/// A shard's direct-delivery handle, held (behind the `OnceLock`) by every
-/// adapter for the controller-free cross-shard path.
-pub(crate) enum ShardInjector<M> {
-    Threaded(ThreadedInjector<M>),
-    Async(AsyncInjector<M>),
-}
-
-impl<M: Send> ShardInjector<M> {
-    pub(crate) fn try_inject(&self, to: PeerId, msgs: FrameBody<M>) -> Result<(), FrameBody<M>> {
-        match self {
-            ShardInjector::Threaded(i) => i.try_inject(to, msgs),
-            ShardInjector::Async(i) => i.try_inject(to, msgs),
-        }
-    }
-}
-
-impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> Shard<M, N> {
-    fn new(nodes: Vec<ShardPeer<M, N>>, kind: &ShardKind, shared: Arc<Shared>) -> Shard<M, N> {
-        match kind {
-            ShardKind::Threaded(cfg) => {
-                Shard::Threaded(ThreadedRuntime::new_with_shared(nodes, cfg.clone(), shared))
-            }
-            ShardKind::Async(cfg) => {
-                Shard::Async(AsyncRuntime::new_with_shared(nodes, cfg.clone(), shared))
-            }
-        }
-    }
-
-    fn injector(&self) -> ShardInjector<M> {
-        match self {
-            Shard::Threaded(rt) => ShardInjector::Threaded(rt.injector()),
-            Shard::Async(rt) => ShardInjector::Async(rt.injector()),
-        }
-    }
-
-    fn try_inject(&mut self, to: PeerId, msgs: FrameBody<M>) -> Result<(), FrameBody<M>> {
-        match self {
-            Shard::Threaded(rt) => rt.try_inject(to, msgs),
-            Shard::Async(rt) => rt.try_inject(to, msgs),
-        }
-    }
-
-    fn with_peer<T>(&self, p: PeerId, f: impl FnOnce(&ShardPeer<M, N>) -> T) -> T {
-        match self {
-            Shard::Threaded(rt) => rt.with_peer(p, f),
-            Shard::Async(rt) => rt.with_peer(p, f),
-        }
-    }
-
-    fn with_peer_mut<T>(&mut self, p: PeerId, f: impl FnOnce(&mut ShardPeer<M, N>) -> T) -> T {
-        match self {
-            Shard::Threaded(rt) => rt.with_peer_mut(p, f),
-            Shard::Async(rt) => rt.with_peer_mut(p, f),
-        }
-    }
-}
-
-impl<M, N> Shard<M, N> {
-    fn freeze(&mut self) {
-        match self {
-            Shard::Threaded(rt) => rt.freeze(),
-            Shard::Async(rt) => rt.freeze(),
-        }
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        match self {
-            Shard::Threaded(rt) => rt.fault_stats(),
-            Shard::Async(rt) => rt.fault_stats(),
-        }
-    }
-}
-
 /// A live sharded session over `N` peers behind one [`Runtime`]. Create
 /// with [`ShardedRuntime::new`] and drive through the trait.
 pub struct ShardedRuntime<M, N> {
-    shards: Vec<Shard<M, N>>,
+    /// One async runtime per shard, hosting that shard's [`ShardPeer`]s;
+    /// in-flight/event/panic bookkeeping lives in the one [`Shared`] block
+    /// they all share.
+    shards: Vec<AsyncRuntime<M, ShardPeer<M, N>>>,
     map: Arc<ShardMap>,
     state: Arc<TransportState<M>>,
     /// The one bookkeeping block every shard shares: a single in-flight
@@ -625,7 +512,7 @@ pub struct ShardedRuntime<M, N> {
     shard_metrics: Vec<Arc<Mutex<NetMetrics>>>,
     epoch: Instant,
     /// Wall-clock spent inside `run` phases (the composite's `max_time`
-    /// clock, mirroring the threaded runtime).
+    /// clock).
     active: WallDuration,
     frozen: bool,
     /// Set when the inner plan's `crash_at_event` fired at the composite
@@ -642,7 +529,7 @@ pub struct ShardedRuntime<M, N> {
 
 impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N> {
     /// Partition `peers` (index = global `PeerId`) across
-    /// `cfg.shards` threaded shards and spawn them all. In
+    /// `cfg.shards` shards and spawn them all. In
     /// [`TransportKind::Tcp`] mode this also binds one loopback listener
     /// per shard and spawns the per-link connection supervisors.
     pub fn new(peers: Vec<N>, cfg: ShardedConfig) -> ShardedRuntime<M, N> {
@@ -677,17 +564,13 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
         // supervisors read `state.injectors` only when delivering data,
         // and it is installed before `new` returns (nothing can send
         // earlier — no peer has been injected into yet).
-        let fault = match &cfg.shard {
-            ShardKind::Threaded(c) => c.fault,
-            ShardKind::Async(c) => c.fault,
-        };
         let tcp = match &cfg.transport {
             TransportKind::Channel => None,
             TransportKind::Tcp(tcp_cfg) => Some(
                 TcpTransport::new(
                     shards_n,
                     tcp_cfg,
-                    fault,
+                    cfg.shard.fault,
                     Arc::clone(&map),
                     Arc::clone(&state),
                     Arc::clone(&shared),
@@ -699,7 +582,7 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
         let mut buckets: Vec<Vec<ShardPeer<M, N>>> = (0..shards_n)
             .map(|s| Vec::with_capacity(sizes[s as usize] as usize))
             .collect();
-        let coalesce = cfg.shard.coalesce();
+        let coalesce = cfg.shard.coalesce;
         for (p, inner) in peers.into_iter().enumerate() {
             let s = map.shard_of[p] as usize;
             buckets[s].push(ShardPeer {
@@ -718,16 +601,18 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
                 tcp_links: tcp.as_ref().map(|t| Arc::clone(&t.senders[s])),
             });
         }
-        let shards: Vec<Shard<M, N>> = buckets
+        let shards: Vec<AsyncRuntime<M, ShardPeer<M, N>>> = buckets
             .into_iter()
-            .map(|nodes| Shard::new(nodes, &cfg.shard, Arc::clone(&shared)))
+            .map(|nodes| {
+                AsyncRuntime::new_with_shared(nodes, cfg.shard.clone(), Arc::clone(&shared))
+            })
             .collect();
         // Install the direct-delivery handles now that the shards exist;
         // adapters fall back to the controller relay until this point
         // (nothing runs before `new` returns, so in practice never).
         let _ = state
             .injectors
-            .set(shards.iter().map(Shard::injector).collect());
+            .set(shards.iter().map(|s| s.injector().clone()).collect());
         // The adapters hold every transport sender the session needs; the
         // controller only ever receives.
         drop(transport_tx);
@@ -801,7 +686,7 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
             q.push_back(Parked { msgs });
             return;
         }
-        match self.shards[shard].try_inject(local, msgs) {
+        match self.shards[shard].injector().try_inject(local, msgs) {
             Ok(()) => {
                 self.state.relay_in_flight.fetch_sub(1, Ordering::SeqCst);
             }
@@ -814,7 +699,7 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
         for p in 0..self.parked.len() {
             while let Some(head) = self.parked[p].pop_front() {
                 let (shard, local) = self.map.locate(PeerId(p as u32));
-                match self.shards[shard].try_inject(local, head.msgs) {
+                match self.shards[shard].injector().try_inject(local, head.msgs) {
                     Ok(()) => {
                         self.state.relay_in_flight.fetch_sub(1, Ordering::SeqCst);
                     }
@@ -836,14 +721,6 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
 }
 
 impl<M, N> ShardedRuntime<M, N> {
-    /// The seeded fault plan installed on the inner shards, if any.
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        match &self.cfg.shard {
-            ShardKind::Threaded(c) => c.fault.as_ref(),
-            ShardKind::Async(c) => c.fault.as_ref(),
-        }
-    }
-
     /// Faults applied so far, folded across every shard — plus, in TCP
     /// mode, the transport's supervision counters (reconnects,
     /// retransmits, heartbeat timeouts).
@@ -864,13 +741,12 @@ impl<M, N> ShardedRuntime<M, N> {
         self.tcp.as_ref().map(|t| t.link_states())
     }
 
-    /// Freeze every shard (teardown of workers and timer services); the
+    /// Freeze every shard (teardown of its executor and timer heap); the
     /// session stays inspectable but can never converge again.
     fn freeze_shards(&mut self) {
         self.frozen = true;
-        // One shared teardown flag: unblocks workers spinning on the
-        // transport *before* shard teardown tries to hand them `Shutdown`
-        // through possibly-full inboxes.
+        // One shared teardown flag: unblocks senders spinning on the
+        // transport *before* the shard executors are joined.
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         // Join the TCP transport first: its threads all observe the
         // teardown flag within one read-timeout tick, and a handler
@@ -893,12 +769,7 @@ impl<M, N> Drop for ShardedRuntime<M, N> {
 
 impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for ShardedRuntime<M, N> {
     fn name(&self) -> &'static str {
-        match (&self.cfg.shard, &self.cfg.transport) {
-            (ShardKind::Threaded(_), TransportKind::Channel) => "sharded",
-            (ShardKind::Async(_), TransportKind::Channel) => "sharded-async",
-            (ShardKind::Threaded(_), TransportKind::Tcp(_)) => "sharded-tcp",
-            (ShardKind::Async(_), TransportKind::Tcp(_)) => "sharded-async-tcp",
-        }
+        self.cfg.label()
     }
 
     fn inject(&mut self, to: PeerId, port: Port, msg: M) {
@@ -957,7 +828,7 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Sh
             // passes the dial, every shard is torn down. The counter races
             // worker progress, so a seed gives a reproducible crash
             // *distribution*, not an exact event index.
-            let crash_at = self.fault_plan().map_or(0, |p| p.crash_at_event);
+            let crash_at = self.cfg.shard.fault.map_or(0, |p| p.crash_at_event);
             if crash_at > 0 && self.shared.events.load(Ordering::SeqCst) >= crash_at {
                 let at = self.now();
                 self.crashed = true;
@@ -1083,10 +954,6 @@ mod tests {
         ShardedConfig::with_shards(2).with_assignment(ShardAssignment::Explicit(vec![0, 1]))
     }
 
-    fn split_pair_async() -> ShardedConfig {
-        split_pair().with_shard_kind(ShardKind::Async(AsyncConfig::default()))
-    }
-
     fn split_pair_tcp() -> ShardedConfig {
         split_pair().with_tcp()
     }
@@ -1109,124 +976,6 @@ mod tests {
         let mut seen = 0;
         rt.for_each_peer(|_, c| seen += c.seen);
         assert_eq!(seen, 11);
-    }
-
-    #[test]
-    fn sharded_matches_threaded_on_the_same_workload() {
-        let run_sharded = |cfg: ShardedConfig| {
-            let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
-            rt.inject(PeerId(0), Port(0), 7u64);
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
-            rt.metrics_snapshot()
-        };
-        let mut thr = crate::threaded::ThreadedRuntime::new(
-            ping_pong_pair(),
-            crate::threaded::ThreadedConfig::default(),
-        );
-        Runtime::inject(&mut thr, PeerId(0), Port(0), 7u64);
-        assert!(matches!(
-            thr.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        let want = thr.metrics_snapshot();
-        for cfg in [
-            ShardedConfig::with_shards(1),
-            split_pair(),
-            ShardedConfig::with_shards(2).with_assignment(ShardAssignment::Hash),
-            ShardedConfig::with_shards(4), // more shards than peers
-            // The same matrix on async shards: one cooperative task per
-            // peer instead of one OS thread.
-            ShardedConfig::with_shards(1).with_shard_kind(ShardKind::Async(AsyncConfig::default())),
-            split_pair_async(),
-            ShardedConfig::with_shards(4).with_shard_kind(ShardKind::Async(AsyncConfig::default())),
-        ] {
-            assert_eq!(run_sharded(cfg), want);
-        }
-    }
-
-    #[test]
-    fn async_shards_cross_shard_ping_pong_with_exact_metrics() {
-        let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair_async());
-        rt.inject(PeerId(0), Port(0), 10u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        assert_eq!(Runtime::<u64, Counter>::name(&rt), "sharded-async");
-        let m = rt.metrics_snapshot();
-        assert_eq!(m.total_msgs(), 10);
-        assert_eq!(m.total_bytes(), 100);
-        assert_eq!(rt.cross_shard_in_flight(), 0);
-        assert_eq!(rt.pending_events(), 0);
-        let mut seen = 0;
-        rt.for_each_peer(|_, c| seen += c.seen);
-        assert_eq!(seen, 11);
-    }
-
-    #[test]
-    fn async_shard_timer_fence_holds_across_the_boundary() {
-        struct T {
-            fired: bool,
-            poke: Option<PeerId>,
-        }
-        impl PeerNode<u64> for T {
-            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
-                if m == 1 {
-                    if let Some(to) = self.poke {
-                        net.send(to, Port(0), 2, MsgMeta::default());
-                    }
-                } else {
-                    net.set_timer(Duration::from_millis(30), 9);
-                }
-            }
-            fn on_timer(&mut self, id: u64, _net: &mut NetApi<u64>) {
-                assert_eq!(id, 9);
-                self.fired = true;
-            }
-        }
-        let peers = vec![
-            T {
-                fired: false,
-                poke: Some(PeerId(1)),
-            },
-            T {
-                fired: false,
-                poke: None,
-            },
-        ];
-        let mut rt = ShardedRuntime::new(peers, split_pair_async());
-        rt.inject(PeerId(0), Port(0), 1u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        assert!(rt.with_peer(PeerId(1), |t| t.fired));
-        assert_eq!(rt.cross_shard_in_flight(), 0);
-        assert_eq!(rt.pending_events(), 0);
-    }
-
-    #[test]
-    fn async_shard_peer_panic_propagates_from_the_composite() {
-        struct Bomb;
-        impl PeerNode<u64> for Bomb {
-            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
-                if net.me() == PeerId(1) && m == 13 {
-                    panic!("boom on 13");
-                }
-                net.send(PeerId(1), Port(0), m, MsgMeta::default());
-            }
-        }
-        let result = std::panic::catch_unwind(|| {
-            let mut rt = ShardedRuntime::new(vec![Bomb, Bomb], split_pair_async());
-            rt.inject(PeerId(0), Port(0), 13u64);
-            rt.run(RunBudget::default())
-        });
-        let err = result.expect_err("composite must re-panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("boom on 13"), "got: {msg}");
     }
 
     #[test]
@@ -1367,10 +1116,10 @@ mod tests {
         }
         let cfg = ShardedConfig {
             transport_capacity: 2,
-            shard: ShardKind::Threaded(ThreadedConfig {
+            shard: AsyncConfig {
                 channel_capacity: 4,
-                ..ThreadedConfig::default()
-            }),
+                ..AsyncConfig::default()
+            },
             assignment: ShardAssignment::Explicit(vec![0, 1]),
             ..ShardedConfig::with_shards(2)
         };
@@ -1473,15 +1222,13 @@ mod tests {
             assert_eq!(seen, 11);
             rt.metrics_snapshot()
         };
-        let want = run(split_pair());
-        assert_eq!(run(split_pair_tcp()), want);
-        assert_eq!(run(split_pair_async().with_tcp()), want);
+        assert_eq!(run(split_pair_tcp()), run(split_pair()));
     }
 
     #[test]
     fn tcp_runtime_reports_names_and_link_states() {
         let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair_tcp());
-        assert_eq!(Runtime::<u64, Counter>::name(&rt), "sharded-tcp");
+        assert_eq!(Runtime::<u64, Counter>::name(&rt), "sharded-async-tcp");
         rt.inject(PeerId(0), Port(0), 4u64);
         assert!(matches!(
             rt.run(RunBudget::default()),
@@ -1494,13 +1241,8 @@ mod tests {
         assert_eq!(states[1], LinkState::Established);
         assert_eq!(states[2], LinkState::Established);
         let chan = ShardedRuntime::<u64, Counter>::new(ping_pong_pair(), split_pair());
+        assert_eq!(Runtime::<u64, Counter>::name(&chan), "sharded-async");
         assert!(chan.tcp_link_states().is_none());
-        let async_tcp =
-            ShardedRuntime::<u64, Counter>::new(ping_pong_pair(), split_pair_async().with_tcp());
-        assert_eq!(
-            Runtime::<u64, Counter>::name(&async_tcp),
-            "sharded-async-tcp"
-        );
     }
 
     /// Seeded socket faults (connection kills, torn frames, accept
@@ -1592,32 +1334,30 @@ mod tests {
     /// missed one would let a live phase converge early.
     #[test]
     fn peer_restore_at_a_boundary_keeps_quiescence() {
-        for cfg in [split_pair(), split_pair_async()] {
-            let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
-            rt.inject(PeerId(0), Port(0), 6u64);
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
-            rt.for_each_peer_mut(|_, c| c.seen = 0);
-            rt.with_peer_mut(PeerId(1), |c| c.seen = 100);
-            assert_eq!(rt.pending_events(), 0, "restore must not register events");
-            assert_eq!(rt.cross_shard_in_flight(), 0);
-            // The next phase starts from the restored state and still
-            // detects quiescence exactly.
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
-            rt.inject(PeerId(1), Port(0), 3u64);
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
-            let mut seen = 0;
-            rt.for_each_peer(|_, c| seen += c.seen);
-            assert_eq!(seen, 100 + 4);
-        }
+        let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair());
+        rt.inject(PeerId(0), Port(0), 6u64);
+        assert!(matches!(
+            rt.run(RunBudget::default()),
+            RunOutcome::Converged { .. }
+        ));
+        rt.for_each_peer_mut(|_, c| c.seen = 0);
+        rt.with_peer_mut(PeerId(1), |c| c.seen = 100);
+        assert_eq!(rt.pending_events(), 0, "restore must not register events");
+        assert_eq!(rt.cross_shard_in_flight(), 0);
+        // The next phase starts from the restored state and still
+        // detects quiescence exactly.
+        assert!(matches!(
+            rt.run(RunBudget::default()),
+            RunOutcome::Converged { .. }
+        ));
+        rt.inject(PeerId(1), Port(0), 3u64);
+        assert!(matches!(
+            rt.run(RunBudget::default()),
+            RunOutcome::Converged { .. }
+        ));
+        let mut seen = 0;
+        rt.for_each_peer(|_, c| seen += c.seen);
+        assert_eq!(seen, 100 + 4);
     }
 
     #[test]
@@ -1629,22 +1369,20 @@ mod tests {
                 net.send(other, Port(0), m, MsgMeta::default());
             }
         }
-        for base in [split_pair(), split_pair_async()] {
-            let cfg = base.with_fault(FaultPlan::crash_at(50));
-            let mut rt = ShardedRuntime::new(vec![Loop, Loop], cfg);
-            rt.inject(PeerId(0), Port(0), 0u64);
-            let out = rt.run(RunBudget::default());
-            assert!(out.crashed(), "got {out:?}");
-            assert_eq!(out.converged_at(), None);
-            // The session is frozen: snapshots are stable.
-            let e1 = rt.events_processed();
-            assert!(e1 >= 50);
-            std::thread::sleep(WallDuration::from_millis(20));
-            assert_eq!(rt.events_processed(), e1, "workers stopped");
-            // A crashed session keeps reporting Crashed — never budget
-            // exhaustion, never convergence.
-            assert!(rt.run(RunBudget::default()).crashed());
-        }
+        let cfg = split_pair().with_fault(FaultPlan::crash_at(50));
+        let mut rt = ShardedRuntime::new(vec![Loop, Loop], cfg);
+        rt.inject(PeerId(0), Port(0), 0u64);
+        let out = rt.run(RunBudget::default());
+        assert!(out.crashed(), "got {out:?}");
+        assert_eq!(out.converged_at(), None);
+        // The session is frozen: snapshots are stable.
+        let e1 = rt.events_processed();
+        assert!(e1 >= 50);
+        std::thread::sleep(WallDuration::from_millis(20));
+        assert_eq!(rt.events_processed(), e1, "workers stopped");
+        // A crashed session keeps reporting Crashed — never budget
+        // exhaustion, never convergence.
+        assert!(rt.run(RunBudget::default()).crashed());
     }
 
     #[test]

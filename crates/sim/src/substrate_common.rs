@@ -1,19 +1,16 @@
-//! Plumbing shared by the concurrent substrates (threaded and async): the
-//! in-flight/event bookkeeping, the timer-heap entry, timer dilation, and
-//! panic-payload formatting. Both runtimes drive the same discipline —
-//! bounded inboxes, register-outputs-before-retire, timer fence — so the
-//! state they share lives here once instead of being re-imported from
-//! `threaded.rs`, and quantum-level machinery added for all substrates (the
-//! coalescer, see [`crate::coalesce`]) lands in one place, not four.
+//! The one bookkeeping block the concurrent substrates share: the async
+//! runtime's controller and executor, every shard of a sharded composite,
+//! and the TCP transport's link threads all register and retire events on
+//! the same [`Shared`] in-flight counter, which is what lets a single load
+//! certify global quiescence.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::time::{Duration as WallDuration, Instant};
 
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 
-/// State shared between a concurrent runtime's controller and its workers
-/// (threads or the async executor).
+/// State shared between a concurrent runtime's controller and its executor
+/// thread(s).
 pub(crate) struct Shared {
     /// Produced-but-unretired events (envelopes in channels or backlogs,
     /// plus armed timers). Zero ⇒ global quiescence including timers. An
@@ -46,48 +43,4 @@ impl Shared {
             let _ = ctl.send(());
         }
     }
-}
-
-/// Min-heap entry for the timer services (reversed ordering: earliest
-/// first). Used by the threaded runtime's timer thread and the async
-/// runtime's in-loop timer heap.
-pub(crate) struct TimerEntry {
-    pub(crate) at: Instant,
-    pub(crate) seq: u64,
-    pub(crate) peer: u32,
-    pub(crate) id: u64,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Format a panic payload for propagation to the controller thread.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Map a simulated timer delay to a wall-clock sleep via the runtime's
-/// dilation factor.
-pub(crate) fn dilate(delay: netrec_types::Duration, factor: f64) -> WallDuration {
-    WallDuration::from_secs_f64((delay.micros() as f64 * factor / 1_000_000.0).max(0.0))
 }

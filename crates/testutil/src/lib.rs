@@ -5,17 +5,17 @@
 //! session contract
 //! must compute the same fixpoints — and, on traffic-confluent workloads,
 //! ship byte-identical traffic — as the deterministic discrete-event
-//! reference. This crate turns the PR 2 one-off DES-vs-threaded test into a
-//! reusable harness, so every present and future substrate (threaded,
-//! sharded, async, TCP) gets the differential proof for free:
+//! reference. This crate is the reusable harness for that claim, so every
+//! present and future substrate (async, sharded, TCP) gets the differential
+//! proof for free:
 //!
 //! ```ignore
 //! let w = DiffWorkload::new(reachable_plan, RunnerConfig::direct(strategy, 9))
 //!     .views(["reachable"])
 //!     .phase(DiffPhase::strict("seed", links))
 //!     .phase(DiffPhase::strict("link-1-2", more_links));
-//! assert_substrates_agree(&w, &[RuntimeKind::des(), RuntimeKind::threaded(),
-//!                               RuntimeKind::sharded(2)]);
+//! assert_substrates_agree(&w, &[RuntimeKind::des(), RuntimeKind::asynchronous(),
+//!                               RuntimeKind::sharded_async(2)]);
 //! ```
 //!
 //! The first [`RuntimeKind`] in the list is the reference (conventionally
@@ -198,8 +198,8 @@ pub mod churn {
         /// against the probe side to a constant-`false` annotation, shipped
         /// as an insert, and re-keyed an already-retracted tuple into a
         /// concurrent substrate's view (DESIGN.md churn postmortem, hole 3).
-        /// Reproduced ~1/40 runs on the threaded substrate pre-fix; never on
-        /// the DES, even across 3000 fault seeds.
+        /// Reproduced ~1/40 runs on the concurrent substrates pre-fix; never
+        /// on the DES, even across 3000 fault seeds.
         pub fn pinned_false_annotation_race() -> ChurnCase {
             ChurnCase {
                 nodes: 4,

@@ -49,40 +49,10 @@ fn main() {
     println!("view still matches a from-scratch evaluation ✓");
 
     // Same plan, same driver, different substrate: replay the load on the
-    // threaded runtime (real OS threads, bounded channels) and check that it
-    // reaches the identical fixpoint.
-    let mut tsys = System::reachable(
-        SystemConfig::new(Strategy::absorption_lazy(), 12).with_runtime(RuntimeKind::threaded()),
-    );
-    tsys.apply(&Workload::insert_links(&topo, 1.0, 7));
-    let tload = tsys.run("load (threaded)");
-    println!(
-        "\nthreaded runtime: {} reachable pairs across 12 peer threads in {:.1} ms wall",
-        tsys.view("reachable").len(),
-        tload.wall.as_secs_f64() * 1e3,
-    );
-    assert_eq!(tsys.view("reachable"), tsys.oracle_view("reachable"));
-    println!("threaded fixpoint matches a from-scratch evaluation ✓");
-
-    // Scale the substrate out: the same 12 peers partitioned across 4
-    // threaded shards behind one composite runtime, cross-shard messages
-    // routed over a bounded transport with global quiescence detection.
-    let mut ssys = System::reachable(
-        SystemConfig::new(Strategy::absorption_lazy(), 12).with_runtime(RuntimeKind::sharded(4)),
-    );
-    ssys.apply(&Workload::insert_links(&topo, 1.0, 7));
-    let sload = ssys.run("load (sharded)");
-    println!(
-        "\nsharded runtime: {} reachable pairs across 4 shards (12 peers) in {:.1} ms wall",
-        ssys.view("reachable").len(),
-        sload.wall.as_secs_f64() * 1e3,
-    );
-    assert_eq!(ssys.view("reachable"), ssys.oracle_view("reachable"));
-    println!("sharded fixpoint matches a from-scratch evaluation ✓");
-
-    // Scale the peer count instead: the async runtime schedules peers as
-    // cooperative tasks (no OS thread per peer), so one core hosts the same
-    // query sharded across 1000 peers — the regime of the paper's
+    // async runtime (wall-clock timers, bounded inboxes) and check that it
+    // reaches the identical fixpoint. Peers are cooperative tasks on one
+    // executor thread (no OS thread per peer), so one core hosts the query
+    // partitioned across 1000 peers — the regime of the paper's
     // transit-stub and sensor-grid deployments.
     let mut asys = System::reachable(
         SystemConfig::new(Strategy::absorption_lazy(), 1000)
@@ -97,4 +67,22 @@ fn main() {
     );
     assert_eq!(asys.view("reachable"), asys.oracle_view("reachable"));
     println!("async fixpoint matches a from-scratch evaluation ✓");
+
+    // Scale across cores instead: 12 peers partitioned across 4 async
+    // shards (one executor OS thread each) behind one composite runtime,
+    // cross-shard messages routed over a bounded transport with global
+    // quiescence detection.
+    let mut ssys = System::reachable(
+        SystemConfig::new(Strategy::absorption_lazy(), 12)
+            .with_runtime(RuntimeKind::sharded_async(4)),
+    );
+    ssys.apply(&Workload::insert_links(&topo, 1.0, 7));
+    let sload = ssys.run("load (sharded)");
+    println!(
+        "\nsharded runtime: {} reachable pairs across 4 shards (12 peers) in {:.1} ms wall",
+        ssys.view("reachable").len(),
+        sload.wall.as_secs_f64() * 1e3,
+    );
+    assert_eq!(ssys.view("reachable"), ssys.oracle_view("reachable"));
+    println!("sharded fixpoint matches a from-scratch evaluation ✓");
 }

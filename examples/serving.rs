@@ -5,7 +5,7 @@
 //! cargo run --release --example serving
 //! ```
 //!
-//! Loads a transit-stub reachability view on the threaded runtime, attaches
+//! Loads a transit-stub reachability view on two async shards, attaches
 //! the serving layer, then runs four reader threads hammering
 //! `connected(u, v)` with zero coordination while the driver fails and heals
 //! links. Each converged `run` publishes one epoch; readers only ever see
@@ -35,7 +35,7 @@ fn main() {
     let mut sys = System::reachable(
         SystemConfig::new(Strategy::absorption_lazy(), 8)
             .with_budget(RunBudget::sim_seconds(600).with_wall(Duration::from_secs(120)))
-            .with_runtime(RuntimeKind::threaded()),
+            .with_runtime(RuntimeKind::sharded_async(2)),
     );
     sys.apply(&load);
     assert!(sys.run("load").converged());
