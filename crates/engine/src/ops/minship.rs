@@ -106,20 +106,28 @@ impl MinShipOp {
     /// The hosting peer learned that `dead` base variables died (a
     /// cause-delete arrived on *any* port — not necessarily this operator's
     /// input stream; the relaying join may have nothing left to emit here).
-    /// Restrict the local mirrors, then sweep the ship ledger and forward
+    /// Restrict the local mirrors — unconditionally: this is the one place
+    /// a dead variable is applied to `pins` and `sent` on the dataflow path,
+    /// once per (peer, variable) — then sweep the ship ledger and forward
     /// the cause to the owner of every tuple whose shipped history mentions
     /// a dying variable. Returns `true` if the caller should arm a flush
     /// timer (eager mode with newly-buffered deletions).
     pub fn on_dead_vars(&mut self, dead: &[Var], ectx: &mut Ectx<'_>) -> bool {
         let policy = ectx.strategy.ship;
-        if matches!(policy, ShipPolicy::Immediate) || self.shipped.is_empty() {
+        if matches!(policy, ShipPolicy::Immediate) {
             return false;
         }
+        // Restrict buffered and sent knowledge (Alg. 3 L20–25). Only tuples
+        // that *survive* in `sent` need a staleness marker: entries that
+        // died re-enter through the first-derivation branch anyway.
         let _ = self.pins.restrict_cause(dead);
         for (t, outcome) in self.sent.restrict_cause(dead) {
             if matches!(outcome, super::DeleteOutcome::Shrunk(_)) {
                 self.dirty.insert(t);
             }
+        }
+        if self.shipped.is_empty() {
+            return false;
         }
         let mut hit_any = false;
         let MinShipOp {
@@ -179,6 +187,17 @@ impl MinShipOp {
 
     /// Process a batch. Returns `true` if the caller should arm a flush
     /// timer (eager mode with newly-buffered state).
+    ///
+    /// **Contract:** the hosting peer has applied every cause variable
+    /// before dispatch — each variable in the `cause` of a delete in `ups`
+    /// has already been through [`MinShipOp::on_dead_vars`] (or
+    /// [`MinShipOp::on_tombstone`]) on this operator, and every insertion
+    /// in `ups` has been stripped of the peer's dead variables
+    /// (`EnginePeer::on_message`: `record_causes` → `forward_dead_vars` →
+    /// `sanitize` → `dispatch`). The mirrors therefore never mention a
+    /// variable of an arriving cause, and a cause-delete costs work
+    /// proportional to the update, not to the tables (DESIGN.md "Deletion
+    /// propagation", invariants I1–I3).
     pub fn on_updates(&mut self, ups: Vec<Update>, ectx: &mut Ectx<'_>) -> bool {
         let policy = ectx.strategy.ship;
         if matches!(policy, ShipPolicy::Immediate) {
@@ -240,16 +259,15 @@ impl MinShipOp {
                     }
                 }
                 UpdateKind::Delete if !u.cause.is_empty() => {
-                    // Restrict buffered and sent knowledge (Alg. 3 L20–25).
-                    // Only tuples that *survive* in `sent` need a staleness
-                    // marker: entries that died re-enter through the
-                    // first-derivation branch anyway.
-                    let _ = self.pins.restrict_cause(&u.cause);
-                    for (t, outcome) in self.sent.restrict_cause(&u.cause) {
-                        if matches!(outcome, super::DeleteOutcome::Shrunk(_)) {
-                            self.dirty.insert(t);
-                        }
-                    }
+                    // The mirrors need no restricting here: `on_dead_vars`
+                    // already applied every variable of `u.cause` (see the
+                    // contract above).
+                    debug_assert!(
+                        !self.sent.mentions_any(&u.cause) && !self.pins.mentions_any(&u.cause),
+                        "MinShip mirror mentions a dead variable of {:?}: a cause was \
+                         dispatched before on_dead_vars, or an unsanitised insert got in",
+                        u.cause
+                    );
                     if self.sent.contains(&u.tuple) {
                         self.dirty.insert(u.tuple.clone());
                     }
@@ -322,13 +340,8 @@ impl MinShipOp {
                 Arc::from(cause.into_boxed_slice()),
             ));
         }
-        let mut ins: Vec<(Tuple, Prov)> = self
-            .pins
-            .iter()
-            .map(|(t, p)| (t.clone(), p.clone()))
-            .collect();
+        let mut ins = self.pins.drain();
         ins.sort_by(|a, b| a.0.cmp(&b.0));
-        self.pins = ProvTable::new(self.pins.mode(), false);
         for (t, pv) in ins {
             self.sent.merge_ins(&t, &pv);
             self.ledger_record(&t, &pv, ectx);
@@ -563,5 +576,98 @@ impl MinShipOp {
     /// Shipped tuple count (tests).
     pub fn sent_len(&self) -> usize {
         self.sent.len()
+    }
+
+    /// Entries of `Pins` and `Bsent` examined so far by table-wide cause
+    /// restriction (tests): grows by `pins_len() + sent_len()` per
+    /// [`MinShipOp::on_dead_vars`] / [`MinShipOp::on_tombstone`] call and by
+    /// nothing else, however many cause-delete updates flow through.
+    pub fn mirror_scan_steps(&self) -> u64 {
+        self.pins.scan_steps() + self.sent.scan_steps()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::OpId;
+    use crate::strategy::{DeleteProp, Strategy};
+    use netrec_bdd::BddManager;
+    use netrec_sim::{NetApi, Partitioner, PeerId};
+    use netrec_types::{RelId, SimTime, Value};
+
+    fn t(i: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(i)])
+    }
+
+    /// The mirrors are restricted by `on_dead_vars` itself — also when the
+    /// ship ledger is empty (here: broadcast deletion, which keeps none) —
+    /// and a cause-delete flowing through `on_updates` afterwards scans
+    /// nothing.
+    #[test]
+    fn dead_vars_restrict_mirrors_even_with_an_empty_ledger() {
+        let mgr = BddManager::new();
+        let strategy = Strategy {
+            delete_prop: DeleteProp::Broadcast,
+            ..Strategy::absorption_lazy()
+        };
+        let mut net = NetApi::fresh(SimTime(0), PeerId(0));
+        let mut ectx = Ectx {
+            me: PeerId(0),
+            peers: 1,
+            strategy: &strategy,
+            partitioner: Partitioner::Direct { peers: 1 },
+            mgr: &mgr,
+            net: &mut net,
+        };
+        let dest = Dest {
+            op: OpId(0),
+            input: 0,
+        };
+        let mut op = MinShipOp::new(None, dest, ProvMode::Absorption);
+        let rel = RelId(0);
+        let x = |v| mgr.var(v);
+        op.on_updates(
+            vec![
+                Update::ins(rel, t(1), Prov::Bdd(x(1).or(&x(2)))), // ships
+                Update::ins(rel, t(2), Prov::Bdd(x(1))),           // ships
+                Update::ins(rel, t(2), Prov::Bdd(x(1).or(&x(4)))), // buffers
+            ],
+            &mut ectx,
+        );
+        assert!(op.shipped.is_empty(), "broadcast mode keeps no ledger");
+        assert_eq!((op.sent_len(), op.pins_len()), (2, 1));
+        assert_eq!(op.mirror_scan_steps(), 0);
+
+        op.on_dead_vars(&[1], &mut ectx);
+        assert_eq!(op.mirror_scan_steps(), 3, "one pass over pins and sent");
+        assert_eq!(op.sent.get(&t(1)).unwrap().bdd(), &x(2), "sent shrank");
+        assert!(!op.sent.contains(&t(2)), "sent entry died");
+        assert_eq!(op.pins.get(&t(2)).unwrap().bdd(), &x(4), "pin shrank");
+        assert!(op.dirty.contains(&t(1)) && !op.dirty.contains(&t(2)));
+
+        let cause: Arc<[Var]> = Arc::from(&[1][..]);
+        op.on_updates(
+            vec![Update::del_cause(rel, t(2), Prov::Bdd(x(1)), cause)],
+            &mut ectx,
+        );
+        assert_eq!(op.mirror_scan_steps(), 3, "a cause-delete scans nothing");
+        let (sends, _) = net.into_parts();
+        let shipped: Vec<(UpdateKind, Tuple)> = sends
+            .iter()
+            .flat_map(|(_, _, msg, _)| match msg {
+                crate::update::Msg::Updates(us) => us.iter().map(|u| (u.kind, u.tuple.clone())),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            shipped,
+            vec![
+                (UpdateKind::Insert, t(1)),
+                (UpdateKind::Insert, t(2)),
+                (UpdateKind::Delete, t(2)),
+                (UpdateKind::Insert, t(2)), // the buffered alternative, released
+            ]
+        );
     }
 }

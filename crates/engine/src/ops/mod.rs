@@ -14,13 +14,13 @@ pub mod join;
 pub mod minship;
 pub mod store;
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use netrec_bdd::{BddManager, Var};
 use netrec_prov::{Prov, ProvMode};
 use netrec_sim::{NetApi, Partitioner, PeerId};
-use netrec_types::{fx_hash_one, FxHashMap, Tuple, Value};
+use netrec_types::{fx_hash_one, FxHashMap, FxHashSet, Tuple, Value};
 
 use crate::plan::{Dest, Plan};
 use crate::strategy::Strategy;
@@ -182,6 +182,31 @@ pub struct ProvTable {
     mode: ProvMode,
     /// Incrementally-maintained total of per-entry costs (see `entry_cost`).
     bytes: usize,
+    /// Entries examined so far by the unindexed [`ProvTable::restrict_cause`]
+    /// scan — a deterministic work count (tests pin it; see
+    /// `MinShipOp::mirror_scan_steps`).
+    scan_steps: u64,
+}
+
+/// `cause` as a set, for the Relative arms ([`netrec_prov::RelProv`] takes
+/// its dead variables as a set); empty — and allocation-free — in every
+/// other mode, where nothing reads it.
+fn relative_dead_set(mode: ProvMode, cause: &[Var]) -> FxHashSet<Var> {
+    if mode == ProvMode::Relative {
+        cause.iter().copied().collect()
+    } else {
+        FxHashSet::default()
+    }
+}
+
+/// Does annotation `p` depend on any variable of `cause`? `dead_set` is
+/// [`relative_dead_set`] of the same `cause`.
+fn depends_on_any(p: &Prov, cause: &[Var], dead_set: &FxHashSet<Var>) -> bool {
+    match p {
+        Prov::Bdd(b) => cause.iter().any(|v| b.depends_on(*v)),
+        Prov::Rel(r) => r.mentions_any(dead_set),
+        _ => false,
+    }
 }
 
 /// Per-entry bookkeeping overhead (hash slot, pointers) counted by
@@ -205,6 +230,7 @@ impl ProvTable {
             },
             mode,
             bytes: 0,
+            scan_steps: 0,
         }
     }
 
@@ -252,6 +278,17 @@ impl ProvTable {
     /// Iterate `(tuple, annotation)`.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &Prov)> + '_ {
         self.map.iter()
+    }
+
+    /// Remove and return every entry (unordered). The table stays in place,
+    /// so its scan counter keeps counting across the flush that empties it.
+    pub fn drain(&mut self) -> Vec<(Tuple, Prov)> {
+        self.bytes = 0;
+        self.counts.clear();
+        if let Some(index) = &mut self.var_index {
+            index.clear();
+        }
+        self.map.drain().collect()
     }
 
     fn index_insert(&mut self, t: &Tuple, prov: &Prov) {
@@ -355,7 +392,7 @@ impl ProvTable {
         if !matches!(self.mode, ProvMode::Absorption | ProvMode::Relative) {
             return Vec::new();
         }
-        let dead_set: HashSet<Var> = cause.iter().copied().collect();
+        let dead_set = relative_dead_set(self.mode, cause);
         // The index stores candidates in `BTreeSet`s, so the union is already
         // deterministically ordered — no post-hoc sort. The unindexed path
         // pre-filters on annotation support, so unaffected entries cost a
@@ -369,13 +406,10 @@ impl ProvTable {
             }
             set
         } else {
+            self.scan_steps += self.map.len() as u64;
             self.map
                 .iter()
-                .filter(|(_, p)| match p {
-                    Prov::Bdd(b) => cause.iter().any(|v| b.depends_on(*v)),
-                    Prov::Rel(r) => r.mentions_any(&dead_set),
-                    _ => false,
-                })
+                .filter(|(_, p)| depends_on_any(p, cause, &dead_set))
                 .map(|(t, _)| t.clone())
                 .collect()
         };
@@ -420,6 +454,22 @@ impl ProvTable {
         out
     }
 
+    /// Does any entry's annotation depend on a variable of `vars`? A full
+    /// scan: this is the check [`ProvTable::restrict_cause`] would make, for
+    /// callers asserting that restriction has nothing left to do.
+    pub fn mentions_any(&self, vars: &[Var]) -> bool {
+        let dead_set = relative_dead_set(self.mode, vars);
+        self.map
+            .values()
+            .any(|p| depends_on_any(p, vars, &dead_set))
+    }
+
+    /// Entries examined so far by the unindexed [`ProvTable::restrict_cause`]
+    /// scan (0 for an indexed table).
+    pub fn scan_steps(&self) -> u64 {
+        self.scan_steps
+    }
+
     /// Cause-restrict a *single* tuple's entry (the per-update deletion path
     /// of Algorithm 2's `HalfPipeDel`). Returns `None` when the entry is
     /// absent or unaffected — idempotence is what terminates cascaded
@@ -441,8 +491,7 @@ impl ProvTable {
                 }
             }
             (ProvMode::Relative, Prov::Rel(r)) => {
-                let dead: HashSet<Var> = cause.iter().copied().collect();
-                match r.kill_vars(&dead) {
+                match r.kill_vars(&relative_dead_set(self.mode, cause)) {
                     None => self.evict(t).map(DeleteOutcome::Died),
                     Some(survivor) => {
                         if survivor.node_count() != r.node_count()

@@ -424,6 +424,11 @@ impl EnginePeer {
     /// everything it ever shipped precisely for this moment: sweep it for
     /// the freshly-dead variables and forward the cause to the owners of any
     /// affected tuple, so the store-to-store cascade cannot terminate early.
+    ///
+    /// This is also the one moment a MinShip restricts its `pins`/`sent`
+    /// mirrors by a dead variable: once per (peer, variable), before the
+    /// message that brought the news is dispatched — `MinShipOp::on_updates`
+    /// relies on it and never scans its tables per update.
     fn forward_dead_vars(&mut self, fresh: &[Var], net: &mut NetApi<Msg>) {
         for i in 0..self.ops.len() {
             let mut ectx = Ectx {
@@ -472,6 +477,14 @@ impl PeerNode<Msg> for EnginePeer {
                         );
                     }
                 }
+                // Order matters: (1) every cause variable of the message
+                // joins `dead_vars`, (2) the ones new to this peer are
+                // applied to every MinShip's mirrors and ledger, and only
+                // then is the batch (3) sanitised against `dead_vars` and
+                // (4) dispatched. Operators therefore never see a delete
+                // whose cause has not been applied peer-wide, nor an insert
+                // that mentions a dead variable (DESIGN.md "Deletion
+                // propagation", I1–I3).
                 let fresh = self.record_causes(&ups);
                 if !fresh.is_empty() {
                     self.forward_dead_vars(&fresh, net);

@@ -28,6 +28,18 @@ pub struct Update {
     pub cause: Arc<[Var]>,
 }
 
+thread_local! {
+    /// The empty cause every insertion and retraction carries. Shared, since
+    /// `Arc::from(&[][..])` heap-allocates a header per call; per thread, so
+    /// peers on different executor threads do not contend on one reference
+    /// count.
+    static NO_CAUSE: Arc<[Var]> = Arc::from(&[][..]);
+}
+
+fn no_cause() -> Arc<[Var]> {
+    NO_CAUSE.with(Arc::clone)
+}
+
 impl Update {
     /// An insertion.
     pub fn ins(rel: RelId, tuple: Tuple, prov: Prov) -> Update {
@@ -36,7 +48,7 @@ impl Update {
             kind: UpdateKind::Insert,
             tuple,
             prov,
-            cause: Arc::from(&[][..]),
+            cause: no_cause(),
         }
     }
 
@@ -58,7 +70,7 @@ impl Update {
             kind: UpdateKind::Delete,
             tuple,
             prov,
-            cause: Arc::from(&[][..]),
+            cause: no_cause(),
         }
     }
 

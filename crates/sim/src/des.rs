@@ -77,7 +77,11 @@ impl<M> NetApi<M> {
         self.timers.push((delay, id));
     }
 
-    pub(crate) fn fresh(now: SimTime, me: PeerId) -> NetApi<M> {
+    /// An empty callback context for peer `me` at time `now`. The runtimes
+    /// build one per delivery quantum; a test can build one to drive a
+    /// [`PeerNode`] by hand and read what it sent with
+    /// [`NetApi::into_parts`].
+    pub fn fresh(now: SimTime, me: PeerId) -> NetApi<M> {
         NetApi {
             now,
             me,
@@ -86,8 +90,9 @@ impl<M> NetApi<M> {
         }
     }
 
+    /// The sends and timers the callback collected, in call order.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(self) -> (Vec<(PeerId, Port, M, MsgMeta)>, Vec<(Duration, u64)>) {
+    pub fn into_parts(self) -> (Vec<(PeerId, Port, M, MsgMeta)>, Vec<(Duration, u64)>) {
         (self.out, self.timers)
     }
 }
