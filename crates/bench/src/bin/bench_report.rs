@@ -8,7 +8,7 @@
 //! tracks the perf trajectory across PRs; CI and reviewers diff the numbers.
 //!
 //! Three substrate families are tracked: the discrete-event simulator
-//! (entries as in `BENCH_1.json`), the async task-per-peer runtime (same
+//! (entries as in `BENCH_1.json`), the async runtime (same
 //! workloads re-executed on one executor thread, suffixed `/async`), and
 //! the sharded runtime at 2 and 4 async shards (suffixed `/sharded-async2`,
 //! `/sharded-async4` — *not* a continuation of the `/sharded2`, `/sharded4`
@@ -46,8 +46,8 @@
 //! boundaries — reported as `#reads_per_sec` and `#p99_lookup_ns`.
 //!
 //! A dedicated `scale1000/` section hosts the paper-scale peer counts only
-//! the async runtime reaches on commodity limits: 1000 peers as cooperative
-//! tasks on one core (entry `.../async1000`, with the DES at the same peer
+//! the async runtime reaches on commodity limits: 1000 peers as state
+//! machines on one core (entry `.../async1000`, with the DES at the same peer
 //! count as the modelled reference — a thread-per-peer runtime would need
 //! 1000 OS threads for the same workload).
 //!
@@ -193,7 +193,7 @@ fn main() {
 
     // --- The 1000-peer scale point -------------------------------------
     //
-    // 1000 peers hosted as cooperative tasks on ONE executor thread — the
+    // 1000 peers hosted as state machines on ONE executor thread — the
     // scale at which a thread-per-peer substrate would burn 1000 OS
     // threads. The workload is 360 disjoint 3-node chains (1080 routers,
     // 720 directed links): hash partitioning activates essentially every

@@ -36,8 +36,8 @@
 //!
 //! [`SystemConfig::with_runtime`](system::SystemConfig::with_runtime)
 //! selects the execution substrate ([`RuntimeKind`]): the deterministic DES
-//! (default), one thread per peer, one async task per peer, or a sharded
-//! composite. DESIGN.md: "System inventory" for the crate's facade role,
+//! (default), the async event loop, or a sharded composite of async
+//! shards. DESIGN.md: "System inventory" for the crate's facade role,
 //! "Runtimes" for the substrate contract.
 
 pub mod queries;

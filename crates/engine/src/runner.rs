@@ -168,7 +168,7 @@ impl RunReport {
 pub enum EngineRuntime {
     /// Deterministic discrete-event simulation.
     Des(Simulator<Msg, EnginePeer>),
-    /// Cooperative task-per-peer execution on one executor thread.
+    /// One event loop on one executor thread hosting every peer.
     Async(AsyncRuntime<Msg, EnginePeer>),
     /// Peer-partitioned execution across several async shards.
     Sharded(ShardedRuntime<Msg, EnginePeer>),

@@ -1,7 +1,7 @@
 //! Substrate differential test: the same multi-phase reachability workload
 //! must produce **identical final store contents and identical per-peer
 //! msgs/bytes/tuples/prov_bytes metrics** on every execution substrate —
-//! the deterministic DES reference, the async task-per-peer runtime, and
+//! the deterministic DES reference, the async runtime, and
 //! the sharded runtime (2 hash-assigned / 4 contiguous async shards) — in
 //! every maintenance strategy.
 //! The comparison machinery lives in `netrec-testutil`
@@ -20,11 +20,10 @@
 //! Every derived tuple also has a unique derivation, making its provenance
 //! annotation — and its wire size — deterministic.
 //!
-//! This is the acceptance gate for the sharded runtime: cross-shard routing
-//! (direct path and controller relay alike), global in-flight accounting,
-//! and shard-metrics folding via `NetMetrics::merge` must reproduce the DES
-//! numbers exactly. (Counting mode is excluded: it is defined for
-//! non-recursive plans only.)
+//! This is the acceptance gate for the sharded runtime: cross-shard
+//! routing, global in-flight accounting, and shard-metrics folding via
+//! `NetMetrics::merge` must reproduce the DES numbers exactly. (Counting
+//! mode is excluded: it is defined for non-recursive plans only.)
 //!
 //! It is also the gate for **transport batching** (`netrec_sim::coalesce`):
 //! the harness pins the physical envelope matrices
@@ -73,7 +72,7 @@ fn chain_workload(strategy: Strategy) -> DiffWorkload {
     w
 }
 
-/// Every substrate in the matrix: DES reference, async (task-per-peer),
+/// Every substrate in the matrix: DES reference, async,
 /// and sharded at 2 hash-assigned and 4 contiguous async shards.
 fn substrates() -> Vec<RuntimeKind> {
     vec![

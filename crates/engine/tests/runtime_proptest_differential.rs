@@ -1,6 +1,6 @@
 //! Property-based substrate differential: proptest-generated random
 //! topologies and update/delete scripts (from `netrec-topo`'s generators)
-//! run through the DES, the async task-per-peer runtime, and the sharded
+//! run through the DES, the async runtime, and the sharded
 //! runtime at 1, 2, and 4 async shards, in all 5 maintenance strategies —
 //! every substrate must reach the DES fixpoint.
 //!
@@ -52,7 +52,7 @@ fn cases_from_env() -> u32 {
         .unwrap_or(5)
 }
 
-/// The substrate matrix: DES reference, async task-per-peer, and sharded
+/// The substrate matrix: DES reference, async, and sharded
 /// at 1/2/4 async shards.
 /// The concurrent substrates compress timer delays 50× (`time_dilation`):
 /// eager-mode 1 s flush periods would otherwise map to real one-second

@@ -17,7 +17,7 @@
 //!   it waits boundedly for the ledger entry to appear).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -57,12 +57,17 @@ fn stress(kind: RuntimeKind) {
             .insert(g.version(), g.fingerprint(rel));
     }
     let stop = Arc::new(AtomicBool::new(false));
+    // Highest version any reader has verified so far: the driver keeps
+    // churning until it passes the seed epoch, so the overlap of reads
+    // with live churn does not depend on how fast a phase converges.
+    let verified = Arc::new(AtomicU64::new(0));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let mut r = reader.clone();
             let ledger = Arc::clone(&ledger);
             let stop = Arc::clone(&stop);
+            let verified = Arc::clone(&verified);
             std::thread::spawn(move || {
                 let mut last_version = 0u64;
                 let mut reads = 0u64;
@@ -99,6 +104,7 @@ fn stress(kind: RuntimeKind) {
                         fp, want,
                         "observed view at version {version} is not the converged boundary"
                     );
+                    verified.fetch_max(version, Ordering::SeqCst);
                     reads += 1;
                 }
                 (reads, last_version)
@@ -107,8 +113,12 @@ fn stress(kind: RuntimeKind) {
         .collect();
 
     // Churn: delete and re-insert chain links, converging (and publishing)
-    // after each small batch. Every boundary lands in the ledger.
-    for i in 0..BOUNDARIES {
+    // after each small batch. Every boundary lands in the ledger. At least
+    // `BOUNDARIES` phases, and on (boundedly) until a reader has verified
+    // one of them while the churn is still running.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut i = 0;
+    while i < BOUNDARIES || (verified.load(Ordering::SeqCst) <= 1 && Instant::now() < deadline) {
         let a = (i as u32) % (PEERS - 1);
         let kind = if i % 2 == 0 {
             UpdateKind::Delete
@@ -127,6 +137,7 @@ fn stress(kind: RuntimeKind) {
             "driver sees the boundary it published"
         );
         ledger.lock().unwrap().insert(version, g.fingerprint(rel));
+        i += 1;
     }
 
     stop.store(true, Ordering::Relaxed);

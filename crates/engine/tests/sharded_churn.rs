@@ -131,13 +131,9 @@ fn churn_on_sharded(strategy: Strategy, cfg: ShardedConfig) {
             "[sharded-async/{shards}] {label} converged"
         );
         // The global fence, asserted on the concrete runtime: no phase ends
-        // with a cross-shard message or an armed timer in flight anywhere.
+        // with a message (cross-shard ones included) or an armed timer in
+        // flight anywhere.
         let rt: &ShardedRuntime<Msg, EnginePeer> = runner.runtime();
-        assert_eq!(
-            rt.cross_shard_in_flight(),
-            0,
-            "[sharded-async/{shards}] {label}: cross-shard messages in flight at a phase boundary"
-        );
         assert_eq!(
             rt.pending_events(),
             0,

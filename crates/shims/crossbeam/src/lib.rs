@@ -1,35 +1,23 @@
 //! Offline shim for `crossbeam`: the `channel` module mapped onto
-//! `std::sync::mpsc` (unbounded and bounded MPSC are all the concurrent
-//! runtimes' controller signals, cross-shard relay and TCP link queues
-//! need).
+//! `std::sync::mpsc` (unbounded MPSC is all the concurrent runtimes'
+//! controller wake, shard ingress and TCP link queues need).
 
 pub mod channel {
-    //! MPSC channels with crossbeam's names.
-    //!
-    //! `Sender`/`Receiver` come from `std::sync::mpsc`; the bounded flavour
-    //! maps to `std::sync::mpsc::sync_channel`, whose `SyncSender` offers the
-    //! same `send`/`try_send` surface the runtime uses for backpressure.
+    //! MPSC channels with crossbeam's names, from `std::sync::mpsc`.
 
     pub use std::sync::mpsc::{
-        Receiver, RecvError, RecvTimeoutError, SendError, Sender, SyncSender, TryRecvError,
-        TrySendError,
+        Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError,
     };
 
     /// An unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         std::sync::mpsc::channel()
     }
-
-    /// A bounded channel with `cap` slots; `try_send` fails with
-    /// [`TrySendError::Full`] once the buffer is full.
-    pub fn bounded<T>(cap: usize) -> (SyncSender<T>, Receiver<T>) {
-        std::sync::mpsc::sync_channel(cap)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, TrySendError};
+    use super::channel::unbounded;
 
     #[test]
     fn multi_producer_fan_in() {
@@ -46,28 +34,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_backpressure() {
-        let (tx, rx) = bounded::<u32>(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
-        assert_eq!(rx.try_recv().unwrap(), 1);
-        tx.try_send(3).unwrap();
-        drop(rx);
-        assert!(matches!(tx.try_send(4), Err(TrySendError::Disconnected(4))));
-    }
-
-    #[test]
     fn recv_timeout_times_out() {
-        let (tx, rx) = bounded::<u32>(1);
+        let (tx, rx) = unbounded::<u32>();
         let err = rx
             .recv_timeout(std::time::Duration::from_millis(1))
             .unwrap_err();
-        assert!(matches!(
-            err,
-            super::channel::RecvTimeoutError::Timeout
-                | super::channel::RecvTimeoutError::Disconnected
-        ));
+        assert_eq!(err, super::channel::RecvTimeoutError::Timeout);
         drop(tx);
     }
 }

@@ -22,19 +22,22 @@
 //!   substrate implements (inject → run-to-quiescence → snapshot, honoring
 //!   [`RunBudget`]), plus [`RuntimeKind`] for drivers that select a
 //!   substrate at configuration time.
-//! * [`async_rt`] — the one concurrent event loop: every peer is a
-//!   cooperative task on a single executor thread (the offline `futures`
-//!   shim — no tokio) over bounded inboxes, with an in-loop timer min-heap,
-//!   peer-panic propagation and multi-phase sessions, running the same
-//!   [`PeerNode`] logic as the DES — one core hosts thousands of peers.
-//!   Timing is wall-clock rather than modelled.
+//! * [`async_rt`] — the one concurrent event loop: peers are state
+//!   machines, one executor thread runs their quanta to completion from
+//!   per-peer inboxes and a FIFO ready queue, with an in-loop timer
+//!   min-heap, one unbounded ingress channel as the only way in from
+//!   another thread (and the loop's only blocking wait), peer-panic
+//!   propagation and multi-phase sessions, running the same [`PeerNode`]
+//!   logic as the DES — one core hosts thousands of peers. Timing is
+//!   wall-clock rather than modelled.
 //! * [`sharded`] — the composite runtime: the peer set partitioned across
 //!   several async shards (one executor thread each, pluggable
-//!   [`ShardAssignment`]), with a bounded cross-shard transport whose
-//!   in-flight accounting extends the quiescence/timer-fence contract
-//!   globally — real OS-thread parallelism, up to one peer per thread
-//!   (`shards == peers`). With [`TransportKind::Tcp`] the cross-shard seam
-//!   becomes a real socket (see [`tcp`]).
+//!   [`ShardAssignment`]); a cross-shard envelope is one send into the
+//!   destination shard's ingress, and the one shared in-flight counter
+//!   extends the quiescence/timer-fence contract globally — real OS-thread
+//!   parallelism, up to one peer per thread (`shards == peers`). With
+//!   [`TransportKind::Tcp`] the cross-shard seam becomes a real socket
+//!   (see [`tcp`]).
 //! * [`tcp`] — the supervised TCP shard transport: length-framed,
 //!   CRC-checked loopback sockets between shards under per-link connection
 //!   supervision (reconnect with backoff + jitter, heartbeat failure

@@ -12,7 +12,7 @@
 //! Implementations: the deterministic discrete-event
 //! [`Simulator`](crate::des::Simulator) (the oracle every test diffs
 //! against), the concurrent [`AsyncRuntime`](crate::async_rt::AsyncRuntime)
-//! (one cooperative task per peer on one executor thread, thousands of
+//! (one run-to-completion event loop on one executor thread, thousands of
 //! peers per core), and the composite
 //! [`ShardedRuntime`](crate::sharded::ShardedRuntime) (peer-partitioned
 //! async shards behind one runtime, over in-process channels or TCP).
@@ -155,13 +155,14 @@ pub enum RuntimeKind {
     /// The deterministic discrete-event simulator (modelled latency,
     /// bandwidth, and CPU occupancy; reproducible convergence times).
     Des(DesConfig),
-    /// The async runtime (one cooperative task per peer on a single
-    /// executor thread — thousands of peers per core; bounded inboxes,
-    /// wall-clock timers) with its tuning knobs.
+    /// The async runtime (one event loop on a single executor thread
+    /// running each peer's quanta to completion — thousands of peers per
+    /// core; wall-clock timers) with its tuning knobs.
     Async(AsyncConfig),
     /// The sharded runtime: the peer set partitioned across several async
     /// shards (one executor thread each) behind one composite runtime,
-    /// cross-shard messages routed over a bounded transport.
+    /// cross-shard envelopes sent straight into the destination shard's
+    /// ingress queue, in-process or over TCP.
     Sharded(ShardedConfig),
 }
 
@@ -177,7 +178,7 @@ impl RuntimeKind {
         RuntimeKind::Des(DesConfig::default())
     }
 
-    /// Async task-per-peer runtime with default tuning.
+    /// Async event-loop runtime with default tuning.
     pub fn asynchronous() -> RuntimeKind {
         RuntimeKind::Async(AsyncConfig::default())
     }
@@ -243,7 +244,7 @@ impl RuntimeKind {
 /// # The session contract
 ///
 /// A `Runtime` is a long-lived **session** driven in **phases**; every
-/// substrate — deterministic simulation, cooperative tasks, shards —
+/// substrate — deterministic simulation, the async event loop, shards —
 /// must honor the same four clauses, which is what lets one
 /// generic driver (`netrec-engine`'s `Runner`) and one differential harness
 /// (`netrec_testutil::assert_substrates_agree`) cover them all:
@@ -280,7 +281,7 @@ impl RuntimeKind {
 ///    execute.
 /// 4. **Budget exhaustion freezes.** When [`RunBudget`] is exceeded, `run`
 ///    returns [`RunOutcome::BudgetExceeded`] and the session **freezes**:
-///    peer tasks stop, armed timers are retired, snapshots stay stable,
+///    executors stop, armed timers are retired, snapshots stay stable,
 ///    and every later `run` fails fast with `BudgetExceeded` — never
 ///    `Converged`, because teardown itself drains the pending-event
 ///    counter. A peer panic likewise freezes the session and re-panics
@@ -288,7 +289,7 @@ impl RuntimeKind {
 ///
 /// # Example
 ///
-/// One token-passing session on the async (task-per-peer) substrate:
+/// One token-passing session on the async substrate:
 /// inject → run-to-quiescence → snapshot, with a second phase continuing
 /// from the first phase's state and a timer held inside its phase by the
 /// fence.

@@ -1,78 +1,68 @@
 //! The sharded runtime: one composite [`Runtime`] over peer-partitioned
 //! inner shards — many peers per shard, many shards per box.
 //!
-//! A [`ShardedRuntime`] partitions the global peer set across N inner
-//! shards via a pluggable [`ShardAssignment`] (hash, contiguous blocks, or
-//! an explicit map); each shard is an [`AsyncRuntime`] — one executor
-//! thread hosting one cooperative task per peer, thousands of peers per
-//! shard. (`shards == peers` with [`ShardAssignment::Contiguous`] is the
-//! thread-per-peer regime: one peer per executor thread.) Each peer is
-//! wrapped in a shard-local adapter that keeps the
-//! peer's *global* identity: same-shard traffic uses the shard's own
-//! bounded inboxes exactly as in the standalone runtime, and cross-shard
-//! **envelopes** (coalesced per quantum, see [`mod@crate::coalesce`]) take one
-//! of two paths — the **direct path**, where the sending executor delivers
-//! straight into the destination shard's inbox (no controller hop), or the
-//! **relay fallback**, a bounded transport channel drained by the composite
-//! controller, used when the destination inbox is full or earlier envelopes
-//! for that destination are still in the relay (per-channel FIFO).
+//! A [`ShardedRuntime`] partitions the global peer set across N shards via
+//! a pluggable [`ShardAssignment`] (hash, contiguous blocks, or an explicit
+//! map); each shard is one async event loop
+//! ([`mod@crate::async_rt`]) — one executor thread running its peers'
+//! quanta to completion, thousands of peers per shard. (`shards == peers`
+//! with [`ShardAssignment::Contiguous`] is the thread-per-peer regime: one
+//! peer per executor thread.) Each peer is wrapped in a shard-local adapter
+//! that keeps the peer's *global* identity: same-shard traffic goes
+//! straight into the hosting executor's inboxes exactly as in the
+//! standalone runtime, and a cross-shard **envelope** (coalesced per
+//! quantum, see [`mod@crate::coalesce`]) is one send into the destination
+//! shard's unbounded ingress channel, made by the sending executor itself —
+//! the same send the controller's `inject` and the TCP receive handlers
+//! make. There is no relay and no controller hop.
 //!
 //! Contract notes (DESIGN.md "Runtimes" has the full ledger):
 //!
 //! * **Global termination detection** — every shard shares **one**
 //!   in-flight counter (one shared bookkeeping block): messages, hand-offs,
-//!   envelopes on either cross-shard path, and *armed timers* all register
-//!   on the same atomic before their producing event retires, so the
-//!   counter never transiently reads zero and a single load certifies
-//!   global quiescence — including the timer fence: no phase ends with a
-//!   cross-shard envelope in transit or a timer armed anywhere. (A
-//!   per-shard-counter sweep would be unsound here: with workers injecting
-//!   directly into each other's shards, a sweep could read the destination
-//!   before the registration and the source after the retirement.)
-//! * **Per-channel FIFO across both paths** — direct deliveries from one
-//!   worker are ordered by construction; once a destination's full inbox
-//!   forces an envelope onto the relay, the sender pins that destination to
-//!   the relay (`transport_dests`) until the relay is drained
-//!   (`relay_in_flight == 0` ⇒ every relayed envelope already sits in its
-//!   destination inbox), so a direct send can never overtake a relayed one.
-//! * **Deadlock freedom** — the controller never blocks: relay delivery
-//!   uses a non-blocking inject, parking envelopes per destination peer
-//!   (FIFO preserved: an envelope never overtakes an earlier parked one for
-//!   the same destination) when an inbox is full. A worker spinning on the
-//!   full transport channel is always freed because the controller keeps
-//!   draining it.
+//!   cross-shard envelopes and *armed timers* all register on the same
+//!   atomic before their producing event retires, so the counter never
+//!   transiently reads zero and a single load certifies global quiescence —
+//!   including the timer fence: no phase ends with a cross-shard envelope
+//!   in transit or a timer armed anywhere. The last retirement, whichever
+//!   shard makes it, wakes the composite controller. (A per-shard-counter
+//!   sweep would be unsound here: with executors sending into each other's
+//!   shards, a sweep could read the destination before the registration and
+//!   the source after the retirement.)
+//! * **Per-channel FIFO** — by construction: every envelope from peer `a`
+//!   to a peer on another shard is sent by `a`'s one executor thread into
+//!   one channel and moved from there into one inbox.
+//! * **Deadlock freedom** — nothing waits for queue space anywhere: the
+//!   ingress channels and inboxes are unbounded, so neither an executor nor
+//!   the controller can block on a send.
 //! * **Budget / freeze** — [`RunBudget`] is honored at the composite level
 //!   (`max_events` over the shared event counter, `max_time` over
 //!   cumulative wall time spent inside `run`, `max_wall` per phase).
-//!   Exhaustion freezes
-//!   every shard (one shared teardown flag); a frozen session fails fast on
-//!   later runs and never claims convergence. A peer panic in any shard
-//!   freezes all shards and re-panics from `run`.
+//!   Exhaustion freezes every shard (one shared teardown flag); a frozen
+//!   session fails fast on later runs and never claims convergence. A peer
+//!   panic in any shard freezes all shards and re-panics from `run`.
 //! * **Metrics** — each shard accounts its peers' traffic in a shard-level
 //!   [`NetMetrics`] keyed by *global* peer ids; [`Runtime::metrics_snapshot`]
 //!   folds the shards with [`NetMetrics::merge`], and
 //!   [`ShardedRuntime::shard_metrics`] exposes the per-shard breakdown.
 //!
-//! The cross-shard transport is the seam where a socket goes: see
-//! [`TransportKind::Tcp`] and [`mod@crate::tcp`].
+//! The cross-shard seam is where a socket goes: see [`TransportKind::Tcp`]
+//! and [`mod@crate::tcp`].
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration as WallDuration, Instant};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Receiver, SyncSender, TrySendError};
-use netrec_types::{FxHashSet, SimTime};
+use netrec_types::SimTime;
 use parking_lot::Mutex;
 
-use crate::async_rt::{AsyncConfig, AsyncInjector, AsyncRuntime};
+use crate::async_rt::{AsyncConfig, Ingress, Shard};
 use crate::coalesce::{frames, FrameBody};
 use crate::des::{NetApi, PeerNode};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics::{MsgMeta, NetMetrics};
 use crate::net::{PeerId, Port};
 use crate::runtime::{RunBudget, RunOutcome, Runtime};
-use crate::substrate_common::Shared;
+use crate::substrate_common::{Controller, Shared};
 use crate::tcp::{LinkSenders, TcpConfig, TcpTransport, WireMsg};
 
 /// Strategy for placing global peers onto shards.
@@ -123,13 +113,13 @@ impl ShardAssignment {
 }
 
 /// How cross-shard envelopes physically travel between shards. Same-shard
-/// traffic always uses the hosting shard's in-process inboxes; only the
-/// cross-shard seam is pluggable — it is exactly where one-shard-per-box
-/// puts the network.
+/// traffic always goes straight into the hosting executor's inboxes; only
+/// the cross-shard seam is pluggable — it is exactly where
+/// one-shard-per-box puts the network.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum TransportKind {
-    /// In-process: direct worker-to-shard injection with the bounded
-    /// controller-relay fallback (the default, and the reference the TCP
+    /// In-process: the sending executor makes the destination shard's
+    /// ingress send itself (the default, and the reference the TCP
     /// transport is pinned against).
     #[default]
     Channel,
@@ -146,16 +136,10 @@ pub struct ShardedConfig {
     pub shards: u32,
     /// Peer → shard placement.
     pub assignment: ShardAssignment,
-    /// Tuning for each inner shard (inbox capacity, timer dilation, poll,
-    /// coalescing, fault plan). The cross-shard transport follows the
-    /// shard's `coalesce` flag, so one flag governs the whole composite.
+    /// Tuning for each inner shard (timer dilation, coalescing, fault
+    /// plan). The cross-shard transport follows the shard's `coalesce`
+    /// flag, so one flag governs the whole composite.
     pub shard: AsyncConfig,
-    /// Capacity of the bounded cross-shard transport channel; senders
-    /// observe backpressure once it fills.
-    pub transport_capacity: usize,
-    /// Controller poll tick while waiting for global quiescence (a safety
-    /// net — a cross-shard message wakes the controller immediately).
-    pub poll: WallDuration,
     /// Physical cross-shard transport: in-process channels (default) or
     /// supervised loopback TCP.
     pub transport: TransportKind,
@@ -167,8 +151,6 @@ impl Default for ShardedConfig {
             shards: 2,
             assignment: ShardAssignment::Hash,
             shard: AsyncConfig::default(),
-            transport_capacity: 1024,
-            poll: WallDuration::from_millis(1),
             transport: TransportKind::Channel,
         }
     }
@@ -228,10 +210,10 @@ impl ShardedConfig {
     }
 }
 
-/// A cross-shard envelope in transit: global destination plus the coalesced
-/// messages of one producing quantum bound for it (FIFO order preserved).
-/// One envelope = one transport slot, one in-flight count, one controller
-/// hand-off, however many logical messages it carries.
+/// A cross-shard envelope queued for a TCP link: global destination plus
+/// the coalesced messages of one producing quantum bound for it (FIFO order
+/// preserved). One envelope = one in-flight count, one data frame, however
+/// many logical messages it carries.
 pub(crate) struct Envelope<M> {
     pub(crate) to: PeerId,
     pub(crate) msgs: FrameBody<M>,
@@ -252,50 +234,24 @@ impl ShardMap {
     }
 }
 
-/// Transport bookkeeping shared by the controller and every adapter.
-/// Quiescence itself is certified by the composite-wide [`Shared`]
-/// in-flight counter (one atomic across every shard); this state carries
-/// the *diagnostic* cross-shard counter and the direct-path plumbing.
-pub(crate) struct TransportState<M> {
-    /// Cross-shard envelopes routed via the controller that it has not yet
-    /// accepted into their destination shard (in the channel, or parked).
-    /// Zero ⇒ the controller relay is drained — the fence assertion
-    /// [`ShardedRuntime::cross_shard_in_flight`] exposes, and the signal
-    /// that lets senders safely resume the direct path (see
-    /// `ShardPeer::route_cross`).
-    relay_in_flight: AtomicI64,
-    /// Per-shard direct-delivery handles, filled once the shards exist
-    /// (adapters are constructed first). Before initialisation every
-    /// cross-shard envelope takes the controller path (and the TCP receive
-    /// side refuses delivery, killing the connection so the sender's
-    /// ledger retries).
-    pub(crate) injectors: OnceLock<Vec<AsyncInjector<M>>>,
-}
-
 /// Shard-local wrapper keeping a peer's global identity: runs the inner
 /// node against a *global-id* [`NetApi`], then routes its outputs — local
 /// hand-offs and same-shard sends through the hosting shard, cross-shard
-/// sends into the transport — and re-arms its timers on the hosting shard's
-/// timer service.
+/// sends into the destination shard's ingress (or its TCP link) — and
+/// re-arms its timers on the hosting shard's heap.
 pub struct ShardPeer<M, N> {
     inner: N,
     /// Global peer id.
     me: PeerId,
     my_shard: u32,
     map: Arc<ShardMap>,
-    state: Arc<TransportState<M>>,
     /// The composite-wide bookkeeping block every shard shares: one
-    /// in-flight counter covers same-shard traffic, direct cross-shard
-    /// deliveries, and controller-relayed envelopes alike.
+    /// in-flight counter covers same-shard and cross-shard traffic alike.
     global: Arc<Shared>,
-    outbound: SyncSender<Envelope<M>>,
+    /// Every shard's ingress handle, indexed by shard.
+    ingress: Arc<Vec<Ingress<M>>>,
     /// Shard-level traffic metrics keyed by global peer ids.
     metrics: Arc<Mutex<NetMetrics>>,
-    /// Destination peers whose envelopes must keep using the controller
-    /// relay to preserve per-channel FIFO: once a destination's inbox
-    /// forced an envelope onto the transport, later envelopes may not
-    /// overtake it on the direct path until the relay is drained.
-    transport_dests: FxHashSet<PeerId>,
     /// Whether the composite coalesces (mirrors the hosting shard's flag so
     /// cross-shard envelopes and envelope accounting match the physical
     /// frames the hosting runtime actually ships).
@@ -311,90 +267,28 @@ pub struct ShardPeer<M, N> {
     same_shard_meta: Vec<(PeerId, Port, (), MsgMeta)>,
     /// TCP mode: this shard's per-destination-shard envelope queues into
     /// the supervised transport (`None` on the diagonal). `None` in
-    /// channel mode — cross-shard envelopes then take the direct/relay
-    /// paths.
+    /// channel mode — cross-shard envelopes then go straight to `ingress`.
     tcp_links: Option<LinkSenders<M>>,
 }
 
 impl<M: Send, N: PeerNode<M>> ShardPeer<M, N> {
-    /// Spin a cross-shard envelope into the bounded transport (the
-    /// controller-relay fallback). The controller always drains the channel
-    /// (it never blocks), so this terminates unless the session is tearing
-    /// down — then the envelope is dropped and its global count retired,
-    /// like every other send on teardown.
-    fn send_cross(&self, env: Envelope<M>) {
-        self.state.relay_in_flight.fetch_add(1, Ordering::SeqCst);
-        let mut env = env;
-        loop {
-            match self.outbound.try_send(env) {
-                Ok(()) => return,
-                Err(TrySendError::Full(back)) => {
-                    if self.global.shutting_down.load(Ordering::SeqCst) {
-                        self.drop_cross();
-                        return;
-                    }
-                    env = back;
-                    std::thread::sleep(WallDuration::from_micros(50));
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.drop_cross();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Teardown drop of a transport-bound envelope: un-count it from both
-    /// the relay diagnostic and the global in-flight counter.
-    fn drop_cross(&self) {
-        self.state.relay_in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.global.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-
     /// Route one cross-shard envelope, already registered in the global
-    /// in-flight counter. Fast path: deliver straight into the destination
-    /// shard's inbox from this executor thread — no controller hop. Fallback
-    /// (inbox full, relay still draining earlier envelopes for this
-    /// destination, or injectors not yet installed): the bounded transport,
-    /// drained by the composite controller. `transport_dests` keeps the
-    /// per-channel FIFO guarantee across the two paths: after a fallback,
-    /// the destination stays pinned to the relay until the relay is
-    /// globally drained (`relay_in_flight == 0` ⇒ every relayed envelope
-    /// already sits in its destination inbox, so a direct send can no
-    /// longer overtake one).
-    fn route_cross(&mut self, to: PeerId, body: FrameBody<M>) {
+    /// in-flight counter, from this executor thread — never blocking.
+    /// Channel mode: one send into the destination shard's ingress. TCP
+    /// mode: hand it to the destination link's supervisor — its ledger owns
+    /// delivery from here, across however many connection deaths it takes.
+    /// A closed queue means teardown: drop and retire.
+    fn route_cross(&self, to: PeerId, body: FrameBody<M>) {
         let (shard, local) = self.map.locate(to);
-        // TCP mode: hand the envelope (count already registered) to the
-        // destination link's supervisor — its ledger owns delivery from
-        // here, across however many connection deaths it takes. The queue
-        // is unbounded, so workers never block on the socket. A closed
-        // queue means teardown: drop and retire, like the channel paths.
-        if let Some(links) = &self.tcp_links {
-            if let Some(tx) = &links[shard] {
-                if tx.send(Envelope { to, msgs: body }).is_err() {
-                    self.global.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-                return;
-            }
-        }
-        if !self.transport_dests.is_empty()
-            && self.state.relay_in_flight.load(Ordering::SeqCst) == 0
-        {
-            self.transport_dests.clear();
-        }
-        if !self.transport_dests.contains(&to) {
-            if let Some(injectors) = self.state.injectors.get() {
-                match injectors[shard].try_inject(local, body) {
-                    Ok(()) => return,
-                    Err(body) => {
-                        self.transport_dests.insert(to);
-                        self.send_cross(Envelope { to, msgs: body });
-                        return;
-                    }
+        match &self.tcp_links {
+            None => self.ingress[shard].deliver(local, body),
+            Some(links) => {
+                let link = links[shard].as_ref().expect("cross-shard link");
+                if link.send(Envelope { to, msgs: body }).is_err() {
+                    self.global.retire_one();
                 }
             }
         }
-        self.send_cross(Envelope { to, msgs: body });
     }
 
     /// Run one inner callback and route its outputs. `net` is the *hosting
@@ -468,8 +362,6 @@ impl<M: Send, N: PeerNode<M>> PeerNode<M> for ShardPeer<M, N> {
         }
         let flush = frames(std::mem::take(&mut self.cross_buf), self.coalesce);
         {
-            // One metrics lock for the whole flush — and released before
-            // the send loop, which may spin on a full transport.
             let mut m = self.metrics.lock();
             for frame in flush.as_slice() {
                 m.record_envelope(self.me, frame.to, frame.envelope_meta());
@@ -486,40 +378,20 @@ impl<M: Send, N: PeerNode<M>> PeerNode<M> for ShardPeer<M, N> {
     }
 }
 
-/// An envelope the controller could not deliver yet (destination inbox
-/// full).
-struct Parked<M> {
-    msgs: FrameBody<M>,
-}
-
 /// A live sharded session over `N` peers behind one [`Runtime`]. Create
 /// with [`ShardedRuntime::new`] and drive through the trait.
 pub struct ShardedRuntime<M, N> {
-    /// One async runtime per shard, hosting that shard's [`ShardPeer`]s;
-    /// in-flight/event/panic bookkeeping lives in the one [`Shared`] block
-    /// they all share.
-    shards: Vec<AsyncRuntime<M, ShardPeer<M, N>>>,
+    /// One executor per shard, hosting that shard's [`ShardPeer`]s.
+    shards: Vec<Shard<M, ShardPeer<M, N>>>,
     map: Arc<ShardMap>,
-    state: Arc<TransportState<M>>,
-    /// The one bookkeeping block every shard shares: a single in-flight
-    /// counter (quiescence = one atomic load), a single event counter, one
-    /// teardown flag, one panic slot.
-    shared: Arc<Shared>,
-    transport_rx: Receiver<Envelope<M>>,
-    /// Undeliverable cross-shard messages, FIFO per destination peer so the
-    /// per-channel ordering guarantee survives backpressure.
-    parked: Vec<VecDeque<Parked<M>>>,
+    /// Every shard's ingress handle, indexed by shard (the adapters hold
+    /// the same vector).
+    ingress: Arc<Vec<Ingress<M>>>,
+    /// The one controller, whose bookkeeping block every shard shares: a
+    /// single in-flight counter (quiescence = one atomic load), a single
+    /// event counter, one teardown flag, one panic slot.
+    ctl: Controller,
     shard_metrics: Vec<Arc<Mutex<NetMetrics>>>,
-    epoch: Instant,
-    /// Wall-clock spent inside `run` phases (the composite's `max_time`
-    /// clock).
-    active: WallDuration,
-    frozen: bool,
-    /// Set when the inner plan's `crash_at_event` fired at the composite
-    /// level: the session is dead and every later `run` reports
-    /// [`RunOutcome::Crashed`] — never convergence or plain budget
-    /// exhaustion.
-    crashed: bool,
     cfg: ShardedConfig,
     peers_total: u32,
     /// The supervised TCP transport in [`TransportKind::Tcp`] mode
@@ -550,30 +422,26 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
             sizes[s as usize] += 1;
         }
         let map = Arc::new(ShardMap { shard_of, local_of });
-        let state = Arc::new(TransportState {
-            relay_in_flight: AtomicI64::new(0),
-            injectors: OnceLock::new(),
-        });
-        let shared = Arc::new(Shared::new());
-        let (transport_tx, transport_rx) = bounded::<Envelope<M>>(cfg.transport_capacity.max(1));
+        let ctl = Controller::new(cfg.shard.fault.map_or(0, |p| p.crash_at_event));
+        // The ingress channels come first: every adapter (and TCP receive
+        // handler) holds the sending halves, each executor its receiver.
+        let (ingress, lanes): (Vec<_>, Vec<_>) =
+            (0..shards_n).map(|_| Ingress::channel(&ctl.shared)).unzip();
+        let ingress = Arc::new(ingress);
         let shard_metrics: Vec<Arc<Mutex<NetMetrics>>> = (0..shards_n)
             .map(|_| Arc::new(Mutex::new(NetMetrics::new(n as u32))))
             .collect();
         // TCP mode: bind listeners and spawn the supervised links now, so
-        // the adapters below can hold their shard's sender row. The
-        // supervisors read `state.injectors` only when delivering data,
-        // and it is installed before `new` returns (nothing can send
-        // earlier — no peer has been injected into yet).
+        // the adapters below can hold their shard's sender row.
         let tcp = match &cfg.transport {
             TransportKind::Channel => None,
             TransportKind::Tcp(tcp_cfg) => Some(
                 TcpTransport::new(
-                    shards_n,
                     tcp_cfg,
                     cfg.shard.fault,
                     Arc::clone(&map),
-                    Arc::clone(&state),
-                    Arc::clone(&shared),
+                    &ingress,
+                    Arc::clone(&ctl.shared),
                 )
                 .expect("bind loopback TCP shard transport"),
             ),
@@ -582,7 +450,6 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
         let mut buckets: Vec<Vec<ShardPeer<M, N>>> = (0..shards_n)
             .map(|s| Vec::with_capacity(sizes[s as usize] as usize))
             .collect();
-        let coalesce = cfg.shard.coalesce;
         for (p, inner) in peers.into_iter().enumerate() {
             let s = map.shard_of[p] as usize;
             buckets[s].push(ShardPeer {
@@ -590,52 +457,33 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
                 me: PeerId(p as u32),
                 my_shard: s as u32,
                 map: Arc::clone(&map),
-                state: Arc::clone(&state),
-                global: Arc::clone(&shared),
-                outbound: transport_tx.clone(),
+                global: Arc::clone(&ctl.shared),
+                ingress: Arc::clone(&ingress),
                 metrics: Arc::clone(&shard_metrics[s]),
-                transport_dests: FxHashSet::default(),
-                coalesce,
+                coalesce: cfg.shard.coalesce,
                 cross_buf: Vec::new(),
                 same_shard_meta: Vec::new(),
                 tcp_links: tcp.as_ref().map(|t| Arc::clone(&t.senders[s])),
             });
         }
-        let shards: Vec<AsyncRuntime<M, ShardPeer<M, N>>> = buckets
+        // Shard-hosted executors skip their own metrics recording: their
+        // tables are keyed by shard-local ids and never snapshotted — the
+        // adapters account traffic in global ids instead.
+        let shards = buckets
             .into_iter()
-            .map(|nodes| {
-                AsyncRuntime::new_with_shared(nodes, cfg.shard.clone(), Arc::clone(&shared))
-            })
+            .zip(ingress.iter().cloned().zip(lanes))
+            .map(|(nodes, lane)| Shard::spawn(nodes, &cfg.shard, &ctl, lane, false))
             .collect();
-        // Install the direct-delivery handles now that the shards exist;
-        // adapters fall back to the controller relay until this point
-        // (nothing runs before `new` returns, so in practice never).
-        let _ = state
-            .injectors
-            .set(shards.iter().map(|s| s.injector().clone()).collect());
-        // The adapters hold every transport sender the session needs; the
-        // controller only ever receives.
-        drop(transport_tx);
         ShardedRuntime {
             shards,
             map,
-            state,
-            shared,
-            transport_rx,
-            parked: (0..n).map(|_| VecDeque::new()).collect(),
+            ingress,
+            ctl,
             shard_metrics,
-            epoch: Instant::now(),
-            active: WallDuration::ZERO,
-            frozen: false,
-            crashed: false,
             cfg,
             peers_total: n as u32,
             tcp,
         }
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
     }
 
     /// Number of shards.
@@ -658,65 +506,11 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
             .collect()
     }
 
-    /// Cross-shard envelopes currently held by the controller relay (in the
-    /// transport channel or parked). Zero at every converged phase boundary
-    /// — the cross-shard half of the timer fence. Direct-path deliveries
-    /// never appear here: they go straight from the sending worker into the
-    /// destination inbox.
-    pub fn cross_shard_in_flight(&self) -> i64 {
-        self.state.relay_in_flight.load(Ordering::SeqCst).max(0)
-    }
-
     /// Total produced-but-unprocessed events anywhere in the composite
-    /// (messages, hand-offs, relayed envelopes, armed timers) — the one
+    /// (messages, hand-offs, cross-shard envelopes, armed timers) — the one
     /// shared in-flight counter. Zero at every converged phase boundary.
     pub fn pending_events(&self) -> i64 {
-        self.shared.in_flight.load(Ordering::SeqCst).max(0)
-    }
-
-    /// Deliver one relay-routed envelope to its shard, or park it. The
-    /// envelope keeps its (single, global) in-flight count throughout; only
-    /// the relay diagnostic is released on acceptance.
-    fn deliver_or_park(&mut self, to: PeerId, msgs: FrameBody<M>) {
-        let (shard, local) = self.map.locate(to);
-        let q = &mut self.parked[to.0 as usize];
-        if !q.is_empty() {
-            // FIFO per destination: never overtake an earlier parked
-            // envelope.
-            q.push_back(Parked { msgs });
-            return;
-        }
-        match self.shards[shard].injector().try_inject(local, msgs) {
-            Ok(()) => {
-                self.state.relay_in_flight.fetch_sub(1, Ordering::SeqCst);
-            }
-            Err(msgs) => q.push_back(Parked { msgs }),
-        }
-    }
-
-    /// Retry parked envelopes (per-destination FIFO preserved).
-    fn drain_parked(&mut self) {
-        for p in 0..self.parked.len() {
-            while let Some(head) = self.parked[p].pop_front() {
-                let (shard, local) = self.map.locate(PeerId(p as u32));
-                match self.shards[shard].injector().try_inject(local, head.msgs) {
-                    Ok(()) => {
-                        self.state.relay_in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    Err(msgs) => {
-                        self.parked[p].push_front(Parked { msgs });
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drain everything currently queued in the transport channel.
-    fn drain_transport(&mut self) {
-        while let Ok(env) = self.transport_rx.try_recv() {
-            self.deliver_or_park(env.to, env.msgs);
-        }
+        self.ctl.pending()
     }
 }
 
@@ -744,14 +538,10 @@ impl<M, N> ShardedRuntime<M, N> {
     /// Freeze every shard (teardown of its executor and timer heap); the
     /// session stays inspectable but can never converge again.
     fn freeze_shards(&mut self) {
-        self.frozen = true;
-        // One shared teardown flag: unblocks senders spinning on the
-        // transport *before* the shard executors are joined.
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Join the TCP transport first: its threads all observe the
-        // teardown flag within one read-timeout tick, and a handler
-        // spinning on a full inbox retires its envelope's count on the
-        // way out — nothing below depends on the sockets.
+        // One shared teardown flag: every TCP thread observes it within
+        // one read-timeout tick, and nothing below depends on the sockets,
+        // so join the transport first.
+        self.ctl.shared.shutting_down.store(true, Ordering::SeqCst);
         if let Some(tcp) = &mut self.tcp {
             tcp.shutdown();
         }
@@ -773,90 +563,16 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Sh
     }
 
     fn inject(&mut self, to: PeerId, port: Port, msg: M) {
-        // External injections register one global count and ride the relay
-        // path (per-destination parking preserves FIFO with anything the
-        // controller already holds for that peer).
-        self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.state.relay_in_flight.fetch_add(1, Ordering::SeqCst);
-        self.deliver_or_park(to, FrameBody::One((port, msg, MsgMeta::default())));
+        self.ctl.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        let (shard, local) = self.map.locate(to);
+        self.ingress[shard].deliver(local, FrameBody::One((port, msg, MsgMeta::default())));
     }
 
     fn run(&mut self, budget: RunBudget) -> RunOutcome {
-        let start = Instant::now();
-        let wall_deadline = start + budget.max_wall;
-        let time_deadline = if budget.max_time.0 == u64::MAX {
-            None
-        } else {
-            let total = WallDuration::from_micros(budget.max_time.0);
-            Some(start + total.saturating_sub(self.active))
-        };
-        let outcome = loop {
-            self.drain_transport();
-            self.drain_parked();
-            // One composite-wide counter covers every pending event —
-            // same-shard, direct cross-shard, relayed, armed timers —
-            // registered before its producer retires, so a single load
-            // certifies global quiescence (no multi-counter sweep order to
-            // reason about, even with workers injecting into each other's
-            // shards concurrently).
-            let pending = self.shared.in_flight.load(Ordering::SeqCst);
-            // Panic check after the counter read: a panicking worker records
-            // its note before retiring its event, so zero-with-clean-notes
-            // really is a clean convergence.
-            let panic_note = self.shared.panicked.lock().clone();
-            if let Some(msg) = panic_note {
-                self.freeze_shards();
-                self.active += start.elapsed();
-                panic!("sharded runtime: {msg}");
-            }
-            // A frozen session (earlier budget exhaustion) fails fast and
-            // never claims convergence: teardown retires dropped events, so
-            // a zero sum here can be the result of truncation.
-            if self.frozen {
-                break if self.crashed {
-                    RunOutcome::Crashed { at: self.now() }
-                } else {
-                    RunOutcome::BudgetExceeded {
-                        at: self.now(),
-                        pending: pending.max(0) as usize,
-                    }
-                };
-            }
-            // Crash fault, enforced at the composite level (the inner
-            // shards' own `run` loops never execute here — the composite
-            // controller is the only driver): once the shared event counter
-            // passes the dial, every shard is torn down. The counter races
-            // worker progress, so a seed gives a reproducible crash
-            // *distribution*, not an exact event index.
-            let crash_at = self.cfg.shard.fault.map_or(0, |p| p.crash_at_event);
-            if crash_at > 0 && self.shared.events.load(Ordering::SeqCst) >= crash_at {
-                let at = self.now();
-                self.crashed = true;
-                self.freeze_shards();
-                break RunOutcome::Crashed { at };
-            }
-            if pending <= 0 {
-                break RunOutcome::Converged { at: self.now() };
-            }
-            let now = Instant::now();
-            if self.shared.events.load(Ordering::SeqCst) >= budget.max_events
-                || now >= wall_deadline
-                || time_deadline.is_some_and(|d| now >= d)
-            {
-                let at = self.now();
-                self.freeze_shards();
-                break RunOutcome::BudgetExceeded {
-                    at,
-                    pending: pending as usize,
-                };
-            }
-            // Sleep until a cross-shard envelope arrives or the poll tick
-            // elapses (shard-internal progress is re-checked each tick).
-            if let Ok(env) = self.transport_rx.recv_timeout(self.cfg.poll) {
-                self.deliver_or_park(env.to, env.msgs);
-            }
-        };
-        self.active += start.elapsed();
+        let outcome = self.ctl.drive(budget);
+        if outcome.converged_at().is_none() {
+            self.freeze_shards();
+        }
         outcome
     }
 
@@ -869,11 +585,11 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Sh
     }
 
     fn events_processed(&self) -> u64 {
-        self.shared.events.load(Ordering::SeqCst)
+        self.ctl.events()
     }
 
     fn frontier(&self) -> SimTime {
-        self.now()
+        self.ctl.now()
     }
 
     fn peer_count(&self) -> u32 {
@@ -909,45 +625,9 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Sh
 mod tests {
     use super::*;
     use crate::metrics::MsgMeta;
+    use crate::substrate_common::fixtures::{ping_pong_pair, Burst, Counter};
     use netrec_types::Duration;
-
-    struct Counter {
-        forward_to: Option<PeerId>,
-        seen: u64,
-    }
-
-    impl PeerNode<u64> for Counter {
-        fn on_message(&mut self, _port: Port, msg: u64, net: &mut NetApi<u64>) {
-            self.seen += 1;
-            if msg > 0 {
-                if let Some(to) = self.forward_to {
-                    net.send(
-                        to,
-                        Port(0),
-                        msg - 1,
-                        MsgMeta {
-                            bytes: 10,
-                            prov_bytes: 2,
-                            tuples: 1,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn ping_pong_pair() -> Vec<Counter> {
-        vec![
-            Counter {
-                forward_to: Some(PeerId(1)),
-                seen: 0,
-            },
-            Counter {
-                forward_to: Some(PeerId(0)),
-                seen: 0,
-            },
-        ]
-    }
+    use std::time::{Duration as WallDuration, Instant};
 
     fn split_pair() -> ShardedConfig {
         // Peer 0 on shard 0, peer 1 on shard 1: every forward crosses.
@@ -971,7 +651,6 @@ mod tests {
         assert_eq!(m.total_bytes(), 100);
         assert_eq!(m.per_peer[0].msgs_sent, 5);
         assert_eq!(m.per_peer[1].msgs_sent, 5);
-        assert_eq!(rt.cross_shard_in_flight(), 0);
         assert_eq!(rt.pending_events(), 0);
         let mut seen = 0;
         rt.for_each_peer(|_, c| seen += c.seen);
@@ -1016,7 +695,6 @@ mod tests {
         // The global fence: convergence waits for the remote shard's timer.
         assert!(matches!(out, RunOutcome::Converged { .. }));
         assert!(rt.with_peer(PeerId(1), |t| t.fired));
-        assert_eq!(rt.cross_shard_in_flight(), 0);
     }
 
     #[test]
@@ -1092,105 +770,134 @@ mod tests {
         assert!(msg.contains("boom on 13"), "got: {msg}");
     }
 
+    /// 500 cross-shard singleton envelopes (coalescing off) from one
+    /// quantum, all queued on the destination shard's ingress at once, and
+    /// their echoes queued on the sender's: exact counts both ways. (The
+    /// name is pinned by the test floor.)
     #[test]
     fn tiny_transport_capacity_still_completes() {
-        // 500 cross-shard messages through a 2-slot transport: the spinning
-        // sender is always freed because the controller keeps draining.
-        struct Spray;
-        struct Sink(u64);
-        enum Node {
-            S(Spray),
-            K(Sink),
-        }
-        impl PeerNode<u64> for Node {
-            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
-                match self {
-                    Node::S(_) => {
-                        for i in 0..500 {
-                            net.send(PeerId(1), Port(0), i + m, MsgMeta::default());
-                        }
-                    }
-                    Node::K(k) => k.0 += 1,
-                }
-            }
-        }
-        let cfg = ShardedConfig {
-            transport_capacity: 2,
-            shard: AsyncConfig {
-                channel_capacity: 4,
-                ..AsyncConfig::default()
-            },
-            assignment: ShardAssignment::Explicit(vec![0, 1]),
-            ..ShardedConfig::with_shards(2)
-        };
-        let mut rt = ShardedRuntime::new(vec![Node::S(Spray), Node::K(Sink(0))], cfg);
+        let cfg = split_pair().with_coalescing(false);
+        let mut rt = ShardedRuntime::new(Burst::pair(500, true), cfg);
         rt.inject(PeerId(0), Port(0), 0u64);
         assert!(matches!(
             rt.run(RunBudget::default()),
             RunOutcome::Converged { .. }
         ));
-        let got = rt.with_peer(PeerId(1), |n| match n {
-            Node::K(k) => k.0,
-            _ => unreachable!(),
-        });
-        assert_eq!(got, 500);
+        let got = rt.with_peer(PeerId(1), Burst::got);
+        assert_eq!(got, (0..500).collect::<Vec<_>>(), "per-channel FIFO");
+        assert_eq!(rt.events_processed(), 1 + 500 + 500, "spray, burst, echoes");
+        assert_eq!(rt.metrics_snapshot().total_envelopes(), 1000);
+        assert_eq!(rt.pending_events(), 0);
     }
 
-    /// A one-quantum cross-shard burst travels the bounded transport as ONE
-    /// envelope (one transport slot, one in-flight count), split back in
+    /// Per-channel FIFO and exactly-once under fan-in: on 3 shards with
+    /// coalescing off, every peer streams numbered singleton envelopes to
+    /// every other peer *while receiving* everyone else's streams. Each
+    /// receiver checks every sender's sequence is gapless and in order;
+    /// totals are exact. Over in-process ingress and over TCP.
+    #[test]
+    fn fan_in_streams_stay_fifo_and_exactly_once() {
+        const PEERS: u32 = 6;
+        const ROUNDS: u64 = 40;
+        /// On the kick-off (port 0) and on every message from its left
+        /// neighbour, sends the next number to every other peer — so
+        /// sending interleaves with receiving for the whole run.
+        struct Streamer {
+            sent: u64,
+            next_from: Vec<u64>,
+        }
+        impl Streamer {
+            fn burst(&mut self, net: &mut NetApi<u64>) {
+                if self.sent == ROUNDS {
+                    return;
+                }
+                let me = net.me().0;
+                for to in (0..PEERS).filter(|&to| to != me) {
+                    // The sender rides in the port, the number in the body.
+                    net.send(
+                        PeerId(to),
+                        Port(1 + me as u16),
+                        self.sent,
+                        MsgMeta::default(),
+                    );
+                }
+                self.sent += 1;
+            }
+        }
+        impl PeerNode<u64> for Streamer {
+            fn on_message(&mut self, port: Port, seq: u64, net: &mut NetApi<u64>) {
+                if port == Port(0) {
+                    return self.burst(net);
+                }
+                let from = u32::from(port.0 - 1);
+                let want = &mut self.next_from[from as usize];
+                assert_eq!(seq, *want, "{from} -> {}: out of order", net.me().0);
+                *want += 1;
+                if (from + 1) % PEERS == net.me().0 {
+                    self.burst(net);
+                }
+            }
+        }
+        for transport in [
+            TransportKind::Channel,
+            TransportKind::Tcp(TcpConfig::default()),
+        ] {
+            let cfg = ShardedConfig::with_shards(3)
+                .with_coalescing(false)
+                .with_transport(transport);
+            let peers = (0..PEERS)
+                .map(|_| Streamer {
+                    sent: 0,
+                    next_from: vec![0; PEERS as usize],
+                })
+                .collect();
+            let mut rt = ShardedRuntime::new(peers, cfg);
+            for p in 0..PEERS {
+                rt.inject(PeerId(p), Port(0), 0);
+            }
+            assert!(matches!(
+                rt.run(RunBudget::default()),
+                RunOutcome::Converged { .. }
+            ));
+            rt.for_each_peer(|p, s| {
+                assert_eq!(s.sent, ROUNDS, "peer {}", p.0);
+                for (from, &got) in s.next_from.iter().enumerate() {
+                    let want = if from as u32 == p.0 { 0 } else { ROUNDS };
+                    assert_eq!(got, want, "{from} -> {}: lost or duplicated", p.0);
+                }
+            });
+            let envelopes = u64::from(PEERS) * u64::from(PEERS - 1) * ROUNDS;
+            assert_eq!(rt.metrics_snapshot().total_envelopes(), envelopes);
+            assert_eq!(rt.events_processed(), u64::from(PEERS) + envelopes);
+            assert_eq!(rt.pending_events(), 0);
+            // Converged and idle: every executor is blocked in its one wait.
+            let loops = rt.ctl.shared.loop_iterations.load(Ordering::SeqCst);
+            std::thread::sleep(WallDuration::from_millis(30));
+            assert_eq!(
+                rt.ctl.shared.loop_iterations.load(Ordering::SeqCst),
+                loops,
+                "an idle executor woke"
+            );
+        }
+    }
+
+    /// A one-quantum cross-shard burst crosses the shard boundary as ONE
+    /// envelope (one ingress send, one in-flight count), split back in
     /// FIFO order inside the destination shard — and the shard-level
     /// metrics (global peer ids) account it as one envelope over N logical
     /// messages, exactly like the standalone substrates.
     #[test]
     fn cross_shard_burst_coalesces_into_one_envelope() {
-        struct Spray;
-        struct Sink(Vec<u64>);
-        enum Node {
-            S(Spray),
-            K(Sink),
-        }
-        impl PeerNode<u64> for Node {
-            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
-                match self {
-                    Node::S(_) => {
-                        for i in 0..200 {
-                            net.send(
-                                PeerId(1),
-                                Port(0),
-                                i,
-                                MsgMeta {
-                                    bytes: 8,
-                                    prov_bytes: 0,
-                                    tuples: 1,
-                                },
-                            );
-                        }
-                    }
-                    Node::K(k) => k.0.push(m),
-                }
-            }
-        }
         let run = |cfg: ShardedConfig| {
-            let mut rt = ShardedRuntime::new(vec![Node::S(Spray), Node::K(Sink(vec![]))], cfg);
+            let mut rt = ShardedRuntime::new(Burst::pair(200, false), cfg);
             rt.inject(PeerId(0), Port(0), 0u64);
             assert!(matches!(
                 rt.run(RunBudget::default()),
                 RunOutcome::Converged { .. }
             ));
-            assert_eq!(rt.cross_shard_in_flight(), 0);
-            let m = rt.metrics_snapshot();
-            let got = rt.with_peer(PeerId(1), |n| match n {
-                Node::K(k) => k.0.clone(),
-                _ => unreachable!(),
-            });
-            (m, got)
+            (rt.metrics_snapshot(), rt.with_peer(PeerId(1), Burst::got))
         };
-        // 2-slot transport: the burst still fits, because it is one envelope.
-        let cfg = ShardedConfig {
-            transport_capacity: 2,
-            ..split_pair()
-        };
-        let (on, got) = run(cfg);
+        let (on, got) = run(split_pair());
         assert_eq!(on.total_msgs(), 200, "logical count is per message");
         assert_eq!(on.total_envelopes(), 1, "one transport envelope");
         assert!(on.total_envelope_bytes() > on.total_bytes(), "frame header");
@@ -1216,7 +923,6 @@ mod tests {
                 RunOutcome::Converged { .. }
             ));
             assert_eq!(rt.pending_events(), 0);
-            assert_eq!(rt.cross_shard_in_flight(), 0);
             let mut seen = 0;
             rt.for_each_peer(|_, c| seen += c.seen);
             assert_eq!(seen, 11);
@@ -1343,7 +1049,6 @@ mod tests {
         rt.for_each_peer_mut(|_, c| c.seen = 0);
         rt.with_peer_mut(PeerId(1), |c| c.seen = 100);
         assert_eq!(rt.pending_events(), 0, "restore must not register events");
-        assert_eq!(rt.cross_shard_in_flight(), 0);
         // The next phase starts from the restored state and still
         // detects quiescence exactly.
         assert!(matches!(

@@ -2,13 +2,15 @@
 //! the cross-shard seam.
 //!
 //! In [`TransportKind::Tcp`](crate::sharded::TransportKind) mode, every
-//! cross-shard envelope leaves its worker exactly as in channel mode —
+//! cross-shard envelope leaves its executor exactly as in channel mode —
 //! coalesced per quantum, one global in-flight count registered before the
-//! producing quantum retires — but instead of the in-process direct/relay
-//! paths it rides a **length-framed, CRC-checked TCP connection** between
-//! the two shards ([`netrec_types::wire::put_stream_frame`]). One directed
-//! connection per ordered shard pair; on a real deployment each shard is a
-//! box and the loopback listener becomes its service address.
+//! producing quantum retires — but instead of going straight into the
+//! destination shard's ingress channel it rides a **length-framed,
+//! CRC-checked TCP connection** between the two shards
+//! ([`netrec_types::wire::put_stream_frame`]), and the receive handler
+//! makes the ingress send. One directed connection per ordered shard pair;
+//! on a real deployment each shard is a box and the loopback listener
+//! becomes its service address.
 //!
 //! TCP gives FIFO bytes *per connection*; the engine protocol needs
 //! exactly-once FIFO *per channel across connection deaths*. The gap is
@@ -55,11 +57,12 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use netrec_types::wire::{get_stream_frame, get_varint, put_stream_frame, put_varint, WireError};
 use parking_lot::Mutex;
 
+use crate::async_rt::Ingress;
 use crate::coalesce::FrameBody;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics::MsgMeta;
 use crate::net::{PeerId, Port};
-use crate::sharded::{Envelope, ShardMap, TransportState};
+use crate::sharded::{Envelope, ShardMap};
 use crate::substrate_common::Shared;
 
 /// A message type that can cross a real wire. The sharded runtime requires
@@ -245,17 +248,17 @@ pub(crate) struct TcpTransport<M> {
 }
 
 impl<M: WireMsg + 'static> TcpTransport<M> {
-    /// Bind one loopback listener per shard, spawn the accept side, and
-    /// spawn one supervisor per directed shard pair.
+    /// Bind one loopback listener per shard (`ingress` holds one delivery
+    /// handle per shard), spawn the accept side, and spawn one supervisor
+    /// per directed shard pair.
     pub(crate) fn new(
-        shards: u32,
         cfg: &TcpConfig,
         plan: Option<FaultPlan>,
         map: Arc<ShardMap>,
-        state: Arc<TransportState<M>>,
+        ingress: &[Ingress<M>],
         shared: Arc<Shared>,
     ) -> std::io::Result<TcpTransport<M>> {
-        let n = shards as usize;
+        let n = ingress.len();
         let stats = Arc::new(Mutex::new(FaultStats::default()));
         let link_states = Arc::new(Mutex::new(vec![LinkState::Connecting; n * n]));
         let mut threads = Vec::new();
@@ -265,7 +268,7 @@ impl<M: WireMsg + 'static> TcpTransport<M> {
         // dedup state is per *link*, shared by however many handler
         // generations that link goes through.
         let mut addrs = Vec::with_capacity(n);
-        for to_shard in 0..n {
+        for (to_shard, ingress) in ingress.iter().enumerate() {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
             listener.set_nonblocking(true)?;
@@ -276,7 +279,7 @@ impl<M: WireMsg + 'static> TcpTransport<M> {
                 to_shard: to_shard as u32,
                 recv,
                 map: Arc::clone(&map),
-                state: Arc::clone(&state),
+                ingress: ingress.clone(),
                 shared: Arc::clone(&shared),
                 plan,
                 read_timeout: cfg.read_timeout,
@@ -364,7 +367,7 @@ struct Acceptor<M: WireMsg> {
     to_shard: u32,
     recv: Arc<Vec<Mutex<RecvLink<M>>>>,
     map: Arc<ShardMap>,
-    state: Arc<TransportState<M>>,
+    ingress: Ingress<M>,
     shared: Arc<Shared>,
     plan: Option<FaultPlan>,
     read_timeout: WallDuration,
@@ -384,7 +387,7 @@ impl<M: WireMsg + 'static> Acceptor<M> {
                         to_shard: self.to_shard,
                         recv: Arc::clone(&self.recv),
                         map: Arc::clone(&self.map),
-                        state: Arc::clone(&self.state),
+                        ingress: self.ingress.clone(),
                         shared: Arc::clone(&self.shared),
                         plan: self.plan,
                         read_timeout: self.read_timeout,
@@ -405,14 +408,14 @@ impl<M: WireMsg + 'static> Acceptor<M> {
 
 /// One accepted connection: reads frames, dedups data by sequence under
 /// the link lock (dedup and delivery are atomic, so FIFO survives handler
-/// overlap during reconnects), injects into the destination shard, and
-/// writes cumulative acks back on the same socket.
+/// overlap during reconnects), hands them to the destination shard's
+/// ingress, and writes cumulative acks back on the same socket.
 struct Handler<M: WireMsg> {
     sock: TcpStream,
     to_shard: u32,
     recv: Arc<Vec<Mutex<RecvLink<M>>>>,
     map: Arc<ShardMap>,
-    state: Arc<TransportState<M>>,
+    ingress: Ingress<M>,
     shared: Arc<Shared>,
     plan: Option<FaultPlan>,
     read_timeout: WallDuration,
@@ -511,9 +514,8 @@ impl<M: WireMsg> Handler<M> {
                 if frame.seq == link.expected {
                     match decode_envelope::<M>(&frame.payload, &link.ctx) {
                         Ok((to, body)) => {
-                            if !self.inject(to, body) {
-                                return false;
-                            }
+                            // Acked only after the hand-off below.
+                            self.inject(to, body);
                             link.expected += 1;
                         }
                         Err(_) => return false,
@@ -535,34 +537,18 @@ impl<M: WireMsg> Handler<M> {
         }
     }
 
-    /// Deliver one decoded envelope into this shard, spinning on a full
-    /// inbox (workers keep draining; teardown breaks the spin). The
-    /// envelope's global in-flight count — registered by the sending
-    /// worker — rides along and is retired by the receiving quantum.
-    fn inject(&self, to: PeerId, body: FrameBody<M>) -> bool {
+    /// Hand one decoded envelope to this shard: the one ingress send,
+    /// never waiting, so acks and heartbeat replies are never delayed
+    /// behind a busy executor. The envelope's global in-flight count —
+    /// registered by the sending executor — rides along and is retired by
+    /// the receiving quantum.
+    fn inject(&self, to: PeerId, body: FrameBody<M>) {
         let (shard, local) = self.map.locate(to);
         debug_assert_eq!(
             shard, self.to_shard as usize,
             "envelope routed to wrong shard"
         );
-        let Some(injectors) = self.state.injectors.get() else {
-            return false;
-        };
-        let mut body = body;
-        loop {
-            match injectors[shard].try_inject(local, body) {
-                Ok(()) => return true,
-                Err(back) => {
-                    if self.shared.shutting_down.load(Ordering::SeqCst) {
-                        // Teardown truncation: retire the orphaned count.
-                        self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                        return false;
-                    }
-                    body = back;
-                    std::thread::sleep(WallDuration::from_micros(50));
-                }
-            }
-        }
+        self.ingress.deliver(local, body);
     }
 
     fn send_ack(&mut self, expected: u64) -> bool {
@@ -621,7 +607,7 @@ impl<M: WireMsg> Supervisor<M> {
                 // written anywhere — retire their global counts, exactly
                 // like the channel transport's drop-on-teardown.
                 while self.rx.try_recv().is_ok() {
-                    self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    self.shared.retire_one();
                 }
                 if let Some(c) = conn.take() {
                     let _ = c.shutdown(Shutdown::Both);

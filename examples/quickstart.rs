@@ -49,8 +49,8 @@ fn main() {
     println!("view still matches a from-scratch evaluation ✓");
 
     // Same plan, same driver, different substrate: replay the load on the
-    // async runtime (wall-clock timers, bounded inboxes) and check that it
-    // reaches the identical fixpoint. Peers are cooperative tasks on one
+    // async runtime (wall-clock timers, real queues) and check that it
+    // reaches the identical fixpoint. Peers are state machines on one
     // executor thread (no OS thread per peer), so one core hosts the query
     // partitioned across 1000 peers — the regime of the paper's
     // transit-stub and sensor-grid deployments.
@@ -70,8 +70,8 @@ fn main() {
 
     // Scale across cores instead: 12 peers partitioned across 4 async
     // shards (one executor OS thread each) behind one composite runtime,
-    // cross-shard messages routed over a bounded transport with global
-    // quiescence detection.
+    // cross-shard messages sent straight into the destination shard's
+    // ingress queue, with global quiescence detection.
     let mut ssys = System::reachable(
         SystemConfig::new(Strategy::absorption_lazy(), 12)
             .with_runtime(RuntimeKind::sharded_async(4)),
