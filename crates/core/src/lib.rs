@@ -36,8 +36,8 @@
 //!
 //! [`SystemConfig::with_runtime`](system::SystemConfig::with_runtime)
 //! selects the execution substrate ([`RuntimeKind`]): the deterministic DES
-//! (default), the async event loop, or a sharded composite of async
-//! shards. DESIGN.md: "System inventory" for the crate's facade role,
+//! (default), or the concurrent runtime on one executor thread ("async")
+//! or sharded across several. DESIGN.md: "System inventory" for the crate's facade role,
 //! "Runtimes" for the substrate contract.
 
 pub mod queries;

@@ -26,8 +26,8 @@ pub struct SystemConfig {
     pub cost: CostModel,
     /// Per-phase budget.
     pub budget: RunBudget,
-    /// Execution substrate: discrete-event simulation (default), the
-    /// concurrent async runtime, or the sharded composite.
+    /// Execution substrate: discrete-event simulation (default), or the
+    /// concurrent runtime on one shard ("async") or several.
     pub runtime: RuntimeKind,
 }
 

@@ -2,9 +2,9 @@
 //! evaluation metrics per phase.
 //!
 //! The [`Runner`] is generic over the [`Runtime`] trait: the same driver
-//! code executes on the deterministic discrete-event [`Simulator`], on the
-//! concurrent [`AsyncRuntime`], or on the [`ShardedRuntime`] composite,
-//! selected by [`RunnerConfig::runtime`].
+//! code executes on the deterministic discrete-event [`Simulator`] or on the
+//! concurrent [`ShardedRuntime`] (one executor thread per shard; one shard
+//! is the "async" runtime), selected by [`RunnerConfig::runtime`].
 //! The default instantiation is the [`EngineRuntime`] enum, which makes the
 //! choice at configuration time; code that wants a statically-known
 //! substrate can name `Runner<Simulator<Msg, EnginePeer>>` directly.
@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use netrec_serve::views::{self, ServeSpec, ViewOp, ViewReader, ViewWriter};
 use netrec_sim::{
-    AsyncRuntime, ClusterSpec, CostModel, NetMetrics, Partitioner, PeerId, Port, RunBudget,
-    RunOutcome, Runtime, RuntimeKind, ShardedRuntime, Simulator,
+    ClusterSpec, CostModel, NetMetrics, Partitioner, PeerId, Port, RunBudget, RunOutcome, Runtime,
+    RuntimeKind, ShardedRuntime, Simulator,
 };
 use netrec_types::wire::WireError;
 use netrec_types::{Duration, RelId, SimTime, Tuple, UpdateKind};
@@ -168,9 +168,8 @@ impl RunReport {
 pub enum EngineRuntime {
     /// Deterministic discrete-event simulation.
     Des(Simulator<Msg, EnginePeer>),
-    /// One event loop on one executor thread hosting every peer.
-    Async(AsyncRuntime<Msg, EnginePeer>),
-    /// Peer-partitioned execution across several async shards.
+    /// Peer-partitioned concurrent execution: one event loop per shard,
+    /// each on its own executor thread.
     Sharded(ShardedRuntime<Msg, EnginePeer>),
 }
 
@@ -178,7 +177,6 @@ macro_rules! dispatch {
     ($self:expr, $rt:ident => $body:expr) => {
         match $self {
             EngineRuntime::Des($rt) => $body,
-            EngineRuntime::Async($rt) => $body,
             EngineRuntime::Sharded($rt) => $body,
         }
     };
@@ -526,7 +524,6 @@ fn build_runtime(nodes: Vec<EnginePeer>, cfg: &RunnerConfig) -> EngineRuntime {
                 .with_coalescing(dc.coalesce)
                 .with_fault_plan(dc.fault),
         ),
-        RuntimeKind::Async(ac) => EngineRuntime::Async(AsyncRuntime::new(nodes, ac.clone())),
         RuntimeKind::Sharded(sc) => EngineRuntime::Sharded(ShardedRuntime::new(nodes, sc.clone())),
     }
 }

@@ -299,7 +299,7 @@ fn partition_then_heal_converges_to_the_clean_fixpoint() {
         let kinds = vec![
             RuntimeKind::des(),
             RuntimeKind::des().with_fault(plan),
-            RuntimeKind::Async(dilated_async()).with_fault(plan),
+            sharded_async(1).with_fault(plan),
             sharded_async(2).with_fault(plan),
         ];
         assert_substrates_agree(&w, &kinds);

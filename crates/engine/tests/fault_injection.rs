@@ -16,7 +16,7 @@
 //!    into a deterministic single-substrate repro.
 //! 3. **Seed sweeps** — `NETREC_FAULT_SEEDS` seeded regimes (each seed
 //!    draws its own fault mix, see `FaultPlan::from_seed`): every seed on
-//!    the DES, and the async runtime plus the async-sharded composite under
+//!    the DES, and the concurrent runtime at 1 and 2 shards under
 //!    fault, across every deletion-capable strategy, all pinned to the
 //!    clean DES fixpoint after churn. Default 100 DES / 12 concurrent
 //!    seeds; the release CI job raises the sweep to 200+.
@@ -105,7 +105,7 @@ fn pinned_fault_schedules_reach_the_clean_fixpoint_on_all_substrates() {
             let kinds = vec![
                 RuntimeKind::des(),
                 RuntimeKind::des().with_fault(plan),
-                RuntimeKind::Async(dilated_async()).with_fault(plan),
+                sharded_async(1).with_fault(plan),
                 sharded_async(2).with_fault(plan),
             ];
             // Panic messages name the diverging substrate; `label` names
@@ -214,7 +214,7 @@ fn fault_seed_sweep_des() {
 }
 
 /// Layer 3b: seeded fault regimes on the substrates with the most delivery
-/// freedom — the async runtime and the async-sharded composite — across
+/// freedom — the concurrent runtime at 1 and 2 shards — across
 /// every deletion strategy, pinned to the clean DES fixpoint after churn.
 /// Default 12 seeds keeps the default test run fast; the release CI job
 /// raises `NETREC_FAULT_SEEDS` to 200+ (the acceptance sweep for the
@@ -229,7 +229,7 @@ fn fault_seed_sweep_async_and_sharded() {
             let plan = FaultPlan::from_seed(seed);
             let kinds = vec![
                 RuntimeKind::des(),
-                RuntimeKind::Async(dilated_async()).with_fault(plan),
+                sharded_async(1).with_fault(plan),
                 sharded_async(2).with_fault(plan),
             ];
             assert_substrates_agree(&w, &kinds);

@@ -1,9 +1,9 @@
 //! Substrate differential test: the same multi-phase reachability workload
 //! must produce **identical final store contents and identical per-peer
 //! msgs/bytes/tuples/prov_bytes metrics** on every execution substrate —
-//! the deterministic DES reference, the async runtime, and
-//! the sharded runtime (2 hash-assigned / 4 contiguous async shards) — in
-//! every maintenance strategy.
+//! the deterministic DES reference and the concurrent runtime on one shard
+//! ("async"), 2 hash-assigned and 4 contiguous shards — in every
+//! maintenance strategy.
 //! The comparison machinery lives in `netrec-testutil`
 //! (`assert_substrates_agree`), so future substrates get this gate by
 //! adding one `RuntimeKind` to the list.
@@ -20,8 +20,8 @@
 //! Every derived tuple also has a unique derivation, making its provenance
 //! annotation — and its wire size — deterministic.
 //!
-//! This is the acceptance gate for the sharded runtime: cross-shard
-//! routing, global in-flight accounting, and shard-metrics folding via
+//! This is the acceptance gate for the concurrent runtime: the executor's
+//! one routing point, global in-flight accounting, and shard-metrics folding via
 //! `NetMetrics::merge` must reproduce the DES numbers exactly. (Counting
 //! mode is excluded: it is defined for non-recursive plans only.)
 //!
@@ -39,7 +39,7 @@ use std::collections::BTreeSet;
 
 use netrec_engine::runner::RunnerConfig;
 use netrec_engine::strategy::Strategy;
-use netrec_sim::{AsyncConfig, RuntimeKind, ShardAssignment, ShardedConfig, Simulator};
+use netrec_sim::{RuntimeKind, ShardAssignment, ShardedConfig, Simulator};
 use netrec_testutil::fixtures::{link, reachable_plan};
 use netrec_testutil::{assert_substrates_agree, run_workload_custom, DiffPhase, DiffWorkload};
 use netrec_topo::BaseOp;
@@ -72,8 +72,8 @@ fn chain_workload(strategy: Strategy) -> DiffWorkload {
     w
 }
 
-/// Every substrate in the matrix: DES reference, async,
-/// and sharded at 2 hash-assigned and 4 contiguous async shards.
+/// Every substrate in the matrix: DES reference, one shard ("async"),
+/// and 2 hash-assigned and 4 contiguous shards.
 fn substrates() -> Vec<RuntimeKind> {
     vec![
         RuntimeKind::des(),
@@ -85,11 +85,11 @@ fn substrates() -> Vec<RuntimeKind> {
     ]
 }
 
-/// A reduced coalescing-off matrix: the async runtime is the reference
+/// A reduced coalescing-off matrix: the one-shard runtime is the reference
 /// (the DES's off-mode is compared separately via [`run_workload_custom`]).
 fn substrates_coalescing_off() -> Vec<RuntimeKind> {
     vec![
-        RuntimeKind::Async(AsyncConfig::default().with_coalescing(false)),
+        RuntimeKind::Sharded(ShardedConfig::with_shards(1).with_coalescing(false)),
         RuntimeKind::Sharded(ShardedConfig::with_shards(2).with_coalescing(false)),
     ]
 }

@@ -1,8 +1,8 @@
 //! Property-based substrate differential: proptest-generated random
 //! topologies and update/delete scripts (from `netrec-topo`'s generators)
-//! run through the DES, the async runtime, and the sharded
-//! runtime at 1, 2, and 4 async shards, in all 5 maintenance strategies —
-//! every substrate must reach the DES fixpoint.
+//! run through the DES and the concurrent runtime at 1, 2, and 4 shards,
+//! in all 5 maintenance strategies — every substrate must reach the DES
+//! fixpoint.
 //!
 //! Random injection orders are *not* traffic-confluent (batch composition
 //! depends on arrival interleavings), so these phases are relaxed: the
@@ -27,9 +27,9 @@
 //! **Fault-seed dimension**: each case additionally replays its script on a
 //! seeded fault-injecting transport (drops with retransmission, duplicate
 //! suppression, reorder/delay, shard stalls — logical delivery stays
-//! exactly-once, see `netrec_sim::fault`) on the DES, the async runtime and
-//! the sharded composite; the perturbed runs must still reach the clean DES
-//! fixpoint. Deeper fault pinning (per-schedule behaviour, wide seed
+//! exactly-once, see `netrec_sim::fault`) on the DES and on the concurrent
+//! runtime at 1 and 2 shards; the perturbed runs must still reach the clean
+//! DES fixpoint. Deeper fault pinning (per-schedule behaviour, wide seed
 //! sweeps) lives in `fault_injection.rs`.
 //!
 //! Case count: `NETREC_DIFF_CASES` (default 5 — the fixed-seed smoke run
@@ -52,8 +52,8 @@ fn cases_from_env() -> u32 {
         .unwrap_or(5)
 }
 
-/// The substrate matrix: DES reference, async, and sharded
-/// at 1/2/4 async shards.
+/// The substrate matrix: DES reference and the concurrent runtime at 1/2/4
+/// shards.
 /// The concurrent substrates compress timer delays 50× (`time_dilation`):
 /// eager-mode 1 s flush periods would otherwise map to real one-second
 /// sleeps per flush round, and the timer fence makes every phase wait them
@@ -69,36 +69,32 @@ fn dilated_async(coalesce: bool) -> AsyncConfig {
     }
 }
 
+fn sharded(shards: u32, coalesce: bool) -> RuntimeKind {
+    RuntimeKind::Sharded(ShardedConfig {
+        shard: dilated_async(coalesce),
+        ..ShardedConfig::with_shards(shards)
+    })
+}
+
 fn substrates(coalesce: bool) -> Vec<RuntimeKind> {
-    let sharded = |shards: u32| {
-        RuntimeKind::Sharded(ShardedConfig {
-            shard: dilated_async(coalesce),
-            ..ShardedConfig::with_shards(shards)
-        })
-    };
     vec![
         RuntimeKind::des(),
-        RuntimeKind::Async(dilated_async(coalesce)),
-        sharded(1),
-        sharded(2),
-        sharded(4),
+        sharded(1, coalesce),
+        sharded(2, coalesce),
+        sharded(4, coalesce),
     ]
 }
 
 /// The fault matrix: a clean DES reference first, then the same seeded
-/// [`FaultPlan`] installed on the DES (exact replay), the async runtime and
-/// the async-sharded composite — the substrates with the most delivery
+/// [`FaultPlan`] installed on the DES (exact replay) and on the concurrent
+/// runtime at 1 and 2 shards — the substrates with the most delivery
 /// freedom. All must reach the clean fixpoint.
 fn faulted_substrates(fault: &FaultPlan) -> Vec<RuntimeKind> {
     vec![
         RuntimeKind::des(),
         RuntimeKind::des().with_fault(*fault),
-        RuntimeKind::Async(dilated_async(true)).with_fault(*fault),
-        RuntimeKind::Sharded(ShardedConfig {
-            shard: dilated_async(true),
-            ..ShardedConfig::with_shards(2)
-        })
-        .with_fault(*fault),
+        sharded(1, true).with_fault(*fault),
+        sharded(2, true).with_fault(*fault),
     ]
 }
 

@@ -1,21 +1,31 @@
-//! The async runtime: the workspace's one concurrent event loop. Peers are
+//! The executor: the workspace's one concurrent event loop. Peers are
 //! **state machines, not threads or async tasks**: one executor thread owns
-//! every peer's inbox and runs one [`PeerNode`] callback quantum at a time
-//! to completion, thousands of peers per core. It runs standalone
-//! ([`AsyncRuntime`]) and as every shard of a
-//! [`ShardedRuntime`](crate::sharded::ShardedRuntime) (N executor threads,
-//! many peers each).
+//! the inboxes of the peers it hosts — a subset of the *global* peer set —
+//! and runs one [`PeerNode`] callback quantum at a time to completion,
+//! thousands of peers per core. A
+//! [`ShardedRuntime`](crate::sharded::ShardedRuntime) is N of these (one
+//! per shard; N = 1 is the "async" runtime) behind one controller.
+//!
+//! Everything here speaks global [`PeerId`]s — the [`NetApi`] a node sees,
+//! the metrics, the fault hooks, every ingress message. Only the executor's
+//! own tables (inboxes, ready queue, heap) are indexed by *slot*, the
+//! peer's position on this shard, looked up through the `ShardMap`.
 //!
 //! The loop (DESIGN.md "Runtimes" has the full ledger):
 //!
 //! * **Inboxes and the ready queue** — the executor owns one `VecDeque`
-//!   inbox per peer and a FIFO ready queue holding each runnable peer at
-//!   most once: a push into an idle peer's inbox enqueues it; a peer runs
-//!   **one quantum** (one envelope or one timer firing), routes its outputs
-//!   straight into the destination inboxes, and goes to the back of the
-//!   queue if its inbox is non-empty. No peer can starve another, a
-//!   saturated peer cannot wedge timers or teardown, and nothing on this
-//!   thread ever waits for queue space.
+//!   inbox per hosted peer and a FIFO ready queue holding each runnable
+//!   peer at most once: a push into an idle peer's inbox enqueues it; a
+//!   peer runs **one quantum** (one envelope or one timer firing), ships
+//!   its outputs, and goes to the back of the queue if its inbox is
+//!   non-empty. No peer can starve another, a saturated peer cannot wedge
+//!   timers or teardown, and nothing on this thread ever waits for queue
+//!   space.
+//! * **One routing point** — `Executor::ship` is the only place a frame's
+//!   route is chosen: after the one in-flight registration, the one metrics
+//!   record and the one partition check, the frame goes into a local inbox,
+//!   another shard's ingress channel, or that shard's TCP link, by the
+//!   destination's entry in the route table.
 //! * **Ingress** — one unbounded channel per shard is the only way
 //!   anything crosses a thread: the controller's `inject`, another shard's
 //!   executor, a TCP receive handler all make the same `Ingress::deliver`
@@ -23,13 +33,13 @@
 //!   holds by construction. The executor's `recv_timeout(next due heap
 //!   entry)` on it is its **only blocking wait**; an idle or frozen session
 //!   burns no wakeups.
-//! * **Termination detection** — one in-flight counter covers every
-//!   produced-but-unprocessed event: an envelope counts from send until its
-//!   quantum has run *and registered its own outputs*; an armed timer
-//!   counts from arming until its firing's quantum retires. Zero therefore
-//!   certifies global quiescence *including timers* — the timer fence the
-//!   DES gets for free from its event queue — and the last retirement wakes
-//!   the controller.
+//! * **Termination detection** — one in-flight counter, shared by every
+//!   executor of the session, covers every produced-but-unprocessed event:
+//!   an envelope counts from send until its quantum has run *and registered
+//!   its own outputs*; an armed timer counts from arming until its firing's
+//!   quantum retires. Zero therefore certifies global quiescence *including
+//!   timers* — the timer fence the DES gets for free from its event queue —
+//!   and the last retirement wakes the controller.
 //! * **Timers and fault holds** — one min-heap on the executor: armed
 //!   timers (fired by pushing a timer item into the peer's inbox) and the
 //!   release times of peers the fault hooks made *not runnable before `t`*
@@ -38,14 +48,9 @@
 //!   so holds preserve per-channel FIFO; everyone else keeps running.
 //! * **Peer-panic propagation** — callbacks run under `catch_unwind`; the
 //!   first panic is recorded, teardown begins, and the controller re-panics
-//!   from [`Runtime::run`] instead of hanging on a quiescence signal that
-//!   will never come. A backstop `catch_unwind` around the executor loop
-//!   covers plumbing panics.
-//! * **Budget / freeze** — the controller enforces [`RunBudget`]
-//!   (`max_events` over the event counter, `max_time` over cumulative wall
-//!   time spent inside `run`, `max_wall` per phase); exhaustion freezes the
-//!   session (executor thread joined, armed timers retired), after which
-//!   `run` fails fast and never claims convergence.
+//!   from [`Runtime::run`](crate::runtime::Runtime::run) instead of hanging
+//!   on a quiescence signal that will never come. A backstop `catch_unwind`
+//!   around the executor loop covers plumbing panics.
 //!
 //! Timing is wall-clock (timer delays dilated by
 //! [`AsyncConfig::time_dilation`]), convergence "time" is elapsed
@@ -53,6 +58,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::iter::Peekable;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -63,15 +69,15 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use netrec_types::{Duration, SimTime};
 use parking_lot::Mutex;
 
-use crate::coalesce::{frames, Frame, FrameBody, FramesIter};
+use crate::coalesce::{frames, FrameBody, FramesIter};
 use crate::des::{NetApi, PeerNode};
 use crate::fault::{FaultPlan, FaultStats};
-use crate::metrics::{MsgMeta, NetMetrics};
-use crate::net::{PeerId, Port};
-use crate::runtime::{RunBudget, RunOutcome, Runtime};
+use crate::metrics::NetMetrics;
+use crate::net::PeerId;
 use crate::substrate_common::{panic_message, Controller, Shared};
+use crate::tcp::Envelope;
 
-/// Tuning knobs for the async runtime.
+/// Tuning knobs for each executor of the concurrent runtime.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AsyncConfig {
     /// Wall-clock microseconds slept per simulated microsecond of timer
@@ -114,10 +120,58 @@ impl AsyncConfig {
     }
 }
 
+/// Global peer → (shard, slot on that shard's executor) placement.
+pub(crate) struct ShardMap {
+    shard_of: Vec<u32>,
+    slot_of: Vec<u32>,
+}
+
+impl ShardMap {
+    /// Place peer `p` on shard `shard_of[p]`; slots number each shard's
+    /// peers in global-id order.
+    pub(crate) fn new(shard_of: Vec<u32>, shards: u32) -> ShardMap {
+        let mut sizes = vec![0u32; shards as usize];
+        let slot_of = shard_of
+            .iter()
+            .map(|&s| {
+                sizes[s as usize] += 1;
+                sizes[s as usize] - 1
+            })
+            .collect();
+        ShardMap { shard_of, slot_of }
+    }
+
+    /// The shard hosting `p`; `None` for an id outside the peer set (what
+    /// an id read off a socket is checked against).
+    pub(crate) fn shard_of(&self, p: PeerId) -> Option<u32> {
+        self.shard_of.get(p.0 as usize).copied()
+    }
+
+    fn locate(&self, p: PeerId) -> (usize, u32) {
+        (
+            self.shard_of[p.0 as usize] as usize,
+            self.slot_of[p.0 as usize],
+        )
+    }
+}
+
+/// Where a frame bound for a peer on some shard physically goes — one
+/// entry per destination shard in each executor's route table.
+pub(crate) enum Route<M> {
+    /// This executor's own inboxes.
+    Local,
+    /// Another shard's ingress channel: the one send, made by the sending
+    /// executor itself.
+    Ingress(Ingress<M>),
+    /// The supervised TCP link to that shard: its ledger owns delivery from
+    /// here, across however many connection deaths it takes.
+    Tcp(Sender<Envelope<M>>),
+}
+
 /// What crosses a thread into a shard.
 pub(crate) enum Inbound<M> {
-    /// One envelope for a shard-local peer, already registered in flight
-    /// by its producer.
+    /// One envelope for a peer hosted on the shard, already registered in
+    /// flight by its producer.
     Envelope(PeerId, FrameBody<M>),
     /// Nothing to deliver: re-check the teardown flag.
     Wake,
@@ -146,8 +200,8 @@ impl<M> Ingress<M> {
         (Ingress { tx, shared }, rx)
     }
 
-    /// Hand one in-flight envelope to the shard, for its local peer `to`.
-    /// Never blocks. Once the executor is gone (a frozen session) the
+    /// Hand one in-flight envelope to the shard, for the peer `to` it
+    /// hosts. Never blocks. Once the executor is gone (a frozen session) the
     /// envelope is dropped and its count retired.
     pub(crate) fn deliver(&self, to: PeerId, body: FrameBody<M>) {
         if self.tx.send(Inbound::Envelope(to, body)).is_err() {
@@ -180,20 +234,22 @@ enum Held<M> {
     /// Receive hook: this envelope's delivery was perturbed; it — and
     /// everything queued behind it in the inbox — waits out the delay.
     Delivery(FrameBody<M>),
-    /// Partition hook: `head` crosses the open cut, so it and the rest of
-    /// the interrupted quantum's outputs wait for the heal, in order.
+    /// Partition hook: the next frame of `rest` crosses the open cut, so
+    /// it and the rest of the interrupted quantum's outputs wait for the
+    /// heal, in order.
     Sends {
-        head: Frame<M>,
-        rest: FramesIter<M>,
+        rest: Peekable<FramesIter<M>>,
         timers: Vec<(Duration, u64)>,
     },
 }
 
 struct Peer<M, N> {
+    /// Global id: what the node, the metrics and the fault hooks see.
+    id: PeerId,
     node: Arc<Mutex<N>>,
     inbox: VecDeque<Work<M>>,
     sched: Sched<M>,
-    /// Envelopes received so far — the fault hash key (`me`, index).
+    /// Envelopes received so far — the fault hash key (`id`, index).
     recv_seq: u64,
 }
 
@@ -212,24 +268,28 @@ enum Wakeup {
 struct Due {
     at: Instant,
     seq: u64,
+    /// Slot of the peer.
     peer: u32,
     wakeup: Wakeup,
 }
 
-/// Everything the executor thread owns.
+/// Everything the executor thread owns. `u32` peer arguments below are
+/// slots into `peers`.
 struct Executor<M, N> {
+    /// The peers hosted here, by slot.
     peers: Vec<Peer<M, N>>,
+    map: Arc<ShardMap>,
+    /// Indexed by destination shard; this shard's own entry is
+    /// [`Route::Local`].
+    routes: Vec<Route<M>>,
     ready: VecDeque<u32>,
     heap: BinaryHeap<Reverse<Due>>,
     heap_seq: u64,
     ingress: Receiver<Inbound<M>>,
     shared: Arc<Shared>,
-    /// One metrics table for the whole runtime, read by the controller at
-    /// phase boundaries.
+    /// What this executor's peers sent, keyed by global peer ids; read by
+    /// the controller at phase boundaries.
     metrics: Arc<Mutex<NetMetrics>>,
-    /// False for shard-hosted runtimes: their local-id metric table is
-    /// never snapshotted (the `ShardPeer` adapters account in global ids).
-    record_metrics: bool,
     epoch: Instant,
     time_dilation: f64,
     coalesce: bool,
@@ -292,7 +352,12 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
 
     fn accept(&mut self, inbound: Inbound<M>) {
         if let Inbound::Envelope(to, body) = inbound {
-            self.push(to.0, Work::Deliver(body));
+            let (shard, slot) = self.map.locate(to);
+            debug_assert!(
+                matches!(self.routes[shard], Route::Local),
+                "envelope for a peer hosted elsewhere"
+            );
+            self.push(slot, Work::Deliver(body));
         }
     }
 
@@ -350,10 +415,7 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
         };
         match held {
             Held::Delivery(body) => self.quantum(p, Work::Deliver(body)),
-            Held::Sends { head, rest, timers } => {
-                self.push(head.to.0, Work::Deliver(head.into_body()));
-                self.ship(p, rest, timers);
-            }
+            Held::Sends { rest, timers } => self.ship(p, rest, timers),
         }
         self.settle(p);
     }
@@ -368,7 +430,7 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
             (Work::Deliver(body), Some(plan)) => {
                 let k = me.recv_seq;
                 me.recv_seq = k + 1;
-                let d = plan.decide(PeerId(p), k);
+                let d = plan.decide(me.id, k);
                 if d.is_fault() {
                     self.fault_stats.lock().record(&d);
                     let at = Instant::now() + self.dilate(d.extra_us);
@@ -398,7 +460,7 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
     /// Run one quantum's callbacks under `catch_unwind`, then register and
     /// ship its outputs before retiring the processed event.
     fn quantum(&mut self, p: u32, work: Work<M>) {
-        let me = PeerId(p);
+        let me = self.peers[p as usize].id;
         // Logical event count: an envelope of N messages counts N.
         let logical = match &work {
             Work::Deliver(body) => body.len() as u64,
@@ -425,7 +487,7 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
             Err(payload) => {
                 // Note before retirement: the controller reads the counter
                 // first, so it can never see a clean zero after a panic.
-                let note = format!("peer {p} panicked: {}", panic_message(payload));
+                let note = format!("peer {} panicked: {}", me.0, panic_message(payload));
                 self.shared.record_panic(note);
                 self.shared.retire_one();
             }
@@ -438,43 +500,55 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
                 self.shared
                     .in_flight
                     .fetch_add(timers.len() as i64, Ordering::SeqCst);
-                self.ship(p, frames(out, self.coalesce).into_iter(), timers);
+                let rest = frames(out, self.coalesce).into_iter().peekable();
+                self.ship(p, rest, timers);
             }
         }
     }
 
     /// Deliver a quantum's frames in order, arm its timers, retire its
-    /// event — unless the partition hook parks the peer part-way.
-    fn ship(&mut self, p: u32, mut rest: FramesIter<M>, timers: Vec<(Duration, u64)>) {
-        let me = PeerId(p);
-        while let Some(frame) = rest.next() {
-            // An envelope counts once however many messages it carries.
-            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            if self.record_metrics && frame.to != me {
-                frame.record_into(me, &mut self.metrics.lock());
-            }
+    /// event — unless the partition hook parks the peer part-way. The one
+    /// place a frame's route is chosen.
+    fn ship(&mut self, p: u32, mut rest: Peekable<FramesIter<M>>, timers: Vec<(Duration, u64)>) {
+        let me = self.peers[p as usize].id;
+        while let Some(to) = rest.peek().map(|frame| frame.to) {
             // Partition hook: a send crossing the seeded bidirectional cut
             // while the window is open is held *sender-side* until the
-            // heal; later sends queue behind it in program order, so
-            // per-channel FIFO is preserved, and every hold ends at the
-            // same fixed heal instant, so cross-cut cycles cannot
-            // deadlock. The window is simulated microseconds since the
-            // session epoch, dilated like every other delay here.
-            if let Some(plan) = self.fault.filter(|pl| pl.partition_cuts(me, frame.to)) {
+            // heal — whichever shard or socket lies beyond; later sends
+            // queue behind it in program order, so per-channel FIFO is
+            // preserved, and every hold ends at the same fixed heal
+            // instant, so cross-cut cycles cannot deadlock. The window is
+            // simulated microseconds since the session epoch, dilated like
+            // every other delay here. The held frame is registered only
+            // once released (this quantum's own count keeps the sum
+            // positive meanwhile); by then the window has closed.
+            if let Some(plan) = self.fault.filter(|pl| pl.partition_cuts(me, to)) {
                 let open = self.epoch + self.dilate(plan.partition_at_us);
                 let heal = self.epoch + self.dilate(plan.partition_heal_us());
                 let now = Instant::now();
                 if now >= open && now < heal {
                     self.fault_stats.lock().partition_deferrals += 1;
-                    let held = Held::Sends {
-                        head: frame,
-                        rest,
-                        timers,
-                    };
-                    return self.hold(p, heal, held);
+                    return self.hold(p, heal, Held::Sends { rest, timers });
                 }
             }
-            self.push(frame.to.0, Work::Deliver(frame.into_body()));
+            let frame = rest.next().expect("peeked");
+            // An envelope counts once however many messages it carries.
+            self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+            if to != me {
+                frame.record_into(me, &mut self.metrics.lock());
+            }
+            let body = frame.into_body();
+            let (shard, slot) = self.map.locate(to);
+            match &self.routes[shard] {
+                Route::Local => self.push(slot, Work::Deliver(body)),
+                Route::Ingress(ingress) => ingress.deliver(to, body),
+                // A closed queue means teardown: drop and retire.
+                Route::Tcp(link) => {
+                    if link.send(Envelope { to, msgs: body }).is_err() {
+                        self.shared.retire_one();
+                    }
+                }
+            }
         }
         if !timers.is_empty() {
             let now = Instant::now();
@@ -486,54 +560,59 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
     }
 }
 
-/// One executor thread and the peers it hosts: the whole of a standalone
-/// [`AsyncRuntime`] below its controller, and one shard of a
-/// [`ShardedRuntime`](crate::sharded::ShardedRuntime).
-pub(crate) struct Shard<M, N> {
-    nodes: Vec<Arc<Mutex<N>>>,
-    metrics: Arc<Mutex<NetMetrics>>,
-    ingress: Ingress<M>,
+/// The controller's handle on one executor thread.
+pub(crate) struct Shard<M> {
+    /// The executor's metrics table (its peers' sends, global ids).
+    pub(crate) metrics: Arc<Mutex<NetMetrics>>,
+    pub(crate) ingress: Ingress<M>,
     executor: Option<JoinHandle<()>>,
     /// Fault bookkeeping, shared with the executor.
     fault_stats: Arc<Mutex<FaultStats>>,
 }
 
-impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> Shard<M, N> {
-    /// Spawn the executor thread hosting `peers` behind the given ingress
-    /// channel, on the controller's bookkeeping block and clock. The
-    /// sharded runtime passes **one** controller to every shard, so a
-    /// single in-flight counter covers the whole composite:
-    /// register-before-retire on one atomic certifies global quiescence
-    /// with a single load, no matter which shard retires an event produced
-    /// in another.
-    pub(crate) fn spawn(
-        peers: Vec<N>,
+impl<M: Send + 'static> Shard<M> {
+    /// Spawn the executor thread hosting `peers` (slot order, each with its
+    /// global id) behind the given ingress channel, on the controller's
+    /// bookkeeping block and clock. Every shard of a session gets the
+    /// **same** controller, so a single in-flight counter covers the whole
+    /// composite: register-before-retire on one atomic certifies global
+    /// quiescence with a single load, no matter which shard retires an
+    /// event produced in another.
+    pub(crate) fn spawn<N: PeerNode<M> + Send + 'static>(
+        peers: Vec<(PeerId, Arc<Mutex<N>>)>,
+        map: &Arc<ShardMap>,
+        routes: Vec<Route<M>>,
+        (ingress, ingress_rx): (Ingress<M>, Receiver<Inbound<M>>),
         cfg: &AsyncConfig,
         ctl: &Controller,
-        (ingress, ingress_rx): (Ingress<M>, Receiver<Inbound<M>>),
-        record_metrics: bool,
-    ) -> Shard<M, N> {
-        let nodes: Vec<Arc<Mutex<N>>> =
-            peers.into_iter().map(|p| Arc::new(Mutex::new(p))).collect();
-        let metrics = Arc::new(Mutex::new(NetMetrics::new(nodes.len() as u32)));
+    ) -> Shard<M> {
+        debug_assert!(
+            (0..)
+                .zip(&peers)
+                .all(|(slot, (id, _))| map.locate(*id).1 == slot),
+            "peers must arrive in the map's slot order"
+        );
+        let metrics = Arc::new(Mutex::new(NetMetrics::new(map.shard_of.len() as u32)));
         let fault_stats = Arc::new(Mutex::new(FaultStats::default()));
         let executor = Executor {
-            peers: nodes
-                .iter()
-                .map(|node| Peer {
-                    node: Arc::clone(node),
+            peers: peers
+                .into_iter()
+                .map(|(id, node)| Peer {
+                    id,
+                    node,
                     inbox: VecDeque::new(),
                     sched: Sched::Idle,
                     recv_seq: 0,
                 })
                 .collect(),
+            map: Arc::clone(map),
+            routes,
             ready: VecDeque::new(),
             heap: BinaryHeap::new(),
             heap_seq: 0,
             ingress: ingress_rx,
             shared: Arc::clone(&ctl.shared),
             metrics: Arc::clone(&metrics),
-            record_metrics,
             epoch: ctl.epoch,
             time_dilation: cfg.time_dilation,
             coalesce: cfg.coalesce,
@@ -556,7 +635,6 @@ impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> Shard<M, N> {
             })
             .expect("spawn async executor");
         Shard {
-            nodes,
             metrics,
             ingress,
             executor: Some(executor),
@@ -565,7 +643,7 @@ impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> Shard<M, N> {
     }
 }
 
-impl<M, N> Shard<M, N> {
+impl<M> Shard<M> {
     /// Faults applied so far across every peer of this shard.
     pub(crate) fn fault_stats(&self) -> FaultStats {
         *self.fault_stats.lock()
@@ -581,108 +659,21 @@ impl<M, N> Shard<M, N> {
             let _ = h.join();
         }
     }
-
-    pub(crate) fn with_peer<T>(&self, local: PeerId, f: impl FnOnce(&N) -> T) -> T {
-        f(&self.nodes[local.0 as usize].lock())
-    }
-
-    pub(crate) fn with_peer_mut<T>(&mut self, local: PeerId, f: impl FnOnce(&mut N) -> T) -> T {
-        f(&mut self.nodes[local.0 as usize].lock())
-    }
-}
-
-/// A live async session over `N` peers: one executor thread running every
-/// peer's quanta to completion. Create with [`AsyncRuntime::new`] and drive
-/// through the [`Runtime`] trait.
-pub struct AsyncRuntime<M, N> {
-    shard: Shard<M, N>,
-    ctl: Controller,
-}
-
-impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> AsyncRuntime<M, N> {
-    /// Spawn the executor thread hosting every peer.
-    pub fn new(peers: Vec<N>, cfg: AsyncConfig) -> AsyncRuntime<M, N> {
-        let ctl = Controller::new(cfg.fault.map_or(0, |p| p.crash_at_event));
-        let shard = Shard::spawn(peers, &cfg, &ctl, Ingress::channel(&ctl.shared), true);
-        AsyncRuntime { shard, ctl }
-    }
-}
-
-impl<M, N> AsyncRuntime<M, N> {
-    /// Faults applied so far across every peer of this session.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.shard.fault_stats()
-    }
-}
-
-impl<M, N> Drop for AsyncRuntime<M, N> {
-    fn drop(&mut self) {
-        self.shard.freeze();
-    }
-}
-
-impl<M: Send + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for AsyncRuntime<M, N> {
-    fn name(&self) -> &'static str {
-        "async"
-    }
-
-    fn inject(&mut self, to: PeerId, port: Port, msg: M) {
-        self.ctl.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let body = FrameBody::One((port, msg, MsgMeta::default()));
-        self.shard.ingress.deliver(to, body);
-    }
-
-    fn run(&mut self, budget: RunBudget) -> RunOutcome {
-        let outcome = self.ctl.drive(budget);
-        if outcome.converged_at().is_none() {
-            self.shard.freeze();
-        }
-        outcome
-    }
-
-    fn metrics_snapshot(&self) -> NetMetrics {
-        self.shard.metrics.lock().clone()
-    }
-
-    fn events_processed(&self) -> u64 {
-        self.ctl.events()
-    }
-
-    fn frontier(&self) -> SimTime {
-        self.ctl.now()
-    }
-
-    fn peer_count(&self) -> u32 {
-        self.shard.nodes.len() as u32
-    }
-
-    fn with_peer<T>(&self, p: PeerId, f: impl FnOnce(&N) -> T) -> T {
-        self.shard.with_peer(p, f)
-    }
-
-    fn for_each_peer(&self, mut f: impl FnMut(PeerId, &N)) {
-        for p in (0..self.peer_count()).map(PeerId) {
-            self.shard.with_peer(p, |n| f(p, n));
-        }
-    }
-
-    fn with_peer_mut<T>(&mut self, p: PeerId, f: impl FnOnce(&mut N) -> T) -> T {
-        self.shard.with_peer_mut(p, f)
-    }
-
-    fn for_each_peer_mut(&mut self, mut f: impl FnMut(PeerId, &mut N)) {
-        for p in (0..self.peer_count()).map(PeerId) {
-            self.shard.with_peer_mut(p, |n| f(p, n));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The executor on its own — one shard, no boundary to cross. Scenarios
+    //! that do not care where a peer lives are shared with
+    //! `sharded::tests`, which runs them across a shard boundary.
+
     use super::*;
-    use crate::metrics::MsgMeta;
-    use crate::substrate_common::fixtures::{ping_pong_pair, Burst, Counter};
-    use netrec_types::Duration;
+    use crate::des::NetApi;
+    use crate::net::Port;
+    use crate::runtime::{RunBudget, RunOutcome, Runtime};
+    use crate::sharded::tests::{self as scenario, layouts, one_shard};
+    use crate::sharded::ShardedRuntime;
+    use crate::substrate_common::fixtures::Counter;
 
     #[test]
     fn async_config_defaults() {
@@ -694,176 +685,56 @@ mod tests {
 
     #[test]
     fn async_ping_pong_terminates_with_exact_metrics() {
-        let mut rt = AsyncRuntime::new(ping_pong_pair(), AsyncConfig::default());
-        rt.inject(PeerId(0), Port(0), 10u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        let m = rt.metrics_snapshot();
-        assert_eq!(m.total_msgs(), 10);
-        assert_eq!(m.total_bytes(), 100);
-        assert_eq!(rt.events_processed(), 11);
-        let mut seen = 0;
-        rt.for_each_peer(|_, c| seen += c.seen);
-        assert_eq!(seen, 11);
+        scenario::ping_pong_exact(one_shard());
     }
 
     #[test]
     fn timer_fires_inside_the_phase() {
-        struct T {
-            fired: bool,
-        }
-        impl PeerNode<u64> for T {
-            fn on_message(&mut self, _p: Port, _m: u64, net: &mut NetApi<u64>) {
-                net.set_timer(Duration::from_millis(30), 7);
-            }
-            fn on_timer(&mut self, id: u64, _net: &mut NetApi<u64>) {
-                assert_eq!(id, 7);
-                self.fired = true;
-            }
-        }
-        let mut rt = AsyncRuntime::new(vec![T { fired: false }], AsyncConfig::default());
-        rt.inject(PeerId(0), Port(0), 0u64);
-        let out = rt.run(RunBudget::default());
-        // The timer fence: quiescence must wait for the armed timer.
-        assert!(matches!(out, RunOutcome::Converged { .. }));
-        assert!(rt.with_peer(PeerId(0), |t| t.fired));
-        assert_eq!(rt.events_processed(), 2);
-        assert_eq!(rt.ctl.pending(), 0);
-    }
-
-    #[test]
-    fn empty_run_returns_immediately() {
-        let mut rt: AsyncRuntime<u64, Counter> = AsyncRuntime::new(
-            vec![Counter {
-                forward_to: None,
-                seen: 0,
-            }],
-            AsyncConfig::default(),
-        );
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        assert_eq!(rt.metrics_snapshot().total_msgs(), 0);
+        scenario::timer_fence(one_shard());
     }
 
     #[test]
     fn multi_phase_state_and_metrics_accumulate() {
-        let mut rt = AsyncRuntime::new(ping_pong_pair(), AsyncConfig::default());
-        rt.inject(PeerId(0), Port(0), 4u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        assert_eq!(rt.metrics_snapshot().total_msgs(), 4);
-        rt.inject(PeerId(1), Port(0), 3u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        assert_eq!(rt.metrics_snapshot().total_msgs(), 7, "cumulative");
-        let mut seen = 0;
-        rt.for_each_peer(|_, c| seen += c.seen);
-        assert_eq!(seen, 5 + 4);
+        scenario::multi_phase(one_shard());
     }
 
-    /// Fan-out and echo with coalescing off: 500 singleton envelopes pile up
-    /// in one inbox while the sprayer's fills with the echoes — the mutual
-    /// cycle that bounded inboxes needed a spill path for. Exact counts
-    /// both ways. (The name is pinned by the test floor.)
+    /// (The name is pinned by the test floor.)
     #[test]
     fn backpressure_fan_out_completes_on_tiny_channels() {
-        let cfg = AsyncConfig::default().with_coalescing(false);
-        let mut rt = AsyncRuntime::new(Burst::pair(500, true), cfg);
-        rt.inject(PeerId(0), Port(0), 0u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        let got = rt.with_peer(PeerId(1), Burst::got);
-        assert_eq!(got, (0..500).collect::<Vec<_>>(), "per-channel FIFO");
-        assert_eq!(rt.events_processed(), 1 + 500 + 500, "spray, burst, echoes");
-        assert_eq!(rt.metrics_snapshot().total_envelopes(), 1000);
-        assert_eq!(rt.ctl.pending(), 0);
+        scenario::burst_500(one_shard());
     }
 
-    /// A one-quantum burst ships as one envelope — one inbox item — and is
-    /// split back in FIFO order.
     #[test]
     fn spray_coalesces_into_one_envelope() {
-        let cfg = AsyncConfig::default();
-        assert!(cfg.coalesce, "coalescing defaults on");
-        let mut rt = AsyncRuntime::new(Burst::pair(300, false), cfg);
-        rt.inject(PeerId(0), Port(0), 0u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        let m = rt.metrics_snapshot();
-        assert_eq!(m.total_msgs(), 300);
-        assert_eq!(m.total_envelopes(), 1, "one inbox item for the burst");
-        assert_eq!(rt.events_processed(), 301, "logical events: inject + 300");
-        let got = rt.with_peer(PeerId(1), Burst::got);
-        assert_eq!(got, (0..300).collect::<Vec<_>>(), "FIFO within the frame");
+        scenario::burst_coalesces(one_shard());
     }
 
     #[test]
     fn budget_exceeded_reports_pending_and_tears_down() {
-        struct Loop;
-        impl PeerNode<u64> for Loop {
-            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
-                net.send(net.me(), Port(0), m + 1, MsgMeta::default());
-            }
-        }
-        let mut rt = AsyncRuntime::new(vec![Loop], AsyncConfig::default());
-        rt.inject(PeerId(0), Port(0), 0u64);
-        let out = rt.run(RunBudget {
-            max_wall: WallDuration::from_millis(50),
-            ..RunBudget::default()
-        });
-        assert!(matches!(out, RunOutcome::BudgetExceeded { pending, .. } if pending >= 1));
-        // The session is frozen at budget exhaustion: snapshots are stable
-        // and the executor's loop has stopped turning.
-        let e1 = rt.events_processed();
-        let loops = rt.ctl.shared.loop_iterations.load(Ordering::SeqCst);
-        std::thread::sleep(WallDuration::from_millis(20));
-        assert_eq!(rt.events_processed(), e1, "executor stopped");
-        assert_eq!(rt.ctl.shared.loop_iterations.load(Ordering::SeqCst), loops);
-        let t0 = Instant::now();
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::BudgetExceeded { .. }
-        ));
-        assert!(
-            t0.elapsed() < WallDuration::from_secs(5),
-            "dead session must fail fast"
-        );
+        scenario::budget_freeze(one_shard());
     }
 
-    /// An idle session (converged, no timer armed) burns no wakeups: the
-    /// executor is blocked in its one wait, so its loop counter stands still
-    /// until the next inject.
+    #[test]
+    fn peer_panic_propagates_to_the_controller() {
+        scenario::peer_panic(one_shard());
+    }
+
     #[test]
     fn idle_session_blocks_in_its_one_wait() {
-        let mut rt = AsyncRuntime::new(ping_pong_pair(), AsyncConfig::default());
-        for _ in 0..2 {
-            rt.inject(PeerId(0), Port(0), 10u64);
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
-            let loops = rt.ctl.shared.loop_iterations.load(Ordering::SeqCst);
-            let events = rt.events_processed();
-            std::thread::sleep(WallDuration::from_millis(30));
-            assert_eq!(
-                rt.ctl.shared.loop_iterations.load(Ordering::SeqCst),
-                loops,
-                "executor woke with nothing to do"
-            );
-            assert_eq!(rt.events_processed(), events);
+        for cfg in layouts() {
+            scenario::idle_between_phases(cfg);
         }
+    }
+
+    #[test]
+    fn empty_run_returns_immediately() {
+        let peers = vec![Counter {
+            forward_to: None,
+            seen: 0,
+        }];
+        let mut rt: ShardedRuntime<u64, Counter> = ShardedRuntime::new(peers, one_shard());
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
+        assert_eq!(rt.metrics_snapshot().total_msgs(), 0);
     }
 
     #[test]
@@ -876,37 +747,19 @@ mod tests {
                 net.set_timer(Duration::from_secs(30), 1);
             }
         }
-        let mut rt = AsyncRuntime::new(vec![T], AsyncConfig::default());
-        rt.inject(PeerId(0), Port(0), 0u64);
-        let out = rt.run(RunBudget {
-            max_wall: WallDuration::from_millis(50),
-            ..RunBudget::default()
-        });
-        assert!(matches!(out, RunOutcome::BudgetExceeded { .. }));
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::BudgetExceeded { .. }
-        ));
-    }
-
-    #[test]
-    fn peer_panic_propagates_to_the_controller() {
-        struct Bomb;
-        impl PeerNode<u64> for Bomb {
-            fn on_message(&mut self, _p: Port, m: u64, _net: &mut NetApi<u64>) {
-                if m == 13 {
-                    panic!("boom on 13");
-                }
-            }
+        for cfg in layouts() {
+            let mut rt = ShardedRuntime::new(vec![T, T], cfg);
+            rt.inject(PeerId(1), Port(0), 0u64);
+            let out = rt.run(RunBudget {
+                max_wall: WallDuration::from_millis(50),
+                ..RunBudget::default()
+            });
+            assert!(matches!(out, RunOutcome::BudgetExceeded { .. }));
+            assert!(matches!(
+                rt.run(RunBudget::default()),
+                RunOutcome::BudgetExceeded { .. }
+            ));
         }
-        let result = std::panic::catch_unwind(|| {
-            let mut rt = AsyncRuntime::new(vec![Bomb], AsyncConfig::default());
-            rt.inject(PeerId(0), Port(0), 13u64);
-            rt.run(RunBudget::default())
-        });
-        let err = result.expect_err("controller must re-panic");
-        let msg = panic_message(err);
-        assert!(msg.contains("boom on 13"), "got: {msg}");
     }
 
     #[test]
@@ -925,14 +778,11 @@ mod tests {
             }
         }
         let peers: Vec<T> = (0..4).map(|_| T { fired: 0 }).collect();
-        let mut rt = AsyncRuntime::new(peers, AsyncConfig::default());
+        let mut rt = ShardedRuntime::new(peers, one_shard());
         for p in 0..4 {
             rt.inject(PeerId(p), Port(0), 0u64);
         }
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         let mut total = 0;
         rt.for_each_peer(|_, t| total += t.fired);
         assert_eq!(total, 64);
@@ -941,7 +791,7 @@ mod tests {
     #[test]
     fn thousands_of_peers_on_one_core() {
         // The scale point a thread per peer cannot reach: 2000 peers as
-        // cooperative tasks on a single executor thread, passing a token
+        // state machines on a single executor thread, passing a token
         // down the whole chain.
         const N: u32 = 2000;
         let peers: Vec<Counter> = (0..N)
@@ -950,12 +800,9 @@ mod tests {
                 seen: 0,
             })
             .collect();
-        let mut rt = AsyncRuntime::new(peers, AsyncConfig::default());
+        let mut rt = ShardedRuntime::new(peers, one_shard());
         rt.inject(PeerId(0), Port(0), u64::from(N)); // hop budget > chain length
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         assert_eq!(rt.events_processed(), u64::from(N));
         assert_eq!(rt.metrics_snapshot().total_msgs(), u64::from(N) - 1);
         let mut seen = 0;

@@ -22,22 +22,22 @@
 //!   substrate implements (inject → run-to-quiescence → snapshot, honoring
 //!   [`RunBudget`]), plus [`RuntimeKind`] for drivers that select a
 //!   substrate at configuration time.
-//! * [`async_rt`] — the one concurrent event loop: peers are state
-//!   machines, one executor thread runs their quanta to completion from
-//!   per-peer inboxes and a FIFO ready queue, with an in-loop timer
-//!   min-heap, one unbounded ingress channel as the only way in from
-//!   another thread (and the loop's only blocking wait), peer-panic
-//!   propagation and multi-phase sessions, running the same [`PeerNode`]
-//!   logic as the DES — one core hosts thousands of peers. Timing is
-//!   wall-clock rather than modelled.
-//! * [`sharded`] — the composite runtime: the peer set partitioned across
-//!   several async shards (one executor thread each, pluggable
-//!   [`ShardAssignment`]); a cross-shard envelope is one send into the
-//!   destination shard's ingress, and the one shared in-flight counter
-//!   extends the quiescence/timer-fence contract globally — real OS-thread
-//!   parallelism, up to one peer per thread (`shards == peers`). With
-//!   [`TransportKind::Tcp`] the cross-shard seam becomes a real socket
-//!   (see [`tcp`]).
+//! * [`async_rt`] — the executor, the one concurrent event loop: peers
+//!   are state machines, one executor thread runs the quanta of the
+//!   (global) peers it hosts to completion from per-peer inboxes and a FIFO
+//!   ready queue, with an in-loop timer min-heap, one unbounded ingress
+//!   channel as the only way in from another thread (and the loop's only
+//!   blocking wait), and one place where a frame is routed — own inbox,
+//!   another shard's ingress, or its TCP link — running the same
+//!   [`PeerNode`] logic as the DES; one core hosts thousands of peers.
+//!   Timing is wall-clock rather than modelled.
+//! * [`sharded`] — the one concurrent [`Runtime`]: the peer set partitioned
+//!   across N executors (pluggable [`ShardAssignment`]; one shard is the
+//!   "async" runtime) behind one controller, whose single shared in-flight
+//!   counter extends the quiescence/timer-fence contract globally — real
+//!   OS-thread parallelism, up to one peer per thread (`shards == peers`).
+//!   With [`TransportKind::Tcp`] the cross-shard seam becomes a real
+//!   socket (see [`tcp`]).
 //! * [`tcp`] — the supervised TCP shard transport: length-framed,
 //!   CRC-checked loopback sockets between shards under per-link connection
 //!   supervision (reconnect with backoff + jitter, heartbeat failure
@@ -50,8 +50,8 @@
 //!   per-message while envelope counts expose the physical win.
 //! * [`fault`] — seeded fault injection at the transport seam: one
 //!   [`FaultPlan`] perturbs delivery timing (drop+retransmit, discarded
-//!   duplicates, jitter, stall windows) identically-keyed on every
-//!   substrate, exactly replayable on the DES, while preserving the
+//!   duplicates, jitter, stall windows, partitions) keyed on global peer
+//!   ids on every substrate, exactly replayable on the DES, while preserving the
 //!   reliable/exactly-once/FIFO channel contract the engine assumes.
 //!
 //! DESIGN.md: "Runtimes" is this crate's section — the session contract,
@@ -68,7 +68,7 @@ pub mod sharded;
 mod substrate_common;
 pub mod tcp;
 
-pub use async_rt::{AsyncConfig, AsyncRuntime};
+pub use async_rt::AsyncConfig;
 pub use coalesce::{coalesce, frames, Frame, FrameBody, Frames};
 pub use des::{NetApi, PeerNode, Simulator};
 pub use fault::{FaultDecision, FaultPlan, FaultStats};

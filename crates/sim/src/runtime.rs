@@ -11,15 +11,14 @@
 //!
 //! Implementations: the deterministic discrete-event
 //! [`Simulator`](crate::des::Simulator) (the oracle every test diffs
-//! against), the concurrent [`AsyncRuntime`](crate::async_rt::AsyncRuntime)
-//! (one run-to-completion event loop on one executor thread, thousands of
-//! peers per core), and the composite
-//! [`ShardedRuntime`](crate::sharded::ShardedRuntime) (peer-partitioned
-//! async shards behind one runtime, over in-process channels or TCP).
+//! against) and the concurrent
+//! [`ShardedRuntime`](crate::sharded::ShardedRuntime) (the peer set
+//! partitioned over N run-to-completion event loops, one executor thread
+//! each and thousands of peers per core, joined by in-process channels or
+//! TCP; one shard is the "async" runtime).
 
 use netrec_types::SimTime;
 
-use crate::async_rt::AsyncConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::NetMetrics;
 use crate::net::{PeerId, Port};
@@ -155,14 +154,12 @@ pub enum RuntimeKind {
     /// The deterministic discrete-event simulator (modelled latency,
     /// bandwidth, and CPU occupancy; reproducible convergence times).
     Des(DesConfig),
-    /// The async runtime (one event loop on a single executor thread
-    /// running each peer's quanta to completion — thousands of peers per
-    /// core; wall-clock timers) with its tuning knobs.
-    Async(AsyncConfig),
-    /// The sharded runtime: the peer set partitioned across several async
-    /// shards (one executor thread each) behind one composite runtime,
-    /// cross-shard envelopes sent straight into the destination shard's
-    /// ingress queue, in-process or over TCP.
+    /// The concurrent runtime: the peer set partitioned across one or more
+    /// shards — each an event loop on its own executor thread running its
+    /// peers' quanta to completion, thousands of peers per core, wall-clock
+    /// timers — behind one composite runtime, cross-shard envelopes sent
+    /// straight into the destination shard's ingress queue, in-process or
+    /// over TCP.
     Sharded(ShardedConfig),
 }
 
@@ -178,9 +175,10 @@ impl RuntimeKind {
         RuntimeKind::Des(DesConfig::default())
     }
 
-    /// Async event-loop runtime with default tuning.
+    /// The concurrent runtime on a single executor thread ("async"), with
+    /// default tuning.
     pub fn asynchronous() -> RuntimeKind {
-        RuntimeKind::Async(AsyncConfig::default())
+        RuntimeKind::sharded_async(1)
     }
 
     /// Sharded runtime with `shards` hash-assigned async shards and
@@ -196,13 +194,12 @@ impl RuntimeKind {
     }
 
     /// Install a seeded transport [`FaultPlan`] on whichever substrate this
-    /// kind denotes (builder style). For the sharded composite the plan
-    /// lands in the inner shard config, so same-shard and cross-shard
-    /// deliveries alike are perturbed by the receiving shard.
+    /// kind denotes (builder style). Decisions key on global peer ids
+    /// everywhere, so the plan picks the same peers and cuts the same links
+    /// on the DES and under every shard count and transport.
     pub fn with_fault(mut self, plan: FaultPlan) -> RuntimeKind {
         match &mut self {
             RuntimeKind::Des(cfg) => cfg.fault = Some(plan),
-            RuntimeKind::Async(cfg) => cfg.fault = Some(plan),
             RuntimeKind::Sharded(cfg) => cfg.shard.fault = Some(plan),
         }
         self
@@ -222,7 +219,6 @@ impl RuntimeKind {
         };
         match &mut self {
             RuntimeKind::Des(cfg) => strip(&mut cfg.fault),
-            RuntimeKind::Async(cfg) => strip(&mut cfg.fault),
             RuntimeKind::Sharded(cfg) => strip(&mut cfg.shard.fault),
         }
         self
@@ -232,7 +228,6 @@ impl RuntimeKind {
     pub fn label(&self) -> &'static str {
         match self {
             RuntimeKind::Des(_) => "des",
-            RuntimeKind::Async(_) => "async",
             RuntimeKind::Sharded(cfg) => cfg.label(),
         }
     }
@@ -244,7 +239,7 @@ impl RuntimeKind {
 /// # The session contract
 ///
 /// A `Runtime` is a long-lived **session** driven in **phases**; every
-/// substrate — deterministic simulation, the async event loop, shards —
+/// substrate — deterministic simulation, one event loop, many shards —
 /// must honor the same four clauses, which is what lets one
 /// generic driver (`netrec-engine`'s `Runner`) and one differential harness
 /// (`netrec_testutil::assert_substrates_agree`) cover them all:
@@ -289,13 +284,13 @@ impl RuntimeKind {
 ///
 /// # Example
 ///
-/// One token-passing session on the async substrate:
+/// One token-passing session on the concurrent substrate (one shard):
 /// inject → run-to-quiescence → snapshot, with a second phase continuing
 /// from the first phase's state and a timer held inside its phase by the
 /// fence.
 ///
 /// ```
-/// use netrec_sim::{AsyncConfig, AsyncRuntime, MsgMeta, NetApi, PeerNode};
+/// use netrec_sim::{MsgMeta, NetApi, PeerNode, ShardedConfig, ShardedRuntime};
 /// use netrec_sim::{PeerId, Port, RunBudget, RunOutcome, Runtime};
 /// use netrec_types::Duration;
 ///
@@ -320,7 +315,7 @@ impl RuntimeKind {
 ///     Relay { next: PeerId(1), fired: 0 },
 ///     Relay { next: PeerId(0), fired: 0 },
 /// ];
-/// let mut rt = AsyncRuntime::new(peers, AsyncConfig::default());
+/// let mut rt = ShardedRuntime::new(peers, ShardedConfig::with_shards(1));
 ///
 /// // Phase 1: inject at the frontier, run to global quiescence.
 /// rt.inject(PeerId(0), Port(0), 3);

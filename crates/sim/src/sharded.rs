@@ -1,20 +1,20 @@
-//! The sharded runtime: one composite [`Runtime`] over peer-partitioned
-//! inner shards — many peers per shard, many shards per box.
+//! The concurrent runtime: one composite [`Runtime`] over peer-partitioned
+//! executors — many peers per shard, many shards per box.
 //!
 //! A [`ShardedRuntime`] partitions the global peer set across N shards via
 //! a pluggable [`ShardAssignment`] (hash, contiguous blocks, or an explicit
-//! map); each shard is one async event loop
-//! ([`mod@crate::async_rt`]) — one executor thread running its peers'
-//! quanta to completion, thousands of peers per shard. (`shards == peers`
-//! with [`ShardAssignment::Contiguous`] is the thread-per-peer regime: one
-//! peer per executor thread.) Each peer is wrapped in a shard-local adapter
-//! that keeps the peer's *global* identity: same-shard traffic goes
-//! straight into the hosting executor's inboxes exactly as in the
-//! standalone runtime, and a cross-shard **envelope** (coalesced per
+//! map); each shard is one event loop ([`mod@crate::async_rt`]) — one
+//! executor thread running the quanta of the peers it hosts to completion,
+//! thousands of peers per shard. One shard is the "async" runtime
+//! ([`RuntimeKind::asynchronous`](crate::runtime::RuntimeKind::asynchronous));
+//! `shards == peers` with [`ShardAssignment::Contiguous`] is the
+//! thread-per-peer regime. Every executor speaks *global* peer ids and
+//! routes each frame itself, at one point: same-shard traffic goes straight
+//! into its own inboxes, and a cross-shard **envelope** (coalesced per
 //! quantum, see [`mod@crate::coalesce`]) is one send into the destination
-//! shard's unbounded ingress channel, made by the sending executor itself —
-//! the same send the controller's `inject` and the TCP receive handlers
-//! make. There is no relay and no controller hop.
+//! shard's unbounded ingress channel — the same send the controller's
+//! `inject` and the TCP receive handlers make. There is no adapter, no
+//! relay and no controller hop.
 //!
 //! Contract notes (DESIGN.md "Runtimes" has the full ledger):
 //!
@@ -35,16 +35,20 @@
 //! * **Deadlock freedom** — nothing waits for queue space anywhere: the
 //!   ingress channels and inboxes are unbounded, so neither an executor nor
 //!   the controller can block on a send.
-//! * **Budget / freeze** — [`RunBudget`] is honored at the composite level
+//! * **Budget / freeze** — the controller enforces [`RunBudget`]
 //!   (`max_events` over the shared event counter, `max_time` over
 //!   cumulative wall time spent inside `run`, `max_wall` per phase).
-//!   Exhaustion freezes every shard (one shared teardown flag); a frozen
-//!   session fails fast on later runs and never claims convergence. A peer
-//!   panic in any shard freezes all shards and re-panics from `run`.
-//! * **Metrics** — each shard accounts its peers' traffic in a shard-level
+//!   Exhaustion freezes every shard (one shared teardown flag; executor
+//!   threads joined, armed timers retired); a frozen session fails fast on
+//!   later runs and never claims convergence. A peer panic in any shard
+//!   freezes all shards and re-panics from `run`.
+//! * **Metrics** — each executor accounts what its peers send in its own
 //!   [`NetMetrics`] keyed by *global* peer ids; [`Runtime::metrics_snapshot`]
-//!   folds the shards with [`NetMetrics::merge`], and
+//!   folds them with [`NetMetrics::merge`], and
 //!   [`ShardedRuntime::shard_metrics`] exposes the per-shard breakdown.
+//! * **Faults** — the hooks sit in the executor and key on global peer
+//!   ids, so a [`FaultPlan`] picks the same peers and cuts the same links
+//!   under every shard count and transport.
 //!
 //! The cross-shard seam is where a socket goes: see [`TransportKind::Tcp`]
 //! and [`mod@crate::tcp`].
@@ -55,15 +59,15 @@ use std::sync::Arc;
 use netrec_types::SimTime;
 use parking_lot::Mutex;
 
-use crate::async_rt::{AsyncConfig, Ingress, Shard};
-use crate::coalesce::{frames, FrameBody};
-use crate::des::{NetApi, PeerNode};
+use crate::async_rt::{AsyncConfig, Ingress, Route, Shard, ShardMap};
+use crate::coalesce::FrameBody;
+use crate::des::PeerNode;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics::{MsgMeta, NetMetrics};
 use crate::net::{PeerId, Port};
 use crate::runtime::{RunBudget, RunOutcome, Runtime};
-use crate::substrate_common::{Controller, Shared};
-use crate::tcp::{LinkSenders, TcpConfig, TcpTransport, WireMsg};
+use crate::substrate_common::Controller;
+use crate::tcp::{TcpConfig, TcpTransport, WireMsg};
 
 /// Strategy for placing global peers onto shards.
 #[derive(Clone, Debug, PartialEq)]
@@ -129,16 +133,15 @@ pub enum TransportKind {
     Tcp(TcpConfig),
 }
 
-/// Tuning knobs for the sharded runtime.
+/// Tuning knobs for the concurrent runtime.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardedConfig {
-    /// Number of inner shards.
+    /// Number of shards (executor threads).
     pub shards: u32,
     /// Peer → shard placement.
     pub assignment: ShardAssignment,
-    /// Tuning for each inner shard (timer dilation, coalescing, fault
-    /// plan). The cross-shard transport follows the shard's `coalesce`
-    /// flag, so one flag governs the whole composite.
+    /// Tuning for each shard's executor (timer dilation, coalescing, fault
+    /// plan).
     pub shard: AsyncConfig,
     /// Physical cross-shard transport: in-process channels (default) or
     /// supervised loopback TCP.
@@ -171,19 +174,20 @@ impl ShardedConfig {
         self
     }
 
-    /// Enable or disable transport coalescing (builder style): sets the
-    /// inner shards' flag, which also governs the cross-shard transport.
+    /// Enable or disable transport coalescing (builder style).
     pub fn with_coalescing(mut self, on: bool) -> ShardedConfig {
         self.shard.coalesce = on;
         self
     }
 
-    /// Install a seeded transport fault schedule (builder style): sets the
-    /// inner shards' plan, so every delivery — same-shard and
-    /// cross-shard alike — passes through the receiving shard's fault hook.
-    /// Decisions are keyed on shard-*local* peer ids, so the same plan
-    /// lands on different envelopes under different shard counts: sweeping
-    /// topologies multiplies interleavings, which is the point.
+    /// Install a seeded transport fault schedule (builder style). Every
+    /// executor runs the plan at the same two hooks — a delivery is
+    /// perturbed where it is received, a partitioned send is held where it
+    /// is sent — and both key on *global* peer ids, so a plan picks the
+    /// same peers and cuts the same links whatever the shard count or
+    /// transport: a partition holds across shards and sockets exactly as it
+    /// does within one executor. (Which envelope a receive index lands on
+    /// still follows real scheduling — see [`mod@crate::fault`].)
     pub fn with_fault(mut self, plan: FaultPlan) -> ShardedConfig {
         self.shard.fault = Some(plan);
         self
@@ -201,202 +205,34 @@ impl ShardedConfig {
         self.with_transport(TransportKind::Tcp(TcpConfig::default()))
     }
 
-    /// Short substrate label for reports and bench entries.
+    /// Short substrate label for reports and bench entries; one shard
+    /// with nothing to cross is plain "async".
     pub fn label(&self) -> &'static str {
-        match self.transport {
-            TransportKind::Channel => "sharded-async",
-            TransportKind::Tcp(_) => "sharded-async-tcp",
+        match (&self.transport, self.shards) {
+            (TransportKind::Tcp(_), _) => "sharded-async-tcp",
+            (TransportKind::Channel, 0 | 1) => "async",
+            (TransportKind::Channel, _) => "sharded-async",
         }
     }
 }
 
-/// A cross-shard envelope queued for a TCP link: global destination plus
-/// the coalesced messages of one producing quantum bound for it (FIFO order
-/// preserved). One envelope = one in-flight count, one data frame, however
-/// many logical messages it carries.
-pub(crate) struct Envelope<M> {
-    pub(crate) to: PeerId,
-    pub(crate) msgs: FrameBody<M>,
-}
-
-/// Global peer → (shard, local index) placement, shared with the adapters.
-pub(crate) struct ShardMap {
-    shard_of: Vec<u32>,
-    local_of: Vec<u32>,
-}
-
-impl ShardMap {
-    pub(crate) fn locate(&self, p: PeerId) -> (usize, PeerId) {
-        (
-            self.shard_of[p.0 as usize] as usize,
-            PeerId(self.local_of[p.0 as usize]),
-        )
-    }
-}
-
-/// Shard-local wrapper keeping a peer's global identity: runs the inner
-/// node against a *global-id* [`NetApi`], then routes its outputs — local
-/// hand-offs and same-shard sends through the hosting shard, cross-shard
-/// sends into the destination shard's ingress (or its TCP link) — and
-/// re-arms its timers on the hosting shard's heap.
-pub struct ShardPeer<M, N> {
-    inner: N,
-    /// Global peer id.
-    me: PeerId,
-    my_shard: u32,
-    map: Arc<ShardMap>,
-    /// The composite-wide bookkeeping block every shard shares: one
-    /// in-flight counter covers same-shard and cross-shard traffic alike.
-    global: Arc<Shared>,
-    /// Every shard's ingress handle, indexed by shard.
-    ingress: Arc<Vec<Ingress<M>>>,
-    /// Shard-level traffic metrics keyed by global peer ids.
-    metrics: Arc<Mutex<NetMetrics>>,
-    /// Whether the composite coalesces (mirrors the hosting shard's flag so
-    /// cross-shard envelopes and envelope accounting match the physical
-    /// frames the hosting runtime actually ships).
-    coalesce: bool,
-    /// Cross-shard sends buffered across the enclosing quantum's relay
-    /// calls, flushed as per-destination envelopes at quantum end.
-    cross_buf: Vec<(PeerId, Port, M, MsgMeta)>,
-    /// (global destination, meta) of every same-shard remote send this
-    /// quantum, for envelope accounting: the hosting runtime coalesces the
-    /// physical frames, but records them in *local* ids into tables the
-    /// composite never snapshots — so the adapter mirrors the grouping in
-    /// global ids here.
-    same_shard_meta: Vec<(PeerId, Port, (), MsgMeta)>,
-    /// TCP mode: this shard's per-destination-shard envelope queues into
-    /// the supervised transport (`None` on the diagonal). `None` in
-    /// channel mode — cross-shard envelopes then go straight to `ingress`.
-    tcp_links: Option<LinkSenders<M>>,
-}
-
-impl<M: Send, N: PeerNode<M>> ShardPeer<M, N> {
-    /// Route one cross-shard envelope, already registered in the global
-    /// in-flight counter, from this executor thread — never blocking.
-    /// Channel mode: one send into the destination shard's ingress. TCP
-    /// mode: hand it to the destination link's supervisor — its ledger owns
-    /// delivery from here, across however many connection deaths it takes.
-    /// A closed queue means teardown: drop and retire.
-    fn route_cross(&self, to: PeerId, body: FrameBody<M>) {
-        let (shard, local) = self.map.locate(to);
-        match &self.tcp_links {
-            None => self.ingress[shard].deliver(local, body),
-            Some(links) => {
-                let link = links[shard].as_ref().expect("cross-shard link");
-                if link.send(Envelope { to, msgs: body }).is_err() {
-                    self.global.retire_one();
-                }
-            }
-        }
-    }
-
-    /// Run one inner callback and route its outputs. `net` is the *hosting
-    /// shard's* API (local peer ids); the inner node only ever sees global
-    /// ids. Same-shard sends flow into the hosting runtime's out-vector
-    /// (which coalesces them at quantum end); cross-shard sends buffer in
-    /// `cross_buf` until [`PeerNode::on_quantum_end`] flushes them as
-    /// per-destination envelopes — so both halves follow the same flush
-    /// rule and envelope accounting stays byte-identical to the DES.
-    fn relay(&mut self, net: &mut NetApi<M>, f: impl FnOnce(&mut N, &mut NetApi<M>)) {
-        let mut api = NetApi::fresh(net.now(), self.me);
-        f(&mut self.inner, &mut api);
-        let (out, timers) = api.into_parts();
-        if out.iter().any(|(to, ..)| *to != self.me) {
-            // One metrics lock per callback. Logical sends are recorded
-            // here; envelope records follow at
-            // quantum end, once the frame compositions are known.
-            let mut m = self.metrics.lock();
-            for (to, _, _, meta) in &out {
-                if *to != self.me {
-                    m.record_send(self.me, *to, *meta);
-                }
-            }
-        }
-        for (to, port, msg, meta) in out {
-            if to == self.me {
-                // Local operator hand-off: free, stays on this worker.
-                net.send(net.me(), port, msg, meta);
-            } else {
-                let (shard, local) = self.map.locate(to);
-                if shard == self.my_shard as usize {
-                    self.same_shard_meta.push((to, port, (), meta));
-                    net.send(local, port, msg, meta);
-                } else {
-                    self.cross_buf.push((to, port, msg, meta));
-                }
-            }
-        }
-        for (delay, id) in timers {
-            net.set_timer(delay, id);
-        }
-    }
-}
-
-impl<M: Send, N: PeerNode<M>> PeerNode<M> for ShardPeer<M, N> {
-    fn on_message(&mut self, port: Port, msg: M, net: &mut NetApi<M>) {
-        self.relay(net, |inner, api| inner.on_message(port, msg, api));
-    }
-
-    fn on_timer(&mut self, id: u64, net: &mut NetApi<M>) {
-        self.relay(net, |inner, api| inner.on_timer(id, api));
-    }
-
-    /// Quantum end: forward the hook to the wrapped node first (so an
-    /// inner peer's own quantum-end sends join this quantum's frames), then
-    /// flush the buffered cross-shard sends as one envelope per destination
-    /// (the same flush rule the hosting runtime applies to the same-shard
-    /// sends in `net`'s out-vector), and mirror the same-shard frame
-    /// grouping into the shard-level envelope metrics.
-    fn on_quantum_end(&mut self, net: &mut NetApi<M>) {
-        self.relay(net, |inner, api| inner.on_quantum_end(api));
-        if !self.same_shard_meta.is_empty() {
-            let groups = frames(std::mem::take(&mut self.same_shard_meta), self.coalesce);
-            let mut m = self.metrics.lock();
-            for g in groups {
-                m.record_envelope(self.me, g.to, g.envelope_meta());
-            }
-        }
-        if self.cross_buf.is_empty() {
-            return;
-        }
-        let flush = frames(std::mem::take(&mut self.cross_buf), self.coalesce);
-        {
-            let mut m = self.metrics.lock();
-            for frame in flush.as_slice() {
-                m.record_envelope(self.me, frame.to, frame.envelope_meta());
-            }
-        }
-        for frame in flush {
-            // One global in-flight count per envelope, registered before
-            // this quantum (whose own count is still held) retires — the
-            // composite's single-counter register-before-retire invariant.
-            self.global.in_flight.fetch_add(1, Ordering::SeqCst);
-            let to = frame.to;
-            self.route_cross(to, frame.into_body());
-        }
-    }
-}
-
-/// A live sharded session over `N` peers behind one [`Runtime`]. Create
+/// A live concurrent session over `N` peers behind one [`Runtime`]. Create
 /// with [`ShardedRuntime::new`] and drive through the trait.
 pub struct ShardedRuntime<M, N> {
-    /// One executor per shard, hosting that shard's [`ShardPeer`]s.
-    shards: Vec<Shard<M, ShardPeer<M, N>>>,
+    /// One executor per shard.
+    shards: Vec<Shard<M>>,
+    /// Every peer, indexed by global id; each is also held by the executor
+    /// hosting it, which is the only thread to touch it during a phase.
+    nodes: Vec<Arc<Mutex<N>>>,
     map: Arc<ShardMap>,
-    /// Every shard's ingress handle, indexed by shard (the adapters hold
-    /// the same vector).
-    ingress: Arc<Vec<Ingress<M>>>,
     /// The one controller, whose bookkeeping block every shard shares: a
     /// single in-flight counter (quiescence = one atomic load), a single
     /// event counter, one teardown flag, one panic slot.
     ctl: Controller,
-    shard_metrics: Vec<Arc<Mutex<NetMetrics>>>,
     cfg: ShardedConfig,
-    peers_total: u32,
     /// The supervised TCP transport in [`TransportKind::Tcp`] mode
     /// (`None` in channel mode); joined at teardown.
-    tcp: Option<TcpTransport<M>>,
+    tcp: Option<TcpTransport>,
 }
 
 impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N> {
@@ -405,83 +241,73 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
     /// [`TransportKind::Tcp`] mode this also binds one loopback listener
     /// per shard and spawns the per-link connection supervisors.
     pub fn new(peers: Vec<N>, cfg: ShardedConfig) -> ShardedRuntime<M, N> {
-        let n = peers.len();
+        let n = peers.len() as u32;
         let shards_n = cfg.shards.max(1);
         if let ShardAssignment::Explicit(map) = &cfg.assignment {
-            assert_eq!(map.len(), n, "explicit shard map must cover every peer");
+            assert_eq!(
+                map.len(),
+                peers.len(),
+                "explicit shard map must cover every peer"
+            );
         }
-        let mut shard_of = Vec::with_capacity(n);
-        let mut local_of = Vec::with_capacity(n);
-        let mut sizes = vec![0u32; shards_n as usize];
-        for p in 0..n {
-            let s = cfg
-                .assignment
-                .shard_of(PeerId(p as u32), n as u32, shards_n);
-            shard_of.push(s);
-            local_of.push(sizes[s as usize]);
-            sizes[s as usize] += 1;
-        }
-        let map = Arc::new(ShardMap { shard_of, local_of });
-        let ctl = Controller::new(cfg.shard.fault.map_or(0, |p| p.crash_at_event));
-        // The ingress channels come first: every adapter (and TCP receive
-        // handler) holds the sending halves, each executor its receiver.
-        let (ingress, lanes): (Vec<_>, Vec<_>) =
-            (0..shards_n).map(|_| Ingress::channel(&ctl.shared)).unzip();
-        let ingress = Arc::new(ingress);
-        let shard_metrics: Vec<Arc<Mutex<NetMetrics>>> = (0..shards_n)
-            .map(|_| Arc::new(Mutex::new(NetMetrics::new(n as u32))))
+        let shard_of = (0..n)
+            .map(|p| cfg.assignment.shard_of(PeerId(p), n, shards_n))
             .collect();
+        let map = Arc::new(ShardMap::new(shard_of, shards_n));
+        let ctl = Controller::new(cfg.shard.fault.map_or(0, |p| p.crash_at_event));
+        // The ingress channels come first: every other executor (or TCP
+        // receive handler) holds the sending halves, each executor its
+        // receiver.
+        let lanes: Vec<_> = (0..shards_n)
+            .map(|_| Ingress::channel(&ctl.shared))
+            .collect();
+        let ingress: Vec<Ingress<M>> = lanes.iter().map(|(tx, _)| tx.clone()).collect();
         // TCP mode: bind listeners and spawn the supervised links now, so
-        // the adapters below can hold their shard's sender row.
-        let tcp = match &cfg.transport {
-            TransportKind::Channel => None,
-            TransportKind::Tcp(tcp_cfg) => Some(
-                TcpTransport::new(
+        // each executor's route table can hold its shard's link queues.
+        let (tcp, mut links) = match &cfg.transport {
+            TransportKind::Channel => (None, None),
+            TransportKind::Tcp(tcp_cfg) => {
+                let (tcp, links) = TcpTransport::new(
                     tcp_cfg,
                     cfg.shard.fault,
                     Arc::clone(&map),
                     &ingress,
                     Arc::clone(&ctl.shared),
                 )
-                .expect("bind loopback TCP shard transport"),
-            ),
+                .expect("bind loopback TCP shard transport");
+                (Some(tcp), Some(links))
+            }
         };
 
-        let mut buckets: Vec<Vec<ShardPeer<M, N>>> = (0..shards_n)
-            .map(|s| Vec::with_capacity(sizes[s as usize] as usize))
-            .collect();
-        for (p, inner) in peers.into_iter().enumerate() {
-            let s = map.shard_of[p] as usize;
-            buckets[s].push(ShardPeer {
-                inner,
-                me: PeerId(p as u32),
-                my_shard: s as u32,
-                map: Arc::clone(&map),
-                global: Arc::clone(&ctl.shared),
-                ingress: Arc::clone(&ingress),
-                metrics: Arc::clone(&shard_metrics[s]),
-                coalesce: cfg.shard.coalesce,
-                cross_buf: Vec::new(),
-                same_shard_meta: Vec::new(),
-                tcp_links: tcp.as_ref().map(|t| Arc::clone(&t.senders[s])),
-            });
+        let nodes: Vec<Arc<Mutex<N>>> =
+            peers.into_iter().map(|p| Arc::new(Mutex::new(p))).collect();
+        let mut hosted: Vec<Vec<(PeerId, Arc<Mutex<N>>)>> =
+            (0..shards_n).map(|_| Vec::new()).collect();
+        for (p, node) in (0..n).map(PeerId).zip(&nodes) {
+            let shard = map.shard_of(p).expect("assigned above");
+            hosted[shard as usize].push((p, Arc::clone(node)));
         }
-        // Shard-hosted executors skip their own metrics recording: their
-        // tables are keyed by shard-local ids and never snapshotted — the
-        // adapters account traffic in global ids instead.
-        let shards = buckets
+        let shards = hosted
             .into_iter()
-            .zip(ingress.iter().cloned().zip(lanes))
-            .map(|(nodes, lane)| Shard::spawn(nodes, &cfg.shard, &ctl, lane, false))
+            .zip(lanes)
+            .enumerate()
+            .map(|(from, (peers, lane))| {
+                let routes = (0..shards_n as usize)
+                    .map(|to| match &mut links {
+                        _ if to == from => Route::Local,
+                        None => Route::Ingress(ingress[to].clone()),
+                        Some(links) => Route::Tcp(links[from][to].take().expect("link queue")),
+                    })
+                    .collect();
+                Shard::spawn(peers, &map, routes, lane, &cfg.shard, &ctl)
+            })
             .collect();
         ShardedRuntime {
             shards,
+            nodes,
             map,
-            ingress,
             ctl,
-            shard_metrics,
             cfg,
-            peers_total: n as u32,
             tcp,
         }
     }
@@ -493,16 +319,16 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
 
     /// The shard hosting a global peer.
     pub fn shard_of_peer(&self, p: PeerId) -> u32 {
-        self.map.shard_of[p.0 as usize]
+        self.map.shard_of(p).expect("peer id in range")
     }
 
-    /// Per-shard traffic breakdown (each matrix keyed by global peer ids;
-    /// folding them with [`NetMetrics::merge`] yields
-    /// [`Runtime::metrics_snapshot`]).
+    /// Per-shard traffic breakdown: what each shard's peers sent, each
+    /// table keyed by global peer ids (folding them with
+    /// [`NetMetrics::merge`] yields [`Runtime::metrics_snapshot`]).
     pub fn shard_metrics(&self) -> Vec<NetMetrics> {
-        self.shard_metrics
+        self.shards
             .iter()
-            .map(|m| m.lock().clone())
+            .map(|s| s.metrics.lock().clone())
             .collect()
     }
 
@@ -564,8 +390,10 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Sh
 
     fn inject(&mut self, to: PeerId, port: Port, msg: M) {
         self.ctl.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let (shard, local) = self.map.locate(to);
-        self.ingress[shard].deliver(local, FrameBody::One((port, msg, MsgMeta::default())));
+        let body = FrameBody::One((port, msg, MsgMeta::default()));
+        self.shards[self.shard_of_peer(to) as usize]
+            .ingress
+            .deliver(to, body);
     }
 
     fn run(&mut self, budget: RunBudget) -> RunOutcome {
@@ -577,9 +405,9 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Sh
     }
 
     fn metrics_snapshot(&self) -> NetMetrics {
-        let mut total = NetMetrics::new(self.peers_total);
-        for shard in &self.shard_metrics {
-            total.merge(&shard.lock());
+        let mut total = NetMetrics::new(self.peer_count());
+        for shard in &self.shards {
+            total.merge(&shard.metrics.lock());
         }
         total
     }
@@ -593,41 +421,48 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> Runtime<M, N> for Sh
     }
 
     fn peer_count(&self) -> u32 {
-        self.peers_total
+        self.nodes.len() as u32
     }
 
     fn with_peer<T>(&self, p: PeerId, f: impl FnOnce(&N) -> T) -> T {
-        let (shard, local) = self.map.locate(p);
-        self.shards[shard].with_peer(local, |sp| f(&sp.inner))
+        f(&self.nodes[p.0 as usize].lock())
     }
 
     fn for_each_peer(&self, mut f: impl FnMut(PeerId, &N)) {
-        for p in 0..self.peers_total {
-            self.with_peer(PeerId(p), |n| f(PeerId(p), n));
+        for (p, node) in (0..).map(PeerId).zip(&self.nodes) {
+            f(p, &node.lock());
         }
     }
 
     fn with_peer_mut<T>(&mut self, p: PeerId, f: impl FnOnce(&mut N) -> T) -> T {
-        let (shard, local) = self.map.locate(p);
-        self.shards[shard].with_peer_mut(local, |sp| f(&mut sp.inner))
+        f(&mut self.nodes[p.0 as usize].lock())
     }
 
     fn for_each_peer_mut(&mut self, mut f: impl FnMut(PeerId, &mut N)) {
         // Global-id order: drivers folding per-peer serving deltas see one
         // coherent global sequence regardless of shard layout.
-        for p in 0..self.peers_total {
-            self.with_peer_mut(PeerId(p), |n| f(PeerId(p), n));
+        for (p, node) in (0..).map(PeerId).zip(&self.nodes) {
+            f(p, &mut node.lock());
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! Every behaviour once: the shard-agnostic scenarios are `pub(crate)`
+    //! functions of a [`ShardedConfig`], run here across a shard boundary
+    //! and by `async_rt::tests` on one shard.
+
     use super::*;
-    use crate::metrics::MsgMeta;
+    use crate::des::NetApi;
     use crate::substrate_common::fixtures::{ping_pong_pair, Burst, Counter};
+    use crate::substrate_common::panic_message;
     use netrec_types::Duration;
     use std::time::{Duration as WallDuration, Instant};
+
+    pub(crate) fn one_shard() -> ShardedConfig {
+        ShardedConfig::with_shards(1)
+    }
 
     fn split_pair() -> ShardedConfig {
         // Peer 0 on shard 0, peer 1 on shard 1: every forward crosses.
@@ -638,19 +473,40 @@ mod tests {
         split_pair().with_tcp()
     }
 
-    #[test]
-    fn cross_shard_ping_pong_terminates_with_exact_metrics() {
-        let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair());
+    /// Two-peer layouts: everything on one executor, and split so that
+    /// every forward crosses.
+    pub(crate) fn layouts() -> [ShardedConfig; 2] {
+        [one_shard(), split_pair()]
+    }
+
+    /// Bounces a message between peers 0 and 1 forever.
+    struct Loop;
+    impl PeerNode<u64> for Loop {
+        fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
+            let other = PeerId(1 - net.me().0);
+            net.send(other, Port(0), m, MsgMeta::default());
+        }
+    }
+
+    /// An idle session burns no wakeups: every executor is blocked in its
+    /// one wait, so the loop counter stands still.
+    fn assert_idle<M, N>(rt: &ShardedRuntime<M, N>, what: &str) {
+        let loops = rt.ctl.shared.loop_iterations.load(Ordering::SeqCst);
+        std::thread::sleep(WallDuration::from_millis(30));
+        let after = rt.ctl.shared.loop_iterations.load(Ordering::SeqCst);
+        assert_eq!(after, loops, "{what}");
+    }
+
+    pub(crate) fn ping_pong_exact(cfg: ShardedConfig) {
+        let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
         rt.inject(PeerId(0), Port(0), 10u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         let m = rt.metrics_snapshot();
         assert_eq!(m.total_msgs(), 10);
         assert_eq!(m.total_bytes(), 100);
         assert_eq!(m.per_peer[0].msgs_sent, 5);
         assert_eq!(m.per_peer[1].msgs_sent, 5);
+        assert_eq!(rt.events_processed(), 11);
         assert_eq!(rt.pending_events(), 0);
         let mut seen = 0;
         rt.for_each_peer(|_, c| seen += c.seen);
@@ -658,18 +514,20 @@ mod tests {
     }
 
     #[test]
-    fn timer_arms_across_shard_boundary_inside_the_phase() {
+    fn cross_shard_ping_pong_terminates_with_exact_metrics() {
+        ping_pong_exact(split_pair());
+    }
+
+    /// The timer fence: peer 0 pokes peer 1, which arms a timer; quiescence
+    /// must wait for it, wherever peer 1 lives.
+    pub(crate) fn timer_fence(cfg: ShardedConfig) {
         struct T {
             fired: bool,
-            poke: Option<PeerId>,
         }
         impl PeerNode<u64> for T {
             fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
                 if m == 1 {
-                    // Forward across the shard boundary; the receiver arms.
-                    if let Some(to) = self.poke {
-                        net.send(to, Port(0), 2, MsgMeta::default());
-                    }
+                    net.send(PeerId(1), Port(0), 2, MsgMeta::default());
                 } else {
                     net.set_timer(Duration::from_millis(30), 9);
                 }
@@ -679,65 +537,56 @@ mod tests {
                 self.fired = true;
             }
         }
-        let peers = vec![
-            T {
-                fired: false,
-                poke: Some(PeerId(1)),
-            },
-            T {
-                fired: false,
-                poke: None,
-            },
-        ];
-        let mut rt = ShardedRuntime::new(peers, split_pair());
+        let peers = vec![T { fired: false }, T { fired: false }];
+        let mut rt = ShardedRuntime::new(peers, cfg);
         rt.inject(PeerId(0), Port(0), 1u64);
-        let out = rt.run(RunBudget::default());
-        // The global fence: convergence waits for the remote shard's timer.
-        assert!(matches!(out, RunOutcome::Converged { .. }));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         assert!(rt.with_peer(PeerId(1), |t| t.fired));
+        assert_eq!(rt.events_processed(), 3, "inject, poke, timer");
+        assert_eq!(rt.pending_events(), 0);
     }
 
     #[test]
-    fn multi_phase_state_and_metrics_accumulate() {
-        let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair());
+    fn timer_arms_across_shard_boundary_inside_the_phase() {
+        timer_fence(split_pair());
+    }
+
+    pub(crate) fn multi_phase(cfg: ShardedConfig) {
+        let shards = cfg.shards as usize;
+        let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
         rt.inject(PeerId(0), Port(0), 4u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         assert_eq!(rt.metrics_snapshot().total_msgs(), 4);
         rt.inject(PeerId(1), Port(0), 3u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
-        assert_eq!(rt.metrics_snapshot().total_msgs(), 7);
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
+        assert_eq!(rt.metrics_snapshot().total_msgs(), 7, "cumulative");
+        let mut seen = 0;
+        rt.for_each_peer(|_, c| seen += c.seen);
+        assert_eq!(seen, 5 + 4);
         let breakdown = rt.shard_metrics();
-        assert_eq!(breakdown.len(), 2);
+        assert_eq!(breakdown.len(), shards);
         let folded: u64 = breakdown.iter().map(|m| m.total_msgs()).sum();
         assert_eq!(folded, 7, "shard breakdown folds to the total");
     }
 
     #[test]
-    fn budget_exceeded_freezes_every_shard_and_fails_fast() {
-        struct Loop;
-        impl PeerNode<u64> for Loop {
-            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
-                // Bounce between the two peers (cross-shard) forever.
-                let other = PeerId(1 - net.me().0);
-                net.send(other, Port(0), m, MsgMeta::default());
-            }
-        }
-        let mut rt = ShardedRuntime::new(vec![Loop, Loop], split_pair());
+    fn multi_phase_state_and_metrics_accumulate() {
+        multi_phase(split_pair());
+    }
+
+    pub(crate) fn budget_freeze(cfg: ShardedConfig) {
+        let mut rt = ShardedRuntime::new(vec![Loop, Loop], cfg);
         rt.inject(PeerId(0), Port(0), 0u64);
         let out = rt.run(RunBudget {
             max_wall: WallDuration::from_millis(50),
             ..RunBudget::default()
         });
-        assert!(matches!(out, RunOutcome::BudgetExceeded { .. }));
+        assert!(matches!(out, RunOutcome::BudgetExceeded { pending, .. } if pending >= 1));
+        // The session is frozen at budget exhaustion: snapshots are stable
+        // and every executor's loop has stopped turning.
         let e1 = rt.events_processed();
-        std::thread::sleep(WallDuration::from_millis(20));
-        assert_eq!(rt.events_processed(), e1, "workers stopped");
+        assert_idle(&rt, "a frozen executor kept turning");
+        assert_eq!(rt.events_processed(), e1, "executors stopped");
         let t0 = Instant::now();
         assert!(matches!(
             rt.run(RunBudget::default()),
@@ -750,7 +599,11 @@ mod tests {
     }
 
     #[test]
-    fn peer_panic_in_one_shard_propagates_from_the_composite() {
+    fn budget_exceeded_freezes_every_shard_and_fails_fast() {
+        budget_freeze(split_pair());
+    }
+
+    pub(crate) fn peer_panic(cfg: ShardedConfig) {
         struct Bomb;
         impl PeerNode<u64> for Bomb {
             fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
@@ -761,33 +614,37 @@ mod tests {
             }
         }
         let result = std::panic::catch_unwind(|| {
-            let mut rt = ShardedRuntime::new(vec![Bomb, Bomb], split_pair());
+            let mut rt = ShardedRuntime::new(vec![Bomb, Bomb], cfg);
             rt.inject(PeerId(0), Port(0), 13u64);
             rt.run(RunBudget::default())
         });
-        let err = result.expect_err("composite must re-panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        let msg = panic_message(result.expect_err("controller must re-panic"));
         assert!(msg.contains("boom on 13"), "got: {msg}");
     }
 
-    /// 500 cross-shard singleton envelopes (coalescing off) from one
-    /// quantum, all queued on the destination shard's ingress at once, and
-    /// their echoes queued on the sender's: exact counts both ways. (The
-    /// name is pinned by the test floor.)
     #[test]
-    fn tiny_transport_capacity_still_completes() {
-        let cfg = split_pair().with_coalescing(false);
-        let mut rt = ShardedRuntime::new(Burst::pair(500, true), cfg);
+    fn peer_panic_in_one_shard_propagates_from_the_composite() {
+        peer_panic(split_pair());
+    }
+
+    /// 500 singleton envelopes (coalescing off) from one quantum, all
+    /// queued on the destination at once, and their echoes queued on the
+    /// sender: exact counts both ways.
+    pub(crate) fn burst_500(cfg: ShardedConfig) {
+        let mut rt = ShardedRuntime::new(Burst::pair(500, true), cfg.with_coalescing(false));
         rt.inject(PeerId(0), Port(0), 0u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         let got = rt.with_peer(PeerId(1), Burst::got);
         assert_eq!(got, (0..500).collect::<Vec<_>>(), "per-channel FIFO");
         assert_eq!(rt.events_processed(), 1 + 500 + 500, "spray, burst, echoes");
         assert_eq!(rt.metrics_snapshot().total_envelopes(), 1000);
         assert_eq!(rt.pending_events(), 0);
+    }
+
+    /// (The name is pinned by the test floor.)
+    #[test]
+    fn tiny_transport_capacity_still_completes() {
+        burst_500(split_pair());
     }
 
     /// Per-channel FIFO and exactly-once under fan-in: on 3 shards with
@@ -855,10 +712,7 @@ mod tests {
             for p in 0..PEERS {
                 rt.inject(PeerId(p), Port(0), 0);
             }
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
+            assert!(rt.run(RunBudget::default()).converged_at().is_some());
             rt.for_each_peer(|p, s| {
                 assert_eq!(s.sent, ROUNDS, "peer {}", p.0);
                 for (from, &got) in s.next_from.iter().enumerate() {
@@ -870,58 +724,77 @@ mod tests {
             assert_eq!(rt.metrics_snapshot().total_envelopes(), envelopes);
             assert_eq!(rt.events_processed(), u64::from(PEERS) + envelopes);
             assert_eq!(rt.pending_events(), 0);
-            // Converged and idle: every executor is blocked in its one wait.
-            let loops = rt.ctl.shared.loop_iterations.load(Ordering::SeqCst);
-            std::thread::sleep(WallDuration::from_millis(30));
-            assert_eq!(
-                rt.ctl.shared.loop_iterations.load(Ordering::SeqCst),
-                loops,
-                "an idle executor woke"
-            );
+            assert_idle(&rt, "an idle executor woke");
         }
     }
 
-    /// A one-quantum cross-shard burst crosses the shard boundary as ONE
-    /// envelope (one ingress send, one in-flight count), split back in
-    /// FIFO order inside the destination shard — and the shard-level
-    /// metrics (global peer ids) account it as one envelope over N logical
-    /// messages, exactly like the standalone substrates.
-    #[test]
-    fn cross_shard_burst_coalesces_into_one_envelope() {
+    /// A one-quantum burst ships as ONE envelope (one inbox item or ingress
+    /// send, one in-flight count), split back in FIFO order at the
+    /// destination, and is accounted as one envelope over N logical
+    /// messages; toggled off, every message pays its own envelope.
+    pub(crate) fn burst_coalesces(cfg: ShardedConfig) {
         let run = |cfg: ShardedConfig| {
             let mut rt = ShardedRuntime::new(Burst::pair(200, false), cfg);
             rt.inject(PeerId(0), Port(0), 0u64);
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
+            assert!(rt.run(RunBudget::default()).converged_at().is_some());
+            assert_eq!(rt.events_processed(), 201, "logical events: inject + 200");
             (rt.metrics_snapshot(), rt.with_peer(PeerId(1), Burst::got))
         };
-        let (on, got) = run(split_pair());
+        assert!(cfg.shard.coalesce, "coalescing defaults on");
+        let (on, got) = run(cfg.clone());
         assert_eq!(on.total_msgs(), 200, "logical count is per message");
         assert_eq!(on.total_envelopes(), 1, "one transport envelope");
         assert!(on.total_envelope_bytes() > on.total_bytes(), "frame header");
         assert_eq!(got, (0..200).collect::<Vec<_>>(), "FIFO within the frame");
-        // Toggled off via the builder, every message pays its own envelope.
-        let (off, got_off) = run(split_pair().with_coalescing(false));
+        let (off, got_off) = run(cfg.with_coalescing(false));
         assert_eq!(off.logical(), on.logical());
         assert_eq!(off.total_envelopes(), 200);
         assert_eq!(got_off, got);
     }
 
+    #[test]
+    fn cross_shard_burst_coalesces_into_one_envelope() {
+        burst_coalesces(split_pair());
+    }
+
+    /// The partition hook sits at the one routing point, keyed on global
+    /// ids: a cut between two peers holds whether the link between them is
+    /// an inbox, an ingress channel or a socket — timing only, so the
+    /// metrics equal the clean run's.
+    #[test]
+    fn partition_cuts_cross_shard_links() {
+        let seed = (0..)
+            .find(|&seed| {
+                let plan = FaultPlan::partition(seed, 0, 50_000);
+                plan.partition_side(PeerId(0)) != plan.partition_side(PeerId(1))
+            })
+            .expect("some seed separates two peers");
+        let run = |cfg: ShardedConfig| {
+            let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
+            rt.inject(PeerId(0), Port(0), 10u64);
+            assert!(rt.run(RunBudget::default()).converged_at().is_some());
+            (rt.metrics_snapshot(), rt.fault_stats())
+        };
+        for cfg in [one_shard(), split_pair(), split_pair_tcp()] {
+            assert_eq!(cfg.shard.time_dilation, 1.0);
+            let label = cfg.label();
+            let (clean, _) = run(cfg.clone());
+            let (cut, stats) = run(cfg.with_fault(FaultPlan::partition(seed, 0, 50_000)));
+            assert_eq!(cut, clean, "{label}: a partition is timing-only");
+            assert!(stats.partition_deferrals > 0, "{label}: {stats:?}");
+        }
+    }
+
     /// The TCP transport is byte-identical to the in-process channel at
-    /// the metrics level: logical sends are recorded sender-side and
-    /// envelope records at quantum-end flush, both *before* the physical
-    /// transport, so swapping the socket in changes no number.
+    /// the metrics level: every frame is recorded by its sending executor
+    /// *before* the physical transport, so swapping the socket in changes
+    /// no number.
     #[test]
     fn tcp_transport_matches_channel_metrics_exactly() {
         let run = |cfg: ShardedConfig| {
             let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
             rt.inject(PeerId(0), Port(0), 10u64);
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
+            assert!(rt.run(RunBudget::default()).converged_at().is_some());
             assert_eq!(rt.pending_events(), 0);
             let mut seen = 0;
             rt.for_each_peer(|_, c| seen += c.seen);
@@ -936,10 +809,7 @@ mod tests {
         let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair_tcp());
         assert_eq!(Runtime::<u64, Counter>::name(&rt), "sharded-async-tcp");
         rt.inject(PeerId(0), Port(0), 4u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         let states = rt.tcp_link_states().expect("tcp mode");
         assert_eq!(states.len(), 4, "2x2 directed link matrix");
         // Both off-diagonal links carried traffic and are established.
@@ -949,6 +819,8 @@ mod tests {
         let chan = ShardedRuntime::<u64, Counter>::new(ping_pong_pair(), split_pair());
         assert_eq!(Runtime::<u64, Counter>::name(&chan), "sharded-async");
         assert!(chan.tcp_link_states().is_none());
+        let one = ShardedRuntime::<u64, Counter>::new(ping_pong_pair(), one_shard());
+        assert_eq!(Runtime::<u64, Counter>::name(&one), "async");
     }
 
     /// Seeded socket faults (connection kills, torn frames, accept
@@ -960,10 +832,7 @@ mod tests {
         let clean = {
             let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair_tcp());
             rt.inject(PeerId(0), Port(0), 60u64);
-            assert!(matches!(
-                rt.run(RunBudget::default()),
-                RunOutcome::Converged { .. }
-            ));
+            assert!(rt.run(RunBudget::default()).converged_at().is_some());
             rt.metrics_snapshot()
         };
         let mut supervision = FaultStats::default();
@@ -972,7 +841,7 @@ mod tests {
             let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
             rt.inject(PeerId(0), Port(0), 60u64);
             assert!(
-                matches!(rt.run(RunBudget::default()), RunOutcome::Converged { .. }),
+                rt.run(RunBudget::default()).converged_at().is_some(),
                 "seed {seed} did not converge"
             );
             assert_eq!(rt.pending_events(), 0, "seed {seed}");
@@ -1042,24 +911,15 @@ mod tests {
     fn peer_restore_at_a_boundary_keeps_quiescence() {
         let mut rt = ShardedRuntime::new(ping_pong_pair(), split_pair());
         rt.inject(PeerId(0), Port(0), 6u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         rt.for_each_peer_mut(|_, c| c.seen = 0);
         rt.with_peer_mut(PeerId(1), |c| c.seen = 100);
         assert_eq!(rt.pending_events(), 0, "restore must not register events");
         // The next phase starts from the restored state and still
         // detects quiescence exactly.
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         rt.inject(PeerId(1), Port(0), 3u64);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         let mut seen = 0;
         rt.for_each_peer(|_, c| seen += c.seen);
         assert_eq!(seen, 100 + 4);
@@ -1067,27 +927,35 @@ mod tests {
 
     #[test]
     fn crash_fault_tears_down_and_later_runs_stay_crashed() {
-        struct Loop;
-        impl PeerNode<u64> for Loop {
-            fn on_message(&mut self, _p: Port, m: u64, net: &mut NetApi<u64>) {
-                let other = PeerId(1 - net.me().0);
-                net.send(other, Port(0), m, MsgMeta::default());
-            }
+        for cfg in layouts() {
+            let cfg = cfg.with_fault(FaultPlan::crash_at(50));
+            let mut rt = ShardedRuntime::new(vec![Loop, Loop], cfg);
+            rt.inject(PeerId(0), Port(0), 0u64);
+            let out = rt.run(RunBudget::default());
+            assert!(out.crashed(), "got {out:?}");
+            assert_eq!(out.converged_at(), None);
+            // The session is frozen: snapshots are stable.
+            let e1 = rt.events_processed();
+            assert!(e1 >= 50);
+            std::thread::sleep(WallDuration::from_millis(20));
+            assert_eq!(rt.events_processed(), e1, "executors stopped");
+            // A crashed session keeps reporting Crashed — never budget
+            // exhaustion, never convergence.
+            assert!(rt.run(RunBudget::default()).crashed());
         }
-        let cfg = split_pair().with_fault(FaultPlan::crash_at(50));
-        let mut rt = ShardedRuntime::new(vec![Loop, Loop], cfg);
-        rt.inject(PeerId(0), Port(0), 0u64);
-        let out = rt.run(RunBudget::default());
-        assert!(out.crashed(), "got {out:?}");
-        assert_eq!(out.converged_at(), None);
-        // The session is frozen: snapshots are stable.
-        let e1 = rt.events_processed();
-        assert!(e1 >= 50);
-        std::thread::sleep(WallDuration::from_millis(20));
-        assert_eq!(rt.events_processed(), e1, "workers stopped");
-        // A crashed session keeps reporting Crashed — never budget
-        // exhaustion, never convergence.
-        assert!(rt.run(RunBudget::default()).crashed());
+    }
+
+    /// An idle session (converged, no timer armed) burns no wakeups until
+    /// the next inject.
+    pub(crate) fn idle_between_phases(cfg: ShardedConfig) {
+        let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
+        for _ in 0..2 {
+            rt.inject(PeerId(0), Port(0), 10u64);
+            assert!(rt.run(RunBudget::default()).converged_at().is_some());
+            let events = rt.events_processed();
+            assert_idle(&rt, "executor woke with nothing to do");
+            assert_eq!(rt.events_processed(), events);
+        }
     }
 
     #[test]
@@ -1096,10 +964,7 @@ mod tests {
         let cfg =
             ShardedConfig::with_shards(4).with_assignment(ShardAssignment::Explicit(vec![0, 3]));
         let mut rt = ShardedRuntime::new(ping_pong_pair(), cfg);
-        assert!(matches!(
-            rt.run(RunBudget::default()),
-            RunOutcome::Converged { .. }
-        ));
+        assert!(rt.run(RunBudget::default()).converged_at().is_some());
         assert_eq!(rt.metrics_snapshot().total_msgs(), 0);
         assert_eq!(rt.shard_count(), 4);
         assert_eq!(rt.shard_of_peer(PeerId(1)), 3);

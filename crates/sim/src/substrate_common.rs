@@ -1,9 +1,8 @@
 //! What the concurrent substrates share: the [`Shared`] bookkeeping block
 //! every executor, shard and TCP link thread registers and retires events
 //! on — one in-flight counter, so a single load certifies global quiescence
-//! — and the [`Controller`] whose [`Controller::drive`] is the one
-//! run-to-quiescence loop behind both `AsyncRuntime::run` and
-//! `ShardedRuntime::run`.
+//! — and the [`Controller`] whose [`Controller::drive`] is the
+//! run-to-quiescence loop behind `ShardedRuntime::run`.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;

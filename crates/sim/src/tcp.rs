@@ -57,12 +57,11 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use netrec_types::wire::{get_stream_frame, get_varint, put_stream_frame, put_varint, WireError};
 use parking_lot::Mutex;
 
-use crate::async_rt::Ingress;
+use crate::async_rt::{Ingress, ShardMap};
 use crate::coalesce::FrameBody;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics::MsgMeta;
 use crate::net::{PeerId, Port};
-use crate::sharded::{Envelope, ShardMap};
 use crate::substrate_common::Shared;
 
 /// A message type that can cross a real wire. The sharded runtime requires
@@ -160,6 +159,15 @@ fn link_id(from: u32, to: u32) -> u64 {
 
 // --- Envelope codec -------------------------------------------------------
 
+/// A cross-shard envelope queued for a TCP link: global destination plus
+/// the coalesced messages of one producing quantum bound for it (FIFO order
+/// preserved). One envelope = one in-flight count, one data frame, however
+/// many logical messages it carries.
+pub(crate) struct Envelope<M> {
+    pub(crate) to: PeerId,
+    pub(crate) msgs: FrameBody<M>,
+}
+
 /// Encode one cross-shard envelope: global destination peer, logical
 /// message count, then per message the port, the sender-computed size
 /// metadata (shipped verbatim so receiver-side accounting and engine
@@ -231,33 +239,31 @@ pub(crate) fn decode_envelope<M: WireMsg>(
 
 // --- Transport ------------------------------------------------------------
 
-/// One shard's per-destination-shard envelope queues into the supervised
-/// transport (`None` on the diagonal).
-pub(crate) type LinkSenders<M> = Arc<Vec<Option<Sender<Envelope<M>>>>>;
+/// Per sending shard, the per-destination-shard envelope queues into the
+/// supervised transport (`None` on the diagonal): what the executors' route
+/// tables take.
+pub(crate) type LinkQueues<M> = Vec<Vec<Option<Sender<Envelope<M>>>>>;
 
-/// The live TCP transport of one sharded session: per-shard listeners,
-/// per-directed-link supervisor threads, and the worker-facing envelope
-/// queues. Owned by the `ShardedRuntime`; torn down from `freeze_shards`.
-pub(crate) struct TcpTransport<M> {
-    /// Per sending shard, the per-destination-shard envelope queues the
-    /// `ShardPeer` adapters push into (`None` on the diagonal).
-    pub(crate) senders: Vec<LinkSenders<M>>,
+/// The live TCP transport of one sharded session: per-shard listeners and
+/// per-directed-link supervisor threads. Owned by the `ShardedRuntime`;
+/// torn down from `freeze_shards`.
+pub(crate) struct TcpTransport {
     threads: Vec<JoinHandle<()>>,
     stats: Arc<Mutex<FaultStats>>,
     link_states: Arc<Mutex<Vec<LinkState>>>,
 }
 
-impl<M: WireMsg + 'static> TcpTransport<M> {
+impl TcpTransport {
     /// Bind one loopback listener per shard (`ingress` holds one delivery
     /// handle per shard), spawn the accept side, and spawn one supervisor
-    /// per directed shard pair.
-    pub(crate) fn new(
+    /// per directed shard pair, returning the queues that feed them.
+    pub(crate) fn new<M: WireMsg + 'static>(
         cfg: &TcpConfig,
         plan: Option<FaultPlan>,
         map: Arc<ShardMap>,
         ingress: &[Ingress<M>],
         shared: Arc<Shared>,
-    ) -> std::io::Result<TcpTransport<M>> {
+    ) -> std::io::Result<(TcpTransport, LinkQueues<M>)> {
         let n = ingress.len();
         let stats = Arc::new(Mutex::new(FaultStats::default()));
         let link_states = Arc::new(Mutex::new(vec![LinkState::Connecting; n * n]));
@@ -288,7 +294,7 @@ impl<M: WireMsg + 'static> TcpTransport<M> {
         }
 
         // Send side: one supervisor per directed pair.
-        let mut senders: Vec<LinkSenders<M>> = Vec::with_capacity(n);
+        let mut queues: LinkQueues<M> = Vec::with_capacity(n);
         for from_shard in 0..n {
             let mut row: Vec<Option<Sender<Envelope<M>>>> = Vec::with_capacity(n);
             for (to_shard, &addr) in addrs.iter().enumerate() {
@@ -311,19 +317,17 @@ impl<M: WireMsg + 'static> TcpTransport<M> {
                 threads.push(std::thread::spawn(move || sup.run()));
                 row.push(Some(tx));
             }
-            senders.push(Arc::new(row));
+            queues.push(row);
         }
 
-        Ok(TcpTransport {
-            senders,
+        let transport = TcpTransport {
             threads,
             stats,
             link_states,
-        })
+        };
+        Ok((transport, queues))
     }
-}
 
-impl<M> TcpTransport<M> {
     /// Supervision counters accumulated so far.
     pub(crate) fn stats(&self) -> FaultStats {
         *self.stats.lock()
@@ -512,13 +516,20 @@ impl<M: WireMsg> Handler<M> {
                     return false;
                 }
                 if frame.seq == link.expected {
+                    // An id off the wire is checked like every other field:
+                    // out of range, or a peer another shard hosts, is a
+                    // protocol error. Otherwise this is the one ingress
+                    // send, never waiting, so acks and heartbeat replies
+                    // are never delayed behind a busy executor; the
+                    // envelope's in-flight count — registered by the
+                    // sending executor — rides along and is retired by the
+                    // receiving quantum. Acked only after the hand-off.
                     match decode_envelope::<M>(&frame.payload, &link.ctx) {
-                        Ok((to, body)) => {
-                            // Acked only after the hand-off below.
-                            self.inject(to, body);
+                        Ok((to, body)) if self.map.shard_of(to) == Some(self.to_shard) => {
+                            self.ingress.deliver(to, body);
                             link.expected += 1;
                         }
-                        Err(_) => return false,
+                        _ => return false,
                     }
                 }
                 // Duplicate (seq < expected) falls through: drop, re-ack.
@@ -535,20 +546,6 @@ impl<M: WireMsg> Handler<M> {
             }
             _ => false,
         }
-    }
-
-    /// Hand one decoded envelope to this shard: the one ingress send,
-    /// never waiting, so acks and heartbeat replies are never delayed
-    /// behind a busy executor. The envelope's global in-flight count —
-    /// registered by the sending executor — rides along and is retired by
-    /// the receiving quantum.
-    fn inject(&self, to: PeerId, body: FrameBody<M>) {
-        let (shard, local) = self.map.locate(to);
-        debug_assert_eq!(
-            shard, self.to_shard as usize,
-            "envelope routed to wrong shard"
-        );
-        self.ingress.deliver(local, body);
     }
 
     fn send_ack(&mut self, expected: u64) -> bool {
@@ -989,6 +986,58 @@ mod tests {
         let mut trailing = buf.clone();
         trailing.push(0);
         assert!(decode_envelope::<u64>(&trailing, &()).is_err());
+    }
+
+    /// A peer id read off the socket is checked in release builds too: one
+    /// outside the peer set, or a peer another shard hosts, is a protocol
+    /// error like any other bad frame — connection killed, frame not acked
+    /// (the dedup cursor stays), nothing reaches an inbox.
+    #[test]
+    fn data_frame_for_a_peer_not_hosted_here_is_a_protocol_error() {
+        use crate::substrate_common::Controller;
+        use netrec_types::wire::StreamFrame;
+
+        let ctl = Controller::new(0);
+        let (ingress, inbox) = Ingress::<u64>::channel(&ctl.shared);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, _) = listener.accept().unwrap();
+        // Two peers, one per shard; this handler serves shard 1.
+        let mut handler = Handler {
+            sock,
+            to_shard: 1,
+            recv: Arc::new((0..2).map(|_| Mutex::new(RecvLink::default())).collect()),
+            map: Arc::new(ShardMap::new(vec![0, 1], 2)),
+            ingress,
+            shared: Arc::clone(&ctl.shared),
+            plan: None,
+            read_timeout: TcpConfig::default().read_timeout,
+        };
+        let data_for = |to: u32| {
+            let mut payload = Vec::new();
+            let body = FrameBody::One((Port(0), 7u64, MsgMeta::default()));
+            encode_envelope(&mut payload, PeerId(to), &body);
+            StreamFrame {
+                kind: K_DATA,
+                seq: 0,
+                payload,
+            }
+        };
+        let mut from_shard = Some(0);
+        for bad in [0, 2, u32::MAX] {
+            assert!(
+                !handler.on_frame(data_for(bad), &mut from_shard),
+                "peer {bad}"
+            );
+            assert_eq!(handler.recv[0].lock().expected, 0, "peer {bad} acked");
+            assert!(inbox.try_recv().is_err(), "peer {bad} delivered");
+        }
+        assert!(handler.on_frame(data_for(1), &mut from_shard));
+        assert_eq!(handler.recv[0].lock().expected, 1);
+        assert!(
+            inbox.try_recv().is_ok(),
+            "the hosted peer's envelope arrives"
+        );
     }
 
     #[test]

@@ -49,9 +49,9 @@ fn main() {
     println!("view still matches a from-scratch evaluation ✓");
 
     // Same plan, same driver, different substrate: replay the load on the
-    // async runtime (wall-clock timers, real queues) and check that it
-    // reaches the identical fixpoint. Peers are state machines on one
-    // executor thread (no OS thread per peer), so one core hosts the query
+    // concurrent runtime with a single shard — "async": wall-clock timers,
+    // real queues — and check that it reaches the identical fixpoint.
+    // Peers are state machines on one executor thread (no OS thread per peer), so one core hosts the query
     // partitioned across 1000 peers — the regime of the paper's
     // transit-stub and sensor-grid deployments.
     let mut asys = System::reachable(
@@ -68,10 +68,10 @@ fn main() {
     assert_eq!(asys.view("reachable"), asys.oracle_view("reachable"));
     println!("async fixpoint matches a from-scratch evaluation ✓");
 
-    // Scale across cores instead: 12 peers partitioned across 4 async
-    // shards (one executor OS thread each) behind one composite runtime,
-    // cross-shard messages sent straight into the destination shard's
-    // ingress queue, with global quiescence detection.
+    // Scale across cores instead: the same runtime with 12 peers
+    // partitioned across 4 shards (one executor OS thread each), each
+    // executor routing cross-shard messages straight into the destination
+    // shard's ingress queue, with global quiescence detection.
     let mut ssys = System::reachable(
         SystemConfig::new(Strategy::absorption_lazy(), 12)
             .with_runtime(RuntimeKind::sharded_async(4)),

@@ -12,7 +12,7 @@
 //! | [`types`] | values, tuples, schemas, wire format, simulated time |
 //! | [`prov`] | absorption / relative / counting provenance algebras |
 //! | [`topo`] | transit-stub + sensor-grid generators, workloads |
-//! | [`sim`] | discrete-event cluster simulator + the async event-loop runtime and its sharded (channel/TCP) composite |
+//! | [`sim`] | discrete-event cluster simulator + the concurrent runtime: one event loop per shard, shards joined by channels or TCP |
 //! | [`engine`] | Fixpoint, PipelinedHashJoin, MinShip, AggSel, DRed, oracle |
 //! | [`datalog`] | NDlog-style parser + distributed planner |
 //! | [`core`] | facade: the paper's queries as ready-made systems |

@@ -1,10 +1,10 @@
-//! The concurrent runtimes execute the same `EnginePeer` logic on real OS
+//! The concurrent runtime executes the same `EnginePeer` logic on real OS
 //! threads — selected through the same `Runner`/`System` driver as the DES,
 //! via `RunnerConfig::runtime`. Views must match the deterministic
 //! discrete-event runs — evidence the operators are genuinely distributable
-//! and survive real thread interleavings. Every case runs on the standalone
-//! async runtime (all peers on one executor thread, concurrent with the
-//! controller), on two async shards, and in the thread-per-peer regime (one
+//! and survive real thread interleavings. Every case runs on one shard
+//! ("async": all peers on one executor thread, concurrent with the
+//! controller), on two shards, and in the thread-per-peer regime (one
 //! shard — one executor OS thread — per peer).
 //! (The engine-level differential test in
 //! `crates/engine/tests/runtime_differential.rs` additionally proves exact
