@@ -57,10 +57,6 @@ pub(crate) struct Arena {
     /// for unreachable roots do not accumulate.
     pub(crate) encoded_len_cache: FxHashMap<NodeId, u32>,
     stats: BddManagerStats,
-    /// When `false`, `ite` results are not memoised (ablation knob for the
-    /// `bdd_ops` bench; absorption provenance relies on memoisation for its
-    /// claimed compactness of *time*, not of the result).
-    pub(crate) memoize: bool,
 }
 
 impl Arena {
@@ -72,7 +68,6 @@ impl Arena {
             extrefs: FxHashMap::default(),
             encoded_len_cache: FxHashMap::default(),
             stats: BddManagerStats::default(),
-            memoize: true,
         };
         // Terminals occupy slots 0 and 1 and are never hash-consed.
         a.nodes.push(Node {
@@ -152,11 +147,9 @@ impl Arena {
             return f;
         }
         let key = (f, g, h);
-        if self.memoize {
-            if let Some(&r) = self.ite_cache.get(&key) {
-                self.stats.ite_cache_hits += 1;
-                return r;
-            }
+        if let Some(&r) = self.ite_cache.get(&key) {
+            self.stats.ite_cache_hits += 1;
+            return r;
         }
         self.stats.ite_cache_misses += 1;
         let top = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
@@ -166,10 +159,8 @@ impl Arena {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(top, lo, hi);
-        if self.memoize {
-            self.ite_cache.insert(key, r);
-            self.stats.ite_cache_entries = self.ite_cache.len();
-        }
+        self.ite_cache.insert(key, r);
+        self.stats.ite_cache_entries = self.ite_cache.len();
         r
     }
 
@@ -459,8 +450,9 @@ impl Arena {
     }
 
     /// Mark-and-sweep garbage collection rooted at all live external handles.
-    /// Node ids are *stable*: reclaimed slots are reused via a free list held
-    /// implicitly in the unique table (we rebuild the table, not the vector).
+    /// Node ids are *stable* and never reused: a dead node only leaves the
+    /// unique table, its slot stays in the node vector for good (the vector
+    /// never shrinks), and re-making the same triple takes a fresh slot.
     ///
     /// Returns the number of nodes reclaimed.
     pub(crate) fn gc(&mut self) -> usize {

@@ -118,11 +118,6 @@ impl BddManager {
         self.inner.lock().live_external_handles()
     }
 
-    /// Enable/disable `ite` memoisation (ablation knob; defaults to enabled).
-    pub fn set_memoize(&self, on: bool) {
-        self.inner.lock().memoize = on;
-    }
-
     fn same_arena(&self, other: &BddManager) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }

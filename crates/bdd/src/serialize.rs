@@ -14,6 +14,8 @@
 //! `k + 2` for the `k`-th node of the list. The root is the last node (or the
 //! encoding is `[0]`/`[1]` alone for the constants, using a one-byte tag).
 
+use netrec_types::wire::{get_varint, put_varint};
+
 use crate::arena::{FALSE, TRUE};
 use crate::handle::{Bdd, BddManager};
 
@@ -43,60 +45,31 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-pub(crate) fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *input.get(*pos)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
-    }
-}
-
 impl Bdd {
     /// Serialise to the compact wire format.
     pub fn encode(&self) -> Vec<u8> {
         let triples = self.mgr.with_arena(|a| a.nodes_triples(self.id));
         let mut out = Vec::with_capacity(2 + triples.len() * 4);
         if self.id == FALSE {
-            write_varint(&mut out, 0);
+            put_varint(&mut out, 0);
             out.push(0);
             return out;
         }
         if self.id == TRUE {
-            write_varint(&mut out, 0);
+            put_varint(&mut out, 0);
             out.push(1);
             return out;
         }
-        write_varint(&mut out, triples.len() as u64);
+        put_varint(&mut out, triples.len() as u64);
         // Map arena node id → wire reference.
         let mut wire_ref = std::collections::HashMap::with_capacity(triples.len());
         wire_ref.insert(FALSE, 0u64);
         wire_ref.insert(TRUE, 1u64);
         for (k, (id, var, lo, hi)) in triples.iter().enumerate() {
             wire_ref.insert(*id, k as u64 + 2);
-            write_varint(&mut out, u64::from(*var));
-            write_varint(&mut out, wire_ref[lo]);
-            write_varint(&mut out, wire_ref[hi]);
+            put_varint(&mut out, u64::from(*var));
+            put_varint(&mut out, wire_ref[lo]);
+            put_varint(&mut out, wire_ref[hi]);
         }
         out
     }
@@ -131,23 +104,24 @@ impl BddManager {
     /// merges it with existing nodes, which is how a receiving peer absorbs a
     /// shipped annotation into its local state).
     pub fn decode(&self, bytes: &[u8]) -> Result<Bdd, DecodeError> {
-        let mut pos = 0usize;
-        let count = read_varint(bytes, &mut pos).ok_or(DecodeError::Truncated)? as usize;
+        // An over-long varint reads as truncation, like running out of bytes.
+        fn next(buf: &mut &[u8]) -> Result<u64, DecodeError> {
+            get_varint(buf).map_err(|_| DecodeError::Truncated)
+        }
+        let buf = &mut &bytes[..];
+        let count = next(buf)? as usize;
         // Every interior node costs at least three bytes, so a count larger
         // than that bound is necessarily truncated — reject before allocating.
         if count > bytes.len() / 3 + 1 {
             return Err(DecodeError::Truncated);
         }
         if count == 0 {
-            let tag = *bytes.get(pos).ok_or(DecodeError::Truncated)?;
-            pos += 1;
-            if pos != bytes.len() {
-                return Err(DecodeError::TrailingBytes);
-            }
-            return match tag {
-                0 => Ok(self.zero()),
-                1 => Ok(self.one()),
-                _ => Err(DecodeError::ForwardReference),
+            return match **buf {
+                [] => Err(DecodeError::Truncated),
+                [0] => Ok(self.zero()),
+                [1] => Ok(self.one()),
+                [_] => Err(DecodeError::ForwardReference),
+                _ => Err(DecodeError::TrailingBytes),
             };
         }
         let mut ids: Vec<u32> = Vec::with_capacity(count + 2);
@@ -159,9 +133,11 @@ impl BddManager {
         let root = self.with_arena(|a| -> Result<u32, DecodeError> {
             let mut last = FALSE;
             for _ in 0..count {
-                let var = read_varint(bytes, &mut pos).ok_or(DecodeError::Truncated)? as u32;
-                let lo_ref = read_varint(bytes, &mut pos).ok_or(DecodeError::Truncated)? as usize;
-                let hi_ref = read_varint(bytes, &mut pos).ok_or(DecodeError::Truncated)? as usize;
+                // A variable that does not fit 32 bits sorts above the
+                // terminals — never truncate it into a valid one.
+                let var = u32::try_from(next(buf)?).map_err(|_| DecodeError::OrderViolation)?;
+                let lo_ref = next(buf)? as usize;
+                let hi_ref = next(buf)? as usize;
                 if lo_ref >= ids.len() || hi_ref >= ids.len() {
                     return Err(DecodeError::ForwardReference);
                 }
@@ -175,7 +151,7 @@ impl BddManager {
             }
             Ok(last)
         })?;
-        if pos != bytes.len() {
+        if !buf.is_empty() {
             return Err(DecodeError::TrailingBytes);
         }
         Ok(self.wrap_id(root))

@@ -272,6 +272,31 @@ fn decode_rejects_malformed() {
     assert_eq!(m.decode(&bytes), Err(DecodeError::OrderViolation));
 }
 
+/// A variable of 2^32 + 7 is a 5-byte varint; truncating it to `u32` would
+/// decode as the valid single-node function `x7`.
+#[test]
+fn decode_rejects_a_variable_beyond_32_bits() {
+    use crate::DecodeError;
+    let m = BddManager::new();
+    let bytes = [1, 0x87, 0x80, 0x80, 0x80, 0x10, 0, 1];
+    assert_eq!(m.decode(&bytes), Err(DecodeError::OrderViolation));
+    // The same node with the variable in range decodes.
+    assert_eq!(m.decode(&[1, 7, 0, 1]), Ok(m.var(7)));
+}
+
+/// The encoding is the workspace varint codec's, byte for byte: node count,
+/// then `(var, lo, hi)` child-first with two-byte varints where they are due.
+#[test]
+fn encoding_golden_bytes() {
+    let m = BddManager::new();
+    let f = m.var(3).and(&m.var(200)).or(&m.var(70_000));
+    assert_eq!(
+        f.encode(),
+        [3, 0xf0, 0xa2, 0x04, 0, 1, 0xc8, 0x01, 2, 1, 3, 2, 3]
+    );
+    assert_eq!(m.decode(&f.encode()), Ok(f));
+}
+
 #[test]
 fn dag_size_counts_shared_nodes_once() {
     let (_, a, b, c) = mgr3();
@@ -316,19 +341,6 @@ fn stats_track_cache_and_peak() {
     assert!(s.peak_nodes >= s.nodes);
     m.clear_caches();
     assert_eq!(m.stats().ite_cache_entries, 0);
-}
-
-#[test]
-fn memoize_toggle_still_correct() {
-    let m = BddManager::new();
-    m.set_memoize(false);
-    let a = m.var(0);
-    let b = m.var(1);
-    let c = m.var(2);
-    let f = a.and(&b).or(&c).xor(&a.or(&b));
-    m.set_memoize(true);
-    let g = a.and(&b).or(&c).xor(&a.or(&b));
-    assert_eq!(f, g);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the ROBDD engine: the operations absorption
 //! provenance leans on (or-merge of derivations, restrict for deletions,
-//! serialisation for shipping), plus the ITE-memoisation ablation.
+//! serialisation for shipping).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use netrec_bdd::{Bdd, BddManager};
@@ -70,29 +70,11 @@ fn bench_encode_decode(c: &mut Criterion) {
     });
 }
 
-fn bench_memo_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bdd/ite_memoisation");
-    for (name, memo) in [("memo_on", true), ("memo_off", false)] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                BddManager::new,
-                |mgr| {
-                    mgr.set_memoize(memo);
-                    black_box(random_dnf(&mgr, 32, 24, 7))
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_or_merge,
     bench_restrict,
     bench_implies,
-    bench_encode_decode,
-    bench_memo_ablation
+    bench_encode_decode
 );
 criterion_main!(benches);

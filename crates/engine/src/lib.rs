@@ -58,5 +58,5 @@ pub use plan::{OpId, OpSpec, Plan, PlanBuilder, PlanError};
 pub use runner::{
     CheckpointStore, EngineRuntime, EpochCheckpoint, RunReport, Runner, RunnerConfig,
 };
-pub use strategy::{DeleteProp, ShipPolicy, Strategy};
+pub use strategy::{ShipPolicy, Strategy};
 pub use update::{Msg, Update};

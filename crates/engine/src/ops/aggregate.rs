@@ -238,23 +238,6 @@ impl AggregateOp {
         ectx.emit_local(&self.dests, out);
     }
 
-    /// Broadcast-mode tombstone: restrict contributors and emit revisions.
-    pub fn on_tombstone(&mut self, vars: &[netrec_bdd::Var], ectx: &mut Ectx<'_>) {
-        let mut out = Vec::new();
-        let mut touched: BTreeSet<Tuple> = BTreeSet::new();
-        for (t, outcome) in self.contrib.restrict_cause(vars) {
-            let g = self.group_of(&t);
-            if matches!(outcome, DeleteOutcome::Died(_)) {
-                self.detach(&g, &t);
-            }
-            touched.insert(g);
-        }
-        for g in touched {
-            self.revise(&g, &mut out, ectx);
-        }
-        ectx.emit_local(&self.dests, out);
-    }
-
     /// Resident state bytes.
     pub fn state_bytes(&self) -> usize {
         self.contrib.state_bytes()

@@ -237,32 +237,6 @@ impl AggSelState {
         out
     }
 
-    /// Broadcast-mode tombstone: restrict everything, rebalance groups, and
-    /// return the revision stream (next-best re-emissions).
-    pub fn on_tombstone(&mut self, vars: &[netrec_bdd::Var]) -> Vec<Update> {
-        let mut out = Vec::new();
-        let mut touched: BTreeSet<Tuple> = BTreeSet::new();
-        let rel = netrec_types::RelId(0); // overwritten by caller's dests; rel is cosmetic here
-        for (t, outcome) in self.prov.restrict_cause(vars) {
-            let g = self.group_of(&t);
-            if matches!(outcome, DeleteOutcome::Died(_)) {
-                if let Some(set) = self.groups.get_mut(&g) {
-                    set.remove(&t);
-                    if set.is_empty() {
-                        self.groups.remove(&g);
-                    }
-                }
-                self.forwarded.remove(&t);
-                touched.insert(g);
-            }
-        }
-        for g in touched {
-            self.recompute_bests(&g);
-            self.rebalance(&g, &mut out, rel);
-        }
-        out
-    }
-
     /// Resident state bytes.
     pub fn state_bytes(&self) -> usize {
         self.prov.state_bytes() + self.best.len() * 64 + self.forwarded.len() * 16
@@ -316,7 +290,6 @@ impl AggSelState {
 pub struct AggSelOp {
     state: AggSelState,
     dests: Vec<Dest>,
-    out_rel_seen: Option<netrec_types::RelId>,
 }
 
 impl AggSelOp {
@@ -325,27 +298,12 @@ impl AggSelOp {
         AggSelOp {
             state: AggSelState::new(spec, mode),
             dests,
-            out_rel_seen: None,
         }
     }
 
     /// Process a batch.
     pub fn on_updates(&mut self, ups: Vec<Update>, ectx: &mut Ectx<'_>) {
-        if let Some(u) = ups.first() {
-            self.out_rel_seen = Some(u.rel);
-        }
         let out = self.state.filter(ups);
-        ectx.emit_local(&self.dests, out);
-    }
-
-    /// Broadcast-mode tombstone.
-    pub fn on_tombstone(&mut self, vars: &[netrec_bdd::Var], ectx: &mut Ectx<'_>) {
-        let mut out = self.state.on_tombstone(vars);
-        if let Some(rel) = self.out_rel_seen {
-            for u in &mut out {
-                u.rel = rel;
-            }
-        }
         ectx.emit_local(&self.dests, out);
     }
 
@@ -354,16 +312,9 @@ impl AggSelOp {
         self.state.state_bytes()
     }
 
-    /// Serialise the pruning state plus the observed output relation.
+    /// Serialise the pruning state.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
         self.state.checkpoint(out);
-        match self.out_rel_seen {
-            None => out.push(0),
-            Some(r) => {
-                out.push(1);
-                netrec_types::wire::put_varint(out, u64::from(r.0));
-            }
-        }
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
@@ -372,24 +323,6 @@ impl AggSelOp {
         buf: &mut &[u8],
         mgr: &netrec_bdd::BddManager,
     ) -> Result<(), netrec_types::wire::WireError> {
-        use netrec_types::wire::{self, WireError};
-        self.state.restore(buf, mgr)?;
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let tag = buf[0];
-        *buf = &buf[1..];
-        self.out_rel_seen = match tag {
-            0 => None,
-            1 => {
-                let raw = wire::get_varint(buf)?;
-                if raw > u64::from(u16::MAX) {
-                    return Err(WireError::Corrupt("relation id out of range"));
-                }
-                Some(netrec_types::RelId(raw as u16))
-            }
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(())
+        self.state.restore(buf, mgr)
     }
 }

@@ -9,7 +9,6 @@ use netrec_types::wire::{self, WireError};
 use netrec_types::{Duration, FxHashMap, RelId, Tuple, UpdateKind};
 
 use crate::plan::Dest;
-use crate::strategy::DeleteProp;
 use crate::update::Update;
 
 use super::Ectx;
@@ -110,18 +109,9 @@ impl IngressOp {
             }
             ProvMode::Absorption | ProvMode::Relative => {
                 let cause: Arc<[Var]> = Arc::from(vec![var].into_boxed_slice());
-                match ectx.strategy.delete_prop {
-                    DeleteProp::Broadcast => {
-                        // Tiny control message to every peer; local operators
-                        // are reached through the self-tombstone.
-                        ectx.broadcast_tombstone(cause);
-                    }
-                    DeleteProp::Dataflow => {
-                        let prov = Prov::base(ectx.strategy.mode, var, ectx.mgr);
-                        let up = Update::del_cause(self.rel, tuple, prov, cause);
-                        ectx.emit_local(&self.dests, vec![up]);
-                    }
-                }
+                let prov = Prov::base(ectx.strategy.mode, var, ectx.mgr);
+                let up = Update::del_cause(self.rel, tuple, prov, cause);
+                ectx.emit_local(&self.dests, vec![up]);
             }
         }
     }
@@ -207,7 +197,7 @@ impl IngressOp {
             }
             let rel = RelId(raw as u16);
             let t = wire::get_tuple(buf)?;
-            let v = wire::get_varint(buf)? as Var;
+            let v = wire::get_u32(buf)?;
             if self.vars.get(rel, &t).is_some() {
                 return Err(WireError::Corrupt("duplicate base tuple in checkpoint"));
             }
@@ -218,7 +208,7 @@ impl IngressOp {
             return Err(WireError::Truncated);
         }
         for _ in 0..n {
-            let id = wire::get_varint(buf)? as u32;
+            let id = wire::get_u32(buf)?;
             let t = wire::get_tuple(buf)?;
             if buf.is_empty() {
                 return Err(WireError::Truncated);
@@ -227,12 +217,49 @@ impl IngressOp {
             *buf = &buf[1..];
             let var = match tag {
                 0 => None,
-                1 => Some(wire::get_varint(buf)? as Var),
+                1 => Some(wire::get_u32(buf)?),
                 t => return Err(WireError::BadTag(t)),
             };
             self.pending_ttl.insert(id, (t, var));
         }
-        self.next_ttl = wire::get_varint(buf)? as u32;
+        self.next_ttl = wire::get_u32(buf)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netrec_types::Value;
+
+    /// Every 32-bit field of the checkpoint (base variable, TTL id, armed
+    /// variable, next TTL id) rejects 2^32 — a 5-byte varint `as u32` would
+    /// truncate to 0 — and accepts the same blob with the value in range.
+    #[test]
+    fn restore_rejects_values_beyond_32_bits() {
+        let mut tuple = Vec::new();
+        wire::put_tuple(&mut tuple, &Tuple::new(vec![Value::Int(1)]));
+        let t = tuple.as_slice();
+        // (bytes before the field, bytes after it) of an otherwise valid blob.
+        let fields: [(Vec<u8>, Vec<u8>); 4] = [
+            ([&[1, 0], t].concat(), vec![0, 0]),
+            (vec![0, 1], [t, &[0, 0]].concat()),
+            ([&[0, 1, 0], t, &[1]].concat(), vec![0]),
+            (vec![0, 0], Vec::new()),
+        ];
+        for (i, (before, after)) in fields.iter().enumerate() {
+            let restore = |v: &[u8]| {
+                let bytes = [before, v, after].concat();
+                IngressOp::new(RelId(0), Vec::new()).restore(&mut &bytes[..])
+            };
+            assert_eq!(restore(&[7]), Ok(()), "field {i}");
+            assert!(
+                matches!(
+                    restore(&[0x80, 0x80, 0x80, 0x80, 0x10]),
+                    Err(WireError::Corrupt(_))
+                ),
+                "field {i}: 2^32 accepted"
+            );
+        }
     }
 }

@@ -272,18 +272,6 @@ impl JoinOp {
         ectx.emit_local(&self.dests, out);
     }
 
-    /// Broadcast-mode tombstone: restrict both sides fully; no emissions
-    /// (every peer restricts its own state).
-    pub fn on_tombstone(&mut self, vars: &[netrec_bdd::Var]) {
-        for side in [&mut self.build, &mut self.probe] {
-            for (t, outcome) in side.prov.restrict_cause(vars) {
-                if matches!(outcome, DeleteOutcome::Died(_)) {
-                    side.remove(&t);
-                }
-            }
-        }
-    }
-
     /// Serialise both sides' provenance tables. The key indexes (`by_key`)
     /// are pure functions of the table contents and are rebuilt on restore.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {

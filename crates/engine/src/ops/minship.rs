@@ -84,14 +84,8 @@ impl MinShipOp {
     }
 
     /// Record an insertion ship in the ledger (every path that sends an
-    /// annotation downstream must pass through here). Only dataflow-mode
-    /// deletion needs cause routing — under broadcast every peer restricts
-    /// its own state from the tombstone — so other strategies skip the
-    /// bookkeeping entirely.
-    fn ledger_record(&mut self, t: &Tuple, pv: &Prov, ectx: &Ectx<'_>) {
-        if ectx.strategy.delete_prop != crate::strategy::DeleteProp::Dataflow {
-            return;
-        }
+    /// annotation downstream must pass through here).
+    fn ledger_record(&mut self, t: &Tuple, pv: &Prov) {
         let vars = match pv {
             Prov::Bdd(b) => b.support(),
             Prov::Rel(r) => r.support(),
@@ -106,12 +100,12 @@ impl MinShipOp {
     /// The hosting peer learned that `dead` base variables died (a
     /// cause-delete arrived on *any* port — not necessarily this operator's
     /// input stream; the relaying join may have nothing left to emit here).
-    /// Restrict the local mirrors — unconditionally: this is the one place
-    /// a dead variable is applied to `pins` and `sent` on the dataflow path,
-    /// once per (peer, variable) — then sweep the ship ledger and forward
-    /// the cause to the owner of every tuple whose shipped history mentions
-    /// a dying variable. Returns `true` if the caller should arm a flush
-    /// timer (eager mode with newly-buffered deletions).
+    /// Restrict the local mirrors — this is the one place a dead variable
+    /// is applied to `pins` and `sent`, once per (peer, variable) — then
+    /// sweep the ship ledger and forward the cause to the owner of every
+    /// tuple whose shipped history mentions a dying variable. Returns `true`
+    /// if the caller should arm a flush timer (eager mode with
+    /// newly-buffered deletions).
     pub fn on_dead_vars(&mut self, dead: &[Var], ectx: &mut Ectx<'_>) -> bool {
         let policy = ectx.strategy.ship;
         if matches!(policy, ShipPolicy::Immediate) {
@@ -125,9 +119,6 @@ impl MinShipOp {
             if matches!(outcome, super::DeleteOutcome::Shrunk(_)) {
                 self.dirty.insert(t);
             }
-        }
-        if self.shipped.is_empty() {
-            return false;
         }
         let mut hit_any = false;
         let MinShipOp {
@@ -190,14 +181,13 @@ impl MinShipOp {
     ///
     /// **Contract:** the hosting peer has applied every cause variable
     /// before dispatch — each variable in the `cause` of a delete in `ups`
-    /// has already been through [`MinShipOp::on_dead_vars`] (or
-    /// [`MinShipOp::on_tombstone`]) on this operator, and every insertion
-    /// in `ups` has been stripped of the peer's dead variables
-    /// (`EnginePeer::on_message`: `record_causes` → `forward_dead_vars` →
-    /// `sanitize` → `dispatch`). The mirrors therefore never mention a
-    /// variable of an arriving cause, and a cause-delete costs work
-    /// proportional to the update, not to the tables (DESIGN.md "Deletion
-    /// propagation", invariants I1–I3).
+    /// has already been through [`MinShipOp::on_dead_vars`] on this
+    /// operator, and every insertion in `ups` has been stripped of the
+    /// peer's dead variables (`EnginePeer::on_message`: `record_causes` →
+    /// `forward_dead_vars` → `sanitize` → `dispatch`). The mirrors therefore
+    /// never mention a variable of an arriving cause, and a cause-delete
+    /// costs work proportional to the update, not to the tables (DESIGN.md
+    /// "Deletion propagation", invariants I1–I3).
     pub fn on_updates(&mut self, ups: Vec<Update>, ectx: &mut Ectx<'_>) -> bool {
         let policy = ectx.strategy.ship;
         if matches!(policy, ShipPolicy::Immediate) {
@@ -227,7 +217,7 @@ impl MinShipOp {
                         // mirrors the receiver again for this tuple.
                         self.dirty.remove(&u.tuple);
                         self.sent.merge_ins(&u.tuple, &u.prov);
-                        self.ledger_record(&u.tuple, &u.prov, ectx);
+                        self.ledger_record(&u.tuple, &u.prov);
                         send_now.push(u);
                     } else if self.dirty.remove(&u.tuple) {
                         // The shipped annotation was restricted since the
@@ -236,7 +226,7 @@ impl MinShipOp {
                         // derivation instead of buffering it so the receiver
                         // can revive the tuple.
                         self.sent.merge_ins(&u.tuple, &u.prov);
-                        self.ledger_record(&u.tuple, &u.prov, ectx);
+                        self.ledger_record(&u.tuple, &u.prov);
                         send_now.push(u);
                     } else {
                         // Absorbed into what was already sent? (L16)
@@ -344,7 +334,7 @@ impl MinShipOp {
         ins.sort_by(|a, b| a.0.cmp(&b.0));
         for (t, pv) in ins {
             self.sent.merge_ins(&t, &pv);
-            self.ledger_record(&t, &pv, ectx);
+            self.ledger_record(&t, &pv);
             let peer = ectx.peer_for(self.route_col, &t);
             sent = true;
             by_peer
@@ -382,7 +372,7 @@ impl MinShipOp {
             ));
             if let Some(alt) = self.pins.get(&t).cloned() {
                 self.sent.merge_ins(&t, &alt);
-                self.ledger_record(&t, &alt, ectx);
+                self.ledger_record(&t, &alt);
                 out.push(Update::ins(rel, t.clone(), alt.clone()));
                 let _ = self.pins.retract(&t, &alt);
             }
@@ -400,29 +390,6 @@ impl MinShipOp {
             self.timer_armed = true;
         }
         rearm
-    }
-
-    /// Broadcast-mode tombstone: restrict buffers, then release buffered
-    /// alternative derivations for every tuple whose *shipped* annotation
-    /// was affected — the receiver restricted its own copy and only this
-    /// peer knows the surviving alternatives.
-    pub fn on_tombstone(&mut self, vars: &[Var], ectx: &mut Ectx<'_>) {
-        let _ = self.pins.restrict_cause(vars);
-        let affected = self.sent.restrict_cause(vars);
-        let Some(rel) = self.rel_seen else { return };
-        let mut out: Vec<Update> = Vec::new();
-        for (t, outcome) in affected {
-            if matches!(outcome, super::DeleteOutcome::Shrunk(_)) {
-                self.dirty.insert(t.clone());
-            }
-            if let Some(alt) = self.pins.get(&t).cloned() {
-                self.sent.merge_ins(&t, &alt);
-                self.ledger_record(&t, &alt, ectx);
-                out.push(Update::ins(rel, t.clone(), alt.clone()));
-                let _ = self.pins.retract(&t, &alt);
-            }
-        }
-        ectx.emit_routed(self.route_col, self.dest, out);
     }
 
     /// Resident state bytes (`Bsent` + `Pins` + `Pdel` + ship ledger).
@@ -509,7 +476,7 @@ impl MinShipOp {
             }
             let mut cause = Vec::with_capacity(nc);
             for _ in 0..nc {
-                cause.push(wire::get_varint(buf)? as Var);
+                cause.push(wire::get_u32(buf)?);
             }
             if self.pdel.insert(t, (pv, cause)).is_some() {
                 return Err(WireError::Corrupt("duplicate Pdel tuple in checkpoint"));
@@ -534,7 +501,7 @@ impl MinShipOp {
             }
             let mut vars = FxHashSet::default();
             for _ in 0..nv {
-                vars.insert(wire::get_varint(buf)? as Var);
+                vars.insert(wire::get_u32(buf)?);
             }
             if self.shipped.insert(t, vars).is_some() {
                 return Err(WireError::Corrupt("duplicate ledger tuple in checkpoint"));
@@ -580,8 +547,8 @@ impl MinShipOp {
 
     /// Entries of `Pins` and `Bsent` examined so far by table-wide cause
     /// restriction (tests): grows by `pins_len() + sent_len()` per
-    /// [`MinShipOp::on_dead_vars`] / [`MinShipOp::on_tombstone`] call and by
-    /// nothing else, however many cause-delete updates flow through.
+    /// [`MinShipOp::on_dead_vars`] call and by nothing else, however many
+    /// cause-delete updates flow through.
     pub fn mirror_scan_steps(&self) -> u64 {
         self.pins.scan_steps() + self.sent.scan_steps()
     }
@@ -591,7 +558,7 @@ impl MinShipOp {
 mod tests {
     use super::*;
     use crate::plan::OpId;
-    use crate::strategy::{DeleteProp, Strategy};
+    use crate::strategy::Strategy;
     use netrec_bdd::BddManager;
     use netrec_sim::{NetApi, Partitioner, PeerId};
     use netrec_types::{RelId, SimTime, Value};
@@ -600,17 +567,13 @@ mod tests {
         Tuple::new(vec![Value::Int(i)])
     }
 
-    /// The mirrors are restricted by `on_dead_vars` itself — also when the
-    /// ship ledger is empty (here: broadcast deletion, which keeps none) —
-    /// and a cause-delete flowing through `on_updates` afterwards scans
-    /// nothing.
+    /// A dead variable is applied to the mirrors once, by `on_dead_vars` —
+    /// which also sweeps the ship ledger and forwards the cause — and a
+    /// cause-delete flowing through `on_updates` afterwards scans nothing.
     #[test]
-    fn dead_vars_restrict_mirrors_even_with_an_empty_ledger() {
+    fn dead_vars_restrict_mirrors_once_and_cause_deletes_scan_nothing() {
         let mgr = BddManager::new();
-        let strategy = Strategy {
-            delete_prop: DeleteProp::Broadcast,
-            ..Strategy::absorption_lazy()
-        };
+        let strategy = Strategy::absorption_lazy();
         let mut net = NetApi::fresh(SimTime(0), PeerId(0));
         let mut ectx = Ectx {
             me: PeerId(0),
@@ -635,16 +598,21 @@ mod tests {
             ],
             &mut ectx,
         );
-        assert!(op.shipped.is_empty(), "broadcast mode keeps no ledger");
+        assert_eq!(op.shipped.len(), 2, "both ships are in the ledger");
         assert_eq!((op.sent_len(), op.pins_len()), (2, 1));
         assert_eq!(op.mirror_scan_steps(), 0);
 
+        // Restriction is a pass over pins (1 entry) and sent (2 entries).
+        // The ledger sweep then forwards the cause for both shipped tuples
+        // and releases t(2)'s buffered alternative, which lands in `sent`.
         op.on_dead_vars(&[1], &mut ectx);
         assert_eq!(op.mirror_scan_steps(), 3, "one pass over pins and sent");
         assert_eq!(op.sent.get(&t(1)).unwrap().bdd(), &x(2), "sent shrank");
-        assert!(!op.sent.contains(&t(2)), "sent entry died");
-        assert_eq!(op.pins.get(&t(2)).unwrap().bdd(), &x(4), "pin shrank");
+        assert_eq!(op.sent.get(&t(2)).unwrap().bdd(), &x(4), "alternative");
+        assert_eq!(op.pins_len(), 0, "the pin was released");
         assert!(op.dirty.contains(&t(1)) && !op.dirty.contains(&t(2)));
+        let ledger = |i| op.shipped[&t(i)].iter().copied().collect::<Vec<Var>>();
+        assert_eq!((ledger(1), ledger(2)), (vec![2], vec![4]), "x1 was shed");
 
         let cause: Arc<[Var]> = Arc::from(&[1][..]);
         op.on_updates(
@@ -665,9 +633,47 @@ mod tests {
             vec![
                 (UpdateKind::Insert, t(1)),
                 (UpdateKind::Insert, t(2)),
+                (UpdateKind::Delete, t(1)), // the ledger sweep
                 (UpdateKind::Delete, t(2)),
                 (UpdateKind::Insert, t(2)), // the buffered alternative, released
+                (UpdateKind::Delete, t(2)), // the cause-delete off the stream
             ]
         );
+    }
+
+    /// The two variable lists of the checkpoint (a buffered deletion's cause,
+    /// a ledger entry) reject 2^32 — a 5-byte varint `as Var` would truncate
+    /// to 0 — and accept the same blob with the variable in range.
+    #[test]
+    fn restore_rejects_variables_beyond_32_bits() {
+        let mut tuple = Vec::new();
+        wire::put_tuple(&mut tuple, &t(1));
+        let tup = tuple.as_slice();
+        // (bytes before the variable, bytes after it) of an otherwise valid
+        // blob: empty `sent` and `pins`, then pdel / dirty / ledger / rel /
+        // timer.
+        let lists: [(Vec<u8>, Vec<u8>); 2] = [
+            ([&[0, 0, 1], tup, &[0, 1]].concat(), vec![0, 0, 0, 0]),
+            ([&[0, 0, 0, 0, 1], tup, &[1]].concat(), vec![0, 0]),
+        ];
+        let dest = Dest {
+            op: OpId(0),
+            input: 0,
+        };
+        let mgr = BddManager::new();
+        for (i, (before, after)) in lists.iter().enumerate() {
+            let restore = |v: &[u8]| {
+                let bytes = [before, v, after].concat();
+                MinShipOp::new(None, dest, ProvMode::Absorption).restore(&mut &bytes[..], &mgr)
+            };
+            assert_eq!(restore(&[7]), Ok(()), "list {i}");
+            assert!(
+                matches!(
+                    restore(&[0x80, 0x80, 0x80, 0x80, 0x10]),
+                    Err(WireError::Corrupt(_))
+                ),
+                "list {i}: 2^32 accepted"
+            );
+        }
     }
 }

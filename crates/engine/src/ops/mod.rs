@@ -135,16 +135,6 @@ impl<'a> Ectx<'a> {
             },
         }
     }
-
-    /// Broadcast a tombstone to every peer (including self).
-    pub fn broadcast_tombstone(&mut self, vars: std::sync::Arc<[Var]>) {
-        for p in 0..self.peers {
-            let msg = Msg::Tombstone(vars.clone());
-            let meta = netrec_sim::MsgMeta::control(msg.encoded_len());
-            self.net
-                .send(PeerId(p), crate::peer::TOMBSTONE_PORT, msg, meta);
-        }
-    }
 }
 
 /// Result of merging an insertion into a [`ProvTable`].

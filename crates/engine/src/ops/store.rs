@@ -50,12 +50,13 @@ impl StoreOp {
         aggsel: Option<&AggSelSpec>,
         dests: Vec<Dest>,
         mode: ProvMode,
-        support_index: bool,
     ) -> StoreOp {
         StoreOp {
             rel,
             is_view,
-            table: ProvTable::new(mode, support_index),
+            // Indexed: Algorithm 1's cause-restrict touches the affected
+            // entries, not the whole partition.
+            table: ProvTable::new(mode, true),
             aggsel: aggsel.map(|s| AggSelState::new(s.clone(), mode)),
             dests,
             record_deltas: false,
@@ -226,23 +227,6 @@ impl StoreOp {
             }
         }
         ectx.emit_local(&self.dests, out);
-    }
-
-    /// Broadcast-mode tombstone: restrict the whole partition locally; no
-    /// forwarding (all peers restrict independently). Deaths still feed the
-    /// serving delta log — a tombstone-killed tuple leaves the published
-    /// view exactly like a cause-deleted one.
-    pub fn on_tombstone(&mut self, vars: &[netrec_bdd::Var]) {
-        for (t, outcome) in self.table.restrict_cause(vars) {
-            if self.record_deltas {
-                if let DeleteOutcome::Died(_) = outcome {
-                    self.delta_log.push((t, false));
-                }
-            }
-        }
-        if let Some(sel) = &mut self.aggsel {
-            sel.on_tombstone(vars);
-        }
     }
 
     /// Serialise the materialised partition and any embedded aggregate

@@ -16,9 +16,6 @@ use crate::plan::{OpSpec, Plan};
 use crate::strategy::{ShipPolicy, Strategy};
 use crate::update::{Msg, Update};
 
-/// Port reserved for tombstone broadcasts (outside the operator port space).
-pub const TOMBSTONE_PORT: Port = Port(u16::MAX);
-
 const FLUSH_TIMER_BIT: u64 = 1 << 63;
 
 /// Engine peer state (implements [`PeerNode`] for both runtimes).
@@ -101,7 +98,6 @@ impl EnginePeer {
                     aggsel.as_ref(),
                     dests.clone(),
                     strategy.mode,
-                    strategy.support_index,
                 )),
                 OpSpec::AggSel { spec, dests } => {
                     OpState::AggSel(AggSelOp::new(spec.clone(), dests.clone(), strategy.mode))
@@ -200,7 +196,7 @@ impl EnginePeer {
             return Err(WireError::Truncated);
         }
         for _ in 0..n {
-            peer.dead_vars.insert(wire::get_varint(buf)? as Var);
+            peer.dead_vars.insert(wire::get_u32(buf)?);
         }
         let nops = wire::get_varint(buf)? as usize;
         if nops != peer.ops.len() {
@@ -350,8 +346,14 @@ impl EnginePeer {
         out
     }
 
-    fn dispatch(&mut self, op_idx: usize, input: u8, ups: Vec<Update>, net: &mut NetApi<Msg>) {
-        let mut ectx = Ectx {
+    /// Split the peer for one callback: its operator states, its variable
+    /// allocator, and the emission context operators run against — disjoint
+    /// fields, so an operator is borrowed mutably beside the context.
+    fn parts<'a>(
+        &'a mut self,
+        net: &'a mut NetApi<Msg>,
+    ) -> (&'a mut [OpState], &'a mut VarAllocator, Ectx<'a>) {
+        let ectx = Ectx {
             me: self.me,
             peers: self.peers,
             strategy: &self.strategy,
@@ -359,7 +361,12 @@ impl EnginePeer {
             mgr: &self.mgr,
             net,
         };
-        match &mut self.ops[op_idx] {
+        (&mut self.ops, &mut self.alloc, ectx)
+    }
+
+    fn dispatch(&mut self, op_idx: usize, input: u8, ups: Vec<Update>, net: &mut NetApi<Msg>) {
+        let (ops, _, mut ectx) = self.parts(net);
+        match &mut ops[op_idx] {
             OpState::Ingress(_) => panic!("ingress receives Msg::Base, not updates"),
             OpState::Map(o) => o.on_updates(ups, &mut ectx),
             OpState::Exchange(o) => o.on_updates(ups, &mut ectx),
@@ -375,28 +382,6 @@ impl EnginePeer {
             OpState::Store(o) => o.on_updates(ups, &mut ectx),
             OpState::AggSel(o) => o.on_updates(ups, &mut ectx),
             OpState::Aggregate(o) => o.on_updates(ups, &mut ectx),
-        }
-    }
-
-    fn apply_tombstone(&mut self, vars: &[Var], net: &mut NetApi<Msg>) {
-        self.dead_vars.extend(vars.iter().copied());
-        for i in 0..self.ops.len() {
-            let mut ectx = Ectx {
-                me: self.me,
-                peers: self.peers,
-                strategy: &self.strategy,
-                partitioner: self.partitioner,
-                mgr: &self.mgr,
-                net,
-            };
-            match &mut self.ops[i] {
-                OpState::Join(o) => o.on_tombstone(vars),
-                OpState::MinShip(o) => o.on_tombstone(vars, &mut ectx),
-                OpState::Store(o) => o.on_tombstone(vars),
-                OpState::AggSel(o) => o.on_tombstone(vars, &mut ectx),
-                OpState::Aggregate(o) => o.on_tombstone(vars, &mut ectx),
-                _ => {}
-            }
         }
     }
 
@@ -431,15 +416,8 @@ impl EnginePeer {
     /// relies on it and never scans its tables per update.
     fn forward_dead_vars(&mut self, fresh: &[Var], net: &mut NetApi<Msg>) {
         for i in 0..self.ops.len() {
-            let mut ectx = Ectx {
-                me: self.me,
-                peers: self.peers,
-                strategy: &self.strategy,
-                partitioner: self.partitioner,
-                mgr: &self.mgr,
-                net,
-            };
-            if let OpState::MinShip(o) = &mut self.ops[i] {
+            let (ops, _, mut ectx) = self.parts(net);
+            if let OpState::MinShip(o) = &mut ops[i] {
                 let arm = o.on_dead_vars(fresh, &mut ectx);
                 if arm {
                     if let ShipPolicy::Eager { period, .. } = self.strategy.ship {
@@ -453,13 +431,6 @@ impl EnginePeer {
 
 impl PeerNode<Msg> for EnginePeer {
     fn on_message(&mut self, port: Port, msg: Msg, net: &mut NetApi<Msg>) {
-        if port == TOMBSTONE_PORT {
-            if let Msg::Tombstone(vars) = msg {
-                let vars = vars.to_vec();
-                self.apply_tombstone(&vars, net);
-            }
-            return;
-        }
         let (op, input) = Plan::port_target(port);
         match msg {
             Msg::Updates(ups) => {
@@ -499,38 +470,18 @@ impl PeerNode<Msg> for EnginePeer {
                     self.dispatch(op.0 as usize, input, ups, net);
                 }
             }
-            Msg::Tombstone(vars) => {
-                let vars = vars.to_vec();
-                self.apply_tombstone(&vars, net);
-            }
             Msg::Rederive => {
-                let mut ectx = Ectx {
-                    me: self.me,
-                    peers: self.peers,
-                    strategy: &self.strategy,
-                    partitioner: self.partitioner,
-                    mgr: &self.mgr,
-                    net,
-                };
-                if let OpState::Ingress(o) = &mut self.ops[op.0 as usize] {
+                let (ops, _, mut ectx) = self.parts(net);
+                if let OpState::Ingress(o) = &mut ops[op.0 as usize] {
                     o.rederive(&mut ectx);
                 }
             }
             Msg::Base { kind, tuple, ttl } => {
-                let mut ectx = Ectx {
-                    me: self.me,
-                    peers: self.peers,
-                    strategy: &self.strategy,
-                    partitioner: self.partitioner,
-                    mgr: &self.mgr,
-                    net,
-                };
-                let OpState::Ingress(o) = &mut self.ops[op.0 as usize] else {
+                let (ops, alloc, mut ectx) = self.parts(net);
+                let OpState::Ingress(o) = &mut ops[op.0 as usize] else {
                     panic!("Msg::Base sent to non-ingress op {op:?}");
                 };
-                if let Some((ttl_id, delay)) =
-                    o.on_base(kind, tuple, ttl, &mut self.alloc, &mut ectx)
-                {
+                if let Some((ttl_id, delay)) = o.on_base(kind, tuple, ttl, alloc, &mut ectx) {
                     let id = ((op.0 as u64) << 32) | u64::from(ttl_id);
                     net.set_timer(delay, id);
                 }
@@ -539,17 +490,10 @@ impl PeerNode<Msg> for EnginePeer {
     }
 
     fn on_timer(&mut self, id: u64, net: &mut NetApi<Msg>) {
+        let (ops, alloc, mut ectx) = self.parts(net);
         if id & FLUSH_TIMER_BIT != 0 {
             let op_idx = (id & !FLUSH_TIMER_BIT) as usize;
-            let mut ectx = Ectx {
-                me: self.me,
-                peers: self.peers,
-                strategy: &self.strategy,
-                partitioner: self.partitioner,
-                mgr: &self.mgr,
-                net,
-            };
-            if let OpState::MinShip(o) = &mut self.ops[op_idx] {
+            if let OpState::MinShip(o) = &mut ops[op_idx] {
                 let rearm = o.on_flush_timer(&mut ectx);
                 if rearm {
                     if let ShipPolicy::Eager { period, .. } = self.strategy.ship {
@@ -560,19 +504,9 @@ impl PeerNode<Msg> for EnginePeer {
         } else {
             let op_idx = (id >> 32) as usize;
             let ttl_id = (id & 0xffff_ffff) as u32;
-            let mut ectx = Ectx {
-                me: self.me,
-                peers: self.peers,
-                strategy: &self.strategy,
-                partitioner: self.partitioner,
-                mgr: &self.mgr,
-                net,
-            };
-            if let OpState::Ingress(o) = &mut self.ops[op_idx] {
-                o.on_ttl(ttl_id, &mut self.alloc, &mut ectx);
+            if let OpState::Ingress(o) = &mut ops[op_idx] {
+                o.on_ttl(ttl_id, alloc, &mut ectx);
             }
         }
     }
 }
-
-// Re-export for runner use.

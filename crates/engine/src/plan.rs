@@ -43,8 +43,8 @@ pub struct AggSelSpec {
 /// One operator in the plan.
 #[derive(Clone, Debug)]
 pub enum OpSpec {
-    /// EDB ingress: allocates provenance variables, runs TTL expiry, and (in
-    /// broadcast mode) emits deletion tombstones.
+    /// EDB ingress: allocates provenance variables, runs TTL expiry, and
+    /// originates deletions.
     Ingress {
         /// The base relation.
         rel: RelId,
@@ -251,14 +251,18 @@ impl Plan {
     }
 
     /// Whether any store's output can reach one of its own inputs — i.e. the
-    /// plan is recursive. The counting strategy refuses recursive plans.
+    /// plan is recursive. The counting strategy refuses recursive plans
+    /// (`Runner` construction panics).
     pub fn is_recursive(&self) -> bool {
-        for (i, op) in self.ops.iter().enumerate() {
-            if matches!(op, OpSpec::Store { .. }) && self.reaches(OpId(i as u16), OpId(i as u16)) {
-                return true;
-            }
-        }
-        false
+        self.recursive_store().is_some()
+    }
+
+    /// The relation of the first store that feeds itself, if any.
+    pub(crate) fn recursive_store(&self) -> Option<RelId> {
+        self.ops.iter().enumerate().find_map(|(i, op)| match op {
+            OpSpec::Store { rel, .. } if self.reaches(OpId(i as u16), OpId(i as u16)) => Some(*rel),
+            _ => None,
+        })
     }
 
     fn reaches(&self, from: OpId, target: OpId) -> bool {

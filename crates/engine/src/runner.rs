@@ -27,8 +27,6 @@ use crate::plan::Plan;
 use crate::strategy::Strategy;
 use crate::update::Msg;
 
-pub use crate::peer::TOMBSTONE_PORT;
-
 /// Full run configuration.
 #[derive(Clone, Debug)]
 pub struct RunnerConfig {
@@ -559,6 +557,15 @@ impl<R: Runtime<Msg, EnginePeer>> Runner<R> {
     }
 
     fn from_parts(plan: Arc<Plan>, cfg: RunnerConfig, rt: R) -> Runner<R> {
+        if cfg.strategy.mode == netrec_prov::ProvMode::Counting {
+            if let Some(rel) = plan.recursive_store() {
+                // Derivation counts grow without bound around a cycle.
+                panic!(
+                    "the counting strategy cannot maintain a recursive plan: store `{}` feeds itself",
+                    plan.catalog.name(rel)
+                );
+            }
+        }
         let phase_metrics = rt.metrics_snapshot();
         let phase_events = rt.events_processed();
         Runner {

@@ -33,32 +33,14 @@ impl ShipPolicy {
     }
 }
 
-/// How base-tuple deletions reach remote operator state (see DESIGN.md).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeleteProp {
-    /// Deletions travel the dataflow as cause-carrying `DEL` updates;
-    /// stateful operators restrict matching entries and forward shrink
-    /// notifications along derivation paths (the paper's example behaviour,
-    /// made sound by shrink propagation).
-    Dataflow,
-    /// Base-variable tombstones are broadcast to all peers as small control
-    /// messages; every operator restricts its state locally (ablation).
-    Broadcast,
-}
-
-/// Full strategy: provenance scheme + shipping + deletion propagation +
-/// fixpoint indexing.
+/// Full strategy: the paper's two dials — provenance scheme and shipping
+/// policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Strategy {
     /// Annotation scheme.
     pub mode: ProvMode,
     /// MinShip policy.
     pub ship: ShipPolicy,
-    /// Deletion propagation mode.
-    pub delete_prop: DeleteProp,
-    /// Maintain a variable → tuples index in stores (fast cause-restrict)
-    /// instead of Algorithm 1's full-table scan. Ablation knob.
-    pub support_index: bool,
 }
 
 impl Strategy {
@@ -68,16 +50,14 @@ impl Strategy {
         Strategy {
             mode: ProvMode::Absorption,
             ship: ShipPolicy::Lazy,
-            delete_prop: DeleteProp::Dataflow,
-            support_index: true,
         }
     }
 
     /// Absorption provenance with 1 s eager flushes ("Absorption Eager").
     pub fn absorption_eager() -> Strategy {
         Strategy {
+            mode: ProvMode::Absorption,
             ship: ShipPolicy::eager_1s(),
-            ..Strategy::absorption_lazy()
         }
     }
 
@@ -85,7 +65,7 @@ impl Strategy {
     pub fn relative_lazy() -> Strategy {
         Strategy {
             mode: ProvMode::Relative,
-            ..Strategy::absorption_lazy()
+            ship: ShipPolicy::Lazy,
         }
     }
 
@@ -94,7 +74,6 @@ impl Strategy {
         Strategy {
             mode: ProvMode::Relative,
             ship: ShipPolicy::eager_1s(),
-            ..Strategy::absorption_lazy()
         }
     }
 
@@ -103,16 +82,15 @@ impl Strategy {
         Strategy {
             mode: ProvMode::Set,
             ship: ShipPolicy::Immediate,
-            delete_prop: DeleteProp::Dataflow,
-            support_index: false,
         }
     }
 
-    /// Counting algorithm (non-recursive plans only).
+    /// Counting algorithm (non-recursive plans only: a runner refuses to
+    /// build it over a recursive plan).
     pub fn counting() -> Strategy {
         Strategy {
             mode: ProvMode::Counting,
-            ..Strategy::set()
+            ship: ShipPolicy::Immediate,
         }
     }
 

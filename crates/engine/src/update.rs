@@ -110,10 +110,6 @@ pub enum Msg {
     /// the `Vec` back out without copying when it holds the last reference
     /// (see `EnginePeer::on_message`).
     Updates(Arc<Vec<Update>>),
-    /// Broadcast tombstone: these base variables were deleted
-    /// ([`crate::strategy::DeleteProp::Broadcast`] mode). Every stateful
-    /// operator on the receiving peer restricts its state.
-    Tombstone(Arc<[Var]>),
     /// DRed re-derivation trigger: ingress operators re-emit their live base
     /// tuples downstream (phase 2 of the DRed protocol).
     Rederive,
@@ -130,17 +126,10 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Wire size of the message (updates + 2 bytes framing, tombstones as
-    /// var list).
+    /// Wire size of the message (updates + 2 bytes framing).
     pub fn encoded_len(&self) -> usize {
         match self {
             Msg::Updates(us) => 2 + us.iter().map(Update::encoded_len).sum::<usize>(),
-            Msg::Tombstone(vars) => {
-                2 + vars
-                    .iter()
-                    .map(|v| wire::varint_len(u64::from(*v)))
-                    .sum::<usize>()
-            }
             Msg::Rederive => 2,
             Msg::Base { tuple, .. } => 2 + tuple.encoded_len(),
         }
@@ -218,9 +207,8 @@ mod tests {
 
     #[test]
     fn control_messages_are_small() {
-        let tomb = Msg::Tombstone(Arc::from(&[1u32, 2, 3][..]));
-        assert!(tomb.encoded_len() < 16);
-        assert_eq!(tomb.tuple_count(), 0);
         assert_eq!(Msg::Rederive.encoded_len(), 2);
+        assert_eq!(Msg::Rederive.tuple_count(), 0);
+        assert_eq!(Msg::Rederive.prov_len(), 0);
     }
 }

@@ -35,9 +35,9 @@ impl Default for WireCtx {
     }
 }
 
-// Msg variant tags on the wire.
+// Msg variant tags on the wire. Tag 1 must stay unassigned: it belonged to
+// a retired message, and a frame from an old peer has to fail as a bad tag.
 const MSG_UPDATES: u8 = 0;
-const MSG_TOMBSTONE: u8 = 1;
 const MSG_REDERIVE: u8 = 2;
 const MSG_BASE: u8 = 3;
 
@@ -55,10 +55,7 @@ fn get_vars(buf: &mut &[u8]) -> Result<Arc<[Var]>, WireError> {
     }
     let mut vars = Vec::with_capacity(len);
     for _ in 0..len {
-        vars.push(
-            u32::try_from(wire::get_varint(buf)?)
-                .map_err(|_| WireError::Corrupt("variable out of range"))?,
-        );
+        vars.push(wire::get_u32(buf)?);
     }
     Ok(Arc::from(vars))
 }
@@ -103,10 +100,6 @@ impl WireMsg for Msg {
                     put_update(out, u);
                 }
             }
-            Msg::Tombstone(vars) => {
-                out.push(MSG_TOMBSTONE);
-                put_vars(out, vars);
-            }
             Msg::Rederive => out.push(MSG_REDERIVE),
             Msg::Base { kind, tuple, ttl } => {
                 out.push(MSG_BASE);
@@ -138,7 +131,6 @@ impl WireMsg for Msg {
                 }
                 Ok(Msg::Updates(Arc::new(us)))
             }
-            MSG_TOMBSTONE => Ok(Msg::Tombstone(get_vars(buf)?)),
             MSG_REDERIVE => Ok(Msg::Rederive),
             MSG_BASE => {
                 let (&ktag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
@@ -208,12 +200,6 @@ mod tests {
             other => panic!("variant changed: {other:?}"),
         }
 
-        let tomb = Msg::Tombstone(Arc::from(&[3u32, 5, 300_000][..]));
-        match roundtrip(&tomb) {
-            Msg::Tombstone(vs) => assert_eq!(vs.as_ref(), &[3, 5, 300_000]),
-            other => panic!("variant changed: {other:?}"),
-        }
-
         assert!(matches!(roundtrip(&Msg::Rederive), Msg::Rederive));
 
         let base = Msg::Base {
@@ -236,6 +222,31 @@ mod tests {
             Msg::Updates(us) => us[i].encoded_len(),
             _ => unreachable!(),
         }
+    }
+
+    /// The tag bytes are the protocol: the three variants keep theirs, and
+    /// the retired tombstone's tag decodes as nothing.
+    #[test]
+    fn variant_tags_are_stable_and_the_retired_one_is_rejected() {
+        let tag = |msg: &Msg| {
+            let mut bytes = Vec::new();
+            msg.encode(&mut bytes);
+            bytes[0]
+        };
+        assert_eq!(tag(&Msg::Updates(Arc::new(Vec::new()))), 0);
+        assert_eq!(tag(&Msg::Rederive), 2);
+        let base = Msg::Base {
+            kind: UpdateKind::Insert,
+            tuple: tup([Value::Int(1)]),
+            ttl: None,
+        };
+        assert_eq!(tag(&base), 3);
+        // What used to be a tombstone carrying variables 3 and 5.
+        let mut buf: &[u8] = &[1, 2, 3, 5];
+        assert!(matches!(
+            Msg::decode(&mut buf, &WireCtx::default()),
+            Err(WireError::BadTag(1))
+        ));
     }
 
     #[test]

@@ -16,11 +16,13 @@
 use std::sync::Arc;
 
 use netrec_engine::peer::EnginePeer;
+use netrec_engine::plan::Plan;
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
+use netrec_prov::ProvMode;
 use netrec_sim::{PeerId, RuntimeKind};
 use netrec_testutil::churn::ChurnCase;
-use netrec_testutil::fixtures::{link as fixtures_link, reachable_plan};
+use netrec_testutil::fixtures::{link as fixtures_link, reachable_plan, twohop_plan};
 use proptest::prelude::*;
 
 fn cases_from_env() -> u32 {
@@ -43,17 +45,24 @@ fn strategies() -> Vec<Strategy> {
     ]
 }
 
+/// The plan a strategy is exercised on: counting refuses recursive plans
+/// (derivation counts grow without bound around a cycle), so its table/count
+/// codec paths run on the non-recursive two-hop self-join.
+fn plan_for(strategy: Strategy) -> Plan {
+    if strategy.mode == ProvMode::Counting {
+        twohop_plan()
+    } else {
+        reachable_plan()
+    }
+}
+
 /// Drive the churn case to a converged boundary (load, plus the deletion
 /// pass when the strategy maintains deletions) and return the runner.
-///
-/// Counting mode is special-cased onto an acyclic forward chain: counting
-/// provenance diverges on cyclic recursion (derivation counts grow without
-/// bound around a cycle), so its table/count codec paths are exercised on
-/// the chain where every count is finite.
+/// Counting loads a forward chain instead.
 fn boundary_runner(case: &ChurnCase, strategy: Strategy) -> Runner {
     let cfg = RunnerConfig::new(strategy, case.peers).with_runtime(RuntimeKind::des());
-    let mut runner = Runner::new(reachable_plan(), cfg);
-    if strategy.mode == netrec_prov::ProvMode::Counting {
+    let mut runner = Runner::new(plan_for(strategy), cfg);
+    if strategy.mode == ProvMode::Counting {
         for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)] {
             runner.inject(
                 "link",
@@ -70,7 +79,7 @@ fn boundary_runner(case: &ChurnCase, strategy: Strategy) -> Runner {
         runner.inject(&op.rel, op.tuple.clone(), op.kind, op.ttl);
     }
     assert!(runner.run_phase("load").converged());
-    if strategy.mode != netrec_prov::ProvMode::Set {
+    if strategy.mode != ProvMode::Set {
         for op in &dels {
             runner.inject(&op.rel, op.tuple.clone(), op.kind, op.ttl);
         }
@@ -83,7 +92,7 @@ fn boundary_runner(case: &ChurnCase, strategy: Strategy) -> Runner {
 /// the re-encoded bytes are identical. Returns the blobs for reuse.
 fn assert_roundtrip_idempotent(runner: &Runner, strategy: Strategy, ctx: &str) -> Vec<Vec<u8>> {
     let peers = runner.peer_count();
-    let plan = Arc::new(reachable_plan());
+    let plan = Arc::new(plan_for(strategy));
     let partitioner = runner.config().partitioner;
     (0..peers)
         .map(|p| {
@@ -168,6 +177,36 @@ fn every_truncation_fails_loudly() {
             "peer {p}: trailing byte accepted"
         );
     }
+}
+
+/// A dead variable of 2^32 (a 5-byte varint) in an otherwise valid blob is
+/// rejected, not truncated to variable 0.
+#[test]
+fn dead_variable_beyond_32_bits_is_rejected() {
+    let strategy = Strategy::absorption_lazy();
+    let partitioner = RunnerConfig::new(strategy, 1).partitioner;
+    let plan = Arc::new(reachable_plan());
+    let fresh = EnginePeer::new(PeerId(0), 1, Arc::clone(&plan), strategy, partitioner);
+    let blob = fresh.checkpoint();
+    // Allocator mark 0, then an empty dead-variable list.
+    assert_eq!(blob[..2], [0, 0]);
+    let with_dead = |var: &[u8]| {
+        let bytes = [&[0, 1], var, &blob[2..]].concat();
+        EnginePeer::restore(
+            PeerId(0),
+            1,
+            Arc::clone(&plan),
+            strategy,
+            partitioner,
+            &bytes,
+        )
+        .map(|peer| peer.checkpoint() == bytes)
+    };
+    assert_eq!(with_dead(&[7]), Ok(true), "an in-range variable restores");
+    assert!(matches!(
+        with_dead(&[0x80, 0x80, 0x80, 0x80, 0x10]),
+        Err(netrec_types::wire::WireError::Corrupt(_))
+    ));
 }
 
 proptest! {

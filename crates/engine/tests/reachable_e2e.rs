@@ -10,7 +10,7 @@ use netrec_engine::expr::Expr;
 use netrec_engine::plan::{Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
 use netrec_engine::reference::{Atom, Db, Program, Rule, Term};
 use netrec_engine::runner::{Runner, RunnerConfig};
-use netrec_engine::strategy::{DeleteProp, Strategy};
+use netrec_engine::strategy::Strategy;
 use netrec_types::{NetAddr, RelId, Tuple, UpdateKind, Value};
 
 /// The Fig. 4 plan: reachable(x,y) over link(src,dst,cost).
@@ -183,68 +183,55 @@ fn fig2_absorption_provenance_of_bb() {
 fn fig2_delete_p4_keeps_all_tuples() {
     // The paper's headline example: deleting link(C,B) zeroes p4 but no
     // reachable tuple dies.
-    for delete_prop in [DeleteProp::Dataflow, DeleteProp::Broadcast] {
-        let strategy = Strategy {
-            delete_prop,
-            ..Strategy::absorption_lazy()
-        };
-        let mut runner = run_fig3(strategy);
-        runner.inject("link", link_tuple(2, 1), UpdateKind::Delete, None);
-        let report = runner.run_phase("delete p4");
-        assert!(report.converged());
-        assert_eq!(
-            runner.view("reachable").len(),
-            9,
-            "{delete_prop:?}: all pairs survive"
-        );
-        // p4 must be gone from every annotation.
-        let prov_cb = runner.view_prov("reachable", &pair(2, 1)).unwrap();
-        let p1 = runner.base_var("link", &link_tuple(0, 1)).unwrap();
-        let p3 = runner.base_var("link", &link_tuple(2, 0)).unwrap();
-        let mgr = prov_cb.bdd().manager();
-        assert_eq!(prov_cb.bdd(), &mgr.cube([p1, p3]), "{delete_prop:?}");
-    }
+    let mut runner = run_fig3(Strategy::absorption_lazy());
+    runner.inject("link", link_tuple(2, 1), UpdateKind::Delete, None);
+    let report = runner.run_phase("delete p4");
+    assert!(report.converged());
+    assert_eq!(runner.view("reachable").len(), 9, "all pairs survive");
+    // p4 must be gone from every annotation.
+    let prov_cb = runner.view_prov("reachable", &pair(2, 1)).unwrap();
+    let p1 = runner.base_var("link", &link_tuple(0, 1)).unwrap();
+    let p3 = runner.base_var("link", &link_tuple(2, 0)).unwrap();
+    let mgr = prov_cb.bdd().manager();
+    assert_eq!(prov_cb.bdd(), &mgr.cube([p1, p3]));
 }
 
 #[test]
 fn cascading_deletions_match_oracle() {
     // Delete links one at a time until the graph is empty; after each
     // deletion the maintained view must equal a from-scratch evaluation.
-    for delete_prop in [DeleteProp::Dataflow, DeleteProp::Broadcast] {
-        for strategy in [
-            Strategy {
-                delete_prop,
-                ..Strategy::absorption_lazy()
-            },
-            Strategy {
-                delete_prop,
-                ..Strategy::absorption_eager()
-            },
-            Strategy {
-                delete_prop,
-                ..Strategy::relative_lazy()
-            },
-        ] {
-            let mut runner = run_fig3(strategy);
-            let mut live: Vec<(u32, u32)> = FIG3.to_vec();
-            for (a, b) in FIG3 {
-                runner.inject("link", link_tuple(a, b), UpdateKind::Delete, None);
-                let rep = runner.run_phase("delete");
-                assert!(rep.converged());
-                live.retain(|&l| l != (a, b));
-                let expected = oracle_reachable(&live);
-                assert_eq!(
-                    runner.view("reachable"),
-                    expected,
-                    "{} {:?}: after deleting {:?}",
-                    strategy.label(),
-                    delete_prop,
-                    (a, b)
-                );
-            }
-            assert!(runner.view("reachable").is_empty());
+    for strategy in [
+        Strategy::absorption_lazy(),
+        Strategy::absorption_eager(),
+        Strategy::relative_lazy(),
+    ] {
+        let mut runner = run_fig3(strategy);
+        let mut live: Vec<(u32, u32)> = FIG3.to_vec();
+        for (a, b) in FIG3 {
+            runner.inject("link", link_tuple(a, b), UpdateKind::Delete, None);
+            let rep = runner.run_phase("delete");
+            assert!(rep.converged());
+            live.retain(|&l| l != (a, b));
+            let expected = oracle_reachable(&live);
+            assert_eq!(
+                runner.view("reachable"),
+                expected,
+                "{}: after deleting {:?}",
+                strategy.label(),
+                (a, b)
+            );
         }
+        assert!(runner.view("reachable").is_empty());
     }
+}
+
+/// Derivation counts grow without bound around a cycle, so the counting
+/// strategy is refused on the recursive plan when the runner is built —
+/// not discovered as a diverging run.
+#[test]
+#[should_panic(expected = "counting strategy cannot maintain a recursive plan: store `reachable`")]
+fn counting_on_the_recursive_plan_fails_at_construction() {
+    run_fig3(Strategy::counting());
 }
 
 #[test]

@@ -5,11 +5,11 @@
 //! membership of that snapshot.
 //!
 //! This pins the whole delta pipeline — store-level membership extraction
-//! from DRed outcomes (`New`/`Died`, including tombstone deaths), per-peer
-//! drains folded in global order, left-right publication — against the
-//! independent read path it replaced. The workload deliberately mixes load,
-//! single-link growth, delete-churn (cascades), and re-insertion, so deltas
-//! of both signs flow through every substrate's boundary.
+//! from DRed outcomes (`New`/`Died`), per-peer drains folded in global
+//! order, left-right publication — against the independent read path it
+//! replaced. The workload deliberately mixes load, single-link growth,
+//! delete-churn (cascades), and re-insertion, so deltas of both signs flow
+//! through every substrate's boundary.
 
 use std::collections::BTreeSet;
 

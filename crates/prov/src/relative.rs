@@ -284,7 +284,7 @@ impl RelProv {
             let tag = buf[0];
             *buf = &buf[1..];
             let key = match tag {
-                0 => NodeKey::Base(wire::get_varint(buf)? as Var),
+                0 => NodeKey::Base(wire::get_u32(buf)?),
                 1 => {
                     let raw = wire::get_varint(buf)?;
                     if raw > u64::from(u16::MAX) {
@@ -304,7 +304,7 @@ impl RelProv {
                 return Err(wire::WireError::Truncated);
             }
             for _ in 0..nderivs {
-                let rule = wire::get_varint(buf)? as u32;
+                let rule = wire::get_u32(buf)?;
                 let nants = wire::get_varint(buf)? as usize;
                 if nants > buf.len() {
                     return Err(wire::WireError::Truncated);
@@ -570,5 +570,31 @@ mod tests {
             RelProv::decode(&mut bad_root.as_slice()),
             Err(wire::WireError::Corrupt(_))
         ));
+    }
+
+    /// A base variable or rule id of 2^32 (a 5-byte varint) is rejected,
+    /// not truncated to 0.
+    #[test]
+    fn decode_rejects_values_beyond_32_bits() {
+        const OVER: [u8; 5] = [0x80, 0x80, 0x80, 0x80, 0x10];
+        // One base node, no derivations, root 0.
+        let mut base = vec![1, 0];
+        base.extend(OVER);
+        base.extend([0, 0]);
+        assert!(matches!(
+            RelProv::decode(&mut base.as_slice()),
+            Err(wire::WireError::Corrupt(_))
+        ));
+        // Base node 5 with one derivation whose rule id is out of range.
+        let mut rule = vec![1, 0, 5, 1];
+        rule.extend(OVER);
+        rule.extend([0, 0]);
+        assert!(matches!(
+            RelProv::decode(&mut rule.as_slice()),
+            Err(wire::WireError::Corrupt(_))
+        ));
+        // Both decode once the value fits.
+        assert!(RelProv::decode(&mut &[1, 0, 5, 0, 0][..]).is_ok());
+        assert!(RelProv::decode(&mut &[1, 0, 5, 1, 9, 0, 0][..]).is_ok());
     }
 }

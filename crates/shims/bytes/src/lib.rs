@@ -22,22 +22,26 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let (first, rest) = self.split_first().expect("Buf::get_u8 on empty buffer");
         *self = rest;
         *first
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         let (head, rest) = self.split_at(dst.len());
         dst.copy_from_slice(head);
         *self = rest;
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         *self = &self[n..];
     }
@@ -71,10 +75,12 @@ pub trait BufMut {
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_u8(&mut self, b: u8) {
         self.push(b);
     }
 
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }

@@ -87,6 +87,12 @@ pub fn get_varint(buf: &mut impl Buf) -> Result<u64, WireError> {
     }
 }
 
+/// Read a varint that must fit 32 bits (a provenance variable, rule id,
+/// timer id): a larger value is [`WireError::Corrupt`], never truncated.
+pub fn get_u32(buf: &mut impl Buf) -> Result<u32, WireError> {
+    u32::try_from(get_varint(buf)?).map_err(|_| WireError::Corrupt("value exceeds 32 bits"))
+}
+
 /// Number of bytes [`put_varint`] writes for `v`.
 pub fn varint_len(v: u64) -> usize {
     if v == 0 {
@@ -534,6 +540,19 @@ mod tests {
             assert_eq!(buf.len(), len);
             assert_eq!(get_varint(&mut &buf[..]).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn get_u32_rejects_what_does_not_fit() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, u64::from(u32::MAX));
+        assert_eq!(get_u32(&mut &buf[..]), Ok(u32::MAX));
+        // 2^32 is a 5-byte varint that `as u32` would truncate to 0.
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1 << 32);
+        assert_eq!(buf.len(), 5);
+        assert!(matches!(get_u32(&mut &buf[..]), Err(WireError::Corrupt(_))));
+        assert_eq!(get_u32(&mut &[0x80u8][..]), Err(WireError::Truncated));
     }
 
     #[test]

@@ -17,11 +17,12 @@ use std::collections::BTreeSet;
 use netrec::core::{System, SystemConfig};
 use netrec::engine::dred;
 use netrec::engine::expr::Expr;
-use netrec::engine::plan::{Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec::engine::plan::Plan;
 use netrec::engine::reference::{Atom, Db, Program, Rule, Term};
 use netrec::engine::runner::{Runner, RunnerConfig};
-use netrec::engine::strategy::{DeleteProp, Strategy};
+use netrec::engine::strategy::Strategy;
 use netrec::topo::{link_tuples, random_graph};
+use netrec_testutil::fixtures::twohop_plan;
 use netrec_types::{Tuple, UpdateKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -52,8 +53,8 @@ fn case(seed: u64) -> Case {
     }
 }
 
-/// Recursive reachable: set (DRed deletions), absorption (dataflow and
-/// broadcast deletions) and relative modes against the oracle.
+/// Recursive reachable: set (DRed deletions), absorption and relative
+/// modes against the oracle.
 #[test]
 fn reachable_all_modes_match_reference() {
     for seed in [11u64, 23, 47, 101] {
@@ -61,10 +62,6 @@ fn reachable_all_modes_match_reference() {
         let strategies: Vec<Strategy> = vec![
             Strategy::set(),
             Strategy::absorption_lazy(),
-            Strategy {
-                delete_prop: DeleteProp::Broadcast,
-                ..Strategy::absorption_lazy()
-            },
             Strategy::relative_lazy(),
         ];
         for strategy in strategies {
@@ -105,42 +102,6 @@ fn reachable_all_modes_match_reference() {
             );
         }
     }
-}
-
-/// Non-recursive self-join: `twohop(x,z) :- link(x,y), link(y,z)`.
-fn twohop_plan() -> Plan {
-    let mut b = PlanBuilder::new();
-    let link = b.edb("link", &["src", "dst", "cost"], 0);
-    let twohop = b.idb("twohop", &["src", "dst"], 0);
-    let ing = b.ingress(link);
-    let store = b.store(twohop, true, None);
-    // row = link(x,y,c) ++ link(y,z,c2); emit (x, z).
-    let join = b.join(vec![1], vec![0], vec![], vec![Expr::col(0), Expr::col(4)]);
-    let ex_build = b.exchange(
-        Some(1),
-        Dest {
-            op: join,
-            input: JOIN_BUILD,
-        },
-    );
-    let ex_probe = b.exchange(
-        Some(0),
-        Dest {
-            op: join,
-            input: JOIN_PROBE,
-        },
-    );
-    let ship = b.minship(
-        Some(0),
-        Dest {
-            op: store,
-            input: 0,
-        },
-    );
-    b.connect(ing, ex_build, 0);
-    b.connect(ing, ex_probe, 0);
-    b.connect(join, ship, 0);
-    b.build().expect("twohop plan is well-formed")
 }
 
 fn twohop_program(plan: &Plan) -> Program {

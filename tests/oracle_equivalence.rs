@@ -1,10 +1,9 @@
 //! Property tests: for random topologies and random update scripts, the
 //! distributed maintained views equal a from-scratch centralized evaluation,
-//! across maintenance strategies and deletion-propagation modes — the
-//! system's core correctness contract.
+//! across maintenance strategies — the system's core correctness contract.
 
 use netrec::core::{AggSelChoice, System, SystemConfig};
-use netrec::engine::strategy::{DeleteProp, Strategy};
+use netrec::engine::strategy::Strategy;
 use netrec::topo::{random_graph, SensorGrid, SensorGridParams, Workload};
 use netrec_types::UpdateKind;
 use proptest::prelude::*;
@@ -13,10 +12,6 @@ fn strategies() -> Vec<Strategy> {
     vec![
         Strategy::absorption_lazy(),
         Strategy::absorption_eager(),
-        Strategy {
-            delete_prop: DeleteProp::Broadcast,
-            ..Strategy::absorption_lazy()
-        },
         Strategy::relative_lazy(),
     ]
 }
