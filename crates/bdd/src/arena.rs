@@ -1,9 +1,23 @@
-//! The node arena: hash-consed ROBDD nodes plus operation caches.
+//! The node arena: hash-consed ROBDD nodes plus operation caches, and the
+//! memory policy that keeps both proportional to what is alive.
 //!
 //! This module is internal; users interact through [`crate::BddManager`] and
 //! [`crate::Bdd`] handles. The arena itself is a plain (non-thread-safe)
 //! struct — the handle layer wraps it in a `parking_lot::Mutex` so the public
 //! API is `Send + Sync`.
+//!
+//! # Node lifetime
+//!
+//! A [`NodeId`] is valid exactly as long as a `Bdd` handle holds it or a path
+//! from one reaches it. Ids are recycled: [`Arena::gc`] puts every unreachable
+//! slot on a free list and [`Arena::mk`] takes from that list before it grows
+//! the node vector. Nothing outside this crate ever sees an id, and inside it
+//! no id outlives a lock acquisition except inside a handle — which is what
+//! makes the entry of an allocating operation a safe point to collect:
+//! [`Arena::collect_if_due`] runs there, under the same lock acquisition that
+//! computes the result and takes its reference.
+
+use std::collections::hash_map::Entry;
 
 use netrec_types::{FxHashMap, FxHashSet};
 
@@ -14,6 +28,22 @@ pub type Var = u32;
 
 /// Node identifier inside one arena. `0` and `1` are the terminals.
 pub(crate) type NodeId = u32;
+
+/// No collection below this many hash-consed nodes. Sweeping an arena this
+/// small costs about 130 ns (two near-empty table scans), a tenth of what
+/// making the 16 nodes and the operations around them costs, and it is low on
+/// purpose: the six-peer chains of the CI churn matrices peak at 15–34 nodes
+/// per arena, and a floor above that would leave the concurrent hand-off of
+/// handles untested against a collector that actually runs.
+const GC_FLOOR: usize = 16;
+/// Collect once the hash-consed nodes reach this multiple of what survived
+/// the previous collection, so an arena that only grows (a bulk load) pays a
+/// geometric series of sweeps and a stationary one holds at most one
+/// generation of garbage beside its live nodes.
+const GC_GROWTH: usize = 2;
+/// A table or vector gives its memory back once it is this many times larger
+/// than what it holds; anything closer is kept to save the rehash.
+const SHRINK_SLACK: usize = 4;
 
 pub(crate) const FALSE: NodeId = 0;
 pub(crate) const TRUE: NodeId = 1;
@@ -30,8 +60,14 @@ struct Node {
 /// Counters exposed through [`crate::BddManager::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BddManagerStats {
-    /// Nodes currently in the arena (including the two terminals).
+    /// Hash-consed nodes plus the two terminals: everything a collection has
+    /// not (yet) reclaimed. Free slots are not counted.
     pub nodes: usize,
+    /// Slots allocated in the node vector, free ones included
+    /// (`nodes + free_slots`): what the arena costs in memory.
+    pub slots: usize,
+    /// Slots a collection freed that no node has reused yet.
+    pub free_slots: usize,
     /// High-water mark of `nodes` since creation (GC does not reset it).
     pub peak_nodes: usize,
     /// Entries currently memoised in the `ite` cache.
@@ -48,14 +84,20 @@ pub struct BddManagerStats {
 
 pub(crate) struct Arena {
     nodes: Vec<Node>,
+    /// Handles holding each slot, parallel to `nodes` and maintained by handle
+    /// creation/clone/drop. The non-zero entries are the root set.
+    refs: Vec<u32>,
+    /// Slots the last collection freed, lowest id on top.
+    free: Vec<NodeId>,
     unique: FxHashMap<Node, NodeId>,
     ite_cache: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
-    /// External reference counts per node id, maintained by handle clone/drop.
-    extrefs: FxHashMap<NodeId, u32>,
-    /// Memoised wire-encoding lengths per root id. Sound because node ids
-    /// are never reused (gc tombstones dead slots); cleared on gc so entries
-    /// for unreachable roots do not accumulate.
+    /// Memoised wire-encoding lengths per root id. Sound because it is
+    /// emptied in the same critical section that frees ids: an entry always
+    /// describes the function its id denotes now.
     pub(crate) encoded_len_cache: FxHashMap<NodeId, u32>,
+    /// Hash-consed nodes that survived the previous collection.
+    survivors: usize,
+    /// The running counters; `stats()` fills in the sizes.
     stats: BddManagerStats,
 }
 
@@ -63,24 +105,23 @@ impl Arena {
     pub(crate) fn new() -> Self {
         let mut a = Arena {
             nodes: Vec::with_capacity(1024),
+            refs: Vec::with_capacity(1024),
+            free: Vec::new(),
             unique: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
             ite_cache: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
-            extrefs: FxHashMap::default(),
             encoded_len_cache: FxHashMap::default(),
+            survivors: 0,
             stats: BddManagerStats::default(),
         };
         // Terminals occupy slots 0 and 1 and are never hash-consed.
-        a.nodes.push(Node {
-            var: TERMINAL_VAR,
-            lo: FALSE,
-            hi: FALSE,
-        });
-        a.nodes.push(Node {
-            var: TERMINAL_VAR,
-            lo: TRUE,
-            hi: TRUE,
-        });
-        a.stats.nodes = 2;
+        for t in [FALSE, TRUE] {
+            a.nodes.push(Node {
+                var: TERMINAL_VAR,
+                lo: t,
+                hi: t,
+            });
+            a.refs.push(0);
+        }
         a.stats.peak_nodes = 2;
         a
     }
@@ -111,14 +152,23 @@ impl Arena {
             return lo;
         }
         let node = Node { var, lo, hi };
-        if let Some(&id) = self.unique.get(&node) {
-            return id;
-        }
-        let id = self.nodes.len() as NodeId;
-        self.nodes.push(node);
-        self.unique.insert(node, id);
-        self.stats.nodes = self.nodes.len();
-        self.stats.peak_nodes = self.stats.peak_nodes.max(self.stats.nodes);
+        let slot = match self.unique.entry(node) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => e,
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.nodes[id as usize] = node;
+                id
+            }
+            None => {
+                self.nodes.push(node);
+                self.refs.push(0);
+                (self.nodes.len() - 1) as NodeId
+            }
+        };
+        slot.insert(id);
+        self.stats.peak_nodes = self.stats.peak_nodes.max(self.unique.len() + 2);
         id
     }
 
@@ -160,7 +210,6 @@ impl Arena {
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(top, lo, hi);
         self.ite_cache.insert(key, r);
-        self.stats.ite_cache_entries = self.ite_cache.len();
         r
     }
 
@@ -410,56 +459,82 @@ impl Arena {
         path.pop();
     }
 
-    /// Topologically ordered (children before parents) DAG dump used by the
-    /// serialiser and the DOT export: `(id, var, lo, hi)` per interior node.
-    pub(crate) fn nodes_triples(&self, f: NodeId) -> Vec<(NodeId, Var, NodeId, NodeId)> {
-        let mut order: Vec<NodeId> = Vec::new();
-        let mut seen = FxHashSet::default();
-        fn visit(a: &Arena, n: NodeId, seen: &mut FxHashSet<NodeId>, order: &mut Vec<NodeId>) {
-            if n <= TRUE || !seen.insert(n) {
-                return;
+    /// Child-first DAG dump used by the serialiser and the DOT export:
+    /// `(var, lo_ref, hi_ref)` per interior node, where a reference is `0` /
+    /// `1` for the terminals and `k + 2` for the `k`-th entry of the list.
+    /// The root is the last entry.
+    pub(crate) fn nodes_triples(&self, f: NodeId) -> Vec<(Var, u32, u32)> {
+        /// Returns the wire reference of `n`, emitting it (after its
+        /// children) on the first visit; `refs` is both the visited set and
+        /// the id → reference map.
+        fn visit(
+            a: &Arena,
+            n: NodeId,
+            refs: &mut FxHashMap<NodeId, u32>,
+            out: &mut Vec<(Var, u32, u32)>,
+        ) -> u32 {
+            if n <= TRUE {
+                return n;
             }
-            visit(a, a.lo(n), seen, order);
-            visit(a, a.hi(n), seen, order);
-            order.push(n);
+            if let Some(&r) = refs.get(&n) {
+                return r;
+            }
+            let lo = visit(a, a.lo(n), refs, out);
+            let hi = visit(a, a.hi(n), refs, out);
+            let r = out.len() as u32 + 2;
+            out.push((a.var_of(n), lo, hi));
+            refs.insert(n, r);
+            r
         }
-        visit(self, f, &mut seen, &mut order);
-        order
-            .iter()
-            .map(|&n| (n, self.var_of(n), self.lo(n), self.hi(n)))
-            .collect()
+        let mut out = Vec::new();
+        visit(self, f, &mut FxHashMap::default(), &mut out);
+        out
     }
 
-    // ---- external reference counting + GC ------------------------------
+    // ---- handle reference counts + GC ----------------------------------
 
     pub(crate) fn incref(&mut self, n: NodeId) {
         if n > TRUE {
-            *self.extrefs.entry(n).or_insert(0) += 1;
+            self.refs[n as usize] += 1;
         }
     }
 
+    /// Panics when `n` has no reference to give back: the one bug that would
+    /// let a collection free a node some handle still points at.
     pub(crate) fn decref(&mut self, n: NodeId) {
         if n > TRUE {
-            if let Some(c) = self.extrefs.get_mut(&n) {
-                *c -= 1;
-                if *c == 0 {
-                    self.extrefs.remove(&n);
-                }
-            }
+            let c = &mut self.refs[n as usize];
+            assert!(*c > 0, "reference count underflow on BDD node {n}");
+            *c -= 1;
         }
     }
 
-    /// Mark-and-sweep garbage collection rooted at all live external handles.
-    /// Node ids are *stable* and never reused: a dead node only leaves the
-    /// unique table, its slot stays in the node vector for good (the vector
-    /// never shrinks), and re-making the same triple takes a fresh slot.
+    /// Collect when the hash-consed nodes have reached [`GC_GROWTH`] × the
+    /// survivors of the previous collection (and [`GC_FLOOR`]). Called at the
+    /// entry of every allocating operation, where the handles are the whole
+    /// root set.
+    pub(crate) fn collect_if_due(&mut self) {
+        let nodes = self.unique.len();
+        if nodes >= GC_FLOOR && nodes >= GC_GROWTH * self.survivors {
+            self.gc();
+        }
+    }
+
+    /// Mark-and-sweep garbage collection rooted at all live handles. Every
+    /// unreachable slot goes on the free list for `mk` to reuse (a dead tail
+    /// of the node vector is cut off instead), the unique table keeps exactly
+    /// the nodes that survived, and the `ite` and `encoded_len` memos are
+    /// emptied — all before the lock is released, so no table ever maps a
+    /// recycled id to what it used to denote.
     ///
     /// Returns the number of nodes reclaimed.
     pub(crate) fn gc(&mut self) -> usize {
         let mut marked = vec![false; self.nodes.len()];
         marked[FALSE as usize] = true;
         marked[TRUE as usize] = true;
-        let mut stack: Vec<NodeId> = self.extrefs.keys().copied().collect();
+        let mut stack: Vec<NodeId> = (0..self.refs.len() as NodeId)
+            .filter(|&n| self.refs[n as usize] > 0)
+            .collect();
         while let Some(n) = stack.pop() {
             if marked[n as usize] {
                 continue;
@@ -470,30 +545,69 @@ impl Arena {
         }
         let before = self.unique.len();
         self.unique.retain(|_, &mut id| marked[id as usize]);
-        // Dead slots stay in `nodes` as tombstones (id stability); future
-        // `mk` calls for the same triple will re-cons to a fresh slot, which
-        // is safe because the dead id can no longer be reached from any live
-        // handle. The ite cache may reference dead ids, so it is dropped.
+        // Both memos may name freed ids. Keeping the `ite` entries whose four
+        // ids all survived was measured and lost: filtering them costs the
+        // sweep more than their hits repay (DESIGN.md "Annotation memory").
         self.ite_cache.clear();
-        self.stats.ite_cache_entries = 0;
         self.encoded_len_cache.clear();
-        let reclaimed = before - self.unique.len();
+
+        let live_end = 1 + marked
+            .iter()
+            .rposition(|&m| m)
+            .expect("the terminals are marked");
+        self.nodes.truncate(live_end);
+        self.refs.truncate(live_end);
+        self.free.clear();
+        self.free.extend(
+            (0..live_end as NodeId)
+                .rev()
+                .filter(|&n| !marked[n as usize]),
+        );
+
+        release_map(&mut self.unique);
+        release_map(&mut self.ite_cache);
+        release_map(&mut self.encoded_len_cache);
+        release_vec(&mut self.nodes);
+        release_vec(&mut self.refs);
+        release_vec(&mut self.free);
+
+        self.survivors = self.unique.len();
+        let reclaimed = before - self.survivors;
         self.stats.gc_runs += 1;
         self.stats.gc_reclaimed += reclaimed as u64;
-        self.stats.nodes = self.unique.len() + 2;
         reclaimed
     }
 
     pub(crate) fn stats(&self) -> BddManagerStats {
-        self.stats
+        BddManagerStats {
+            nodes: self.unique.len() + 2,
+            slots: self.nodes.len(),
+            free_slots: self.free.len(),
+            ite_cache_entries: self.ite_cache.len(),
+            ..self.stats
+        }
     }
 
     pub(crate) fn clear_caches(&mut self) {
         self.ite_cache.clear();
-        self.stats.ite_cache_entries = 0;
     }
 
     pub(crate) fn live_external_handles(&self) -> usize {
-        self.extrefs.values().map(|&c| c as usize).sum()
+        self.refs.iter().map(|&c| c as usize).sum()
+    }
+}
+
+/// Give a table's memory back when it holds less than 1/[`SHRINK_SLACK`] of
+/// what it has room for.
+fn release_map<K: Eq + std::hash::Hash, V>(map: &mut FxHashMap<K, V>) {
+    if map.capacity() > SHRINK_SLACK * map.len().max(1024) {
+        map.shrink_to(2 * map.len());
+    }
+}
+
+/// [`release_map`] for a vector.
+fn release_vec<T>(v: &mut Vec<T>) {
+    if v.capacity() > SHRINK_SLACK * v.len().max(1024) {
+        v.shrink_to(2 * v.len());
     }
 }

@@ -47,27 +47,28 @@ impl Bdd {
     /// Graphviz DOT rendering of the DAG rooted at this function.
     pub fn to_dot(&self) -> String {
         let triples = self.mgr.with_arena(|a| a.nodes_triples(self.id));
-        let index: std::collections::HashMap<u32, usize> = triples
-            .iter()
-            .enumerate()
-            .map(|(i, &(id, ..))| (id, i))
-            .collect();
-        let name = |id: u32| -> String {
-            match id {
+        // A reference is 0/1 for the terminals, `k + 2` for the k-th triple.
+        let name = |r: u32| -> String {
+            match r {
                 0 => "f".into(),
                 1 => "t".into(),
-                other => format!("n{}", index[&other]),
+                k => format!("n{}", k - 2),
             }
         };
         let mut s = String::from("digraph bdd {\n  rankdir=TB;\n  node [shape=circle];\n");
         s.push_str("  f [label=\"false\", shape=box];\n  t [label=\"true\", shape=box];\n");
-        for (i, (_, var, lo, hi)) in triples.iter().enumerate() {
+        for (i, (var, lo, hi)) in triples.iter().enumerate() {
             let _ = writeln!(s, "  n{i} [label=\"p{var}\"];");
             let _ = writeln!(s, "  n{i} -> {} [style=dashed];", name(*lo));
             let _ = writeln!(s, "  n{i} -> {};", name(*hi));
         }
         s.push_str("  root [shape=point];\n");
-        let _ = writeln!(s, "  root -> {};", name(self.id));
+        let root = if triples.is_empty() {
+            self.id
+        } else {
+            triples.len() as u32 + 1
+        };
+        let _ = writeln!(s, "  root -> {};", name(root));
         s.push_str("}\n");
         s
     }

@@ -1,5 +1,6 @@
 //! Public handle layer: [`BddManager`] and the reference-counted [`Bdd`].
 
+use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -33,8 +34,36 @@ impl BddManager {
         }
     }
 
-    fn wrap(&self, id: NodeId) -> Bdd {
-        self.inner.lock().incref(id);
+    /// One allocating operation, under one lock acquisition: collect if a
+    /// collection is due (no id is held outside a handle here, so the handles
+    /// are the whole root set), compute, and take the result's reference
+    /// before anyone else can collect.
+    pub(crate) fn try_build<E>(
+        &self,
+        f: impl FnOnce(&mut Arena) -> Result<NodeId, E>,
+    ) -> Result<Bdd, E> {
+        let id = {
+            let mut arena = self.inner.lock();
+            arena.collect_if_due();
+            let id = f(&mut arena)?;
+            arena.incref(id);
+            id
+        };
+        Ok(Bdd {
+            mgr: self.clone(),
+            id,
+        })
+    }
+
+    fn build(&self, f: impl FnOnce(&mut Arena) -> NodeId) -> Bdd {
+        match self.try_build(|a| Ok::<_, Infallible>(f(a))) {
+            Ok(bdd) => bdd,
+            Err(never) => match never {},
+        }
+    }
+
+    /// A terminal: not reference-counted, so there is nothing to lock for.
+    fn terminal(&self, id: NodeId) -> Bdd {
         Bdd {
             mgr: self.clone(),
             id,
@@ -43,24 +72,22 @@ impl BddManager {
 
     /// The constant `false` function (no models).
     pub fn zero(&self) -> Bdd {
-        self.wrap(FALSE)
+        self.terminal(FALSE)
     }
 
     /// The constant `true` function (all models).
     pub fn one(&self) -> Bdd {
-        self.wrap(TRUE)
+        self.terminal(TRUE)
     }
 
     /// The positive literal for provenance variable `v`.
     pub fn var(&self, v: Var) -> Bdd {
-        let id = self.inner.lock().mk_var(v);
-        self.wrap(id)
+        self.build(|a| a.mk_var(v))
     }
 
     /// The negative literal `¬v`.
     pub fn nvar(&self, v: Var) -> Bdd {
-        let id = self.inner.lock().mk_nvar(v);
-        self.wrap(id)
+        self.build(|a| a.mk_nvar(v))
     }
 
     /// Conjunction of positive literals — the provenance of a single
@@ -69,14 +96,12 @@ impl BddManager {
         let mut vs: Vec<Var> = vars.into_iter().collect();
         vs.sort_unstable();
         vs.dedup();
-        let mut arena = self.inner.lock();
         // Build bottom-up in reverse variable order: strictly linear work.
-        let mut acc = TRUE;
-        for &v in vs.iter().rev() {
-            acc = arena.mk(v, FALSE, acc);
-        }
-        drop(arena);
-        self.wrap(acc)
+        self.build(|arena| {
+            vs.iter()
+                .rev()
+                .fold(TRUE, |acc, &v| arena.mk(v, FALSE, acc))
+        })
     }
 
     /// Disjunction of a set of functions (n-ary `or`).
@@ -108,7 +133,9 @@ impl BddManager {
     }
 
     /// Run mark-and-sweep garbage collection rooted at live handles; returns
-    /// the number of interior nodes reclaimed.
+    /// the number of interior nodes reclaimed. The arena runs the same
+    /// collection by itself when enough garbage may have built up, so calling
+    /// this is never needed for memory to stay bounded.
     pub fn gc(&self) -> usize {
         self.inner.lock().gc()
     }
@@ -131,10 +158,6 @@ impl BddManager {
     pub(crate) fn with_arena<R>(&self, f: impl FnOnce(&mut Arena) -> R) -> R {
         f(&mut self.inner.lock())
     }
-
-    pub(crate) fn wrap_id(&self, id: NodeId) -> Bdd {
-        self.wrap(id)
-    }
 }
 
 impl fmt::Debug for BddManager {
@@ -148,7 +171,10 @@ impl fmt::Debug for BddManager {
 }
 
 /// A Boolean function handle: canonical within its manager, cheap to clone,
-/// and kept alive across garbage collection while any handle exists.
+/// and kept alive across garbage collection while any handle exists. The
+/// handles are the collector's root set, wherever they are — in operator
+/// state, or riding in a message another thread holds — because clone and
+/// drop go through the owning manager's lock.
 pub struct Bdd {
     pub(crate) mgr: BddManager,
     pub(crate) id: NodeId,
@@ -193,8 +219,7 @@ impl Bdd {
             self.mgr.same_arena(&other.mgr),
             "combined Bdd handles from different managers"
         );
-        let id = self.mgr.with_arena(|a| f(a, self.id, other.id));
-        self.mgr.wrap_id(id)
+        self.mgr.build(|a| f(a, self.id, other.id))
     }
 
     /// `self ∧ other` (the provenance of a join, Fig. 6).
@@ -209,8 +234,7 @@ impl Bdd {
 
     /// `¬self`.
     pub fn not(&self) -> Bdd {
-        let id = self.mgr.with_arena(|a| a.not(self.id));
-        self.mgr.wrap_id(id)
+        self.mgr.build(|a| a.not(self.id))
     }
 
     /// `self ⊕ other`.
@@ -226,40 +250,35 @@ impl Bdd {
     /// If-then-else with `self` as the guard.
     pub fn ite(&self, then: &Bdd, els: &Bdd) -> Bdd {
         assert!(self.mgr.same_arena(&then.mgr) && self.mgr.same_arena(&els.mgr));
-        let id = self.mgr.with_arena(|a| a.ite(self.id, then.id, els.id));
-        self.mgr.wrap_id(id)
+        self.mgr.build(|a| a.ite(self.id, then.id, els.id))
     }
 
     /// Substitute `false` for `var`: the deletion primitive of §4 ("zero out
     /// the variable of the deleted base tuple").
     pub fn restrict_false(&self, var: Var) -> Bdd {
-        let id = self.mgr.with_arena(|a| a.restrict(self.id, var, false));
-        self.mgr.wrap_id(id)
+        self.mgr.build(|a| a.restrict(self.id, var, false))
     }
 
     /// Substitute `true` for `var`.
     pub fn restrict_true(&self, var: Var) -> Bdd {
-        let id = self.mgr.with_arena(|a| a.restrict(self.id, var, true));
-        self.mgr.wrap_id(id)
+        self.mgr.build(|a| a.restrict(self.id, var, true))
     }
 
     /// Set every variable in `vars` to false — processing a batch of base
     /// deletions in one pass.
     pub fn restrict_all_false(&self, vars: &[Var]) -> Bdd {
-        let id = self.mgr.with_arena(|a| {
+        self.mgr.build(|a| {
             let mut cur = self.id;
             for &v in vars {
                 cur = a.restrict(cur, v, false);
             }
             cur
-        });
-        self.mgr.wrap_id(id)
+        })
     }
 
     /// Existentially quantify one variable.
     pub fn exists(&self, var: Var) -> Bdd {
-        let id = self.mgr.with_arena(|a| a.exists(self.id, var));
-        self.mgr.wrap_id(id)
+        self.mgr.build(|a| a.exists(self.id, var))
     }
 
     /// `true` iff the function is the constant `false` (tuple no longer

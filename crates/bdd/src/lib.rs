@@ -15,7 +15,10 @@
 //! * a compact DAG serialisation used both for shipping annotations across the
 //!   simulated network and for the paper's "per-tuple provenance bytes"
 //!   metric;
-//! * mark-and-sweep garbage collection driven by live external handles.
+//! * mark-and-sweep garbage collection rooted at the live handles, which the
+//!   arena runs by itself as garbage builds up and whose freed node slots
+//!   later nodes reuse — memory follows what is alive, not what was ever
+//!   built (DESIGN.md "Annotation memory").
 //!
 //! DESIGN.md: "System inventory" for the crate's role; "Deletion
 //! propagation" for how `restrict` implements base-tuple deletion.

@@ -16,7 +16,7 @@
 
 use netrec_types::wire::{get_varint, put_varint};
 
-use crate::arena::{FALSE, TRUE};
+use crate::arena::{Arena, NodeId, FALSE, TRUE};
 use crate::handle::{Bdd, BddManager};
 
 /// Error decoding a serialised BDD.
@@ -45,33 +45,26 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// The wire encoding of the function rooted at `id`.
+fn encode_in(arena: &Arena, id: NodeId) -> Vec<u8> {
+    if id <= TRUE {
+        return vec![0, id as u8];
+    }
+    let triples = arena.nodes_triples(id);
+    let mut out = Vec::with_capacity(2 + triples.len() * 4);
+    put_varint(&mut out, triples.len() as u64);
+    for (var, lo_ref, hi_ref) in triples {
+        put_varint(&mut out, u64::from(var));
+        put_varint(&mut out, u64::from(lo_ref));
+        put_varint(&mut out, u64::from(hi_ref));
+    }
+    out
+}
+
 impl Bdd {
     /// Serialise to the compact wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let triples = self.mgr.with_arena(|a| a.nodes_triples(self.id));
-        let mut out = Vec::with_capacity(2 + triples.len() * 4);
-        if self.id == FALSE {
-            put_varint(&mut out, 0);
-            out.push(0);
-            return out;
-        }
-        if self.id == TRUE {
-            put_varint(&mut out, 0);
-            out.push(1);
-            return out;
-        }
-        put_varint(&mut out, triples.len() as u64);
-        // Map arena node id → wire reference.
-        let mut wire_ref = std::collections::HashMap::with_capacity(triples.len());
-        wire_ref.insert(FALSE, 0u64);
-        wire_ref.insert(TRUE, 1u64);
-        for (k, (id, var, lo, hi)) in triples.iter().enumerate() {
-            wire_ref.insert(*id, k as u64 + 2);
-            put_varint(&mut out, u64::from(*var));
-            put_varint(&mut out, wire_ref[lo]);
-            put_varint(&mut out, wire_ref[hi]);
-        }
-        out
+        self.mgr.with_arena(|a| encode_in(a, self.id))
     }
 
     /// Length of [`Bdd::encode`].
@@ -79,23 +72,21 @@ impl Bdd {
     /// Memoised per root node: the engine measures the same annotations over
     /// and over (per-update wire metadata plus state-size accounting), and
     /// before memoisation this was one of the hottest functions in the whole
-    /// pipeline. The cache-miss path delegates to [`Bdd::encode`] so the two
-    /// definitions cannot drift; node ids are never reused, and gc clears
-    /// the cache.
+    /// pipeline. The cache-miss path delegates to the encoder so the two
+    /// definitions cannot drift. Node ids are recycled by garbage collection,
+    /// which empties this memo in the same critical section that frees them.
     pub fn encoded_len(&self) -> usize {
-        if self.id == FALSE || self.id == TRUE {
+        if self.id <= TRUE {
             return 2;
         }
-        if let Some(n) = self
-            .mgr
-            .with_arena(|a| a.encoded_len_cache.get(&self.id).copied())
-        {
-            return n as usize;
-        }
-        let len = self.encode().len();
-        self.mgr
-            .with_arena(|a| a.encoded_len_cache.insert(self.id, len as u32));
-        len
+        self.mgr.with_arena(|a| {
+            if let Some(&n) = a.encoded_len_cache.get(&self.id) {
+                return n as usize;
+            }
+            let len = encode_in(a, self.id).len();
+            a.encoded_len_cache.insert(self.id, len as u32);
+            len
+        })
     }
 }
 
@@ -124,13 +115,15 @@ impl BddManager {
                 _ => Err(DecodeError::TrailingBytes),
             };
         }
-        let mut ids: Vec<u32> = Vec::with_capacity(count + 2);
+        let mut ids: Vec<NodeId> = Vec::with_capacity(count + 2);
         ids.push(FALSE);
         ids.push(TRUE);
         // Track each wire node's variable so ordering can be validated; the
         // terminals sort above every variable.
         let mut vars: Vec<u32> = vec![u32::MAX, u32::MAX];
-        let root = self.with_arena(|a| -> Result<u32, DecodeError> {
+        // One critical section from the first node made to the root's
+        // reference taken: the ids in `ids` are held by no handle.
+        self.try_build(|a| {
             let mut last = FALSE;
             for _ in 0..count {
                 // A variable that does not fit 32 bits sorts above the
@@ -149,11 +142,10 @@ impl BddManager {
                 vars.push(var);
                 last = id;
             }
+            if !buf.is_empty() {
+                return Err(DecodeError::TrailingBytes);
+            }
             Ok(last)
-        })?;
-        if !buf.is_empty() {
-            return Err(DecodeError::TrailingBytes);
-        }
-        Ok(self.wrap_id(root))
+        })
     }
 }

@@ -363,3 +363,80 @@ fn handle_refcounts() {
     drop(b);
     assert_eq!(m.live_handles(), 0);
 }
+
+/// `nodes` counts what a collection has not reclaimed — not the slots those
+/// nodes once took: a node made after a collection must not bring the
+/// reclaimed ones back into the count.
+#[test]
+fn stats_nodes_stay_down_after_gc_then_mk() {
+    let m = BddManager::new();
+    // One operation each, so neither leaves garbage of its own behind.
+    let junk = m.cube(10..60);
+    // Made after the junk, so the freed slots lie below a live one.
+    let keep = m.cube([0, 1]);
+    drop(junk);
+    let before = m.stats();
+    assert_eq!(before.free_slots, 0, "nothing freed yet");
+    assert_eq!(before.slots, before.nodes);
+    let reclaimed = m.gc();
+    assert_eq!(reclaimed, 50, "the junk cube is garbage");
+    let fresh = m.var(999);
+    let after = m.stats();
+    assert_eq!(after.nodes, before.nodes - reclaimed + 1);
+    assert_eq!(after.free_slots, reclaimed - 1, "the fresh node reused one");
+    assert_eq!(after.slots, after.nodes + after.free_slots);
+    assert_eq!(after.peak_nodes, before.nodes, "the peak is of `nodes`");
+    drop((keep, fresh));
+}
+
+/// Giving back a reference nobody took is the bug that would let a
+/// collection free a node some handle still points at; it must not pass.
+#[test]
+#[should_panic(expected = "reference count underflow")]
+fn decref_underflow_panics() {
+    let mut a = crate::arena::Arena::new();
+    let n = a.mk_var(0);
+    a.incref(n);
+    a.decref(n);
+    a.decref(n);
+}
+
+/// Stationary churn: a fixed working set of handles, each replaced every
+/// round by a fresh function over 96 variables. Nobody calls `gc()`; the
+/// arena has to collect by itself and hold its size.
+#[test]
+fn arena_collects_itself_under_stationary_churn() {
+    const VARS: u64 = 96;
+    let m = BddManager::new();
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        lcg >> 33
+    };
+    let mut cube = |m: &BddManager| m.cube((0..8).map(|_| (next() % VARS) as u32));
+    let mut working: Vec<Bdd> = (0..16).map(|_| cube(&m)).collect();
+    let mut slots_after = [0usize; 2];
+    for round in 1..=200 {
+        for slot in working.iter_mut() {
+            *slot = cube(&m).or(&cube(&m));
+        }
+        match round {
+            20 => slots_after[0] = m.stats().slots,
+            200 => slots_after[1] = m.stats().slots,
+            _ => {}
+        }
+    }
+    let s = m.stats();
+    assert!(s.gc_runs > 0, "the trigger never fired: {s:?}");
+    assert!(
+        slots_after[1] <= 2 * slots_after[0],
+        "slots grew from {} (round 20) to {} (round 200)",
+        slots_after[0],
+        slots_after[1]
+    );
+    for f in &working {
+        assert!(!f.is_false() && f.support().iter().all(|&v| u64::from(v) < VARS));
+    }
+}

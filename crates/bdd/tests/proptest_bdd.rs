@@ -1,6 +1,7 @@
 //! Property tests: random Boolean expressions over ≤ 8 variables are built
 //! both as BDDs and as brute-force truth tables; every operation must agree,
-//! and serialisation must round-trip.
+//! and serialisation must round-trip — also in one long-lived manager whose
+//! collections hand freed node slots to later builds.
 
 use netrec_bdd::{Bdd, BddManager};
 use proptest::prelude::*;
@@ -52,6 +53,31 @@ fn eval_expr(e: &Expr, bits: u32) -> bool {
 fn truth_table(f: &Bdd) -> Vec<bool> {
     (0..(1u32 << NVARS))
         .map(|bits| f.eval(|v| bits & (1 << v) != 0))
+        .collect()
+}
+
+/// One step of a program over a single long-lived manager.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Build the expression and keep its handle.
+    Build(Expr),
+    /// Drop the kept handle at this index (modulo how many there are).
+    Drop(usize),
+    /// Collect: every slot no kept handle reaches becomes reusable.
+    Gc,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (0u32..4, arb_expr(), any::<usize>()).prop_map(|(kind, e, i)| match kind {
+        0 | 1 => Step::Build(e),
+        2 => Step::Drop(i),
+        _ => Step::Gc,
+    })
+}
+
+fn expr_table(e: &Expr) -> Vec<bool> {
+    (0..(1u32 << NVARS))
+        .map(|bits| eval_expr(e, bits))
         .collect()
 }
 
@@ -140,5 +166,47 @@ proptest! {
         }
         m.gc();
         prop_assert_eq!(truth_table(&f), before);
+    }
+
+    /// Builds, handle drops and collections interleaved in one manager, so
+    /// later builds land in slots earlier ones gave up. After every step each
+    /// surviving handle still denotes its function, is still the canonical
+    /// node for it, and no memo answers for a previous tenant of its id.
+    #[test]
+    fn recycled_slots_keep_surviving_handles_intact(
+        program in proptest::collection::vec(arb_step(), 1..24),
+    ) {
+        let m = BddManager::new();
+        let mut kept: Vec<(Expr, Bdd)> = Vec::new();
+        for step in program {
+            match step {
+                Step::Build(e) => {
+                    let f = to_bdd(&m, &e);
+                    // Warm the length memo for an id that may be freed later.
+                    prop_assert_eq!(f.encoded_len(), f.encode().len());
+                    kept.push((e, f));
+                }
+                Step::Drop(i) if !kept.is_empty() => {
+                    kept.swap_remove(i % kept.len());
+                }
+                Step::Drop(_) => {}
+                Step::Gc => {
+                    m.gc();
+                }
+            }
+            let s = m.stats();
+            prop_assert_eq!(s.slots, s.nodes + s.free_slots);
+            for (e, f) in &kept {
+                prop_assert_eq!(truth_table(f), expr_table(e));
+                prop_assert_eq!(&to_bdd(&m, e), f);
+                let bytes = f.encode();
+                prop_assert_eq!(f.encoded_len(), bytes.len());
+                prop_assert_eq!(&m.decode(&bytes).unwrap(), f);
+            }
+        }
+        drop(kept);
+        m.gc();
+        prop_assert_eq!(m.stats().nodes, 2);
+        prop_assert_eq!(m.live_handles(), 0);
     }
 }

@@ -26,6 +26,11 @@ pub struct EnginePeer {
     plan: Arc<Plan>,
     strategy: Strategy,
     partitioner: Partitioner,
+    /// Owns every annotation in this peer's operator state. An annotation's
+    /// nodes live as long as some `Bdd` handle reaches them — in an operator
+    /// table here, or in a message a neighbour has not re-anchored yet — and
+    /// the arena reclaims the rest on its own (DESIGN.md "Annotation
+    /// memory"); the engine never asks it to.
     mgr: BddManager,
     alloc: VarAllocator,
     ops: Vec<OpState>,
@@ -274,7 +279,8 @@ impl EnginePeer {
             .sum()
     }
 
-    /// The BDD manager of this peer (diagnostics).
+    /// The BDD manager of this peer (diagnostics: `stats()` separates live
+    /// nodes from allocated and free slots and counts collections).
     pub fn bdd_manager(&self) -> &BddManager {
         &self.mgr
     }
