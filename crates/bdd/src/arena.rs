@@ -16,10 +16,36 @@
 //! makes the entry of an allocating operation a safe point to collect:
 //! [`Arena::collect_if_due`] runs there, under the same lock acquisition that
 //! computes the result and takes its reference.
+//!
+//! # Computed table
+//!
+//! Every memoised operation — `ite`, the two-operand [`Arena::apply`]
+//! (`∧`, `∨`, `−`) and the node-free [`Arena::implies`] — shares one
+//! direct-mapped table: a `Vec` of `(k0, k1, k2) → r` entries indexed by a
+//! multiplicative hash of the key, where `k2` is `ite`'s third operand or an
+//! operation tag above any reachable [`NodeId`]. It is lossy: a colliding
+//! insert overwrites, which costs a later hit and never correctness, because
+//! a lookup compares the whole key. It is sized at operation entry from the
+//! unique table ([`MEMO_NODES_PER_ENTRY`], [`MEMO_MIN`]), never inside an
+//! operation, and emptied by every collection, so no entry ever names a
+//! recycled id.
+//!
+//! # Walks
+//!
+//! `restrict`, `support`, `depends_on`, `dag_size`, `nodes_triples` and
+//! `encoded_len` visit each node of a DAG once without building a visited
+//! set: `stamp[n]` holds the epoch of the last walk that reached slot `n` and
+//! `aux[n]` what that walk computed there. A walk draws a fresh epoch, so it
+//! never has to clear anything. This is sound because the `&mut Arena` borrow
+//! admits one walk at a time, a collection runs only at operation entry (no
+//! slot is freed mid-walk), a slot `mk` pushes or recycles mid-walk carries
+//! an older epoch and is not part of the DAG being walked, and epoch
+//! wrap-around resets every stamp.
 
 use std::collections::hash_map::Entry;
 
-use netrec_types::{FxHashMap, FxHashSet};
+use netrec_types::wire::varint_len;
+use netrec_types::FxHashMap;
 
 /// A provenance variable. In netrec, every base (EDB) tuple insertion is
 /// assigned a fresh globally-unique variable; the variable is set to `false`
@@ -44,6 +70,13 @@ const GC_GROWTH: usize = 2;
 /// A table or vector gives its memory back once it is this many times larger
 /// than what it holds; anything closer is kept to save the rehash.
 const SHRINK_SLACK: usize = 4;
+/// The computed table gets one entry per this many hash-consed nodes (rounded
+/// up to a power of two), counted at operation entry. More is not better:
+/// at 2–4 entries per node `dense_grow` ran a fifth slower and peaked at
+/// 410 MB of RSS against 285 MB at ½–1 (DESIGN.md "BDD kernel").
+const MEMO_NODES_PER_ENTRY: usize = 2;
+/// The computed table's smallest size, in entries of 16 bytes.
+const MEMO_MIN: usize = 1024;
 
 pub(crate) const FALSE: NodeId = 0;
 pub(crate) const TRUE: NodeId = 1;
@@ -56,6 +89,39 @@ struct Node {
     lo: NodeId,
     hi: NodeId,
 }
+
+/// Node ids stay below this (`mk` asserts it); the values from here up are
+/// the operation tags of the computed table.
+const OP_TAG_MIN: u32 = u32::MAX - 3;
+/// The two-operand operations of [`Arena::apply`]. The discriminant is the
+/// operation's tag in the computed table: no node id, so no `ite` key can
+/// equal an `apply` key.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub(crate) enum Op {
+    And = OP_TAG_MIN,
+    Or,
+    Diff,
+}
+/// Tag of the memoised [`Arena::implies`] answers.
+const OP_IMPLIES: u32 = Op::Diff as u32 + 1;
+
+/// One entry of the computed table; `k0 == MEMO_EMPTY` marks a free one (an
+/// operand is a node id, and those stay below [`OP_TAG_MIN`]).
+#[derive(Clone, Copy)]
+struct Memo {
+    k0: u32,
+    k1: u32,
+    k2: u32,
+    r: u32,
+}
+const MEMO_EMPTY: u32 = u32::MAX;
+const NO_MEMO: Memo = Memo {
+    k0: MEMO_EMPTY,
+    k1: 0,
+    k2: 0,
+    r: 0,
+};
 
 /// Counters exposed through [`crate::BddManager::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,11 +136,13 @@ pub struct BddManagerStats {
     pub free_slots: usize,
     /// High-water mark of `nodes` since creation (GC does not reset it).
     pub peak_nodes: usize,
-    /// Entries currently memoised in the `ite` cache.
+    /// Occupied entries of the computed table, which `ite`, `and`/`or`/`diff`
+    /// and `implies` share.
     pub ite_cache_entries: usize,
-    /// `ite` invocations answered from the memo table.
+    /// Computed-table lookups (of any of those operations) that were answered
+    /// from the table.
     pub ite_cache_hits: u64,
-    /// `ite` invocations that had to recurse.
+    /// Computed-table lookups that had to recurse.
     pub ite_cache_misses: u64,
     /// Number of garbage collections performed.
     pub gc_runs: u64,
@@ -87,10 +155,18 @@ pub(crate) struct Arena {
     /// Handles holding each slot, parallel to `nodes` and maintained by handle
     /// creation/clone/drop. The non-zero entries are the root set.
     refs: Vec<u32>,
+    /// Epoch of the last walk that visited each slot, parallel to `nodes`.
+    stamp: Vec<u32>,
+    /// What that walk computed at the slot (`restrict`: the restricted id;
+    /// `nodes_triples`: the wire reference), parallel to `nodes`.
+    aux: Vec<u32>,
+    /// Epoch of the walk in progress, or of the last one.
+    epoch: u32,
     /// Slots the last collection freed, lowest id on top.
     free: Vec<NodeId>,
     unique: FxHashMap<Node, NodeId>,
-    ite_cache: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
+    /// The computed table (module docs); its length is a power of two.
+    memo: Vec<Memo>,
     /// Memoised wire-encoding lengths per root id. Sound because it is
     /// emptied in the same critical section that frees ids: an entry always
     /// describes the function its id denotes now.
@@ -106,9 +182,12 @@ impl Arena {
         let mut a = Arena {
             nodes: Vec::with_capacity(1024),
             refs: Vec::with_capacity(1024),
+            stamp: Vec::with_capacity(1024),
+            aux: Vec::with_capacity(1024),
+            epoch: 0,
             free: Vec::new(),
             unique: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
-            ite_cache: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            memo: vec![NO_MEMO; MEMO_MIN],
             encoded_len_cache: FxHashMap::default(),
             survivors: 0,
             stats: BddManagerStats::default(),
@@ -121,6 +200,8 @@ impl Arena {
                 hi: t,
             });
             a.refs.push(0);
+            a.stamp.push(0);
+            a.aux.push(0);
         }
         a.stats.peak_nodes = 2;
         a
@@ -162,8 +243,13 @@ impl Arena {
                 id
             }
             None => {
+                // An id at or above the tags would alias a computed-table key.
+                assert!(self.nodes.len() < OP_TAG_MIN as usize, "BDD arena full");
                 self.nodes.push(node);
                 self.refs.push(0);
+                // Epochs start at 1: a fresh slot is unvisited in every walk.
+                self.stamp.push(0);
+                self.aux.push(0);
                 (self.nodes.len() - 1) as NodeId
             }
         };
@@ -180,8 +266,70 @@ impl Arena {
         self.mk(v, TRUE, FALSE)
     }
 
-    /// If-then-else: the canonical ternary combinator. All binary Boolean
-    /// operations are expressed through it, sharing one memo table.
+    // ---- the computed table ---------------------------------------------
+
+    #[inline]
+    fn memo_slot(&self, k0: u32, k1: u32, k2: u32) -> usize {
+        let h = (u64::from(k0) << 32 | u64::from(k1))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(u64::from(k2))
+            .wrapping_mul(0xd6e8_feb8_6659_fd93);
+        // The high bits are the well-mixed ones; the length is a power of two.
+        (h >> (64 - self.memo.len().trailing_zeros())) as usize
+    }
+
+    /// The table slot of a key, and the memoised result if the slot holds it.
+    #[inline]
+    fn memo_get(&mut self, k0: u32, k1: u32, k2: u32) -> (usize, Option<u32>) {
+        let slot = self.memo_slot(k0, k1, k2);
+        let m = self.memo[slot];
+        if (m.k0, m.k1, m.k2) == (k0, k1, k2) {
+            self.stats.ite_cache_hits += 1;
+            (slot, Some(m.r))
+        } else {
+            self.stats.ite_cache_misses += 1;
+            (slot, None)
+        }
+    }
+
+    /// Store a result in the slot [`Arena::memo_get`] returned for the key
+    /// (the table is not resized inside an operation), evicting what is there.
+    #[inline]
+    fn memo_put(&mut self, slot: usize, k0: u32, k1: u32, k2: u32, r: u32) {
+        let m = &mut self.memo[slot];
+        self.stats.ite_cache_entries += usize::from(m.k0 == MEMO_EMPTY);
+        *m = Memo { k0, k1, k2, r };
+    }
+
+    /// The table size the sizing rule gives the nodes there are now.
+    fn memo_target(&self) -> usize {
+        (self.unique.len() / MEMO_NODES_PER_ENTRY)
+            .next_power_of_two()
+            .max(MEMO_MIN)
+    }
+
+    /// Grow the table to [`Arena::memo_target`], keeping what it holds.
+    fn size_memo(&mut self) {
+        let want = self.memo_target();
+        if want > self.memo.len() {
+            let old = std::mem::replace(&mut self.memo, vec![NO_MEMO; want]);
+            self.stats.ite_cache_entries = 0;
+            for m in old.into_iter().filter(|m| m.k0 != MEMO_EMPTY) {
+                let slot = self.memo_slot(m.k0, m.k1, m.k2);
+                self.memo_put(slot, m.k0, m.k1, m.k2, m.r);
+            }
+        }
+    }
+
+    pub(crate) fn clear_caches(&mut self) {
+        self.memo.fill(NO_MEMO);
+        self.stats.ite_cache_entries = 0;
+    }
+
+    // ---- Boolean operations ---------------------------------------------
+
+    /// If-then-else, for `xor` and the public [`crate::Bdd::ite`]; the
+    /// two-operand operations go through [`Arena::apply`].
     pub(crate) fn ite(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
         // Terminal short-circuits.
         if f == TRUE {
@@ -196,12 +344,10 @@ impl Arena {
         if g == TRUE && h == FALSE {
             return f;
         }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
-            self.stats.ite_cache_hits += 1;
+        let (slot, hit) = self.memo_get(f, g, h);
+        if let Some(r) = hit {
             return r;
         }
-        self.stats.ite_cache_misses += 1;
         let top = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
         let (f0, f1) = self.cofactors(f, top);
         let (g0, g1) = self.cofactors(g, top);
@@ -209,7 +355,7 @@ impl Arena {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(top, lo, hi);
-        self.ite_cache.insert(key, r);
+        self.memo_put(slot, f, g, h, r);
         r
     }
 
@@ -222,16 +368,56 @@ impl Arena {
         }
     }
 
-    pub(crate) fn and(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.ite(a, b, FALSE)
-    }
-
-    pub(crate) fn or(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.ite(a, TRUE, b)
+    /// `a ∧ b`, `a ∨ b` or `a − b = a ∧ ¬b` (Algorithm 1's `deltaPv`, the
+    /// `x − y` of the MinShip/Join pseudocode) by simultaneous descent of the
+    /// two operands. `−` recurses on `(1, b)` like on any other pair, so `¬b`
+    /// is never built beside the result.
+    pub(crate) fn apply(&mut self, op: Op, mut a: NodeId, mut b: NodeId) -> NodeId {
+        match op {
+            Op::And | Op::Or => {
+                // Commutative: `a ∘ b` and `b ∘ a` share a table entry.
+                if a > b {
+                    std::mem::swap(&mut a, &mut b);
+                }
+                // The terminals are the two smallest ids: if either operand
+                // is one, `a` is.
+                let (unit, zero) = if op == Op::And {
+                    (TRUE, FALSE)
+                } else {
+                    (FALSE, TRUE)
+                };
+                if a == unit || a == b {
+                    return b;
+                }
+                if a == zero {
+                    return zero;
+                }
+            }
+            Op::Diff => {
+                if a == FALSE || b == TRUE || a == b {
+                    return FALSE;
+                }
+                if b == FALSE {
+                    return a;
+                }
+            }
+        }
+        let (slot, hit) = self.memo_get(a, b, op as u32);
+        if let Some(r) = hit {
+            return r;
+        }
+        let top = self.var_of(a).min(self.var_of(b));
+        let (a0, a1) = self.cofactors(a, top);
+        let (b0, b1) = self.cofactors(b, top);
+        let lo = self.apply(op, a0, b0);
+        let hi = self.apply(op, a1, b1);
+        let r = self.mk(top, lo, hi);
+        self.memo_put(slot, a, b, op as u32, r);
+        r
     }
 
     pub(crate) fn not(&mut self, a: NodeId) -> NodeId {
-        self.ite(a, FALSE, TRUE)
+        self.apply(Op::Diff, TRUE, a)
     }
 
     pub(crate) fn xor(&mut self, a: NodeId, b: NodeId) -> NodeId {
@@ -239,78 +425,104 @@ impl Arena {
         self.ite(a, nb, b)
     }
 
-    /// `a ∧ ¬b` — the "deltaPv" of Algorithm 1 and the `x − y` of the
-    /// MinShip/Join pseudocode.
-    pub(crate) fn diff(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let nb = self.not(b);
-        self.and(a, nb)
-    }
-
-    /// Substitute constant `val` for `var` in `f` (BDD `restrict`).
-    pub(crate) fn restrict(&mut self, f: NodeId, var: Var, val: bool) -> NodeId {
-        if self.var_of(f) > var {
-            // `f` does not depend on `var` (ordering ⇒ nothing below either).
-            return f;
+    /// Whether `a → b` holds under every assignment, i.e. `a − b` is empty —
+    /// decided without making a node: the descent of [`Arena::apply`] with
+    /// Boolean results, stopping at the first counter-example.
+    pub(crate) fn implies(&mut self, a: NodeId, b: NodeId) -> bool {
+        if a == FALSE || b == TRUE || a == b {
+            return true;
         }
-        // Memoise through the shared ite cache by keying on a synthetic
-        // triple: restrict(f, v, val) has no natural ite encoding that avoids
-        // building the literal, so we build the literal — `f|v←1 = ∃`-free
-        // cofactor walk — with a local recursion + small cache instead.
-        let mut memo = FxHashMap::default();
-        self.restrict_rec(f, var, val, &mut memo)
+        // `a` is satisfiable and is not `b`: a terminal on either side now
+        // leaves an assignment where `a` holds and `b` does not.
+        if a == TRUE || b == FALSE {
+            return false;
+        }
+        let (slot, hit) = self.memo_get(a, b, OP_IMPLIES);
+        if let Some(r) = hit {
+            return r == TRUE;
+        }
+        let top = self.var_of(a).min(self.var_of(b));
+        let (a0, a1) = self.cofactors(a, top);
+        let (b0, b1) = self.cofactors(b, top);
+        let r = self.implies(a0, b0) && self.implies(a1, b1);
+        self.memo_put(slot, a, b, OP_IMPLIES, NodeId::from(r));
+        r
     }
 
-    fn restrict_rec(
-        &mut self,
-        f: NodeId,
-        var: Var,
-        val: bool,
-        memo: &mut FxHashMap<NodeId, NodeId>,
-    ) -> NodeId {
+    // ---- walks ------------------------------------------------------------
+
+    /// Start a walk: the epoch no slot's stamp carries yet.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Stamp `n` for the walk `epoch`; `false` if it was stamped already.
+    #[inline]
+    fn first_visit(&mut self, n: NodeId, epoch: u32) -> bool {
+        let s = &mut self.stamp[n as usize];
+        let first = *s != epoch;
+        *s = epoch;
+        first
+    }
+
+    /// Substitute constant `val` for every variable of `vars` in `f` (BDD
+    /// `restrict`), in one pass. `vars` is strictly ascending.
+    pub(crate) fn restrict(&mut self, f: NodeId, vars: &[Var], val: bool) -> NodeId {
+        debug_assert!(vars.windows(2).all(|w| w[0] < w[1]));
+        let epoch = self.next_epoch();
+        self.restrict_rec(f, vars, val, epoch)
+    }
+
+    /// `vars` shrinks on the way down to the variables not above `f`'s; the
+    /// result for a node does not depend on how much of it is left, so the
+    /// per-node memo (`aux`) is sound.
+    fn restrict_rec(&mut self, f: NodeId, vars: &[Var], val: bool, epoch: u32) -> NodeId {
         let fvar = self.var_of(f);
-        if fvar > var {
+        let vars = &vars[vars.partition_point(|&v| v < fvar)..];
+        if vars.is_empty() {
+            // Ordering: nothing at or below `f` tests a variable of `vars`.
             return f;
         }
-        if let Some(&r) = memo.get(&f) {
-            return r;
+        if !self.first_visit(f, epoch) {
+            return self.aux[f as usize];
         }
-        let r = if fvar == var {
-            if val {
-                self.hi(f)
-            } else {
-                self.lo(f)
-            }
+        let (lo, hi) = (self.lo(f), self.hi(f));
+        let r = if vars[0] == fvar {
+            self.restrict_rec(if val { hi } else { lo }, &vars[1..], val, epoch)
         } else {
-            let lo = self.restrict_rec(self.lo(f), var, val, memo);
-            let hi = self.restrict_rec(self.hi(f), var, val, memo);
+            let lo = self.restrict_rec(lo, vars, val, epoch);
+            let hi = self.restrict_rec(hi, vars, val, epoch);
             self.mk(fvar, lo, hi)
         };
-        memo.insert(f, r);
+        self.aux[f as usize] = r;
         r
     }
 
     /// Existential quantification of a single variable.
     pub(crate) fn exists(&mut self, f: NodeId, var: Var) -> NodeId {
-        let f0 = self.restrict(f, var, false);
-        let f1 = self.restrict(f, var, true);
-        self.or(f0, f1)
+        let f0 = self.restrict(f, &[var], false);
+        let f1 = self.restrict(f, &[var], true);
+        self.apply(Op::Or, f0, f1)
     }
 
     /// Collect the support (set of variables `f` depends on) in ascending
     /// order.
-    pub(crate) fn support(&self, f: NodeId) -> Vec<Var> {
-        let mut seen = FxHashMap::default();
-        let mut vars = Vec::new();
-        let mut stack = vec![f];
-        while let Some(n) = stack.pop() {
-            if n <= TRUE || seen.contains_key(&n) {
-                continue;
+    pub(crate) fn support(&mut self, f: NodeId) -> Vec<Var> {
+        fn rec(a: &mut Arena, n: NodeId, epoch: u32, vars: &mut Vec<Var>) {
+            if n > TRUE && a.first_visit(n, epoch) {
+                vars.push(a.var_of(n));
+                rec(a, a.lo(n), epoch, vars);
+                rec(a, a.hi(n), epoch, vars);
             }
-            seen.insert(n, ());
-            vars.push(self.var_of(n));
-            stack.push(self.lo(n));
-            stack.push(self.hi(n));
         }
+        let mut vars = Vec::new();
+        let epoch = self.next_epoch();
+        rec(self, f, epoch, &mut vars);
         vars.sort_unstable();
         vars.dedup();
         vars
@@ -318,40 +530,31 @@ impl Arena {
 
     /// Whether `var` occurs in the support of `f`, without materialising the
     /// full support vector.
-    pub(crate) fn depends_on(&self, f: NodeId, var: Var) -> bool {
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![f];
-        while let Some(n) = stack.pop() {
-            if n <= TRUE || !seen.insert(n) {
-                continue;
+    pub(crate) fn depends_on(&mut self, f: NodeId, var: Var) -> bool {
+        fn rec(a: &mut Arena, n: NodeId, var: Var, epoch: u32) -> bool {
+            let v = a.var_of(n);
+            // Ordering: below a node testing a later variable `var` cannot
+            // occur.
+            if n <= TRUE || v > var || !a.first_visit(n, epoch) {
+                return false;
             }
-            let v = self.var_of(n);
-            if v == var {
-                return true;
-            }
-            if v < var {
-                stack.push(self.lo(n));
-                stack.push(self.hi(n));
-            }
+            v == var || rec(a, a.lo(n), var, epoch) || rec(a, a.hi(n), var, epoch)
         }
-        false
+        let epoch = self.next_epoch();
+        rec(self, f, var, epoch)
     }
 
     /// Number of DAG nodes reachable from `f` (terminals excluded) — the
     /// paper's per-annotation size measure.
-    pub(crate) fn dag_size(&self, f: NodeId) -> usize {
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![f];
-        let mut count = 0usize;
-        while let Some(n) = stack.pop() {
-            if n <= TRUE || !seen.insert(n) {
-                continue;
+    pub(crate) fn dag_size(&mut self, f: NodeId) -> usize {
+        fn rec(a: &mut Arena, n: NodeId, epoch: u32) -> usize {
+            if n <= TRUE || !a.first_visit(n, epoch) {
+                return 0;
             }
-            count += 1;
-            stack.push(self.lo(n));
-            stack.push(self.hi(n));
+            1 + rec(a, a.lo(n), epoch) + rec(a, a.hi(n), epoch)
         }
-        count
+        let epoch = self.next_epoch();
+        rec(self, f, epoch)
     }
 
     /// Evaluate under a total assignment.
@@ -459,36 +662,58 @@ impl Arena {
         path.pop();
     }
 
-    /// Child-first DAG dump used by the serialiser and the DOT export:
-    /// `(var, lo_ref, hi_ref)` per interior node, where a reference is `0` /
-    /// `1` for the terminals and `k + 2` for the `k`-th entry of the list.
-    /// The root is the last entry.
-    pub(crate) fn nodes_triples(&self, f: NodeId) -> Vec<(Var, u32, u32)> {
+    /// The encoder's walk: visit the interior nodes under `f` child-first,
+    /// handing `emit` each one's `(var, lo_ref, hi_ref)`, where a reference is
+    /// `0` / `1` for the terminals and `k + 2` for the `k`-th node emitted.
+    /// The root is emitted last. Returns the number of nodes emitted.
+    fn for_each_triple(&mut self, f: NodeId, mut emit: impl FnMut(Var, u32, u32)) -> u32 {
         /// Returns the wire reference of `n`, emitting it (after its
-        /// children) on the first visit; `refs` is both the visited set and
-        /// the id → reference map.
+        /// children) on the first visit; `aux` is the id → reference map.
         fn visit(
-            a: &Arena,
+            a: &mut Arena,
             n: NodeId,
-            refs: &mut FxHashMap<NodeId, u32>,
-            out: &mut Vec<(Var, u32, u32)>,
+            epoch: u32,
+            count: &mut u32,
+            emit: &mut impl FnMut(Var, u32, u32),
         ) -> u32 {
             if n <= TRUE {
                 return n;
             }
-            if let Some(&r) = refs.get(&n) {
-                return r;
+            if !a.first_visit(n, epoch) {
+                return a.aux[n as usize];
             }
-            let lo = visit(a, a.lo(n), refs, out);
-            let hi = visit(a, a.hi(n), refs, out);
-            let r = out.len() as u32 + 2;
-            out.push((a.var_of(n), lo, hi));
-            refs.insert(n, r);
+            let lo = visit(a, a.lo(n), epoch, count, emit);
+            let hi = visit(a, a.hi(n), epoch, count, emit);
+            emit(a.var_of(n), lo, hi);
+            let r = *count + 2;
+            *count += 1;
+            a.aux[n as usize] = r;
             r
         }
+        let epoch = self.next_epoch();
+        let mut count = 0;
+        visit(self, f, epoch, &mut count, &mut emit);
+        count
+    }
+
+    /// Child-first DAG dump used by the serialiser and the DOT export: the
+    /// triples of [`Arena::for_each_triple`], in order.
+    pub(crate) fn nodes_triples(&mut self, f: NodeId) -> Vec<(Var, u32, u32)> {
         let mut out = Vec::new();
-        visit(self, f, &mut FxHashMap::default(), &mut out);
+        self.for_each_triple(f, |var, lo, hi| out.push((var, lo, hi)));
         out
+    }
+
+    /// Length of the wire encoding of a non-terminal `f` (see
+    /// `serialize.rs`): the encoder's walk, counting bytes instead of
+    /// writing them.
+    pub(crate) fn encoded_len(&mut self, f: NodeId) -> usize {
+        let mut bytes = 0;
+        let count = self.for_each_triple(f, |var, lo, hi| {
+            bytes +=
+                varint_len(u64::from(var)) + varint_len(u64::from(lo)) + varint_len(u64::from(hi));
+        });
+        varint_len(u64::from(count)) + bytes
     }
 
     // ---- handle reference counts + GC ----------------------------------
@@ -512,20 +737,21 @@ impl Arena {
     /// Collect when the hash-consed nodes have reached [`GC_GROWTH`] × the
     /// survivors of the previous collection (and [`GC_FLOOR`]). Called at the
     /// entry of every allocating operation, where the handles are the whole
-    /// root set.
+    /// root set — and where the computed table is sized for the operation.
     pub(crate) fn collect_if_due(&mut self) {
         let nodes = self.unique.len();
         if nodes >= GC_FLOOR && nodes >= GC_GROWTH * self.survivors {
             self.gc();
         }
+        self.size_memo();
     }
 
     /// Mark-and-sweep garbage collection rooted at all live handles. Every
     /// unreachable slot goes on the free list for `mk` to reuse (a dead tail
     /// of the node vector is cut off instead), the unique table keeps exactly
-    /// the nodes that survived, and the `ite` and `encoded_len` memos are
-    /// emptied — all before the lock is released, so no table ever maps a
-    /// recycled id to what it used to denote.
+    /// the nodes that survived, and the computed table and the `encoded_len`
+    /// memo are emptied — all before the lock is released, so no table ever
+    /// maps a recycled id to what it used to denote.
     ///
     /// Returns the number of nodes reclaimed.
     pub(crate) fn gc(&mut self) -> usize {
@@ -545,10 +771,11 @@ impl Arena {
         }
         let before = self.unique.len();
         self.unique.retain(|_, &mut id| marked[id as usize]);
-        // Both memos may name freed ids. Keeping the `ite` entries whose four
-        // ids all survived was measured and lost: filtering them costs the
-        // sweep more than their hits repay (DESIGN.md "Annotation memory").
-        self.ite_cache.clear();
+        // Both memos may name freed ids. Keeping the computed-table entries
+        // whose ids all survived was measured and lost: filtering them costs
+        // the sweep more than their hits repay (DESIGN.md "Annotation
+        // memory").
+        self.clear_caches();
         self.encoded_len_cache.clear();
 
         let live_end = 1 + marked
@@ -557,6 +784,8 @@ impl Arena {
             .expect("the terminals are marked");
         self.nodes.truncate(live_end);
         self.refs.truncate(live_end);
+        self.stamp.truncate(live_end);
+        self.aux.truncate(live_end);
         self.free.clear();
         self.free.extend(
             (0..live_end as NodeId)
@@ -565,11 +794,18 @@ impl Arena {
         );
 
         release_map(&mut self.unique);
-        release_map(&mut self.ite_cache);
         release_map(&mut self.encoded_len_cache);
         release_vec(&mut self.nodes);
         release_vec(&mut self.refs);
+        release_vec(&mut self.stamp);
+        release_vec(&mut self.aux);
         release_vec(&mut self.free);
+        // The (empty) table goes back to what the survivors need once it is
+        // `SHRINK_SLACK` times that.
+        let want = self.memo_target();
+        if self.memo.len() > SHRINK_SLACK * want {
+            self.memo = vec![NO_MEMO; want];
+        }
 
         self.survivors = self.unique.len();
         let reclaimed = before - self.survivors;
@@ -583,13 +819,8 @@ impl Arena {
             nodes: self.unique.len() + 2,
             slots: self.nodes.len(),
             free_slots: self.free.len(),
-            ite_cache_entries: self.ite_cache.len(),
             ..self.stats
         }
-    }
-
-    pub(crate) fn clear_caches(&mut self) {
-        self.ite_cache.clear();
     }
 
     pub(crate) fn live_external_handles(&self) -> usize {
@@ -609,5 +840,158 @@ fn release_map<K: Eq + std::hash::Hash, V>(map: &mut FxHashMap<K, V>) {
 fn release_vec<T>(v: &mut Vec<T>) {
     if v.capacity() > SHRINK_SLACK * v.len().max(1024) {
         v.shrink_to(2 * v.len());
+    }
+}
+
+/// What the computed table and the visit stamps can get wrong, tested on the
+/// arena itself (the handle layer cannot reach `epoch` or keep the table at
+/// its minimum size).
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    struct Lcg(u64);
+    impl Lcg {
+        fn next(&mut self, below: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % below
+        }
+    }
+
+    fn cube(a: &mut Arena, vars: &[Var]) -> NodeId {
+        let mut vs = vars.to_vec();
+        vs.sort_unstable();
+        vs.dedup();
+        vs.iter().rev().fold(TRUE, |acc, &v| a.mk(v, FALSE, acc))
+    }
+
+    /// Shannon expansion with no memo at all, cut short only where an operand
+    /// is a terminal: the reference the computed table is checked against
+    /// (affordable on sums of a few cubes).
+    fn apply_uncached(a: &mut Arena, op: Op, x: NodeId, y: NodeId) -> NodeId {
+        match op {
+            Op::And if x == FALSE || y == FALSE => return FALSE,
+            Op::And if x == TRUE => return y,
+            Op::And if y == TRUE => return x,
+            Op::Or if x == TRUE || y == TRUE => return TRUE,
+            Op::Or if x == FALSE => return y,
+            Op::Or if y == FALSE => return x,
+            Op::Diff if x == FALSE || y == TRUE => return FALSE,
+            Op::Diff if y == FALSE => return x,
+            _ => {}
+        }
+        let top = a.var_of(x).min(a.var_of(y));
+        let (x0, x1) = a.cofactors(x, top);
+        let (y0, y1) = a.cofactors(y, top);
+        let lo = apply_uncached(a, op, x0, y0);
+        let hi = apply_uncached(a, op, x1, y1);
+        a.mk(top, lo, hi)
+    }
+
+    /// Collisions must cost hits, never correctness. The arena is driven
+    /// without `collect_if_due`, so the table stays at `MEMO_MIN` entries
+    /// while some 20 000 operations over 64 variables fight for them; every
+    /// result must be the node the uncached expansion makes.
+    #[test]
+    fn evictions_cost_hits_not_correctness() {
+        const VARS: u64 = 64;
+        let mut a = Arena::new();
+        let mut rng = Lcg(0x9e37_79b9_7f4a_7c15);
+        let mut sum_of_cubes = |a: &mut Arena| {
+            (0..3).fold(FALSE, |acc, _| {
+                let vars: Vec<Var> = (0..3).map(|_| rng.next(VARS) as Var).collect();
+                let c = cube(a, &vars);
+                let sum = a.apply(Op::Or, acc, c);
+                assert_eq!(sum, apply_uncached(a, Op::Or, acc, c));
+                sum
+            })
+        };
+        for _ in 0..1500 {
+            let f = sum_of_cubes(&mut a);
+            let g = sum_of_cubes(&mut a);
+            for op in [Op::And, Op::Or, Op::Diff] {
+                assert_eq!(a.apply(op, f, g), apply_uncached(&mut a, op, f, g));
+            }
+            let diff = apply_uncached(&mut a, Op::Diff, f, g);
+            assert_eq!(a.implies(f, g), diff == FALSE);
+            let nf = a.not(f);
+            assert_eq!(a.ite(f, g, nf), {
+                let both = apply_uncached(&mut a, Op::And, f, g);
+                apply_uncached(&mut a, Op::Or, both, nf)
+            });
+        }
+        let s = a.stats();
+        assert_eq!(a.memo.len(), MEMO_MIN, "the table was never resized");
+        assert!(s.ite_cache_entries <= MEMO_MIN);
+        assert!(
+            s.ite_cache_misses > 20 * MEMO_MIN as u64 && s.ite_cache_hits > 0,
+            "entries were overwritten many times over: {s:?}"
+        );
+    }
+
+    /// The walks across the epoch counter's wrap-around: the issue is a stamp
+    /// left from the first epoch `k` reading as "visited" in the second.
+    #[test]
+    fn walks_survive_epoch_wrap() {
+        let mut a = Arena::new();
+        let c1 = cube(&mut a, &[1, 3, 5]);
+        let c2 = cube(&mut a, &[2, 3, 6]);
+        let f = a.apply(Op::Or, c1, c2);
+        let support = a.support(f);
+        let triples = a.nodes_triples(f);
+        let len = a.encoded_len(f);
+        let restricted = a.restrict(f, &[3], true);
+        assert_eq!(support, [1, 2, 3, 5, 6]);
+        // Each walk as the one that wraps, with every slot stamped as if the
+        // epoch it wraps to had been there before.
+        fn wrapping<R>(a: &mut Arena, walk: impl FnOnce(&mut Arena) -> R) -> R {
+            a.stamp.fill(1);
+            a.epoch = u32::MAX;
+            let r = walk(a);
+            assert_eq!(a.epoch, 1);
+            r
+        }
+        assert_eq!(wrapping(&mut a, |a| a.support(f)), support);
+        assert_eq!(wrapping(&mut a, |a| a.restrict(f, &[3], true)), restricted);
+        assert_eq!(wrapping(&mut a, |a| a.nodes_triples(f)), triples);
+        assert_eq!(wrapping(&mut a, |a| a.encoded_len(f)), len);
+        assert_eq!(wrapping(&mut a, |a| a.dag_size(f)), triples.len());
+        assert!(wrapping(&mut a, |a| a.depends_on(f, 6)));
+        // And in sequence through the wrap.
+        a.epoch = u32::MAX - 2;
+        for round in 0..4 {
+            assert_eq!(a.support(f), support, "round {round}");
+            assert_eq!(a.restrict(f, &[3], true), restricted, "round {round}");
+            assert_eq!(a.nodes_triples(f), triples, "round {round}");
+            assert_eq!(a.encoded_len(f), len, "round {round}");
+        }
+        assert!(a.epoch < 16, "the counter wrapped: {}", a.epoch);
+    }
+
+    /// `restrict` makes nodes while it walks; with no free slot and the node
+    /// vector full, that grows the stamp vectors under the walk.
+    #[test]
+    fn mk_grows_the_stamp_vectors_mid_walk() {
+        let mut a = Arena::new();
+        let vars: Vec<Var> = (0..40).collect();
+        let f = cube(&mut a, &vars);
+        let mut filler = 1000;
+        while a.nodes.len() < a.nodes.capacity() {
+            a.mk_var(filler);
+            filler += 1;
+        }
+        assert!(a.free.is_empty());
+        let (slots, capacity) = (a.nodes.len(), a.nodes.capacity());
+        // Dropping the last variable copies every node above it.
+        let r = a.restrict(f, &[39], true);
+        assert_eq!(a.nodes.len(), slots + 39);
+        assert!(a.nodes.capacity() > capacity);
+        assert_eq!(a.stamp.len(), a.nodes.len());
+        assert_eq!(a.aux.len(), a.nodes.len());
+        assert_eq!(r, cube(&mut a, &vars[..39]));
+        assert_eq!(a.support(r), &vars[..39]);
     }
 }

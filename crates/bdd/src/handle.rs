@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::arena::{Arena, BddManagerStats, NodeId, Var, FALSE, TRUE};
+use crate::arena::{Arena, BddManagerStats, NodeId, Op, Var, FALSE, TRUE};
 
 /// Shared, thread-safe owner of a BDD node arena.
 ///
@@ -213,23 +213,27 @@ impl Hash for Bdd {
 }
 
 impl Bdd {
-    #[inline]
-    fn binop(&self, other: &Bdd, f: impl FnOnce(&mut Arena, NodeId, NodeId) -> NodeId) -> Bdd {
+    fn assert_same_arena(&self, other: &Bdd) {
         assert!(
             self.mgr.same_arena(&other.mgr),
             "combined Bdd handles from different managers"
         );
+    }
+
+    #[inline]
+    fn binop(&self, other: &Bdd, f: impl FnOnce(&mut Arena, NodeId, NodeId) -> NodeId) -> Bdd {
+        self.assert_same_arena(other);
         self.mgr.build(|a| f(a, self.id, other.id))
     }
 
     /// `self ∧ other` (the provenance of a join, Fig. 6).
     pub fn and(&self, other: &Bdd) -> Bdd {
-        self.binop(other, |a, x, y| a.and(x, y))
+        self.binop(other, |a, x, y| a.apply(Op::And, x, y))
     }
 
     /// `self ∨ other` (the provenance of union/duplicate projection, Fig. 6).
     pub fn or(&self, other: &Bdd) -> Bdd {
-        self.binop(other, |a, x, y| a.or(x, y))
+        self.binop(other, |a, x, y| a.apply(Op::Or, x, y))
     }
 
     /// `¬self`.
@@ -243,8 +247,9 @@ impl Bdd {
     }
 
     /// `self ∧ ¬other` — Algorithm 1's `deltaPv` and the pseudocode's `x − y`.
+    /// Computed on the two operands directly: `¬other` is not built.
     pub fn diff(&self, other: &Bdd) -> Bdd {
-        self.binop(other, |a, x, y| a.diff(x, y))
+        self.binop(other, |a, x, y| a.apply(Op::Diff, x, y))
     }
 
     /// If-then-else with `self` as the guard.
@@ -256,24 +261,27 @@ impl Bdd {
     /// Substitute `false` for `var`: the deletion primitive of §4 ("zero out
     /// the variable of the deleted base tuple").
     pub fn restrict_false(&self, var: Var) -> Bdd {
-        self.mgr.build(|a| a.restrict(self.id, var, false))
+        self.mgr.build(|a| a.restrict(self.id, &[var], false))
     }
 
     /// Substitute `true` for `var`.
     pub fn restrict_true(&self, var: Var) -> Bdd {
-        self.mgr.build(|a| a.restrict(self.id, var, true))
+        self.mgr.build(|a| a.restrict(self.id, &[var], true))
     }
 
-    /// Set every variable in `vars` to false — processing a batch of base
-    /// deletions in one pass.
+    /// Set every variable in `vars` (any order, duplicates allowed) to false
+    /// — a batch of base deletions in one pass over the DAG.
     pub fn restrict_all_false(&self, vars: &[Var]) -> Bdd {
-        self.mgr.build(|a| {
-            let mut cur = self.id;
-            for &v in vars {
-                cur = a.restrict(cur, v, false);
-            }
-            cur
-        })
+        let mut sorted;
+        let vars = if vars.windows(2).all(|w| w[0] < w[1]) {
+            vars
+        } else {
+            sorted = vars.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            &sorted
+        };
+        self.mgr.build(|a| a.restrict(self.id, vars, false))
     }
 
     /// Existentially quantify one variable.
@@ -292,10 +300,15 @@ impl Bdd {
         self.id == TRUE
     }
 
-    /// `self → other` holds for all assignments (absorption test used by
-    /// MinShip line 16: a new derivation is useful iff it is *not* implied).
+    /// `self → other` holds for all assignments: the absorption test of
+    /// MinShip line 16 (a new derivation is useful iff it is *not* implied by
+    /// what was shipped). Equal to `self.diff(other).is_false()`, but decided
+    /// by a descent of the two DAGs that makes no node — neither `¬other` nor
+    /// the difference — stops at the first counter-example, and memoises its
+    /// yes/no answers in the manager's computed table.
     pub fn implies(&self, other: &Bdd) -> bool {
-        self.diff(other).is_false()
+        self.assert_same_arena(other);
+        self.mgr.with_arena(|a| a.implies(self.id, other.id))
     }
 
     /// Ascending list of variables the function depends on.

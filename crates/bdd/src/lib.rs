@@ -7,10 +7,12 @@
 //! * hash-consed unique table, so every Boolean function has exactly one
 //!   canonical node — Boolean absorption (`a ∧ (a ∨ b) ≡ a`) falls out of
 //!   canonicity for free;
-//! * memoised `ite` (if-then-else) as the single combinator behind
-//!   `and`/`or`/`not`/`xor`/`diff`;
-//! * `restrict` (variable substitution by a constant), the operation used to
-//!   process base-tuple deletions;
+//! * one two-operand `apply` behind `and`/`or`/`diff`/`not` (`x − y` is
+//!   computed without building `¬y`), `ite` (if-then-else) behind `xor`, and
+//!   a node-free `implies` — all memoised in one direct-mapped computed
+//!   table;
+//! * `restrict` (variable substitution by a constant, for one variable or a
+//!   set in one pass), the operation used to process base-tuple deletions;
 //! * `support` extraction, satisfying-assignment enumeration, model counting;
 //! * a compact DAG serialisation used both for shipping annotations across the
 //!   simulated network and for the paper's "per-tuple provenance bytes"
@@ -18,7 +20,9 @@
 //! * mark-and-sweep garbage collection rooted at the live handles, which the
 //!   arena runs by itself as garbage builds up and whose freed node slots
 //!   later nodes reuse — memory follows what is alive, not what was ever
-//!   built (DESIGN.md "Annotation memory").
+//!   built (DESIGN.md "Annotation memory"). No operation and no DAG walk
+//!   builds a memo or a visited set of its own: they share the computed
+//!   table and per-slot visit stamps (DESIGN.md "BDD kernel").
 //!
 //! DESIGN.md: "System inventory" for the crate's role; "Deletion
 //! propagation" for how `restrict` implements base-tuple deletion.

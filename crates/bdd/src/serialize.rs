@@ -46,7 +46,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// The wire encoding of the function rooted at `id`.
-fn encode_in(arena: &Arena, id: NodeId) -> Vec<u8> {
+fn encode_in(arena: &mut Arena, id: NodeId) -> Vec<u8> {
     if id <= TRUE {
         return vec![0, id as u8];
     }
@@ -67,14 +67,17 @@ impl Bdd {
         self.mgr.with_arena(|a| encode_in(a, self.id))
     }
 
-    /// Length of [`Bdd::encode`].
+    /// Length of [`Bdd::encode`], without encoding: the same child-first
+    /// walk as the encoder's, adding up the varint lengths of the node count
+    /// and of each `(var, lo_ref, hi_ref)` instead of writing them (the two
+    /// definitions are pinned equal by test).
     ///
-    /// Memoised per root node: the engine measures the same annotations over
-    /// and over (per-update wire metadata plus state-size accounting), and
-    /// before memoisation this was one of the hottest functions in the whole
-    /// pipeline. The cache-miss path delegates to the encoder so the two
-    /// definitions cannot drift. Node ids are recycled by garbage collection,
-    /// which empties this memo in the same critical section that frees them.
+    /// Memoised per root node all the same: the engine measures the same
+    /// annotation when it is stored, when it is replaced and for per-update
+    /// wire metadata, and even a counting walk is a walk (measured with and
+    /// without, DESIGN.md "BDD kernel"). Node ids are recycled by garbage
+    /// collection, which empties this memo in the same critical section that
+    /// frees them.
     pub fn encoded_len(&self) -> usize {
         if self.id <= TRUE {
             return 2;
@@ -83,7 +86,7 @@ impl Bdd {
             if let Some(&n) = a.encoded_len_cache.get(&self.id) {
                 return n as usize;
             }
-            let len = encode_in(a, self.id).len();
+            let len = a.encoded_len(self.id);
             a.encoded_len_cache.insert(self.id, len as u32);
             len
         })

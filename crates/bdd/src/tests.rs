@@ -297,6 +297,21 @@ fn encoding_golden_bytes() {
     assert_eq!(m.decode(&f.encode()), Ok(f));
 }
 
+/// `encoded_len` counts what `encode` writes, also where a node count, a
+/// variable or a child reference needs a two- or three-byte varint.
+#[test]
+fn encoded_len_counts_multi_byte_varints() {
+    let m = BddManager::new();
+    let mut f = m.zero();
+    for i in 0..70u32 {
+        // Each cube on its own stretch of the order: the sum stays linear.
+        f = f.or(&m.cube([300 * i, 300 * i + 1, 300 * i + 2]));
+        assert_eq!(f.encoded_len(), f.encode().len(), "after cube {i}");
+    }
+    assert!(f.dag_size() > 128, "references past one byte");
+    assert_eq!(m.decode(&f.encode()), Ok(f));
+}
+
 #[test]
 fn dag_size_counts_shared_nodes_once() {
     let (_, a, b, c) = mgr3();

@@ -117,6 +117,39 @@ proptest! {
         prop_assert!(!r.depends_on(v));
     }
 
+    /// `restrict_all_false` is one pass over the DAG; it must equal one
+    /// `restrict_false` per variable, however the variables are given.
+    #[test]
+    fn restrict_all_false_matches_the_fold(
+        e in arb_expr(),
+        vs in proptest::collection::vec(0..NVARS + 2, 0..7),
+    ) {
+        let m = BddManager::new();
+        let f = to_bdd(&m, &e);
+        let folded = vs.iter().fold(f.clone(), |acc, &v| acc.restrict_false(v));
+        prop_assert_eq!(&f.restrict_all_false(&vs), &folded);
+        let mut sorted = vs.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        prop_assert_eq!(&f.restrict_all_false(&sorted), &folded);
+    }
+
+    /// `diff` and `implies` work on the two operands without building
+    /// `¬b`; they must still be `a ∧ ¬b` and "no assignment has a ∧ ¬b".
+    #[test]
+    fn diff_and_implies_match_truth_table(a in arb_expr(), b in arb_expr()) {
+        let m = BddManager::new();
+        let fa = to_bdd(&m, &a);
+        let fb = to_bdd(&m, &b);
+        let diff = fa.diff(&fb);
+        prop_assert_eq!(&diff, &fa.and(&fb.not()));
+        let implied = (0..(1u32 << NVARS)).all(|bits| !eval_expr(&a, bits) || eval_expr(&b, bits));
+        prop_assert_eq!(fa.implies(&fb), implied);
+        prop_assert_eq!(diff.is_false(), implied);
+        // Asked again, the answer comes from the computed table.
+        prop_assert_eq!(fa.implies(&fb), implied);
+    }
+
     #[test]
     fn sat_count_matches_truth_table(e in arb_expr()) {
         let m = BddManager::new();
@@ -171,7 +204,8 @@ proptest! {
     /// Builds, handle drops and collections interleaved in one manager, so
     /// later builds land in slots earlier ones gave up. After every step each
     /// surviving handle still denotes its function, is still the canonical
-    /// node for it, and no memo answers for a previous tenant of its id.
+    /// node for it, and neither the computed table nor a visit stamp answers
+    /// for a previous tenant of its id.
     #[test]
     fn recycled_slots_keep_surviving_handles_intact(
         program in proptest::collection::vec(arb_step(), 1..24),
@@ -202,6 +236,17 @@ proptest! {
                 let bytes = f.encode();
                 prop_assert_eq!(f.encoded_len(), bytes.len());
                 prop_assert_eq!(&m.decode(&bytes).unwrap(), f);
+                // The walks, against the truth table and against the same
+                // function in an arena that never recycled a slot.
+                let table = expr_table(e);
+                let support: Vec<u32> = (0..NVARS)
+                    .filter(|v| (0..table.len()).any(|bits| table[bits] != table[bits ^ (1 << v)]))
+                    .collect();
+                prop_assert_eq!(&f.support(), &support);
+                for v in 0..NVARS {
+                    prop_assert_eq!(f.depends_on(v), support.contains(&v));
+                }
+                prop_assert_eq!(f.dag_size(), to_bdd(&BddManager::new(), e).dag_size());
             }
         }
         drop(kept);

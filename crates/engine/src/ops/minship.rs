@@ -12,6 +12,7 @@
 //! * **Immediate** policy: degenerate to a conventional Ship (every update
 //!   forwarded as-is) — the costliest configuration.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -24,7 +25,15 @@ use crate::plan::Dest;
 use crate::strategy::ShipPolicy;
 use crate::update::Update;
 
-use super::{Ectx, ProvTable};
+use super::{Ectx, ProvTable, ENTRY_OVERHEAD};
+
+/// What one variable of a ship-ledger entry counts for in `state_bytes`.
+const LEDGER_VAR_BYTES: usize = 4;
+
+/// What a ship-ledger entry of `vars` variables counts for in `state_bytes`.
+fn ledger_entry_cost(t: &Tuple, vars: usize) -> usize {
+    t.encoded_len() + vars * LEDGER_VAR_BYTES + ENTRY_OVERHEAD
+}
 
 /// MinShip operator state.
 pub struct MinShipOp {
@@ -56,6 +65,11 @@ pub struct MinShipOp {
     /// Entries shed a variable once its death has been forwarded — a peer
     /// learns each dead variable exactly once.
     shipped: FxHashMap<Tuple, FxHashSet<Var>>,
+    /// Σ [`ledger_entry_cost`] over `shipped`, maintained where it changes
+    /// (`ledger_record`, the sweep in `on_dead_vars`, `restore`): the ledger
+    /// has an entry per tuple ever shipped, and `state_bytes` is read on
+    /// every run.
+    ledger_bytes: usize,
     /// Relation tag observed on the stream (for re-emission).
     rel_seen: Option<netrec_types::RelId>,
     /// Whether a flush timer is currently armed (eager mode).
@@ -73,6 +87,7 @@ impl MinShipOp {
             pdel: FxHashMap::default(),
             dirty: FxHashSet::default(),
             shipped: FxHashMap::default(),
+            ledger_bytes: 0,
             rel_seen: None,
             timer_armed: false,
         }
@@ -94,7 +109,16 @@ impl MinShipOp {
         if vars.is_empty() {
             return;
         }
-        self.shipped.entry(t.clone()).or_default().extend(vars);
+        let entry = match self.shipped.entry(t.clone()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.ledger_bytes += ledger_entry_cost(t, 0);
+                e.insert(FxHashSet::default())
+            }
+        };
+        let before = entry.len();
+        entry.extend(vars);
+        self.ledger_bytes += (entry.len() - before) * LEDGER_VAR_BYTES;
     }
 
     /// The hosting peer learned that `dead` base variables died (a
@@ -123,6 +147,7 @@ impl MinShipOp {
         let mut hit_any = false;
         let MinShipOp {
             shipped,
+            ledger_bytes,
             sent,
             pdel,
             ..
@@ -134,6 +159,11 @@ impl MinShipOp {
                 return true;
             }
             hit_any = true;
+            *ledger_bytes -= if vars.is_empty() {
+                ledger_entry_cost(t, hit.len())
+            } else {
+                hit.len() * LEDGER_VAR_BYTES
+            };
             let entry = pdel.entry(t.clone()).or_insert_with(|| {
                 // The annotation on a cause-delete is informational (the
                 // receiving store restricts table-wide by the cause); when
@@ -399,12 +429,7 @@ impl MinShipOp {
             .iter()
             .map(|(t, (p, c))| t.encoded_len() + p.encoded_len() + c.len() * 4 + 48)
             .sum();
-        let ledger: usize = self
-            .shipped
-            .iter()
-            .map(|(t, vs)| t.encoded_len() + vs.len() * 4 + 48)
-            .sum();
-        self.sent.state_bytes() + self.pins.state_bytes() + pdel + ledger
+        self.sent.state_bytes() + self.pins.state_bytes() + pdel + self.ledger_bytes
     }
 
     /// Serialise `Bsent`, `Pins`, `Pdel`, the staleness markers, the ship
@@ -503,6 +528,7 @@ impl MinShipOp {
             for _ in 0..nv {
                 vars.insert(wire::get_u32(buf)?);
             }
+            self.ledger_bytes += ledger_entry_cost(&t, vars.len());
             if self.shipped.insert(t, vars).is_some() {
                 return Err(WireError::Corrupt("duplicate ledger tuple in checkpoint"));
             }
@@ -639,6 +665,71 @@ mod tests {
                 (UpdateKind::Delete, t(2)), // the cause-delete off the stream
             ]
         );
+    }
+
+    /// The ledger's byte counter must stay equal to a rescan of the ledger
+    /// through every way an entry changes, and through a checkpoint.
+    #[test]
+    fn ledger_bytes_counter_matches_scan() {
+        fn scan(op: &MinShipOp) -> usize {
+            op.shipped
+                .iter()
+                .map(|(t, vs)| t.encoded_len() + vs.len() * 4 + 48)
+                .sum()
+        }
+        let mgr = BddManager::new();
+        let strategy = Strategy::absorption_lazy();
+        let mut net = NetApi::fresh(SimTime(0), PeerId(0));
+        let mut ectx = Ectx {
+            me: PeerId(0),
+            peers: 1,
+            strategy: &strategy,
+            partitioner: Partitioner::Direct { peers: 1 },
+            mgr: &mgr,
+            net: &mut net,
+        };
+        let dest = Dest {
+            op: OpId(0),
+            input: 0,
+        };
+        let mut op = MinShipOp::new(None, dest, ProvMode::Absorption);
+        let rel = RelId(0);
+        let x = |v| mgr.var(v);
+        assert_eq!(op.ledger_bytes, 0);
+
+        // First ships: two new entries.
+        op.on_updates(
+            vec![
+                Update::ins(rel, t(1), Prov::Bdd(x(1).or(&x(2)))),
+                Update::ins(rel, t(2), Prov::Bdd(x(1))),
+            ],
+            &mut ectx,
+        );
+        assert_eq!(op.shipped.len(), 2);
+        assert_eq!(op.ledger_bytes, scan(&op));
+
+        // x1 dies: t(1) sheds it (and turns dirty), t(2) is emptied and goes.
+        op.on_dead_vars(&[1], &mut ectx);
+        assert_eq!(op.shipped.len(), 1, "t(2)'s entry was removed");
+        assert_eq!(op.ledger_bytes, scan(&op));
+
+        // Re-ship of the dirty t(1): one variable it had, one it had not.
+        op.on_updates(
+            vec![Update::ins(rel, t(1), Prov::Bdd(x(2).and(&x(300))))],
+            &mut ectx,
+        );
+        assert_eq!(op.shipped[&t(1)].len(), 2);
+        assert_eq!(op.ledger_bytes, scan(&op));
+
+        let mut blob = Vec::new();
+        op.checkpoint(&mut blob);
+        let mut back = MinShipOp::new(None, dest, ProvMode::Absorption);
+        back.restore(&mut &blob[..], &mgr).expect("restore");
+        assert_eq!(back.ledger_bytes, scan(&back));
+        assert_eq!(back.state_bytes(), op.state_bytes());
+
+        op.on_dead_vars(&[2, 300], &mut ectx);
+        assert_eq!((op.shipped.len(), op.ledger_bytes), (0, 0));
     }
 
     /// The two variable lists of the checkpoint (a buffered deletion's cause,

@@ -333,11 +333,14 @@ impl ProvTable {
                     MergeOutcome::New(prov.clone())
                 }
                 Some(old) => {
-                    let merged = old.or(prov);
+                    // Absorption first: an absorbed arrival — the common case
+                    // once a recursive view is saturated — has an empty
+                    // `delta`, which makes no BDD node, and needs no union.
                     let delta = prov.bdd().diff(old.bdd());
                     if delta.is_false() {
                         MergeOutcome::Absorbed
                     } else {
+                        let merged = old.or(prov);
                         self.store(t.clone(), merged);
                         self.index_insert(t, prov);
                         MergeOutcome::Changed(Prov::Bdd(delta))
@@ -641,6 +644,25 @@ mod tests {
         assert!(matches!(pt.merge_ins(&t(1), &p1), MergeOutcome::Changed(_)));
         // now p1∧p2 IS absorbed by p1.
         assert!(matches!(pt.merge_ins(&t(1), &p12), MergeOutcome::Absorbed));
+    }
+
+    /// An absorbed arrival is the common case of a saturated recursive view;
+    /// deciding it must not build `old ∨ new`, `¬old`, or anything else.
+    #[test]
+    fn absorbed_merge_allocates_no_node() {
+        let mgr = BddManager::new();
+        let mut pt = ProvTable::new(ProvMode::Absorption, false);
+        let x = |v| mgr.var(v);
+        let old = x(1).and(&x(2)).or(&x(3).and(&x(4))).or(&x(5));
+        let absorbed = Prov::Bdd(x(1).and(&x(2)).and(&x(6)).or(&x(5).and(&x(7))));
+        pt.merge_ins(&t(1), &Prov::Bdd(old));
+        mgr.gc();
+        let before = mgr.stats().nodes;
+        assert!(matches!(
+            pt.merge_ins(&t(1), &absorbed),
+            MergeOutcome::Absorbed
+        ));
+        assert_eq!(mgr.stats().nodes, before);
     }
 
     #[test]
