@@ -167,10 +167,6 @@ pub(crate) struct Arena {
     unique: FxHashMap<Node, NodeId>,
     /// The computed table (module docs); its length is a power of two.
     memo: Vec<Memo>,
-    /// Memoised wire-encoding lengths per root id. Sound because it is
-    /// emptied in the same critical section that frees ids: an entry always
-    /// describes the function its id denotes now.
-    pub(crate) encoded_len_cache: FxHashMap<NodeId, u32>,
     /// Hash-consed nodes that survived the previous collection.
     survivors: usize,
     /// The running counters; `stats()` fills in the sizes.
@@ -188,7 +184,6 @@ impl Arena {
             free: Vec::new(),
             unique: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
             memo: vec![NO_MEMO; MEMO_MIN],
-            encoded_len_cache: FxHashMap::default(),
             survivors: 0,
             stats: BddManagerStats::default(),
         };
@@ -749,9 +744,9 @@ impl Arena {
     /// Mark-and-sweep garbage collection rooted at all live handles. Every
     /// unreachable slot goes on the free list for `mk` to reuse (a dead tail
     /// of the node vector is cut off instead), the unique table keeps exactly
-    /// the nodes that survived, and the computed table and the `encoded_len`
-    /// memo are emptied — all before the lock is released, so no table ever
-    /// maps a recycled id to what it used to denote.
+    /// the nodes that survived, and the computed table is emptied — all
+    /// before the lock is released, so no table ever maps a recycled id to
+    /// what it used to denote.
     ///
     /// Returns the number of nodes reclaimed.
     pub(crate) fn gc(&mut self) -> usize {
@@ -771,12 +766,10 @@ impl Arena {
         }
         let before = self.unique.len();
         self.unique.retain(|_, &mut id| marked[id as usize]);
-        // Both memos may name freed ids. Keeping the computed-table entries
-        // whose ids all survived was measured and lost: filtering them costs
-        // the sweep more than their hits repay (DESIGN.md "Annotation
-        // memory").
+        // The computed table may name freed ids. Keeping the entries whose
+        // ids all survived was measured and lost: filtering them costs the
+        // sweep more than their hits repay (DESIGN.md "Annotation memory").
         self.clear_caches();
-        self.encoded_len_cache.clear();
 
         let live_end = 1 + marked
             .iter()
@@ -794,7 +787,6 @@ impl Arena {
         );
 
         release_map(&mut self.unique);
-        release_map(&mut self.encoded_len_cache);
         release_vec(&mut self.nodes);
         release_vec(&mut self.refs);
         release_vec(&mut self.stamp);

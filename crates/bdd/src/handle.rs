@@ -14,7 +14,9 @@ use crate::arena::{Arena, BddManagerStats, NodeId, Op, Var, FALSE, TRUE};
 /// Cloning a manager is cheap (an `Arc` clone) and yields a second handle to
 /// the *same* arena. Every simulated peer in netrec owns one manager;
 /// provenance annotations travel between peers only in serialised form (see
-/// [`Bdd::encode`] / [`BddManager::decode`]).
+/// [`Bdd::encode`] / [`BddManager::decode`]; a transport in between checks
+/// the bytes with [`check_encoding`](crate::check_encoding) and needs no
+/// manager).
 #[derive(Clone)]
 pub struct BddManager {
     inner: Arc<Mutex<Arena>>,
@@ -149,8 +151,8 @@ impl BddManager {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Whether two manager handles share one arena (handles from different
-    /// arenas must be re-anchored via serialise/deserialise before mixing).
+    /// Whether two manager handles share one arena (a function moves between
+    /// arenas only as bytes: [`Bdd::encode`], then [`BddManager::decode`]).
     pub fn ptr_eq(&self, other: &BddManager) -> bool {
         self.same_arena(other)
     }
@@ -172,9 +174,10 @@ impl fmt::Debug for BddManager {
 
 /// A Boolean function handle: canonical within its manager, cheap to clone,
 /// and kept alive across garbage collection while any handle exists. The
-/// handles are the collector's root set, wherever they are — in operator
-/// state, or riding in a message another thread holds — because clone and
-/// drop go through the owning manager's lock.
+/// handles are the collector's root set; clone and drop go through the
+/// owning manager's lock. In netrec a handle never leaves the peer that owns
+/// its manager (DESIGN.md "Peer boundary"), so during a run that lock is
+/// only ever taken by the peer's own thread.
 pub struct Bdd {
     pub(crate) mgr: BddManager,
     pub(crate) id: NodeId,

@@ -53,7 +53,7 @@ mod serialize;
 pub use arena::{BddManagerStats, Var};
 pub use display::Cube;
 pub use handle::{Bdd, BddManager};
-pub use serialize::DecodeError;
+pub use serialize::{check_encoding, DecodeError};
 
 #[cfg(test)]
 mod tests;

@@ -16,7 +16,7 @@
 
 use netrec_types::wire::{get_varint, put_varint};
 
-use crate::arena::{Arena, NodeId, FALSE, TRUE};
+use crate::arena::{Arena, NodeId, Var, FALSE, TRUE};
 use crate::handle::{Bdd, BddManager};
 
 /// Error decoding a serialised BDD.
@@ -70,27 +70,72 @@ impl Bdd {
     /// Length of [`Bdd::encode`], without encoding: the same child-first
     /// walk as the encoder's, adding up the varint lengths of the node count
     /// and of each `(var, lo_ref, hi_ref)` instead of writing them (the two
-    /// definitions are pinned equal by test).
-    ///
-    /// Memoised per root node all the same: the engine measures the same
-    /// annotation when it is stored, when it is replaced and for per-update
-    /// wire metadata, and even a counting walk is a walk (measured with and
-    /// without, DESIGN.md "BDD kernel"). Node ids are recycled by garbage
-    /// collection, which empties this memo in the same critical section that
-    /// frees them.
+    /// definitions are pinned equal by test). Not memoised: since wire
+    /// metadata is read off bytes that exist, what is left to measure is
+    /// operator-state accounting, and there a per-root memo lost to the
+    /// plain walk (DESIGN.md "BDD kernel").
     pub fn encoded_len(&self) -> usize {
         if self.id <= TRUE {
             return 2;
         }
-        self.mgr.with_arena(|a| {
-            if let Some(&n) = a.encoded_len_cache.get(&self.id) {
-                return n as usize;
-            }
-            let len = a.encoded_len(self.id);
-            a.encoded_len_cache.insert(self.id, len as u32);
-            len
-        })
+        self.mgr.with_arena(|a| a.encoded_len(self.id))
     }
+}
+
+/// The one definition of a well-formed encoding: read `bytes` node by node,
+/// checking every rule a [`DecodeError`] names, and hand each checked
+/// `(var, lo_ref, hi_ref)` to `node` in list order. Returns the root's
+/// reference (`0`/`1` for the constants, else the last node's).
+fn walk(bytes: &[u8], mut node: impl FnMut(Var, usize, usize)) -> Result<usize, DecodeError> {
+    // An over-long varint reads as truncation, like running out of bytes.
+    fn next(buf: &mut &[u8]) -> Result<u64, DecodeError> {
+        get_varint(buf).map_err(|_| DecodeError::Truncated)
+    }
+    let buf = &mut &bytes[..];
+    let count = next(buf)? as usize;
+    // Every interior node costs at least three bytes, so a count larger
+    // than that bound is necessarily truncated — reject before allocating.
+    if count > bytes.len() / 3 + 1 {
+        return Err(DecodeError::Truncated);
+    }
+    if count == 0 {
+        return match **buf {
+            [] => Err(DecodeError::Truncated),
+            [c @ (0 | 1)] => Ok(usize::from(c)),
+            [_] => Err(DecodeError::ForwardReference),
+            _ => Err(DecodeError::TrailingBytes),
+        };
+    }
+    // Each reference's variable, so ordering can be validated; the terminals
+    // sort above every variable.
+    let mut vars: Vec<u32> = Vec::with_capacity(count + 2);
+    vars.extend([u32::MAX, u32::MAX]);
+    for _ in 0..count {
+        // A variable that does not fit 32 bits sorts above the terminals —
+        // never truncate it into a valid one.
+        let var = u32::try_from(next(buf)?).map_err(|_| DecodeError::OrderViolation)?;
+        let lo_ref = next(buf)? as usize;
+        let hi_ref = next(buf)? as usize;
+        if lo_ref >= vars.len() || hi_ref >= vars.len() {
+            return Err(DecodeError::ForwardReference);
+        }
+        if var >= vars[lo_ref] || var >= vars[hi_ref] {
+            return Err(DecodeError::OrderViolation);
+        }
+        node(var, lo_ref, hi_ref);
+        vars.push(var);
+    }
+    if !buf.is_empty() {
+        return Err(DecodeError::TrailingBytes);
+    }
+    Ok(vars.len() - 1)
+}
+
+/// Is `bytes` an encoding [`BddManager::decode`] accepts? The same checked
+/// walk, making no node and needing no manager: a transport validates an
+/// annotation it only carries, and the peer it is addressed to builds it.
+pub fn check_encoding(bytes: &[u8]) -> Result<(), DecodeError> {
+    walk(bytes, |_, _, _| {}).map(|_| ())
 }
 
 impl BddManager {
@@ -98,57 +143,16 @@ impl BddManager {
     /// merges it with existing nodes, which is how a receiving peer absorbs a
     /// shipped annotation into its local state).
     pub fn decode(&self, bytes: &[u8]) -> Result<Bdd, DecodeError> {
-        // An over-long varint reads as truncation, like running out of bytes.
-        fn next(buf: &mut &[u8]) -> Result<u64, DecodeError> {
-            get_varint(buf).map_err(|_| DecodeError::Truncated)
-        }
-        let buf = &mut &bytes[..];
-        let count = next(buf)? as usize;
-        // Every interior node costs at least three bytes, so a count larger
-        // than that bound is necessarily truncated — reject before allocating.
-        if count > bytes.len() / 3 + 1 {
-            return Err(DecodeError::Truncated);
-        }
-        if count == 0 {
-            return match **buf {
-                [] => Err(DecodeError::Truncated),
-                [0] => Ok(self.zero()),
-                [1] => Ok(self.one()),
-                [_] => Err(DecodeError::ForwardReference),
-                _ => Err(DecodeError::TrailingBytes),
-            };
-        }
-        let mut ids: Vec<NodeId> = Vec::with_capacity(count + 2);
-        ids.push(FALSE);
-        ids.push(TRUE);
-        // Track each wire node's variable so ordering can be validated; the
-        // terminals sort above every variable.
-        let mut vars: Vec<u32> = vec![u32::MAX, u32::MAX];
         // One critical section from the first node made to the root's
         // reference taken: the ids in `ids` are held by no handle.
         self.try_build(|a| {
-            let mut last = FALSE;
-            for _ in 0..count {
-                // A variable that does not fit 32 bits sorts above the
-                // terminals — never truncate it into a valid one.
-                let var = u32::try_from(next(buf)?).map_err(|_| DecodeError::OrderViolation)?;
-                let lo_ref = next(buf)? as usize;
-                let hi_ref = next(buf)? as usize;
-                if lo_ref >= ids.len() || hi_ref >= ids.len() {
-                    return Err(DecodeError::ForwardReference);
-                }
-                if var >= vars[lo_ref] || var >= vars[hi_ref] {
-                    return Err(DecodeError::OrderViolation);
-                }
-                let id = a.mk(var, ids[lo_ref], ids[hi_ref]);
-                ids.push(id);
-                vars.push(var);
-                last = id;
-            }
-            if !buf.is_empty() {
-                return Err(DecodeError::TrailingBytes);
-            }
-            Ok(last)
+            // At least three bytes per node bound the list's length.
+            let mut ids: Vec<NodeId> = Vec::with_capacity(bytes.len() / 3 + 2);
+            ids.extend([FALSE, TRUE]);
+            let root = walk(bytes, |var, lo_ref, hi_ref| {
+                ids.push(a.mk(var, ids[lo_ref], ids[hi_ref]));
+            })?;
+            Ok(ids[root])
         })
     }
 }

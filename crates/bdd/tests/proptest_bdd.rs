@@ -3,7 +3,7 @@
 //! and serialisation must round-trip — also in one long-lived manager whose
 //! collections hand freed node slots to later builds.
 
-use netrec_bdd::{Bdd, BddManager};
+use netrec_bdd::{check_encoding, Bdd, BddManager};
 use proptest::prelude::*;
 
 const NVARS: u32 = 8;
@@ -173,7 +173,33 @@ proptest! {
     #[test]
     fn decode_never_panics_on_junk(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
         let m = BddManager::new();
-        let _ = m.decode(&bytes); // must return Ok or Err, never panic
+        // Must return Ok or Err, never panic — and the manager-free check
+        // gives the same verdict.
+        prop_assert_eq!(check_encoding(&bytes), m.decode(&bytes).map(|_| ()));
+    }
+
+    /// A transport validates with `check_encoding` what a peer later builds
+    /// with `decode`: on every prefix of a real encoding, and on every byte
+    /// of it bumped, cleared, saturated or with its continuation bit
+    /// flipped, the two agree — accept together, or fail with the same error.
+    #[test]
+    fn check_encoding_agrees_with_decode_on_damaged_encodings(e in arb_expr()) {
+        let m = BddManager::new();
+        let bytes = to_bdd(&m, &e).encode();
+        let scratch = BddManager::new();
+        let agree = |b: &[u8]| check_encoding(b) == scratch.decode(b).map(|_| ());
+        prop_assert_eq!(check_encoding(&bytes), Ok(()));
+        for cut in 0..bytes.len() {
+            prop_assert!(agree(&bytes[..cut]), "prefix {}", cut);
+            prop_assert!(check_encoding(&bytes[..cut]).is_err(), "prefix {} accepted", cut);
+        }
+        for i in 0..bytes.len() {
+            for damaged in [bytes[i].wrapping_add(1), 0, 0xff, bytes[i] ^ 0x80] {
+                let mut b = bytes.clone();
+                b[i] = damaged;
+                prop_assert!(agree(&b), "byte {} := {}", i, damaged);
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! — a corrupted or truncated checkpoint fails loudly and never
 //! half-applies.
 
-use netrec_bdd::BddManager;
+use netrec_bdd::{BddManager, DecodeError};
 use netrec_prov::{Prov, ProvMode};
 use netrec_types::wire::{self, WireError};
 use netrec_types::Tuple;
@@ -32,20 +32,22 @@ const PROV_REL: u8 = 3;
 
 /// Append one annotation: a tag byte, then the variant payload. BDDs are
 /// length-prefixed because their encoding is not self-delimiting; relative
-/// graphs carry their own node count and consume exactly their bytes.
+/// graphs carry their own node count and consume exactly their bytes. A
+/// handle and the wire form of the same function write the same bytes.
 pub(crate) fn put_prov(out: &mut Vec<u8>, p: &Prov) {
+    let mut put_bdd = |bytes: &[u8]| {
+        out.push(PROV_BDD);
+        wire::put_varint(out, bytes.len() as u64);
+        out.extend_from_slice(bytes);
+    };
     match p {
         Prov::None => out.push(PROV_NONE),
         Prov::Count(c) => {
             out.push(PROV_COUNT);
             wire::put_varint(out, *c as u64);
         }
-        Prov::Bdd(b) => {
-            out.push(PROV_BDD);
-            let bytes = b.encode();
-            wire::put_varint(out, bytes.len() as u64);
-            out.extend_from_slice(&bytes);
-        }
+        Prov::Bdd(b) => put_bdd(&b.encode()),
+        Prov::Wire(bytes) => put_bdd(bytes),
         Prov::Rel(r) => {
             out.push(PROV_REL);
             r.encode(out);
@@ -53,10 +55,11 @@ pub(crate) fn put_prov(out: &mut Vec<u8>, p: &Prov) {
     }
 }
 
-/// Decode one annotation, rebuilding BDDs inside `mgr` (hash-consing merges
-/// them with whatever the restored peer has already decoded — exactly how a
-/// receiving peer absorbs a shipped annotation).
-pub(crate) fn get_prov(buf: &mut &[u8], mgr: &BddManager) -> Result<Prov, WireError> {
+/// Decode one annotation; `bdd` says what becomes of a BDD's encoding.
+fn get_prov_with(
+    buf: &mut &[u8],
+    bdd: impl FnOnce(&[u8]) -> Result<Prov, DecodeError>,
+) -> Result<Prov, WireError> {
     if buf.is_empty() {
         return Err(WireError::Truncated);
     }
@@ -70,17 +73,32 @@ pub(crate) fn get_prov(buf: &mut &[u8], mgr: &BddManager) -> Result<Prov, WireEr
             if len > buf.len() {
                 return Err(WireError::Truncated);
             }
-            let bdd = mgr
-                .decode(&buf[..len])
-                .map_err(|_| WireError::Corrupt("invalid BDD in checkpoint"))?;
+            let prov = bdd(&buf[..len]).map_err(|_| WireError::Corrupt("invalid BDD encoding"))?;
             *buf = &buf[len..];
-            Ok(Prov::Bdd(bdd))
+            Ok(prov)
         }
         PROV_REL => Ok(Prov::Rel(std::sync::Arc::new(
             netrec_prov::RelProv::decode(buf)?,
         ))),
         t => Err(WireError::BadTag(t)),
     }
+}
+
+/// Decode one annotation of a peer's own state, rebuilding BDDs inside its
+/// `mgr` (hash-consing merges them with whatever the restored peer has
+/// already decoded — exactly how a receiving peer absorbs a shipped
+/// annotation).
+pub(crate) fn get_prov(buf: &mut &[u8], mgr: &BddManager) -> Result<Prov, WireError> {
+    get_prov_with(buf, |bytes| mgr.decode(bytes).map(Prov::Bdd))
+}
+
+/// Decode one annotation in transit between peers: a BDD's encoding is
+/// checked — by the same rules `decode` applies, with no manager to build
+/// into — and kept as the bytes the addressee will build from.
+pub(crate) fn get_wire_prov(buf: &mut &[u8]) -> Result<Prov, WireError> {
+    get_prov_with(buf, |bytes| {
+        netrec_bdd::check_encoding(bytes).map(|()| Prov::Wire(bytes.into()))
+    })
 }
 
 /// Append a whole provenance table: entry count, then `(tuple, annotation

@@ -72,19 +72,19 @@ pub struct Ectx<'a> {
 }
 
 impl<'a> Ectx<'a> {
-    /// Hand a batch to local destinations (no network traffic). The batch is
-    /// shared across destinations behind one `Arc` — extra destinations cost
-    /// a reference-count bump, not a deep copy — and its metrics metadata is
-    /// computed once.
+    /// Hand a batch to local destinations (no network traffic, so nothing is
+    /// priced in wire bytes: [`Msg::local_meta`]). The batch is shared across
+    /// destinations behind one `Arc` — extra destinations cost a
+    /// reference-count bump, not a deep copy.
     pub fn emit_local(&mut self, dests: &[Dest], ups: Vec<Update>) {
         if ups.is_empty() || dests.is_empty() {
             return;
         }
-        let batch = Arc::new(ups);
-        let meta = Msg::Updates(Arc::clone(&batch)).meta();
+        let msg = Msg::Updates(Arc::new(ups));
+        let meta = msg.local_meta();
         for d in dests {
-            let msg = Msg::Updates(Arc::clone(&batch));
-            self.net.send(self.me, Plan::port(d.op, d.input), msg, meta);
+            self.net
+                .send(self.me, Plan::port(d.op, d.input), msg.clone(), meta);
         }
     }
 
@@ -111,14 +111,26 @@ impl<'a> Ectx<'a> {
     /// stream that [`Ectx::emit_routed`] would immediately re-split; the
     /// runtime's coalescer then merges these with whatever else the quantum
     /// produced for the same peers.
+    ///
+    /// This is the peer boundary on the way out (DESIGN.md "Peer boundary"):
+    /// a batch for another peer leaves with every absorption annotation in
+    /// wire form — encoded here, once, on the thread that owns `mgr` — and
+    /// its metadata is the size of those bytes. A batch routed to this peer
+    /// is a local hand-off and keeps its handles.
     pub fn emit_batches(&mut self, dest: Dest, by_peer: BTreeMap<PeerId, Vec<Update>>) {
         let port = Plan::port(dest.op, dest.input);
         for (p, batch) in by_peer {
             if batch.is_empty() {
                 continue;
             }
+            let local = p == self.me;
+            let batch: Vec<Update> = if local {
+                batch
+            } else {
+                batch.into_iter().map(Update::into_wire).collect()
+            };
             let msg = Msg::Updates(Arc::new(batch));
-            let meta = msg.meta();
+            let meta = if local { msg.local_meta() } else { msg.meta() };
             self.net.send(p, port, msg, meta);
         }
     }
@@ -588,10 +600,127 @@ impl ProvTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
+    use crate::plan::OpId;
     use netrec_bdd::BddManager;
+    use netrec_sim::MsgMeta;
+    use netrec_types::{NetAddr, RelId, SimTime};
 
     fn t(i: i64) -> Tuple {
         Tuple::new(vec![Value::Int(i)])
+    }
+
+    /// A hand-off between two operators of one peer is not traffic: its
+    /// metadata carries the tuple count the DES cost model bills by, and no
+    /// wire bytes — nobody would charge them, and pricing them walks every
+    /// annotation of the batch.
+    #[test]
+    fn local_hand_off_is_not_priced_in_wire_bytes() {
+        let mgr = BddManager::new();
+        let strategy = Strategy::absorption_lazy();
+        let me = PeerId(0);
+        let mut net = NetApi::fresh(SimTime(0), me);
+        let mut ectx = Ectx {
+            me,
+            peers: 2,
+            strategy: &strategy,
+            partitioner: Partitioner::Direct { peers: 2 },
+            mgr: &mgr,
+            net: &mut net,
+        };
+        let dest = |op, input| Dest {
+            op: OpId(op),
+            input,
+        };
+        let batch = |n: i64| -> Vec<Update> {
+            (0..n)
+                .map(|i| Update::ins(RelId(1), t(i), Prov::Bdd(mgr.var(i as u32 + 1))))
+                .collect()
+        };
+        let mut map = MapOp::new(
+            vec![Expr::col(0)],
+            vec![],
+            RelId(2),
+            vec![dest(3, 0), dest(4, 1)],
+        );
+        map.on_updates(batch(3), &mut ectx);
+        let mut store = StoreOp::new(RelId(2), true, None, vec![dest(5, 0)], ProvMode::Absorption);
+        store.on_updates(batch(2), &mut ectx);
+
+        let (sends, _) = net.into_parts();
+        let got: Vec<_> = sends
+            .iter()
+            .map(|(to, port, _, meta)| (*to, *port, *meta))
+            .collect();
+        let handed = |tuples| MsgMeta {
+            bytes: 0,
+            prov_bytes: 0,
+            tuples,
+        };
+        assert_eq!(
+            got,
+            vec![
+                (me, Plan::port(OpId(3), 0), handed(3)),
+                (me, Plan::port(OpId(4), 1), handed(3)),
+                (me, Plan::port(OpId(5), 0), handed(2)),
+            ]
+        );
+    }
+
+    /// The peer boundary on the way out, per destination: what leaves for
+    /// another peer is the annotation's encoding, priced at exactly what a
+    /// handle-carrying message was priced at; what is routed home keeps its
+    /// handle and is a local hand-off.
+    #[test]
+    fn routed_batch_is_bytes_for_another_peer_and_a_handle_at_home() {
+        let mgr = BddManager::new();
+        let strategy = Strategy::absorption_lazy();
+        let me = PeerId(0);
+        let mut net = NetApi::fresh(SimTime(0), me);
+        let mut ectx = Ectx {
+            me,
+            peers: 2,
+            strategy: &strategy,
+            partitioner: Partitioner::Direct { peers: 2 },
+            mgr: &mgr,
+            net: &mut net,
+        };
+        let at = |a: u32| Tuple::new(vec![Value::Addr(NetAddr(a)), Value::Int(7)]);
+        let sent = mgr.var(10).and(&mgr.var(11)).or(&mgr.var(12));
+        let home = Update::ins(RelId(1), at(0), Prov::Bdd(sent.clone()));
+        let away = Update::del_cause(
+            RelId(1),
+            at(1),
+            Prov::Bdd(sent.clone()),
+            Arc::from(&[10u32, 300][..]),
+        );
+        // The parent's formula: message framing plus the update's wire size,
+        // measured on the handle.
+        let (away_bytes, away_prov) = (2 + away.encoded_len(), away.prov_len());
+        let dest = Dest {
+            op: OpId(2),
+            input: 0,
+        };
+        ectx.emit_routed(Some(0), dest, vec![home, away]);
+
+        let (mut sends, _) = net.into_parts();
+        assert_eq!(sends.len(), 2);
+        let (to, _, Msg::Updates(ups), meta) = sends.remove(0) else {
+            panic!("control message")
+        };
+        assert_eq!(to, me);
+        assert_eq!(ups[0].prov.bdd(), &sent, "a handle at home");
+        assert_eq!((meta.bytes, meta.prov_bytes, meta.tuples), (0, 0, 1));
+        let (to, _, Msg::Updates(ups), meta) = sends.remove(0) else {
+            panic!("control message")
+        };
+        assert_eq!(to, PeerId(1));
+        assert!(matches!(&ups[0].prov, Prov::Wire(bytes) if bytes[..] == sent.encode()[..]));
+        assert_eq!(
+            (meta.bytes, meta.prov_bytes, meta.tuples),
+            (away_bytes, away_prov, 1)
+        );
+        assert_eq!(meta.prov_bytes, 1 + sent.encode().len());
     }
 
     #[test]

@@ -28,9 +28,10 @@ pub struct EnginePeer {
     partitioner: Partitioner,
     /// Owns every annotation in this peer's operator state. An annotation's
     /// nodes live as long as some `Bdd` handle reaches them — in an operator
-    /// table here, or in a message a neighbour has not re-anchored yet — and
+    /// table here, or in a hand-off between two operators of this peer — and
     /// the arena reclaims the rest on its own (DESIGN.md "Annotation
-    /// memory"); the engine never asks it to.
+    /// memory"); the engine never asks it to. No handle leaves the peer
+    /// (DESIGN.md "Peer boundary").
     mgr: BddManager,
     alloc: VarAllocator,
     ops: Vec<OpState>,
@@ -285,17 +286,30 @@ impl EnginePeer {
         &self.mgr
     }
 
-    /// Incoming-update hygiene: re-anchor foreign BDDs into the local
-    /// manager (the serialise/deserialise of a real deployment) and restrict
-    /// insertions against known-dead variables so no channel race can
-    /// resurrect a deleted base tuple.
+    /// Incoming-update hygiene. This is the peer boundary on the way in
+    /// (DESIGN.md "Peer boundary"): an absorption annotation from another
+    /// peer arrives as bytes and is built here, once, in this peer's own
+    /// manager; one that arrives as a handle was handed over by an operator
+    /// of this peer, and a handle into any other arena is a bug. Then
+    /// insertions are restricted against known-dead variables so no channel
+    /// race can resurrect a deleted base tuple.
     fn sanitize(&self, ups: Vec<Update>) -> Vec<Update> {
         let mut out = Vec::with_capacity(ups.len());
         for mut u in ups {
-            if let Prov::Bdd(b) = &u.prov {
-                if !b.manager().ptr_eq(&self.mgr) {
-                    u.prov = u.prov.reanchor(&self.mgr);
+            match &u.prov {
+                // The bytes are this program's own encoding, or a link
+                // checked them before delivering (`Msg::decode`).
+                Prov::Wire(bytes) => {
+                    let landed = self.mgr.decode(bytes).expect("well-formed annotation");
+                    u.prov = Prov::Bdd(landed);
                 }
+                Prov::Bdd(b) => assert!(
+                    b.manager().ptr_eq(&self.mgr),
+                    "p{} received a Bdd handle into another peer's arena: {:?}",
+                    self.me.0,
+                    u.tuple
+                ),
+                _ => {}
             }
             if u.kind == UpdateKind::Insert && u.prov.is_unsatisfiable() {
                 // Joins no longer emit constant-false inserts (join.rs),
@@ -371,6 +385,10 @@ impl EnginePeer {
     }
 
     fn dispatch(&mut self, op_idx: usize, input: u8, ups: Vec<Update>, net: &mut NetApi<Msg>) {
+        debug_assert!(
+            !ups.iter().any(|u| matches!(u.prov, Prov::Wire(_))),
+            "a wire-form annotation got past sanitize"
+        );
         let (ops, _, mut ectx) = self.parts(net);
         match &mut ops[op_idx] {
             OpState::Ingress(_) => panic!("ingress receives Msg::Base, not updates"),
@@ -514,5 +532,100 @@ impl PeerNode<Msg> for EnginePeer {
                 o.on_ttl(ttl_id, alloc, &mut ectx);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::Expr;
+    use crate::plan::{OpId, PlanBuilder};
+    use netrec_types::{RelId, SimTime, Value};
+
+    /// `link` ingress → projection → `reach` view store, on peer 0 of 2.
+    fn peer_with_a_store() -> (EnginePeer, OpId, RelId) {
+        let mut b = PlanBuilder::new();
+        let link = b.edb("link", &["src", "dst"], 0);
+        let reach = b.idb("reach", &["src", "dst"], 0);
+        let ing = b.ingress(link);
+        let map = b.map(vec![Expr::col(0), Expr::col(1)], vec![]);
+        let store = b.store(reach, true, None);
+        b.connect(ing, map, 0);
+        b.connect(map, store, 0);
+        let peer = EnginePeer::new(
+            PeerId(0),
+            2,
+            Arc::new(b.build().expect("plan")),
+            Strategy::absorption_lazy(),
+            Partitioner::Direct { peers: 2 },
+        );
+        (peer, store, reach)
+    }
+
+    fn deliver(peer: &mut EnginePeer, store: OpId, ups: Vec<Update>) {
+        let mut net = NetApi::fresh(SimTime(0), PeerId(0));
+        peer.on_message(Plan::port(store, 0), Msg::Updates(Arc::new(ups)), &mut net);
+    }
+
+    fn stored<'a>(peer: &'a EnginePeer, store: OpId, t: &Tuple) -> Option<&'a Prov> {
+        match &peer.ops()[store.0 as usize] {
+            OpState::Store(s) => s.prov_of(t),
+            _ => panic!("not a store"),
+        }
+    }
+
+    /// An annotation from another peer arrives as bytes and is built in this
+    /// peer's own manager before the filters look at it: the one that
+    /// mentions a dead variable is restricted, the one that is constant
+    /// false is dropped, and what the store holds is a local handle.
+    #[test]
+    fn wire_annotation_lands_in_this_peers_manager_ahead_of_the_filters() {
+        let (mut peer, store, reach) = peer_with_a_store();
+        let sender = BddManager::new();
+        let wire = |b: netrec_bdd::Bdd| Prov::Bdd(b).into_wire();
+        let t = |i: i64| Tuple::new(vec![Value::Int(i), Value::Int(i)]);
+        // Variable 1 dies first (a cause-delete for a tuple nobody holds).
+        deliver(
+            &mut peer,
+            store,
+            vec![Update::del_cause(
+                reach,
+                t(9),
+                wire(sender.var(1)),
+                Arc::from(&[1u32][..]),
+            )],
+        );
+        deliver(
+            &mut peer,
+            store,
+            vec![
+                Update::ins(reach, t(1), wire(sender.var(1).or(&sender.var(2)))),
+                Update::ins(reach, t(2), wire(sender.var(1))),
+                Update::ins(reach, t(3), wire(sender.zero())),
+            ],
+        );
+        let mgr = peer.bdd_manager();
+        assert_eq!(
+            stored(&peer, store, &t(1)).expect("kept").bdd(),
+            &mgr.var(2)
+        );
+        assert!(stored(&peer, store, &t(2)).is_none(), "dead on arrival");
+        assert!(stored(&peer, store, &t(3)).is_none(), "proves nothing");
+    }
+
+    /// Handles stay on their peer, so one into another arena can only be a
+    /// bug in whoever sent it — and `merge_ins` would store it without
+    /// complaint. Fail at the boundary instead.
+    #[test]
+    #[should_panic(expected = "another peer's arena")]
+    fn a_handle_into_another_arena_panics_at_the_boundary() {
+        let (mut peer, store, reach) = peer_with_a_store();
+        let foreign = BddManager::new();
+        let t = Tuple::new(vec![Value::Int(1), Value::Int(2)]);
+        deliver(
+            &mut peer,
+            store,
+            vec![Update::ins(reach, t, Prov::Bdd(foreign.var(1)))],
+        );
     }
 }

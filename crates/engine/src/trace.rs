@@ -31,6 +31,7 @@ pub(crate) fn matches(t: &Tuple) -> bool {
 pub(crate) fn supp(p: &Prov) -> String {
     match p {
         Prov::Bdd(b) => format!("bdd{:?}", b.support()),
+        Prov::Wire(bytes) => format!("wire[{}B]", bytes.len()),
         Prov::Rel(r) => format!("rel{:?}x{}", r.support(), r.node_count()),
         other => format!("{other:?}"),
     }

@@ -74,6 +74,15 @@ impl Update {
         }
     }
 
+    /// The update as it leaves for another peer: its annotation in wire
+    /// form ([`Prov::into_wire`]), everything else as it was.
+    pub fn into_wire(self) -> Update {
+        Update {
+            prov: self.prov.into_wire(),
+            ..self
+        }
+    }
+
     /// Is this a deletion?
     pub fn is_delete(&self) -> bool {
         self.kind == UpdateKind::Delete
@@ -151,11 +160,23 @@ impl Msg {
         }
     }
 
-    /// Metrics metadata for shipping this message.
+    /// Metrics metadata for shipping this message to another peer.
     pub fn meta(&self) -> netrec_sim::MsgMeta {
         netrec_sim::MsgMeta {
             bytes: self.encoded_len(),
             prov_bytes: self.prov_len(),
+            tuples: self.tuple_count(),
+        }
+    }
+
+    /// Metadata of a hand-off between operators of one peer. No substrate
+    /// charges traffic for a message a peer sends itself, so it is not
+    /// priced in wire bytes; the tuple count is what the DES cost model
+    /// bills the delivery by.
+    pub fn local_meta(&self) -> netrec_sim::MsgMeta {
+        netrec_sim::MsgMeta {
+            bytes: 0,
+            prov_bytes: 0,
             tuples: self.tuple_count(),
         }
     }

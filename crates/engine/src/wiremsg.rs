@@ -2,38 +2,27 @@
 //! protocol messages on a real socket.
 //!
 //! Reuses the checkpoint codec's annotation framing (`put_prov` /
-//! `get_prov`) so a provenance annotation has exactly one byte format
-//! everywhere — checkpoints, the serving layer, and now the TCP transport.
+//! `get_wire_prov`) so a provenance annotation has exactly one byte format
+//! everywhere — checkpoints, the serving layer, and the TCP transport.
 //!
-//! Decoding anchors BDD annotations in the transport link's own
-//! [`BddManager`] (the [`WireCtx`]): the receiving peer re-anchors every
-//! foreign annotation into its manager on delivery (`EnginePeer::sanitize`,
-//! the same path in-process cross-shard traffic takes), so a
-//! transport-owned manager never leaks into operator state.
+//! An absorption annotation is already bytes when it gets here
+//! ([`Prov::Wire`](netrec_prov::Prov::Wire), made where the batch left its
+//! peer) and is bytes again when it leaves: encoding copies them into the
+//! frame, decoding checks them (`netrec_bdd::check_encoding` — input from a
+//! socket is validated where it enters, so a corrupt annotation kills the
+//! connection, never a peer) and copies them out. No BDD is built on a
+//! link; the peer the message is addressed to builds it, once, in its own
+//! manager (`EnginePeer::sanitize`, DESIGN.md "Peer boundary").
 
 use std::sync::Arc;
 
-use netrec_bdd::{BddManager, Var};
+use netrec_bdd::Var;
 use netrec_sim::WireMsg;
 use netrec_types::wire::{self, WireError};
 use netrec_types::{Duration, RelId, UpdateKind};
 
-use crate::checkpoint::{get_prov, put_prov};
+use crate::checkpoint::{get_wire_prov, put_prov};
 use crate::update::{Msg, Update};
-
-/// Per-link decoder state: the manager transport-decoded BDDs live in
-/// until the receiving peer re-anchors them.
-pub struct WireCtx {
-    mgr: BddManager,
-}
-
-impl Default for WireCtx {
-    fn default() -> WireCtx {
-        WireCtx {
-            mgr: BddManager::new(),
-        }
-    }
-}
 
 // Msg variant tags on the wire. Tag 1 must stay unassigned: it belonged to
 // a retired message, and a frame from an old peer has to fail as a bad tag.
@@ -68,7 +57,7 @@ fn put_update(out: &mut Vec<u8>, u: &Update) {
     put_vars(out, &u.cause);
 }
 
-fn get_update(buf: &mut &[u8], mgr: &BddManager) -> Result<Update, WireError> {
+fn get_update(buf: &mut &[u8]) -> Result<Update, WireError> {
     let rel = RelId(
         u16::try_from(wire::get_varint(buf)?)
             .map_err(|_| WireError::Corrupt("relation id out of range"))?,
@@ -77,7 +66,7 @@ fn get_update(buf: &mut &[u8], mgr: &BddManager) -> Result<Update, WireError> {
     *buf = rest;
     let kind = UpdateKind::from_tag(tag).ok_or(WireError::BadTag(tag))?;
     let tuple = wire::get_tuple(buf)?;
-    let prov = get_prov(buf, mgr)?;
+    let prov = get_wire_prov(buf)?;
     let cause = get_vars(buf)?;
     Ok(Update {
         rel,
@@ -89,8 +78,6 @@ fn get_update(buf: &mut &[u8], mgr: &BddManager) -> Result<Update, WireError> {
 }
 
 impl WireMsg for Msg {
-    type Ctx = WireCtx;
-
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Msg::Updates(us) => {
@@ -116,7 +103,7 @@ impl WireMsg for Msg {
         }
     }
 
-    fn decode(buf: &mut &[u8], ctx: &WireCtx) -> Result<Msg, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Msg, WireError> {
         let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
         *buf = rest;
         match tag {
@@ -127,7 +114,7 @@ impl WireMsg for Msg {
                 }
                 let mut us = Vec::with_capacity(len);
                 for _ in 0..len {
-                    us.push(get_update(buf, &ctx.mgr)?);
+                    us.push(get_update(buf)?);
                 }
                 Ok(Msg::Updates(Arc::new(us)))
             }
@@ -154,15 +141,20 @@ impl WireMsg for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netrec_bdd::BddManager;
     use netrec_prov::{Prov, ProvMode};
-    use netrec_types::{tup, Tuple, Value};
+    use netrec_types::{tup, Value};
 
-    fn roundtrip(msg: &Msg) -> Msg {
+    fn encoded(msg: &Msg) -> Vec<u8> {
         let mut bytes = Vec::new();
         msg.encode(&mut bytes);
-        let ctx = WireCtx::default();
+        bytes
+    }
+
+    fn roundtrip(msg: &Msg) -> Msg {
+        let bytes = encoded(msg);
         let mut buf = bytes.as_slice();
-        let back = Msg::decode(&mut buf, &ctx).expect("decode");
+        let back = Msg::decode(&mut buf).expect("decode");
         assert!(buf.is_empty(), "trailing bytes after {msg:?}");
         back
     }
@@ -191,7 +183,10 @@ mod tests {
                 assert_eq!(us[0].kind, UpdateKind::Insert);
                 assert_eq!(us[0].tuple, tup([Value::Int(1), Value::Int(2)]));
                 assert_eq!(us[1].cause.as_ref(), &[1]);
-                assert!(matches!(us[1].prov, Prov::Bdd(_)));
+                let Prov::Wire(shipped) = &us[1].prov else {
+                    panic!("prov variant changed")
+                };
+                assert_eq!(mgr.decode(shipped), Ok(mgr.var(1).or(&mgr.var(2))));
                 assert!(matches!(us[2].prov, Prov::Count(-2)));
                 // Byte-size accounting is part of the protocol: the decoded
                 // update must cost exactly what the sender charged.
@@ -228,11 +223,7 @@ mod tests {
     /// the retired tombstone's tag decodes as nothing.
     #[test]
     fn variant_tags_are_stable_and_the_retired_one_is_rejected() {
-        let tag = |msg: &Msg| {
-            let mut bytes = Vec::new();
-            msg.encode(&mut bytes);
-            bytes[0]
-        };
+        let tag = |msg: &Msg| encoded(msg)[0];
         assert_eq!(tag(&Msg::Updates(Arc::new(Vec::new()))), 0);
         assert_eq!(tag(&Msg::Rederive), 2);
         let base = Msg::Base {
@@ -243,10 +234,42 @@ mod tests {
         assert_eq!(tag(&base), 3);
         // What used to be a tombstone carrying variables 3 and 5.
         let mut buf: &[u8] = &[1, 2, 3, 5];
-        assert!(matches!(
-            Msg::decode(&mut buf, &WireCtx::default()),
-            Err(WireError::BadTag(1))
-        ));
+        assert!(matches!(Msg::decode(&mut buf), Err(WireError::BadTag(1))));
+    }
+
+    /// The frame format may not move: these bytes were written by the codec
+    /// as it stood before annotations crossed peers as [`Prov::Wire`], from
+    /// the same two updates held as handles.
+    #[test]
+    fn updates_frame_golden_bytes() {
+        const GOLDEN: [u8; 34] = [
+            0, 2, 3, 0, 2, 1, 2, 1, 4, 2, 7, 2, 11, 0, 1, 10, 0, 2, 0, 3, 1, 2, 1, 2, 1, 4, 2, 4,
+            1, 10, 0, 1, 1, 10,
+        ];
+        let mgr = BddManager::new();
+        let t = tup([Value::Int(1), Value::Int(2)]);
+        let ups = vec![
+            Update::ins(
+                RelId(3),
+                t.clone(),
+                Prov::Bdd(mgr.var(10).and(&mgr.var(11))),
+            ),
+            Update::del_cause(RelId(3), t, Prov::Bdd(mgr.var(10)), Arc::from(&[10u32][..])),
+        ];
+        let shipped: Vec<Update> = ups.iter().cloned().map(Update::into_wire).collect();
+        let (held, shipped) = (Msg::Updates(Arc::new(ups)), Msg::Updates(Arc::new(shipped)));
+        assert_eq!(encoded(&held), GOLDEN);
+        assert_eq!(encoded(&shipped), GOLDEN);
+        // What the parent charged for this message.
+        let meta = shipped.meta();
+        assert_eq!((meta.bytes, meta.prov_bytes, meta.tuples), (32, 13, 2));
+        // The link hands on the annotation bytes it was given.
+        let back = roundtrip(&shipped);
+        assert_eq!(encoded(&back), GOLDEN);
+        let Msg::Updates(us) = back else {
+            unreachable!()
+        };
+        assert!(matches!(&us[0].prov, Prov::Wire(b) if b[..] == [2, 11, 0, 1, 10, 0, 2]));
     }
 
     #[test]
@@ -257,37 +280,45 @@ mod tests {
             tup([Value::Int(1)]),
             Prov::Bdd(mgr.var(3)),
         )]));
-        let mut bytes = Vec::new();
-        msg.encode(&mut bytes);
-        let ctx = WireCtx::default();
+        let bytes = encoded(&msg);
         for cut in 0..bytes.len() {
             let mut buf = &bytes[..cut];
-            assert!(Msg::decode(&mut buf, &ctx).is_err(), "prefix {cut} decoded");
+            assert!(Msg::decode(&mut buf).is_err(), "prefix {cut} decoded");
         }
         let mut buf: &[u8] = &[9, 9, 9];
-        assert!(Msg::decode(&mut buf, &ctx).is_err());
+        assert!(Msg::decode(&mut buf).is_err());
     }
 
+    /// The link builds no BDD, but it still refuses one no peer could build:
+    /// a frame that is well-formed around a malformed annotation is an
+    /// error at `Msg::decode` — where the connection dies — for each way an
+    /// encoding can be wrong.
     #[test]
-    fn decoded_bdds_live_in_the_link_manager() {
-        let sender_mgr = BddManager::new();
-        let msg = Msg::Updates(Arc::new(vec![Update::ins(
-            RelId(0),
-            Tuple::new(vec![Value::Int(1)]),
-            Prov::Bdd(sender_mgr.var(10).and(&sender_mgr.var(11))),
-        )]));
-        let mut bytes = Vec::new();
-        msg.encode(&mut bytes);
-        let ctx = WireCtx::default();
-        let mut buf = bytes.as_slice();
-        let back = Msg::decode(&mut buf, &ctx).expect("decode");
-        let Msg::Updates(us) = back else {
-            unreachable!()
+    fn malformed_annotation_in_a_valid_frame_is_rejected() {
+        let frame_around = |annotation: &[u8]| {
+            encoded(&Msg::Updates(Arc::new(vec![Update::ins(
+                RelId(1),
+                tup([Value::Int(1)]),
+                Prov::Wire(annotation.into()),
+            )])))
         };
-        let Prov::Bdd(b) = &us[0].prov else {
-            panic!("prov variant changed")
+        let decode = |annotation: &[u8]| {
+            let bytes = frame_around(annotation);
+            Msg::decode(&mut bytes.as_slice())
         };
-        // Semantics preserved under the new anchor: same support.
-        assert_eq!(b.support(), vec![10, 11]);
+        // x10 ∧ x11, as in the golden frame.
+        assert!(decode(&[2, 11, 0, 1, 10, 0, 2]).is_ok());
+        for (what, annotation) in [
+            ("truncated", &[2, 11, 0, 1][..]),
+            ("forward-referencing", &[2, 11, 0, 3, 10, 0, 2]),
+            ("order-violating", &[2, 10, 0, 1, 10, 0, 2]),
+            ("trailing", &[2, 11, 0, 1, 10, 0, 2, 0]),
+            ("empty", &[]),
+        ] {
+            assert!(
+                matches!(decode(annotation), Err(WireError::Corrupt(_))),
+                "{what} annotation decoded"
+            );
+        }
     }
 }

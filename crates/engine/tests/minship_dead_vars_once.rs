@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use netrec_bdd::Var;
+use netrec_bdd::{BddManager, Var};
 use netrec_engine::ops::OpState;
 use netrec_engine::peer::EnginePeer;
 use netrec_engine::plan::{OpId, OpSpec, Plan, JOIN_PROBE};
@@ -203,13 +203,16 @@ fn reach(a: u32, b: u32) -> Tuple {
 fn emissions(net: NetApi<Msg>) -> Vec<String> {
     let (sends, timers) = net.into_parts();
     assert!(timers.is_empty(), "lazy shipping arms no timer");
+    let scratch = BddManager::new();
     let mut out = Vec::new();
     for (to, port, msg, _) in sends {
         let Msg::Updates(ups) = msg else {
             panic!("unexpected control message {msg:?}");
         };
         for u in ups.iter() {
-            let supp = match &u.prov {
+            // Shipped to another peer, so in wire form: read it the way the
+            // receiver would, in a manager of our own.
+            let supp = match u.prov.reanchor(&scratch) {
                 Prov::Bdd(b) => b.support(),
                 other => panic!("absorption run shipped {other:?}"),
             };

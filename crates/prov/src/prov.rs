@@ -32,8 +32,17 @@ pub enum Prov {
     None,
     /// Multiplicity (counting algorithm).
     Count(i64),
-    /// Absorption provenance: a Boolean function of base variables.
+    /// Absorption provenance: a Boolean function of base variables, as a
+    /// handle into the BDD manager of the peer holding it. A handle never
+    /// leaves that peer.
     Bdd(Bdd),
+    /// Absorption provenance off its peer: the canonical encoding
+    /// ([`Bdd::encode`]) of the function. Made where a batch leaves for
+    /// another peer ([`Prov::into_wire`]), carried verbatim by whatever is in
+    /// between, and turned back into a [`Prov::Bdd`] in the receiver's own
+    /// manager before any operator sees it — so the algebra below treats it
+    /// like any other mismatched variant and panics.
+    Wire(Arc<[u8]>),
     /// Relative provenance: a derivation graph. `Arc` because annotations are
     /// immutable and shared between operator state and in-flight updates.
     Rel(Arc<RelProv>),
@@ -140,19 +149,35 @@ impl Prov {
             Prov::None => 1,
             Prov::Count(c) => 1 + netrec_types::wire::varint_len(c.unsigned_abs()),
             Prov::Bdd(b) => 1 + b.encoded_len(),
+            Prov::Wire(bytes) => 1 + bytes.len(),
             Prov::Rel(r) => 1 + r.encoded_len(),
         }
     }
 
-    /// Re-anchor an annotation into another peer's BDD manager, simulating
-    /// the serialise-on-send / deserialise-on-receive of a real deployment.
-    /// Non-BDD variants are value types and pass through unchanged.
-    pub fn reanchor(&self, target: &BddManager) -> Prov {
+    /// The form this annotation has off its peer: a [`Prov::Bdd`] becomes
+    /// the [`Prov::Wire`] of its encoding (same [`Prov::encoded_len`], now
+    /// read off the bytes); every other variant is a value type already.
+    /// Call it on the thread that owns the handle's manager.
+    pub fn into_wire(self) -> Prov {
         match self {
-            Prov::Bdd(b) => {
-                let bytes = b.encode();
-                Prov::Bdd(target.decode(&bytes).expect("well-formed annotation"))
-            }
+            Prov::Bdd(b) => Prov::Wire(b.encode().into()),
+            other => other,
+        }
+    }
+
+    /// Copy an absorption annotation — handle or wire form — into `target`;
+    /// other variants are value types and pass through unchanged. The engine
+    /// does not call this: a peer decodes what arrives for it itself
+    /// (`EnginePeer::sanitize`). It stays for tests that read a shipped
+    /// annotation and for the frozen `benchmark/src/kernels.rs`, which
+    /// harvests view annotations into a manager of its own, and leaves with
+    /// that caller when ROADMAP item 1 unfreezes `benchmark/`.
+    pub fn reanchor(&self, target: &BddManager) -> Prov {
+        let decode =
+            |bytes: &[u8]| Prov::Bdd(target.decode(bytes).expect("well-formed annotation"));
+        match self {
+            Prov::Bdd(b) => decode(&b.encode()),
+            Prov::Wire(bytes) => decode(bytes),
             other => other.clone(),
         }
     }
@@ -164,6 +189,7 @@ impl Prov {
             Prov::None => false,
             Prov::Count(c) => *c <= 0,
             Prov::Bdd(b) => b.is_false(),
+            Prov::Wire(_) => panic!("wire-form annotation asked a question before it landed"),
             Prov::Rel(_) => false, // death decided by RelProv::kill_vars
         }
     }
@@ -173,7 +199,7 @@ impl Prov {
         match self {
             Prov::None => ProvMode::Set,
             Prov::Count(_) => ProvMode::Counting,
-            Prov::Bdd(_) => ProvMode::Absorption,
+            Prov::Bdd(_) | Prov::Wire(_) => ProvMode::Absorption,
             Prov::Rel(_) => ProvMode::Relative,
         }
     }
@@ -246,6 +272,11 @@ mod tests {
         let p = Prov::Bdd(m1.var(4).or(&m1.var(5)));
         let q = p.reanchor(&m2);
         assert_eq!(q.bdd(), &m2.var(4).or(&m2.var(5)));
+        // The wire form lands the same way, and costs what the handle did.
+        let w = p.clone().into_wire();
+        assert!(matches!(&w, Prov::Wire(bytes) if bytes[..] == p.bdd().encode()[..]));
+        assert_eq!(w.encoded_len(), p.encoded_len());
+        assert_eq!(w.reanchor(&m2).bdd(), q.bdd());
         // non-BDD annotations unchanged
         assert_eq!(Prov::Count(3).reanchor(&m2).count(), 3);
     }

@@ -65,9 +65,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as WallDuration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use netrec_types::{Duration, SimTime};
 use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
 use crate::coalesce::{frames, FrameBody, FramesIter};
 use crate::des::{NetApi, PeerNode};
@@ -195,7 +195,7 @@ impl<M> Clone for Ingress<M> {
 
 impl<M> Ingress<M> {
     pub(crate) fn channel(shared: &Arc<Shared>) -> (Ingress<M>, Receiver<Inbound<M>>) {
-        let (tx, rx) = unbounded::<Inbound<M>>();
+        let (tx, rx) = channel::<Inbound<M>>();
         let shared = Arc::clone(shared);
         (Ingress { tx, shared }, rx)
     }

@@ -8,9 +8,9 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as WallDuration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use netrec_types::SimTime;
 use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::runtime::{RunBudget, RunOutcome};
 
@@ -89,7 +89,7 @@ impl Controller {
     const BUDGET_TICK: WallDuration = WallDuration::from_millis(1);
 
     pub(crate) fn new(crash_at: u64) -> Controller {
-        let (tx, wake) = unbounded::<()>();
+        let (tx, wake) = channel::<()>();
         Controller {
             shared: Arc::new(Shared {
                 in_flight: AtomicI64::new(0),

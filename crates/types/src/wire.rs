@@ -17,8 +17,11 @@
 //! Varints are LEB128; signed integers are zigzag-coded. The encoding is
 //! self-delimiting, so tuples can be concatenated into message bodies without
 //! framing.
-
-use bytes::{Buf, BufMut};
+//!
+//! The value-level `put_*`/`get_*` routines are `#[inline]`: other crates
+//! call them per byte-sized field (the BDD codec three times per node), the
+//! workspace builds without LTO, and a plain `pub fn` in another crate is an
+//! out-of-line call.
 
 use crate::tuple::Tuple;
 use crate::value::{NetAddr, Value};
@@ -55,27 +58,34 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Append an unsigned LEB128 varint.
-pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(b);
+            buf.push(b);
             return;
         }
-        buf.put_u8(b | 0x80);
+        buf.push(b | 0x80);
     }
 }
 
+/// Pop one byte.
+#[inline]
+fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
+    let (&b, rest) = buf.split_first().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(b)
+}
+
 /// Read an unsigned LEB128 varint.
-pub fn get_varint(buf: &mut impl Buf) -> Result<u64, WireError> {
+#[inline]
+pub fn get_varint(buf: &mut &[u8]) -> Result<u64, WireError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
-            return Err(WireError::Truncated);
-        }
-        let b = buf.get_u8();
+        let b = get_u8(buf)?;
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
             return Ok(v);
@@ -89,7 +99,8 @@ pub fn get_varint(buf: &mut impl Buf) -> Result<u64, WireError> {
 
 /// Read a varint that must fit 32 bits (a provenance variable, rule id,
 /// timer id): a larger value is [`WireError::Corrupt`], never truncated.
-pub fn get_u32(buf: &mut impl Buf) -> Result<u32, WireError> {
+#[inline]
+pub fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
     u32::try_from(get_varint(buf)?).map_err(|_| WireError::Corrupt("value exceeds 32 bits"))
 }
 
@@ -110,27 +121,28 @@ fn unzigzag(v: u64) -> i64 {
 }
 
 /// Encode one value.
-pub fn put_value(buf: &mut impl BufMut, v: &Value) {
+#[inline]
+pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Bool(b) => {
-            buf.put_u8(0);
-            buf.put_u8(u8::from(*b));
+            buf.push(0);
+            buf.push(u8::from(*b));
         }
         Value::Int(i) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_varint(buf, zigzag(*i));
         }
         Value::Addr(a) => {
-            buf.put_u8(2);
+            buf.push(2);
             put_varint(buf, u64::from(a.0));
         }
         Value::Str(s) => {
-            buf.put_u8(3);
+            buf.push(3);
             put_varint(buf, s.len() as u64);
-            buf.put_slice(s.as_bytes());
+            buf.extend_from_slice(s.as_bytes());
         }
         Value::List(items) => {
-            buf.put_u8(4);
+            buf.push(4);
             put_varint(buf, items.len() as u64);
             for item in items.iter() {
                 put_value(buf, item);
@@ -140,17 +152,10 @@ pub fn put_value(buf: &mut impl BufMut, v: &Value) {
 }
 
 /// Decode one value.
-pub fn get_value(buf: &mut impl Buf) -> Result<Value, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::Truncated);
-    }
-    match buf.get_u8() {
-        0 => {
-            if !buf.has_remaining() {
-                return Err(WireError::Truncated);
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
+#[inline]
+pub fn get_value(buf: &mut &[u8]) -> Result<Value, WireError> {
+    match get_u8(buf)? {
+        0 => Ok(Value::Bool(get_u8(buf)? != 0)),
         1 => Ok(Value::Int(unzigzag(get_varint(buf)?))),
         2 => {
             let raw = get_varint(buf)?;
@@ -158,18 +163,18 @@ pub fn get_value(buf: &mut impl Buf) -> Result<Value, WireError> {
         }
         3 => {
             let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
+            if buf.len() < len {
                 return Err(WireError::Truncated);
             }
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            let s = std::str::from_utf8(&bytes).map_err(|_| WireError::BadUtf8)?;
+            let (bytes, rest) = buf.split_at(len);
+            *buf = rest;
+            let s = std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)?;
             Ok(Value::str(s))
         }
         4 => {
             let len = get_varint(buf)? as usize;
             // Each element costs ≥ 1 byte; bound before allocating.
-            if len > buf.remaining() {
+            if len > buf.len() {
                 return Err(WireError::Truncated);
             }
             let mut items = Vec::with_capacity(len);
@@ -196,7 +201,8 @@ pub fn value_encoded_len(v: &Value) -> usize {
 }
 
 /// Encode a tuple (arity prefix + values).
-pub fn put_tuple(buf: &mut impl BufMut, t: &Tuple) {
+#[inline]
+pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     put_varint(buf, t.arity() as u64);
     for v in t.values() {
         put_value(buf, v);
@@ -204,9 +210,10 @@ pub fn put_tuple(buf: &mut impl BufMut, t: &Tuple) {
 }
 
 /// Decode a tuple.
-pub fn get_tuple(buf: &mut impl Buf) -> Result<Tuple, WireError> {
+#[inline]
+pub fn get_tuple(buf: &mut &[u8]) -> Result<Tuple, WireError> {
     let arity = get_varint(buf)? as usize;
-    if arity > buf.remaining() {
+    if arity > buf.len() {
         return Err(WireError::Truncated);
     }
     let mut vals = Vec::with_capacity(arity);
@@ -275,18 +282,19 @@ pub fn frame_encoded_len(payload_lens: &[usize]) -> usize {
 /// singleton payload beginning with [`FRAME_TAG`] takes the explicit
 /// tagged form instead of the degenerate one, so decoding is never
 /// ambiguous.
-pub fn put_frame(buf: &mut impl BufMut, payloads: &[&[u8]]) {
+#[inline]
+pub fn put_frame(buf: &mut Vec<u8>, payloads: &[&[u8]]) {
     if let [single] = payloads {
         if single.first() != Some(&FRAME_TAG) {
-            buf.put_slice(single);
+            buf.extend_from_slice(single);
             return;
         }
     }
-    buf.put_u8(FRAME_TAG);
+    buf.push(FRAME_TAG);
     put_varint(buf, payloads.len() as u64);
     for p in payloads {
         put_varint(buf, p.len() as u64);
-        buf.put_slice(p);
+        buf.extend_from_slice(p);
     }
 }
 
