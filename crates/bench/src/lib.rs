@@ -1,19 +1,21 @@
-//! Shared plumbing for the figure-reproduction harnesses.
+//! The paper's evaluation (§7, Figs. 7–14), each figure defined once.
 //!
-//! Every `benches/figNN_*.rs` target (registered with `harness = false` so
-//! they run under `cargo bench`) reproduces one figure of the paper's
-//! evaluation: it generates the figure's workload, runs every scheme in the
-//! figure's legend, prints the four metric panels the paper reports
-//! (per-tuple provenance bytes, communication MB, operator state MB,
-//! convergence seconds), and writes a CSV to `target/figures/`.
+//! [`figures`] holds one function per figure — its topology and scale, its
+//! x-axis, its schemes, its load and churn, and its oracle check — all run
+//! by one cell runner. Two programs read those definitions and nothing
+//! else: `tests/paper_claims.rs` runs every figure at [`Scale::Quick`] and
+//! asserts the paper's claim about it as an ordering over the panels it
+//! just measured (REPRODUCTION.md has the table), and the `figures` bench
+//! (`harness = false`) prints any figure or all of them — the four metric
+//! panels the paper reports — and writes each as a CSV to
+//! `target/figures/`.
 //!
-//! Scale control: figures default to a laptop-friendly reduction of the
-//! paper's parameters; set `NETREC_SCALE=full` for the paper-sized runs
-//! (100-node / 400-link-tuple topologies, 12 peers). Budget-exceeded runs
-//! print as `>N` — the paper's "did not complete within 5 minutes" entries.
-//!
-//! DESIGN.md: "Performance notes" interprets the numbers these harnesses
-//! (and the `bench-report` bin's `BENCH_<N>.json` tracker) produce.
+//! Scale: `NETREC_SCALE=full` runs the paper's parameters (100-node
+//! transit-stub / 400 link tuples, 12 peers) under wall-clock budgets;
+//! anything else is the quick scale tier-1 asserts on, small enough to run
+//! in seconds in a debug build. Budget-exceeded cells print as `>N` — the
+//! paper's "did not complete within 5 minutes" entries — from the numbers
+//! the run measured up to the cut-off.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -21,10 +23,12 @@ use std::path::PathBuf;
 
 use netrec_engine::RunReport;
 
+pub mod figures;
+
 /// Run scale selected via `NETREC_SCALE` (`quick` default, `full` = paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced workloads for iterating quickly.
+    /// Reduced workloads under deterministic budgets: what tier-1 asserts.
     Quick,
     /// The paper's parameters.
     Full,
@@ -113,22 +117,28 @@ const PANEL_NAMES: [&str; 4] = [
 ];
 
 impl Figure {
-    /// New empty figure.
-    pub fn new(id: &str, title: &str, x_label: &str, xs: Vec<String>) -> Figure {
+    fn new(id: &str, title: String, x_label: &str, xs: Vec<String>) -> Figure {
         Figure {
             id: id.into(),
-            title: title.into(),
+            title,
             x_label: x_label.into(),
             xs,
             rows: Vec::new(),
         }
     }
 
-    /// Add one scheme's series.
-    pub fn push_row(&mut self, scheme: impl Into<String>, panels: Vec<Panels>) {
-        let scheme = scheme.into();
+    fn push_row(&mut self, scheme: &str, panels: Vec<Panels>) {
         assert_eq!(panels.len(), self.xs.len(), "series length for {scheme}");
-        self.rows.push((scheme, panels));
+        self.rows.push((scheme.into(), panels));
+    }
+
+    /// The series of `scheme`; panics if the figure has no such row.
+    pub fn row(&self, scheme: &str) -> &[Panels] {
+        self.rows
+            .iter()
+            .find(|(s, _)| s == scheme)
+            .map(|(_, panels)| panels.as_slice())
+            .unwrap_or_else(|| panic!("{} has no row {scheme:?}", self.id))
     }
 
     /// Render all four panels as aligned text tables.
@@ -206,11 +216,17 @@ mod tests {
 
     #[test]
     fn render_and_csv() {
-        let mut fig = Figure::new("figXX", "test", "ratio", vec!["0.5".into(), "1.0".into()]);
+        let mut fig = Figure::new(
+            "figXX",
+            "test".into(),
+            "ratio",
+            vec!["0.5".into(), "1".into()],
+        );
         fig.push_row("DRed", vec![panels(1.0, true), panels(2.0, false)]);
         let text = fig.render();
         assert!(text.contains("figXX"));
         assert!(text.contains(">2.00"), "budget-exceeded marker: {text}");
+        assert!(!fig.row("DRed")[1].converged);
         let path = fig.write_csv().unwrap();
         let csv = std::fs::read_to_string(path).unwrap();
         assert!(csv.contains("DRed,0.5"));
@@ -225,7 +241,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "series length")]
     fn mismatched_series_panics() {
-        let mut fig = Figure::new("f", "t", "x", vec!["1".into()]);
+        let mut fig = Figure::new("f", "t".into(), "x", vec!["1".into()]);
         fig.push_row("s", vec![]);
     }
 }

@@ -5,11 +5,22 @@
 //! [`netrec_engine::Plan`] for the distributed engine and (separately) a
 //! [`netrec_engine::reference::Program`] whose from-scratch evaluation the
 //! maintained views must equal — the property the integration tests and the
-//! bench harnesses assert.
+//! paper-claim figures assert. The plans are built by hand in the paper's
+//! Fig. 4 shape; the oracles of `reachable` and `regions` are compiled from
+//! the rule text each module states once (`reachable.dl`, `regions.dl`).
+
+use netrec_engine::reference::Program;
+use netrec_engine::Plan;
 
 pub mod paths;
 pub mod reachable;
 pub mod regions;
+
+/// Compile a query's rule text to its oracle program over `plan`'s ids.
+fn oracle(rules: &str, plan: &Plan) -> Program {
+    let ast = netrec_datalog::parse_program(rules).expect("a query's rules parse");
+    netrec_datalog::oracle(&ast, &plan.catalog).expect("a query's rules match its plan's catalog")
+}
 
 /// Aggregate-selection configuration for the shortest-path query (Fig. 14's
 /// three columns).

@@ -19,7 +19,7 @@
 //! The pruning keeps ties, so all co-optimal paths survive.
 
 use netrec_engine::expr::{AggFn, CmpOp, Expr, Pred};
-use netrec_engine::plan::{AggSelSpec, Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::plan::{AggSelSpec, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
 use netrec_engine::reference::{AggClause, Atom, Program, Rule, Term};
 
 use super::AggSelChoice;
@@ -80,21 +80,9 @@ pub fn plan(choice: AggSelChoice) -> Plan {
             Expr::Add(Box::new(Expr::int(1)), Box::new(Expr::col(7))),     // 1+l1
         ],
     );
-    let link_ex = b.exchange(
-        Some(1),
-        Dest {
-            op: rec_join,
-            input: JOIN_BUILD,
-        },
-    );
+    let link_ex = b.exchange(Some(1));
     // Ship-side pruning before the MinShip (Algorithm 3 lines 4–8).
-    let ship = b.minship(
-        Some(0),
-        Dest {
-            op: path_store,
-            input: 0,
-        },
-    );
+    let ship = b.minship(Some(0));
     let pre_ship: netrec_engine::plan::OpId = match aggsel_spec(choice) {
         Some(spec) => {
             let sel = b.aggsel(spec);
@@ -145,7 +133,9 @@ pub fn plan(choice: AggSelChoice) -> Plan {
     b.connect(ing, base_map, 0);
     b.connect(base_map, path_store, 0);
     b.connect(ing, link_ex, 0);
+    b.connect(link_ex, rec_join, JOIN_BUILD);
     b.connect(rec_join, pre_ship, 0);
+    b.connect(ship, path_store, 0);
     b.connect(path_store, rec_join, JOIN_PROBE);
     b.connect(path_store, agg_cost, 0);
     b.connect(path_store, agg_hops, 0);
@@ -164,8 +154,11 @@ pub fn plan(choice: AggSelChoice) -> Plan {
 }
 
 /// Oracle program: identical cascade, with the cycle-avoidance filter
-/// `x ∉ p1` in the recursive rule (positive costs make simple paths
+/// `x ∉ p1 ∨ x = y` in the recursive rule (positive costs make simple paths
 /// sufficient for every aggregate view, and the oracle must terminate).
+///
+/// Hand-written, unlike the `reachable` and `regions` oracles: that filter
+/// is a disjunction, and `netrec-datalog`'s rule bodies are conjunctions.
 pub fn program(plan: &Plan) -> Program {
     let link = plan.catalog.id("link").expect("link");
     let path = plan.catalog.id("path").expect("path");

@@ -2,8 +2,7 @@
 //! example and the Fig. 4 plan.
 //!
 //! ```text
-//! reachable(x,y) :- link(x,y).
-//! reachable(x,y) :- link(x,z), reachable(z,y).
+#![doc = include_str!("reachable.dl")]
 //! ```
 //!
 //! `link` and `reachable` are both partitioned on their first attribute;
@@ -12,8 +11,12 @@
 //! the peer owning their `src`.
 
 use netrec_engine::expr::Expr;
-use netrec_engine::plan::{Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
-use netrec_engine::reference::{Atom, Program, Rule, Term};
+use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::reference::Program;
+
+/// The query's rules, in the NDlog dialect `netrec-datalog` parses (`@`
+/// marks the partitioning attribute), which [`program`] compiles.
+const RULES: &str = include_str!("reachable.dl");
 
 /// Build the distributed plan.
 pub fn plan() -> Plan {
@@ -25,63 +28,22 @@ pub fn plan() -> Plan {
     let store = b.store(reach, true, None);
     // Recursive case: row = link(x,z,c) ++ reachable(z,y); emit (x, y).
     let join = b.join(vec![1], vec![0], vec![], vec![Expr::col(0), Expr::col(4)]);
-    let ex = b.exchange(
-        Some(1),
-        Dest {
-            op: join,
-            input: JOIN_BUILD,
-        },
-    );
-    let ship = b.minship(
-        Some(0),
-        Dest {
-            op: store,
-            input: 0,
-        },
-    );
+    let ex = b.exchange(Some(1));
+    let ship = b.minship(Some(0));
     b.connect(ing, base_map, 0);
     b.connect(base_map, store, 0);
     b.connect(ing, ex, 0);
+    b.connect(ex, join, JOIN_BUILD);
     b.connect(join, ship, 0);
+    b.connect(ship, store, 0);
     b.connect(store, join, JOIN_PROBE);
     b.build().expect("reachable plan is well-formed")
 }
 
-/// Oracle program over the same catalog ids as [`plan`].
+/// Oracle program over the same catalog ids as [`plan`], compiled from
+/// the rules above (`reachable.dl`).
 pub fn program(plan: &Plan) -> Program {
-    let link = plan.catalog.id("link").expect("link");
-    let reach = plan.catalog.id("reachable").expect("reachable");
-    Program {
-        rules: vec![
-            Rule {
-                head: reach,
-                head_exprs: vec![Expr::col(0), Expr::col(1)],
-                body: vec![Atom {
-                    rel: link,
-                    terms: vec![Term::Var(0), Term::Var(1), Term::Var(2)],
-                }],
-                preds: vec![],
-                nvars: 3,
-            },
-            Rule {
-                head: reach,
-                head_exprs: vec![Expr::col(0), Expr::col(3)],
-                body: vec![
-                    Atom {
-                        rel: link,
-                        terms: vec![Term::Var(0), Term::Var(1), Term::Var(2)],
-                    },
-                    Atom {
-                        rel: reach,
-                        terms: vec![Term::Var(1), Term::Var(3)],
-                    },
-                ],
-                preds: vec![],
-                nvars: 4,
-            },
-        ],
-        aggs: vec![],
-    }
+    super::oracle(RULES, plan)
 }
 
 #[cfg(test)]

@@ -1,23 +1,24 @@
 //! Query 3: contiguous sensor regions and the largest-region cascade.
 //!
 //! ```text
-//! activeRegion(rid,x) :- sensor(x,..), mainSensorInRegion(rid,x), isTriggered(x).
-//! activeRegion(rid,y) :- near(x,y), isTriggered(x), activeRegion(rid,x).
-//! regionSizes(rid, count<x>) :- activeRegion(rid,x).
-//! largestRegion(max<size>)   :- regionSizes(rid,size).
-//! largestRegions(rid)        :- regionSizes(rid,size), largestRegion(size).
+#![doc = include_str!("regions.dl")]
 //! ```
 //!
 //! Deviations documented in DESIGN.md: `activeRegion` is stored as
-//! `(sensor, rid)` — sensor first — so partitioning follows the paper's
+//! `(sensor, rid)` — sensor first, where the paper writes
+//! `activeRegion(rid, x)` — so partitioning follows the paper's
 //! first-attribute convention while keeping region growth local to the
 //! sensors involved; and the `distance(px,py) < k` theta-join is consumed as
 //! the precomputed `near(x,y)` EDB relation emitted by the grid generator
 //! (an equivalent rewrite).
 
 use netrec_engine::expr::{AggFn, Expr};
-use netrec_engine::plan::{Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
-use netrec_engine::reference::{AggClause, Atom, Program, Rule, Term};
+use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::reference::Program;
+
+/// The query's rules, in the NDlog dialect `netrec-datalog` parses, which
+/// [`program`] compiles.
+const RULES: &str = include_str!("regions.dl");
 
 /// Build the distributed plan.
 pub fn plan() -> Plan {
@@ -47,50 +48,20 @@ pub fn plan() -> Plan {
     let j_rec1 = b.join(vec![0], vec![0], vec![], vec![Expr::col(0), Expr::col(2)]);
     // row = near(x,y) ++ j_rec1(x,rid) → (y, rid).
     let j_rec2 = b.join(vec![0], vec![0], vec![], vec![Expr::col(1), Expr::col(3)]);
-    let ship = b.minship(
-        Some(0),
-        Dest {
-            op: active_store,
-            input: 0,
-        },
-    );
+    let ship = b.minship(Some(0));
 
     // Aggregate cascade: count per region, then the global max.
-    let sizes_ex = b.exchange(
-        Some(1),
-        Dest {
-            op: netrec_engine::plan::OpId(0),
-            input: 0,
-        },
-    );
+    let sizes_ex = b.exchange(Some(1));
     let agg_sizes = b.aggregate(vec![1], AggFn::Count, 0);
     let sizes_store = b.store(sizes, true, None);
-    let largest_ex = b.exchange(
-        None,
-        Dest {
-            op: netrec_engine::plan::OpId(0),
-            input: 0,
-        },
-    );
+    let largest_ex = b.exchange(None);
     let agg_largest = b.aggregate(vec![], AggFn::Max, 1);
     let largest_store = b.store(largest, true, None);
     // largestRegions: row = regionSizes(rid,size) ++ largestRegion(size) → rid.
     let j_top = b.join(vec![1], vec![0], vec![], vec![Expr::col(0)]);
     let top_store = b.store(largests, true, None);
-    let sizes_to_join_ex = b.exchange(
-        Some(1),
-        Dest {
-            op: j_top,
-            input: JOIN_BUILD,
-        },
-    );
-    let largest_to_join_ex = b.exchange(
-        Some(0),
-        Dest {
-            op: j_top,
-            input: JOIN_PROBE,
-        },
-    );
+    let sizes_to_join_ex = b.exchange(Some(1));
+    let largest_to_join_ex = b.exchange(Some(0));
 
     // Wiring.
     b.connect(ing_main, j_base1, JOIN_BUILD);
@@ -103,8 +74,8 @@ pub fn plan() -> Plan {
     b.connect(ing_near, j_rec2, JOIN_BUILD);
     b.connect(j_rec1, j_rec2, JOIN_PROBE);
     b.connect(j_rec2, ship, 0);
+    b.connect(ship, active_store, 0);
     b.connect(active_store, sizes_ex, 0);
-    // fix the placeholder destinations created above
     b.connect(sizes_ex, agg_sizes, 0);
     b.connect(agg_sizes, sizes_store, 0);
     b.connect(agg_sizes, sizes_to_join_ex, 0);
@@ -118,98 +89,10 @@ pub fn plan() -> Plan {
     b.build().expect("region plan is well-formed")
 }
 
-/// Oracle program over the same catalog ids.
+/// Oracle program over the same catalog ids as [`plan`], compiled from
+/// the rules above (`regions.dl`).
 pub fn program(plan: &Plan) -> Program {
-    let sensor = plan.catalog.id("sensor").expect("sensor");
-    let near = plan.catalog.id("near").expect("near");
-    let main_in = plan
-        .catalog
-        .id("mainSensorInRegion")
-        .expect("mainSensorInRegion");
-    let trig = plan.catalog.id("isTriggered").expect("isTriggered");
-    let active = plan.catalog.id("activeRegion").expect("activeRegion");
-    let sizes = plan.catalog.id("regionSizes").expect("regionSizes");
-    let largest = plan.catalog.id("largestRegion").expect("largestRegion");
-    let largests = plan.catalog.id("largestRegions").expect("largestRegions");
-    Program {
-        rules: vec![
-            // activeRegion(s, rid) base: s=0, rid=1, x=2, y=3.
-            Rule {
-                head: active,
-                head_exprs: vec![Expr::col(0), Expr::col(1)],
-                body: vec![
-                    Atom {
-                        rel: main_in,
-                        terms: vec![Term::Var(0), Term::Var(1)],
-                    },
-                    Atom {
-                        rel: trig,
-                        terms: vec![Term::Var(0)],
-                    },
-                    Atom {
-                        rel: sensor,
-                        terms: vec![Term::Var(0), Term::Var(2), Term::Var(3)],
-                    },
-                ],
-                preds: vec![],
-                nvars: 4,
-            },
-            // recursive: x=0, rid=1, y=2.
-            Rule {
-                head: active,
-                head_exprs: vec![Expr::col(2), Expr::col(1)],
-                body: vec![
-                    Atom {
-                        rel: active,
-                        terms: vec![Term::Var(0), Term::Var(1)],
-                    },
-                    Atom {
-                        rel: trig,
-                        terms: vec![Term::Var(0)],
-                    },
-                    Atom {
-                        rel: near,
-                        terms: vec![Term::Var(0), Term::Var(2)],
-                    },
-                ],
-                preds: vec![],
-                nvars: 3,
-            },
-            // largestRegions: rid=0, size=1.
-            Rule {
-                head: largests,
-                head_exprs: vec![Expr::col(0)],
-                body: vec![
-                    Atom {
-                        rel: sizes,
-                        terms: vec![Term::Var(0), Term::Var(1)],
-                    },
-                    Atom {
-                        rel: largest,
-                        terms: vec![Term::Var(1)],
-                    },
-                ],
-                preds: vec![],
-                nvars: 2,
-            },
-        ],
-        aggs: vec![
-            AggClause {
-                head: sizes,
-                source: active,
-                group_cols: vec![1],
-                agg: AggFn::Count,
-                agg_col: 0,
-            },
-            AggClause {
-                head: largest,
-                source: sizes,
-                group_cols: vec![],
-                agg: AggFn::Max,
-                agg_col: 1,
-            },
-        ],
-    }
+    super::oracle(RULES, plan)
 }
 
 #[cfg(test)]

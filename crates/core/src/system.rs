@@ -3,86 +3,15 @@
 use std::collections::BTreeSet;
 
 use netrec_engine::reference::{Db, Program};
-use netrec_engine::runner::{RunReport, Runner, RunnerConfig};
-use netrec_engine::strategy::Strategy;
-use netrec_sim::{ClusterSpec, CostModel, Partitioner, RunBudget, RuntimeKind};
+use netrec_engine::runner::{RunReport, Runner};
 use netrec_topo::Workload;
 use netrec_types::{Tuple, UpdateKind};
 
 use crate::queries::{paths, reachable, regions, AggSelChoice};
 
-/// Configuration for a [`System`].
-#[derive(Clone, Debug)]
-pub struct SystemConfig {
-    /// Maintenance strategy (provenance scheme, ship policy, delete mode).
-    pub strategy: Strategy,
-    /// Number of physical query-processing peers.
-    pub peers: u32,
-    /// Key placement (defaults to hash placement, the DHT substitute).
-    pub partitioner: Partitioner,
-    /// Cluster model (defaults to one gigabit cluster).
-    pub cluster: ClusterSpec,
-    /// CPU cost model.
-    pub cost: CostModel,
-    /// Per-phase budget.
-    pub budget: RunBudget,
-    /// Execution substrate: discrete-event simulation (default), or the
-    /// concurrent runtime on one shard ("async") or several.
-    pub runtime: RuntimeKind,
-}
-
-impl SystemConfig {
-    /// Hash-partitioned single-cluster defaults.
-    pub fn new(strategy: Strategy, peers: u32) -> SystemConfig {
-        let rc = RunnerConfig::new(strategy, peers);
-        SystemConfig {
-            strategy,
-            peers,
-            partitioner: rc.partitioner,
-            cluster: rc.cluster,
-            cost: rc.cost,
-            budget: rc.budget,
-            runtime: rc.runtime,
-        }
-    }
-
-    /// Direct (modulo) placement: logical node X lives on peer X.
-    pub fn direct(strategy: Strategy, peers: u32) -> SystemConfig {
-        SystemConfig {
-            partitioner: Partitioner::Direct { peers },
-            ..SystemConfig::new(strategy, peers)
-        }
-    }
-
-    /// Override the cluster model (e.g. the two-cluster scale-out profile).
-    pub fn with_cluster(mut self, cluster: ClusterSpec) -> SystemConfig {
-        self.cluster = cluster;
-        self
-    }
-
-    /// Override the per-phase budget.
-    pub fn with_budget(mut self, budget: RunBudget) -> SystemConfig {
-        self.budget = budget;
-        self
-    }
-
-    /// Select the execution substrate (e.g. [`RuntimeKind::asynchronous`]).
-    pub fn with_runtime(mut self, runtime: RuntimeKind) -> SystemConfig {
-        self.runtime = runtime;
-        self
-    }
-
-    fn runner_config(&self) -> RunnerConfig {
-        RunnerConfig {
-            strategy: self.strategy,
-            partitioner: self.partitioner,
-            cluster: self.cluster.clone(),
-            cost: self.cost,
-            budget: self.budget,
-            runtime: self.runtime.clone(),
-        }
-    }
-}
+/// Configuration for a [`System`]: the runner's own configuration
+/// (strategy, placement, cluster, cost model, budget, substrate).
+pub use netrec_engine::runner::RunnerConfig as SystemConfig;
 
 /// A running distributed view system: one of the paper's query families
 /// instantiated over a simulated cluster, plus the matching oracle program
@@ -95,9 +24,9 @@ pub struct System {
 }
 
 impl System {
-    fn build(plan: netrec_engine::Plan, oracle: Program, cfg: &SystemConfig) -> System {
+    fn build(plan: netrec_engine::Plan, oracle: Program, cfg: SystemConfig) -> System {
         System {
-            runner: Runner::new(plan, cfg.runner_config()),
+            runner: Runner::new(plan, cfg),
             oracle,
             base: Db::new(),
         }
@@ -107,21 +36,21 @@ impl System {
     pub fn reachable(cfg: SystemConfig) -> System {
         let plan = reachable::plan();
         let oracle = reachable::program(&plan);
-        System::build(plan, oracle, &cfg)
+        System::build(plan, oracle, cfg)
     }
 
     /// Query 2: shortest/cheapest paths with the chosen aggregate selection.
     pub fn shortest_paths(cfg: SystemConfig, choice: AggSelChoice) -> System {
         let plan = paths::plan(choice);
         let oracle = paths::program(&plan);
-        System::build(plan, oracle, &cfg)
+        System::build(plan, oracle, cfg)
     }
 
     /// Query 3: contiguous sensor regions.
     pub fn regions(cfg: SystemConfig) -> System {
         let plan = regions::plan();
         let oracle = regions::program(&plan);
-        System::build(plan, oracle, &cfg)
+        System::build(plan, oracle, cfg)
     }
 
     /// Feed a workload script into the EDB ingresses (updates queue behind
@@ -205,6 +134,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netrec_engine::strategy::Strategy;
     use netrec_topo::random_graph;
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use netrec_engine::expr::{AggFn, CmpOp, Expr, Pred};
 use netrec_engine::plan::Plan;
 use netrec_engine::reference::{AggClause, Atom, Program, Rule, Term};
-use netrec_types::{RelId, Value};
+use netrec_types::{Catalog, RelId, Value};
 
 use crate::ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp};
 
@@ -37,6 +37,8 @@ pub enum CompileError {
     MisplacedAggregate(String),
     /// The rule has no body atoms at all.
     EmptyBody(String),
+    /// A relation the rules use is not in the catalog they compile against.
+    UnknownRelation(String),
 }
 
 impl std::fmt::Display for CompileError {
@@ -66,6 +68,7 @@ impl std::fmt::Display for CompileError {
                 write!(f, "aggregate argument outside a head in rule for `{r}`")
             }
             CompileError::EmptyBody(r) => write!(f, "rule for `{r}` has no body atoms"),
+            CompileError::UnknownRelation(r) => write!(f, "relation `{r}` is not in the catalog"),
         }
     }
 }
@@ -348,8 +351,8 @@ pub(crate) fn lower_rule(rule: &AstRule) -> Result<LoweredRule<'_>, CompileError
 /// Compile a parsed program to `(plan, oracle)`.
 pub fn compile(ast: &AstProgram) -> Result<Compiled, CompileError> {
     let rels = analyse(ast)?;
-    let (plan, rel_ids) = crate::planner::build_plan(ast, &rels)?;
-    let oracle = build_oracle(ast, &rel_ids)?;
+    let plan = crate::planner::build_plan(ast, &rels)?;
+    let oracle = oracle(ast, &plan.catalog)?;
     let views = ast.idb_relations();
     Ok(Compiled {
         plan,
@@ -358,11 +361,26 @@ pub fn compile(ast: &AstProgram) -> Result<Compiled, CompileError> {
     })
 }
 
-/// Compile the oracle program over the plan's relation ids.
-fn build_oracle(
-    ast: &AstProgram,
-    rel_ids: &HashMap<String, RelId>,
-) -> Result<Program, CompileError> {
+/// Compile only the oracle program, keyed by the relation ids of an
+/// existing `catalog` — the reference for a plan built some other way (by
+/// hand). Every relation the rules use must be in the catalog with the
+/// arity the rules give it.
+pub fn oracle(ast: &AstProgram, catalog: &Catalog) -> Result<Program, CompileError> {
+    let mut rel_ids: HashMap<String, RelId> = HashMap::new();
+    for info in analyse(ast)? {
+        let id = catalog
+            .id(&info.name)
+            .ok_or_else(|| CompileError::UnknownRelation(info.name.clone()))?;
+        let arity = catalog.schema(id).arity();
+        if arity != info.arity {
+            return Err(CompileError::ArityMismatch {
+                relation: info.name,
+                first: arity,
+                second: info.arity,
+            });
+        }
+        rel_ids.insert(info.name, id);
+    }
     let mut rules = Vec::new();
     let mut aggs = Vec::new();
     for rule in &ast.rules {
@@ -491,6 +509,35 @@ mod tests {
         assert!(compiled.plan().is_recursive());
         assert_eq!(compiled.views(), &["reachable".to_string()]);
         assert_eq!(compiled.oracle().rules.len(), 2);
+    }
+
+    #[test]
+    fn oracle_checks_rules_against_the_catalog() {
+        let rules = "reachable(@X, Y) :- link(@X, Y, C).";
+        let mut catalog = Catalog::new();
+        let edb =
+            |name, cols: &[&str]| netrec_types::Schema::new(name, cols, netrec_types::RelKind::Edb);
+        catalog.add(edb("reachable", &["src", "dst"])).unwrap();
+        let ast = parse_program(rules).unwrap();
+        assert_eq!(
+            oracle(&ast, &catalog).unwrap_err(),
+            CompileError::UnknownRelation("link".into())
+        );
+        catalog.add(edb("link", &["src", "dst"])).unwrap();
+        assert_eq!(
+            oracle(&ast, &catalog).unwrap_err(),
+            CompileError::ArityMismatch {
+                relation: "link".into(),
+                first: 2,
+                second: 3,
+            }
+        );
+        // Ids are the catalog's, whatever order it registered them in.
+        let mut catalog = Catalog::new();
+        let link = catalog.add(edb("link", &["src", "dst", "cost"])).unwrap();
+        let reachable = catalog.add(edb("reachable", &["src", "dst"])).unwrap();
+        let rule = &oracle(&ast, &catalog).unwrap().rules[0];
+        assert_eq!((rule.head, rule.body[0].rel), (reachable, link));
     }
 
     #[test]

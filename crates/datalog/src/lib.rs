@@ -11,7 +11,8 @@
 //!   comparisons, and `@` location specifiers;
 //! * stratification checking;
 //! * a compiler to the centralized reference evaluator
-//!   ([`Compiled::oracle`]);
+//!   ([`Compiled::oracle`], or [`oracle`] alone over a hand-built plan's
+//!   catalog);
 //! * a distributed planner ([`Compiled::plan`]) that lowers every rule to
 //!   the engine's operator graph: ingresses for EDB atoms, pipelined hash
 //!   joins with repartitioning exchanges, MinShips into the head stores, and
@@ -37,5 +38,5 @@ mod parser;
 mod planner;
 
 pub use ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp};
-pub use compile::{compile, CompileError, Compiled};
+pub use compile::{compile, oracle, CompileError, Compiled};
 pub use parser::{parse_program, ParseError};

@@ -11,19 +11,14 @@
 use std::collections::HashMap;
 
 use netrec_engine::expr::Expr;
-use netrec_engine::plan::{Dest, OpId, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
-use netrec_types::RelId;
+use netrec_engine::plan::{OpId, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
 
 use crate::ast::{Arg, AstProgram};
 use crate::compile::{aggregate_shape, lower_rule, CompileError, RelInfo};
 
-/// Build the distributed plan; returns it with the name → id map.
-pub(crate) fn build_plan(
-    ast: &AstProgram,
-    rels: &[RelInfo],
-) -> Result<(Plan, HashMap<String, RelId>), CompileError> {
+/// Build the distributed plan.
+pub(crate) fn build_plan(ast: &AstProgram, rels: &[RelInfo]) -> Result<Plan, CompileError> {
     let mut b = PlanBuilder::new();
-    let mut rel_ids: HashMap<String, RelId> = HashMap::new();
     let mut sources: HashMap<String, OpId> = HashMap::new();
     let mut rel_info: HashMap<String, &RelInfo> = HashMap::new();
 
@@ -35,7 +30,6 @@ pub(crate) fn build_plan(
         } else {
             b.idb(&info.name, &col_refs, info.partition_col)
         };
-        rel_ids.insert(info.name.clone(), id);
         rel_info.insert(info.name.clone(), info);
         let op = if info.is_edb {
             b.ingress(id)
@@ -53,21 +47,17 @@ pub(crate) fn build_plan(
             let source = sources[&atom.name];
             let route_in = group_cols.first().copied();
             let agg = b.aggregate(group_cols.clone(), func, agg_col);
-            let ex_in = b.exchange(route_in, Dest { op: agg, input: 0 });
+            let ex_in = b.exchange(route_in);
             let route_out = if head_info.partition_col < rule.head.args.len() {
                 Some(head_info.partition_col)
             } else {
                 None
             };
-            let ex_out = b.exchange(
-                route_out,
-                Dest {
-                    op: head_store,
-                    input: 0,
-                },
-            );
+            let ex_out = b.exchange(route_out);
             b.connect(source, ex_in, 0);
+            b.connect(ex_in, agg, 0);
             b.connect(agg, ex_out, 0);
+            b.connect(ex_out, head_store, 0);
             continue;
         }
 
@@ -104,20 +94,10 @@ pub(crate) fn build_plan(
             let join = b.join(build_key.clone(), probe_cols.clone(), vec![], emit);
             // Both inputs repartition on the first key column (or collapse
             // to peer 0 for a cross product).
-            let ex_build = b.exchange(
-                build_key.first().copied(),
-                Dest {
-                    op: join,
-                    input: JOIN_BUILD,
-                },
-            );
-            let ex_probe = b.exchange(
-                probe_cols.first().copied(),
-                Dest {
-                    op: join,
-                    input: JOIN_PROBE,
-                },
-            );
+            let ex_build = b.exchange(build_key.first().copied());
+            let ex_probe = b.exchange(probe_cols.first().copied());
+            b.connect(ex_build, join, JOIN_BUILD);
+            b.connect(ex_probe, join, JOIN_PROBE);
             b.connect(acc_op, ex_build, 0);
             b.connect(sources[&atom.name], ex_probe, 0);
             // Extend the accumulated bindings.
@@ -132,19 +112,13 @@ pub(crate) fn build_plan(
 
         // Head projection + all filters, then route to the head store.
         let map = b.map(lowered.head_exprs.clone(), lowered.all_preds());
-        let ship = b.minship(
-            Some(head_info.partition_col),
-            Dest {
-                op: head_store,
-                input: 0,
-            },
-        );
+        let ship = b.minship(Some(head_info.partition_col));
+        b.connect(ship, head_store, 0);
         b.connect(acc_op, map, 0);
         b.connect(map, ship, 0);
     }
 
-    let plan = b.build().expect("generated plan is structurally valid");
-    Ok((plan, rel_ids))
+    Ok(b.build().expect("generated plan is structurally valid"))
 }
 
 #[cfg(test)]

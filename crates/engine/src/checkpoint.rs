@@ -101,27 +101,21 @@ pub(crate) fn get_wire_prov(buf: &mut &[u8]) -> Result<Prov, WireError> {
     })
 }
 
-/// Append a whole provenance table: entry count, then `(tuple, annotation
-/// [, multiplicity])` sorted by tuple. The multiplicity rides along only in
-/// counting mode — both ends know the mode from the plan, so other modes
-/// pay nothing.
+/// Append a whole provenance table: entry count, then `(tuple, annotation)`
+/// sorted by tuple. A counting-mode multiplicity is its annotation.
 pub(crate) fn put_table(out: &mut Vec<u8>, table: &ProvTable) {
     let mut entries: Vec<(&Tuple, &Prov)> = table.iter().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
     wire::put_varint(out, entries.len() as u64);
-    let counting = table.mode() == ProvMode::Counting;
     for (t, p) in entries {
         wire::put_tuple(out, t);
         put_prov(out, p);
-        if counting {
-            wire::put_varint(out, table.count_of(t) as u64);
-        }
     }
 }
 
 /// Decode a table serialised by [`put_table`] into a fresh `ProvTable`,
-/// rebuilding the byte counter, counting map, and (when `indexed`) the
-/// variable index from the restored annotations.
+/// rebuilding the byte counter and (when `indexed`) the variable index from
+/// the restored annotations.
 pub(crate) fn get_table(
     buf: &mut &[u8],
     mode: ProvMode,
@@ -134,19 +128,13 @@ pub(crate) fn get_table(
         return Err(WireError::Truncated);
     }
     let mut table = ProvTable::new(mode, indexed);
-    let counting = mode == ProvMode::Counting;
     for _ in 0..len {
         let t = wire::get_tuple(buf)?;
         let p = get_prov(buf, mgr)?;
-        let count = if counting {
-            wire::get_varint(buf)? as i64
-        } else {
-            0
-        };
         if table.contains(&t) {
             return Err(WireError::Corrupt("duplicate tuple in checkpointed table"));
         }
-        table.restore_entry(t, p, count);
+        table.restore_entry(t, p);
     }
     Ok(table)
 }
@@ -154,6 +142,7 @@ pub(crate) fn get_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{DeleteOutcome, MergeOutcome};
     use netrec_types::Value;
 
     fn t(i: i64) -> Tuple {
@@ -206,11 +195,39 @@ mod tests {
         let back = roundtrip_table(&pt, &mgr);
         assert_eq!(back.len(), pt.len());
         assert_eq!(back.state_bytes(), pt.state_bytes());
-        assert_eq!(back.count_of(&t(1)), 5);
-        // The counts map must be live again: a retract below the floor kills.
+        assert_eq!(back.get(&t(1)).unwrap().count(), 5);
+        // The multiplicities are live again: a retract below the floor kills.
         let mut back = back;
         assert!(back.retract(&t(2), &Prov::Count(1)).is_some());
         assert!(!back.contains(&t(2)));
+    }
+
+    /// A multiplicity that sums to 0 without a retract leaves its entry
+    /// behind, which the table treats as absent — and still does after a
+    /// checkpoint round trip, which used to restore the entry without its
+    /// count.
+    #[test]
+    fn zero_multiplicity_is_absent_across_a_roundtrip() {
+        let mgr = BddManager::new();
+        let zero_sum = || {
+            let mut pt = ProvTable::new(ProvMode::Counting, false);
+            pt.merge_ins(&t(1), &Prov::Count(2));
+            pt.merge_ins(&t(1), &Prov::Count(-2));
+            pt
+        };
+        for mut table in [zero_sum(), roundtrip_table(&zero_sum(), &mgr)] {
+            assert!(matches!(
+                table.merge_ins(&t(1), &Prov::Count(1)),
+                MergeOutcome::New(Prov::Count(1))
+            ));
+        }
+        for mut table in [zero_sum(), roundtrip_table(&zero_sum(), &mgr)] {
+            assert!(matches!(
+                table.retract(&t(1), &Prov::Count(1)),
+                Some(DeleteOutcome::Died(Prov::Count(0)))
+            ));
+            assert!(table.is_empty());
+        }
     }
 
     #[test]

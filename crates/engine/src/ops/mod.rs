@@ -178,8 +178,8 @@ pub enum DeleteOutcome {
 /// accounting is maintained incrementally (`state_bytes` is O(1)); all map
 /// mutations therefore go through `ProvTable::store` / `ProvTable::evict`.
 pub struct ProvTable {
+    /// In counting mode an entry's multiplicity is its `Prov::Count`.
     map: FxHashMap<Tuple, Prov>,
-    counts: FxHashMap<Tuple, i64>,
     var_index: Option<FxHashMap<Var, BTreeSet<Tuple>>>,
     mode: ProvMode,
     /// Incrementally-maintained total of per-entry costs (see `entry_cost`).
@@ -224,7 +224,6 @@ impl ProvTable {
     pub fn new(mode: ProvMode, indexed: bool) -> ProvTable {
         ProvTable {
             map: FxHashMap::default(),
-            counts: FxHashMap::default(),
             var_index: if indexed {
                 Some(FxHashMap::default())
             } else {
@@ -286,7 +285,6 @@ impl ProvTable {
     /// so its scan counter keeps counting across the flush that empties it.
     pub fn drain(&mut self) -> Vec<(Tuple, Prov)> {
         self.bytes = 0;
-        self.counts.clear();
         if let Some(index) = &mut self.var_index {
             index.clear();
         }
@@ -319,15 +317,13 @@ impl ProvTable {
             }
             ProvMode::Counting => {
                 let c = prov.count();
-                let entry = self.counts.entry(t.clone()).or_insert(0);
-                let was_zero = *entry == 0;
-                *entry += c;
-                let now = *entry;
-                if was_zero {
-                    self.store(t.clone(), Prov::Count(c));
+                // A multiplicity that summed to 0 without a retract left
+                // its entry behind; the next merge treats it as absent.
+                let was = self.count_of(t);
+                self.store(t.clone(), Prov::Count(was + c));
+                if was == 0 {
                     MergeOutcome::New(Prov::Count(c))
                 } else {
-                    self.store(t.clone(), Prov::Count(now));
                     MergeOutcome::Changed(Prov::Count(c))
                 }
             }
@@ -418,45 +414,13 @@ impl ProvTable {
                 .map(|(t, _)| t.clone())
                 .collect()
         };
-        let mut out = Vec::new();
-        for t in candidates {
-            let Some(old) = self.map.get(&t) else {
-                continue;
-            };
-            match (&self.mode, old) {
-                (ProvMode::Absorption, Prov::Bdd(b)) => {
-                    let new = b.restrict_all_false(cause);
-                    if new == *b {
-                        continue;
-                    }
-                    let removed = Prov::Bdd(b.diff(&new));
-                    if new.is_false() {
-                        let old = self.evict(&t).expect("present");
-                        out.push((t, DeleteOutcome::Died(old)));
-                    } else {
-                        self.store(t.clone(), Prov::Bdd(new));
-                        out.push((t, DeleteOutcome::Shrunk(removed)));
-                    }
-                }
-                (ProvMode::Relative, Prov::Rel(r)) => match r.kill_vars(&dead_set) {
-                    None => {
-                        let old = self.evict(&t).expect("present");
-                        out.push((t, DeleteOutcome::Died(old)));
-                    }
-                    Some(survivor) => {
-                        if survivor.node_count() != r.node_count()
-                            || survivor.encoded_len() != r.encoded_len()
-                        {
-                            let removed = Prov::Rel(Arc::new(survivor.clone()));
-                            self.store(t.clone(), Prov::Rel(Arc::new(survivor)));
-                            out.push((t, DeleteOutcome::Shrunk(removed)));
-                        }
-                    }
-                },
-                _ => {}
-            }
-        }
-        out
+        candidates
+            .into_iter()
+            .filter_map(|t| {
+                let outcome = self.restrict_entry(&t, cause, &dead_set)?;
+                Some((t, outcome))
+            })
+            .collect()
     }
 
     /// Does any entry's annotation depend on a variable of `vars`? A full
@@ -480,6 +444,17 @@ impl ProvTable {
     /// absent or unaffected — idempotence is what terminates cascaded
     /// deletion propagation.
     pub fn restrict_cause_tuple(&mut self, t: &Tuple, cause: &[Var]) -> Option<DeleteOutcome> {
+        self.restrict_entry(t, cause, &relative_dead_set(self.mode, cause))
+    }
+
+    /// The one per-entry cause-restrict step both deletion paths take.
+    /// `dead_set` is [`relative_dead_set`] of `cause`.
+    fn restrict_entry(
+        &mut self,
+        t: &Tuple,
+        cause: &[Var],
+        dead_set: &FxHashSet<Var>,
+    ) -> Option<DeleteOutcome> {
         let old = self.map.get(t)?;
         match (&self.mode, old) {
             (ProvMode::Absorption, Prov::Bdd(b)) => {
@@ -495,22 +470,20 @@ impl ProvTable {
                     Some(DeleteOutcome::Shrunk(removed))
                 }
             }
-            (ProvMode::Relative, Prov::Rel(r)) => {
-                match r.kill_vars(&relative_dead_set(self.mode, cause)) {
-                    None => self.evict(t).map(DeleteOutcome::Died),
-                    Some(survivor) => {
-                        if survivor.node_count() != r.node_count()
-                            || survivor.encoded_len() != r.encoded_len()
-                        {
-                            let shrunk = Prov::Rel(Arc::new(survivor.clone()));
-                            self.store(t.clone(), Prov::Rel(Arc::new(survivor)));
-                            Some(DeleteOutcome::Shrunk(shrunk))
-                        } else {
-                            None
-                        }
+            (ProvMode::Relative, Prov::Rel(r)) => match r.kill_vars(dead_set) {
+                None => self.evict(t).map(DeleteOutcome::Died),
+                Some(survivor) => {
+                    if survivor.node_count() != r.node_count()
+                        || survivor.encoded_len() != r.encoded_len()
+                    {
+                        let shrunk = Prov::Rel(Arc::new(survivor.clone()));
+                        self.store(t.clone(), Prov::Rel(Arc::new(survivor)));
+                        Some(DeleteOutcome::Shrunk(shrunk))
+                    } else {
+                        None
                     }
                 }
-            }
+            },
             _ => None,
         }
     }
@@ -522,13 +495,10 @@ impl ProvTable {
             ProvMode::Set => self.evict(t).map(DeleteOutcome::Died),
             ProvMode::Counting => {
                 let c = prov.count();
-                let entry = self.counts.get_mut(t)?;
-                *entry -= c;
-                if *entry <= 0 {
-                    self.counts.remove(t);
+                let now = self.map.get(t)?.count() - c;
+                if now <= 0 {
                     self.evict(t).map(DeleteOutcome::Died)
                 } else {
-                    let now = *entry;
                     self.store(t.clone(), Prov::Count(now));
                     Some(DeleteOutcome::Shrunk(Prov::Count(c)))
                 }
@@ -555,26 +525,21 @@ impl ProvTable {
         }
     }
 
-    /// Counting-mode multiplicity of `t` (0 when absent). Checkpointing
-    /// must carry the counts map alongside the annotation map — both are
-    /// keyed per tuple but the annotation only mirrors the *last* merge.
-    pub(crate) fn count_of(&self, t: &Tuple) -> i64 {
-        self.counts.get(t).copied().unwrap_or(0)
+    /// Counting-mode multiplicity of `t` (0 when absent).
+    fn count_of(&self, t: &Tuple) -> i64 {
+        self.map.get(t).map_or(0, Prov::count)
     }
 
     /// Install one checkpointed entry, rebuilding every derived structure
-    /// (byte counter, var index, counting multiplicity) so the table is
-    /// indistinguishable from one that reached this state incrementally.
-    /// Restore-only: panics on a duplicate tuple, which would mean a
-    /// corrupt checkpoint slipped past decoding.
-    pub(crate) fn restore_entry(&mut self, t: Tuple, p: Prov, count: i64) {
+    /// (byte counter, var index) so the table is indistinguishable from one
+    /// that reached this state incrementally. Restore-only: panics on a
+    /// duplicate tuple, which would mean a corrupt checkpoint slipped past
+    /// decoding.
+    pub(crate) fn restore_entry(&mut self, t: Tuple, p: Prov) {
         assert!(
             !self.map.contains_key(&t),
             "checkpoint restored a duplicate table entry"
         );
-        if self.mode == ProvMode::Counting && count != 0 {
-            self.counts.insert(t.clone(), count);
-        }
         self.index_insert(&t, &p);
         self.store(t, p);
     }

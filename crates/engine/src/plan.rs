@@ -25,6 +25,13 @@ pub struct Dest {
     pub input: u8,
 }
 
+/// The destination of a routing operator [`PlanBuilder::connect`] has not
+/// wired yet; [`PlanBuilder::build`] refuses a plan that still holds one.
+const UNWIRED: Dest = Dest {
+    op: OpId(u16::MAX),
+    input: u8::MAX,
+};
+
 /// Join input slots.
 pub const JOIN_BUILD: u8 = 0;
 /// Probe slot of a join.
@@ -191,6 +198,8 @@ pub enum PlanError {
     },
     /// Two ingress operators claim one relation.
     DuplicateIngress(RelId),
+    /// A routing operator (Exchange/MinShip) was never connected.
+    Unwired(OpId),
 }
 
 impl std::fmt::Display for PlanError {
@@ -199,6 +208,7 @@ impl std::fmt::Display for PlanError {
             PlanError::BadDest { from, to } => write!(f, "op {from} targets missing op {to}"),
             PlanError::BadInput { op, input } => write!(f, "op {op} has no input slot {input}"),
             PlanError::DuplicateIngress(rel) => write!(f, "duplicate ingress for {rel:?}"),
+            PlanError::Unwired(op) => write!(f, "routing op {} has no destination", op.0),
         }
     }
 }
@@ -365,14 +375,22 @@ impl PlanBuilder {
         })
     }
 
-    /// Add an Exchange routed by `route_col` (or to peer 0 when `None`).
-    pub fn exchange(&mut self, route_col: Option<usize>, dest: Dest) -> OpId {
-        self.push(OpSpec::Exchange { route_col, dest })
+    /// Add an Exchange routed by `route_col` (or to peer 0 when `None`);
+    /// [`PlanBuilder::connect`] gives it its one destination.
+    pub fn exchange(&mut self, route_col: Option<usize>) -> OpId {
+        self.push(OpSpec::Exchange {
+            route_col,
+            dest: UNWIRED,
+        })
     }
 
-    /// Add a MinShip routed by `route_col`.
-    pub fn minship(&mut self, route_col: Option<usize>, dest: Dest) -> OpId {
-        self.push(OpSpec::MinShip { route_col, dest })
+    /// Add a MinShip routed by `route_col`; [`PlanBuilder::connect`] gives it
+    /// its one destination.
+    pub fn minship(&mut self, route_col: Option<usize>) -> OpId {
+        self.push(OpSpec::MinShip {
+            route_col,
+            dest: UNWIRED,
+        })
     }
 
     /// Add a join; `emit` projects the concatenated `build ++ probe` row.
@@ -432,17 +450,24 @@ impl PlanBuilder {
         })
     }
 
-    /// Wire `from`'s output into `(to, input)`.
+    /// Wire `from`'s output into `(to, input)`. A routing operator has
+    /// exactly one destination: connecting it twice panics.
     pub fn connect(&mut self, from: OpId, to: OpId, input: u8) {
         let dest = Dest { op: to, input };
         match &mut self.ops[from.0 as usize] {
-            OpSpec::Exchange { dest: d, .. } | OpSpec::MinShip { dest: d, .. } => *d = dest,
+            OpSpec::Exchange { dest: d, .. } | OpSpec::MinShip { dest: d, .. } => {
+                assert!(*d == UNWIRED, "routing op {} connected twice", from.0);
+                *d = dest;
+            }
             other => other.dests_mut().push(dest),
         }
     }
 
     /// Finish and validate.
     pub fn build(self) -> Result<Plan, PlanError> {
+        if let Some(i) = self.ops.iter().position(|op| op.dests() == [UNWIRED]) {
+            return Err(PlanError::Unwired(OpId(i as u16)));
+        }
         let plan = Plan {
             catalog: self.catalog,
             ops: self.ops,
@@ -467,33 +492,48 @@ mod tests {
         let ing = b.ingress(link);
         let base_map = b.map(vec![Expr::col(0), Expr::col(1)], vec![]);
         let store = b.store(reach, true, None);
-        // placeholder dest fixed below by connect
         let join = b.join(
             vec![1],
             vec![0],
             vec![],
             vec![Expr::col(0), Expr::col(4)], // link.src, reachable.dst (row = link ++ reach)
         );
-        let ex = b.exchange(
-            Some(1),
-            Dest {
-                op: join,
-                input: JOIN_BUILD,
-            },
-        );
-        let ship = b.minship(
-            Some(0),
-            Dest {
-                op: store,
-                input: 0,
-            },
-        );
+        let ex = b.exchange(Some(1));
+        let ship = b.minship(Some(0));
         b.connect(ing, base_map, 0);
         b.connect(base_map, store, 0);
         b.connect(ing, ex, 0);
+        b.connect(ex, join, JOIN_BUILD);
         b.connect(join, ship, 0);
+        b.connect(ship, store, 0);
         b.connect(store, join, JOIN_PROBE);
         b.build().expect("valid plan")
+    }
+
+    #[test]
+    fn unconnected_routing_op_is_refused() {
+        let mut b = PlanBuilder::new();
+        let link = b.edb("link", &["src", "dst"], 0);
+        let v = b.idb("v", &["src", "dst"], 0);
+        let ing = b.ingress(link);
+        let store = b.store(v, true, None);
+        let ex = b.exchange(Some(1));
+        let ship = b.minship(Some(0));
+        b.connect(ing, ex, 0);
+        b.connect(ex, store, 0);
+        b.connect(ing, ship, 0);
+        assert_eq!(b.build().unwrap_err(), PlanError::Unwired(ship));
+    }
+
+    #[test]
+    #[should_panic(expected = "connected twice")]
+    fn routing_op_connected_twice_panics() {
+        let mut b = PlanBuilder::new();
+        let v = b.idb("v", &["src", "dst"], 0);
+        let store = b.store(v, true, None);
+        let ex = b.exchange(None);
+        b.connect(ex, store, 0);
+        b.connect(ex, store, 0);
     }
 
     #[test]

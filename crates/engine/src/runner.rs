@@ -79,6 +79,18 @@ impl RunnerConfig {
         self.runtime = runtime;
         self
     }
+
+    /// Override the cluster model (e.g. the two-cluster scale-out profile).
+    pub fn with_cluster(mut self, cluster: ClusterSpec) -> RunnerConfig {
+        self.cluster = cluster;
+        self
+    }
+
+    /// Override the run budget.
+    pub fn with_budget(mut self, budget: RunBudget) -> RunnerConfig {
+        self.budget = budget;
+        self
+    }
 }
 
 /// Metrics for one run phase (load, deletion, re-derivation, ...), matching

@@ -81,10 +81,6 @@ impl PeerNode<Msg> for Probe {
     fn on_timer(&mut self, id: u64, net: &mut NetApi<Msg>) {
         self.peer.on_timer(id, net);
     }
-
-    fn on_quantum_end(&mut self, net: &mut NetApi<Msg>) {
-        self.peer.on_quantum_end(net);
-    }
 }
 
 /// Sparse reachability on 24 nodes over 3 peers: load, then five single

@@ -4,7 +4,7 @@
 //! placements, and constant-group aggregates.
 
 use netrec_engine::expr::{AggFn, Expr};
-use netrec_engine::plan::{Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
 use netrec_sim::Partitioner;
@@ -26,20 +26,10 @@ fn reachable_plan() -> Plan {
     let base_map = b.map(vec![Expr::col(0), Expr::col(1)], vec![]);
     let store = b.store(reach, true, None);
     let join = b.join(vec![1], vec![0], vec![], vec![Expr::col(0), Expr::col(4)]);
-    let ex = b.exchange(
-        Some(1),
-        Dest {
-            op: join,
-            input: JOIN_BUILD,
-        },
-    );
-    let ship = b.minship(
-        Some(0),
-        Dest {
-            op: store,
-            input: 0,
-        },
-    );
+    let ex = b.exchange(Some(1));
+    b.connect(ex, join, JOIN_BUILD);
+    let ship = b.minship(Some(0));
+    b.connect(ship, store, 0);
     b.connect(ing, base_map, 0);
     b.connect(base_map, store, 0);
     b.connect(ing, ex, 0);
@@ -158,7 +148,8 @@ fn aggregate_with_empty_group_key() {
     let top = b.idb("top", &["v"], 0);
     let ing = b.ingress(vals);
     let agg = b.aggregate(vec![], AggFn::Max, 1);
-    let ex = b.exchange(None, Dest { op: agg, input: 0 });
+    let ex = b.exchange(None);
+    b.connect(ex, agg, 0);
     let store = b.store(top, true, None);
     b.connect(ing, ex, 0);
     b.connect(agg, store, 0);

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use netrec_engine::dred;
 use netrec_engine::expr::Expr;
-use netrec_engine::plan::{Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
 use netrec_engine::reference::{Atom, Db, Program, Rule, Term};
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
@@ -29,20 +29,10 @@ fn reachable_plan() -> Plan {
         vec![],
         vec![Expr::col(0), Expr::col(4)], // (link.src, reachable.dst)
     );
-    let ex = b.exchange(
-        Some(1),
-        Dest {
-            op: join,
-            input: JOIN_BUILD,
-        },
-    );
-    let ship = b.minship(
-        Some(0),
-        Dest {
-            op: store,
-            input: 0,
-        },
-    );
+    let ex = b.exchange(Some(1));
+    b.connect(ex, join, JOIN_BUILD);
+    let ship = b.minship(Some(0));
+    b.connect(ship, store, 0);
     b.connect(ing, base_map, 0);
     b.connect(base_map, store, 0);
     b.connect(ing, ex, 0);

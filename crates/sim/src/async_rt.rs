@@ -479,7 +479,6 @@ impl<M: Send + 'static, N: PeerNode<M>> Executor<M, N> {
                 }
                 Work::Timer(id) => node.on_timer(id, &mut api),
             }
-            node.on_quantum_end(&mut api);
             drop(node);
             api.into_parts()
         }));

@@ -18,8 +18,7 @@
 //! logic*, not of scheduling. The rule:
 //!
 //! 1. **Quantum** — one event-handler execution: all logical messages of
-//!    one delivered frame (in order), or one timer firing, followed by
-//!    [`PeerNode::on_quantum_end`](crate::des::PeerNode::on_quantum_end).
+//!    one delivered frame (in order), or one timer firing.
 //! 2. **Buffering** — every `NetApi::send` during the quantum lands in a
 //!    per-destination buffer (the `NetApi` out-vector).
 //! 3. **Flush at handler return** — when the quantum ends, each

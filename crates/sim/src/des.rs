@@ -34,15 +34,6 @@ pub trait PeerNode<M> {
     fn on_timer(&mut self, id: u64, net: &mut NetApi<M>) {
         let _ = (id, net);
     }
-    /// The enclosing delivery quantum ended: every message of the delivered
-    /// envelope (or the timer firing) has been handled, and the runtime is
-    /// about to coalesce the quantum's outputs into per-destination frames
-    /// (see [`crate::coalesce` module](mod@crate::coalesce)). Adapters that route traffic out-of-band —
-    /// the sharded runtime's cross-shard transport — flush their
-    /// per-quantum buffers here. Default: no-op.
-    fn on_quantum_end(&mut self, net: &mut NetApi<M>) {
-        let _ = net;
-    }
 }
 
 /// The interface a peer uses to interact with the network during a callback.
@@ -306,8 +297,7 @@ impl<M, N: PeerNode<M>> Simulator<M, N> {
                 timers: Vec::new(),
             };
             // One quantum: every message of the envelope in FIFO order (or
-            // the timer firing), then the quantum-end hook; the quantum's
-            // outputs coalesce together.
+            // the timer firing); the quantum's outputs coalesce together.
             let node = &mut self.peers[peer.0 as usize];
             match ev.kind {
                 EventKind::Deliver { msgs } => {
@@ -319,7 +309,6 @@ impl<M, N: PeerNode<M>> Simulator<M, N> {
                     node.on_timer(id, &mut api);
                 }
             }
-            node.on_quantum_end(&mut api);
             let NetApi { out, timers, .. } = api;
             for frame in frames(out, self.coalesce) {
                 self.route(finish, peer, frame);

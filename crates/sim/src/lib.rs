@@ -17,7 +17,7 @@
 //!   [`Partitioner`] that places horizontal partitions on peers (hash-based,
 //!   standing in for FreePastry).
 //! * [`metrics`] — per-peer byte/message/tuple accounting; every number in
-//!   `EXPERIMENTS.md` flows from here.
+//!   `REPRODUCTION.md` flows from here.
 //! * [`runtime`] — the **runtime seam**: the [`Runtime`] trait every
 //!   substrate implements (inject → run-to-quiescence → snapshot, honoring
 //!   [`RunBudget`]), plus [`RuntimeKind`] for drivers that select a

@@ -1,4 +1,4 @@
-//! Traffic accounting: the source of every number in `EXPERIMENTS.md`.
+//! Traffic accounting: the source of every number in `REPRODUCTION.md`.
 
 use crate::net::PeerId;
 

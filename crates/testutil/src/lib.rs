@@ -57,7 +57,7 @@ pub mod fixtures {
     //! Shared plan fixtures for substrate differential tests.
 
     use netrec_engine::expr::Expr;
-    use netrec_engine::plan::{Dest, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+    use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
     use netrec_types::{NetAddr, Tuple, Value};
 
     /// A directed `link(src, dst, cost)` tuple with unit cost.
@@ -81,20 +81,10 @@ pub mod fixtures {
         let base_map = b.map(vec![Expr::col(0), Expr::col(1)], vec![]);
         let store = b.store(reach, true, None);
         let join = b.join(vec![1], vec![0], vec![], vec![Expr::col(0), Expr::col(4)]);
-        let ex = b.exchange(
-            Some(1),
-            Dest {
-                op: join,
-                input: JOIN_BUILD,
-            },
-        );
-        let ship = b.minship(
-            Some(0),
-            Dest {
-                op: store,
-                input: 0,
-            },
-        );
+        let ex = b.exchange(Some(1));
+        b.connect(ex, join, JOIN_BUILD);
+        let ship = b.minship(Some(0));
+        b.connect(ship, store, 0);
         b.connect(ing, base_map, 0);
         b.connect(base_map, store, 0);
         b.connect(ing, ex, 0);
@@ -114,27 +104,12 @@ pub mod fixtures {
         let store = b.store(twohop, true, None);
         // row = link(x,y,c) ++ link(y,z,c2); emit (x, z).
         let join = b.join(vec![1], vec![0], vec![], vec![Expr::col(0), Expr::col(4)]);
-        let ex_build = b.exchange(
-            Some(1),
-            Dest {
-                op: join,
-                input: JOIN_BUILD,
-            },
-        );
-        let ex_probe = b.exchange(
-            Some(0),
-            Dest {
-                op: join,
-                input: JOIN_PROBE,
-            },
-        );
-        let ship = b.minship(
-            Some(0),
-            Dest {
-                op: store,
-                input: 0,
-            },
-        );
+        let ex_build = b.exchange(Some(1));
+        b.connect(ex_build, join, JOIN_BUILD);
+        let ex_probe = b.exchange(Some(0));
+        b.connect(ex_probe, join, JOIN_PROBE);
+        let ship = b.minship(Some(0));
+        b.connect(ship, store, 0);
         b.connect(ing, ex_build, 0);
         b.connect(ing, ex_probe, 0);
         b.connect(join, ship, 0);

@@ -1,7 +1,7 @@
 //! The netrec wire format.
 //!
 //! Every message that crosses the simulated network is encoded with these
-//! routines, and the byte counts reported in `EXPERIMENTS.md` are exactly
+//! routines, and the byte counts reported in `REPRODUCTION.md` are exactly
 //! `buf.len()` of these encodings. The format is deliberately simple:
 //!
 //! ```text

@@ -2,7 +2,7 @@
 //!
 //! Umbrella crate re-exporting the full stack. See [`netrec_core`] for the
 //! high-level API, `README.md` for an overview, `DESIGN.md` for the system
-//! inventory and `EXPERIMENTS.md` for the paper-vs-measured record.
+//! inventory and `REPRODUCTION.md` for the paper-vs-measured record.
 //!
 //! Layers (bottom-up):
 //!
