@@ -17,7 +17,7 @@ use crate::expr::AggFn;
 use crate::plan::Dest;
 use crate::update::Update;
 
-use super::{DeleteOutcome, Ectx, MergeOutcome, ProvTable};
+use super::{DeleteOutcome, Ectx, Merged, ProvTable};
 
 /// Group-by aggregate operator state.
 pub struct AggregateOp {
@@ -195,8 +195,10 @@ impl AggregateOp {
             match u.kind {
                 UpdateKind::Insert => {
                     let g = self.group_of(&u.tuple);
-                    match self.contrib.merge_ins(&u.tuple, &u.prov) {
-                        MergeOutcome::New(_) => {
+                    // Only whether the group changed matters: the output's
+                    // annotation is recomputed from `contrib` by `revise`.
+                    match self.contrib.merge(&u.tuple, &u.prov) {
+                        Merged::New => {
                             let v = self.value_of(&u.tuple);
                             self.groups
                                 .entry(g.clone())
@@ -206,10 +208,10 @@ impl AggregateOp {
                                 .insert(u.tuple.clone());
                             touched.insert(g);
                         }
-                        MergeOutcome::Changed(_) => {
+                        Merged::Changed => {
                             touched.insert(g);
                         }
-                        MergeOutcome::Absorbed => {}
+                        Merged::Absorbed => {}
                     }
                 }
                 UpdateKind::Delete if !u.cause.is_empty() => {

@@ -260,10 +260,7 @@ impl JoinOp {
                             continue;
                         };
                         let other_prov = other_side.prov.get(t2).expect("matched");
-                        let pv = match mode {
-                            ProvMode::Set => Prov::None,
-                            _ => removed.and(other_prov),
-                        };
+                        let pv = self.out_prov(mode, &removed, other_prov, &out_tuple);
                         out.push(Update::del_retract(self.out_rel, out_tuple, pv));
                     }
                 }

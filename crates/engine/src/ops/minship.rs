@@ -246,7 +246,7 @@ impl MinShipOp {
                         // The fresh ship resets any staleness marker — `sent`
                         // mirrors the receiver again for this tuple.
                         self.dirty.remove(&u.tuple);
-                        self.sent.merge_ins(&u.tuple, &u.prov);
+                        self.sent.merge(&u.tuple, &u.prov);
                         self.ledger_record(&u.tuple, &u.prov);
                         send_now.push(u);
                     } else if self.dirty.remove(&u.tuple) {
@@ -255,7 +255,7 @@ impl MinShipOp {
                         // along another propagation path. Ship the arriving
                         // derivation instead of buffering it so the receiver
                         // can revive the tuple.
-                        self.sent.merge_ins(&u.tuple, &u.prov);
+                        self.sent.merge(&u.tuple, &u.prov);
                         self.ledger_record(&u.tuple, &u.prov);
                         send_now.push(u);
                     } else {
@@ -274,7 +274,7 @@ impl MinShipOp {
                             );
                         }
                         if !absorbed {
-                            self.pins.merge_ins(&u.tuple, &u.prov);
+                            self.pins.merge(&u.tuple, &u.prov);
                         }
                     }
                 }
@@ -363,7 +363,7 @@ impl MinShipOp {
         let mut ins = self.pins.drain();
         ins.sort_by(|a, b| a.0.cmp(&b.0));
         for (t, pv) in ins {
-            self.sent.merge_ins(&t, &pv);
+            self.sent.merge(&t, &pv);
             self.ledger_record(&t, &pv);
             let peer = ectx.peer_for(self.route_col, &t);
             sent = true;
@@ -401,7 +401,7 @@ impl MinShipOp {
                 Arc::from(cause.into_boxed_slice()),
             ));
             if let Some(alt) = self.pins.get(&t).cloned() {
-                self.sent.merge_ins(&t, &alt);
+                self.sent.merge(&t, &alt);
                 self.ledger_record(&t, &alt);
                 out.push(Update::ins(rel, t.clone(), alt.clone()));
                 let _ = self.pins.retract(&t, &alt);

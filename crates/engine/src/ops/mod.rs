@@ -14,7 +14,7 @@ pub mod join;
 pub mod minship;
 pub mod store;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netrec_bdd::{BddManager, Var};
@@ -160,6 +160,30 @@ pub enum MergeOutcome {
     Absorbed,
 }
 
+/// How an insertion merged into a [`ProvTable`], for callers that forward
+/// no delta ([`ProvTable::merge`]): the [`MergeOutcome`] without its
+/// annotation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merged {
+    /// First derivation of the tuple.
+    New,
+    /// The annotation grew.
+    Changed,
+    /// Fully absorbed; the table is unchanged.
+    Absorbed,
+}
+
+impl MergeOutcome {
+    /// The outcome without its annotation.
+    pub fn merged(&self) -> Merged {
+        match self {
+            MergeOutcome::New(_) => Merged::New,
+            MergeOutcome::Changed(_) => Merged::Changed,
+            MergeOutcome::Absorbed => Merged::Absorbed,
+        }
+    }
+}
+
 /// What happened to one entry during a deletion pass.
 #[derive(Clone, Debug)]
 pub enum DeleteOutcome {
@@ -178,9 +202,12 @@ pub enum DeleteOutcome {
 /// accounting is maintained incrementally (`state_bytes` is O(1)); all map
 /// mutations therefore go through `ProvTable::store` / `ProvTable::evict`.
 pub struct ProvTable {
+    /// Tuple → (annotation, its [`entry_cost`], priced once when stored).
     /// In counting mode an entry's multiplicity is its `Prov::Count`.
-    map: FxHashMap<Tuple, Prov>,
-    var_index: Option<FxHashMap<Var, BTreeSet<Tuple>>>,
+    map: FxHashMap<Tuple, (Prov, usize)>,
+    /// Variable → tuples whose annotation mentioned it when merged. Unordered:
+    /// [`ProvTable::restrict_cause`] sorts the candidates it draws, once.
+    var_index: Option<FxHashMap<Var, FxHashSet<Tuple>>>,
     mode: ProvMode,
     /// Incrementally-maintained total of per-entry costs (see `entry_cost`).
     bytes: usize,
@@ -235,19 +262,20 @@ impl ProvTable {
         }
     }
 
-    /// Insert/overwrite an entry, keeping the byte counter in sync.
+    /// Insert/overwrite an entry, keeping the byte counter in sync. The new
+    /// entry is priced here, once; the one it replaces gives back its price.
     fn store(&mut self, t: Tuple, p: Prov) {
-        let t_len = t.encoded_len();
-        self.bytes += t_len + p.encoded_len() + ENTRY_OVERHEAD;
-        if let Some(old) = self.map.insert(t, p) {
-            self.bytes -= t_len + old.encoded_len() + ENTRY_OVERHEAD;
+        let cost = entry_cost(&t, &p);
+        self.bytes += cost;
+        if let Some((_, old_cost)) = self.map.insert(t, (p, cost)) {
+            self.bytes -= old_cost;
         }
     }
 
     /// Remove an entry, keeping the byte counter in sync.
     fn evict(&mut self, t: &Tuple) -> Option<Prov> {
-        let old = self.map.remove(t)?;
-        self.bytes -= entry_cost(t, &old);
+        let (old, cost) = self.map.remove(t)?;
+        self.bytes -= cost;
         Some(old)
     }
 
@@ -268,7 +296,7 @@ impl ProvTable {
 
     /// Annotation of `t`.
     pub fn get(&self, t: &Tuple) -> Option<&Prov> {
-        self.map.get(t)
+        self.map.get(t).map(|(p, _)| p)
     }
 
     /// Iterate live tuples.
@@ -278,7 +306,7 @@ impl ProvTable {
 
     /// Iterate `(tuple, annotation)`.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &Prov)> + '_ {
-        self.map.iter()
+        self.map.iter().map(|(t, (p, _))| (t, p))
     }
 
     /// Remove and return every entry (unordered). The table stays in place,
@@ -288,7 +316,7 @@ impl ProvTable {
         if let Some(index) = &mut self.var_index {
             index.clear();
         }
-        self.map.drain().collect()
+        self.map.drain().map(|(t, (p, _))| (t, p)).collect()
     }
 
     fn index_insert(&mut self, t: &Tuple, prov: &Prov) {
@@ -299,16 +327,37 @@ impl ProvTable {
                 _ => Vec::new(),
             };
             for v in vars {
-                index.entry(v).or_default().insert(t.clone());
+                let tuples = index.entry(v).or_default();
+                if !tuples.contains(t) {
+                    tuples.insert(t.clone());
+                }
             }
         }
     }
 
-    /// Merge an insertion (Algorithm 1 lines 11–26).
+    /// Merge an insertion (Algorithm 1 lines 11–26) and return what to
+    /// forward: a new tuple's annotation, or a changed one's delta (in
+    /// absorption mode `deltaPv = new − old`).
     pub fn merge_ins(&mut self, t: &Tuple, prov: &Prov) -> MergeOutcome {
+        self.insert(t, prov, true)
+    }
+
+    /// Merge an insertion exactly as [`ProvTable::merge_ins`] does, for a
+    /// caller that forwards no delta (MinShip's mirrors, Aggregate's
+    /// contributors). In absorption mode `new → old` decides absorption
+    /// without making a node, and a changed entry costs the one union
+    /// `old ∨ new`: the delta is never built.
+    pub fn merge(&mut self, t: &Tuple, prov: &Prov) -> Merged {
+        self.insert(t, prov, false).merged()
+    }
+
+    /// The merge both entry points run. Without `delta`, a changed
+    /// absorption entry reports `Changed(Prov::None)`: [`ProvTable::merge`]
+    /// reads only the variant.
+    fn insert(&mut self, t: &Tuple, prov: &Prov, delta: bool) -> MergeOutcome {
         match self.mode {
             ProvMode::Set => {
-                if self.map.contains_key(t) {
+                if self.contains(t) {
                     MergeOutcome::Absorbed
                 } else {
                     self.store(t.clone(), Prov::None);
@@ -327,12 +376,12 @@ impl ProvTable {
                     MergeOutcome::Changed(Prov::Count(c))
                 }
             }
-            ProvMode::Absorption => match self.map.get(t) {
+            ProvMode::Absorption => match self.get(t) {
                 // A constant-false annotation carries no derivation. Storing
                 // it would key the tuple into the view with an annotation no
                 // cause restriction can ever reach (`false` depends on no
                 // variable) — the tuple would be permanently stale. The arm
-                // below (diff against `old`) absorbs false arrivals for
+                // below (`false` implies `old`) absorbs false arrivals for
                 // present tuples already; this guards the absent case.
                 None if prov.is_unsatisfiable() => MergeOutcome::Absorbed,
                 None => {
@@ -343,19 +392,28 @@ impl ProvTable {
                 Some(old) => {
                     // Absorption first: an absorbed arrival — the common case
                     // once a recursive view is saturated — has an empty
-                    // `delta`, which makes no BDD node, and needs no union.
-                    let delta = prov.bdd().diff(old.bdd());
-                    if delta.is_false() {
-                        MergeOutcome::Absorbed
+                    // `new − old`, which makes no BDD node, and needs no
+                    // union. A caller without a use for that difference
+                    // asks `new → old` instead and never builds it.
+                    let (new, old_bdd) = (prov.bdd(), old.bdd());
+                    let forward = if delta {
+                        let d = new.diff(old_bdd);
+                        if d.is_false() {
+                            return MergeOutcome::Absorbed;
+                        }
+                        Prov::Bdd(d)
+                    } else if new.implies(old_bdd) {
+                        return MergeOutcome::Absorbed;
                     } else {
-                        let merged = old.or(prov);
-                        self.store(t.clone(), merged);
-                        self.index_insert(t, prov);
-                        MergeOutcome::Changed(Prov::Bdd(delta))
-                    }
+                        Prov::None
+                    };
+                    let merged = old.or(prov);
+                    self.store(t.clone(), merged);
+                    self.index_insert(t, prov);
+                    MergeOutcome::Changed(forward)
                 }
             },
-            ProvMode::Relative => match self.map.get(t) {
+            ProvMode::Relative => match self.get(t) {
                 None => {
                     self.store(t.clone(), prov.clone());
                     self.index_insert(t, prov);
@@ -394,26 +452,28 @@ impl ProvTable {
             return Vec::new();
         }
         let dead_set = relative_dead_set(self.mode, cause);
-        // The index stores candidates in `BTreeSet`s, so the union is already
-        // deterministically ordered — no post-hoc sort. The unindexed path
-        // pre-filters on annotation support, so unaffected entries cost a
-        // dependency check instead of a clone plus a full restrict.
-        let candidates: BTreeSet<Tuple> = if let Some(index) = &mut self.var_index {
-            let mut set: BTreeSet<Tuple> = BTreeSet::new();
+        // Candidates are sorted once, here, so outcomes come in ascending
+        // tuple order from either path. The unindexed path pre-filters on
+        // annotation support, so unaffected entries cost a dependency check
+        // instead of a clone plus a full restrict.
+        let mut candidates: Vec<Tuple> = if let Some(index) = &mut self.var_index {
+            let mut set: FxHashSet<Tuple> = FxHashSet::default();
             for v in cause {
-                if let Some(ts) = index.remove(v) {
-                    set.extend(ts);
+                match index.remove(v) {
+                    Some(ts) if set.is_empty() => set = ts,
+                    Some(ts) => set.extend(ts),
+                    None => {}
                 }
             }
-            set
+            set.into_iter().collect()
         } else {
             self.scan_steps += self.map.len() as u64;
-            self.map
-                .iter()
+            self.iter()
                 .filter(|(_, p)| depends_on_any(p, cause, &dead_set))
                 .map(|(t, _)| t.clone())
                 .collect()
         };
+        candidates.sort_unstable();
         candidates
             .into_iter()
             .filter_map(|t| {
@@ -428,9 +488,7 @@ impl ProvTable {
     /// callers asserting that restriction has nothing left to do.
     pub fn mentions_any(&self, vars: &[Var]) -> bool {
         let dead_set = relative_dead_set(self.mode, vars);
-        self.map
-            .values()
-            .any(|p| depends_on_any(p, vars, &dead_set))
+        self.iter().any(|(_, p)| depends_on_any(p, vars, &dead_set))
     }
 
     /// Entries examined so far by the unindexed [`ProvTable::restrict_cause`]
@@ -455,7 +513,7 @@ impl ProvTable {
         cause: &[Var],
         dead_set: &FxHashSet<Var>,
     ) -> Option<DeleteOutcome> {
-        let old = self.map.get(t)?;
+        let old = self.get(t)?;
         match (&self.mode, old) {
             (ProvMode::Absorption, Prov::Bdd(b)) => {
                 let new = b.restrict_all_false(cause);
@@ -495,7 +553,7 @@ impl ProvTable {
             ProvMode::Set => self.evict(t).map(DeleteOutcome::Died),
             ProvMode::Counting => {
                 let c = prov.count();
-                let now = self.map.get(t)?.count() - c;
+                let now = self.get(t)?.count() - c;
                 if now <= 0 {
                     self.evict(t).map(DeleteOutcome::Died)
                 } else {
@@ -504,7 +562,7 @@ impl ProvTable {
                 }
             }
             ProvMode::Absorption => {
-                let old = self.map.get(t)?;
+                let old = self.get(t)?;
                 let new = old.bdd().diff(prov.bdd());
                 if new == *old.bdd() {
                     return None;
@@ -527,7 +585,7 @@ impl ProvTable {
 
     /// Counting-mode multiplicity of `t` (0 when absent).
     fn count_of(&self, t: &Tuple) -> i64 {
-        self.map.get(t).map_or(0, Prov::count)
+        self.get(t).map_or(0, Prov::count)
     }
 
     /// Install one checkpointed entry, rebuilding every derived structure
@@ -537,7 +595,7 @@ impl ProvTable {
     /// decoding.
     pub(crate) fn restore_entry(&mut self, t: Tuple, p: Prov) {
         assert!(
-            !self.map.contains_key(&t),
+            !self.contains(&t),
             "checkpoint restored a duplicate table entry"
         );
         self.index_insert(&t, &p);
@@ -567,7 +625,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::plan::OpId;
-    use netrec_bdd::BddManager;
+    use netrec_bdd::{Bdd, BddManager};
     use netrec_sim::MsgMeta;
     use netrec_types::{NetAddr, RelId, SimTime};
 
@@ -757,6 +815,41 @@ mod tests {
             MergeOutcome::Absorbed
         ));
         assert_eq!(mgr.stats().nodes, before);
+        assert_eq!(pt.merge(&t(1), &absorbed), Merged::Absorbed);
+        assert_eq!(mgr.stats().nodes, before);
+    }
+
+    /// A changed arrival through `merge` builds the union and nothing else:
+    /// it makes exactly the nodes `old ∨ new` alone makes on a twin manager
+    /// fed the same builds, while `merge_ins` also makes `new − old`.
+    #[test]
+    fn changed_merge_builds_only_the_union() {
+        /// Nodes made by `op` on a fresh manager whose table holds `old`,
+        /// with `new` in hand, collected beforehand. What `op` returns is
+        /// alive when the nodes are counted.
+        fn made<R>(op: impl FnOnce(&mut ProvTable, &Prov, &Prov) -> R) -> usize {
+            let mgr = BddManager::new();
+            let x = |v| mgr.var(v);
+            let old = Prov::Bdd(x(1).and(&x(2)).or(&x(3).and(&x(4))));
+            let new = Prov::Bdd(x(2).and(&x(5)).or(&x(4).and(&x(6))));
+            let mut pt = ProvTable::new(ProvMode::Absorption, false);
+            pt.merge_ins(&t(1), &old);
+            mgr.gc();
+            let before = mgr.stats().nodes;
+            let kept = op(&mut pt, &old, &new);
+            let grown = mgr.stats().nodes - before;
+            drop(kept);
+            grown
+        }
+        let union = made(|_, old, new| old.or(new));
+        let merged = made(|pt, _, new| assert_eq!(pt.merge(&t(1), new), Merged::Changed));
+        let with_delta = made(|pt, _, new| pt.merge_ins(&t(1), new));
+        assert!(union > 0);
+        assert_eq!(merged, union);
+        assert!(
+            with_delta > union,
+            "the delta is {with_delta} − {union} nodes"
+        );
     }
 
     #[test]
@@ -798,18 +891,50 @@ mod tests {
         assert_eq!(pt.get(&t(1)).unwrap().bdd(), &mgr.var(2));
     }
 
+    /// Both restrict paths — the index's candidates and the unindexed scan —
+    /// return the same outcomes, in ascending tuple order whatever order the
+    /// tuples arrived in (the DES counters depend on emission order).
     #[test]
     fn unindexed_scan_matches_indexed() {
         let mgr = BddManager::new();
+        let x = |v| mgr.var(v);
         let mk = |indexed: bool| {
             let mut pt = ProvTable::new(ProvMode::Absorption, indexed);
-            pt.merge_ins(&t(1), &Prov::Bdd(mgr.var(1).or(&mgr.var(2))));
-            pt.merge_ins(&t(2), &Prov::Bdd(mgr.var(1)));
-            let mut outs = pt.restrict_cause(&[1]);
-            outs.sort_by(|a, b| a.0.cmp(&b.0));
-            (outs.len(), pt.contains(&t(1)), pt.contains(&t(2)))
+            for i in [5, 2, 8, 1, 7, 3, 6, 4] {
+                pt.merge_ins(&t(i), &Prov::Bdd(x(i as u32 % 3).and(&x(10 + i as u32))));
+                pt.merge_ins(&t(i), &Prov::Bdd(x(i as u32 % 2).and(&x(20))));
+            }
+            let outs: Vec<(Tuple, bool, Bdd)> = pt
+                .restrict_cause(&[1, 2])
+                .into_iter()
+                .map(|(t, o)| match o {
+                    DeleteOutcome::Died(p) => (t, true, p.bdd().clone()),
+                    DeleteOutcome::Shrunk(p) => (t, false, p.bdd().clone()),
+                })
+                .collect();
+            let mut left: Vec<Tuple> = pt.tuples().cloned().collect();
+            left.sort();
+            (outs, left)
         };
-        assert_eq!(mk(true), mk(false));
+        let (outs, left) = mk(true);
+        assert_eq!((outs.clone(), left.clone()), mk(false));
+        let touched: Vec<(Tuple, bool)> = outs.iter().map(|(t, d, _)| (t.clone(), *d)).collect();
+        let died = |i| (t(i), true);
+        let shrunk = |i| (t(i), false);
+        assert_eq!(
+            touched,
+            [
+                died(1),
+                shrunk(2),
+                shrunk(3),
+                shrunk(4),
+                died(5),
+                died(7),
+                shrunk(8)
+            ],
+            "ascending, and t(6) untouched"
+        );
+        assert_eq!(left, [2, 3, 4, 6, 8].map(t));
     }
 
     #[test]
@@ -858,48 +983,95 @@ mod tests {
         assert!(pt.state_bytes() > empty);
     }
 
-    /// The O(1) byte counter must stay equal to a full-table rescan through
-    /// every mutation path (insert, overwrite-merge, shrink, death, retract).
+    /// The O(1) byte counter — each entry's price, taken when it was stored
+    /// and given back when it is replaced or removed — must stay equal to a
+    /// full-table rescan through every mutation path, in every mode: insert
+    /// through either entry point, overwrite, shrink, death, retract, drain
+    /// and restore.
     #[test]
     fn state_bytes_counter_matches_scan() {
-        fn scan(pt: &ProvTable) -> usize {
-            pt.iter().map(|(t, p)| entry_cost(t, p)).sum()
+        fn check(pt: &ProvTable) {
+            let scan: usize = pt.iter().map(|(t, p)| entry_cost(t, p)).sum();
+            assert_eq!(pt.state_bytes(), scan, "{:?} table", pt.mode());
+        }
+        /// Empty the table, then install its entries again as a checkpoint
+        /// restore does.
+        fn drain_and_restore(pt: &mut ProvTable) {
+            assert!(!pt.is_empty());
+            let entries = pt.drain();
+            check(pt);
+            assert_eq!(pt.state_bytes(), 0);
+            for (t, p) in entries {
+                pt.restore_entry(t, p);
+                check(pt);
+            }
         }
         let mgr = BddManager::new();
+        let x = |v| mgr.var(v);
+
+        let mut pt = ProvTable::new(ProvMode::Set, false);
+        pt.merge_ins(&t(1), &Prov::None);
+        pt.merge(&t(2), &Prov::None);
+        pt.merge(&t(1), &Prov::None);
+        check(&pt);
+        drain_and_restore(&mut pt);
+        pt.restrict_cause(&[1]);
+        check(&pt);
+        pt.retract(&t(1), &Prov::None);
+        check(&pt);
 
         let mut pt = ProvTable::new(ProvMode::Absorption, true);
-        pt.merge_ins(&t(1), &Prov::Bdd(mgr.var(1).or(&mgr.var(2))));
-        pt.merge_ins(&t(1), &Prov::Bdd(mgr.var(3)));
-        pt.merge_ins(&t(2), &Prov::Bdd(mgr.var(1)));
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        pt.merge_ins(&t(1), &Prov::Bdd(x(1).or(&x(2))));
+        pt.merge_ins(&t(1), &Prov::Bdd(x(3)));
+        check(&pt);
+        pt.merge(&t(1), &Prov::Bdd(x(4).and(&x(5)))); // overwrite, no delta
+        pt.merge(&t(2), &Prov::Bdd(x(1)));
+        pt.merge(&t(3), &Prov::Bdd(x(1).and(&x(6))));
+        check(&pt);
+        drain_and_restore(&mut pt);
         pt.restrict_cause(&[1]);
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        check(&pt);
         pt.restrict_cause_tuple(&t(1), &[2, 3]);
-        assert_eq!(pt.state_bytes(), scan(&pt));
-        pt.retract(&t(1), &Prov::Bdd(mgr.var(2)));
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        check(&pt);
+        pt.retract(&t(1), &Prov::Bdd(x(4).and(&x(5)).and(&x(7)))); // shrinks
+        check(&pt);
+        pt.retract(&t(1), &Prov::Bdd(x(4)));
+        check(&pt);
+        assert_eq!(pt.state_bytes(), 0);
 
         let mut pt = ProvTable::new(ProvMode::Counting, false);
         pt.merge_ins(&t(1), &Prov::Count(2));
         pt.merge_ins(&t(1), &Prov::Count(300)); // varint growth on overwrite
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        pt.merge(&t(2), &Prov::Count(1));
+        check(&pt);
+        drain_and_restore(&mut pt);
+        pt.restrict_cause(&[1]);
+        check(&pt);
         pt.retract(&t(1), &Prov::Count(1));
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        check(&pt);
         pt.retract(&t(1), &Prov::Count(301));
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        check(&pt);
+        pt.retract(&t(2), &Prov::Count(1));
+        check(&pt);
         assert_eq!(pt.state_bytes(), 0);
 
         let mut pt = ProvTable::new(ProvMode::Relative, true);
         let a = Prov::base(ProvMode::Relative, 1, &mgr);
         let b = Prov::base(ProvMode::Relative, 2, &mgr);
+        let c = Prov::base(ProvMode::Relative, 3, &mgr);
         let rel = netrec_types::RelId(0);
         pt.merge_ins(&t(9), &Prov::rel_derive(0, rel, t(9), &[&a]));
-        pt.merge_ins(&t(9), &Prov::rel_derive(1, rel, t(9), &[&b]));
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        pt.merge(&t(9), &Prov::rel_derive(1, rel, t(9), &[&b]));
+        pt.merge(&t(8), &Prov::rel_derive(0, rel, t(8), &[&c]));
+        pt.merge(&t(7), &Prov::rel_derive(0, rel, t(7), &[&a]));
+        check(&pt);
+        drain_and_restore(&mut pt);
         pt.restrict_cause(&[1]);
-        assert_eq!(pt.state_bytes(), scan(&pt));
-        pt.restrict_cause(&[2]);
-        assert_eq!(pt.state_bytes(), scan(&pt));
+        check(&pt);
+        pt.restrict_cause_tuple(&t(9), &[2]);
+        check(&pt);
+        pt.retract(&t(8), &c);
+        check(&pt);
         assert_eq!(pt.state_bytes(), 0);
     }
 }

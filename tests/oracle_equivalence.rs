@@ -16,6 +16,37 @@ fn strategies() -> Vec<Strategy> {
     ]
 }
 
+/// Both relative strategies on the regions plan: an untrigger retracts the
+/// `regionSizes` aggregate's outputs, and those revisions flow back through
+/// a join whose retract path must derive a relative annotation, not conjoin
+/// two of them.
+#[test]
+fn relative_strategies_on_regions_match_oracle() {
+    for sensors in [16, 36] {
+        let grid = SensorGrid::generate(
+            SensorGridParams {
+                sensors,
+                ..Default::default()
+            },
+            7,
+        );
+        for strategy in [Strategy::relative_lazy(), Strategy::relative_eager()] {
+            let label = format!("{} at {sensors} sensors", strategy.label());
+            let mut sys = System::regions(SystemConfig::new(strategy, 4));
+            sys.apply(&grid.sensor_ops());
+            sys.apply(&grid.near_ops());
+            sys.apply(&grid.seed_ops());
+            sys.apply(&grid.trigger_ops(1.0, 7));
+            assert!(sys.run("load").converged(), "{label}: load");
+            sys.apply(&grid.untrigger_ops(1.0, 0.5, 7));
+            assert!(sys.run("untrigger").converged(), "{label}: untrigger");
+            for view in ["activeRegion", "regionSizes"] {
+                assert_eq!(sys.view(view), sys.oracle_view(view), "{label}: {view}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
