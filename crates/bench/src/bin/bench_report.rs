@@ -751,7 +751,7 @@ fn main() {
          cross-shard envelope; correctness, not speed, is what the TCP \
          mode buys). #reconnect_ns is the per-reconnect recovery cost \
          under mid-run connection kills - backoff dominates, so watch it \
-         against TcpConfig::backoff_base drift"
+         against drift in netrec_sim::tcp's BACKOFF_BASE constant"
     ));
     entries.push(format!(
         "  \"_guardrail/read_serving/reachable/serve_point_lookup\": \"{}\"",

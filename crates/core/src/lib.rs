@@ -49,6 +49,6 @@ pub use system::{System, SystemConfig};
 // Re-export the layers a downstream user needs without naming every crate.
 pub use netrec_engine::{dred, reference, RunReport, Runner, RunnerConfig, Strategy};
 pub use netrec_sim::{
-    AsyncConfig, ClusterSpec, CostModel, DesConfig, FaultPlan, FaultStats, Partitioner, RunBudget,
-    RunOutcome, Runtime, RuntimeKind, ShardAssignment, ShardedConfig,
+    ClusterSpec, DesConfig, FaultPlan, FaultStats, Partitioner, RunBudget, RunOutcome, Runtime,
+    RuntimeKind, ShardAssignment, ShardedConfig,
 };

@@ -12,22 +12,16 @@
 //! phases; `tests/paper_example.rs` reproduces it.
 
 use netrec_prov::ProvMode;
-use netrec_sim::Runtime;
 use netrec_types::{Tuple, UpdateKind};
 
-use crate::peer::EnginePeer;
 use crate::runner::{RunReport, Runner};
-use crate::update::Msg;
 
 /// Run a batch of base deletions under the DRed protocol and report the
 /// combined cost of both phases.
 ///
 /// Panics if the runner is not in set mode — DRed is only defined over plain
 /// set-semantics execution.
-pub fn dred_delete<R: Runtime<Msg, EnginePeer>>(
-    runner: &mut Runner<R>,
-    deletions: &[(String, Tuple)],
-) -> RunReport {
+pub fn dred_delete(runner: &mut Runner, deletions: &[(String, Tuple)]) -> RunReport {
     assert_eq!(
         runner.config().strategy.mode,
         ProvMode::Set,
@@ -40,38 +34,4 @@ pub fn dred_delete<R: Runtime<Msg, EnginePeer>>(
     runner.rederive_all();
     let rederive = runner.run_phase("dred/re-derive");
     over_delete.merged(rederive, "dred/delete+rederive")
-}
-
-/// Run one deletion at a time (the paper measures deletions injected in
-/// isolation, converging between consecutive deletions) and merge the
-/// reports.
-pub fn dred_delete_sequential<R: Runtime<Msg, EnginePeer>>(
-    runner: &mut Runner<R>,
-    deletions: &[(String, Tuple)],
-) -> RunReport {
-    let mut combined: Option<RunReport> = None;
-    for d in deletions {
-        let r = dred_delete(runner, std::slice::from_ref(d));
-        combined = Some(match combined {
-            None => r,
-            Some(acc) => acc.merged(r, "dred/sequence"),
-        });
-    }
-    combined.unwrap_or_else(|| RunReport {
-        label: "dred/empty".into(),
-        outcome: netrec_sim::RunOutcome::Converged {
-            at: netrec_types::SimTime::ZERO,
-        },
-        convergence: netrec_types::Duration::ZERO,
-        bytes: 0,
-        msgs: 0,
-        envelopes: 0,
-        envelope_bytes: 0,
-        tuples: 0,
-        prov_bytes: 0,
-        prov_bytes_per_tuple: 0.0,
-        state_bytes: runner.state_bytes(),
-        events: 0,
-        wall: std::time::Duration::ZERO,
-    })
 }

@@ -603,7 +603,6 @@ mod tests {
         let mut net = NetApi::fresh(SimTime(0), PeerId(0));
         let mut ectx = Ectx {
             me: PeerId(0),
-            peers: 1,
             strategy: &strategy,
             partitioner: Partitioner::Direct { peers: 1 },
             mgr: &mgr,
@@ -682,7 +681,6 @@ mod tests {
         let mut net = NetApi::fresh(SimTime(0), PeerId(0));
         let mut ectx = Ectx {
             me: PeerId(0),
-            peers: 1,
             strategy: &strategy,
             partitioner: Partitioner::Direct { peers: 1 },
             mgr: &mgr,

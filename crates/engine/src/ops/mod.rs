@@ -20,7 +20,7 @@ use std::sync::Arc;
 use netrec_bdd::{BddManager, Var};
 use netrec_prov::{Prov, ProvMode};
 use netrec_sim::{NetApi, Partitioner, PeerId};
-use netrec_types::{fx_hash_one, FxHashMap, FxHashSet, Tuple, Value};
+use netrec_types::{FxHashMap, FxHashSet, Tuple};
 
 use crate::plan::{Dest, Plan};
 use crate::strategy::Strategy;
@@ -59,8 +59,6 @@ pub enum OpState {
 pub struct Ectx<'a> {
     /// This peer.
     pub me: PeerId,
-    /// Total physical peers.
-    pub peers: u32,
     /// Run strategy.
     pub strategy: &'a Strategy,
     /// Key placement.
@@ -135,17 +133,10 @@ impl<'a> Ectx<'a> {
         }
     }
 
-    /// The peer owning `tuple[col]` (peer 0 for `None` — global aggregates).
+    /// The peer owning `tuple[col]` (peer 0 for `None` — global aggregates),
+    /// by the same rule that places base tuples at ingress.
     pub fn peer_for(&self, col: Option<usize>, tuple: &Tuple) -> PeerId {
-        match col {
-            None => PeerId(0),
-            Some(c) => match tuple.get(c) {
-                Value::Addr(a) => self.partitioner.place(*a),
-                // Hash non-address keys (region ids, costs) stably, straight
-                // off the value — no wire-encoding buffer.
-                other => PeerId((fx_hash_one(other) % u64::from(self.peers)) as u32),
-            },
-        }
+        self.partitioner.place_value(col.map(|c| tuple.get(c)))
     }
 }
 
@@ -627,7 +618,7 @@ mod tests {
     use crate::plan::OpId;
     use netrec_bdd::{Bdd, BddManager};
     use netrec_sim::MsgMeta;
-    use netrec_types::{NetAddr, RelId, SimTime};
+    use netrec_types::{NetAddr, RelId, SimTime, Value};
 
     fn t(i: i64) -> Tuple {
         Tuple::new(vec![Value::Int(i)])
@@ -645,7 +636,6 @@ mod tests {
         let mut net = NetApi::fresh(SimTime(0), me);
         let mut ectx = Ectx {
             me,
-            peers: 2,
             strategy: &strategy,
             partitioner: Partitioner::Direct { peers: 2 },
             mgr: &mgr,
@@ -702,7 +692,6 @@ mod tests {
         let mut net = NetApi::fresh(SimTime(0), me);
         let mut ectx = Ectx {
             me,
-            peers: 2,
             strategy: &strategy,
             partitioner: Partitioner::Direct { peers: 2 },
             mgr: &mgr,

@@ -21,7 +21,6 @@ const FLUSH_TIMER_BIT: u64 = 1 << 63;
 /// Engine peer state (implements [`PeerNode`] for both runtimes).
 pub struct EnginePeer {
     me: PeerId,
-    peers: u32,
     #[allow(dead_code)]
     plan: Arc<Plan>,
     strategy: Strategy,
@@ -45,7 +44,6 @@ impl EnginePeer {
     /// Instantiate the plan on peer `me`.
     pub fn new(
         me: PeerId,
-        peers: u32,
         plan: Arc<Plan>,
         strategy: Strategy,
         partitioner: Partitioner,
@@ -126,7 +124,6 @@ impl EnginePeer {
             .collect();
         EnginePeer {
             me,
-            peers,
             plan,
             strategy,
             partitioner,
@@ -183,14 +180,13 @@ impl EnginePeer {
     /// never half-apply into live state.
     pub fn restore(
         me: PeerId,
-        peers: u32,
         plan: Arc<Plan>,
         strategy: Strategy,
         partitioner: Partitioner,
         bytes: &[u8],
     ) -> Result<EnginePeer, netrec_types::wire::WireError> {
         use netrec_types::wire::{self, WireError};
-        let mut peer = EnginePeer::new(me, peers, plan, strategy, partitioner);
+        let mut peer = EnginePeer::new(me, plan, strategy, partitioner);
         let buf = &mut &bytes[..];
         let allocated = wire::get_varint(buf)?;
         if allocated > u64::from(netrec_prov::VarAllocator::CAPACITY) {
@@ -375,7 +371,6 @@ impl EnginePeer {
     ) -> (&'a mut [OpState], &'a mut VarAllocator, Ectx<'a>) {
         let ectx = Ectx {
             me: self.me,
-            peers: self.peers,
             strategy: &self.strategy,
             partitioner: self.partitioner,
             mgr: &self.mgr,
@@ -554,7 +549,6 @@ mod tests {
         b.connect(map, store, 0);
         let peer = EnginePeer::new(
             PeerId(0),
-            2,
             Arc::new(b.build().expect("plan")),
             Strategy::absorption_lazy(),
             Partitioner::Direct { peers: 2 },

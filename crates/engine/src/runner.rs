@@ -1,20 +1,19 @@
 //! Drives a plan over an execution substrate and gathers the paper's four
 //! evaluation metrics per phase.
 //!
-//! The [`Runner`] is generic over the [`Runtime`] trait: the same driver
-//! code executes on the deterministic discrete-event [`Simulator`] or on the
-//! concurrent [`ShardedRuntime`] (one executor thread per shard; one shard
-//! is the "async" runtime), selected by [`RunnerConfig::runtime`].
-//! The default instantiation is the [`EngineRuntime`] enum, which makes the
-//! choice at configuration time; code that wants a statically-known
-//! substrate can name `Runner<Simulator<Msg, EnginePeer>>` directly.
+//! The [`Runner`] drives one type, [`EngineRuntime`]: the deterministic
+//! discrete-event [`Simulator`] or the concurrent [`ShardedRuntime`] (one
+//! executor thread per shard; one shard is the "async" runtime), chosen by
+//! [`RunnerConfig::runtime`] when the runner is built and dispatched
+//! through the [`Runtime`] session contract both implement. A test that
+//! needs the concrete substrate matches on [`Runner::runtime`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use netrec_serve::views::{self, ServeSpec, ViewOp, ViewReader, ViewWriter};
 use netrec_sim::{
-    ClusterSpec, CostModel, NetMetrics, Partitioner, PeerId, Port, RunBudget, RunOutcome, Runtime,
+    ClusterSpec, NetMetrics, Partitioner, PeerId, Port, RunBudget, RunOutcome, Runtime,
     RuntimeKind, ShardedRuntime, Simulator,
 };
 use netrec_types::wire::WireError;
@@ -37,8 +36,6 @@ pub struct RunnerConfig {
     /// Cluster latency/bandwidth model (DES only; the concurrent runtimes
     /// do not model links).
     pub cluster: ClusterSpec,
-    /// CPU cost model (DES only).
-    pub cost: CostModel,
     /// Run budget (the paper cuts runs off at 5 minutes): `max_wall` caps
     /// each phase, `max_time`/`max_events` cap the session cumulatively.
     pub budget: RunBudget,
@@ -55,7 +52,6 @@ impl RunnerConfig {
             strategy,
             partitioner: Partitioner::Hash { peers },
             cluster: ClusterSpec::single(peers),
-            cost: CostModel::default(),
             budget: RunBudget {
                 max_events: 50_000_000,
                 max_time: SimTime(300 * 1_000_000),
@@ -172,9 +168,8 @@ impl RunReport {
     }
 }
 
-/// Runtime-kind dispatch for [`Runner`]'s default instantiation: the
-/// substrate is chosen by [`RunnerConfig::runtime`] when the runner is
-/// built.
+/// The substrate a [`Runner`] drives, chosen by [`RunnerConfig::runtime`]
+/// when the runner is built.
 pub enum EngineRuntime {
     /// Deterministic discrete-event simulation.
     Des(Simulator<Msg, EnginePeer>),
@@ -371,10 +366,10 @@ struct Checkpointing {
 type LedgerEntry = (PeerId, Port, Msg);
 
 /// The workload driver: owns the substrate and the plan.
-pub struct Runner<R: Runtime<Msg, EnginePeer> = EngineRuntime> {
+pub struct Runner {
     plan: Arc<Plan>,
     cfg: RunnerConfig,
-    rt: R,
+    rt: EngineRuntime,
     /// Metric/event baselines for the next phase, captured at the previous
     /// quiescent boundary. On the concurrent substrates peers start
     /// processing injections as soon as they are pushed — before
@@ -399,13 +394,41 @@ pub struct Runner<R: Runtime<Msg, EnginePeer> = EngineRuntime> {
     base_events: u64,
 }
 
-impl Runner<EngineRuntime> {
+impl Runner {
     /// Instantiate `plan` on the substrate selected by `cfg.runtime`.
-    pub fn new(plan: Plan, cfg: RunnerConfig) -> Runner<EngineRuntime> {
+    ///
+    /// # Panics
+    /// If `cfg` asks the counting strategy to maintain a recursive plan.
+    pub fn new(plan: Plan, cfg: RunnerConfig) -> Runner {
+        if cfg.strategy.mode == netrec_prov::ProvMode::Counting {
+            if let Some(rel) = plan.recursive_store() {
+                // Derivation counts grow without bound around a cycle.
+                panic!(
+                    "the counting strategy cannot maintain a recursive plan: store `{}` feeds itself",
+                    plan.catalog.name(rel)
+                );
+            }
+        }
         let plan = Arc::new(plan);
-        let nodes = build_peers(&plan, &cfg);
+        let peers = cfg.partitioner.peers();
+        let nodes = (0..peers)
+            .map(|p| EnginePeer::new(PeerId(p), Arc::clone(&plan), cfg.strategy, cfg.partitioner))
+            .collect();
         let rt = build_runtime(nodes, &cfg);
-        Runner::from_parts(plan, cfg, rt)
+        let phase_metrics = rt.metrics_snapshot();
+        let phase_events = rt.events_processed();
+        Runner {
+            plan,
+            cfg,
+            rt,
+            phase_metrics,
+            phase_events,
+            serve: None,
+            ckpt: None,
+            ledger: Vec::new(),
+            base_metrics: NetMetrics::default(),
+            base_events: 0,
+        }
     }
 
     /// Injected-fault counters of the substrate (tests assert a configured
@@ -456,7 +479,6 @@ impl Runner<EngineRuntime> {
         for p in 0..peers {
             nodes.push(EnginePeer::restore(
                 PeerId(p),
-                peers,
                 Arc::clone(&self.plan),
                 self.cfg.strategy,
                 self.cfg.partitioner,
@@ -522,76 +544,6 @@ impl Runner<EngineRuntime> {
             store,
         });
         self.recover()
-    }
-}
-
-/// Instantiate the substrate selected by `cfg.runtime` over `nodes` (shared
-/// by [`Runner::new`] and [`Runner::recover`]).
-fn build_runtime(nodes: Vec<EnginePeer>, cfg: &RunnerConfig) -> EngineRuntime {
-    match &cfg.runtime {
-        RuntimeKind::Des(dc) => EngineRuntime::Des(
-            Simulator::new(nodes, cfg.cluster.clone(), cfg.cost)
-                .with_coalescing(dc.coalesce)
-                .with_fault_plan(dc.fault),
-        ),
-        RuntimeKind::Sharded(sc) => EngineRuntime::Sharded(ShardedRuntime::new(nodes, sc.clone())),
-    }
-}
-
-/// Instantiate the plan's peers for `cfg` (shared by every substrate).
-fn build_peers(plan: &Arc<Plan>, cfg: &RunnerConfig) -> Vec<EnginePeer> {
-    let peers = cfg.partitioner.peers();
-    (0..peers)
-        .map(|p| {
-            EnginePeer::new(
-                PeerId(p),
-                peers,
-                Arc::clone(plan),
-                cfg.strategy,
-                cfg.partitioner,
-            )
-        })
-        .collect()
-}
-
-impl<R: Runtime<Msg, EnginePeer>> Runner<R> {
-    /// Drive an explicitly-constructed substrate (tests that need direct
-    /// access to the concrete runtime type).
-    pub fn with_runtime(
-        plan: Plan,
-        cfg: RunnerConfig,
-        make: impl FnOnce(Vec<EnginePeer>) -> R,
-    ) -> Runner<R> {
-        let plan = Arc::new(plan);
-        let nodes = build_peers(&plan, &cfg);
-        let rt = make(nodes);
-        Runner::from_parts(plan, cfg, rt)
-    }
-
-    fn from_parts(plan: Arc<Plan>, cfg: RunnerConfig, rt: R) -> Runner<R> {
-        if cfg.strategy.mode == netrec_prov::ProvMode::Counting {
-            if let Some(rel) = plan.recursive_store() {
-                // Derivation counts grow without bound around a cycle.
-                panic!(
-                    "the counting strategy cannot maintain a recursive plan: store `{}` feeds itself",
-                    plan.catalog.name(rel)
-                );
-            }
-        }
-        let phase_metrics = rt.metrics_snapshot();
-        let phase_events = rt.events_processed();
-        Runner {
-            plan,
-            cfg,
-            rt,
-            phase_metrics,
-            phase_events,
-            serve: None,
-            ckpt: None,
-            ledger: Vec::new(),
-            base_metrics: NetMetrics::default(),
-            base_events: 0,
-        }
     }
 
     /// Enable epoch-barrier checkpointing: from now on, every
@@ -705,7 +657,7 @@ impl<R: Runtime<Msg, EnginePeer>> Runner<R> {
     }
 
     /// The underlying substrate.
-    pub fn runtime(&self) -> &R {
+    pub fn runtime(&self) -> &EngineRuntime {
         &self.rt
     }
 
@@ -729,12 +681,8 @@ impl<R: Runtime<Msg, EnginePeer>> Runner<R> {
             .ingress_of
             .get(&rel)
             .unwrap_or_else(|| panic!("relation `{rel_name}` has no ingress"));
-        let schema = self.plan.catalog.schema(rel);
-        let key_col = schema.partition_col;
-        let peer = match tuple.try_get(key_col).and_then(|v| v.as_addr()) {
-            Some(addr) => self.cfg.partitioner.place(addr),
-            None => PeerId(0),
-        };
+        let key_col = self.plan.catalog.schema(rel).partition_col;
+        let peer = self.cfg.partitioner.place_value(tuple.try_get(key_col));
         let port = Plan::port(ingress, 0);
         let msg = Msg::Base { kind, tuple, ttl };
         if self.ckpt.is_some() {
@@ -1003,5 +951,16 @@ impl<R: Runtime<Msg, EnginePeer>> Runner<R> {
     /// Number of peers.
     pub fn peer_count(&self) -> u32 {
         self.rt.peer_count()
+    }
+}
+
+/// Instantiate the substrate selected by `cfg.runtime` over `nodes` (shared
+/// by [`Runner::new`] and [`Runner::recover`]).
+fn build_runtime(nodes: Vec<EnginePeer>, cfg: &RunnerConfig) -> EngineRuntime {
+    match &cfg.runtime {
+        RuntimeKind::Des(dc) => {
+            EngineRuntime::Des(Simulator::new(nodes, cfg.cluster.clone(), dc.clone()))
+        }
+        RuntimeKind::Sharded(sc) => EngineRuntime::Sharded(ShardedRuntime::new(nodes, sc.clone())),
     }
 }

@@ -97,15 +97,9 @@ fn assert_roundtrip_idempotent(runner: &Runner, strategy: Strategy, ctx: &str) -
     (0..peers)
         .map(|p| {
             let blob = runner.with_peer(PeerId(p), |peer| peer.checkpoint());
-            let restored = EnginePeer::restore(
-                PeerId(p),
-                peers,
-                Arc::clone(&plan),
-                strategy,
-                partitioner,
-                &blob,
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: peer {p} restore failed: {e}"));
+            let restored =
+                EnginePeer::restore(PeerId(p), Arc::clone(&plan), strategy, partitioner, &blob)
+                    .unwrap_or_else(|e| panic!("{ctx}: peer {p} restore failed: {e}"));
             let reencoded = restored.checkpoint();
             assert_eq!(
                 reencoded, blob,
@@ -150,7 +144,6 @@ fn every_truncation_fails_loudly() {
             assert!(
                 EnginePeer::restore(
                     PeerId(p),
-                    peers,
                     Arc::clone(&plan),
                     strategy,
                     partitioner,
@@ -165,15 +158,8 @@ fn every_truncation_fails_loudly() {
         let mut padded = blob.clone();
         padded.push(0);
         assert!(
-            EnginePeer::restore(
-                PeerId(p),
-                peers,
-                Arc::clone(&plan),
-                strategy,
-                partitioner,
-                &padded
-            )
-            .is_err(),
+            EnginePeer::restore(PeerId(p), Arc::clone(&plan), strategy, partitioner, &padded)
+                .is_err(),
             "peer {p}: trailing byte accepted"
         );
     }
@@ -186,21 +172,14 @@ fn dead_variable_beyond_32_bits_is_rejected() {
     let strategy = Strategy::absorption_lazy();
     let partitioner = RunnerConfig::new(strategy, 1).partitioner;
     let plan = Arc::new(reachable_plan());
-    let fresh = EnginePeer::new(PeerId(0), 1, Arc::clone(&plan), strategy, partitioner);
+    let fresh = EnginePeer::new(PeerId(0), Arc::clone(&plan), strategy, partitioner);
     let blob = fresh.checkpoint();
     // Allocator mark 0, then an empty dead-variable list.
     assert_eq!(blob[..2], [0, 0]);
     let with_dead = |var: &[u8]| {
         let bytes = [&[0, 1], var, &blob[2..]].concat();
-        EnginePeer::restore(
-            PeerId(0),
-            1,
-            Arc::clone(&plan),
-            strategy,
-            partitioner,
-            &bytes,
-        )
-        .map(|peer| peer.checkpoint() == bytes)
+        EnginePeer::restore(PeerId(0), Arc::clone(&plan), strategy, partitioner, &bytes)
+            .map(|peer| peer.checkpoint() == bytes)
     };
     assert_eq!(with_dead(&[7]), Ok(true), "an in-range variable restores");
     assert!(matches!(
@@ -256,7 +235,6 @@ proptest! {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 EnginePeer::restore(
                     PeerId(p),
-                    peers,
                     Arc::clone(&plan),
                     strategy,
                     partitioner,

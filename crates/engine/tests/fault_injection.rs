@@ -23,7 +23,7 @@
 
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
-use netrec_sim::{AsyncConfig, FaultPlan, RuntimeKind, ShardedConfig};
+use netrec_sim::{FaultPlan, RuntimeKind, ShardedConfig};
 use netrec_testutil::churn::ChurnCase;
 use netrec_testutil::fixtures::reachable_plan;
 use netrec_testutil::{assert_substrates_agree, run_workload_on};
@@ -46,16 +46,9 @@ fn deletion_strategies() -> Vec<Strategy> {
     ]
 }
 
-fn dilated_async() -> AsyncConfig {
-    AsyncConfig {
-        time_dilation: 0.02,
-        ..AsyncConfig::default()
-    }
-}
-
 fn sharded_async(shards: u32) -> RuntimeKind {
     RuntimeKind::Sharded(ShardedConfig {
-        shard: dilated_async(),
+        time_dilation: 0.02,
         ..ShardedConfig::with_shards(shards)
     })
 }

@@ -13,7 +13,7 @@ use netrec_engine::strategy::Strategy;
 use netrec_engine::update::{Msg, Update};
 use netrec_prov::Prov;
 use netrec_sim::{
-    ClusterSpec, CostModel, NetApi, Partitioner, PeerId, PeerNode, Port, RunBudget, RunOutcome,
+    ClusterSpec, DesConfig, NetApi, Partitioner, PeerId, PeerNode, Port, RunBudget, RunOutcome,
     Runtime, Simulator,
 };
 use netrec_testutil::fixtures::reachable_plan;
@@ -95,7 +95,7 @@ fn scan_steps_are_per_dead_variable(strategy: Strategy) {
     let minship_port = Plan::port(minship_op(&plan), 0);
     let probes: Vec<Probe> = (0..PEERS)
         .map(|p| Probe {
-            peer: EnginePeer::new(PeerId(p), PEERS, Arc::clone(&plan), strategy, partitioner),
+            peer: EnginePeer::new(PeerId(p), Arc::clone(&plan), strategy, partitioner),
             minship_port,
             dead: FxHashSet::default(),
             allowed_steps: 0,
@@ -103,7 +103,7 @@ fn scan_steps_are_per_dead_variable(strategy: Strategy) {
             cause_deletes: 0,
         })
         .collect();
-    let mut sim = Simulator::new(probes, ClusterSpec::single(PEERS), CostModel::default());
+    let mut sim = Simulator::new(probes, ClusterSpec::single(PEERS), DesConfig::default());
 
     let link_rel = plan.catalog.id("link").expect("link relation");
     let ingress = Plan::port(plan.ingress_of[&link_rel], 0);
@@ -246,7 +246,6 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
     let probe_port = Plan::port(OpId(join as u16), JOIN_PROBE);
     let mut peer = EnginePeer::new(
         PeerId(0),
-        PEERS,
         Arc::clone(&plan),
         Strategy::absorption_lazy(),
         Partitioner::Direct { peers: PEERS },

@@ -4,10 +4,11 @@
 //! placements, and constant-group aggregates.
 
 use netrec_engine::expr::{AggFn, Expr};
+use netrec_engine::ops::OpState;
 use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
-use netrec_sim::Partitioner;
+use netrec_sim::{Partitioner, PeerId};
 use netrec_types::{NetAddr, Tuple, UpdateKind, Value};
 
 fn addr(i: u32) -> Value {
@@ -126,6 +127,50 @@ fn direct_and_hash_placement_agree() {
         run(Partitioner::Direct { peers: 5 }),
         run(Partitioner::Hash { peers: 5 })
     );
+}
+
+/// A key's placement is decided once: a base tuple keyed by an integer (not
+/// an address) enters at the peer an exchange on that key routes to, so its
+/// ingress and its view partition are one peer and the hop between them is
+/// local.
+#[test]
+fn integer_keyed_base_tuple_enters_where_its_key_is_routed() {
+    let mut b = PlanBuilder::new();
+    let item = b.edb("item", &["key", "val"], 0);
+    let seen = b.idb("seen", &["key", "val"], 0);
+    let ing = b.ingress(item);
+    let ex = b.exchange(Some(0));
+    let store = b.store(seen, true, None);
+    b.connect(ing, ex, 0);
+    b.connect(ex, store, 0);
+    let cfg = RunnerConfig::new(Strategy::absorption_lazy(), 4);
+    let partitioner = cfg.partitioner;
+    let mut r = Runner::new(b.build().unwrap(), cfg);
+    // A key that does not live on peer 0, where a non-address key used to
+    // enter regardless of where it was routed.
+    let key = (0..)
+        .map(Value::Int)
+        .find(|k| partitioner.place_value(Some(k)) != PeerId(0))
+        .expect("some key hashes off peer 0");
+    let owner = partitioner.place_value(Some(&key));
+    let tuple = Tuple::new(vec![key, Value::Int(7)]);
+    r.inject("item", tuple.clone(), UpdateKind::Insert, None);
+    assert!(r.run_phase("load").converged());
+
+    let var = r
+        .base_var("item", &tuple)
+        .expect("the base tuple got a variable");
+    let holds = |pred: &dyn Fn(&OpState) -> bool| -> Vec<PeerId> {
+        (0..r.peer_count())
+            .map(PeerId)
+            .filter(|&p| r.with_peer(p, |peer| peer.ops().iter().any(pred)))
+            .collect()
+    };
+    let ingress = holds(&|op| matches!(op, OpState::Ingress(i) if i.var_of(&tuple) == Some(var)));
+    let view = holds(&|op| matches!(op, OpState::Store(s) if s.prov_of(&tuple).is_some()));
+    assert_eq!(ingress, vec![owner], "ingress peer");
+    assert_eq!(view, vec![owner], "view partition");
+    assert_eq!(r.metrics().total_msgs(), 0, "the exchange hop stays local");
 }
 
 #[test]

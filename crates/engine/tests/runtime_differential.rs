@@ -29,9 +29,8 @@
 //! the harness pins the physical envelope matrices
 //! (`envelopes`/`envelope_bytes`) byte-identical across substrates — the
 //! flush rule is modelled once — and `assert_identical` additionally runs
-//! the matrix with coalescing *off* (plus a coalescing-off DES via
-//! `run_workload_custom`), pinning the logical per-peer metrics
-//! byte-identical across the two modes. That cross-mode comparison is only
+//! the matrix with coalescing *off* (plus a coalescing-off DES), pinning
+//! the logical per-peer metrics byte-identical across the two modes. That cross-mode comparison is only
 //! sound on this confluent workload; the randomized proptest checks the
 //! weaker mode-independent-fixpoint property instead.
 
@@ -39,9 +38,9 @@ use std::collections::BTreeSet;
 
 use netrec_engine::runner::RunnerConfig;
 use netrec_engine::strategy::Strategy;
-use netrec_sim::{RuntimeKind, ShardAssignment, ShardedConfig, Simulator};
+use netrec_sim::{DesConfig, RuntimeKind, ShardAssignment, ShardedConfig};
 use netrec_testutil::fixtures::{link, reachable_plan};
-use netrec_testutil::{assert_substrates_agree, run_workload_custom, DiffPhase, DiffWorkload};
+use netrec_testutil::{assert_substrates_agree, run_workload_on, DiffPhase, DiffWorkload};
 use netrec_topo::BaseOp;
 use netrec_types::{Duration, NetAddr, Tuple, Value};
 
@@ -86,7 +85,7 @@ fn substrates() -> Vec<RuntimeKind> {
 }
 
 /// A reduced coalescing-off matrix: the one-shard runtime is the reference
-/// (the DES's off-mode is compared separately via [`run_workload_custom`]).
+/// (the DES's off-mode is compared separately, against the on-mode DES).
 fn substrates_coalescing_off() -> Vec<RuntimeKind> {
     vec![
         RuntimeKind::Sharded(ShardedConfig::with_shards(1).with_coalescing(false)),
@@ -117,10 +116,13 @@ fn assert_identical(strategy: Strategy) {
     // per-peer metrics must be byte-identical to the coalescing-on
     // reference — the coalescer merges envelopes, it never changes what the
     // engine ships — and every message degenerates to its own envelope.
-    let cfg = w.config_ref().clone();
-    let des_off = run_workload_custom(&w, |peers| {
-        Simulator::new(peers, cfg.cluster.clone(), cfg.cost).with_coalescing(false)
-    });
+    let des_off = run_workload_on(
+        &w,
+        &RuntimeKind::Des(DesConfig {
+            coalesce: false,
+            fault: None,
+        }),
+    );
     let obs_off = assert_substrates_agree(&w, &substrates_coalescing_off());
     for ((on, des), conc) in obs.iter().zip(&des_off).zip(&obs_off) {
         let phase = &on.label;

@@ -38,7 +38,7 @@
 //! pass).
 
 use netrec_engine::strategy::Strategy;
-use netrec_sim::{AsyncConfig, DesConfig, FaultPlan, RuntimeKind, ShardedConfig};
+use netrec_sim::{DesConfig, FaultPlan, RuntimeKind, ShardedConfig};
 use netrec_testutil::churn::ChurnCase;
 use netrec_testutil::{
     assert_substrates_agree, run_workload_on, run_workload_recovering, DiffWorkload, PhaseObs,
@@ -61,17 +61,10 @@ fn cases_from_env() -> u32 {
 /// `coalesce` switches transport coalescing on every concurrent substrate
 /// (the DES reference always coalesces; relaxed phases compare views, which
 /// must be mode-independent).
-fn dilated_async(coalesce: bool) -> AsyncConfig {
-    AsyncConfig {
-        time_dilation: 0.02,
-        coalesce,
-        ..AsyncConfig::default()
-    }
-}
-
 fn sharded(shards: u32, coalesce: bool) -> RuntimeKind {
     RuntimeKind::Sharded(ShardedConfig {
-        shard: dilated_async(coalesce),
+        time_dilation: 0.02,
+        coalesce,
         ..ShardedConfig::with_shards(shards)
     })
 }

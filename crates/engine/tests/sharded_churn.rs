@@ -13,11 +13,9 @@
 
 use std::collections::BTreeSet;
 
-use netrec_engine::peer::EnginePeer;
-use netrec_engine::runner::{Runner, RunnerConfig};
+use netrec_engine::runner::{EngineRuntime, Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
-use netrec_engine::update::Msg;
-use netrec_sim::{AsyncConfig, RuntimeKind, ShardAssignment, ShardedConfig, ShardedRuntime};
+use netrec_sim::{RuntimeKind, ShardAssignment, ShardedConfig};
 use netrec_testutil::fixtures::{link, reachable_plan};
 use netrec_testutil::{run_workload_on, DiffPhase, DiffWorkload};
 use netrec_topo::BaseOp;
@@ -73,7 +71,7 @@ fn chain_closure(segments: &[&[u32]]) -> BTreeSet<Tuple> {
     pairs(&out)
 }
 
-fn inject_all(runner: &mut Runner<impl netrec_sim::Runtime<Msg, EnginePeer>>, ops: &[BaseOp]) {
+fn inject_all(runner: &mut Runner, ops: &[BaseOp]) {
     for op in ops {
         runner.inject(&op.rel, op.tuple.clone(), op.kind, op.ttl);
     }
@@ -103,10 +101,7 @@ fn dilated_shards(shards: u32) -> ShardedConfig {
     ShardedConfig {
         shards,
         assignment: interleaved(shards),
-        shard: AsyncConfig {
-            time_dilation: 0.05,
-            ..AsyncConfig::default()
-        },
+        time_dilation: 0.05,
         ..ShardedConfig::default()
     }
 }
@@ -117,11 +112,10 @@ fn uncoalesced(shards: u32) -> ShardedConfig {
 
 fn churn_on_sharded(strategy: Strategy, cfg: ShardedConfig) {
     let des = des_views(strategy);
-    let (shards, coalesce) = (cfg.shards, cfg.shard.coalesce);
-    let mut runner = Runner::with_runtime(
+    let (shards, coalesce) = (cfg.shards, cfg.coalesce);
+    let mut runner = Runner::new(
         reachable_plan(),
-        RunnerConfig::direct(strategy, PEERS).with_runtime(RuntimeKind::Sharded(cfg.clone())),
-        |peers| ShardedRuntime::new(peers, cfg),
+        RunnerConfig::direct(strategy, PEERS).with_runtime(RuntimeKind::Sharded(cfg)),
     );
     for ((label, ops), want) in phases().into_iter().zip(des) {
         inject_all(&mut runner, &ops);
@@ -133,7 +127,9 @@ fn churn_on_sharded(strategy: Strategy, cfg: ShardedConfig) {
         // The global fence, asserted on the concrete runtime: no phase ends
         // with a message (cross-shard ones included) or an armed timer in
         // flight anywhere.
-        let rt: &ShardedRuntime<Msg, EnginePeer> = runner.runtime();
+        let EngineRuntime::Sharded(rt) = runner.runtime() else {
+            panic!("a sharded config builds the sharded runtime");
+        };
         assert_eq!(
             rt.pending_events(),
             0,
@@ -174,11 +170,10 @@ fn des_reference_views_are_the_expected_closures() {
 #[test]
 fn coalescing_is_active_on_the_churn_scenario() {
     let cfg = dilated_shards(2);
-    let mut runner = Runner::with_runtime(
+    let mut runner = Runner::new(
         reachable_plan(),
         RunnerConfig::direct(Strategy::absorption_lazy(), PEERS)
-            .with_runtime(RuntimeKind::Sharded(cfg.clone())),
-        |peers| ShardedRuntime::new(peers, cfg),
+            .with_runtime(RuntimeKind::Sharded(cfg)),
     );
     for (label, ops) in phases() {
         inject_all(&mut runner, &ops);

@@ -53,7 +53,7 @@
 //!   around the executor loop covers plumbing panics.
 //!
 //! Timing is wall-clock (timer delays dilated by
-//! [`AsyncConfig::time_dilation`]), convergence "time" is elapsed
+//! [`ShardedConfig::time_dilation`]), convergence "time" is elapsed
 //! wall-clock microseconds, and link latency/bandwidth are not modelled.
 
 use std::cmp::Reverse;
@@ -74,51 +74,9 @@ use crate::des::{NetApi, PeerNode};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics::NetMetrics;
 use crate::net::PeerId;
+use crate::sharded::ShardedConfig;
 use crate::substrate_common::{panic_message, Controller, Shared};
 use crate::tcp::Envelope;
-
-/// Tuning knobs for each executor of the concurrent runtime.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AsyncConfig {
-    /// Wall-clock microseconds slept per simulated microsecond of timer
-    /// delay. `1.0` maps simulated delays to real time; tests compress long
-    /// TTLs with smaller factors.
-    pub time_dilation: f64,
-    /// Whether same-destination sends coalesce into one envelope per
-    /// quantum (on by default; the differential toggle turns it off).
-    pub coalesce: bool,
-    /// Seeded transport fault schedule (`None` = clean delivery). Delays
-    /// are simulated microseconds scaled by `time_dilation`; a faulted peer
-    /// is held on the executor's heap until its dilated deadline, so
-    /// every other peer keeps running through the stall. A seed gives a
-    /// reproducible fault *distribution* here, not an exact schedule — see
-    /// [`mod@crate::fault`].
-    pub fault: Option<FaultPlan>,
-}
-
-impl Default for AsyncConfig {
-    fn default() -> Self {
-        AsyncConfig {
-            time_dilation: 1.0,
-            coalesce: true,
-            fault: None,
-        }
-    }
-}
-
-impl AsyncConfig {
-    /// Enable or disable transport coalescing (builder style).
-    pub fn with_coalescing(mut self, on: bool) -> AsyncConfig {
-        self.coalesce = on;
-        self
-    }
-
-    /// Install a seeded transport fault schedule (builder style).
-    pub fn with_fault(mut self, plan: FaultPlan) -> AsyncConfig {
-        self.fault = Some(plan);
-        self
-    }
-}
 
 /// Global peer → (shard, slot on that shard's executor) placement.
 pub(crate) struct ShardMap {
@@ -572,7 +530,8 @@ pub(crate) struct Shard<M> {
 impl<M: Send + 'static> Shard<M> {
     /// Spawn the executor thread hosting `peers` (slot order, each with its
     /// global id) behind the given ingress channel, on the controller's
-    /// bookkeeping block and clock. Every shard of a session gets the
+    /// bookkeeping block and clock, with the session config's dilation,
+    /// coalescing and fault plan. Every shard of a session gets the
     /// **same** controller, so a single in-flight counter covers the whole
     /// composite: register-before-retire on one atomic certifies global
     /// quiescence with a single load, no matter which shard retires an
@@ -582,7 +541,7 @@ impl<M: Send + 'static> Shard<M> {
         map: &Arc<ShardMap>,
         routes: Vec<Route<M>>,
         (ingress, ingress_rx): (Ingress<M>, Receiver<Inbound<M>>),
-        cfg: &AsyncConfig,
+        cfg: &ShardedConfig,
         ctl: &Controller,
     ) -> Shard<M> {
         debug_assert!(
@@ -673,14 +632,6 @@ mod tests {
     use crate::sharded::tests::{self as scenario, layouts, one_shard};
     use crate::sharded::ShardedRuntime;
     use crate::substrate_common::fixtures::Counter;
-
-    #[test]
-    fn async_config_defaults() {
-        let cfg = AsyncConfig::default();
-        assert_eq!(cfg.time_dilation, 1.0);
-        assert!(cfg.coalesce, "coalescing defaults on");
-        assert_eq!(cfg.fault, None);
-    }
 
     #[test]
     fn async_ping_pong_terminates_with_exact_metrics() {

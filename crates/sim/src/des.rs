@@ -8,7 +8,7 @@
 //!   bandwidth, so a large message delays the ones queued behind it;
 //! * **link latency/bandwidth** — from [`ClusterSpec`];
 //! * **CPU occupancy** — each delivery keeps the receiving peer busy for a
-//!   [`CostModel`]-determined span, so message-heavy strategies (DRed)
+//!   fixed-cost span (20 µs per delivery plus 5 µs per tuple), so message-heavy strategies (DRed)
 //!   converge later even when bandwidth is plentiful;
 //! * **quiescence detection** — the run converges when no events remain;
 //!   convergence time is when the last event finished processing.
@@ -21,8 +21,8 @@ use netrec_types::{Duration, FxHashMap, SimTime};
 use crate::coalesce::{frames, Frame, FrameBody};
 use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics::{MsgMeta, NetMetrics};
-use crate::net::{ClusterSpec, CostModel, PeerId, Port};
-use crate::runtime::Runtime;
+use crate::net::{cpu_cost, ClusterSpec, PeerId, Port};
+use crate::runtime::{DesConfig, Runtime};
 
 pub use crate::runtime::{RunBudget, RunOutcome};
 
@@ -129,7 +129,6 @@ impl<M> Ord for Event<M> {
 pub struct Simulator<M, N> {
     peers: Vec<N>,
     spec: ClusterSpec,
-    cost: CostModel,
     queue: BinaryHeap<Event<M>>,
     seq: u64,
     /// FIFO/bandwidth serialisation point per directed channel.
@@ -139,11 +138,12 @@ pub struct Simulator<M, N> {
     events_processed: u64,
     last_finish: SimTime,
     /// Whether same-destination sends coalesce into one envelope per
-    /// quantum (on by default; the differential toggle turns it off).
+    /// quantum ([`DesConfig::coalesce`]).
     coalesce: bool,
-    /// Seeded transport fault schedule (`None` = clean delivery). Because
-    /// the DES is deterministic, a plan here is **exactly replayable**: the
-    /// same seed perturbs the same envelopes every run.
+    /// Seeded transport fault schedule (`None` = clean delivery; inert
+    /// plans are dropped so the hot path stays fault-free). Because the DES
+    /// is deterministic, a plan here is **exactly replayable**: the same
+    /// seed perturbs the same envelopes every run.
     fault: Option<FaultPlan>,
     /// Per-peer count of routed remote envelopes — the receive index the
     /// fault schedule keys on. Only maintained when `fault` is set.
@@ -157,9 +157,18 @@ pub struct Simulator<M, N> {
 }
 
 impl<M, N: PeerNode<M>> Simulator<M, N> {
-    /// Build a simulator from peers (index = `PeerId`), a cluster model and a
-    /// CPU cost model.
-    pub fn new(peers: Vec<N>, spec: ClusterSpec, cost: CostModel) -> Simulator<M, N> {
+    /// Build a simulator from peers (index = `PeerId`), a cluster model and
+    /// its config. The CPU cost model (module docs) is fixed, not a setting.
+    ///
+    /// With coalescing off, on traffic-confluent workloads the logical
+    /// metrics are byte-identical to coalescing on (pinned by the
+    /// differential harness); on non-confluent workloads only the fixpoint
+    /// is mode-independent — coalescing changes event interleaving, which
+    /// can legitimately change batch composition and therefore logical
+    /// counts (see `runtime_proptest_differential.rs`). The physical
+    /// envelope structure and the modelled per-envelope costs always change.
+    /// See [`mod@crate::fault`] for a fault plan's exact-replay contract.
+    pub fn new(peers: Vec<N>, spec: ClusterSpec, cfg: DesConfig) -> Simulator<M, N> {
         assert_eq!(
             peers.len() as u32,
             spec.peers(),
@@ -169,7 +178,6 @@ impl<M, N: PeerNode<M>> Simulator<M, N> {
         Simulator {
             peers,
             spec,
-            cost,
             queue: BinaryHeap::new(),
             seq: 0,
             chan_clock: FxHashMap::default(),
@@ -177,33 +185,12 @@ impl<M, N: PeerNode<M>> Simulator<M, N> {
             metrics: NetMetrics::new(n as u32),
             events_processed: 0,
             last_finish: SimTime::ZERO,
-            coalesce: true,
-            fault: None,
+            coalesce: cfg.coalesce,
+            fault: cfg.fault.filter(FaultPlan::is_active),
             recv_seq: vec![0; n],
             fault_stats: FaultStats::default(),
             crashed: false,
         }
-    }
-
-    /// Enable or disable transport coalescing (builder style; on by
-    /// default). On traffic-confluent workloads the logical metrics are
-    /// byte-identical in both modes (pinned by the differential harness);
-    /// on non-confluent workloads only the fixpoint is mode-independent —
-    /// coalescing changes event interleaving, which can legitimately change
-    /// batch composition and therefore logical counts (see
-    /// `runtime_proptest_differential.rs`). The physical envelope structure
-    /// and the modelled per-envelope costs always change.
-    pub fn with_coalescing(mut self, on: bool) -> Simulator<M, N> {
-        self.coalesce = on;
-        self
-    }
-
-    /// Install a seeded transport fault schedule (builder style). Inert
-    /// plans are dropped so the hot path stays fault-free. See
-    /// [`mod@crate::fault`] for the exact-replay determinism contract.
-    pub fn with_fault_plan(mut self, plan: Option<FaultPlan>) -> Simulator<M, N> {
-        self.fault = plan.filter(FaultPlan::is_active);
-        self
     }
 
     /// Counters of transport faults injected so far (all zero without an
@@ -282,9 +269,9 @@ impl<M, N: PeerNode<M>> Simulator<M, N> {
             // plus per-tuple work — the modelled form of the win the
             // concurrent substrates get from one channel send per envelope.
             let span = match &ev.kind {
-                EventKind::Deliver { msgs } => self
-                    .cost
-                    .cost(msgs.as_slice().iter().map(|(_, _, m)| m.tuples).sum()),
+                EventKind::Deliver { msgs } => {
+                    cpu_cost(msgs.as_slice().iter().map(|(_, _, m)| m.tuples).sum())
+                }
                 EventKind::Timer { .. } => Duration::ZERO,
             };
             let finish = start + span;
@@ -482,6 +469,7 @@ impl<M, N: PeerNode<M>> Runtime<M, N> for Simulator<M, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::CPU_PER_MESSAGE;
 
     /// Relay test node: forwards each received integer to a destination peer
     /// until the hop count runs out.
@@ -524,7 +512,7 @@ mod tests {
                 forward_to: Some(PeerId(0)),
             },
         ];
-        Simulator::new(peers, ClusterSpec::single(2), CostModel::default())
+        Simulator::new(peers, ClusterSpec::single(2), DesConfig::default())
     }
 
     #[test]
@@ -590,7 +578,7 @@ mod tests {
         let mut sim = Simulator::new(
             vec![Node::S(Sender), Node::R(Recorder(vec![]))],
             ClusterSpec::single(2),
-            CostModel::default(),
+            DesConfig::default(),
         );
         sim.inject(SimTime::ZERO, PeerId(0), Port(0), 0);
         sim.run(RunBudget::default());
@@ -642,9 +630,11 @@ mod tests {
                     Node::R(Sink(vec![])),
                 ],
                 ClusterSpec::single(3),
-                CostModel::default(),
-            )
-            .with_coalescing(coalesce);
+                DesConfig {
+                    coalesce,
+                    fault: None,
+                },
+            );
             sim.inject(SimTime::ZERO, PeerId(0), Port(0), 0);
             assert!(sim.run(RunBudget::default()).converged_at().is_some());
             let m = sim.metrics().clone();
@@ -692,7 +682,7 @@ mod tests {
         let mut sim = Simulator::new(
             vec![T(vec![])],
             ClusterSpec::single(1),
-            CostModel::default(),
+            DesConfig::default(),
         );
         sim.inject(SimTime::ZERO, PeerId(0), Port(0), 0);
         sim.run(RunBudget::default());
@@ -711,7 +701,7 @@ mod tests {
                 net.send(net.me(), Port(0), m + 1, MsgMeta::default());
             }
         }
-        let mut sim = Simulator::new(vec![Loop], ClusterSpec::single(1), CostModel::default());
+        let mut sim = Simulator::new(vec![Loop], ClusterSpec::single(1), DesConfig::default());
         sim.inject(SimTime::ZERO, PeerId(0), Port(0), 0);
         let out = sim.run(RunBudget {
             max_events: 100,
@@ -740,9 +730,11 @@ mod tests {
             let mut sim = Simulator::new(
                 vec![Burst, Burst],
                 ClusterSpec::single(2),
-                CostModel::default(),
-            )
-            .with_fault_plan(Some(FaultPlan::crash_at(crash_at)));
+                DesConfig {
+                    fault: Some(FaultPlan::crash_at(crash_at)),
+                    ..DesConfig::default()
+                },
+            );
             sim.inject(SimTime::ZERO, PeerId(0), Port(0), 0);
             let out = sim.run(RunBudget::default());
             (out, sim.run(RunBudget::default()), sim.events_processed())
@@ -772,24 +764,26 @@ mod tests {
     #[test]
     fn cpu_cost_serialises_a_peer() {
         // Two simultaneous deliveries to one peer: the second is processed
-        // after the first's CPU span.
+        // after the first's CPU span. An injection carries no tuples, so
+        // each span is the per-message constant alone.
         struct T(Vec<SimTime>);
         impl PeerNode<u64> for T {
             fn on_message(&mut self, _p: Port, _m: u64, net: &mut NetApi<u64>) {
                 self.0.push(net.now());
             }
         }
-        let cost = CostModel {
-            per_message: Duration::from_millis(1),
-            per_tuple: Duration::ZERO,
-        };
-        let mut sim = Simulator::new(vec![T(vec![])], ClusterSpec::single(1), cost);
+        let mut sim = Simulator::new(
+            vec![T(vec![])],
+            ClusterSpec::single(1),
+            DesConfig::default(),
+        );
         sim.inject(SimTime::ZERO, PeerId(0), Port(0), 1);
         sim.inject(SimTime::ZERO, PeerId(0), Port(0), 2);
         sim.run(RunBudget::default());
         let times = &sim.peer(PeerId(0)).0;
         assert_eq!(times.len(), 2);
-        assert_eq!(times[0], SimTime(1_000));
-        assert_eq!(times[1], SimTime(2_000));
+        assert_eq!(CPU_PER_MESSAGE, Duration::from_micros(20));
+        assert_eq!(times[0], SimTime::ZERO + CPU_PER_MESSAGE);
+        assert_eq!(times[1], times[0] + CPU_PER_MESSAGE);
     }
 }

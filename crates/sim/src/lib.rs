@@ -6,7 +6,8 @@
 //! substitution ledger):
 //!
 //! * [`des`] — the event-driven runner: peers exchange messages over
-//!   FIFO-per-channel links with a latency + bandwidth + CPU cost model;
+//!   FIFO-per-channel links with a latency + bandwidth + fixed CPU cost
+//!   model, configured by one [`DesConfig`] (coalescing, fault plan);
 //!   one-shot timers drive MinShip's periodic flushes and soft-state expiry;
 //!   the run converges when no events remain (global quiescence), and the
 //!   convergence time is the timestamp of the last processed event —
@@ -31,7 +32,8 @@
 //!   another shard's ingress, or its TCP link — running the same
 //!   [`PeerNode`] logic as the DES; one core hosts thousands of peers.
 //!   Timing is wall-clock rather than modelled.
-//! * [`sharded`] — the one concurrent [`Runtime`]: the peer set partitioned
+//! * [`sharded`] — the one concurrent [`Runtime`], configured by one
+//!   [`ShardedConfig`]: the peer set partitioned
 //!   across N executors (pluggable [`ShardAssignment`]; one shard is the
 //!   "async" runtime) behind one controller, whose single shared in-flight
 //!   counter extends the quiescence/timer-fence contract globally — real
@@ -41,8 +43,9 @@
 //! * [`tcp`] — the supervised TCP shard transport: length-framed,
 //!   CRC-checked loopback sockets between shards under per-link connection
 //!   supervision (reconnect with backoff + jitter, heartbeat failure
-//!   detection, ack-ledger retransmit, sequence dedup) — exactly-once
-//!   per-channel FIFO preserved across connection death.
+//!   detection, ack-ledger retransmit, sequence dedup; its timings are
+//!   constants) — exactly-once per-channel FIFO preserved across
+//!   connection death.
 //! * [`mod@coalesce`] — the transport batching layer every substrate shares:
 //!   same-destination messages from one scheduling quantum merge into one
 //!   physical [`Frame`] (one channel send, one in-flight count, one wake),
@@ -68,12 +71,11 @@ pub mod sharded;
 mod substrate_common;
 pub mod tcp;
 
-pub use async_rt::AsyncConfig;
 pub use coalesce::{coalesce, frames, Frame, FrameBody, Frames};
 pub use des::{NetApi, PeerNode, Simulator};
 pub use fault::{FaultDecision, FaultPlan, FaultStats};
 pub use metrics::{EnvelopeMeta, MsgMeta, NetMetrics, PeerMetrics};
-pub use net::{ClusterSpec, CostModel, Partitioner, PeerId, Port};
+pub use net::{ClusterSpec, Partitioner, PeerId, Port};
 pub use runtime::{DesConfig, RunBudget, RunOutcome, Runtime, RuntimeKind};
 pub use sharded::{ShardAssignment, ShardedConfig, ShardedRuntime, TransportKind};
-pub use tcp::{LinkState, TcpConfig, WireMsg};
+pub use tcp::{LinkState, WireMsg};

@@ -1,6 +1,6 @@
 //! Cluster network model and partitioning.
 
-use netrec_types::{Duration, NetAddr};
+use netrec_types::{fx_hash_one, Duration, NetAddr, Value};
 
 /// Physical query-processor peer (the paper's "query processing node").
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,6 +53,19 @@ impl Partitioner {
                     .wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
                 PeerId(((h >> 32) % u64::from(peers)) as u32)
             }
+        }
+    }
+
+    /// The peer owning a tuple's partition value — the one placement rule
+    /// for base ingress and every routed batch. An address goes through
+    /// [`Partitioner::place`]; any other key (region ids, costs) is hashed
+    /// stably, straight off the value; `None` (a global aggregate, or no
+    /// partition column) lives on peer 0.
+    pub fn place_value(&self, value: Option<&Value>) -> PeerId {
+        match value {
+            None => PeerId(0),
+            Some(Value::Addr(a)) => self.place(*a),
+            Some(other) => PeerId((fx_hash_one(other) % u64::from(self.peers())) as u32),
         }
     }
 }
@@ -128,32 +141,17 @@ impl ClusterSpec {
     }
 }
 
-/// CPU cost model: how long a peer is busy processing one message. Keeps
-/// convergence-time measurements sensitive to message *counts* (DRed's extra
-/// rounds cost time even on an idle network), like real per-tuple processing
-/// did on the paper's testbed.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Fixed cost per received message.
-    pub per_message: Duration,
-    /// Additional cost per tuple in the message.
-    pub per_tuple: Duration,
-}
+/// CPU cost model, fixed part: how long a DES peer is busy processing one
+/// delivery. Keeps convergence-time measurements sensitive to message
+/// *counts* (DRed's extra rounds cost time even on an idle network), like
+/// real per-tuple processing did on the paper's testbed.
+pub(crate) const CPU_PER_MESSAGE: Duration = Duration::from_micros(20);
+/// CPU cost model, additional cost per tuple in a delivery.
+pub(crate) const CPU_PER_TUPLE: Duration = Duration::from_micros(5);
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            per_message: Duration::from_micros(20),
-            per_tuple: Duration::from_micros(5),
-        }
-    }
-}
-
-impl CostModel {
-    /// Busy time charged to a peer for one delivery.
-    pub fn cost(&self, tuples: u32) -> Duration {
-        self.per_message + self.per_tuple.saturating_mul(u64::from(tuples))
-    }
+/// Busy time the DES charges a peer for one delivery of `tuples` tuples.
+pub(crate) fn cpu_cost(tuples: u32) -> Duration {
+    CPU_PER_MESSAGE + CPU_PER_TUPLE.saturating_mul(u64::from(tuples))
 }
 
 #[cfg(test)]
@@ -211,8 +209,27 @@ mod tests {
 
     #[test]
     fn cost_model_scales_with_tuples() {
-        let c = CostModel::default();
-        assert!(c.cost(10) > c.cost(1));
-        assert_eq!(c.cost(0), c.per_message);
+        assert!(cpu_cost(10) > cpu_cost(1));
+        assert_eq!(cpu_cost(0), CPU_PER_MESSAGE);
+        assert_eq!(cpu_cost(2), Duration::from_micros(30));
+    }
+
+    /// One placement rule for every partition value: addresses through
+    /// `place`, other keys by a stable hash, `None` on peer 0.
+    #[test]
+    fn place_value_routes_addresses_like_place_and_hashes_the_rest() {
+        let p = Partitioner::Hash { peers: 4 };
+        for i in 0..50u32 {
+            assert_eq!(
+                p.place_value(Some(&Value::Addr(NetAddr(i)))),
+                p.place(NetAddr(i))
+            );
+        }
+        assert_eq!(p.place_value(None), PeerId(0));
+        let placed: Vec<PeerId> = (0..50i64)
+            .map(|i| p.place_value(Some(&Value::Int(i))))
+            .collect();
+        assert!(placed.iter().all(|peer| peer.0 < 4));
+        assert!(placed.iter().any(|peer| peer.0 != 0), "keys spread");
     }
 }

@@ -124,11 +124,12 @@ impl RunOutcome {
     }
 }
 
-/// Tuning knobs for the deterministic discrete-event simulator, mirroring
-/// the concurrent substrates' config structs so every [`RuntimeKind`]
-/// variant — the DES included — is fully described by its configuration
-/// (coalescing toggled off, a fault schedule installed) instead of needing
-/// a hand-built runtime.
+/// The deterministic discrete-event simulator's one config, taken by
+/// [`Simulator::new`](crate::des::Simulator::new) the way
+/// [`ShardedRuntime::new`](crate::sharded::ShardedRuntime::new) takes a
+/// [`ShardedConfig`], so every [`RuntimeKind`] variant — the DES included —
+/// is fully described by its configuration (coalescing toggled off, a fault
+/// schedule installed).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DesConfig {
     /// Whether same-destination sends coalesce into one envelope per
@@ -200,7 +201,7 @@ impl RuntimeKind {
     pub fn with_fault(mut self, plan: FaultPlan) -> RuntimeKind {
         match &mut self {
             RuntimeKind::Des(cfg) => cfg.fault = Some(plan),
-            RuntimeKind::Sharded(cfg) => cfg.shard.fault = Some(plan),
+            RuntimeKind::Sharded(cfg) => cfg.fault = Some(plan),
         }
         self
     }
@@ -219,7 +220,7 @@ impl RuntimeKind {
         };
         match &mut self {
             RuntimeKind::Des(cfg) => strip(&mut cfg.fault),
-            RuntimeKind::Sharded(cfg) => strip(&mut cfg.shard.fault),
+            RuntimeKind::Sharded(cfg) => strip(&mut cfg.fault),
         }
         self
     }
@@ -241,7 +242,7 @@ impl RuntimeKind {
 /// A `Runtime` is a long-lived **session** driven in **phases**; every
 /// substrate — deterministic simulation, one event loop, many shards —
 /// must honor the same four clauses, which is what lets one
-/// generic driver (`netrec-engine`'s `Runner`) and one differential harness
+/// driver (`netrec-engine`'s `Runner`) and one differential harness
 /// (`netrec_testutil::assert_substrates_agree`) cover them all:
 ///
 /// 1. **Inject at the frontier.** [`Runtime::inject`] enqueues an external

@@ -59,7 +59,7 @@ use std::sync::Arc;
 use netrec_types::SimTime;
 use parking_lot::Mutex;
 
-use crate::async_rt::{AsyncConfig, Ingress, Route, Shard, ShardMap};
+use crate::async_rt::{Ingress, Route, Shard, ShardMap};
 use crate::coalesce::FrameBody;
 use crate::des::PeerNode;
 use crate::fault::{FaultPlan, FaultStats};
@@ -67,7 +67,7 @@ use crate::metrics::{MsgMeta, NetMetrics};
 use crate::net::{PeerId, Port};
 use crate::runtime::{RunBudget, RunOutcome, Runtime};
 use crate::substrate_common::Controller;
-use crate::tcp::{TcpConfig, TcpTransport, WireMsg};
+use crate::tcp::{TcpTransport, WireMsg};
 
 /// Strategy for placing global peers onto shards.
 #[derive(Clone, Debug, PartialEq)]
@@ -120,32 +120,43 @@ impl ShardAssignment {
 /// traffic always goes straight into the hosting executor's inboxes; only
 /// the cross-shard seam is pluggable — it is exactly where
 /// one-shard-per-box puts the network.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
     /// In-process: the sending executor makes the destination shard's
     /// ingress send itself (the default, and the reference the TCP
     /// transport is pinned against).
-    #[default]
     Channel,
     /// Loopback TCP: length-framed, CRC-checked sockets between shards,
     /// under per-link connection supervision (reconnect/backoff, heartbeat
     /// failure detection, ack-ledger retransmit) — see [`mod@crate::tcp`].
-    Tcp(TcpConfig),
+    Tcp,
 }
 
-/// Tuning knobs for the concurrent runtime.
+/// The concurrent runtime's one config: the shard layout, the transport
+/// between shards, and what every executor runs with.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardedConfig {
     /// Number of shards (executor threads).
     pub shards: u32,
     /// Peer → shard placement.
     pub assignment: ShardAssignment,
-    /// Tuning for each shard's executor (timer dilation, coalescing, fault
-    /// plan).
-    pub shard: AsyncConfig,
     /// Physical cross-shard transport: in-process channels (default) or
     /// supervised loopback TCP.
     pub transport: TransportKind,
+    /// Wall-clock microseconds slept per simulated microsecond of timer
+    /// delay. `1.0` maps simulated delays to real time; tests compress long
+    /// TTLs with smaller factors.
+    pub time_dilation: f64,
+    /// Whether same-destination sends coalesce into one envelope per
+    /// quantum (on by default; the differential toggle turns it off).
+    pub coalesce: bool,
+    /// Seeded transport fault schedule (`None` = clean delivery). Delays
+    /// are simulated microseconds scaled by `time_dilation`; a faulted peer
+    /// is held on its executor's heap until its dilated deadline, so every
+    /// other peer keeps running through the stall. A seed gives a
+    /// reproducible fault *distribution* here, not an exact schedule — see
+    /// [`mod@crate::fault`].
+    pub fault: Option<FaultPlan>,
 }
 
 impl Default for ShardedConfig {
@@ -153,8 +164,10 @@ impl Default for ShardedConfig {
         ShardedConfig {
             shards: 2,
             assignment: ShardAssignment::Hash,
-            shard: AsyncConfig::default(),
             transport: TransportKind::Channel,
+            time_dilation: 1.0,
+            coalesce: true,
+            fault: None,
         }
     }
 }
@@ -176,7 +189,7 @@ impl ShardedConfig {
 
     /// Enable or disable transport coalescing (builder style).
     pub fn with_coalescing(mut self, on: bool) -> ShardedConfig {
-        self.shard.coalesce = on;
+        self.coalesce = on;
         self
     }
 
@@ -189,27 +202,22 @@ impl ShardedConfig {
     /// does within one executor. (Which envelope a receive index lands on
     /// still follows real scheduling — see [`mod@crate::fault`].)
     pub fn with_fault(mut self, plan: FaultPlan) -> ShardedConfig {
-        self.shard.fault = Some(plan);
+        self.fault = Some(plan);
         self
     }
 
-    /// Select the cross-shard transport (builder style).
-    pub fn with_transport(mut self, transport: TransportKind) -> ShardedConfig {
-        self.transport = transport;
+    /// Route cross-shard envelopes over supervised loopback TCP (builder
+    /// style).
+    pub fn with_tcp(mut self) -> ShardedConfig {
+        self.transport = TransportKind::Tcp;
         self
-    }
-
-    /// Route cross-shard envelopes over supervised loopback TCP with
-    /// default tuning (builder style).
-    pub fn with_tcp(self) -> ShardedConfig {
-        self.with_transport(TransportKind::Tcp(TcpConfig::default()))
     }
 
     /// Short substrate label for reports and bench entries; one shard
     /// with nothing to cross is plain "async".
     pub fn label(&self) -> &'static str {
-        match (&self.transport, self.shards) {
-            (TransportKind::Tcp(_), _) => "sharded-async-tcp",
+        match (self.transport, self.shards) {
+            (TransportKind::Tcp, _) => "sharded-async-tcp",
             (TransportKind::Channel, 0 | 1) => "async",
             (TransportKind::Channel, _) => "sharded-async",
         }
@@ -254,7 +262,7 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
             .map(|p| cfg.assignment.shard_of(PeerId(p), n, shards_n))
             .collect();
         let map = Arc::new(ShardMap::new(shard_of, shards_n));
-        let ctl = Controller::new(cfg.shard.fault.map_or(0, |p| p.crash_at_event));
+        let ctl = Controller::new(cfg.fault.map_or(0, |p| p.crash_at_event));
         // The ingress channels come first: every other executor (or TCP
         // receive handler) holds the sending halves, each executor its
         // receiver.
@@ -264,12 +272,11 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
         let ingress: Vec<Ingress<M>> = lanes.iter().map(|(tx, _)| tx.clone()).collect();
         // TCP mode: bind listeners and spawn the supervised links now, so
         // each executor's route table can hold its shard's link queues.
-        let (tcp, mut links) = match &cfg.transport {
+        let (tcp, mut links) = match cfg.transport {
             TransportKind::Channel => (None, None),
-            TransportKind::Tcp(tcp_cfg) => {
+            TransportKind::Tcp => {
                 let (tcp, links) = TcpTransport::new(
-                    tcp_cfg,
-                    cfg.shard.fault,
+                    cfg.fault,
                     Arc::clone(&map),
                     &ingress,
                     Arc::clone(&ctl.shared),
@@ -299,7 +306,7 @@ impl<M: WireMsg + 'static, N: PeerNode<M> + Send + 'static> ShardedRuntime<M, N>
                         Some(links) => Route::Tcp(links[from][to].take().expect("link queue")),
                     })
                     .collect();
-                Shard::spawn(peers, &map, routes, lane, &cfg.shard, &ctl)
+                Shard::spawn(peers, &map, routes, lane, &cfg, &ctl)
             })
             .collect();
         ShardedRuntime {
@@ -695,13 +702,8 @@ pub(crate) mod tests {
                 }
             }
         }
-        for transport in [
-            TransportKind::Channel,
-            TransportKind::Tcp(TcpConfig::default()),
-        ] {
-            let cfg = ShardedConfig::with_shards(3)
-                .with_coalescing(false)
-                .with_transport(transport);
+        let channel = ShardedConfig::with_shards(3).with_coalescing(false);
+        for cfg in [channel.clone(), channel.with_tcp()] {
             let peers = (0..PEERS)
                 .map(|_| Streamer {
                     sent: 0,
@@ -740,7 +742,7 @@ pub(crate) mod tests {
             assert_eq!(rt.events_processed(), 201, "logical events: inject + 200");
             (rt.metrics_snapshot(), rt.with_peer(PeerId(1), Burst::got))
         };
-        assert!(cfg.shard.coalesce, "coalescing defaults on");
+        assert!(cfg.coalesce, "coalescing defaults on");
         let (on, got) = run(cfg.clone());
         assert_eq!(on.total_msgs(), 200, "logical count is per message");
         assert_eq!(on.total_envelopes(), 1, "one transport envelope");
@@ -776,7 +778,7 @@ pub(crate) mod tests {
             (rt.metrics_snapshot(), rt.fault_stats())
         };
         for cfg in [one_shard(), split_pair(), split_pair_tcp()] {
-            assert_eq!(cfg.shard.time_dilation, 1.0);
+            assert_eq!((cfg.time_dilation, cfg.fault), (1.0, None), "defaults");
             let label = cfg.label();
             let (clean, _) = run(cfg.clone());
             let (cut, stats) = run(cfg.with_fault(FaultPlan::partition(seed, 0, 50_000)));

@@ -92,36 +92,29 @@ impl WireMsg for u64 {
     }
 }
 
-/// Tuning for the TCP transport and its connection supervisor. All
-/// durations are wall-clock: the supervisor reacts to a real socket, not
-/// simulated time.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TcpConfig {
-    /// Idle-link heartbeat period.
-    pub heartbeat_interval: WallDuration,
-    /// Declare the link dead after this long without any inbound frame
-    /// (ack or heartbeat-ack) while frames are outstanding.
-    pub heartbeat_timeout: WallDuration,
-    /// First reconnect backoff; doubles per failed attempt.
-    pub backoff_base: WallDuration,
-    /// Backoff ceiling.
-    pub backoff_max: WallDuration,
-    /// Socket read poll used by the supervisor and the accept handlers;
-    /// also bounds teardown latency.
-    pub read_timeout: WallDuration,
-}
+// Supervisor timing. All durations are wall-clock: the supervisor reacts
+// to a real socket, not simulated time.
 
-impl Default for TcpConfig {
-    fn default() -> TcpConfig {
-        TcpConfig {
-            heartbeat_interval: WallDuration::from_millis(5),
-            heartbeat_timeout: WallDuration::from_millis(25),
-            backoff_base: WallDuration::from_micros(500),
-            backoff_max: WallDuration::from_millis(20),
-            read_timeout: WallDuration::from_millis(1),
-        }
-    }
-}
+/// Idle-link heartbeat period.
+const HEARTBEAT_INTERVAL: WallDuration = WallDuration::from_millis(5);
+/// Declare the link dead after this long without any inbound frame (ack or
+/// heartbeat-ack) while frames are outstanding.
+const HEARTBEAT_TIMEOUT: WallDuration = WallDuration::from_millis(25);
+/// First reconnect backoff; doubles per failed attempt.
+const BACKOFF_BASE: WallDuration = WallDuration::from_micros(500);
+/// Backoff ceiling.
+const BACKOFF_MAX: WallDuration = WallDuration::from_millis(20);
+/// Socket read poll used by the supervisor and the accept handlers; also
+/// bounds teardown latency.
+const READ_TIMEOUT: WallDuration = WallDuration::from_millis(1);
+
+// What the supervisor loop assumes of those values. A link turns Degraded
+// at half the timeout, so at least one heartbeat must go out before that.
+const _: () = assert!(HEARTBEAT_TIMEOUT.as_micros() / 2 > HEARTBEAT_INTERVAL.as_micros());
+// One loop turn blocks for up to one read poll, so a shorter heartbeat
+// period could not be kept.
+const _: () = assert!(HEARTBEAT_INTERVAL.as_micros() >= READ_TIMEOUT.as_micros());
+const _: () = assert!(BACKOFF_BASE.as_micros() <= BACKOFF_MAX.as_micros());
 
 /// Observable state of one directed link's supervisor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,7 +250,6 @@ impl TcpTransport {
     /// handle per shard), spawn the accept side, and spawn one supervisor
     /// per directed shard pair, returning the queues that feed them.
     pub(crate) fn new<M: WireMsg + 'static>(
-        cfg: &TcpConfig,
         plan: Option<FaultPlan>,
         map: Arc<ShardMap>,
         ingress: &[Ingress<M>],
@@ -286,7 +278,6 @@ impl TcpTransport {
                 ingress: ingress.clone(),
                 shared: Arc::clone(&shared),
                 plan,
-                read_timeout: cfg.read_timeout,
             };
             threads.push(std::thread::spawn(move || acceptor.run()));
         }
@@ -306,7 +297,6 @@ impl TcpTransport {
                     addr,
                     link: link_id(from_shard as u32, to_shard as u32),
                     state_slot: from_shard * n + to_shard,
-                    cfg: cfg.clone(),
                     plan,
                     shared: Arc::clone(&shared),
                     stats: Arc::clone(&stats),
@@ -338,7 +328,7 @@ impl TcpTransport {
     }
 
     /// Join every transport thread. The caller must already have set the
-    /// shared teardown flag — every loop polls it within `read_timeout`.
+    /// shared teardown flag — every loop polls it within [`READ_TIMEOUT`].
     pub(crate) fn shutdown(&mut self) {
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -361,7 +351,6 @@ struct Acceptor<M: WireMsg> {
     ingress: Ingress<M>,
     shared: Arc<Shared>,
     plan: Option<FaultPlan>,
-    read_timeout: WallDuration,
 }
 
 impl<M: WireMsg + 'static> Acceptor<M> {
@@ -381,12 +370,11 @@ impl<M: WireMsg + 'static> Acceptor<M> {
                         ingress: self.ingress.clone(),
                         shared: Arc::clone(&self.shared),
                         plan: self.plan,
-                        read_timeout: self.read_timeout,
                     };
                     handlers.push(std::thread::spawn(move || h.run()));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.read_timeout);
+                    std::thread::sleep(READ_TIMEOUT);
                 }
                 Err(_) => break,
             }
@@ -409,12 +397,11 @@ struct Handler<M: WireMsg> {
     ingress: Ingress<M>,
     shared: Arc<Shared>,
     plan: Option<FaultPlan>,
-    read_timeout: WallDuration,
 }
 
 impl<M: WireMsg> Handler<M> {
     fn run(mut self) {
-        if self.sock.set_read_timeout(Some(self.read_timeout)).is_err() {
+        if self.sock.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
             return;
         }
         let _ = self.sock.set_nodelay(true);
@@ -486,7 +473,7 @@ impl<M: WireMsg> Handler<M> {
                         if self.shared.shutting_down.load(Ordering::SeqCst) {
                             return false;
                         }
-                        std::thread::sleep(self.read_timeout);
+                        std::thread::sleep(READ_TIMEOUT);
                     }
                 }
                 true
@@ -555,7 +542,6 @@ struct Supervisor<M: WireMsg> {
     addr: SocketAddr,
     link: u64,
     state_slot: usize,
-    cfg: TcpConfig,
     plan: Option<FaultPlan>,
     shared: Arc<Shared>,
     stats: Arc<Mutex<FaultStats>>,
@@ -597,7 +583,7 @@ impl<M: WireMsg> Supervisor<M> {
             fails: 0,
             established_once: false,
             next_attempt_at: Instant::now(),
-            next_hb: Instant::now() + self.cfg.heartbeat_interval,
+            next_hb: Instant::now() + HEARTBEAT_INTERVAL,
             last_inbound: Instant::now(),
             acked: 0,
             read_buf: Vec::new(),
@@ -630,7 +616,7 @@ impl<M: WireMsg> Supervisor<M> {
                         s.fails = 0;
                         s.conn = Some(sock);
                         s.last_inbound = Instant::now();
-                        s.next_hb = Instant::now() + self.cfg.heartbeat_interval;
+                        s.next_hb = Instant::now() + HEARTBEAT_INTERVAL;
                         self.set_state(LinkState::Established);
                         // Replay the unacked tail in order.
                         if !s.ledger.is_empty() {
@@ -693,17 +679,17 @@ impl<M: WireMsg> Supervisor<M> {
                     if c.write_all(&out).is_err() {
                         self.kill(&mut s);
                     } else {
-                        s.next_hb = now + self.cfg.heartbeat_interval;
+                        s.next_hb = now + HEARTBEAT_INTERVAL;
                     }
                 }
             }
             if s.conn.is_some() {
                 // Failure detection: silence past the timeout is a verdict.
                 let silent = s.last_inbound.elapsed();
-                if silent >= self.cfg.heartbeat_timeout {
+                if silent >= HEARTBEAT_TIMEOUT {
                     self.stats.lock().heartbeat_timeouts += 1;
                     self.kill(&mut s);
-                } else if silent >= self.cfg.heartbeat_timeout / 2 && !s.ledger.is_empty() {
+                } else if silent >= HEARTBEAT_TIMEOUT / 2 && !s.ledger.is_empty() {
                     self.set_state(LinkState::Degraded);
                 } else {
                     self.set_state(LinkState::Established);
@@ -714,7 +700,7 @@ impl<M: WireMsg> Supervisor<M> {
                 // Block briefly for new work; read polling resumes on wake.
                 // Handled inline: re-queueing it for the next turn's drain
                 // would lose its place in the order.
-                if let Ok(env) = self.rx.recv_timeout(self.cfg.read_timeout) {
+                if let Ok(env) = self.rx.recv_timeout(READ_TIMEOUT) {
                     self.enqueue(&mut s, env);
                 }
             }
@@ -754,7 +740,7 @@ impl<M: WireMsg> Supervisor<M> {
     fn connect(&self, attempt: u64) -> std::io::Result<TcpStream> {
         let sock = TcpStream::connect(self.addr)?;
         sock.set_nodelay(true)?;
-        sock.set_read_timeout(Some(self.cfg.read_timeout))?;
+        sock.set_read_timeout(Some(READ_TIMEOUT))?;
         let mut hello = Vec::with_capacity(24);
         let mut payload = Vec::with_capacity(12);
         put_varint(&mut payload, self.link >> 32);
@@ -848,11 +834,9 @@ impl<M: WireMsg> Supervisor<M> {
     /// up, so recovery after a one-off death starts at the base delay.
     fn backoff(&self, fails: u64) -> WallDuration {
         let exp = fails.min(16) as u32;
-        let raw = self
-            .cfg
-            .backoff_base
+        let raw = BACKOFF_BASE
             .saturating_mul(2u32.saturating_pow(exp))
-            .min(self.cfg.backoff_max);
+            .min(BACKOFF_MAX);
         let seed = self.plan.map_or(0, |p| p.seed);
         let jitter_pm = 500 + mix(seed ^ self.link ^ fails) % 1000; // 0.5–1.5×
         WallDuration::from_micros((raw.as_micros() as u64 * jitter_pm) / 1000)
@@ -939,7 +923,6 @@ mod tests {
             ingress,
             shared: Arc::clone(&ctl.shared),
             plan: None,
-            read_timeout: TcpConfig::default().read_timeout,
         };
         let data_for = |to: u32| {
             let mut payload = Vec::new();

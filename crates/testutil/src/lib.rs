@@ -37,19 +37,17 @@
 //!
 //! For substrate-specific invariants (e.g. the sharded runtime's
 //! cross-shard fence), run the workload by hand with
-//! [`run_workload_on`]-style drivers and inspect the concrete runtime via
-//! `Runner::with_runtime` / `Runner::runtime`.
+//! [`run_workload_on`]-style drivers and match on `Runner::runtime` for the
+//! concrete substrate.
 //!
 //! DESIGN.md: "Runtimes", subsection "Adding a substrate — and getting the
 //! differential harness for free".
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use netrec_engine::peer::EnginePeer;
 use netrec_engine::plan::Plan;
 use netrec_engine::runner::{Runner, RunnerConfig};
-use netrec_engine::update::Msg;
-use netrec_sim::{NetMetrics, Runtime, RuntimeKind};
+use netrec_sim::{NetMetrics, RuntimeKind};
 use netrec_topo::BaseOp;
 use netrec_types::Tuple;
 
@@ -303,8 +301,7 @@ impl DiffWorkload {
     }
 
     /// The base runner configuration (the harness swaps `runtime` per
-    /// substrate; custom-runtime drivers need the cluster/cost/strategy
-    /// fields to build their substrate by hand).
+    /// substrate; hand-written drivers start from it).
     pub fn config_ref(&self) -> &RunnerConfig {
         &self.config
     }
@@ -338,22 +335,7 @@ pub fn run_workload_on(w: &DiffWorkload, kind: &RuntimeKind) -> Vec<PhaseObs> {
     drive_phases(w, Runner::new((w.plan)(), cfg))
 }
 
-/// Run the workload on an explicitly-constructed substrate — for
-/// configurations [`RuntimeKind`] cannot express, e.g. a DES with transport
-/// coalescing disabled (the proptest differential's toggle dimension). The
-/// closure receives the instantiated peers, as in `Runner::with_runtime`.
-pub fn run_workload_custom<R: Runtime<Msg, EnginePeer>>(
-    w: &DiffWorkload,
-    make: impl FnOnce(Vec<EnginePeer>) -> R,
-) -> Vec<PhaseObs> {
-    let runner = Runner::with_runtime((w.plan)(), w.config.clone(), make);
-    drive_phases(w, runner)
-}
-
-fn drive_phases<R: Runtime<Msg, EnginePeer>>(
-    w: &DiffWorkload,
-    mut runner: Runner<R>,
-) -> Vec<PhaseObs> {
+fn drive_phases(w: &DiffWorkload, mut runner: Runner) -> Vec<PhaseObs> {
     w.phases
         .iter()
         .map(|phase| {

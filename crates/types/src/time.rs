@@ -41,7 +41,7 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Build from microseconds.
-    pub fn from_micros(us: u64) -> Duration {
+    pub const fn from_micros(us: u64) -> Duration {
         Duration(us)
     }
 
