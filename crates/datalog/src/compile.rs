@@ -118,7 +118,7 @@ pub(crate) fn analyse(ast: &AstProgram) -> Result<Vec<RelInfo>, CompileError> {
     let idb = ast.idb_relations();
     let mut rels: Vec<RelInfo> = Vec::new();
     let mut seen: HashMap<String, usize> = HashMap::new();
-    let mut note = |atom: &AstAtom, is_head: bool, rels: &mut Vec<RelInfo>| {
+    let mut note = |atom: &AstAtom, rels: &mut Vec<RelInfo>| {
         match seen.get(&atom.name) {
             Some(&idx) => {
                 let info: &RelInfo = &rels[idx];
@@ -140,14 +140,13 @@ pub(crate) fn analyse(ast: &AstProgram) -> Result<Vec<RelInfo>, CompileError> {
                 });
             }
         }
-        let _ = is_head;
         Ok(())
     };
     for rule in &ast.rules {
-        note(&rule.head, true, &mut rels)?;
+        note(&rule.head, &mut rels)?;
         for lit in &rule.body {
             if let BodyLit::Atom(a) = lit {
-                note(a, false, &mut rels)?;
+                note(a, &mut rels)?;
             }
         }
     }
@@ -159,9 +158,6 @@ pub(crate) struct RuleBindings {
     pub(crate) var_col: HashMap<String, usize>,
     /// Equality filters from repeated variables / constants inside atoms.
     pub(crate) eq_preds: Vec<Pred>,
-    /// Total row width (sum of body-atom arities).
-    #[allow(dead_code)]
-    pub(crate) width: usize,
 }
 
 pub(crate) fn bind_body(atoms: &[&AstAtom]) -> RuleBindings {
@@ -199,11 +195,7 @@ pub(crate) fn bind_body(atoms: &[&AstAtom]) -> RuleBindings {
             col += 1;
         }
     }
-    RuleBindings {
-        var_col,
-        eq_preds,
-        width: col,
-    }
+    RuleBindings { var_col, eq_preds }
 }
 
 pub(crate) fn lower_expr(

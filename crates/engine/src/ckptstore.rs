@@ -12,6 +12,13 @@
 //! the same loud [`WireError`] instead of decoding garbage. Writes go to
 //! a temp file first and `rename` into place, so a crash mid-write never
 //! leaves a half-valid epoch under the real name.
+//!
+//! Inside the frame, the epoch body is written in the checkpoint codec's
+//! vocabulary (`checkpoint.rs`), like the peer blobs it carries: the blobs
+//! as a sequence of byte strings, the nine counters of each peer's
+//! [`PeerMetrics`] in declaration order, the event
+//! count and the replay-ledger length. The only check here that is not a
+//! format rule is the frame's own: kind, epoch and trailing bytes.
 
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write as IoWrite};
@@ -22,9 +29,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration as WallDuration;
 
-use netrec_sim::NetMetrics;
+use netrec_sim::{NetMetrics, PeerMetrics};
 use netrec_types::wire::{self, StreamFrame, WireError};
 
+use crate::checkpoint::{put_bytes, put_count, Field, Reader};
 use crate::runner::EpochCheckpoint;
 
 /// Frame kind of a serialised checkpoint (file format and PUT payload).
@@ -42,32 +50,18 @@ const IO_ERR: WireError = WireError::Corrupt("checkpoint store io error");
 // --- Codec ----------------------------------------------------------------
 
 /// Serialise one checkpoint into its canonical durable form: a single
-/// CRC-checked stream frame keyed by the epoch.
+/// CRC-checked stream frame keyed by the epoch, whose body is the peer
+/// blobs, the per-peer metric counters, the event count and the ledger
+/// length.
 pub fn encode_checkpoint(epoch: u64, ck: &EpochCheckpoint) -> Vec<u8> {
     let mut body = Vec::new();
-    wire::put_varint(&mut body, ck.peer_blobs.len() as u64);
+    put_count(&mut body, ck.peer_blobs.len());
     for blob in &ck.peer_blobs {
-        wire::put_varint(&mut body, blob.len() as u64);
-        body.extend_from_slice(blob);
+        put_bytes(&mut body, blob);
     }
-    wire::put_varint(&mut body, ck.metrics.per_peer.len() as u64);
-    for p in &ck.metrics.per_peer {
-        for v in [
-            p.msgs_sent,
-            p.bytes_sent,
-            p.prov_bytes_sent,
-            p.tuples_sent,
-            p.msgs_recv,
-            p.bytes_recv,
-            p.envelopes_sent,
-            p.envelope_bytes_sent,
-            p.envelopes_recv,
-        ] {
-            wire::put_varint(&mut body, v);
-        }
-    }
-    wire::put_varint(&mut body, ck.events);
-    wire::put_varint(&mut body, ck.ledger_len as u64);
+    ck.metrics.per_peer.put(&mut body);
+    ck.events.put(&mut body);
+    (ck.ledger_len as u64).put(&mut body);
     let mut out = Vec::with_capacity(body.len() + 16);
     wire::put_stream_frame(&mut out, K_CKPT, epoch, &body);
     out
@@ -87,47 +81,52 @@ pub fn decode_checkpoint(epoch: u64, bytes: &[u8]) -> Result<EpochCheckpoint, Wi
     if frame.seq != epoch {
         return Err(WireError::Corrupt("checkpoint epoch mismatch"));
     }
-    let mut buf = frame.payload.as_slice();
-    let peers = wire::get_varint(&mut buf)? as usize;
-    if peers > buf.len() {
-        return Err(WireError::Truncated);
-    }
-    let mut peer_blobs = Vec::with_capacity(peers);
-    for _ in 0..peers {
-        let len = wire::get_varint(&mut buf)? as usize;
-        if len > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        peer_blobs.push(buf[..len].to_vec());
-        buf = &buf[len..];
-    }
-    let rows = wire::get_varint(&mut buf)? as usize;
-    if rows > buf.len() {
-        return Err(WireError::Truncated);
-    }
-    let mut metrics = NetMetrics::new(rows as u32);
-    for p in metrics.per_peer.iter_mut() {
-        p.msgs_sent = wire::get_varint(&mut buf)?;
-        p.bytes_sent = wire::get_varint(&mut buf)?;
-        p.prov_bytes_sent = wire::get_varint(&mut buf)?;
-        p.tuples_sent = wire::get_varint(&mut buf)?;
-        p.msgs_recv = wire::get_varint(&mut buf)?;
-        p.bytes_recv = wire::get_varint(&mut buf)?;
-        p.envelopes_sent = wire::get_varint(&mut buf)?;
-        p.envelope_bytes_sent = wire::get_varint(&mut buf)?;
-        p.envelopes_recv = wire::get_varint(&mut buf)?;
-    }
-    let events = wire::get_varint(&mut buf)?;
-    let ledger_len = wire::get_varint(&mut buf)? as usize;
-    if !buf.is_empty() {
-        return Err(WireError::Corrupt("trailing bytes in checkpoint body"));
-    }
-    Ok(EpochCheckpoint {
+    let mut r = Reader::new(&frame.payload, None);
+    let peers = r.count()?;
+    let peer_blobs = (0..peers)
+        .map(|_| r.bytes().map(<[u8]>::to_vec))
+        .collect::<Result<_, _>>()?;
+    let ck = EpochCheckpoint {
         peer_blobs,
-        metrics,
-        events,
-        ledger_len,
-    })
+        metrics: NetMetrics { per_peer: r.get()? },
+        events: r.get()?,
+        ledger_len: r.get::<u64>()? as usize,
+    };
+    r.finish("trailing bytes in checkpoint body")?;
+    Ok(ck)
+}
+
+/// The nine counters, in declaration order.
+impl Field for PeerMetrics {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in [
+            self.msgs_sent,
+            self.bytes_sent,
+            self.prov_bytes_sent,
+            self.tuples_sent,
+            self.msgs_recv,
+            self.bytes_recv,
+            self.envelopes_sent,
+            self.envelope_bytes_sent,
+            self.envelopes_recv,
+        ] {
+            v.put(out);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<PeerMetrics, WireError> {
+        Ok(PeerMetrics {
+            msgs_sent: r.get()?,
+            bytes_sent: r.get()?,
+            prov_bytes_sent: r.get()?,
+            tuples_sent: r.get()?,
+            msgs_recv: r.get()?,
+            bytes_recv: r.get()?,
+            envelopes_sent: r.get()?,
+            envelope_bytes_sent: r.get()?,
+            envelopes_recv: r.get()?,
+        })
+    }
 }
 
 // --- Backend trait --------------------------------------------------------
@@ -369,10 +368,7 @@ fn serve_one(mut sock: TcpStream, backend: &mut dyn CheckpointBackend, stop: &At
         K_LIST => match backend.epochs() {
             Ok(epochs) => {
                 let mut payload = Vec::new();
-                wire::put_varint(&mut payload, epochs.len() as u64);
-                for e in epochs {
-                    wire::put_varint(&mut payload, e);
-                }
+                epochs.put(&mut payload);
                 respond(&mut sock, K_OK, 0, &payload);
             }
             Err(_) => respond(&mut sock, K_ERR, 0, &[]),
@@ -437,13 +433,7 @@ impl CheckpointBackend for RemoteBackend {
         if resp.kind != K_OK {
             return Err(WireError::BadTag(resp.kind));
         }
-        let mut buf = resp.payload.as_slice();
-        let len = wire::get_varint(&mut buf)? as usize;
-        let mut epochs = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            epochs.push(wire::get_varint(&mut buf)?);
-        }
-        Ok(epochs)
+        Reader::new(&resp.payload, None).get()
     }
 }
 

@@ -11,8 +11,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use netrec_prov::{Prov, ProvMode};
+use netrec_types::wire::WireError;
 use netrec_types::{FxHashMap, RelId, Tuple, UpdateKind, Value};
 
+use crate::checkpoint::{get_table, put_table, Field, Reader};
 use crate::expr::AggFn;
 use crate::plan::Dest;
 use crate::update::Update;
@@ -256,25 +258,14 @@ impl AggregateOp {
     /// `emitted` is downstream history and must be carried so revisions
     /// after recovery retract exactly what was previously emitted.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
-        crate::checkpoint::put_table(out, &self.contrib);
-        let mut emitted: Vec<(&Tuple, &(Tuple, Prov))> = self.emitted.iter().collect();
-        emitted.sort_by(|a, b| a.0.cmp(b.0));
-        netrec_types::wire::put_varint(out, emitted.len() as u64);
-        for (g, (t, p)) in emitted {
-            netrec_types::wire::put_tuple(out, g);
-            netrec_types::wire::put_tuple(out, t);
-            crate::checkpoint::put_prov(out, p);
-        }
+        put_table(out, &self.contrib);
+        self.emitted.put(out);
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
-    pub(crate) fn restore(
-        &mut self,
-        buf: &mut &[u8],
-        mgr: &netrec_bdd::BddManager,
-    ) -> Result<(), netrec_types::wire::WireError> {
-        use netrec_types::wire::{self, WireError};
-        self.contrib = crate::checkpoint::get_table(buf, self.contrib.mode(), true, mgr)?;
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.contrib = get_table(r, &self.contrib)?;
+        self.emitted = r.get()?;
         let tuples: Vec<Tuple> = self.contrib.tuples().cloned().collect();
         for t in tuples {
             let g = self.group_of(&t);
@@ -285,18 +276,6 @@ impl AggregateOp {
                 .entry(v)
                 .or_default()
                 .insert(t);
-        }
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            let g = wire::get_tuple(buf)?;
-            let t = wire::get_tuple(buf)?;
-            let p = crate::checkpoint::get_prov(buf, mgr)?;
-            if self.emitted.insert(g, (t, p)).is_some() {
-                return Err(WireError::Corrupt("duplicate emitted group in checkpoint"));
-            }
         }
         Ok(())
     }

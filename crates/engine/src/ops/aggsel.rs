@@ -14,8 +14,10 @@
 use std::collections::BTreeSet;
 
 use netrec_prov::{Prov, ProvMode};
+use netrec_types::wire::WireError;
 use netrec_types::{FxHashMap, FxHashSet, Tuple, UpdateKind, Value};
 
+use crate::checkpoint::{get_table, put_table, Field, Reader};
 use crate::plan::{AggSelSpec, Dest};
 use crate::update::Update;
 
@@ -248,39 +250,22 @@ impl AggSelState {
     /// forwarded set is *not* derivable — it is downstream history — and
     /// must be carried.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
-        crate::checkpoint::put_table(out, &self.prov);
-        let mut fwd: Vec<&Tuple> = self.forwarded.iter().collect();
-        fwd.sort();
-        netrec_types::wire::put_varint(out, fwd.len() as u64);
-        for t in fwd {
-            netrec_types::wire::put_tuple(out, t);
-        }
+        put_table(out, &self.prov);
+        self.forwarded.put(out);
     }
 
     /// Install a checkpointed blob into this freshly-built state.
-    pub(crate) fn restore(
-        &mut self,
-        buf: &mut &[u8],
-        mgr: &netrec_bdd::BddManager,
-    ) -> Result<(), netrec_types::wire::WireError> {
-        use netrec_types::wire::{self, WireError};
-        self.prov = crate::checkpoint::get_table(buf, self.prov.mode(), true, mgr)?;
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.prov = get_table(r, &self.prov)?;
+        self.forwarded = r.get()?;
         let tuples: Vec<Tuple> = self.prov.tuples().cloned().collect();
-        let mut groups: BTreeSet<Tuple> = BTreeSet::new();
         for t in tuples {
             let g = self.group_of(&t);
-            self.groups.entry(g.clone()).or_default().insert(t);
-            groups.insert(g);
+            self.groups.entry(g).or_default().insert(t);
         }
+        let groups: Vec<Tuple> = self.groups.keys().cloned().collect();
         for g in groups {
             self.recompute_bests(&g);
-        }
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            self.forwarded.insert(wire::get_tuple(buf)?);
         }
         Ok(())
     }
@@ -318,11 +303,7 @@ impl AggSelOp {
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
-    pub(crate) fn restore(
-        &mut self,
-        buf: &mut &[u8],
-        mgr: &netrec_bdd::BddManager,
-    ) -> Result<(), netrec_types::wire::WireError> {
-        self.state.restore(buf, mgr)
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.state.restore(r)
     }
 }

@@ -5,9 +5,10 @@ use std::sync::Arc;
 
 use netrec_bdd::Var;
 use netrec_prov::{Prov, ProvMode, VarAllocator, VarTable};
-use netrec_types::wire::{self, WireError};
+use netrec_types::wire::WireError;
 use netrec_types::{Duration, FxHashMap, RelId, Tuple, UpdateKind};
 
+use crate::checkpoint::{Field, Reader};
 use crate::plan::Dest;
 use crate::update::Update;
 
@@ -85,13 +86,13 @@ impl IngressOp {
                 })
             }
             UpdateKind::Delete => {
-                self.delete(tuple, alloc, ectx);
+                self.delete(tuple, ectx);
                 None
             }
         }
     }
 
-    fn delete(&mut self, tuple: Tuple, _alloc: &mut VarAllocator, ectx: &mut Ectx<'_>) {
+    fn delete(&mut self, tuple: Tuple, ectx: &mut Ectx<'_>) {
         let Some(var) = self.vars.remove(self.rel, &tuple) else {
             return; // deleting an absent tuple is ignored (§6's assumption)
         };
@@ -118,13 +119,13 @@ impl IngressOp {
 
     /// A TTL timer fired: delete the tuple if still live under the same
     /// variable (explicit deletion or re-insertion cancels expiry).
-    pub fn on_ttl(&mut self, ttl_id: u32, alloc: &mut VarAllocator, ectx: &mut Ectx<'_>) {
+    pub fn on_ttl(&mut self, ttl_id: u32, ectx: &mut Ectx<'_>) {
         let Some((tuple, armed_var)) = self.pending_ttl.remove(&ttl_id) else {
             return;
         };
         let current = self.vars.get(self.rel, &tuple);
         if current.is_some() && current == armed_var {
-            self.delete(tuple, alloc, ectx);
+            self.delete(tuple, ectx);
         }
     }
 
@@ -154,75 +155,16 @@ impl IngressOp {
     /// re-arm; it is carried anyway for exactness, as is `next_ttl` so
     /// restored runs never reuse a timer id.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
-        let mut entries: Vec<(RelId, Tuple, Var)> = self
-            .vars
-            .iter()
-            .map(|(r, t, v)| (r, t.clone(), v))
-            .collect();
-        entries.sort();
-        wire::put_varint(out, entries.len() as u64);
-        for (r, t, v) in entries {
-            wire::put_varint(out, u64::from(r.0));
-            wire::put_tuple(out, &t);
-            wire::put_varint(out, u64::from(v));
-        }
-        let mut ttls: Vec<(u32, &(Tuple, Option<Var>))> =
-            self.pending_ttl.iter().map(|(id, e)| (*id, e)).collect();
-        ttls.sort_by_key(|(id, _)| *id);
-        wire::put_varint(out, ttls.len() as u64);
-        for (id, (t, var)) in ttls {
-            wire::put_varint(out, u64::from(id));
-            wire::put_tuple(out, t);
-            match var {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    wire::put_varint(out, u64::from(*v));
-                }
-            }
-        }
-        wire::put_varint(out, u64::from(self.next_ttl));
+        self.vars.put(out);
+        self.pending_ttl.put(out);
+        self.next_ttl.put(out);
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
-    pub(crate) fn restore(&mut self, buf: &mut &[u8]) -> Result<(), WireError> {
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            let raw = wire::get_varint(buf)?;
-            if raw > u64::from(u16::MAX) {
-                return Err(WireError::Corrupt("relation id out of range"));
-            }
-            let rel = RelId(raw as u16);
-            let t = wire::get_tuple(buf)?;
-            let v = wire::get_u32(buf)?;
-            if self.vars.get(rel, &t).is_some() {
-                return Err(WireError::Corrupt("duplicate base tuple in checkpoint"));
-            }
-            self.vars.restore(rel, t, v);
-        }
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            let id = wire::get_u32(buf)?;
-            let t = wire::get_tuple(buf)?;
-            if buf.is_empty() {
-                return Err(WireError::Truncated);
-            }
-            let tag = buf[0];
-            *buf = &buf[1..];
-            let var = match tag {
-                0 => None,
-                1 => Some(wire::get_u32(buf)?),
-                t => return Err(WireError::BadTag(t)),
-            };
-            self.pending_ttl.insert(id, (t, var));
-        }
-        self.next_ttl = wire::get_u32(buf)?;
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.vars = r.get()?;
+        self.pending_ttl = r.get()?;
+        self.next_ttl = r.get()?;
         Ok(())
     }
 }
@@ -230,7 +172,7 @@ impl IngressOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netrec_types::Value;
+    use netrec_types::{wire, Value};
 
     /// Every 32-bit field of the checkpoint (base variable, TTL id, armed
     /// variable, next TTL id) rejects 2^32 — a 5-byte varint `as u32` would
@@ -250,7 +192,7 @@ mod tests {
         for (i, (before, after)) in fields.iter().enumerate() {
             let restore = |v: &[u8]| {
                 let bytes = [before, v, after].concat();
-                IngressOp::new(RelId(0), Vec::new()).restore(&mut &bytes[..])
+                IngressOp::new(RelId(0), Vec::new()).restore(&mut Reader::new(&bytes, None))
             };
             assert_eq!(restore(&[7]), Ok(()), "field {i}");
             assert!(

@@ -12,8 +12,10 @@
 use std::collections::BTreeSet;
 
 use netrec_prov::{Prov, ProvMode};
+use netrec_types::wire::WireError;
 use netrec_types::{FxHashMap, RelId, Tuple, UpdateKind, Value};
 
+use crate::checkpoint::{get_table, put_table, Reader};
 use crate::expr::{project, Expr, Pred};
 use crate::plan::{Dest, JOIN_BUILD};
 use crate::update::Update;
@@ -131,21 +133,56 @@ impl JoinOp {
         }
     }
 
+    /// The side an update on `from_build`'s input arrives on.
+    fn arrival(&mut self, from_build: bool) -> &mut Side {
+        if from_build {
+            &mut self.build
+        } else {
+            &mut self.probe
+        }
+    }
+
+    /// Probe the other side with `tuple`, which arrived on `from_build`'s
+    /// input: for each match whose row passes the predicates and projects,
+    /// `make` is given the output tuple and the match's annotation, and the
+    /// update it returns, if any, is pushed to `out` — in match order.
+    fn probe_other(
+        &self,
+        from_build: bool,
+        tuple: &Tuple,
+        out: &mut Vec<Update>,
+        mut make: impl FnMut(Tuple, &Prov) -> Option<Update>,
+    ) {
+        let (mine, other) = if from_build {
+            (&self.build, &self.probe)
+        } else {
+            (&self.probe, &self.build)
+        };
+        for t2 in other.matches(&mine.key(tuple)) {
+            let row = self.row(from_build, tuple, t2);
+            if !self.preds.iter().all(|p| p.test(&row)) {
+                continue;
+            }
+            let Some(out_tuple) = project(&self.emit, &row) else {
+                continue;
+            };
+            let other_prov = other.prov.get(t2).expect("matched tuple has prov");
+            if let Some(u) = make(out_tuple, other_prov) {
+                out.push(u);
+            }
+        }
+    }
+
     /// Process a batch arriving on one input.
     pub fn on_updates(&mut self, input: u8, ups: Vec<Update>, ectx: &mut Ectx<'_>) {
         let mode = ectx.strategy.mode;
+        let from_build = input == JOIN_BUILD;
         let mut out = Vec::new();
         for u in ups {
-            let from_build = input == JOIN_BUILD;
             match u.kind {
                 UpdateKind::Insert => {
-                    let (mine, other) = if from_build {
-                        (&mut self.build, &self.probe)
-                    } else {
-                        (&mut self.probe, &self.build)
-                    };
-                    let outcome = mine.prov.merge_ins(&u.tuple, &u.prov);
-                    let delta = match outcome {
+                    let mine = self.arrival(from_build);
+                    let delta = match mine.prov.merge_ins(&u.tuple, &u.prov) {
                         MergeOutcome::New(d) => {
                             mine.add(&u.tuple);
                             d
@@ -159,37 +196,21 @@ impl JoinOp {
                         MergeOutcome::Absorbed if mode == ProvMode::Set => Prov::None,
                         MergeOutcome::Absorbed => continue,
                     };
-                    let key = mine.key(&u.tuple);
-                    for t2 in other.matches(&key) {
-                        let row = self.row(from_build, &u.tuple, t2);
-                        if !self.preds.iter().all(|p| p.test(&row)) {
-                            continue;
-                        }
-                        let Some(out_tuple) = project(&self.emit, &row) else {
-                            continue;
-                        };
-                        let other_side = if from_build { &self.probe } else { &self.build };
-                        let other_prov = other_side.prov.get(t2).expect("matched tuple has prov");
-                        let prov = self.out_prov(mode, &delta, other_prov, &out_tuple);
+                    self.probe_other(from_build, &u.tuple, &mut out, |out_tuple, other| {
+                        let prov = self.out_prov(mode, &delta, other, &out_tuple);
                         // A `Changed` delta is `new ∧ ¬old`; conjoined with
                         // the other side it can annihilate to constant
                         // `false` — zero new derivations. Emitting that as
                         // an insert can resurrect the tuple at a receiver
                         // that already retracted it (DESIGN.md, churn
                         // postmortem: the false-annotation race).
-                        if prov.is_unsatisfiable() {
-                            continue;
-                        }
-                        out.push(Update::ins(self.out_rel, out_tuple, prov));
-                    }
+                        (!prov.is_unsatisfiable())
+                            .then(|| Update::ins(self.out_rel, out_tuple, prov))
+                    });
                 }
                 UpdateKind::Delete if !u.cause.is_empty() => {
                     // Cause-restrict path (HalfPipeDel + shrink forwarding).
-                    let (mine, _) = if from_build {
-                        (&mut self.build, &self.probe)
-                    } else {
-                        (&mut self.probe, &self.build)
-                    };
+                    let mine = self.arrival(from_build);
                     let Some(outcome) = mine.prov.restrict_cause_tuple(&u.tuple, &u.cause) else {
                         continue; // unaffected or unknown: cascade stops here
                     };
@@ -200,41 +221,23 @@ impl JoinOp {
                         }
                         DeleteOutcome::Shrunk(p) => p,
                     };
-                    let key = if from_build {
-                        self.build.key(&u.tuple)
-                    } else {
-                        self.probe.key(&u.tuple)
-                    };
-                    let other_side = if from_build { &self.probe } else { &self.build };
-                    for t2 in other_side.matches(&key) {
-                        let row = self.row(from_build, &u.tuple, t2);
-                        if !self.preds.iter().all(|p| p.test(&row)) {
-                            continue;
-                        }
-                        let Some(out_tuple) = project(&self.emit, &row) else {
-                            continue;
-                        };
-                        let other_prov = other_side.prov.get(t2).expect("matched");
+                    self.probe_other(from_build, &u.tuple, &mut out, |out_tuple, other| {
                         let pv = match mode {
-                            ProvMode::Absorption => removed.and(other_prov),
+                            ProvMode::Absorption => removed.and(other),
                             _ => removed.clone(),
                         };
-                        out.push(Update::del_cause(
+                        Some(Update::del_cause(
                             self.out_rel,
                             out_tuple,
                             pv,
                             u.cause.clone(),
-                        ));
-                    }
+                        ))
+                    });
                 }
                 UpdateKind::Delete => {
                     // Retract path (set semantics / counting / aggregate
                     // revisions flowing through a join).
-                    let (mine, _) = if from_build {
-                        (&mut self.build, &self.probe)
-                    } else {
-                        (&mut self.probe, &self.build)
-                    };
+                    let mine = self.arrival(from_build);
                     let Some(outcome) = mine.prov.retract(&u.tuple, &u.prov) else {
                         continue;
                     };
@@ -245,24 +248,10 @@ impl JoinOp {
                         }
                         DeleteOutcome::Shrunk(p) => p,
                     };
-                    let key = if from_build {
-                        self.build.key(&u.tuple)
-                    } else {
-                        self.probe.key(&u.tuple)
-                    };
-                    let other_side = if from_build { &self.probe } else { &self.build };
-                    for t2 in other_side.matches(&key) {
-                        let row = self.row(from_build, &u.tuple, t2);
-                        if !self.preds.iter().all(|p| p.test(&row)) {
-                            continue;
-                        }
-                        let Some(out_tuple) = project(&self.emit, &row) else {
-                            continue;
-                        };
-                        let other_prov = other_side.prov.get(t2).expect("matched");
-                        let pv = self.out_prov(mode, &removed, other_prov, &out_tuple);
-                        out.push(Update::del_retract(self.out_rel, out_tuple, pv));
-                    }
+                    self.probe_other(from_build, &u.tuple, &mut out, |out_tuple, other| {
+                        let pv = self.out_prov(mode, &removed, other, &out_tuple);
+                        Some(Update::del_retract(self.out_rel, out_tuple, pv))
+                    });
                 }
             }
         }
@@ -272,18 +261,14 @@ impl JoinOp {
     /// Serialise both sides' provenance tables. The key indexes (`by_key`)
     /// are pure functions of the table contents and are rebuilt on restore.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
-        crate::checkpoint::put_table(out, &self.build.prov);
-        crate::checkpoint::put_table(out, &self.probe.prov);
+        put_table(out, &self.build.prov);
+        put_table(out, &self.probe.prov);
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
-    pub(crate) fn restore(
-        &mut self,
-        buf: &mut &[u8],
-        mgr: &netrec_bdd::BddManager,
-    ) -> Result<(), netrec_types::wire::WireError> {
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
         for side in [&mut self.build, &mut self.probe] {
-            side.prov = crate::checkpoint::get_table(buf, side.prov.mode(), true, mgr)?;
+            side.prov = get_table(r, &side.prov)?;
             let tuples: Vec<Tuple> = side.prov.tuples().cloned().collect();
             for t in &tuples {
                 side.add(t);

@@ -18,9 +18,10 @@ use std::sync::Arc;
 
 use netrec_bdd::Var;
 use netrec_prov::{Prov, ProvMode};
-use netrec_types::wire::{self, WireError};
+use netrec_types::wire::WireError;
 use netrec_types::{FxHashMap, FxHashSet, Tuple, UpdateKind};
 
+use crate::checkpoint::{get_table, put_table, Field, Reader};
 use crate::plan::Dest;
 use crate::strategy::ShipPolicy;
 use crate::update::Update;
@@ -185,25 +186,27 @@ impl MinShipOp {
         if !hit_any {
             return false;
         }
-        match policy {
-            ShipPolicy::Lazy => {
-                self.flush_lazy(ectx);
-                false
-            }
-            ShipPolicy::Eager { batch, .. } => {
-                if self.buffered() >= batch {
-                    self.flush_eager(ectx);
-                    false
-                } else {
-                    let should_arm = self.buffered() > 0 && !self.timer_armed;
-                    if should_arm {
-                        self.timer_armed = true;
-                    }
-                    should_arm
-                }
-            }
-            ShipPolicy::Immediate => false,
+        if matches!(policy, ShipPolicy::Lazy) {
+            self.flush_lazy(ectx);
         }
+        self.after_buffering(ectx)
+    }
+
+    /// The eager policy's rule once updates were buffered: flush at `batch`
+    /// buffered tuples, else arm the flush timer if it is not armed and
+    /// anything is buffered. Returns `true` if the caller should arm it;
+    /// `false` under every other policy.
+    fn after_buffering(&mut self, ectx: &mut Ectx<'_>) -> bool {
+        let ShipPolicy::Eager { batch, .. } = ectx.strategy.ship else {
+            return false;
+        };
+        if self.buffered() >= batch {
+            self.flush_eager(ectx);
+            return false;
+        }
+        let arm = self.buffered() > 0 && !self.timer_armed;
+        self.timer_armed |= arm;
+        arm
     }
 
     /// Process a batch. Returns `true` if the caller should arm a flush
@@ -318,21 +321,7 @@ impl MinShipOp {
         if !send_now.is_empty() {
             ectx.emit_routed(self.route_col, self.dest, send_now);
         }
-        match policy {
-            ShipPolicy::Eager { batch, .. } => {
-                if self.buffered() >= batch {
-                    self.flush_eager(ectx);
-                    false
-                } else {
-                    let should_arm = self.buffered() > 0 && !self.timer_armed;
-                    if should_arm {
-                        self.timer_armed = true;
-                    }
-                    should_arm
-                }
-            }
-            _ => false,
-        }
+        self.after_buffering(ectx)
     }
 
     /// Eager flush (BatchShipEager): ship all buffered insertions and
@@ -438,126 +427,29 @@ impl MinShipOp {
     /// receivers were ever told, so a restored peer can still route future
     /// deaths to them.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
-        crate::checkpoint::put_table(out, &self.sent);
-        crate::checkpoint::put_table(out, &self.pins);
-        let mut dels: Vec<(&Tuple, &(Prov, Vec<Var>))> = self.pdel.iter().collect();
-        dels.sort_by(|a, b| a.0.cmp(b.0));
-        wire::put_varint(out, dels.len() as u64);
-        for (t, (pv, cause)) in dels {
-            wire::put_tuple(out, t);
-            crate::checkpoint::put_prov(out, pv);
-            wire::put_varint(out, cause.len() as u64);
-            for v in cause {
-                wire::put_varint(out, u64::from(*v));
-            }
-        }
-        let mut dirty: Vec<&Tuple> = self.dirty.iter().collect();
-        dirty.sort();
-        wire::put_varint(out, dirty.len() as u64);
-        for t in dirty {
-            wire::put_tuple(out, t);
-        }
-        let mut ledger: Vec<(&Tuple, &FxHashSet<Var>)> = self.shipped.iter().collect();
-        ledger.sort_by(|a, b| a.0.cmp(b.0));
-        wire::put_varint(out, ledger.len() as u64);
-        for (t, vars) in ledger {
-            wire::put_tuple(out, t);
-            let mut vs: Vec<Var> = vars.iter().copied().collect();
-            vs.sort_unstable();
-            wire::put_varint(out, vs.len() as u64);
-            for v in vs {
-                wire::put_varint(out, u64::from(v));
-            }
-        }
-        match self.rel_seen {
-            None => out.push(0),
-            Some(r) => {
-                out.push(1);
-                wire::put_varint(out, u64::from(r.0));
-            }
-        }
-        out.push(u8::from(self.timer_armed));
+        put_table(out, &self.sent);
+        put_table(out, &self.pins);
+        self.pdel.put(out);
+        self.dirty.put(out);
+        self.shipped.put(out);
+        self.rel_seen.put(out);
+        self.timer_armed.put(out);
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
-    pub(crate) fn restore(
-        &mut self,
-        buf: &mut &[u8],
-        mgr: &netrec_bdd::BddManager,
-    ) -> Result<(), WireError> {
-        let mode = self.sent.mode();
-        self.sent = crate::checkpoint::get_table(buf, mode, false, mgr)?;
-        self.pins = crate::checkpoint::get_table(buf, mode, false, mgr)?;
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            let t = wire::get_tuple(buf)?;
-            let pv = crate::checkpoint::get_prov(buf, mgr)?;
-            let nc = wire::get_varint(buf)? as usize;
-            if nc > buf.len() {
-                return Err(WireError::Truncated);
-            }
-            let mut cause = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                cause.push(wire::get_u32(buf)?);
-            }
-            if self.pdel.insert(t, (pv, cause)).is_some() {
-                return Err(WireError::Corrupt("duplicate Pdel tuple in checkpoint"));
-            }
-        }
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            self.dirty.insert(wire::get_tuple(buf)?);
-        }
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            let t = wire::get_tuple(buf)?;
-            let nv = wire::get_varint(buf)? as usize;
-            if nv > buf.len() {
-                return Err(WireError::Truncated);
-            }
-            let mut vars = FxHashSet::default();
-            for _ in 0..nv {
-                vars.insert(wire::get_u32(buf)?);
-            }
-            self.ledger_bytes += ledger_entry_cost(&t, vars.len());
-            if self.shipped.insert(t, vars).is_some() {
-                return Err(WireError::Corrupt("duplicate ledger tuple in checkpoint"));
-            }
-        }
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let tag = buf[0];
-        *buf = &buf[1..];
-        self.rel_seen = match tag {
-            0 => None,
-            1 => {
-                let raw = wire::get_varint(buf)?;
-                if raw > u64::from(u16::MAX) {
-                    return Err(WireError::Corrupt("relation id out of range"));
-                }
-                Some(netrec_types::RelId(raw as u16))
-            }
-            t => return Err(WireError::BadTag(t)),
-        };
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        self.timer_armed = match buf[0] {
-            0 => false,
-            1 => true,
-            t => return Err(WireError::BadTag(t)),
-        };
-        *buf = &buf[1..];
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.sent = get_table(r, &self.sent)?;
+        self.pins = get_table(r, &self.pins)?;
+        self.pdel = r.get()?;
+        self.dirty = r.get()?;
+        self.shipped = r.get()?;
+        self.rel_seen = r.get()?;
+        self.timer_armed = r.get()?;
+        self.ledger_bytes = self
+            .shipped
+            .iter()
+            .map(|(t, vars)| ledger_entry_cost(t, vars.len()))
+            .sum();
         Ok(())
     }
 
@@ -587,7 +479,7 @@ mod tests {
     use crate::strategy::Strategy;
     use netrec_bdd::BddManager;
     use netrec_sim::{NetApi, Partitioner, PeerId};
-    use netrec_types::{RelId, SimTime, Value};
+    use netrec_types::{wire, RelId, SimTime, Value};
 
     fn t(i: i64) -> Tuple {
         Tuple::new(vec![Value::Int(i)])
@@ -722,7 +614,8 @@ mod tests {
         let mut blob = Vec::new();
         op.checkpoint(&mut blob);
         let mut back = MinShipOp::new(None, dest, ProvMode::Absorption);
-        back.restore(&mut &blob[..], &mgr).expect("restore");
+        back.restore(&mut Reader::new(&blob, Some(&mgr)))
+            .expect("restore");
         assert_eq!(back.ledger_bytes, scan(&back));
         assert_eq!(back.state_bytes(), op.state_bytes());
 
@@ -753,7 +646,8 @@ mod tests {
         for (i, (before, after)) in lists.iter().enumerate() {
             let restore = |v: &[u8]| {
                 let bytes = [before, v, after].concat();
-                MinShipOp::new(None, dest, ProvMode::Absorption).restore(&mut &bytes[..], &mgr)
+                MinShipOp::new(None, dest, ProvMode::Absorption)
+                    .restore(&mut Reader::new(&bytes, Some(&mgr)))
             };
             assert_eq!(restore(&[7]), Ok(()), "list {i}");
             assert!(

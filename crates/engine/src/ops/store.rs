@@ -17,8 +17,10 @@
 //! fixpoint; the same operator materialises non-recursive views.
 
 use netrec_prov::ProvMode;
+use netrec_types::wire::WireError;
 use netrec_types::{RelId, Tuple, UpdateKind};
 
+use crate::checkpoint::{get_table, put_table, Field, Reader};
 use crate::plan::{AggSelSpec, Dest};
 use crate::update::Update;
 
@@ -235,39 +237,21 @@ impl StoreOp {
     /// where the log has just been drained, and the runner re-enables
     /// recording after restore when a serving handle is attached.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
-        crate::checkpoint::put_table(out, &self.table);
-        match &self.aggsel {
-            None => out.push(0),
-            Some(sel) => {
-                out.push(1);
-                sel.checkpoint(out);
-            }
+        put_table(out, &self.table);
+        self.aggsel.is_some().put(out);
+        if let Some(sel) = &self.aggsel {
+            sel.checkpoint(out);
         }
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
-    pub(crate) fn restore(
-        &mut self,
-        buf: &mut &[u8],
-        mgr: &netrec_bdd::BddManager,
-    ) -> Result<(), netrec_types::wire::WireError> {
-        use netrec_types::wire::WireError;
-        self.table =
-            crate::checkpoint::get_table(buf, self.table.mode(), self.table.indexed(), mgr)?;
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.table = get_table(r, &self.table)?;
+        match (r.get::<bool>()?, &mut self.aggsel) {
+            (false, None) => Ok(()),
+            (true, Some(sel)) => sel.restore(r),
+            _ => Err(WireError::Corrupt("aggsel presence mismatch in checkpoint")),
         }
-        let tag = buf[0];
-        *buf = &buf[1..];
-        match (tag, &mut self.aggsel) {
-            (0, None) => {}
-            (1, Some(sel)) => sel.restore(buf, mgr)?,
-            (0, Some(_)) | (1, None) => {
-                return Err(WireError::Corrupt("aggsel presence mismatch in checkpoint"))
-            }
-            (t, _) => return Err(WireError::BadTag(t)),
-        }
-        Ok(())
     }
 
     /// Resident state bytes.

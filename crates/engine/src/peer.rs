@@ -7,8 +7,10 @@ use std::sync::Arc;
 use netrec_bdd::{BddManager, Var};
 use netrec_prov::{Prov, VarAllocator};
 use netrec_sim::{NetApi, Partitioner, PeerId, PeerNode, Port};
+use netrec_types::wire::WireError;
 use netrec_types::{FxHashSet, Tuple, UpdateKind};
 
+use crate::checkpoint::{put_section, Field, Reader};
 use crate::ops::{
     AggSelOp, AggregateOp, Ectx, ExchangeOp, IngressOp, JoinOp, MapOp, MinShipOp, OpState, StoreOp,
 };
@@ -21,8 +23,6 @@ const FLUSH_TIMER_BIT: u64 = 1 << 63;
 /// Engine peer state (implements [`PeerNode`] for both runtimes).
 pub struct EnginePeer {
     me: PeerId,
-    #[allow(dead_code)]
-    plan: Arc<Plan>,
     strategy: Strategy,
     partitioner: Partitioner,
     /// Owns every annotation in this peer's operator state. An annotation's
@@ -44,7 +44,7 @@ impl EnginePeer {
     /// Instantiate the plan on peer `me`.
     pub fn new(
         me: PeerId,
-        plan: Arc<Plan>,
+        plan: &Plan,
         strategy: Strategy,
         partitioner: Partitioner,
     ) -> EnginePeer {
@@ -124,7 +124,6 @@ impl EnginePeer {
             .collect();
         EnginePeer {
             me,
-            plan,
             strategy,
             partitioner,
             mgr,
@@ -143,32 +142,23 @@ impl EnginePeer {
     /// the variable-allocator high-water mark, the dead-variable set, and one
     /// length-prefixed section per operator in plan order. Taken at a
     /// converged boundary the blob is a consistent snapshot — quiescence
-    /// guarantees no in-flight messages or armed timers cut across it. Uses
-    /// [`netrec_types::wire`] framing throughout, so the bytes are TCP-ready.
+    /// guarantees no in-flight messages or armed timers cut across it. The
+    /// encoding is the checkpoint codec's (`checkpoint.rs`).
     pub fn checkpoint(&self) -> Vec<u8> {
-        use netrec_types::wire;
         let mut out = Vec::new();
-        wire::put_varint(&mut out, u64::from(self.alloc.allocated()));
-        let mut dead: Vec<Var> = self.dead_vars.iter().copied().collect();
-        dead.sort_unstable();
-        wire::put_varint(&mut out, dead.len() as u64);
-        for v in dead {
-            wire::put_varint(&mut out, u64::from(v));
-        }
-        wire::put_varint(&mut out, self.ops.len() as u64);
+        self.alloc.allocated().put(&mut out);
+        self.dead_vars.put(&mut out);
+        (self.ops.len() as u64).put(&mut out);
         for op in &self.ops {
-            let mut blob = Vec::new();
-            match op {
-                OpState::Ingress(o) => o.checkpoint(&mut blob),
-                OpState::Join(o) => o.checkpoint(&mut blob),
-                OpState::MinShip(o) => o.checkpoint(&mut blob),
-                OpState::Store(o) => o.checkpoint(&mut blob),
-                OpState::AggSel(o) => o.checkpoint(&mut blob),
-                OpState::Aggregate(o) => o.checkpoint(&mut blob),
+            put_section(&mut out, |section| match op {
+                OpState::Ingress(o) => o.checkpoint(section),
+                OpState::Join(o) => o.checkpoint(section),
+                OpState::MinShip(o) => o.checkpoint(section),
+                OpState::Store(o) => o.checkpoint(section),
+                OpState::AggSel(o) => o.checkpoint(section),
+                OpState::Aggregate(o) => o.checkpoint(section),
                 OpState::Map(_) | OpState::Exchange(_) => {} // stateless
-            }
-            wire::put_varint(&mut out, blob.len() as u64);
-            out.extend_from_slice(&blob);
+            });
         }
         out
     }
@@ -180,54 +170,37 @@ impl EnginePeer {
     /// never half-apply into live state.
     pub fn restore(
         me: PeerId,
-        plan: Arc<Plan>,
+        plan: &Plan,
         strategy: Strategy,
         partitioner: Partitioner,
         bytes: &[u8],
-    ) -> Result<EnginePeer, netrec_types::wire::WireError> {
-        use netrec_types::wire::{self, WireError};
+    ) -> Result<EnginePeer, WireError> {
         let mut peer = EnginePeer::new(me, plan, strategy, partitioner);
-        let buf = &mut &bytes[..];
-        let allocated = wire::get_varint(buf)?;
-        if allocated > u64::from(netrec_prov::VarAllocator::CAPACITY) {
+        let mgr = peer.mgr.clone();
+        let mut r = Reader::new(bytes, Some(&mgr));
+        let allocated: u32 = r.get()?;
+        if allocated > VarAllocator::CAPACITY {
             return Err(WireError::Corrupt("allocator high-water mark out of range"));
         }
-        peer.alloc = VarAllocator::with_allocated(me.0, allocated as u32);
-        let n = wire::get_varint(buf)? as usize;
-        if n > buf.len() {
-            return Err(WireError::Truncated);
-        }
-        for _ in 0..n {
-            peer.dead_vars.insert(wire::get_u32(buf)?);
-        }
-        let nops = wire::get_varint(buf)? as usize;
-        if nops != peer.ops.len() {
+        peer.alloc = VarAllocator::with_allocated(me.0, allocated);
+        peer.dead_vars = r.get()?;
+        if r.get::<u64>()? != peer.ops.len() as u64 {
             return Err(WireError::Corrupt("operator count does not match plan"));
         }
-        let EnginePeer { ops, mgr, .. } = &mut peer;
-        for op in ops.iter_mut() {
-            let len = wire::get_varint(buf)? as usize;
-            if len > buf.len() {
-                return Err(WireError::Truncated);
-            }
-            let mut blob = &buf[..len];
+        for op in &mut peer.ops {
+            let mut section = r.section()?;
             match op {
-                OpState::Ingress(o) => o.restore(&mut blob)?,
-                OpState::Join(o) => o.restore(&mut blob, mgr)?,
-                OpState::MinShip(o) => o.restore(&mut blob, mgr)?,
-                OpState::Store(o) => o.restore(&mut blob, mgr)?,
-                OpState::AggSel(o) => o.restore(&mut blob, mgr)?,
-                OpState::Aggregate(o) => o.restore(&mut blob, mgr)?,
+                OpState::Ingress(o) => o.restore(&mut section)?,
+                OpState::Join(o) => o.restore(&mut section)?,
+                OpState::MinShip(o) => o.restore(&mut section)?,
+                OpState::Store(o) => o.restore(&mut section)?,
+                OpState::AggSel(o) => o.restore(&mut section)?,
+                OpState::Aggregate(o) => o.restore(&mut section)?,
                 OpState::Map(_) | OpState::Exchange(_) => {}
             }
-            if !blob.is_empty() {
-                return Err(WireError::Corrupt("trailing bytes in operator section"));
-            }
-            *buf = &buf[len..];
+            section.finish("trailing bytes in operator section")?;
         }
-        if !buf.is_empty() {
-            return Err(WireError::Corrupt("trailing bytes in peer checkpoint"));
-        }
+        r.finish("trailing bytes in peer checkpoint")?;
         Ok(peer)
     }
 
@@ -391,11 +364,8 @@ impl EnginePeer {
             OpState::Exchange(o) => o.on_updates(ups, &mut ectx),
             OpState::Join(o) => o.on_updates(input, ups, &mut ectx),
             OpState::MinShip(o) => {
-                let arm = o.on_updates(ups, &mut ectx);
-                if arm {
-                    if let ShipPolicy::Eager { period, .. } = self.strategy.ship {
-                        net.set_timer(period, FLUSH_TIMER_BIT | op_idx as u64);
-                    }
+                if o.on_updates(ups, &mut ectx) {
+                    self.arm_flush(op_idx, net);
                 }
             }
             OpState::Store(o) => o.on_updates(ups, &mut ectx),
@@ -437,13 +407,18 @@ impl EnginePeer {
         for i in 0..self.ops.len() {
             let (ops, _, mut ectx) = self.parts(net);
             if let OpState::MinShip(o) = &mut ops[i] {
-                let arm = o.on_dead_vars(fresh, &mut ectx);
-                if arm {
-                    if let ShipPolicy::Eager { period, .. } = self.strategy.ship {
-                        net.set_timer(period, FLUSH_TIMER_BIT | i as u64);
-                    }
+                if o.on_dead_vars(fresh, &mut ectx) {
+                    self.arm_flush(i, net);
                 }
             }
+        }
+    }
+
+    /// Arm the eager flush timer of the MinShip at `op_idx`, which asked for
+    /// it (only an eager MinShip ever does).
+    fn arm_flush(&self, op_idx: usize, net: &mut NetApi<Msg>) {
+        if let ShipPolicy::Eager { period, .. } = self.strategy.ship {
+            net.set_timer(period, FLUSH_TIMER_BIT | op_idx as u64);
         }
     }
 }
@@ -509,22 +484,19 @@ impl PeerNode<Msg> for EnginePeer {
     }
 
     fn on_timer(&mut self, id: u64, net: &mut NetApi<Msg>) {
-        let (ops, alloc, mut ectx) = self.parts(net);
+        let (ops, _, mut ectx) = self.parts(net);
         if id & FLUSH_TIMER_BIT != 0 {
             let op_idx = (id & !FLUSH_TIMER_BIT) as usize;
             if let OpState::MinShip(o) = &mut ops[op_idx] {
-                let rearm = o.on_flush_timer(&mut ectx);
-                if rearm {
-                    if let ShipPolicy::Eager { period, .. } = self.strategy.ship {
-                        net.set_timer(period, id);
-                    }
+                if o.on_flush_timer(&mut ectx) {
+                    self.arm_flush(op_idx, net);
                 }
             }
         } else {
             let op_idx = (id >> 32) as usize;
             let ttl_id = (id & 0xffff_ffff) as u32;
             if let OpState::Ingress(o) = &mut ops[op_idx] {
-                o.on_ttl(ttl_id, alloc, &mut ectx);
+                o.on_ttl(ttl_id, &mut ectx);
             }
         }
     }
@@ -549,7 +521,7 @@ mod tests {
         b.connect(map, store, 0);
         let peer = EnginePeer::new(
             PeerId(0),
-            Arc::new(b.build().expect("plan")),
+            &b.build().expect("plan"),
             Strategy::absorption_lazy(),
             Partitioner::Direct { peers: 2 },
         );

@@ -9,7 +9,6 @@
 //! needs the concrete substrate matches on [`Runner::runtime`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use netrec_serve::views::{self, ServeSpec, ViewOp, ViewReader, ViewWriter};
 use netrec_sim::{
@@ -367,7 +366,7 @@ type LedgerEntry = (PeerId, Port, Msg);
 
 /// The workload driver: owns the substrate and the plan.
 pub struct Runner {
-    plan: Arc<Plan>,
+    plan: Plan,
     cfg: RunnerConfig,
     rt: EngineRuntime,
     /// Metric/event baselines for the next phase, captured at the previous
@@ -409,10 +408,9 @@ impl Runner {
                 );
             }
         }
-        let plan = Arc::new(plan);
         let peers = cfg.partitioner.peers();
         let nodes = (0..peers)
-            .map(|p| EnginePeer::new(PeerId(p), Arc::clone(&plan), cfg.strategy, cfg.partitioner))
+            .map(|p| EnginePeer::new(PeerId(p), &plan, cfg.strategy, cfg.partitioner))
             .collect();
         let rt = build_runtime(nodes, &cfg);
         let phase_metrics = rt.metrics_snapshot();
@@ -479,7 +477,7 @@ impl Runner {
         for p in 0..peers {
             nodes.push(EnginePeer::restore(
                 PeerId(p),
-                Arc::clone(&self.plan),
+                &self.plan,
                 self.cfg.strategy,
                 self.cfg.partitioner,
                 &ck.peer_blobs[p as usize],

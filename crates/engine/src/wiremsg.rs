@@ -1,9 +1,12 @@
 //! [`WireMsg`] for the engine's [`Msg`]: the codec that puts inter-peer
 //! protocol messages on a real socket.
 //!
-//! Reuses the checkpoint codec's annotation framing (`put_prov` /
-//! `get_wire_prov`) so a provenance annotation has exactly one byte format
-//! everywhere — checkpoints, the serving layer, and the TCP transport.
+//! A message is written in the checkpoint codec's vocabulary
+//! (`checkpoint.rs`): the relation id, the tuple, the annotation, the cause
+//! list and the TTL option each have the one encoding a checkpoint gives
+//! them, so a provenance annotation has exactly one byte format everywhere
+//! — checkpoints, the serving layer, and the TCP transport. What differs is
+//! the reader: a link reads annotations without a manager.
 //!
 //! An absorption annotation is already bytes when it gets here
 //! ([`Prov::Wire`](netrec_prov::Prov::Wire), made where the batch left its
@@ -13,15 +16,19 @@
 //! connection, never a peer) and copies them out. No BDD is built on a
 //! link; the peer the message is addressed to builds it, once, in its own
 //! manager (`EnginePeer::sanitize`, DESIGN.md "Peer boundary").
+//!
+//! Every non-generic encoding on this path is `#[inline]` (the generic ones
+//! are instantiated where they are used): the transport calls
+//! [`WireMsg::encode`]/[`WireMsg::decode`] once per message, and the
+//! per-field calls under them are where the time goes.
 
 use std::sync::Arc;
 
-use netrec_bdd::Var;
 use netrec_sim::WireMsg;
-use netrec_types::wire::{self, WireError};
-use netrec_types::{Duration, RelId, UpdateKind};
+use netrec_types::wire::WireError;
+use netrec_types::{Duration, UpdateKind};
 
-use crate::checkpoint::{get_wire_prov, put_prov};
+use crate::checkpoint::{Field, Reader};
 use crate::update::{Msg, Update};
 
 // Msg variant tags on the wire. Tag 1 must stay unassigned: it belonged to
@@ -30,51 +37,55 @@ const MSG_UPDATES: u8 = 0;
 const MSG_REDERIVE: u8 = 2;
 const MSG_BASE: u8 = 3;
 
-fn put_vars(out: &mut Vec<u8>, vars: &[Var]) {
-    wire::put_varint(out, vars.len() as u64);
-    for v in vars {
-        wire::put_varint(out, u64::from(*v));
+/// One byte: [`UpdateKind::tag`].
+impl Field for UpdateKind {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+    }
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<UpdateKind, WireError> {
+        let tag = r.byte()?;
+        UpdateKind::from_tag(tag).ok_or(WireError::BadTag(tag))
     }
 }
 
-fn get_vars(buf: &mut &[u8]) -> Result<Arc<[Var]>, WireError> {
-    let len = wire::get_varint(buf)? as usize;
-    if len > buf.len() {
-        return Err(WireError::Truncated);
+/// Microseconds, as a `u64`.
+impl Field for Duration {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
     }
-    let mut vars = Vec::with_capacity(len);
-    for _ in 0..len {
-        vars.push(wire::get_u32(buf)?);
+
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Duration, WireError> {
+        r.get().map(Duration)
     }
-    Ok(Arc::from(vars))
 }
 
-fn put_update(out: &mut Vec<u8>, u: &Update) {
-    wire::put_varint(out, u64::from(u.rel.0));
-    out.push(u.kind.tag());
-    wire::put_tuple(out, &u.tuple);
-    put_prov(out, &u.prov);
-    put_vars(out, &u.cause);
-}
+/// Relation, kind, tuple, annotation, cause list — the fields
+/// [`Update::encoded_len`] prices.
+impl Field for Update {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.rel.put(out);
+        self.kind.put(out);
+        self.tuple.put(out);
+        self.prov.put(out);
+        self.cause.put(out);
+    }
 
-fn get_update(buf: &mut &[u8]) -> Result<Update, WireError> {
-    let rel = RelId(
-        u16::try_from(wire::get_varint(buf)?)
-            .map_err(|_| WireError::Corrupt("relation id out of range"))?,
-    );
-    let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-    *buf = rest;
-    let kind = UpdateKind::from_tag(tag).ok_or(WireError::BadTag(tag))?;
-    let tuple = wire::get_tuple(buf)?;
-    let prov = get_wire_prov(buf)?;
-    let cause = get_vars(buf)?;
-    Ok(Update {
-        rel,
-        kind,
-        tuple,
-        prov,
-        cause,
-    })
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Update, WireError> {
+        Ok(Update {
+            rel: r.get()?,
+            kind: r.get()?,
+            tuple: r.get()?,
+            prov: r.get()?,
+            cause: r.get()?,
+        })
+    }
 }
 
 impl WireMsg for Msg {
@@ -82,59 +93,32 @@ impl WireMsg for Msg {
         match self {
             Msg::Updates(us) => {
                 out.push(MSG_UPDATES);
-                wire::put_varint(out, us.len() as u64);
-                for u in us.iter() {
-                    put_update(out, u);
-                }
+                us.put(out);
             }
             Msg::Rederive => out.push(MSG_REDERIVE),
             Msg::Base { kind, tuple, ttl } => {
                 out.push(MSG_BASE);
-                out.push(kind.tag());
-                wire::put_tuple(out, tuple);
-                match ttl {
-                    None => out.push(0),
-                    Some(d) => {
-                        out.push(1);
-                        wire::put_varint(out, d.0);
-                    }
-                }
+                kind.put(out);
+                tuple.put(out);
+                ttl.put(out);
             }
         }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Msg, WireError> {
-        let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-        *buf = rest;
-        match tag {
-            MSG_UPDATES => {
-                let len = wire::get_varint(buf)? as usize;
-                if len > buf.len() {
-                    return Err(WireError::Truncated);
-                }
-                let mut us = Vec::with_capacity(len);
-                for _ in 0..len {
-                    us.push(get_update(buf)?);
-                }
-                Ok(Msg::Updates(Arc::new(us)))
-            }
-            MSG_REDERIVE => Ok(Msg::Rederive),
-            MSG_BASE => {
-                let (&ktag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-                *buf = rest;
-                let kind = UpdateKind::from_tag(ktag).ok_or(WireError::BadTag(ktag))?;
-                let tuple = wire::get_tuple(buf)?;
-                let (&opt, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-                *buf = rest;
-                let ttl = match opt {
-                    0 => None,
-                    1 => Some(Duration(wire::get_varint(buf)?)),
-                    t => return Err(WireError::BadTag(t)),
-                };
-                Ok(Msg::Base { kind, tuple, ttl })
-            }
-            t => Err(WireError::BadTag(t)),
-        }
+        let mut r = Reader::new(buf, None);
+        let msg = match r.byte()? {
+            MSG_UPDATES => Msg::Updates(Arc::new(r.get()?)),
+            MSG_REDERIVE => Msg::Rederive,
+            MSG_BASE => Msg::Base {
+                kind: r.get()?,
+                tuple: r.get()?,
+                ttl: r.get()?,
+            },
+            t => return Err(WireError::BadTag(t)),
+        };
+        *buf = r.rest();
+        Ok(msg)
     }
 }
 
@@ -143,7 +127,7 @@ mod tests {
     use super::*;
     use netrec_bdd::BddManager;
     use netrec_prov::{Prov, ProvMode};
-    use netrec_types::{tup, Value};
+    use netrec_types::{tup, RelId, Value};
 
     fn encoded(msg: &Msg) -> Vec<u8> {
         let mut bytes = Vec::new();

@@ -13,8 +13,7 @@
 //! wholesale on error — there is no partially-restored state by
 //! construction).
 
-use std::sync::Arc;
-
+use netrec_engine::ckptstore::encode_checkpoint;
 use netrec_engine::peer::EnginePeer;
 use netrec_engine::plan::Plan;
 use netrec_engine::runner::{Runner, RunnerConfig};
@@ -23,6 +22,7 @@ use netrec_prov::ProvMode;
 use netrec_sim::{PeerId, RuntimeKind};
 use netrec_testutil::churn::ChurnCase;
 use netrec_testutil::fixtures::{link as fixtures_link, reachable_plan, twohop_plan};
+use netrec_types::wire::crc32;
 use proptest::prelude::*;
 
 fn cases_from_env() -> u32 {
@@ -92,14 +92,13 @@ fn boundary_runner(case: &ChurnCase, strategy: Strategy) -> Runner {
 /// the re-encoded bytes are identical. Returns the blobs for reuse.
 fn assert_roundtrip_idempotent(runner: &Runner, strategy: Strategy, ctx: &str) -> Vec<Vec<u8>> {
     let peers = runner.peer_count();
-    let plan = Arc::new(plan_for(strategy));
+    let plan = plan_for(strategy);
     let partitioner = runner.config().partitioner;
     (0..peers)
         .map(|p| {
             let blob = runner.with_peer(PeerId(p), |peer| peer.checkpoint());
-            let restored =
-                EnginePeer::restore(PeerId(p), Arc::clone(&plan), strategy, partitioner, &blob)
-                    .unwrap_or_else(|e| panic!("{ctx}: peer {p} restore failed: {e}"));
+            let restored = EnginePeer::restore(PeerId(p), &plan, strategy, partitioner, &blob)
+                .unwrap_or_else(|e| panic!("{ctx}: peer {p} restore failed: {e}"));
             let reencoded = restored.checkpoint();
             assert_eq!(
                 reencoded, blob,
@@ -128,6 +127,92 @@ fn all_provenance_modes_roundtrip_canonically() {
     }
 }
 
+/// The checkpoint format may not move. For the pinned churn case under each
+/// strategy of [`strategies`], every peer blob's length and CRC-32, and the
+/// encoded epoch frame taken at the absorption-lazy boundary — literals
+/// written by the codec as it stood before its rules moved into one module.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    const BLOBS: [(&str, [(usize, u32); 4]); 6] = [
+        (
+            "Set Immediate",
+            [
+                (211, 3159535291),
+                (123, 1155457509),
+                (163, 1954131591),
+                (123, 2313442840),
+            ],
+        ),
+        (
+            "Counting Immediate",
+            [
+                (91, 3398881793),
+                (69, 562562213),
+                (81, 664567925),
+                (60, 3120624784),
+            ],
+        ),
+        (
+            "Absorption Lazy",
+            [
+                (901, 1011137389),
+                (590, 409316803),
+                (1386, 3877262637),
+                (585, 2479422233),
+            ],
+        ),
+        (
+            "Absorption Eager",
+            [
+                (1094, 3978313936),
+                (805, 935084016),
+                (1294, 777370155),
+                (639, 3364545091),
+            ],
+        ),
+        (
+            "Relative Lazy",
+            [
+                (4995, 95868167),
+                (2448, 3763244965),
+                (6196, 2636741578),
+                (2458, 3213267679),
+            ],
+        ),
+        (
+            "Relative Eager",
+            [
+                (7009, 3115671431),
+                (4074, 3370918504),
+                (6283, 4117791634),
+                (4074, 2707067443),
+            ],
+        ),
+    ];
+    const EPOCH: (u64, usize, u32) = (0, 3537, 1347433080);
+    let case = ChurnCase::pinned_cascade_race();
+    for (strategy, (label, want)) in strategies().into_iter().zip(BLOBS) {
+        assert_eq!(strategy.label(), label);
+        let runner = boundary_runner(&case, strategy);
+        let got: Vec<(usize, u32)> = (0..runner.peer_count())
+            .map(|p| {
+                let blob = runner.with_peer(PeerId(p), |peer| peer.checkpoint());
+                (blob.len(), crc32(&blob))
+            })
+            .collect();
+        assert_eq!(got, want, "{label}: peer blobs moved");
+    }
+    let mut runner = boundary_runner(&case, Strategy::absorption_lazy());
+    runner.enable_checkpointing(1);
+    let (epoch, ck) = runner.checkpoints().unwrap().latest().unwrap();
+    let frame = encode_checkpoint(epoch, ck);
+    assert_eq!(
+        (epoch, frame.len(), crc32(&frame)),
+        EPOCH,
+        "epoch frame moved"
+    );
+}
+
 /// Every strict prefix of every peer blob fails loudly — exhaustively, on
 /// the pinned case under the mode with the richest wire format.
 #[test]
@@ -135,21 +220,15 @@ fn every_truncation_fails_loudly() {
     let case = ChurnCase::pinned_cascade_race();
     let strategy = Strategy::relative_lazy();
     let runner = boundary_runner(&case, strategy);
-    let plan = Arc::new(reachable_plan());
+    let plan = reachable_plan();
     let partitioner = runner.config().partitioner;
     let peers = runner.peer_count();
     for p in 0..peers {
         let blob = runner.with_peer(PeerId(p), |peer| peer.checkpoint());
         for cut in 0..blob.len() {
             assert!(
-                EnginePeer::restore(
-                    PeerId(p),
-                    Arc::clone(&plan),
-                    strategy,
-                    partitioner,
-                    &blob[..cut],
-                )
-                .is_err(),
+                EnginePeer::restore(PeerId(p), &plan, strategy, partitioner, &blob[..cut],)
+                    .is_err(),
                 "peer {p}: prefix of {cut}/{} bytes decoded",
                 blob.len()
             );
@@ -158,8 +237,7 @@ fn every_truncation_fails_loudly() {
         let mut padded = blob.clone();
         padded.push(0);
         assert!(
-            EnginePeer::restore(PeerId(p), Arc::clone(&plan), strategy, partitioner, &padded)
-                .is_err(),
+            EnginePeer::restore(PeerId(p), &plan, strategy, partitioner, &padded).is_err(),
             "peer {p}: trailing byte accepted"
         );
     }
@@ -171,14 +249,14 @@ fn every_truncation_fails_loudly() {
 fn dead_variable_beyond_32_bits_is_rejected() {
     let strategy = Strategy::absorption_lazy();
     let partitioner = RunnerConfig::new(strategy, 1).partitioner;
-    let plan = Arc::new(reachable_plan());
-    let fresh = EnginePeer::new(PeerId(0), Arc::clone(&plan), strategy, partitioner);
+    let plan = reachable_plan();
+    let fresh = EnginePeer::new(PeerId(0), &plan, strategy, partitioner);
     let blob = fresh.checkpoint();
     // Allocator mark 0, then an empty dead-variable list.
     assert_eq!(blob[..2], [0, 0]);
     let with_dead = |var: &[u8]| {
         let bytes = [&[0, 1], var, &blob[2..]].concat();
-        EnginePeer::restore(PeerId(0), Arc::clone(&plan), strategy, partitioner, &bytes)
+        EnginePeer::restore(PeerId(0), &plan, strategy, partitioner, &bytes)
             .map(|peer| peer.checkpoint() == bytes)
     };
     assert_eq!(with_dead(&[7]), Ok(true), "an in-range variable restores");
@@ -224,7 +302,7 @@ proptest! {
         };
         let strategy = Strategy::relative_lazy();
         let runner = boundary_runner(&case, strategy);
-        let plan = Arc::new(reachable_plan());
+        let plan = reachable_plan();
         let partitioner = runner.config().partitioner;
         let peers = runner.peer_count();
         for p in 0..peers {
@@ -235,7 +313,7 @@ proptest! {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 EnginePeer::restore(
                     PeerId(p),
-                    Arc::clone(&plan),
+                    &plan,
                     strategy,
                     partitioner,
                     &bad,

@@ -90,12 +90,12 @@ impl PeerNode<Msg> for Probe {
 /// cause-delete updates flowed through the operator.
 fn scan_steps_are_per_dead_variable(strategy: Strategy) {
     const PEERS: u32 = 3;
-    let plan = Arc::new(reachable_plan());
+    let plan = reachable_plan();
     let partitioner = Partitioner::Hash { peers: PEERS };
     let minship_port = Plan::port(minship_op(&plan), 0);
     let probes: Vec<Probe> = (0..PEERS)
         .map(|p| Probe {
-            peer: EnginePeer::new(PeerId(p), Arc::clone(&plan), strategy, partitioner),
+            peer: EnginePeer::new(PeerId(p), &plan, strategy, partitioner),
             minship_port,
             dead: FxHashSet::default(),
             allowed_steps: 0,
@@ -235,7 +235,7 @@ fn deliver(peer: &mut EnginePeer, port: Port, ups: Vec<Update>) -> Vec<String> {
 #[test]
 fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
     const PEERS: u32 = 2;
-    let plan = Arc::new(reachable_plan());
+    let plan = reachable_plan();
     let ship = minship_op(&plan);
     let ship_port = Plan::port(ship, 0);
     let join = plan
@@ -246,7 +246,7 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
     let probe_port = Plan::port(OpId(join as u16), JOIN_PROBE);
     let mut peer = EnginePeer::new(
         PeerId(0),
-        Arc::clone(&plan),
+        &plan,
         Strategy::absorption_lazy(),
         Partitioner::Direct { peers: PEERS },
     );
