@@ -372,7 +372,7 @@ impl<M, N> ShardedRuntime<M, N> {
     /// session stays inspectable but can never converge again.
     fn freeze_shards(&mut self) {
         // One shared teardown flag: every TCP thread observes it within
-        // one read-timeout tick, and nothing below depends on the sockets,
+        // one heartbeat interval, and nothing below depends on the sockets,
         // so join the transport first.
         self.ctl.shared.shutting_down.store(true, Ordering::SeqCst);
         if let Some(tcp) = &mut self.tcp {
@@ -636,8 +636,8 @@ pub(crate) mod tests {
 
     /// 500 singleton envelopes (coalescing off) from one quantum, all
     /// queued on the destination at once, and their echoes queued on the
-    /// sender: exact counts both ways.
-    pub(crate) fn burst_500(cfg: ShardedConfig) {
+    /// sender: exact counts both ways. Returns the converged session.
+    pub(crate) fn burst_500(cfg: ShardedConfig) -> ShardedRuntime<u64, Burst> {
         let mut rt = ShardedRuntime::new(Burst::pair(500, true), cfg.with_coalescing(false));
         rt.inject(PeerId(0), Port(0), 0u64);
         assert!(rt.run(RunBudget::default()).converged_at().is_some());
@@ -646,12 +646,34 @@ pub(crate) mod tests {
         assert_eq!(rt.events_processed(), 1 + 500 + 500, "spray, burst, echoes");
         assert_eq!(rt.metrics_snapshot().total_envelopes(), 1000);
         assert_eq!(rt.pending_events(), 0);
+        rt
     }
 
     /// (The name is pinned by the test floor.)
     #[test]
     fn tiny_transport_capacity_still_completes() {
         burst_500(split_pair());
+    }
+
+    /// A burst queues its 500 envelopes on a TCP link faster than the
+    /// supervisor turns, so writes carry many frames and the seeded kill
+    /// and torn verdicts land inside them. Every seed keeps per-channel
+    /// FIFO, exactly-once delivery and the clean run's metrics; the sweep
+    /// as a whole reconnects and retransmits.
+    #[test]
+    fn batched_tcp_writes_survive_socket_faults() {
+        let clean = burst_500(split_pair_tcp()).metrics_snapshot();
+        let mut supervision = FaultStats::default();
+        for seed in 0..8u64 {
+            let cfg = split_pair_tcp().with_fault(FaultPlan::socket_faults(seed));
+            let rt = burst_500(cfg);
+            assert_eq!(rt.metrics_snapshot(), clean, "seed {seed} diverged");
+            supervision.merge(&rt.fault_stats());
+        }
+        assert!(
+            supervision.reconnects > 0 && supervision.retransmits > 0,
+            "the faults never fired: {supervision:?}"
+        );
     }
 
     /// Per-channel FIFO and exactly-once under fan-in: on 3 shards with
