@@ -17,6 +17,20 @@
 //! [`Arena::collect_if_due`] runs there, under the same lock acquisition that
 //! computes the result and takes its reference.
 //!
+//! # Unique table
+//!
+//! Every node is stored once, in `nodes`; the table that makes it canonical
+//! is a `Vec` of bucket heads plus a chain link inside each node. `heads` has
+//! a power-of-two length and is indexed by the high bits of a multiplicative
+//! hash of `(var, lo, hi)`; `Node::next` links the nodes of one bucket, and
+//! [`FALSE`] (a terminal, never hash-consed) ends a chain. [`Arena::mk`] walks
+//! one chain comparing triples in place and links a new node at its head.
+//! There is at least one bucket per hash-consed node: once they outnumber
+//! the buckets, `heads` doubles and the old chains are walked and relinked.
+//! [`Arena::gc`] refills `heads` from the slots it marked, so a freed slot
+//! is on the free list and in no chain, and it gives `heads` back to what
+//! the survivors need once it is [`SHRINK_SLACK`] times that.
+//!
 //! # Computed table
 //!
 //! Every memoised operation — `ite`, the two-operand [`Arena::apply`]
@@ -40,9 +54,7 @@
 //! admits one walk at a time, a collection runs only at operation entry (no
 //! slot is freed mid-walk), a slot `mk` pushes or recycles mid-walk carries
 //! an older epoch and is not part of the DAG being walked, and epoch
-//! wrap-around resets every stamp.
-
-use std::collections::hash_map::Entry;
+//! wrap-around resets every stamp. A collection marks with the same stamps.
 
 use netrec_types::wire::varint_len;
 use netrec_types::FxHashMap;
@@ -77,17 +89,23 @@ const SHRINK_SLACK: usize = 4;
 const MEMO_NODES_PER_ENTRY: usize = 2;
 /// The computed table's smallest size, in entries of 16 bytes.
 const MEMO_MIN: usize = 1024;
+/// The unique table's fewest buckets. Above this it has one per hash-consed
+/// node rounded up to a power of two: `mk` doubles it once the nodes
+/// outnumber the buckets, and `gc` resizes it from the survivors.
+const HEADS_MIN: usize = 1024;
 
 pub(crate) const FALSE: NodeId = 0;
 pub(crate) const TRUE: NodeId = 1;
 /// Terminal "level": sorts after every real variable.
 const TERMINAL_VAR: Var = u32::MAX;
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 struct Node {
     var: Var,
     lo: NodeId,
     hi: NodeId,
+    /// The next node of this one's unique-table bucket; [`FALSE`] ends it.
+    next: NodeId,
 }
 
 /// Node ids stay below this (`mk` asserts it); the values from here up are
@@ -164,7 +182,10 @@ pub(crate) struct Arena {
     epoch: u32,
     /// Slots the last collection freed, lowest id on top.
     free: Vec<NodeId>,
-    unique: FxHashMap<Node, NodeId>,
+    /// The unique table's bucket heads (module docs); a power-of-two length.
+    heads: Vec<NodeId>,
+    /// Hash-consed nodes: those reachable from `heads`.
+    unique_len: usize,
     /// The computed table (module docs); its length is a power of two.
     memo: Vec<Memo>,
     /// Hash-consed nodes that survived the previous collection.
@@ -182,7 +203,8 @@ impl Arena {
             aux: Vec::with_capacity(1024),
             epoch: 0,
             free: Vec::new(),
-            unique: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            heads: vec![FALSE; HEADS_MIN],
+            unique_len: 0,
             memo: vec![NO_MEMO; MEMO_MIN],
             survivors: 0,
             stats: BddManagerStats::default(),
@@ -193,6 +215,7 @@ impl Arena {
                 var: TERMINAL_VAR,
                 lo: t,
                 hi: t,
+                next: FALSE,
             });
             a.refs.push(0);
             a.stamp.push(0);
@@ -227,10 +250,20 @@ impl Arena {
         if lo == hi {
             return lo;
         }
-        let node = Node { var, lo, hi };
-        let slot = match self.unique.entry(node) {
-            Entry::Occupied(e) => return *e.get(),
-            Entry::Vacant(e) => e,
+        let bucket = self.bucket(var, lo, hi);
+        let mut n = self.heads[bucket];
+        while n != FALSE {
+            let node = self.nodes[n as usize];
+            if (node.var, node.lo, node.hi) == (var, lo, hi) {
+                return n;
+            }
+            n = node.next;
+        }
+        let node = Node {
+            var,
+            lo,
+            hi,
+            next: self.heads[bucket],
         };
         let id = match self.free.pop() {
             Some(id) => {
@@ -248,9 +281,40 @@ impl Arena {
                 (self.nodes.len() - 1) as NodeId
             }
         };
-        slot.insert(id);
-        self.stats.peak_nodes = self.stats.peak_nodes.max(self.unique.len() + 2);
+        self.heads[bucket] = id;
+        self.unique_len += 1;
+        if self.unique_len > self.heads.len() {
+            self.grow_heads();
+        }
+        self.stats.peak_nodes = self.stats.peak_nodes.max(self.unique_len + 2);
         id
+    }
+
+    /// The unique-table bucket of `(var, lo, hi)`.
+    #[inline]
+    fn bucket(&self, var: Var, lo: NodeId, hi: NodeId) -> usize {
+        hash_slot(lo, hi, var, self.heads.len())
+    }
+
+    /// Put the node in slot `n` at the head of its bucket's chain.
+    fn link(&mut self, n: NodeId) {
+        let node = &self.nodes[n as usize];
+        let bucket = self.bucket(node.var, node.lo, node.hi);
+        self.nodes[n as usize].next = self.heads[bucket];
+        self.heads[bucket] = n;
+    }
+
+    /// Double the bucket heads and relink every chain into them.
+    fn grow_heads(&mut self) {
+        let doubled = vec![FALSE; 2 * self.heads.len()];
+        let old = std::mem::replace(&mut self.heads, doubled);
+        for mut n in old {
+            while n != FALSE {
+                let next = self.nodes[n as usize].next;
+                self.link(n);
+                n = next;
+            }
+        }
     }
 
     pub(crate) fn mk_var(&mut self, v: Var) -> NodeId {
@@ -265,12 +329,7 @@ impl Arena {
 
     #[inline]
     fn memo_slot(&self, k0: u32, k1: u32, k2: u32) -> usize {
-        let h = (u64::from(k0) << 32 | u64::from(k1))
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(k2))
-            .wrapping_mul(0xd6e8_feb8_6659_fd93);
-        // The high bits are the well-mixed ones; the length is a power of two.
-        (h >> (64 - self.memo.len().trailing_zeros())) as usize
+        hash_slot(k0, k1, k2, self.memo.len())
     }
 
     /// The table slot of a key, and the memoised result if the slot holds it.
@@ -298,7 +357,7 @@ impl Arena {
 
     /// The table size the sizing rule gives the nodes there are now.
     fn memo_target(&self) -> usize {
-        (self.unique.len() / MEMO_NODES_PER_ENTRY)
+        (self.unique_len / MEMO_NODES_PER_ENTRY)
             .next_power_of_two()
             .max(MEMO_MIN)
     }
@@ -734,7 +793,7 @@ impl Arena {
     /// entry of every allocating operation, where the handles are the whole
     /// root set — and where the computed table is sized for the operation.
     pub(crate) fn collect_if_due(&mut self) {
-        let nodes = self.unique.len();
+        let nodes = self.unique_len;
         if nodes >= GC_FLOOR && nodes >= GC_GROWTH * self.survivors {
             self.gc();
         }
@@ -743,50 +802,65 @@ impl Arena {
 
     /// Mark-and-sweep garbage collection rooted at all live handles. Every
     /// unreachable slot goes on the free list for `mk` to reuse (a dead tail
-    /// of the node vector is cut off instead), the unique table keeps exactly
-    /// the nodes that survived, and the computed table is emptied — all
-    /// before the lock is released, so no table ever maps a recycled id to
-    /// what it used to denote.
+    /// of the node vector is cut off instead), the unique table is relinked
+    /// from exactly the nodes that survived, and the computed table is
+    /// emptied — all before the lock is released, so no table ever maps a
+    /// recycled id to what it used to denote.
     ///
     /// Returns the number of nodes reclaimed.
     pub(crate) fn gc(&mut self) -> usize {
-        let mut marked = vec![false; self.nodes.len()];
-        marked[FALSE as usize] = true;
-        marked[TRUE as usize] = true;
-        let mut stack: Vec<NodeId> = (0..self.refs.len() as NodeId)
-            .filter(|&n| self.refs[n as usize] > 0)
-            .collect();
-        while let Some(n) = stack.pop() {
-            if marked[n as usize] {
-                continue;
+        // Mark with a walk's stamps, on push: the stack holds each node once.
+        let epoch = self.next_epoch();
+        let mut stack: Vec<NodeId> = Vec::new();
+        for n in TRUE + 1..self.refs.len() as NodeId {
+            if self.refs[n as usize] > 0 && self.first_visit(n, epoch) {
+                stack.push(n);
             }
-            marked[n as usize] = true;
-            stack.push(self.lo(n));
-            stack.push(self.hi(n));
         }
-        let before = self.unique.len();
-        self.unique.retain(|_, &mut id| marked[id as usize]);
+        let mut survivors = stack.len();
+        while let Some(n) = stack.pop() {
+            for child in [self.lo(n), self.hi(n)] {
+                if child > TRUE && self.first_visit(child, epoch) {
+                    stack.push(child);
+                    survivors += 1;
+                }
+            }
+        }
+        // Both tables are resized below from what survives.
+        let reclaimed = self.unique_len - survivors;
+        self.unique_len = survivors;
+        self.survivors = survivors;
         // The computed table may name freed ids. Keeping the entries whose
         // ids all survived was measured and lost: filtering them costs the
         // sweep more than their hits repay (DESIGN.md "Annotation memory").
         self.clear_caches();
 
-        let live_end = 1 + marked
+        let live_end = self
+            .stamp
             .iter()
-            .rposition(|&m| m)
-            .expect("the terminals are marked");
+            .rposition(|&s| s == epoch)
+            .map_or(TRUE as usize + 1, |n| n + 1);
         self.nodes.truncate(live_end);
         self.refs.truncate(live_end);
         self.stamp.truncate(live_end);
         self.aux.truncate(live_end);
+        // The (empty) heads go back to what the survivors need once they are
+        // `SHRINK_SLACK` times that.
+        let buckets = survivors.next_power_of_two().max(HEADS_MIN);
+        if self.heads.len() > SHRINK_SLACK * buckets {
+            self.heads = vec![FALSE; buckets];
+        } else {
+            self.heads.fill(FALSE);
+        }
         self.free.clear();
-        self.free.extend(
-            (0..live_end as NodeId)
-                .rev()
-                .filter(|&n| !marked[n as usize]),
-        );
+        for n in (TRUE + 1..live_end as NodeId).rev() {
+            if self.stamp[n as usize] == epoch {
+                self.link(n);
+            } else {
+                self.free.push(n);
+            }
+        }
 
-        release_map(&mut self.unique);
         release_vec(&mut self.nodes);
         release_vec(&mut self.refs);
         release_vec(&mut self.stamp);
@@ -799,8 +873,6 @@ impl Arena {
             self.memo = vec![NO_MEMO; want];
         }
 
-        self.survivors = self.unique.len();
-        let reclaimed = before - self.survivors;
         self.stats.gc_runs += 1;
         self.stats.gc_reclaimed += reclaimed as u64;
         reclaimed
@@ -808,11 +880,26 @@ impl Arena {
 
     pub(crate) fn stats(&self) -> BddManagerStats {
         BddManagerStats {
-            nodes: self.unique.len() + 2,
+            nodes: self.unique_len + 2,
             slots: self.nodes.len(),
             free_slots: self.free.len(),
             ..self.stats
         }
+    }
+
+    /// Bytes the arena has allocated: the capacity of the node slots and
+    /// their per-slot vectors, the free list, the unique table's bucket heads
+    /// and the computed table. A deterministic stand-in for its share of RSS.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        let words = self.refs.capacity()
+            + self.stamp.capacity()
+            + self.aux.capacity()
+            + self.free.capacity()
+            + self.heads.capacity();
+        self.nodes.capacity() * size_of::<Node>()
+            + words * size_of::<u32>()
+            + self.memo.capacity() * size_of::<Memo>()
     }
 
     pub(crate) fn live_external_handles(&self) -> usize {
@@ -820,15 +907,19 @@ impl Arena {
     }
 }
 
-/// Give a table's memory back when it holds less than 1/[`SHRINK_SLACK`] of
-/// what it has room for.
-fn release_map<K: Eq + std::hash::Hash, V>(map: &mut FxHashMap<K, V>) {
-    if map.capacity() > SHRINK_SLACK * map.len().max(1024) {
-        map.shrink_to(2 * map.len());
-    }
+/// The slot of the key `(k0, k1, k2)` in a table of `len` entries, a power
+/// of two: the high bits of a multiplicative hash, the well-mixed ones.
+#[inline]
+fn hash_slot(k0: u32, k1: u32, k2: u32, len: usize) -> usize {
+    let h = (u64::from(k0) << 32 | u64::from(k1))
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(u64::from(k2))
+        .wrapping_mul(0xd6e8_feb8_6659_fd93);
+    (h >> (64 - len.trailing_zeros())) as usize
 }
 
-/// [`release_map`] for a vector.
+/// Give a vector's memory back when it holds less than 1/[`SHRINK_SLACK`]
+/// of what it has room for.
 fn release_vec<T>(v: &mut Vec<T>) {
     if v.capacity() > SHRINK_SLACK * v.len().max(1024) {
         v.shrink_to(2 * v.len());
@@ -961,6 +1052,137 @@ mod tests {
             assert_eq!(a.encoded_len(f), len, "round {round}");
         }
         assert!(a.epoch < 16, "the counter wrapped: {}", a.epoch);
+        // A collection marks with the same stamps: as the wrapping walk it
+        // must keep exactly `f`'s nodes, the ones a handle reaches.
+        a.incref(f);
+        let before = a.unique_len;
+        assert_eq!(wrapping(&mut a, |a| a.gc()), before - triples.len());
+        assert_eq!(a.unique_len, triples.len());
+        assert_eq!(a.support(f), support);
+        assert_eq!(a.nodes_triples(f), triples);
+    }
+
+    /// Every hash-consed node is on exactly one chain, in the bucket `mk`
+    /// looks in, and no free slot is on any: the chains visit `unique_len`
+    /// distinct ids, every slot is chained or free, and `mk` of each chained
+    /// node's triple returns its id without making a node.
+    fn assert_chains_exact(a: &mut Arena) {
+        let mut chained = vec![false; a.nodes.len()];
+        let mut count = 0;
+        for b in 0..a.heads.len() {
+            let mut n = a.heads[b];
+            while n != FALSE {
+                assert!(!chained[n as usize], "node {n} is chained twice");
+                chained[n as usize] = true;
+                count += 1;
+                n = a.nodes[n as usize].next;
+            }
+        }
+        assert_eq!(count, a.unique_len);
+        assert!(
+            a.free.iter().all(|&n| !chained[n as usize]),
+            "a free slot is chained"
+        );
+        assert_eq!(count + a.free.len() + 2, a.nodes.len());
+        let slots = a.nodes.len();
+        for n in TRUE + 1..slots as NodeId {
+            if chained[n as usize] {
+                let Node { var, lo, hi, .. } = a.nodes[n as usize];
+                assert_eq!(a.mk(var, lo, hi), n);
+            }
+        }
+        assert_eq!(a.nodes.len(), slots, "mk of a live triple made a node");
+    }
+
+    /// The unique table across its growth and the collector's relink: a
+    /// random program of builds (each at a safe point, as the handle layer
+    /// does), handle drops and collections, checked after every step, that
+    /// doubles the bucket heads at least three times and ends by giving
+    /// them back.
+    #[test]
+    fn chains_stay_exact_across_growth_and_collection() {
+        let mut a = Arena::new();
+        let mut rng = Lcg(0x2545_f491_4f6c_dd1d);
+        let mut kept: Vec<NodeId> = Vec::new();
+        let mut most_heads = a.heads.len();
+        for step in 0..1500 {
+            match rng.next(10) {
+                0 if !kept.is_empty() => {
+                    let i = rng.next(kept.len() as u64) as usize;
+                    a.decref(kept.swap_remove(i));
+                }
+                1 if step % 3 == 0 => {
+                    a.gc();
+                }
+                _ => {
+                    a.collect_if_due();
+                    let mut term = || {
+                        let vars: Vec<Var> = (0..5).map(|_| rng.next(4096) as Var).collect();
+                        cube(&mut a, &vars)
+                    };
+                    let (x, y) = (term(), term());
+                    let f = a.apply(Op::Or, x, y);
+                    a.incref(f);
+                    kept.push(f);
+                }
+            }
+            most_heads = most_heads.max(a.heads.len());
+            assert_chains_exact(&mut a);
+        }
+        assert!(most_heads >= 8 * HEADS_MIN, "heads peaked at {most_heads}");
+        assert!(a.stats.gc_runs >= 10, "{} collections", a.stats.gc_runs);
+        for f in kept {
+            a.decref(f);
+        }
+        a.gc();
+        assert_chains_exact(&mut a);
+        assert_eq!((a.unique_len, a.heads.len()), (0, HEADS_MIN));
+    }
+
+    /// What the arena allocates per node. 1 000 disjoint 100-variable cubes
+    /// (100 000 nodes) are kept and 300 more are held, then dropped and
+    /// collected: the slots peak at 130 002 ≤ 2^17, and the collection cuts
+    /// off the dead tail. Either side of it each vector is at most what 2^17
+    /// slots need: the slot vectors, doubling from 1 024, 2^17 × (16 B node +
+    /// 3 × 4 B of `refs`, `stamp` and `aux`); the bucket heads, one per node
+    /// rounded up, 2^17 × 4 B; the computed table, one entry per two nodes
+    /// rounded up, 2^16 × 16 B; the free list, never filled. That is
+    /// 5 242 880 B, under 53 B per node over at least 100 000 nodes. The
+    /// layout with a 12 B node and a hash map from node to id as the unique
+    /// table (2^18 buckets of 16 B plus a control byte for the same nodes)
+    /// comes to 8.65 MB: 66 B per node before the collection and 86 B after.
+    /// Last, a collection that frees every node gives both tables back to
+    /// their floors, which the survivors' count, not the count before the
+    /// sweep, decides.
+    #[test]
+    fn arena_heap_bytes_per_node_is_bounded() {
+        const CEILING: usize = 53;
+        let mut a = Arena::new();
+        let build = |a: &mut Arena, k: Var| {
+            a.collect_if_due();
+            let f = cube(a, &(100 * k..100 * (k + 1)).collect::<Vec<_>>());
+            a.incref(f);
+            f
+        };
+        let kept: Vec<NodeId> = (0..1000).map(|k| build(&mut a, k)).collect();
+        let held: Vec<NodeId> = (1000..1300).map(|k| build(&mut a, k)).collect();
+        let s = a.stats();
+        assert_eq!((s.nodes, s.slots), (130_002, 130_002));
+        assert!(a.heap_bytes() / s.nodes < CEILING, "{s:?}");
+        for f in held {
+            a.decref(f);
+        }
+        a.gc();
+        let s = a.stats();
+        assert_eq!((s.nodes, s.slots), (100_002, 100_002));
+        assert!(a.heap_bytes() / s.nodes < CEILING, "{s:?}");
+        assert_eq!(a.memo.len(), 1 << 16);
+        for f in kept {
+            a.decref(f);
+        }
+        a.gc();
+        assert_eq!(a.stats().nodes, 2);
+        assert_eq!((a.heads.len(), a.memo.len()), (HEADS_MIN, MEMO_MIN));
     }
 
     /// `restrict` makes nodes while it walks; with no free slot and the node

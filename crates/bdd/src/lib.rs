@@ -4,9 +4,10 @@
 //! *absorption provenance* (Liu et al., ICDE 2009, §4.1). The paper used
 //! JavaBDD; this crate provides the same facilities in safe Rust:
 //!
-//! * hash-consed unique table, so every Boolean function has exactly one
+//! * a hash-consed unique table, so every Boolean function has exactly one
 //!   canonical node — Boolean absorption (`a ∧ (a ∨ b) ≡ a`) falls out of
-//!   canonicity for free;
+//!   canonicity for free; its collision chains run through the node array,
+//!   so each node is stored once (bucket heads plus a link in the node);
 //! * one two-operand `apply` behind `and`/`or`/`diff`/`not` (`x − y` is
 //!   computed without building `¬y`), `ite` (if-then-else) behind `xor`, and
 //!   a node-free `implies` — all memoised in one direct-mapped computed

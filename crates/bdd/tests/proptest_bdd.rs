@@ -261,7 +261,14 @@ proptest! {
                 prop_assert_eq!(&to_bdd(&m, e), f);
                 let bytes = f.encode();
                 prop_assert_eq!(f.encoded_len(), bytes.len());
+                // Decoded into its own manager, a surviving root finds each of
+                // its nodes in the unique table: the same id (handles compare
+                // ids), and no node made beside what a collection reclaimed.
+                let before = m.stats();
                 prop_assert_eq!(&m.decode(&bytes).unwrap(), f);
+                let after = m.stats();
+                let reclaimed = (after.gc_reclaimed - before.gc_reclaimed) as usize;
+                prop_assert_eq!(after.nodes + reclaimed, before.nodes);
                 // The walks, against the truth table and against the same
                 // function in an arena that never recycled a slot.
                 let table = expr_table(e);
