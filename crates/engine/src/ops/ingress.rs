@@ -17,6 +17,8 @@ use super::Ectx;
 /// Ingress operator for one base relation on one peer.
 pub struct IngressOp {
     rel: RelId,
+    /// The relation's partition column: its address orders the variable.
+    part_col: usize,
     dests: Vec<Dest>,
     /// Live base tuples → provenance variable (annotation modes) —
     /// also the set-semantics dedup table (every mode).
@@ -29,10 +31,11 @@ pub struct IngressOp {
 }
 
 impl IngressOp {
-    /// New ingress for `rel` feeding `dests`.
-    pub fn new(rel: RelId, dests: Vec<Dest>) -> IngressOp {
+    /// New ingress for `rel`, partitioned on `part_col`, feeding `dests`.
+    pub fn new(rel: RelId, part_col: usize, dests: Vec<Dest>) -> IngressOp {
         IngressOp {
             rel,
+            part_col,
             dests,
             vars: VarTable::new(),
             pending_ttl: FxHashMap::default(),
@@ -69,7 +72,13 @@ impl IngressOp {
     ) -> Option<(u32, Duration)> {
         match kind {
             UpdateKind::Insert => {
-                let Some(var) = self.vars.insert(self.rel, tuple.clone(), alloc) else {
+                // The partition value places the variable in the order; a
+                // key this peer does not own (a tuple handed to the wrong
+                // peer) is withheld, so another peer's block is never used.
+                let key = tuple
+                    .try_get(self.part_col)
+                    .filter(|k| ectx.partitioner.place_value(Some(k)) == ectx.me);
+                let Some(var) = self.vars.insert(self.rel, tuple.clone(), key, alloc) else {
                     return None; // duplicate insertion: set semantics no-op
                 };
                 if crate::trace::enabled() {
@@ -192,7 +201,7 @@ mod tests {
         for (i, (before, after)) in fields.iter().enumerate() {
             let restore = |v: &[u8]| {
                 let bytes = [before, v, after].concat();
-                IngressOp::new(RelId(0), Vec::new()).restore(&mut Reader::new(&bytes, None))
+                IngressOp::new(RelId(0), 0, Vec::new()).restore(&mut Reader::new(&bytes, None))
             };
             assert_eq!(restore(&[7]), Ok(()), "field {i}");
             assert!(

@@ -53,9 +53,11 @@ impl EnginePeer {
             .ops
             .iter()
             .map(|spec| match spec {
-                OpSpec::Ingress { rel, dests } => {
-                    OpState::Ingress(IngressOp::new(*rel, dests.clone()))
-                }
+                OpSpec::Ingress { rel, dests } => OpState::Ingress(IngressOp::new(
+                    *rel,
+                    plan.catalog.schema(*rel).partition_col,
+                    dests.clone(),
+                )),
                 OpSpec::Map {
                     exprs,
                     preds,

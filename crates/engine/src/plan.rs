@@ -6,7 +6,7 @@
 //! ([`OpSpec::Exchange`], [`OpSpec::MinShip`]) move updates to the peer that
 //! owns the routing key, everything else hands off locally.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use netrec_types::{Catalog, RelId, RelKind, Schema};
 
@@ -222,8 +222,10 @@ pub struct Plan {
     pub catalog: Catalog,
     /// Operators; `OpId` indexes this vector.
     pub ops: Vec<OpSpec>,
-    /// Ingress operator of each base relation.
-    pub ingress_of: HashMap<RelId, OpId>,
+    /// Ingress operator of each base relation, in relation order: DRed's
+    /// re-derive trigger walks it, and the order its messages enter the
+    /// simulator must not change from one process to the next.
+    pub ingress_of: BTreeMap<RelId, OpId>,
     /// View stores `(relation, store op)` for result collection.
     pub views: Vec<(RelId, OpId)>,
 }
@@ -301,7 +303,7 @@ impl Plan {
 pub struct PlanBuilder {
     catalog: Catalog,
     ops: Vec<OpSpec>,
-    ingress_of: HashMap<RelId, OpId>,
+    ingress_of: BTreeMap<RelId, OpId>,
     views: Vec<(RelId, OpId)>,
     next_rule: u32,
 }
@@ -318,7 +320,7 @@ impl PlanBuilder {
         PlanBuilder {
             catalog: Catalog::new(),
             ops: Vec::new(),
-            ingress_of: HashMap::new(),
+            ingress_of: BTreeMap::new(),
             views: Vec::new(),
             next_rule: 0,
         }

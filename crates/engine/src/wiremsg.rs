@@ -9,7 +9,7 @@
 //! the reader: a link reads annotations without a manager.
 //!
 //! An absorption annotation is already bytes when it gets here
-//! ([`Prov::Wire`](netrec_prov::Prov::Wire), made where the batch left its
+//! ([`Prov::Wire`], made where the batch left its
 //! peer) and is bytes again when it leaves: encoding copies them into the
 //! frame, decoding checks them (`netrec_bdd::check_encoding` — input from a
 //! socket is validated where it enters, so a corrupt annotation kills the
@@ -24,6 +24,7 @@
 
 use std::sync::Arc;
 
+use netrec_prov::Prov;
 use netrec_sim::WireMsg;
 use netrec_types::wire::WireError;
 use netrec_types::{Duration, UpdateKind};
@@ -66,6 +67,15 @@ impl Field for Duration {
 
 /// Relation, kind, tuple, annotation, cause list — the fields
 /// [`Update::encoded_len`] prices.
+///
+/// An insert whose relative annotation is rooted at *another tuple of its
+/// own relation* is `Corrupt`: a receiving table would merge it with the
+/// tuple's annotation and reach `RelProv::merge`'s same-tuple assertion,
+/// panicking the peer. No valid sender makes one — a rule head roots its
+/// output at itself. A root in another relation is valid (a projecting
+/// map's output keeps its join row's annotation), and so is any root on a
+/// delete, which carries the removed part of an input's annotation and is
+/// never merged.
 impl Field for Update {
     #[inline]
     fn put(&self, out: &mut Vec<u8>) {
@@ -78,13 +88,23 @@ impl Field for Update {
 
     #[inline]
     fn get(r: &mut Reader<'_>) -> Result<Update, WireError> {
-        Ok(Update {
+        let u = Update {
             rel: r.get()?,
             kind: r.get()?,
             tuple: r.get()?,
             prov: r.get()?,
             cause: r.get()?,
-        })
+        };
+        if let (Prov::Rel(p), UpdateKind::Insert) = (&u.prov, u.kind) {
+            if p.root_tuple()
+                .is_some_and(|(rel, t)| rel == u.rel && *t != u.tuple)
+            {
+                return Err(WireError::Corrupt(
+                    "relative insert rooted at another tuple",
+                ));
+            }
+        }
+        Ok(u)
     }
 }
 
@@ -126,7 +146,7 @@ impl WireMsg for Msg {
 mod tests {
     use super::*;
     use netrec_bdd::BddManager;
-    use netrec_prov::{Prov, ProvMode};
+    use netrec_prov::{ProvMode, RelProv};
     use netrec_types::{tup, RelId, Value};
 
     fn encoded(msg: &Msg) -> Vec<u8> {
@@ -304,5 +324,44 @@ mod tests {
                 "{what} annotation decoded"
             );
         }
+    }
+
+    /// A relative annotation is a derivation graph rooted at the tuple it
+    /// describes. An insert whose root is another tuple of its own relation
+    /// would reach `RelProv::merge`'s same-tuple assertion at the receiver
+    /// and panic the peer, so the frame is `Corrupt` at `Msg::decode`. A
+    /// root in another relation (a projecting map's output) and a
+    /// cause-delete (which carries the removed part of an input's
+    /// annotation) are what valid senders produce, and decode.
+    #[test]
+    fn relative_insert_rooted_at_another_tuple_is_rejected() {
+        let rel = RelId(4);
+        let derived = |r: RelId, x: i64| {
+            Prov::Rel(Arc::new(RelProv::derive(
+                0,
+                r,
+                tup([Value::Int(x)]),
+                &[&RelProv::base(3)],
+            )))
+        };
+        let decode = |u: Update| {
+            let bytes = encoded(&Msg::Updates(Arc::new(vec![u])));
+            Msg::decode(&mut bytes.as_slice())
+        };
+        let own = tup([Value::Int(1)]);
+        assert!(decode(Update::ins(rel, own.clone(), derived(rel, 1))).is_ok());
+        assert!(decode(Update::ins(
+            rel,
+            own.clone(),
+            Prov::base(ProvMode::Relative, 3, &BddManager::new())
+        ))
+        .is_ok());
+        assert!(decode(Update::ins(rel, own.clone(), derived(RelId(3), 2))).is_ok());
+        let cause: Arc<[u32]> = Arc::from(&[3u32][..]);
+        assert!(decode(Update::del_cause(rel, own.clone(), derived(rel, 2), cause)).is_ok());
+        assert!(matches!(
+            decode(Update::ins(rel, own, derived(rel, 2))),
+            Err(WireError::Corrupt(_))
+        ));
     }
 }

@@ -1,19 +1,50 @@
 //! Base-tuple variable management for annotation-carrying schemes.
 //!
 //! Every EDB insertion is assigned a fresh provenance variable by the peer
-//! that owns the tuple. Peers allocate from disjoint id spaces (peer id in
-//! the high bits), so no cross-peer coordination is needed — mirroring how
-//! the paper's system assigns tuple identity at the ingress node. If a tuple
-//! is deleted and later re-inserted it receives a *new* variable: the old
-//! derivations died with the old variable.
+//! that owns the tuple. A variable's value is its place in the BDD order
+//! (smaller is nearer the root), and it is laid out as
+//!
+//! ```text
+//!   31 ............ 20 19 ................ 0
+//!   [      block     ] [ home peer's counter ]
+//! ```
+//!
+//! The block is the **address in the base tuple's partition attribute**
+//! when that address is below [`ADDR_RANKS`]. The order then follows the
+//! locality numbering the topology generators emit (transit-stub: transits,
+//! then each stub contiguously; sensor grid: row-major), so neighbouring
+//! links get neighbouring variables, and a re-inserted tuple gets a new
+//! variable inside the same block (DESIGN.md "Variable order"). Any other
+//! partition value — a non-address key, an address at or past
+//! [`ADDR_RANKS`], or none — takes the home peer's *fallback block*
+//! `ADDR_RANKS + peer`: peer-major, below every address block.
+//!
+//! Uniqueness needs no coordination. The caller passes an address only
+//! for a tuple its peer owns, and placement is a function of the address,
+//! so each address block is written by one peer; each fallback block
+//! belongs to one peer; and within a peer the counter never repeats. If a
+//! tuple is deleted and later re-inserted it receives a *new* variable:
+//! the old derivations died with the old variable.
 
 use netrec_bdd::Var;
-use netrec_types::{FxHashMap, RelId, Tuple};
+use netrec_types::{FxHashMap, RelId, Tuple, Value};
 
-/// Bits reserved for the per-peer counter; supports 2^22 ≈ 4.2 M base
-/// insertions per peer and 1024 peers, far beyond the paper's workloads.
-const PEER_SHIFT: u32 = 22;
-const COUNTER_MASK: u32 = (1 << PEER_SHIFT) - 1;
+/// Bits of the per-peer counter: 2^20 ≈ 1.05 M base insertions per peer.
+const COUNTER_BITS: u32 = 20;
+
+/// Addresses with a block of their own: `0..ADDR_RANKS`. Every address of
+/// a ≤ 256-node topology gives a variable below 2^28, four varint bytes.
+pub const ADDR_RANKS: u32 = 1 << 11;
+
+/// Peers with a fallback block: `0..MAX_PEERS`.
+const MAX_PEERS: u32 = 1 << 10;
+
+// The highest variable (last fallback block, last counter value) stays
+// below the BDD's terminal marker, `u32::MAX`.
+const _: () = assert!(
+    ((ADDR_RANKS + MAX_PEERS) as u64) << COUNTER_BITS <= u32::MAX as u64,
+    "variable layout overflows 32 bits"
+);
 
 /// Allocates provenance variables for one peer.
 #[derive(Clone, Debug)]
@@ -26,23 +57,28 @@ impl VarAllocator {
     /// Maximum variables one peer can ever allocate (the counter-field
     /// capacity). Checkpoint restore validates against this bound before
     /// rebuilding an allocator.
-    pub const CAPACITY: u32 = COUNTER_MASK;
+    pub const CAPACITY: u32 = 1 << COUNTER_BITS;
 
     /// Allocator for physical peer `peer`.
     pub fn new(peer: u32) -> VarAllocator {
-        assert!(peer < (1 << (32 - PEER_SHIFT)), "peer id out of range");
-        VarAllocator { peer, next: 0 }
+        VarAllocator::with_allocated(peer, 0)
     }
 
-    /// Allocate a fresh variable.
-    pub fn alloc(&mut self) -> Var {
-        let v = (self.peer << PEER_SHIFT) | self.next;
-        self.next += 1;
+    /// Allocate a fresh variable for a base tuple whose partition value is
+    /// `key`. Pass an address only if this peer owns it; `None` (or any
+    /// non-address value) allocates in this peer's fallback block.
+    pub fn alloc(&mut self, key: Option<&Value>) -> Var {
         assert!(
-            self.next <= COUNTER_MASK,
+            self.next < Self::CAPACITY,
             "variable space exhausted for peer {}",
             self.peer
         );
+        let block = match key {
+            Some(Value::Addr(a)) if a.0 < ADDR_RANKS => a.0,
+            _ => ADDR_RANKS + self.peer,
+        };
+        let v = (block << COUNTER_BITS) | self.next;
+        self.next += 1;
         v
     }
 
@@ -50,20 +86,15 @@ impl VarAllocator {
     /// after restore continues exactly where the crashed peer left off, so
     /// recovered variables never collide with pre-crash ones.
     pub fn with_allocated(peer: u32, allocated: u32) -> VarAllocator {
-        assert!(peer < (1 << (32 - PEER_SHIFT)), "peer id out of range");
+        assert!(peer < MAX_PEERS, "peer id out of range");
         assert!(
-            allocated <= COUNTER_MASK,
+            allocated <= Self::CAPACITY,
             "checkpointed allocation count out of range for peer {peer}"
         );
         VarAllocator {
             peer,
             next: allocated,
         }
-    }
-
-    /// Which peer allocated a given variable.
-    pub fn owner_of(var: Var) -> u32 {
-        var >> PEER_SHIFT
     }
 
     /// Number of variables handed out so far.
@@ -88,15 +119,22 @@ impl VarTable {
         VarTable::default()
     }
 
-    /// Record a newly inserted base tuple. Returns `None` (and leaves the
-    /// table unchanged) if the tuple is already live — set semantics: a
-    /// duplicate base insertion is a no-op.
-    pub fn insert(&mut self, rel: RelId, tuple: Tuple, alloc: &mut VarAllocator) -> Option<Var> {
+    /// Record a newly inserted base tuple, allocating its variable under
+    /// partition value `key` (see [`VarAllocator::alloc`]). Returns `None`
+    /// (and leaves the table unchanged) if the tuple is already live — set
+    /// semantics: a duplicate base insertion is a no-op.
+    pub fn insert(
+        &mut self,
+        rel: RelId,
+        tuple: Tuple,
+        key: Option<&Value>,
+        alloc: &mut VarAllocator,
+    ) -> Option<Var> {
         use std::collections::hash_map::Entry;
         match self.live.entry((rel, tuple)) {
             Entry::Occupied(_) => None,
             Entry::Vacant(e) => {
-                let v = alloc.alloc();
+                let v = alloc.alloc(key);
                 e.insert(v);
                 Some(v)
             }
@@ -142,25 +180,56 @@ impl VarTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netrec_types::Value;
+    use netrec_types::NetAddr;
 
     fn t(i: i64) -> Tuple {
         Tuple::new(vec![Value::Int(i)])
     }
 
+    fn addr(a: u32) -> Value {
+        Value::Addr(NetAddr(a))
+    }
+
+    /// Address keys allocate in the address's block, everything else in the
+    /// peer's fallback block; no two peers' variables meet.
     #[test]
     fn allocator_is_peer_disjoint() {
         let mut a0 = VarAllocator::new(0);
         let mut a1 = VarAllocator::new(1);
-        let vs: Vec<Var> = (0..4)
-            .map(|_| a0.alloc())
-            .chain((0..4).map(|_| a1.alloc()))
-            .collect();
-        let unique: std::collections::HashSet<_> = vs.iter().collect();
-        assert_eq!(unique.len(), 8);
-        assert!(vs[..4].iter().all(|&v| VarAllocator::owner_of(v) == 0));
-        assert!(vs[4..].iter().all(|&v| VarAllocator::owner_of(v) == 1));
+        let v5 = a1.alloc(Some(&addr(5)));
+        let v3 = a0.alloc(Some(&addr(3)));
+        let v3b = a0.alloc(Some(&addr(3)));
+        let int0 = a0.alloc(Some(&Value::Int(5)));
+        let int1 = a1.alloc(Some(&Value::Int(5)));
+        let none0 = a0.alloc(None);
+        assert_eq!((v3, v3b, v5), (3 << 20, (3 << 20) | 1, 5 << 20));
+        assert_eq!(int0, ((ADDR_RANKS) << 20) | 2);
+        assert_eq!(int1, ((ADDR_RANKS + 1) << 20) | 1);
+        assert_eq!(none0, ((ADDR_RANKS) << 20) | 3);
+        let all = [v3, v3b, v5, int0, int1, none0];
+        let unique: std::collections::HashSet<_> = all.iter().collect();
+        assert_eq!(unique.len(), all.len());
         assert_eq!(a0.allocated(), 4);
+        assert_eq!(a1.allocated(), 2);
+    }
+
+    #[test]
+    fn address_rank_edges() {
+        let mut a = VarAllocator::new(7);
+        let last = a.alloc(Some(&addr(ADDR_RANKS - 1)));
+        let past = a.alloc(Some(&addr(ADDR_RANKS)));
+        assert_eq!(last, (ADDR_RANKS - 1) << 20);
+        assert_eq!(
+            past,
+            ((ADDR_RANKS + 7) << 20) | 1,
+            "past the limit: fallback"
+        );
+        assert!(last < past);
+        // Every address of a 256-node topology stays a 4-byte varint.
+        assert!(
+            VarAllocator::with_allocated(0, VarAllocator::CAPACITY - 1).alloc(Some(&addr(255)))
+                < 1 << 28
+        );
     }
 
     #[test]
@@ -168,9 +237,9 @@ mod tests {
         let mut alloc = VarAllocator::new(0);
         let mut table = VarTable::new();
         let rel = RelId(0);
-        let v1 = table.insert(rel, t(1), &mut alloc).expect("fresh");
+        let v1 = table.insert(rel, t(1), None, &mut alloc).expect("fresh");
         assert_eq!(
-            table.insert(rel, t(1), &mut alloc),
+            table.insert(rel, t(1), None, &mut alloc),
             None,
             "duplicate is no-op"
         );
@@ -180,7 +249,9 @@ mod tests {
         assert_eq!(table.remove(rel, &t(1)), None, "double delete ignored");
         assert!(table.is_empty());
         // Re-insertion gets a fresh variable.
-        let v2 = table.insert(rel, t(1), &mut alloc).expect("fresh again");
+        let v2 = table
+            .insert(rel, t(1), None, &mut alloc)
+            .expect("fresh again");
         assert_ne!(v1, v2);
     }
 
@@ -188,8 +259,8 @@ mod tests {
     fn iter_exposes_live_tuples() {
         let mut alloc = VarAllocator::new(2);
         let mut table = VarTable::new();
-        table.insert(RelId(0), t(1), &mut alloc);
-        table.insert(RelId(1), t(2), &mut alloc);
+        table.insert(RelId(0), t(1), None, &mut alloc);
+        table.insert(RelId(1), t(2), None, &mut alloc);
         let mut seen: Vec<_> = table.iter().map(|(r, _, _)| r).collect();
         seen.sort();
         assert_eq!(seen, vec![RelId(0), RelId(1)]);
@@ -198,17 +269,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "peer id out of range")]
     fn oversized_peer_rejected() {
-        let _ = VarAllocator::new(1 << 10);
+        let _ = VarAllocator::new(MAX_PEERS);
+    }
+
+    /// The last counter value of the last fallback block is allocated and
+    /// stays below the terminal marker; one more allocation panics.
+    #[test]
+    #[should_panic(expected = "variable space exhausted for peer 1023")]
+    fn exhaustion_panics_at_capacity() {
+        let mut a = VarAllocator::with_allocated(MAX_PEERS - 1, VarAllocator::CAPACITY - 1);
+        assert!(a.alloc(None) < u32::MAX);
+        assert_eq!(a.allocated(), VarAllocator::CAPACITY);
+        a.alloc(Some(&addr(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed allocation count out of range")]
+    fn restore_past_capacity_rejected() {
+        let _ = VarAllocator::with_allocated(0, VarAllocator::CAPACITY + 1);
     }
 
     #[test]
     fn restored_allocator_continues_without_collision() {
         let mut fresh = VarAllocator::new(3);
-        let before: Vec<Var> = (0..5).map(|_| fresh.alloc()).collect();
+        let before: Vec<Var> = (0..5).map(|_| fresh.alloc(Some(&addr(9)))).collect();
         let mut restored = VarAllocator::with_allocated(3, fresh.allocated());
-        let after = restored.alloc();
+        let after = restored.alloc(Some(&addr(9)));
         assert!(!before.contains(&after));
-        assert_eq!(VarAllocator::owner_of(after), 3);
         assert_eq!(after, before[4] + 1);
     }
 
@@ -216,8 +303,8 @@ mod tests {
     fn restored_table_matches_original() {
         let mut alloc = VarAllocator::new(0);
         let mut table = VarTable::new();
-        table.insert(RelId(0), t(1), &mut alloc);
-        table.insert(RelId(1), t(2), &mut alloc);
+        table.insert(RelId(0), t(1), None, &mut alloc);
+        table.insert(RelId(1), t(2), None, &mut alloc);
         let mut restored = VarTable::new();
         for (r, tuple, v) in table.iter() {
             restored.restore(r, tuple.clone(), v);

@@ -26,7 +26,10 @@
 //! [`Prov`] is the tagged union the engine's operators carry on every update;
 //! [`VarAllocator`]/[`VarTable`] manage the base-tuple variable space, which
 //! is shared by the absorption *and* relative schemes (base tuples are
-//! identified by variable in both).
+//! identified by variable in both). A variable's high bits are the address
+//! in its base tuple's partition attribute and its low bits the home peer's
+//! counter, so the BDD order follows the topology's numbering (DESIGN.md
+//! "Variable order").
 
 pub mod absorption;
 pub mod relative;

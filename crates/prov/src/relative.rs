@@ -99,6 +99,15 @@ impl RelProv {
         out
     }
 
+    /// The tuple this annotation describes when its root is a derived one;
+    /// `None` for a base-tuple root.
+    pub fn root_tuple(&self) -> Option<(RelId, &Tuple)> {
+        match &self.nodes[self.root as usize].key {
+            NodeKey::Derived(rel, tuple) => Some((*rel, tuple)),
+            NodeKey::Base(_) => None,
+        }
+    }
+
     /// Whether merging `other` into `self` would add any new derivation —
     /// the relative-provenance analogue of MinShip's absorption test.
     pub fn would_change(&self, other: &RelProv) -> bool {

@@ -1,12 +1,15 @@
 //! Property tests for the provenance algebras: absorption (BDD) behaviour
-//! under random derivation DAGs, and agreement between relative provenance's
-//! derivability verdicts and the Boolean semantics of the same derivations.
+//! under random derivation DAGs, agreement between relative provenance's
+//! derivability verdicts and the Boolean semantics of the same derivations,
+//! and the variable allocator's layout across peers.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use netrec_bdd::{Bdd, BddManager, Var};
-use netrec_prov::RelProv;
-use netrec_types::{RelId, Tuple, Value};
+use netrec_prov::absorption::ADDR_RANKS;
+use netrec_prov::{RelProv, VarAllocator, VarTable};
+use netrec_sim::{Partitioner, PeerId};
+use netrec_types::{NetAddr, RelId, Tuple, Value};
 use proptest::prelude::*;
 
 /// A random monotone derivation structure: `n_base` base tuples, then a
@@ -64,8 +67,105 @@ fn build(dag: &DerivationDag, mgr: &BddManager) -> (Vec<Bdd>, Vec<RelProv>) {
     (bdds, rels)
 }
 
+/// One step of an ingress program: insert (`0`), delete (`1`) or delete
+/// then re-insert (`2`) the base tuple `(key, tag)`, where `key_kind`
+/// picks an in-range address, an address at or past [`ADDR_RANKS`], an
+/// `Int` key or a `Str` key. `crash` rebuilds the owning peer's allocator
+/// from its high-water mark before the step.
+#[derive(Clone, Debug)]
+struct Step {
+    op: u32,
+    key_kind: u32,
+    key: u32,
+    tag: u32,
+    crash: bool,
+}
+
+fn arb_program() -> impl Strategy<Value = (u32, bool, Vec<Step>)> {
+    let step = (0u32..3, (0u32..4, 0u32..40, 0u32..3), 0u32..16).prop_map(
+        |(op, (key_kind, key, tag), crash)| Step {
+            op,
+            key_kind,
+            key,
+            tag,
+            crash: crash == 0,
+        },
+    );
+    (1u32..17, 0u32..2, proptest::collection::vec(step, 1..120))
+        .prop_map(|(peers, hash, steps)| (peers, hash == 1, steps))
+}
+
+fn key_of(s: &Step) -> Value {
+    match s.key_kind {
+        0 => Value::Addr(NetAddr(s.key * 7)),
+        1 => Value::Addr(NetAddr(ADDR_RANKS + s.key)),
+        2 => Value::Int(i64::from(s.key)),
+        _ => Value::str(format!("region-{}", s.key)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Peers allocate without coordination: each base tuple goes to the
+    /// peer its partition value places it on, as at ingress. Every variable
+    /// handed out — across peers, re-inserts and allocator restores — is
+    /// distinct; an in-range address's variables lie in that address's
+    /// block, so they sort address-major; every other key's lie in its
+    /// peer's fallback block, below (deeper than) every address block.
+    #[test]
+    fn allocated_variables_are_distinct_and_address_major(program in arb_program()) {
+        let (peers, hash, steps) = program;
+        let part = if hash {
+            Partitioner::Hash { peers }
+        } else {
+            Partitioner::Direct { peers }
+        };
+        let rel = RelId(0);
+        let mut allocs: Vec<VarAllocator> = (0..peers).map(VarAllocator::new).collect();
+        let mut tables: Vec<VarTable> = (0..peers).map(|_| VarTable::new()).collect();
+        let mut seen: HashMap<Var, Value> = HashMap::new();
+        let block = |v: Var| v / VarAllocator::CAPACITY;
+        for s in &steps {
+            let key = key_of(s);
+            let PeerId(p) = part.place_value(Some(&key));
+            let (alloc, table) = (&mut allocs[p as usize], &mut tables[p as usize]);
+            if s.crash {
+                *alloc = VarAllocator::with_allocated(p, alloc.allocated());
+            }
+            let tuple = Tuple::new(vec![key.clone(), Value::Int(i64::from(s.tag))]);
+            let before = table.get(rel, &tuple);
+            if s.op >= 1 {
+                table.remove(rel, &tuple);
+            }
+            if s.op != 1 {
+                if let Some(v) = table.insert(rel, tuple, Some(&key), alloc) {
+                    prop_assert!(seen.insert(v, key.clone()).is_none(), "variable {} reused", v);
+                    if let Some(old) = before {
+                        prop_assert_eq!(block(old), block(v), "re-insert left its block");
+                    }
+                    match key {
+                        Value::Addr(NetAddr(a)) if a < ADDR_RANKS => {
+                            prop_assert_eq!(block(v), a);
+                        }
+                        _ => prop_assert_eq!(block(v), ADDR_RANKS + p),
+                    }
+                }
+            }
+        }
+        // Address-major: sorting the in-range variables sorts their
+        // addresses, and every fallback variable comes after them.
+        let mut vars: Vec<(Var, &Value)> = seen.iter().map(|(v, k)| (*v, k)).collect();
+        vars.sort();
+        let ranks: Vec<u32> = vars
+            .iter()
+            .map(|(_, k)| match k {
+                Value::Addr(NetAddr(a)) if *a < ADDR_RANKS => *a,
+                _ => ADDR_RANKS,
+            })
+            .collect();
+        prop_assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "not address-major: {:?}", ranks);
+    }
 
     /// For every node and every base-deletion set, relative provenance's
     /// derivability verdict must equal the absorption BDD's "restrict the

@@ -9,6 +9,12 @@
 //! proximity relation consumed by the region query plan — the planner's
 //! equivalent rewrite of Query 3's `distance(posx, posy) < k` theta-join
 //! (documented in DESIGN.md).
+//!
+//! Addresses are row-major (locality numbering): sensor `i` sits in row
+//! `i / cols` and column `i % cols` of the grid, `cols = ⌈√sensors⌉`, so a
+//! `near` pair is at most `(⌈radius / cell height⌉ + 1) · cols` addresses
+//! apart. The engine orders provenance variables by address and relies on
+//! this for annotation size, never for correctness.
 
 use netrec_types::{Duration, NetAddr};
 use rand::rngs::StdRng;
@@ -180,6 +186,48 @@ mod tests {
                 if i != j && g.dist2(NetAddr(i as u32), NetAddr(j as u32)) < r2 {
                     assert!(set.contains(&(NetAddr(i as u32), NetAddr(j as u32))));
                 }
+            }
+        }
+    }
+
+    /// Row-major numbering: address `i` lies in grid cell
+    /// `(i / cols, i % cols)` (jitter stays inside half a cell), and every
+    /// `near` pair is within `(⌈radius / cell height⌉ + 1) · cols`
+    /// addresses.
+    #[test]
+    fn addresses_are_row_major_and_near_pairs_stay_close() {
+        for (sensors, radius_m, jitter, seed) in [
+            (100, 20, 0.25, 1),
+            (49, 20, 0.25, 2),
+            (64, 30, 0.5, 3),
+            (36, 12, 1.0, 4),
+            (30, 25, 0.0, 5),
+        ] {
+            let params = SensorGridParams {
+                sensors,
+                radius_m,
+                jitter,
+                ..SensorGridParams::default()
+            };
+            let g = SensorGrid::generate(params, seed);
+            let cols = (sensors as f64).sqrt().ceil() as usize;
+            let rows = sensors.div_ceil(cols);
+            let (cell_w, cell_h) = (
+                params.width_m as f64 * 10.0 / cols as f64,
+                params.height_m as f64 * 10.0 / rows as f64,
+            );
+            for (i, (&a, &(x, y))) in g.sensors.iter().zip(&g.positions).enumerate() {
+                assert_eq!(a, NetAddr(i as u32));
+                let (r, c) = (i / cols, i % cols);
+                // One decimetre of slack for the truncation to integers.
+                assert!((x as f64 - (c as f64 + 0.5) * cell_w).abs() <= cell_w / 2.0 + 1.0);
+                assert!((y as f64 - (r as f64 + 0.5) * cell_h).abs() <= cell_h / 2.0 + 1.0);
+            }
+            let bound = ((radius_m as f64 * 10.0 / cell_h).ceil() as usize + 1) * cols;
+            assert!(!g.near.is_empty());
+            for &(a, b) in &g.near {
+                let gap = a.0.abs_diff(b.0) as usize;
+                assert!(gap <= bound, "{params:?}: {a}–{b} {gap} apart > {bound}");
             }
         }
     }

@@ -7,6 +7,13 @@
 //! approximately 200 bidirectional links (hence 400 link tuples)", with
 //! latencies of 50 ms transit–transit, 10 ms transit–stub and 2 ms
 //! intra-stub.
+//!
+//! Addresses follow the hierarchy (locality numbering): a domain's transit
+//! routers first, then each of its stubs as one contiguous run. With one
+//! domain — every shape this repository runs — all transits precede every
+//! stub. The engine orders provenance variables by address, so this
+//! numbering keeps annotations small; it is relied on for size, never for
+//! correctness.
 
 use netrec_types::{Duration, NetAddr};
 use rand::rngs::StdRng;
@@ -242,6 +249,61 @@ mod tests {
         let a = transit_stub(TransitStubParams::default(), 9);
         let b = transit_stub(TransitStubParams::default(), 9);
         assert_eq!(a.links, b.links);
+    }
+
+    /// Locality numbering: within each domain, the transits and then each
+    /// stub as one contiguous address run; every intra-stub link joins two
+    /// addresses of one run, and a run's consecutive addresses are linked.
+    #[test]
+    fn stubs_are_contiguous_address_runs_after_the_transits() {
+        for (domains, transits, stubs, per_stub, density, seed) in [
+            (1, 4, 3, 8, Density::Dense, 1),
+            (1, 4, 3, 8, Density::Sparse, 7),
+            (1, 2, 5, 6, Density::Dense, 3),
+            (1, 7, 2, 3, Density::Sparse, 11),
+            (3, 4, 3, 8, Density::Dense, 4),
+        ] {
+            let p = TransitStubParams {
+                domains,
+                transits_per_domain: transits,
+                stubs_per_transit: stubs,
+                nodes_per_stub: per_stub,
+                density,
+            };
+            let t = transit_stub(p, seed);
+            let domain_len = transits * (1 + stubs * per_stub);
+            assert_eq!(t.node_count(), domains * domain_len);
+            // The run an address belongs to: `None` for a transit, else the
+            // stub's global index.
+            let run = |a: NetAddr| {
+                let (d, off) = (a.0 as usize / domain_len, a.0 as usize % domain_len);
+                (off >= transits).then(|| d * transits * stubs + (off - transits) / per_stub)
+            };
+            for (i, (&a, &class)) in t.nodes.iter().zip(&t.classes).enumerate() {
+                assert_eq!(a, NetAddr(i as u32));
+                let want = if run(a).is_some() {
+                    NodeClass::Stub
+                } else {
+                    NodeClass::Transit
+                };
+                assert_eq!(class, want, "{p:?}: address {i}");
+            }
+            for l in t.links.iter().filter(|l| l.latency == INTRA_STUB) {
+                assert!(run(l.a).is_some(), "{p:?}: {l:?}");
+                assert_eq!(run(l.a), run(l.b), "{p:?}: {l:?} leaves its run");
+            }
+            let linked: std::collections::HashSet<(NetAddr, NetAddr)> = t
+                .links
+                .iter()
+                .map(|l| (l.a.min(l.b), l.a.max(l.b)))
+                .collect();
+            for i in 1..t.node_count() as u32 {
+                let (a, b) = (NetAddr(i - 1), NetAddr(i));
+                if run(a).is_some() && run(a) == run(b) {
+                    assert!(linked.contains(&(a, b)), "{p:?}: run broken at {i}");
+                }
+            }
+        }
     }
 
     #[test]
