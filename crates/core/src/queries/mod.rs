@@ -1,13 +1,14 @@
 //! The paper's three query families, as distributed plans plus matching
 //! oracle programs (§2, Queries 1–3).
 //!
-//! Every function here returns both halves of the reproduction story: a
-//! [`netrec_engine::Plan`] for the distributed engine and (separately) a
+//! Every query here yields both halves of the reproduction story: a
+//! [`netrec_engine::Plan`] for the distributed engine and a
 //! [`netrec_engine::reference::Program`] whose from-scratch evaluation the
 //! maintained views must equal — the property the integration tests and the
-//! paper-claim figures assert. The plans are built by hand in the paper's
-//! Fig. 4 shape; the oracles of `reachable` and `regions` are compiled from
-//! the rule text each module states once (`reachable.dl`, `regions.dl`).
+//! paper-claim figures assert. `reachable` and `regions` are each one rule
+//! text (`reachable.dl`, `regions.dl`) that `netrec-datalog` compiles to
+//! both, its planner emitting the paper's Fig. 4 plan shape; `paths`
+//! builds its plan and oracle by hand.
 
 use netrec_engine::reference::Program;
 use netrec_engine::Plan;
@@ -16,10 +17,12 @@ pub mod paths;
 pub mod reachable;
 pub mod regions;
 
-/// Compile a query's rule text to its oracle program over `plan`'s ids.
-fn oracle(rules: &str, plan: &Plan) -> Program {
+/// Compile a query's rule text to its plan and its oracle program.
+fn compile(rules: &str) -> (Plan, Program) {
     let ast = netrec_datalog::parse_program(rules).expect("a query's rules parse");
-    netrec_datalog::oracle(&ast, &plan.catalog).expect("a query's rules match its plan's catalog")
+    netrec_datalog::compile(&ast)
+        .expect("a query's rules compile")
+        .into_parts()
 }
 
 /// Aggregate-selection configuration for the shortest-path query (Fig. 14's
@@ -34,4 +37,18 @@ pub enum AggSelChoice {
     /// No pruning — "No AggSel"; does not terminate on cyclic topologies and
     /// is reported as `> budget`, like the paper's "> 5 min" entries.
     None,
+}
+
+/// The relations in id order with their partition columns, then each
+/// operator's `{:?}`: kind, route column, join keys, emits and wired
+/// destinations. Each query's `plan_shape` test pins it.
+#[cfg(test)]
+fn dump(plan: &Plan) -> String {
+    let rels = plan.catalog.rel_ids().map(|r| plan.catalog.schema(r));
+    let rels: Vec<_> = rels.map(|s| (&s.name, s.partition_col)).collect();
+    let mut out = format!("{rels:?}\n");
+    for (i, op) in plan.ops.iter().enumerate() {
+        out += &format!("{i} {op:?}\n");
+    }
+    out
 }

@@ -10,58 +10,39 @@
 //! joins with the `reachable` partition there, and MinShips results back to
 //! the peer owning their `src`.
 
-use netrec_engine::expr::Expr;
-use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::plan::Plan;
 use netrec_engine::reference::Program;
 
-/// The query's rules, in the NDlog dialect `netrec-datalog` parses (`@`
-/// marks the partitioning attribute), which [`program`] compiles.
-const RULES: &str = include_str!("reachable.dl");
-
-/// Build the distributed plan.
-pub fn plan() -> Plan {
-    let mut b = PlanBuilder::new();
-    let link = b.edb("link", &["src", "dst", "cost"], 0);
-    let reach = b.idb("reachable", &["src", "dst"], 0);
-    let ing = b.ingress(link);
-    let base_map = b.map(vec![Expr::col(0), Expr::col(1)], vec![]);
-    let store = b.store(reach, true, None);
-    // Recursive case: row = link(x,z,c) ++ reachable(z,y); emit (x, y).
-    let join = b.join(vec![1], vec![0], vec![], vec![Expr::col(0), Expr::col(4)]);
-    let ex = b.exchange(Some(1));
-    let ship = b.minship(Some(0));
-    b.connect(ing, base_map, 0);
-    b.connect(base_map, store, 0);
-    b.connect(ing, ex, 0);
-    b.connect(ex, join, JOIN_BUILD);
-    b.connect(join, ship, 0);
-    b.connect(ship, store, 0);
-    b.connect(store, join, JOIN_PROBE);
-    b.build().expect("reachable plan is well-formed")
-}
-
-/// Oracle program over the same catalog ids as [`plan`], compiled from
-/// the rules above (`reachable.dl`).
-pub fn program(plan: &Plan) -> Program {
-    super::oracle(RULES, plan)
+/// The distributed plan and its oracle program, compiled from the rules
+/// above (`reachable.dl`).
+pub fn compile() -> (Plan, Program) {
+    super::compile(include_str!("reachable.dl"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The compiled plan is the paper's Fig. 4 plan: six operators.
     #[test]
     fn plan_shape() {
-        let p = plan();
+        let golden = r#"[("link", 0), ("reachable", 0), ("__map2", 0), ("__join3", 0)]
+0 Ingress { rel: rel#0, dests: [Dest { op: OpId(2), input: 0 }, Dest { op: OpId(4), input: 0 }] }
+1 Store { rel: rel#1, is_view: true, aggsel: None, dests: [Dest { op: OpId(3), input: 1 }] }
+2 Map { exprs: [Col(0), Col(1)], preds: [], out_rel: rel#2, dests: [Dest { op: OpId(1), input: 0 }] }
+3 Join { build_key: [1], probe_key: [0], preds: [], emit: [Col(0), Col(4)], out_rel: rel#3, rule_id: 0, dests: [Dest { op: OpId(5), input: 0 }] }
+4 Exchange { route_col: Some(1), dest: Dest { op: OpId(3), input: 0 } }
+5 MinShip { route_col: Some(0), dest: Dest { op: OpId(1), input: 0 } }
+"#;
+        let (p, _) = compile();
         assert!(p.is_recursive());
         assert_eq!(p.views.len(), 1);
-        assert!(p.catalog.id("reachable").is_some());
+        assert_eq!(super::super::dump(&p), golden);
     }
 
     #[test]
     fn oracle_program_uses_plan_ids() {
-        let p = plan();
-        let prog = program(&p);
+        let (p, prog) = compile();
         assert_eq!(prog.rules.len(), 2);
         assert_eq!(prog.rules[0].head, p.catalog.id("reachable").unwrap());
     }

@@ -11,106 +11,60 @@
 //! sensors involved; and the `distance(px,py) < k` theta-join is consumed as
 //! the precomputed `near(x,y)` EDB relation emitted by the grid generator
 //! (an equivalent rewrite).
+//!
+//! The plan follows Fig. 4: region growth joins `isTriggered` and `near`
+//! at the sensor a region grows from and MinShips each new member to its
+//! owner. DESIGN.md "Planner" gives the reasons for the rule text's two
+//! edits: `largestRegions` has no `@`, and its rule precedes `largestRegion`'s.
 
-use netrec_engine::expr::{AggFn, Expr};
-use netrec_engine::plan::{Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::plan::Plan;
 use netrec_engine::reference::Program;
 
-/// The query's rules, in the NDlog dialect `netrec-datalog` parses, which
-/// [`program`] compiles.
-const RULES: &str = include_str!("regions.dl");
-
-/// Build the distributed plan.
-pub fn plan() -> Plan {
-    let mut b = PlanBuilder::new();
-    let sensor = b.edb("sensor", &["id", "x", "y"], 0);
-    let near = b.edb("near", &["a", "b"], 0);
-    let main_in = b.edb("mainSensorInRegion", &["id", "rid"], 0);
-    let trig = b.edb("isTriggered", &["id"], 0);
-    let active = b.idb("activeRegion", &["id", "rid"], 0);
-    let sizes = b.idb("regionSizes", &["rid", "size"], 0);
-    let largest = b.idb("largestRegion", &["size"], 0);
-    let largests = b.idb("largestRegions", &["rid"], 0);
-
-    let ing_sensor = b.ingress(sensor);
-    let ing_near = b.ingress(near);
-    let ing_main = b.ingress(main_in);
-    let ing_trig = b.ingress(trig);
-
-    let active_store = b.store(active, true, None);
-
-    // Base: row = mainSensorInRegion(s,rid) ++ isTriggered(s) → (s,rid).
-    let j_base1 = b.join(vec![0], vec![0], vec![], vec![Expr::col(0), Expr::col(1)]);
-    // … ++ sensor(s,_,_): row = j1(s,rid) ++ sensor(s,x,y) → (s,rid).
-    let j_base2 = b.join(vec![0], vec![0], vec![], vec![Expr::col(0), Expr::col(1)]);
-
-    // Recursive: row = isTriggered(s) ++ activeRegion(s,rid) → (s,rid).
-    let j_rec1 = b.join(vec![0], vec![0], vec![], vec![Expr::col(0), Expr::col(2)]);
-    // row = near(x,y) ++ j_rec1(x,rid) → (y, rid).
-    let j_rec2 = b.join(vec![0], vec![0], vec![], vec![Expr::col(1), Expr::col(3)]);
-    let ship = b.minship(Some(0));
-
-    // Aggregate cascade: count per region, then the global max.
-    let sizes_ex = b.exchange(Some(1));
-    let agg_sizes = b.aggregate(vec![1], AggFn::Count, 0);
-    let sizes_store = b.store(sizes, true, None);
-    let largest_ex = b.exchange(None);
-    let agg_largest = b.aggregate(vec![], AggFn::Max, 1);
-    let largest_store = b.store(largest, true, None);
-    // largestRegions: row = regionSizes(rid,size) ++ largestRegion(size) → rid.
-    let j_top = b.join(vec![1], vec![0], vec![], vec![Expr::col(0)]);
-    let top_store = b.store(largests, true, None);
-    let sizes_to_join_ex = b.exchange(Some(1));
-    let largest_to_join_ex = b.exchange(Some(0));
-
-    // Wiring.
-    b.connect(ing_main, j_base1, JOIN_BUILD);
-    b.connect(ing_trig, j_base1, JOIN_PROBE);
-    b.connect(j_base1, j_base2, JOIN_BUILD);
-    b.connect(ing_sensor, j_base2, JOIN_PROBE);
-    b.connect(j_base2, active_store, 0);
-    b.connect(ing_trig, j_rec1, JOIN_BUILD);
-    b.connect(active_store, j_rec1, JOIN_PROBE);
-    b.connect(ing_near, j_rec2, JOIN_BUILD);
-    b.connect(j_rec1, j_rec2, JOIN_PROBE);
-    b.connect(j_rec2, ship, 0);
-    b.connect(ship, active_store, 0);
-    b.connect(active_store, sizes_ex, 0);
-    b.connect(sizes_ex, agg_sizes, 0);
-    b.connect(agg_sizes, sizes_store, 0);
-    b.connect(agg_sizes, sizes_to_join_ex, 0);
-    b.connect(sizes_to_join_ex, j_top, JOIN_BUILD);
-    b.connect(agg_sizes, largest_ex, 0);
-    b.connect(largest_ex, agg_largest, 0);
-    b.connect(agg_largest, largest_store, 0);
-    b.connect(agg_largest, largest_to_join_ex, 0);
-    b.connect(largest_to_join_ex, j_top, JOIN_PROBE);
-    b.connect(j_top, top_store, 0);
-    b.build().expect("region plan is well-formed")
-}
-
-/// Oracle program over the same catalog ids as [`plan`], compiled from
-/// the rules above (`regions.dl`).
-pub fn program(plan: &Plan) -> Program {
-    super::oracle(RULES, plan)
+/// The distributed plan and its oracle program, compiled from the rules
+/// above (`regions.dl`).
+pub fn compile() -> (Plan, Program) {
+    super::compile(include_str!("regions.dl"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The compiled plan is the one once built by hand: twenty operators.
     #[test]
     fn plan_shape() {
-        let p = plan();
+        let golden = r#"[("mainSensorInRegion", 0), ("isTriggered", 0), ("sensor", 0), ("near", 0), ("activeRegion", 0), ("regionSizes", 0), ("largestRegions", 0), ("largestRegion", 0), ("__agg5", 0), ("__agg8", 0), ("__join10", 0), ("__join11", 0), ("__join12", 0), ("__join13", 0), ("__join16", 0)]
+0 Ingress { rel: rel#0, dests: [Dest { op: OpId(10), input: 0 }] }
+1 Ingress { rel: rel#1, dests: [Dest { op: OpId(10), input: 1 }, Dest { op: OpId(12), input: 0 }] }
+2 Ingress { rel: rel#2, dests: [Dest { op: OpId(11), input: 1 }] }
+3 Ingress { rel: rel#3, dests: [Dest { op: OpId(13), input: 0 }] }
+4 Store { rel: rel#4, is_view: true, aggsel: None, dests: [Dest { op: OpId(12), input: 1 }, Dest { op: OpId(15), input: 0 }] }
+5 Aggregate { group_cols: [1], agg: Count, agg_col: 0, out_rel: rel#8, dests: [Dest { op: OpId(6), input: 0 }, Dest { op: OpId(17), input: 0 }, Dest { op: OpId(19), input: 0 }] }
+6 Store { rel: rel#5, is_view: true, aggsel: None, dests: [] }
+7 Store { rel: rel#6, is_view: true, aggsel: None, dests: [] }
+8 Aggregate { group_cols: [], agg: Max, agg_col: 1, out_rel: rel#9, dests: [Dest { op: OpId(9), input: 0 }, Dest { op: OpId(18), input: 0 }] }
+9 Store { rel: rel#7, is_view: true, aggsel: None, dests: [] }
+10 Join { build_key: [0], probe_key: [0], preds: [], emit: [Col(0), Col(1)], out_rel: rel#10, rule_id: 0, dests: [Dest { op: OpId(11), input: 0 }] }
+11 Join { build_key: [0], probe_key: [0], preds: [], emit: [Col(0), Col(1)], out_rel: rel#11, rule_id: 1, dests: [Dest { op: OpId(4), input: 0 }] }
+12 Join { build_key: [0], probe_key: [0], preds: [], emit: [Col(0), Col(2)], out_rel: rel#12, rule_id: 2, dests: [Dest { op: OpId(13), input: 1 }] }
+13 Join { build_key: [0], probe_key: [0], preds: [], emit: [Col(1), Col(3)], out_rel: rel#13, rule_id: 3, dests: [Dest { op: OpId(14), input: 0 }] }
+14 MinShip { route_col: Some(0), dest: Dest { op: OpId(4), input: 0 } }
+15 Exchange { route_col: Some(1), dest: Dest { op: OpId(5), input: 0 } }
+16 Join { build_key: [1], probe_key: [0], preds: [], emit: [Col(0)], out_rel: rel#14, rule_id: 4, dests: [Dest { op: OpId(7), input: 0 }] }
+17 Exchange { route_col: Some(1), dest: Dest { op: OpId(16), input: 0 } }
+18 Exchange { route_col: Some(0), dest: Dest { op: OpId(16), input: 1 } }
+19 Exchange { route_col: None, dest: Dest { op: OpId(8), input: 0 } }
+"#;
+        let (p, _) = compile();
         assert!(p.is_recursive());
         assert_eq!(p.views.len(), 4);
         assert_eq!(p.ingress_of.len(), 4);
+        assert_eq!(super::super::dump(&p), golden);
     }
 
     #[test]
     fn oracle_program_builds() {
-        let p = plan();
-        let prog = program(&p);
+        let (_, prog) = compile();
         assert_eq!(prog.rules.len(), 3);
         assert_eq!(prog.aggs.len(), 2);
     }

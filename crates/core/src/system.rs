@@ -34,8 +34,7 @@ impl System {
 
     /// Query 1: network reachability.
     pub fn reachable(cfg: SystemConfig) -> System {
-        let plan = reachable::plan();
-        let oracle = reachable::program(&plan);
+        let (plan, oracle) = reachable::compile();
         System::build(plan, oracle, cfg)
     }
 
@@ -48,8 +47,7 @@ impl System {
 
     /// Query 3: contiguous sensor regions.
     pub fn regions(cfg: SystemConfig) -> System {
-        let plan = regions::plan();
-        let oracle = regions::program(&plan);
+        let (plan, oracle) = regions::compile();
         System::build(plan, oracle, cfg)
     }
 

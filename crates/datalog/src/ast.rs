@@ -59,13 +59,14 @@ pub struct AstAtom {
 }
 
 impl AstAtom {
-    /// Index of the `@`-located argument (defaults to 0 per the paper's
-    /// first-attribute convention).
-    pub fn location_col(&self) -> usize {
+    /// Indices of the `@`-located arguments; a valid program has at most
+    /// one per atom.
+    pub fn located_cols(&self) -> impl Iterator<Item = usize> + '_ {
         self.args
             .iter()
-            .position(|a| matches!(a, Arg::Var { located: true, .. }))
-            .unwrap_or(0)
+            .enumerate()
+            .filter(|(_, a)| matches!(a, Arg::Var { located: true, .. }))
+            .map(|(i, _)| i)
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use netrec_engine::expr::{AggFn, CmpOp, Expr, Pred};
 use netrec_engine::plan::Plan;
 use netrec_engine::reference::{AggClause, Atom, Program, Rule, Term};
-use netrec_types::{Catalog, RelId, Value};
+use netrec_types::{Catalog, Value};
 
 use crate::ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp};
 
@@ -31,14 +31,23 @@ pub enum CompileError {
     },
     /// A variable in an expression is not bound by any body atom.
     UnboundVar(String),
-    /// Aggregate rules must have exactly one body atom and no other literals.
+    /// Aggregate rules must have exactly one body atom and no other literals,
+    /// and an aggregate head exactly one rule.
     AggregateShape(String),
     /// An aggregate argument appears in a non-head position.
     MisplacedAggregate(String),
     /// The rule has no body atoms at all.
     EmptyBody(String),
-    /// A relation the rules use is not in the catalog they compile against.
-    UnknownRelation(String),
+    /// One atom marks two columns with `@`, or a relation's atoms mark two
+    /// different columns.
+    LocationMismatch {
+        /// Relation name.
+        relation: String,
+        /// First located column seen.
+        first: usize,
+        /// Conflicting located column.
+        second: usize,
+    },
 }
 
 impl std::fmt::Display for CompileError {
@@ -68,7 +77,16 @@ impl std::fmt::Display for CompileError {
                 write!(f, "aggregate argument outside a head in rule for `{r}`")
             }
             CompileError::EmptyBody(r) => write!(f, "rule for `{r}` has no body atoms"),
-            CompileError::UnknownRelation(r) => write!(f, "relation `{r}` is not in the catalog"),
+            CompileError::LocationMismatch {
+                relation,
+                first,
+                second,
+            } => {
+                write!(
+                    f,
+                    "relation `{relation}` located at columns {first} and {second}"
+                )
+            }
         }
     }
 }
@@ -80,8 +98,11 @@ impl std::error::Error for CompileError {}
 pub(crate) struct RelInfo {
     pub(crate) name: String,
     pub(crate) arity: usize,
-    pub(crate) partition_col: usize,
+    /// The column an atom of the relation marks with `@`, if any does.
+    pub(crate) location: Option<usize>,
     pub(crate) is_edb: bool,
+    /// Defined by an aggregate rule (its only rule).
+    pub(crate) aggregate: bool,
 }
 
 /// A compiled program: the distributed plan plus the matching oracle.
@@ -97,9 +118,9 @@ impl Compiled {
         &self.plan
     }
 
-    /// Take ownership of the plan (to hand to a runner).
-    pub fn into_plan(self) -> Plan {
-        self.plan
+    /// Take ownership of the plan (to hand to a runner) and its oracle.
+    pub fn into_parts(self) -> (Plan, Program) {
+        (self.plan, self.oracle)
     }
 
     /// The oracle program (shares relation ids with the plan's catalog).
@@ -113,89 +134,66 @@ impl Compiled {
     }
 }
 
-/// Analyse relation arities/partitioning.
+/// Analyse relation arities and locations: base relations first, then
+/// derived ones, each in order of first appearance.
 pub(crate) fn analyse(ast: &AstProgram) -> Result<Vec<RelInfo>, CompileError> {
     let idb = ast.idb_relations();
     let mut rels: Vec<RelInfo> = Vec::new();
-    let mut seen: HashMap<String, usize> = HashMap::new();
-    let mut note = |atom: &AstAtom, rels: &mut Vec<RelInfo>| {
-        match seen.get(&atom.name) {
-            Some(&idx) => {
-                let info: &RelInfo = &rels[idx];
-                if info.arity != atom.args.len() {
-                    return Err(CompileError::ArityMismatch {
-                        relation: atom.name.clone(),
-                        first: info.arity,
-                        second: atom.args.len(),
-                    });
-                }
+    for rule in &ast.rules {
+        let defs = ast.rules.iter().filter(|r| r.head.name == rule.head.name);
+        if rule.is_aggregate() && defs.count() > 1 {
+            return Err(CompileError::AggregateShape(rule.head.name.clone()));
+        }
+        for atom in std::iter::once(&rule.head).chain(body_atoms(rule)) {
+            let mismatch = |first, second| CompileError::LocationMismatch {
+                relation: atom.name.clone(),
+                first,
+                second,
+            };
+            let mut located = atom.located_cols();
+            let location = located.next();
+            if let (Some(first), Some(second)) = (location, located.next()) {
+                return Err(mismatch(first, second));
             }
-            None => {
-                seen.insert(atom.name.clone(), rels.len());
+            let Some(info) = rels.iter_mut().find(|r| r.name == atom.name) else {
                 rels.push(RelInfo {
                     name: atom.name.clone(),
                     arity: atom.args.len(),
-                    partition_col: atom.location_col(),
+                    location,
                     is_edb: !idb.contains(&atom.name),
+                    aggregate: ast
+                        .rules
+                        .iter()
+                        .any(|r| r.head.name == atom.name && r.is_aggregate()),
+                });
+                continue;
+            };
+            if info.arity != atom.args.len() {
+                return Err(CompileError::ArityMismatch {
+                    relation: atom.name.clone(),
+                    first: info.arity,
+                    second: atom.args.len(),
                 });
             }
-        }
-        Ok(())
-    };
-    for rule in &ast.rules {
-        note(&rule.head, &mut rels)?;
-        for lit in &rule.body {
-            if let BodyLit::Atom(a) = lit {
-                note(a, &mut rels)?;
+            match (info.location, location) {
+                (Some(first), Some(second)) if first != second => {
+                    return Err(mismatch(first, second))
+                }
+                (None, Some(_)) => info.location = location,
+                _ => {}
             }
         }
     }
+    rels.sort_by_key(|r| !r.is_edb);
     Ok(rels)
 }
 
-/// Bindings from one rule body: variable → column in the concatenated row.
-pub(crate) struct RuleBindings {
-    pub(crate) var_col: HashMap<String, usize>,
-    /// Equality filters from repeated variables / constants inside atoms.
-    pub(crate) eq_preds: Vec<Pred>,
-}
-
-pub(crate) fn bind_body(atoms: &[&AstAtom]) -> RuleBindings {
-    let mut var_col = HashMap::new();
-    let mut eq_preds = Vec::new();
-    let mut col = 0usize;
-    for atom in atoms {
-        for arg in &atom.args {
-            match arg {
-                Arg::Var { name, .. } => {
-                    if let Some(&prev) = var_col.get(name) {
-                        if prev != col {
-                            eq_preds.push(Pred::Cmp(Expr::col(prev), CmpOp::Eq, Expr::col(col)));
-                        }
-                    } else {
-                        var_col.insert(name.clone(), col);
-                    }
-                }
-                Arg::Int(v) => {
-                    eq_preds.push(Pred::Cmp(
-                        Expr::col(col),
-                        CmpOp::Eq,
-                        Expr::Const(Value::Int(*v)),
-                    ));
-                }
-                Arg::Str(s) => {
-                    eq_preds.push(Pred::Cmp(
-                        Expr::col(col),
-                        CmpOp::Eq,
-                        Expr::Const(Value::str(s)),
-                    ));
-                }
-                Arg::Agg(..) => {}
-            }
-            col += 1;
-        }
-    }
-    RuleBindings { var_col, eq_preds }
+/// The positive atoms of a rule's body, in source order.
+pub(crate) fn body_atoms(rule: &AstRule) -> impl Iterator<Item = &AstAtom> {
+    rule.body.iter().filter_map(|l| match l {
+        BodyLit::Atom(a) => Some(a),
+        _ => None,
+    })
 }
 
 pub(crate) fn lower_expr(
@@ -251,63 +249,33 @@ pub(crate) fn agg_fn(a: Aggregate) -> AggFn {
     }
 }
 
-/// Lower a rule body into: atoms, lowered preds, and head exprs.
-pub(crate) struct LoweredRule<'a> {
-    pub(crate) atoms: Vec<&'a AstAtom>,
-    /// User-written filters (comparisons, notin) over row columns.
-    pub(crate) user_preds: Vec<Pred>,
-    /// Positional equality filters induced by repeated variables and
-    /// constant arguments — needed by the row-oriented planner, redundant
-    /// (and wrong) for the oracle whose atoms unify by shared variable ids.
-    pub(crate) eq_preds: Vec<Pred>,
-    pub(crate) head_exprs: Vec<Expr>,
-    pub(crate) bindings: RuleBindings,
-}
-
-impl LoweredRule<'_> {
-    /// All predicates, for the row-oriented planner.
-    pub(crate) fn all_preds(&self) -> Vec<Pred> {
-        let mut v = self.eq_preds.clone();
-        v.extend(self.user_preds.iter().cloned());
-        v
-    }
-}
-
-pub(crate) fn lower_rule(rule: &AstRule) -> Result<LoweredRule<'_>, CompileError> {
-    let atoms: Vec<&AstAtom> = rule
-        .body
-        .iter()
-        .filter_map(|l| match l {
-            BodyLit::Atom(a) => Some(a),
-            _ => None,
-        })
-        .collect();
-    if atoms.is_empty() {
-        return Err(CompileError::EmptyBody(rule.head.name.clone()));
-    }
-    let bindings = bind_body(&atoms);
-    // Assignments resolve in body order; later assignments may reference
-    // earlier ones.
+/// Lower a rule's filters (comparisons, `notin`) and head over a row whose
+/// variables `bind` maps to columns; assignments resolve in body order, and
+/// later ones may reference earlier ones.
+pub(crate) fn lower_rule(
+    rule: &AstRule,
+    bind: &HashMap<String, usize>,
+) -> Result<(Vec<Pred>, Vec<Expr>), CompileError> {
     let mut assigns: HashMap<String, Expr> = HashMap::new();
     let mut preds = Vec::new();
     for lit in &rule.body {
         match lit {
             BodyLit::Atom(_) => {}
             BodyLit::Assign(name, e) => {
-                let lowered = lower_expr(e, &bindings.var_col, &assigns)?;
+                let lowered = lower_expr(e, bind, &assigns)?;
                 assigns.insert(name.clone(), lowered);
             }
             BodyLit::Compare(a, op, b) => {
                 preds.push(Pred::Cmp(
-                    lower_expr(a, &bindings.var_col, &assigns)?,
+                    lower_expr(a, bind, &assigns)?,
                     cmp_op(*op),
-                    lower_expr(b, &bindings.var_col, &assigns)?,
+                    lower_expr(b, bind, &assigns)?,
                 ));
             }
             BodyLit::NotIn(elem, list) => {
                 preds.push(Pred::NotInList(
-                    lower_expr(elem, &bindings.var_col, &assigns)?,
-                    lower_expr(list, &bindings.var_col, &assigns)?,
+                    lower_expr(elem, bind, &assigns)?,
+                    lower_expr(list, bind, &assigns)?,
                 ));
             }
         }
@@ -317,12 +285,12 @@ pub(crate) fn lower_rule(rule: &AstRule) -> Result<LoweredRule<'_>, CompileError
         match arg {
             Arg::Var { name, .. } => {
                 head_exprs.push(
-                    lower_expr(&BodyExpr::Var(name.clone()), &bindings.var_col, &assigns).map_err(
-                        |_| CompileError::UnboundHeadVar {
+                    lower_expr(&BodyExpr::Var(name.clone()), bind, &assigns).map_err(|_| {
+                        CompileError::UnboundHeadVar {
                             relation: rule.head.name.clone(),
                             var: name.clone(),
-                        },
-                    )?,
+                        }
+                    })?,
                 );
             }
             Arg::Int(v) => head_exprs.push(Expr::int(*v)),
@@ -330,14 +298,7 @@ pub(crate) fn lower_rule(rule: &AstRule) -> Result<LoweredRule<'_>, CompileError
             Arg::Agg(..) => return Err(CompileError::MisplacedAggregate(rule.head.name.clone())),
         }
     }
-    let eq_preds = bindings.eq_preds.clone();
-    Ok(LoweredRule {
-        atoms,
-        user_preds: preds,
-        eq_preds,
-        head_exprs,
-        bindings,
-    })
+    Ok((preds, head_exprs))
 }
 
 /// Compile a parsed program to `(plan, oracle)`.
@@ -353,51 +314,36 @@ pub fn compile(ast: &AstProgram) -> Result<Compiled, CompileError> {
     })
 }
 
-/// Compile only the oracle program, keyed by the relation ids of an
-/// existing `catalog` — the reference for a plan built some other way (by
-/// hand). Every relation the rules use must be in the catalog with the
-/// arity the rules give it.
-pub fn oracle(ast: &AstProgram, catalog: &Catalog) -> Result<Program, CompileError> {
-    let mut rel_ids: HashMap<String, RelId> = HashMap::new();
-    for info in analyse(ast)? {
-        let id = catalog
-            .id(&info.name)
-            .ok_or_else(|| CompileError::UnknownRelation(info.name.clone()))?;
-        let arity = catalog.schema(id).arity();
-        if arity != info.arity {
-            return Err(CompileError::ArityMismatch {
-                relation: info.name,
-                first: arity,
-                second: info.arity,
-            });
-        }
-        rel_ids.insert(info.name, id);
-    }
+/// The oracle program, over the relation ids of the plan's `catalog`.
+fn oracle(ast: &AstProgram, catalog: &Catalog) -> Result<Program, CompileError> {
+    let id = |name: &str| catalog.id(name).expect("a planned relation");
     let mut rules = Vec::new();
     let mut aggs = Vec::new();
     for rule in &ast.rules {
         if rule.is_aggregate() {
             let (atom, group_cols, func, agg_col) = aggregate_shape(rule)?;
             aggs.push(AggClause {
-                head: rel_ids[&rule.head.name],
-                source: rel_ids[&atom.name],
+                head: id(&rule.head.name),
+                source: id(&atom.name),
                 group_cols,
                 agg: func,
                 agg_col,
             });
             continue;
         }
-        let lowered = lower_rule(rule)?;
-        // Body atoms as reference Atoms over fresh variable ids: each row
-        // column becomes its own oracle variable; equality of repeated
-        // variables is enforced by reusing ids.
+        // Each column of the concatenated body row is an oracle variable; a
+        // repeated variable reuses its first column's id, so atoms unify by
+        // shared ids.
+        let mut bind: HashMap<String, usize> = HashMap::new();
         let mut body = Vec::new();
         let mut col = 0usize;
-        for atom in &lowered.atoms {
+        for atom in body_atoms(rule) {
             let mut terms = Vec::with_capacity(atom.args.len());
             for arg in &atom.args {
                 let term = match arg {
-                    Arg::Var { name, .. } => Term::Var(lowered.bindings.var_col[name] as u16),
+                    Arg::Var { name, .. } => {
+                        Term::Var(*bind.entry(name.clone()).or_insert(col) as u16)
+                    }
                     Arg::Int(v) => Term::Const(Value::Int(*v)),
                     Arg::Str(s) => Term::Const(Value::str(s)),
                     Arg::Agg(..) => unreachable!("aggregates rejected in bodies"),
@@ -406,15 +352,16 @@ pub fn oracle(ast: &AstProgram, catalog: &Catalog) -> Result<Program, CompileErr
                 col += 1;
             }
             body.push(Atom {
-                rel: rel_ids[&atom.name],
+                rel: id(&atom.name),
                 terms,
             });
         }
+        let (preds, head_exprs) = lower_rule(rule, &bind)?;
         rules.push(Rule {
-            head: rel_ids[&rule.head.name],
-            head_exprs: lowered.head_exprs,
+            head: id(&rule.head.name),
+            head_exprs,
             body,
-            preds: lowered.user_preds.clone(),
+            preds,
             nvars: col as u16,
         });
     }
@@ -426,14 +373,7 @@ pub fn oracle(ast: &AstProgram, catalog: &Catalog) -> Result<Program, CompileErr
 pub(crate) fn aggregate_shape(
     rule: &AstRule,
 ) -> Result<(&AstAtom, Vec<usize>, AggFn, usize), CompileError> {
-    let atoms: Vec<&AstAtom> = rule
-        .body
-        .iter()
-        .filter_map(|l| match l {
-            BodyLit::Atom(a) => Some(a),
-            _ => None,
-        })
-        .collect();
+    let atoms: Vec<&AstAtom> = body_atoms(rule).collect();
     if atoms.len() != 1 || rule.body.len() != 1 {
         return Err(CompileError::AggregateShape(rule.head.name.clone()));
     }
@@ -503,33 +443,35 @@ mod tests {
         assert_eq!(compiled.oracle().rules.len(), 2);
     }
 
+    fn location_mismatch(src: &str, relation: &str) -> bool {
+        let err = compile(&parse_program(src).unwrap()).err();
+        err == Some(CompileError::LocationMismatch {
+            relation: relation.into(),
+            first: 0,
+            second: 1,
+        })
+    }
+
     #[test]
-    fn oracle_checks_rules_against_the_catalog() {
-        let rules = "reachable(@X, Y) :- link(@X, Y, C).";
-        let mut catalog = Catalog::new();
-        let edb =
-            |name, cols: &[&str]| netrec_types::Schema::new(name, cols, netrec_types::RelKind::Edb);
-        catalog.add(edb("reachable", &["src", "dst"])).unwrap();
-        let ast = parse_program(rules).unwrap();
-        assert_eq!(
-            oracle(&ast, &catalog).unwrap_err(),
-            CompileError::UnknownRelation("link".into())
-        );
-        catalog.add(edb("link", &["src", "dst"])).unwrap();
-        assert_eq!(
-            oracle(&ast, &catalog).unwrap_err(),
-            CompileError::ArityMismatch {
-                relation: "link".into(),
-                first: 2,
-                second: 3,
-            }
-        );
-        // Ids are the catalog's, whatever order it registered them in.
-        let mut catalog = Catalog::new();
-        let link = catalog.add(edb("link", &["src", "dst", "cost"])).unwrap();
-        let reachable = catalog.add(edb("reachable", &["src", "dst"])).unwrap();
-        let rule = &oracle(&ast, &catalog).unwrap().rules[0];
-        assert_eq!((rule.head, rule.body[0].rel), (reachable, link));
+    fn relocated_head_is_a_location_mismatch() {
+        assert!(location_mismatch(
+            "r(@X, Y) :- s(@X, Y).\nq(@Y, X) :- r(X, @Y).",
+            "r"
+        ));
+    }
+
+    #[test]
+    fn two_locations_in_one_atom_are_a_location_mismatch() {
+        assert!(location_mismatch("r(@X, @Y) :- s(@X, Y).", "r"));
+    }
+
+    #[test]
+    fn relocated_base_relation_is_a_location_mismatch() {
+        assert!(location_mismatch("r(@X, Y) :- s(@X, Y), s(X, @Y).", "s"));
+        // An atom without `@` is compatible with any location.
+        let c = compile(&parse_program("r(@X, Y) :- s(X, @Y), s(Y, X).").unwrap()).unwrap();
+        let catalog = &c.plan().catalog;
+        assert_eq!(catalog.schema(catalog.id("s").unwrap()).partition_col, 1);
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //!   including aggregate heads (`min<C>`, `max<C>`, `count<X>`, `sum<C>`),
 //!   assignments (`C := C0 + C1`), list construction (`[X, Y]`, `[X | P]`),
 //!   comparisons, and `@` location specifiers;
-//! * stratification checking;
 //! * a compiler to the centralized reference evaluator
-//!   ([`Compiled::oracle`], or [`oracle`] alone over a hand-built plan's
-//!   catalog);
+//!   ([`Compiled::oracle`]);
 //! * a distributed planner ([`Compiled::plan`]) that lowers every rule to
-//!   the engine's operator graph: ingresses for EDB atoms, pipelined hash
-//!   joins with repartitioning exchanges, MinShips into the head stores, and
-//!   group aggregates for aggregate heads — the same shape as the paper's
-//!   Fig. 4 plan.
+//!   the engine's operator graph in the paper's Fig. 4 shape: pipelined
+//!   hash joins from the recursive atom, an Exchange only where a stream
+//!   must move, a MinShip closing each recursive rule, and group aggregates
+//!   for aggregate heads. `netrec-core`'s `reachable` and `regions` are
+//!   compiled by it.
 //!
 //! ```
 //! let program = netrec_datalog::parse_program(r#"
@@ -38,5 +37,5 @@ mod parser;
 mod planner;
 
 pub use ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp};
-pub use compile::{compile, oracle, CompileError, Compiled};
+pub use compile::{compile, CompileError, Compiled};
 pub use parser::{parse_program, ParseError};

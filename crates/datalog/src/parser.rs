@@ -226,7 +226,7 @@ mod tests {
         .unwrap();
         assert_eq!(prog.rules.len(), 2);
         assert_eq!(prog.rules[0].head.name, "reachable");
-        assert_eq!(prog.rules[0].head.location_col(), 0);
+        assert!(prog.rules[0].head.located_cols().eq([0]));
         assert_eq!(prog.edb_relations(), vec!["link".to_string()]);
         assert_eq!(prog.idb_relations(), vec!["reachable".to_string()]);
     }

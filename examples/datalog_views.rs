@@ -1,6 +1,9 @@
-//! Author views in the NDlog-style Datalog dialect and let the generic
-//! planner distribute them — the declarative-networking workflow from the
-//! paper's §2, end to end.
+//! Author views in the NDlog-style Datalog dialect and let the planner
+//! distribute them — the declarative-networking workflow from the paper's
+//! §2, end to end. The same planner compiles `netrec-core`'s `reachable` and
+//! `regions` queries to the paper's Fig. 4 plans: here `twoHop` joins at the
+//! owner of `Y` and is exchanged to the owner of `X`, and `bestTwoHop`
+//! aggregates where `twoHop` is stored.
 //!
 //! ```text
 //! cargo run --release --example datalog_views
@@ -39,7 +42,7 @@ fn main() {
     let catalog = compiled.plan().catalog.clone();
 
     let mut runner = Runner::new(
-        compiled.into_plan(),
+        compiled.into_parts().0,
         RunnerConfig::new(Strategy::absorption_lazy(), 4),
     );
     let links = [

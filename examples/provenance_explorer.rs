@@ -30,7 +30,7 @@ fn pair(a: u32, b: u32) -> Tuple {
 }
 
 fn load(strategy: Strategy) -> Runner {
-    let mut runner = Runner::new(reachable::plan(), RunnerConfig::direct(strategy, 3));
+    let mut runner = Runner::new(reachable::compile().0, RunnerConfig::direct(strategy, 3));
     for (a, b) in [(0, 1), (1, 2), (2, 0), (2, 1)] {
         runner.inject("link", link(a, b), UpdateKind::Insert, None);
     }

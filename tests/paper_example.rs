@@ -21,7 +21,7 @@ fn pair(a: u32, b: u32) -> Tuple {
 
 /// A=0, B=1, C=2 with links A→B (p1), B→C (p2), C→A (p3), C→B (p4).
 fn load(strategy: Strategy) -> Runner {
-    let mut runner = Runner::new(reachable::plan(), RunnerConfig::direct(strategy, 3));
+    let mut runner = Runner::new(reachable::compile().0, RunnerConfig::direct(strategy, 3));
     for (a, b) in [(0, 1), (1, 2), (2, 0), (2, 1)] {
         runner.inject("link", link(a, b), UpdateKind::Insert, None);
     }
