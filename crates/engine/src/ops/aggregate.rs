@@ -19,7 +19,7 @@ use crate::expr::AggFn;
 use crate::plan::Dest;
 use crate::update::Update;
 
-use super::{DeleteOutcome, Ectx, Merged, ProvTable};
+use super::{DeleteOutcome, Ectx, Merged, ProvTable, Restricted};
 
 /// Group-by aggregate operator state.
 pub struct AggregateOp {
@@ -219,7 +219,7 @@ impl AggregateOp {
                 UpdateKind::Delete if !u.cause.is_empty() => {
                     for (t, outcome) in self.contrib.restrict_cause(&u.cause) {
                         let g = self.group_of(&t);
-                        if matches!(outcome, DeleteOutcome::Died(_)) {
+                        if outcome == Restricted::Died {
                             self.detach(&g, &t);
                         }
                         touched.insert(g);

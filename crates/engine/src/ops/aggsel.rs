@@ -21,7 +21,7 @@ use crate::checkpoint::{get_table, put_table, Field, Reader};
 use crate::plan::{AggSelSpec, Dest};
 use crate::update::Update;
 
-use super::{DeleteOutcome, Ectx, MergeOutcome, ProvTable};
+use super::{DeleteOutcome, Ectx, MergeOutcome, ProvTable, Restricted};
 
 /// The reusable pruning state (`H`, `P`, `B` of Algorithm 4, plus the
 /// forwarded set `F` that keeps downstream deletion bookkeeping exact).
@@ -182,9 +182,9 @@ impl AggSelState {
                     let rel = u.rel;
                     let mut touched_groups: BTreeSet<Tuple> = BTreeSet::new();
                     for (t, outcome) in self.prov.restrict_cause(&u.cause) {
-                        let g = self.group_of(&t);
-                        match outcome {
-                            DeleteOutcome::Died(p) => {
+                        let forwarded = match outcome {
+                            Restricted::Died => {
+                                let g = self.group_of(&t);
                                 if let Some(set) = self.groups.get_mut(&g) {
                                     set.remove(&t);
                                     if set.is_empty() {
@@ -192,15 +192,12 @@ impl AggSelState {
                                     }
                                 }
                                 touched_groups.insert(g);
-                                if self.forwarded.remove(&t) {
-                                    out.push(Update::del_cause(rel, t, p, u.cause.clone()));
-                                }
+                                self.forwarded.remove(&t)
                             }
-                            DeleteOutcome::Shrunk(p) => {
-                                if self.forwarded.contains(&t) {
-                                    out.push(Update::del_cause(rel, t, p, u.cause.clone()));
-                                }
-                            }
+                            Restricted::Shrunk => self.forwarded.contains(&t),
+                        };
+                        if forwarded {
+                            out.push(Update::del_cause(rel, t, u.cause.clone()));
                         }
                     }
                     for g in touched_groups {

@@ -119,8 +119,7 @@ impl IngressOp {
             }
             ProvMode::Absorption | ProvMode::Relative => {
                 let cause: Arc<[Var]> = Arc::from(vec![var].into_boxed_slice());
-                let prov = Prov::base(ectx.strategy.mode, var, ectx.mgr);
-                let up = Update::del_cause(self.rel, tuple, prov, cause);
+                let up = Update::del_cause(self.rel, tuple, cause);
                 ectx.emit_local(&self.dests, vec![up]);
             }
         }

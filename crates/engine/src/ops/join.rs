@@ -4,10 +4,10 @@
 //! `hS`) and a provenance table (`pR`, `pS`). Insertions probe the other
 //! side with their *delta* annotation against the other side's *merged*
 //! annotation — the standard symmetric delta-join, which the paper's
-//! pseudocode expresses as `u.pv ∧ pj[t]`. Deletions restrict the arriving
-//! tuple's entry and forward cause-carrying deletions for every matching
-//! output, so downstream state is restricted along exactly the paths the
-//! derivations took.
+//! pseudocode expresses as `u.pv ∧ pj[t]`. Cause-deletions restrict the
+//! arriving tuple's entry and forward the cause, with no annotation, for
+//! every matching output, so downstream state is restricted along exactly
+//! the paths the derivations took.
 
 use std::collections::BTreeSet;
 
@@ -20,7 +20,7 @@ use crate::expr::{project, Expr, Pred};
 use crate::plan::{Dest, JOIN_BUILD};
 use crate::update::Update;
 
-use super::{DeleteOutcome, Ectx, MergeOutcome, ProvTable};
+use super::{DeleteOutcome, Ectx, MergeOutcome, ProvTable, Restricted};
 
 struct Side {
     key_cols: Vec<usize>,
@@ -214,24 +214,11 @@ impl JoinOp {
                     let Some(outcome) = mine.prov.restrict_cause_tuple(&u.tuple, &u.cause) else {
                         continue; // unaffected or unknown: cascade stops here
                     };
-                    let removed = match outcome {
-                        DeleteOutcome::Died(p) => {
-                            mine.remove(&u.tuple);
-                            p
-                        }
-                        DeleteOutcome::Shrunk(p) => p,
-                    };
-                    self.probe_other(from_build, &u.tuple, &mut out, |out_tuple, other| {
-                        let pv = match mode {
-                            ProvMode::Absorption => removed.and(other),
-                            _ => removed.clone(),
-                        };
-                        Some(Update::del_cause(
-                            self.out_rel,
-                            out_tuple,
-                            pv,
-                            u.cause.clone(),
-                        ))
+                    if outcome == Restricted::Died {
+                        mine.remove(&u.tuple);
+                    }
+                    self.probe_other(from_build, &u.tuple, &mut out, |out_tuple, _| {
+                        Some(Update::del_cause(self.out_rel, out_tuple, u.cause.clone()))
                     });
                 }
                 UpdateKind::Delete => {

@@ -26,7 +26,7 @@ use crate::plan::Dest;
 use crate::strategy::ShipPolicy;
 use crate::update::Update;
 
-use super::{Ectx, ProvTable, ENTRY_OVERHEAD};
+use super::{Ectx, ProvTable, Restricted, ENTRY_OVERHEAD};
 
 /// What one variable of a ship-ledger entry counts for in `state_bytes`.
 const LEDGER_VAR_BYTES: usize = 4;
@@ -34,6 +34,15 @@ const LEDGER_VAR_BYTES: usize = 4;
 /// What a ship-ledger entry of `vars` variables counts for in `state_bytes`.
 fn ledger_entry_cost(t: &Tuple, vars: usize) -> usize {
     t.encoded_len() + vars * LEDGER_VAR_BYTES + ENTRY_OVERHEAD
+}
+
+/// Append each variable of `vars` that `causes` does not hold yet.
+fn add_causes(causes: &mut Vec<Var>, vars: &[Var]) {
+    for v in vars {
+        if !causes.contains(v) {
+            causes.push(*v);
+        }
+    }
 }
 
 /// MinShip operator state.
@@ -45,8 +54,8 @@ pub struct MinShipOp {
     sent: ProvTable,
     /// Buffered insertions (`Pins`).
     pins: ProvTable,
-    /// Buffered deletions (`Pdel`): tuple → (annotation, accumulated cause).
-    pdel: FxHashMap<Tuple, (Prov, Vec<Var>)>,
+    /// Buffered deletions (`Pdel`): tuple → accumulated cause.
+    pdel: FxHashMap<Tuple, Vec<Var>>,
     /// Tuples whose *shipped* annotation has been cause-restricted since it
     /// was last sent. For these, `sent` is a stale mirror of the receiver's
     /// knowledge (a cause can reach the receiver along another dataflow path
@@ -141,7 +150,7 @@ impl MinShipOp {
         // died re-enter through the first-derivation branch anyway.
         let _ = self.pins.restrict_cause(dead);
         for (t, outcome) in self.sent.restrict_cause(dead) {
-            if matches!(outcome, super::DeleteOutcome::Shrunk(_)) {
+            if outcome == Restricted::Shrunk {
                 self.dirty.insert(t);
             }
         }
@@ -149,11 +158,9 @@ impl MinShipOp {
         let MinShipOp {
             shipped,
             ledger_bytes,
-            sent,
             pdel,
             ..
         } = self;
-        let mode = sent.mode();
         shipped.retain(|t, vars| {
             let hit: Vec<Var> = dead.iter().copied().filter(|v| vars.remove(v)).collect();
             if hit.is_empty() {
@@ -165,22 +172,7 @@ impl MinShipOp {
             } else {
                 hit.len() * LEDGER_VAR_BYTES
             };
-            let entry = pdel.entry(t.clone()).or_insert_with(|| {
-                // The annotation on a cause-delete is informational (the
-                // receiving store restricts table-wide by the cause); when
-                // the mirror already dropped the tuple, a base annotation of
-                // one dying variable is an honest stand-in.
-                let pv = sent
-                    .get(t)
-                    .cloned()
-                    .unwrap_or_else(|| Prov::base(mode, hit[0], ectx.mgr));
-                (pv, Vec::new())
-            });
-            for v in hit {
-                if !entry.1.contains(&v) {
-                    entry.1.push(v);
-                }
-            }
+            add_causes(pdel.entry(t.clone()).or_default(), &hit);
             !vars.is_empty()
         });
         if !hit_any {
@@ -294,18 +286,7 @@ impl MinShipOp {
                     if self.sent.contains(&u.tuple) {
                         self.dirty.insert(u.tuple.clone());
                     }
-                    let entry = self
-                        .pdel
-                        .entry(u.tuple.clone())
-                        .or_insert_with(|| (u.prov.clone(), Vec::new()));
-                    if let (Prov::Bdd(acc), Prov::Bdd(pv)) = (&entry.0, &u.prov) {
-                        entry.0 = Prov::Bdd(acc.or(pv));
-                    }
-                    for v in u.cause.iter() {
-                        if !entry.1.contains(v) {
-                            entry.1.push(*v);
-                        }
-                    }
+                    add_causes(self.pdel.entry(u.tuple.clone()).or_default(), &u.cause);
                     if matches!(policy, ShipPolicy::Lazy) {
                         self.flush_lazy(ectx);
                     }
@@ -336,18 +317,16 @@ impl MinShipOp {
         let mut by_peer: BTreeMap<netrec_sim::PeerId, Vec<Update>> = BTreeMap::new();
         // Deletions first: they unblock receiver-side state.
         let pdel = std::mem::take(&mut self.pdel);
-        let mut dels: Vec<(Tuple, (Prov, Vec<Var>))> = pdel.into_iter().collect();
+        let mut dels: Vec<(Tuple, Vec<Var>)> = pdel.into_iter().collect();
         dels.sort_by(|a, b| a.0.cmp(&b.0));
         let mut sent = false;
-        for (t, (pv, cause)) in dels {
+        for (t, cause) in dels {
             let peer = ectx.peer_for(self.route_col, &t);
             sent = true;
-            by_peer.entry(peer).or_default().push(Update::del_cause(
-                rel,
-                t,
-                pv,
-                Arc::from(cause.into_boxed_slice()),
-            ));
+            by_peer
+                .entry(peer)
+                .or_default()
+                .push(Update::del_cause(rel, t, Arc::from(cause)));
         }
         let mut ins = self.pins.drain();
         ins.sort_by(|a, b| a.0.cmp(&b.0));
@@ -371,9 +350,9 @@ impl MinShipOp {
         let Some(rel) = self.rel_seen else { return };
         let mut out: Vec<Update> = Vec::new();
         let pdel = std::mem::take(&mut self.pdel);
-        let mut dels: Vec<(Tuple, (Prov, Vec<Var>))> = pdel.into_iter().collect();
+        let mut dels: Vec<(Tuple, Vec<Var>)> = pdel.into_iter().collect();
         dels.sort_by(|a, b| a.0.cmp(&b.0));
-        for (t, (pv, cause)) in dels {
+        for (t, cause) in dels {
             if crate::trace::matches(&t) {
                 eprintln!(
                     "[trace] p{} minship FLUSH-DEL {:?} cause={:?} alt={}",
@@ -383,12 +362,7 @@ impl MinShipOp {
                     self.pins.get(&t).map_or("none".into(), crate::trace::supp)
                 );
             }
-            out.push(Update::del_cause(
-                rel,
-                t.clone(),
-                pv,
-                Arc::from(cause.into_boxed_slice()),
-            ));
+            out.push(Update::del_cause(rel, t.clone(), Arc::from(cause)));
             if let Some(alt) = self.pins.get(&t).cloned() {
                 self.sent.merge(&t, &alt);
                 self.ledger_record(&t, &alt);
@@ -416,7 +390,7 @@ impl MinShipOp {
         let pdel: usize = self
             .pdel
             .iter()
-            .map(|(t, (p, c))| t.encoded_len() + p.encoded_len() + c.len() * 4 + 48)
+            .map(|(t, c)| t.encoded_len() + c.len() * 4 + 48)
             .sum();
         self.sent.state_bytes() + self.pins.state_bytes() + pdel + self.ledger_bytes
     }
@@ -532,10 +506,7 @@ mod tests {
         assert_eq!((ledger(1), ledger(2)), (vec![2], vec![4]), "x1 was shed");
 
         let cause: Arc<[Var]> = Arc::from(&[1][..]);
-        op.on_updates(
-            vec![Update::del_cause(rel, t(2), Prov::Bdd(x(1)), cause)],
-            &mut ectx,
-        );
+        op.on_updates(vec![Update::del_cause(rel, t(2), cause)], &mut ectx);
         assert_eq!(op.mirror_scan_steps(), 3, "a cause-delete scans nothing");
         let (sends, _) = net.into_parts();
         let shipped: Vec<(UpdateKind, Tuple)> = sends
@@ -635,7 +606,7 @@ mod tests {
         // blob: empty `sent` and `pins`, then pdel / dirty / ledger / rel /
         // timer.
         let lists: [(Vec<u8>, Vec<u8>); 2] = [
-            ([&[0, 0, 1], tup, &[0, 1]].concat(), vec![0, 0, 0, 0]),
+            ([&[0, 0, 1], tup, &[1]].concat(), vec![0, 0, 0, 0]),
             ([&[0, 0, 0, 0, 1], tup, &[1]].concat(), vec![0, 0]),
         ];
         let dest = Dest {

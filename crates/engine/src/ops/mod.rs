@@ -175,15 +175,26 @@ impl MergeOutcome {
     }
 }
 
-/// What happened to one entry during a deletion pass.
+/// What a retraction did to an entry ([`ProvTable::retract`]).
 #[derive(Clone, Debug)]
 pub enum DeleteOutcome {
     /// The tuple is no longer derivable; carries its final (pre-removal)
     /// annotation.
     Died(Prov),
     /// The annotation shrank but the tuple survives; carries the removed
-    /// part (what downstream copies should subtract/learn about).
+    /// part (what downstream copies should subtract).
     Shrunk(Prov),
+}
+
+/// What a cause restriction did to an entry ([`ProvTable::restrict_cause`]).
+/// No annotation: a cause-delete forwards its cause, and every receiver
+/// restricts by that alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Restricted {
+    /// The tuple is no longer derivable and left the table.
+    Died,
+    /// The annotation shrank but the tuple survives.
+    Shrunk,
 }
 
 /// The shared `tuple → provenance` table with optional variable index.
@@ -438,7 +449,7 @@ impl ProvTable {
     /// Apply a cause-restrict deletion (Algorithm 1 lines 27–35): substitute
     /// `false` for every variable in `cause` across (affected) entries.
     /// Returns the per-tuple outcomes, deterministically ordered.
-    pub fn restrict_cause(&mut self, cause: &[Var]) -> Vec<(Tuple, DeleteOutcome)> {
+    pub fn restrict_cause(&mut self, cause: &[Var]) -> Vec<(Tuple, Restricted)> {
         if !matches!(self.mode, ProvMode::Absorption | ProvMode::Relative) {
             return Vec::new();
         }
@@ -492,7 +503,7 @@ impl ProvTable {
     /// of Algorithm 2's `HalfPipeDel`). Returns `None` when the entry is
     /// absent or unaffected — idempotence is what terminates cascaded
     /// deletion propagation.
-    pub fn restrict_cause_tuple(&mut self, t: &Tuple, cause: &[Var]) -> Option<DeleteOutcome> {
+    pub fn restrict_cause_tuple(&mut self, t: &Tuple, cause: &[Var]) -> Option<Restricted> {
         self.restrict_entry(t, cause, &relative_dead_set(self.mode, cause))
     }
 
@@ -503,37 +514,35 @@ impl ProvTable {
         t: &Tuple,
         cause: &[Var],
         dead_set: &FxHashSet<Var>,
-    ) -> Option<DeleteOutcome> {
-        let old = self.get(t)?;
-        match (&self.mode, old) {
+    ) -> Option<Restricted> {
+        // The restricted annotation, `None` when nothing survives.
+        let survivor = match (&self.mode, self.get(t)?) {
             (ProvMode::Absorption, Prov::Bdd(b)) => {
                 let new = b.restrict_all_false(cause);
                 if new == *b {
                     return None;
                 }
-                let removed = Prov::Bdd(b.diff(&new));
-                if new.is_false() {
-                    self.evict(t).map(DeleteOutcome::Died)
-                } else {
-                    self.store(t.clone(), Prov::Bdd(new));
-                    Some(DeleteOutcome::Shrunk(removed))
-                }
+                (!new.is_false()).then_some(Prov::Bdd(new))
             }
             (ProvMode::Relative, Prov::Rel(r)) => match r.kill_vars(dead_set) {
-                None => self.evict(t).map(DeleteOutcome::Died),
-                Some(survivor) => {
-                    if survivor.node_count() != r.node_count()
-                        || survivor.encoded_len() != r.encoded_len()
-                    {
-                        let shrunk = Prov::Rel(Arc::new(survivor.clone()));
-                        self.store(t.clone(), Prov::Rel(Arc::new(survivor)));
-                        Some(DeleteOutcome::Shrunk(shrunk))
-                    } else {
-                        None
-                    }
+                Some(s)
+                    if s.node_count() == r.node_count() && s.encoded_len() == r.encoded_len() =>
+                {
+                    return None
                 }
+                s => s.map(|s| Prov::Rel(Arc::new(s))),
             },
-            _ => None,
+            _ => return None,
+        };
+        match survivor {
+            Some(p) => {
+                self.store(t.clone(), p);
+                Some(Restricted::Shrunk)
+            }
+            None => {
+                self.evict(t);
+                Some(Restricted::Died)
+            }
         }
     }
 
@@ -700,12 +709,7 @@ mod tests {
         let at = |a: u32| Tuple::new(vec![Value::Addr(NetAddr(a)), Value::Int(7)]);
         let sent = mgr.var(10).and(&mgr.var(11)).or(&mgr.var(12));
         let home = Update::ins(RelId(1), at(0), Prov::Bdd(sent.clone()));
-        let away = Update::del_cause(
-            RelId(1),
-            at(1),
-            Prov::Bdd(sent.clone()),
-            Arc::from(&[10u32, 300][..]),
-        );
+        let away = Update::ins(RelId(1), at(1), Prov::Bdd(sent.clone()));
         // The parent's formula: message framing plus the update's wire size,
         // measured on the handle.
         let (away_bytes, away_prov) = (2 + away.encoded_len(), away.prov_len());
@@ -872,7 +876,7 @@ mod tests {
         assert_eq!(outcomes.len(), 2, "t3 untouched");
         let died: Vec<_> = outcomes
             .iter()
-            .filter(|(_, o)| matches!(o, DeleteOutcome::Died(_)))
+            .filter(|(_, o)| *o == Restricted::Died)
             .map(|(t, _)| t.clone())
             .collect();
         assert_eq!(died, vec![t(2)]);
@@ -893,25 +897,20 @@ mod tests {
                 pt.merge_ins(&t(i), &Prov::Bdd(x(i as u32 % 3).and(&x(10 + i as u32))));
                 pt.merge_ins(&t(i), &Prov::Bdd(x(i as u32 % 2).and(&x(20))));
             }
-            let outs: Vec<(Tuple, bool, Bdd)> = pt
-                .restrict_cause(&[1, 2])
-                .into_iter()
-                .map(|(t, o)| match o {
-                    DeleteOutcome::Died(p) => (t, true, p.bdd().clone()),
-                    DeleteOutcome::Shrunk(p) => (t, false, p.bdd().clone()),
-                })
+            let outs = pt.restrict_cause(&[1, 2]);
+            let mut left: Vec<(Tuple, Bdd, usize)> = pt
+                .iter()
+                .map(|(t, p)| (t.clone(), p.bdd().clone(), p.encoded_len()))
                 .collect();
-            let mut left: Vec<Tuple> = pt.tuples().cloned().collect();
-            left.sort();
-            (outs, left)
+            left.sort_by(|a, b| a.0.cmp(&b.0));
+            (outs, left, pt.state_bytes())
         };
-        let (outs, left) = mk(true);
-        assert_eq!((outs.clone(), left.clone()), mk(false));
-        let touched: Vec<(Tuple, bool)> = outs.iter().map(|(t, d, _)| (t.clone(), *d)).collect();
-        let died = |i| (t(i), true);
-        let shrunk = |i| (t(i), false);
+        let (outs, left, bytes) = mk(true);
+        assert_eq!((outs.clone(), left.clone(), bytes), mk(false));
+        let died = |i| (t(i), Restricted::Died);
+        let shrunk = |i| (t(i), Restricted::Shrunk);
         assert_eq!(
-            touched,
+            outs,
             [
                 died(1),
                 shrunk(2),
@@ -923,6 +922,7 @@ mod tests {
             ],
             "ascending, and t(6) untouched"
         );
+        let left: Vec<Tuple> = left.into_iter().map(|(t, _, _)| t).collect();
         assert_eq!(left, [2, 3, 4, 6, 8].map(t));
     }
 
@@ -956,10 +956,8 @@ mod tests {
         let d2 = Prov::rel_derive(1, rel, t(9), &[&b]);
         pt.merge_ins(&t(9), &d1);
         pt.merge_ins(&t(9), &d2);
-        let out = pt.restrict_cause(&[1]);
-        assert!(matches!(out[0].1, DeleteOutcome::Shrunk(_)));
-        let out = pt.restrict_cause(&[2]);
-        assert!(matches!(out[0].1, DeleteOutcome::Died(_)));
+        assert_eq!(pt.restrict_cause(&[1]), [(t(9), Restricted::Shrunk)]);
+        assert_eq!(pt.restrict_cause(&[2]), [(t(9), Restricted::Died)]);
         assert!(pt.is_empty());
     }
 

@@ -9,7 +9,8 @@
 //! * cause-deletions substitute `false` for the deleted variables across the
 //!   (support-indexed) table, forward *death* deletions for tuples that left
 //!   the view, and forward *shrink* deletions for tuples whose annotation
-//!   lost derivations — downstream state restricts along the same paths;
+//!   lost derivations — each carries the cause and no annotation, and
+//!   downstream state restricts by it along the same paths;
 //! * retract-deletions subtract a specific annotation (aggregate revisions,
 //!   set-mode DRed deletes).
 //!
@@ -25,7 +26,7 @@ use crate::plan::{AggSelSpec, Dest};
 use crate::update::Update;
 
 use super::aggsel::AggSelState;
-use super::{DeleteOutcome, Ectx, MergeOutcome, ProvTable};
+use super::{DeleteOutcome, Ectx, MergeOutcome, ProvTable, Restricted};
 
 /// Store operator state.
 pub struct StoreOp {
@@ -35,7 +36,7 @@ pub struct StoreOp {
     aggsel: Option<AggSelState>,
     dests: Vec<Dest>,
     /// When set, membership changes (a tuple entering or leaving the view —
-    /// `MergeOutcome::New` / `DeleteOutcome::Died`, never `Changed`/`Shrunk`
+    /// `MergeOutcome::New` / a `Died` deletion, never `Changed`/`Shrunk`
     /// annotation-only churn) are appended to `delta_log` for the serving
     /// layer. Off by default so un-served runs pay nothing.
     record_deltas: bool,
@@ -193,23 +194,14 @@ impl StoreOp {
                                 self.rel,
                                 t,
                                 u.cause,
-                                match &outcome {
-                                    DeleteOutcome::Died(_) => "DIED",
-                                    DeleteOutcome::Shrunk(_) => "SHRUNK",
-                                },
+                                outcome,
                                 self.table.get(&t).map_or("gone".into(), crate::trace::supp)
                             );
                         }
-                        let removed = match outcome {
-                            DeleteOutcome::Died(p) => {
-                                if self.record_deltas {
-                                    self.delta_log.push((t.clone(), false));
-                                }
-                                p
-                            }
-                            DeleteOutcome::Shrunk(p) => p,
-                        };
-                        out.push(Update::del_cause(self.rel, t, removed, u.cause.clone()));
+                        if outcome == Restricted::Died && self.record_deltas {
+                            self.delta_log.push((t.clone(), false));
+                        }
+                        out.push(Update::del_cause(self.rel, t, u.cause.clone()));
                     }
                 }
                 UpdateKind::Delete => {

@@ -556,12 +556,7 @@ mod tests {
         deliver(
             &mut peer,
             store,
-            vec![Update::del_cause(
-                reach,
-                t(9),
-                wire(sender.var(1)),
-                Arc::from(&[1u32][..]),
-            )],
+            vec![Update::del_cause(reach, t(9), Arc::from(&[1u32][..]))],
         );
         deliver(
             &mut peer,

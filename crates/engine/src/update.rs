@@ -18,13 +18,17 @@ pub struct Update {
     pub kind: UpdateKind,
     /// The tuple.
     pub tuple: Tuple,
-    /// Provenance annotation (variant fixed per run by the strategy).
+    /// Provenance annotation (variant fixed per run by the strategy): what
+    /// an insertion derives, or what a retraction subtracts. A
+    /// cause-restrict deletion carries `Prov::None` — its receivers
+    /// restrict by `cause` alone.
     pub prov: Prov,
     /// For deletions: the base-tuple variables whose deletion caused this
     /// update. Non-empty ⇒ *cause-restrict* semantics (stateful operators
-    /// substitute `false` for these variables); empty ⇒ *retract* semantics
-    /// (subtract `prov` from the stored annotation), used by aggregate
-    /// revisions and set-mode (DRed) deletions.
+    /// substitute `false` for these variables, and the update carries no
+    /// annotation); empty ⇒ *retract* semantics (subtract `prov` from the
+    /// stored annotation), used by aggregate revisions and set- and
+    /// counting-mode deletions.
     pub cause: Arc<[Var]>,
 }
 
@@ -52,13 +56,14 @@ impl Update {
         }
     }
 
-    /// A cause-restrict deletion (base deletion or its cascade).
-    pub fn del_cause(rel: RelId, tuple: Tuple, prov: Prov, cause: Arc<[Var]>) -> Update {
+    /// A cause-restrict deletion (base deletion or its cascade): the tuple
+    /// and its cause, with no annotation.
+    pub fn del_cause(rel: RelId, tuple: Tuple, cause: Arc<[Var]>) -> Update {
         Update {
             rel,
             kind: UpdateKind::Delete,
             tuple,
-            prov,
+            prov: Prov::None,
             cause,
         }
     }
@@ -194,7 +199,7 @@ mod tests {
         let ins = Update::ins(RelId(0), t.clone(), Prov::None);
         assert!(!ins.is_delete());
         assert!(ins.cause.is_empty());
-        let del = Update::del_cause(RelId(0), t.clone(), Prov::None, Arc::from(&[3u32][..]));
+        let del = Update::del_cause(RelId(0), t.clone(), Arc::from(&[3u32][..]));
         assert!(del.is_delete());
         assert_eq!(&del.cause[..], &[3]);
         let retr = Update::del_retract(RelId(0), t, Prov::None);

@@ -68,14 +68,16 @@ impl Field for Duration {
 /// Relation, kind, tuple, annotation, cause list — the fields
 /// [`Update::encoded_len`] prices.
 ///
-/// An insert whose relative annotation is rooted at *another tuple of its
-/// own relation* is `Corrupt`: a receiving table would merge it with the
-/// tuple's annotation and reach `RelProv::merge`'s same-tuple assertion,
-/// panicking the peer. No valid sender makes one — a rule head roots its
-/// output at itself. A root in another relation is valid (a projecting
-/// map's output keeps its join row's annotation), and so is any root on a
-/// delete, which carries the removed part of an input's annotation and is
-/// never merged.
+/// Two shapes no valid sender makes are `Corrupt`:
+/// - an insert whose relative annotation is rooted at *another tuple of its
+///   own relation*: a receiving table would merge it with the tuple's
+///   annotation and reach `RelProv::merge`'s same-tuple assertion,
+///   panicking the peer. A rule head roots its output at itself; a root in
+///   another relation is valid (a projecting map's output keeps its join
+///   row's annotation);
+/// - a cause-delete carrying an annotation: it is the tuple and its cause
+///   ([`Update::del_cause`]). A retraction's annotation is subtracted,
+///   never merged, so any root is valid there.
 impl Field for Update {
     #[inline]
     fn put(&self, out: &mut Vec<u8>) {
@@ -95,6 +97,9 @@ impl Field for Update {
             prov: r.get()?,
             cause: r.get()?,
         };
+        if u.is_delete() && !u.cause.is_empty() && !matches!(u.prov, Prov::None) {
+            return Err(WireError::Corrupt("cause-delete carries an annotation"));
+        }
         if let (Prov::Rel(p), UpdateKind::Insert) = (&u.prov, u.kind) {
             if p.root_tuple()
                 .is_some_and(|(rel, t)| rel == u.rel && *t != u.tuple)
@@ -175,7 +180,6 @@ mod tests {
             Update::del_cause(
                 RelId(7),
                 tup([Value::Str("x".into())]),
-                Prov::Bdd(mgr.var(1).or(&mgr.var(2))),
                 Arc::from(&[1u32][..]),
             ),
             Update::del_retract(RelId(0), tup([Value::Int(9)]), Prov::Count(-2)),
@@ -186,11 +190,12 @@ mod tests {
                 assert_eq!(us[0].rel, RelId(2));
                 assert_eq!(us[0].kind, UpdateKind::Insert);
                 assert_eq!(us[0].tuple, tup([Value::Int(1), Value::Int(2)]));
-                assert_eq!(us[1].cause.as_ref(), &[1]);
-                let Prov::Wire(shipped) = &us[1].prov else {
+                let Prov::Wire(shipped) = &us[0].prov else {
                     panic!("prov variant changed")
                 };
-                assert_eq!(mgr.decode(shipped), Ok(mgr.var(1).or(&mgr.var(2))));
+                assert_eq!(mgr.decode(shipped), Ok(mgr.var(4)));
+                assert_eq!(us[1].cause.as_ref(), &[1]);
+                assert!(matches!(us[1].prov, Prov::None));
                 assert!(matches!(us[2].prov, Prov::Count(-2)));
                 // Byte-size accounting is part of the protocol: the decoded
                 // update must cost exactly what the sender charged.
@@ -243,22 +248,30 @@ mod tests {
 
     /// The frame format may not move: these bytes were written by the codec
     /// as it stood before annotations crossed peers as [`Prov::Wire`], from
-    /// the same two updates held as handles.
+    /// the same two updates held as handles. Its delete carries an
+    /// annotation, as cause-deletes then did: the encoder still writes that
+    /// frame byte for byte, and a link now refuses it. The same frame with
+    /// the delete's annotation left out (`BARE`, its one-byte `Prov::None`
+    /// tag in place of six) is what senders write today.
     #[test]
     fn updates_frame_golden_bytes() {
         const GOLDEN: [u8; 34] = [
             0, 2, 3, 0, 2, 1, 2, 1, 4, 2, 7, 2, 11, 0, 1, 10, 0, 2, 0, 3, 1, 2, 1, 2, 1, 4, 2, 4,
             1, 10, 0, 1, 1, 10,
         ];
+        const BARE: [u8; 29] = [
+            0, 2, 3, 0, 2, 1, 2, 1, 4, 2, 7, 2, 11, 0, 1, 10, 0, 2, 0, 3, 1, 2, 1, 2, 1, 4, 0, 1,
+            10,
+        ];
         let mgr = BddManager::new();
         let t = tup([Value::Int(1), Value::Int(2)]);
+        let del = Update::del_cause(RelId(3), t.clone(), Arc::from(&[10u32][..]));
         let ups = vec![
-            Update::ins(
-                RelId(3),
-                t.clone(),
-                Prov::Bdd(mgr.var(10).and(&mgr.var(11))),
-            ),
-            Update::del_cause(RelId(3), t, Prov::Bdd(mgr.var(10)), Arc::from(&[10u32][..])),
+            Update::ins(RelId(3), t, Prov::Bdd(mgr.var(10).and(&mgr.var(11)))),
+            Update {
+                prov: Prov::Bdd(mgr.var(10)),
+                ..del.clone()
+            },
         ];
         let shipped: Vec<Update> = ups.iter().cloned().map(Update::into_wire).collect();
         let (held, shipped) = (Msg::Updates(Arc::new(ups)), Msg::Updates(Arc::new(shipped)));
@@ -267,9 +280,20 @@ mod tests {
         // What the parent charged for this message.
         let meta = shipped.meta();
         assert_eq!((meta.bytes, meta.prov_bytes, meta.tuples), (32, 13, 2));
+        assert!(matches!(
+            Msg::decode(&mut &GOLDEN[..]),
+            Err(WireError::Corrupt("cause-delete carries an annotation"))
+        ));
+        let Msg::Updates(ups) = shipped else {
+            unreachable!()
+        };
+        let bare = Msg::Updates(Arc::new(vec![ups[0].clone(), del]));
+        assert_eq!(encoded(&bare), BARE);
+        let meta = bare.meta();
+        assert_eq!((meta.bytes, meta.prov_bytes, meta.tuples), (28, 9, 2));
         // The link hands on the annotation bytes it was given.
-        let back = roundtrip(&shipped);
-        assert_eq!(encoded(&back), GOLDEN);
+        let back = roundtrip(&bare);
+        assert_eq!(encoded(&back), BARE);
         let Msg::Updates(us) = back else {
             unreachable!()
         };
@@ -330,9 +354,9 @@ mod tests {
     /// describes. An insert whose root is another tuple of its own relation
     /// would reach `RelProv::merge`'s same-tuple assertion at the receiver
     /// and panic the peer, so the frame is `Corrupt` at `Msg::decode`. A
-    /// root in another relation (a projecting map's output) and a
-    /// cause-delete (which carries the removed part of an input's
-    /// annotation) are what valid senders produce, and decode.
+    /// root in another relation (a projecting map's output) is what valid
+    /// senders produce, and decodes. A cause-delete carries no annotation,
+    /// so one rooted anywhere is `Corrupt` too.
     #[test]
     fn relative_insert_rooted_at_another_tuple_is_rejected() {
         let rel = RelId(4);
@@ -358,10 +382,54 @@ mod tests {
         .is_ok());
         assert!(decode(Update::ins(rel, own.clone(), derived(RelId(3), 2))).is_ok());
         let cause: Arc<[u32]> = Arc::from(&[3u32][..]);
-        assert!(decode(Update::del_cause(rel, own.clone(), derived(rel, 2), cause)).is_ok());
+        let rooted_delete = Update {
+            prov: derived(rel, 2),
+            ..Update::del_cause(rel, own.clone(), cause)
+        };
+        assert!(matches!(decode(rooted_delete), Err(WireError::Corrupt(_))));
         assert!(matches!(
             decode(Update::ins(rel, own, derived(rel, 2))),
             Err(WireError::Corrupt(_))
         ));
+    }
+
+    /// A cause-delete is its tuple and its cause: with `Prov::None` it
+    /// decodes, and one that carries an annotation of either annotated
+    /// mode is `Corrupt` at `Msg::decode`. A retraction keeps what it
+    /// subtracts.
+    #[test]
+    fn cause_delete_with_an_annotation_is_corrupt() {
+        let mgr = BddManager::new();
+        let t = tup([Value::Int(1)]);
+        let cause: Arc<[u32]> = Arc::from(&[3u32, 5][..]);
+        let decode = |u: Update| {
+            let bytes = encoded(&Msg::Updates(Arc::new(vec![u.into_wire()])));
+            Msg::decode(&mut bytes.as_slice())
+        };
+        match decode(Update::del_cause(RelId(2), t.clone(), Arc::clone(&cause))) {
+            Ok(Msg::Updates(us)) => {
+                assert!(us[0].is_delete() && matches!(us[0].prov, Prov::None));
+                assert_eq!((&us[0].tuple, us[0].cause.as_ref()), (&t, &[3, 5][..]));
+            }
+            other => panic!("bare cause-delete: {other:?}"),
+        }
+        let relative = Prov::Rel(Arc::new(RelProv::derive(
+            0,
+            RelId(2),
+            t.clone(),
+            &[&RelProv::base(3)],
+        )));
+        for prov in [Prov::Bdd(mgr.var(3).or(&mgr.var(5))), relative] {
+            let annotated = Update {
+                prov,
+                ..Update::del_cause(RelId(2), t.clone(), Arc::clone(&cause))
+            };
+            assert!(matches!(
+                decode(annotated),
+                Err(WireError::Corrupt("cause-delete carries an annotation"))
+            ));
+        }
+        let retract = Update::del_retract(RelId(2), t, Prov::Bdd(mgr.var(3)));
+        assert!(decode(retract).is_ok());
     }
 }

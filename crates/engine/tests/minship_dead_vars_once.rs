@@ -195,7 +195,8 @@ fn reach(a: u32, b: u32) -> Tuple {
 }
 
 /// Render what one `on_message` call sent: one line per shipped update,
-/// `peer/port KIND tuple cause=[..] supp=[..]`.
+/// `peer/port INS tuple cause=[] supp=[..]` or `peer/port DEL tuple
+/// cause=[..]` — a cause-delete carries no annotation, and this asserts so.
 fn emissions(net: NetApi<Msg>) -> Vec<String> {
     let (sends, timers) = net.into_parts();
     assert!(timers.is_empty(), "lazy shipping arms no timer");
@@ -206,18 +207,24 @@ fn emissions(net: NetApi<Msg>) -> Vec<String> {
             panic!("unexpected control message {msg:?}");
         };
         for u in ups.iter() {
-            // Shipped to another peer, so in wire form: read it the way the
-            // receiver would, in a manager of our own.
-            let supp = match u.prov.reanchor(&scratch) {
-                Prov::Bdd(b) => b.support(),
-                other => panic!("absorption run shipped {other:?}"),
-            };
-            let kind = match u.kind {
-                UpdateKind::Insert => "INS",
-                UpdateKind::Delete => "DEL",
+            let (kind, supp) = match u.kind {
+                UpdateKind::Insert => {
+                    // Shipped to another peer, so in wire form: read it the
+                    // way the receiver would, in a manager of our own.
+                    let supp = match u.prov.reanchor(&scratch) {
+                        Prov::Bdd(b) => b.support(),
+                        other => panic!("absorption run shipped {other:?}"),
+                    };
+                    ("INS", format!(" supp={supp:?}"))
+                }
+                UpdateKind::Delete => {
+                    let (t, p) = (&u.tuple, &u.prov);
+                    assert!(matches!(p, Prov::None), "DEL {t:?} carries {p:?}");
+                    ("DEL", String::new())
+                }
             };
             out.push(format!(
-                "p{}/{} {kind} {:?} cause={:?} supp={supp:?}",
+                "p{}/{} {kind} {:?} cause={:?}{supp}",
                 to.0, port.0, u.tuple, u.cause
             ));
         }
@@ -281,12 +288,7 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
     let first = deliver(
         &mut peer,
         probe_port,
-        vec![Update::del_cause(
-            rel,
-            reach(9, 9),
-            Prov::Bdd(x(1)),
-            Arc::clone(&dead),
-        )],
+        vec![Update::del_cause(rel, reach(9, 9), Arc::clone(&dead))],
     );
     assert_eq!(first, GOLDEN_FIRST);
     assert_eq!(minship(&peer).mirror_scan_steps(), 3);
@@ -315,8 +317,8 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
         &mut peer,
         ship_port,
         vec![
-            Update::del_cause(rel, a.clone(), Prov::Bdd(x(1)), Arc::clone(&dead)),
-            Update::del_cause(rel, b.clone(), Prov::Bdd(x(1)), Arc::clone(&dead)),
+            Update::del_cause(rel, a.clone(), Arc::clone(&dead)),
+            Update::del_cause(rel, b.clone(), Arc::clone(&dead)),
         ],
     );
     assert_eq!(second, GOLDEN_SECOND);
@@ -343,24 +345,19 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
 
     // A further delete for the same cause still finds clean mirrors (the
     // debug assertion in `on_updates` is live in this build).
-    deliver(
-        &mut peer,
-        ship_port,
-        vec![Update::del_cause(rel, c, Prov::Bdd(x(1)), dead)],
-    );
+    deliver(&mut peer, ship_port, vec![Update::del_cause(rel, c, dead)]);
     assert_eq!(minship(&peer).mirror_scan_steps(), 3);
 }
 
 /// Emissions captured from the parent commit (`6016cba`) with this same
-/// script (port 8 is the view store's input).
+/// script (port 8 is the view store's input). Every tuple, cause, peer and
+/// port is as captured; deletes are rendered without the annotation they
+/// then carried.
 const GOLDEN_FIRST: &[&str] = &[
-    "p0/8 DEL (n0,n5) cause=[1] supp=[2]",
-    "p1/8 DEL (n1,n6) cause=[1] supp=[1]",
+    "p0/8 DEL (n0,n5) cause=[1]",
+    "p1/8 DEL (n1,n6) cause=[1]",
     "p1/8 INS (n1,n6) cause=[] supp=[4]",
 ];
 const GOLDEN_DIRTY: &[&str] = &["p0/8 INS (n0,n5) cause=[] supp=[9]"];
-const GOLDEN_SECOND: &[&str] = &[
-    "p0/8 DEL (n0,n5) cause=[1] supp=[1]",
-    "p1/8 DEL (n1,n6) cause=[1] supp=[1]",
-];
+const GOLDEN_SECOND: &[&str] = &["p0/8 DEL (n0,n5) cause=[1]", "p1/8 DEL (n1,n6) cause=[1]"];
 const GOLDEN_THIRD: &[&str] = &["p0/8 INS (n0,n8) cause=[] supp=[8]"];

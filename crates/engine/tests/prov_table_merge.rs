@@ -9,7 +9,7 @@
 //! annotations, price them the same, and report the same outcomes.
 
 use netrec_bdd::{Bdd, BddManager, Var};
-use netrec_engine::ops::{DeleteOutcome, ProvTable};
+use netrec_engine::ops::{DeleteOutcome, ProvTable, Restricted};
 use netrec_prov::{Prov, ProvMode};
 use netrec_types::{Tuple, Value};
 use proptest::prelude::*;
@@ -71,15 +71,13 @@ fn tuple(i: i64) -> Tuple {
     Tuple::new(vec![Value::Int(i)])
 }
 
-/// A deletion outcome as comparable data: tuple, whether it died, and the
+/// A retraction outcome as comparable data: whether it died, and the
 /// annotation it carries.
-fn outcomes(outs: Vec<(Tuple, DeleteOutcome)>) -> Vec<(Tuple, bool, Bdd)> {
-    outs.into_iter()
-        .map(|(t, o)| match o {
-            DeleteOutcome::Died(p) => (t, true, p.bdd().clone()),
-            DeleteOutcome::Shrunk(p) => (t, false, p.bdd().clone()),
-        })
-        .collect()
+fn retracted(o: DeleteOutcome) -> (bool, Bdd) {
+    match o {
+        DeleteOutcome::Died(p) => (true, p.bdd().clone()),
+        DeleteOutcome::Shrunk(p) => (false, p.bdd().clone()),
+    }
 }
 
 fn annotations(pt: &ProvTable) -> Vec<(Tuple, Bdd)> {
@@ -109,8 +107,8 @@ proptest! {
                     prop_assert_eq!(full, class, "step {}: {:?}", i, step);
                 }
                 Step::RestrictCause(vars) => {
-                    let a = outcomes(with_delta.restrict_cause(vars));
-                    let b = outcomes(without.restrict_cause(vars));
+                    let a: Vec<(Tuple, Restricted)> = with_delta.restrict_cause(vars);
+                    let b = without.restrict_cause(vars);
                     prop_assert!(
                         a.windows(2).all(|w| w[0].0 < w[1].0),
                         "step {}: outcomes not in ascending tuple order", i
@@ -119,8 +117,8 @@ proptest! {
                 }
                 Step::Retract(t, e) => {
                     let prov = Prov::Bdd(to_bdd(&m, e));
-                    let a = with_delta.retract(&tuple(*t), &prov).map(|o| outcomes(vec![(tuple(*t), o)]));
-                    let b = without.retract(&tuple(*t), &prov).map(|o| outcomes(vec![(tuple(*t), o)]));
+                    let a = with_delta.retract(&tuple(*t), &prov).map(retracted);
+                    let b = without.retract(&tuple(*t), &prov).map(retracted);
                     prop_assert_eq!(a, b, "step {}: {:?}", i, step);
                 }
             }

@@ -30,7 +30,7 @@ pub type ViewReader = ReadHandle<ViewStore>;
 
 /// One membership delta: `add == true` inserts `tuple` into `rel`'s view,
 /// `add == false` removes it. Extracted from the engine's DRed outcomes
-/// (`MergeOutcome::New` / `DeleteOutcome::Died`), so exactly the tuples
+/// (`MergeOutcome::New` / a `Died` deletion), so exactly the tuples
 /// whose view membership changed — not every re-derivation.
 #[derive(Clone, Debug)]
 pub struct ViewOp {
