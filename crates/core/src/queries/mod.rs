@@ -5,10 +5,10 @@
 //! [`netrec_engine::Plan`] for the distributed engine and a
 //! [`netrec_engine::reference::Program`] whose from-scratch evaluation the
 //! maintained views must equal — the property the integration tests and the
-//! paper-claim figures assert. `reachable` and `regions` are each one rule
-//! text (`reachable.dl`, `regions.dl`) that `netrec-datalog` compiles to
-//! both, its planner emitting the paper's Fig. 4 plan shape; `paths`
-//! builds its plan and oracle by hand.
+//! paper-claim figures assert. Each query is one rule text (`reachable.dl`,
+//! `paths.dl`, `regions.dl`) that `netrec-datalog` compiles to both, its
+//! planner emitting the paper's Fig. 4 plan shape; `paths` names the
+//! aggregate heads that prune it (§6 aggregate selection).
 
 use netrec_engine::reference::Program;
 use netrec_engine::Plan;
@@ -17,10 +17,11 @@ pub mod paths;
 pub mod reachable;
 pub mod regions;
 
-/// Compile a query's rule text to its plan and its oracle program.
-fn compile(rules: &str) -> (Plan, Program) {
+/// Compile a query's rule text to its plan and its oracle program, with
+/// aggregate selection by the heads in `prune`.
+fn compile(rules: &str, prune: &[&str]) -> (Plan, Program) {
     let ast = netrec_datalog::parse_program(rules).expect("a query's rules parse");
-    netrec_datalog::compile(&ast)
+    netrec_datalog::compile_with_aggsel(&ast, prune)
         .expect("a query's rules compile")
         .into_parts()
 }

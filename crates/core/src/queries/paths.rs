@@ -1,337 +1,235 @@
 //! Query 2: shortest/cheapest paths with materialised path vectors and the
-//! aggregate-view cascade (`minCost`, `minHops`, `cheapestPath`,
-//! `fewestHops`, `shortestCheapestPath`).
+//! aggregate-view cascade.
 //!
 //! ```text
-//! path(x,y,p,c,l)       :- link(x,y,c), p=[x,y], l=1.
-//! path(x,y,p,c,l)       :- link(x,z,c0), path(z,y,p1,c1,l1),
-//!                          c=c0+c1, p=concat([x],p1), l=1+l1.
-//! minCost(x,y,min<c>)   :- path(x,y,p,c,l).
-//! minHops(x,y,min<l>)   :- path(x,y,p,c,l).
-//! cheapestPath(x,y,p,c) :- path(x,y,p,c,l), minCost(x,y,c).
-//! fewestHops(x,y,p,l)   :- path(x,y,p,c,l), minHops(x,y,l).
-//! shortestCheapestPath(x,y,p1,c,p2,l) :- cheapestPath(x,y,p1,c), fewestHops(x,y,p2,l).
+#![doc = include_str!("paths.dl")]
 //! ```
 //!
 //! As the paper notes, `path` enumerates all paths and "may not terminate";
 //! aggregate selection (§6) prunes tuples that cannot improve either
 //! objective, which both bounds the search and slashes traffic (Fig. 14).
 //! The pruning keeps ties, so all co-optimal paths survive.
+//!
+//! Only the from-scratch oracle applies the `guard`: it enumerates simple
+//! paths and simple cycles, which positive costs make enough for every
+//! aggregate view. The plan leaves it out, so without aggregate selection
+//! the plan does not terminate on a cyclic topology, as in the paper.
+//! `cheapestPath` and `fewestHops` name their aggregate atom first, so it
+//! is each join's build side.
 
-use netrec_engine::expr::{AggFn, CmpOp, Expr, Pred};
-use netrec_engine::plan::{AggSelSpec, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
-use netrec_engine::reference::{AggClause, Atom, Program, Rule, Term};
+use netrec_engine::plan::Plan;
+use netrec_engine::reference::Program;
 
 use super::AggSelChoice;
 
-fn aggsel_spec(choice: AggSelChoice) -> Option<AggSelSpec> {
-    // path tuple: (src, dst, vec, cost, len); group (src,dst).
-    match choice {
-        AggSelChoice::Multi => Some(AggSelSpec {
-            group_cols: vec![0, 1],
-            aggs: vec![(3, AggFn::Min), (4, AggFn::Min)],
-        }),
-        AggSelChoice::SingleCost => Some(AggSelSpec {
-            group_cols: vec![0, 1],
-            aggs: vec![(3, AggFn::Min)],
-        }),
-        AggSelChoice::None => None,
-    }
-}
-
-/// Build the distributed plan for the whole Query 2 cascade.
-pub fn plan(choice: AggSelChoice) -> Plan {
-    let mut b = PlanBuilder::new();
-    let link = b.edb("link", &["src", "dst", "cost"], 0);
-    let path = b.idb("path", &["src", "dst", "vec", "cost", "len"], 0);
-    let min_cost = b.idb("minCost", &["src", "dst", "cost"], 0);
-    let min_hops = b.idb("minHops", &["src", "dst", "len"], 0);
-    let cheapest = b.idb("cheapestPath", &["src", "dst", "vec", "cost"], 0);
-    let fewest = b.idb("fewestHops", &["src", "dst", "vec", "len"], 0);
-    let scp = b.idb(
-        "shortestCheapestPath",
-        &["src", "dst", "vec1", "cost", "vec2", "len"],
-        0,
-    );
-
-    let ing = b.ingress(link);
-    // Base case: link(x,y,c) → path(x,y,[x,y],c,1).
-    let base_map = b.map(
-        vec![
-            Expr::col(0),
-            Expr::col(1),
-            Expr::MakeList(vec![Expr::col(0), Expr::col(1)]),
-            Expr::col(2),
-            Expr::int(1),
-        ],
-        vec![],
-    );
-    let path_store = b.store(path, true, aggsel_spec(choice));
-    // Recursive case: row = link(x,z,c0) ++ path(z,y,p1,c1,l1).
-    let rec_join = b.join(
-        vec![1],
-        vec![0],
-        vec![],
-        vec![
-            Expr::col(0),                                                  // x
-            Expr::col(4),                                                  // y
-            Expr::Prepend(Box::new(Expr::col(0)), Box::new(Expr::col(5))), // concat([x],p1)
-            Expr::add_cols(2, 6),                                          // c0+c1
-            Expr::Add(Box::new(Expr::int(1)), Box::new(Expr::col(7))),     // 1+l1
-        ],
-    );
-    let link_ex = b.exchange(Some(1));
-    // Ship-side pruning before the MinShip (Algorithm 3 lines 4–8).
-    let ship = b.minship(Some(0));
-    let pre_ship: netrec_engine::plan::OpId = match aggsel_spec(choice) {
-        Some(spec) => {
-            let sel = b.aggsel(spec);
-            b.connect(sel, ship, 0);
-            sel
-        }
-        None => ship,
+/// The distributed plan and its oracle program, compiled from the rules
+/// above (`paths.dl`) and pruned by `choice`'s aggregate heads.
+pub fn compile(choice: AggSelChoice) -> (Plan, Program) {
+    let prune: &[&str] = match choice {
+        AggSelChoice::Multi => &["minCost", "minHops"],
+        AggSelChoice::SingleCost => &["minCost"],
+        AggSelChoice::None => &[],
     };
-
-    // Aggregate cascade (all local: everything is partitioned on src).
-    let agg_cost = b.aggregate(vec![0, 1], AggFn::Min, 3);
-    let cost_store = b.store(min_cost, true, None);
-    let agg_hops = b.aggregate(vec![0, 1], AggFn::Min, 4);
-    let hops_store = b.store(min_hops, true, None);
-    // cheapestPath: row = minCost(x,y,c) ++ path(x,y,p,c,l).
-    let cheap_join = b.join(
-        vec![0, 1, 2],
-        vec![0, 1, 3],
-        vec![],
-        vec![Expr::col(3), Expr::col(4), Expr::col(5), Expr::col(6)],
-    );
-    let cheap_store = b.store(cheapest, true, None);
-    // fewestHops: row = minHops(x,y,l) ++ path(x,y,p,c,l).
-    let few_join = b.join(
-        vec![0, 1, 2],
-        vec![0, 1, 4],
-        vec![],
-        vec![Expr::col(3), Expr::col(4), Expr::col(5), Expr::col(7)],
-    );
-    let few_store = b.store(fewest, true, None);
-    // shortestCheapestPath: row = cheapestPath(x,y,p1,c) ++ fewestHops(x,y,p2,l).
-    let scp_join = b.join(
-        vec![0, 1],
-        vec![0, 1],
-        vec![],
-        vec![
-            Expr::col(0),
-            Expr::col(1),
-            Expr::col(2),
-            Expr::col(3),
-            Expr::col(6),
-            Expr::col(7),
-        ],
-    );
-    let scp_store = b.store(scp, true, None);
-
-    // Wiring.
-    b.connect(ing, base_map, 0);
-    b.connect(base_map, path_store, 0);
-    b.connect(ing, link_ex, 0);
-    b.connect(link_ex, rec_join, JOIN_BUILD);
-    b.connect(rec_join, pre_ship, 0);
-    b.connect(ship, path_store, 0);
-    b.connect(path_store, rec_join, JOIN_PROBE);
-    b.connect(path_store, agg_cost, 0);
-    b.connect(path_store, agg_hops, 0);
-    b.connect(path_store, cheap_join, JOIN_PROBE);
-    b.connect(path_store, few_join, JOIN_PROBE);
-    b.connect(agg_cost, cost_store, 0);
-    b.connect(agg_cost, cheap_join, JOIN_BUILD);
-    b.connect(agg_hops, hops_store, 0);
-    b.connect(agg_hops, few_join, JOIN_BUILD);
-    b.connect(cheap_join, cheap_store, 0);
-    b.connect(few_join, few_store, 0);
-    b.connect(cheap_store, scp_join, JOIN_BUILD);
-    b.connect(few_store, scp_join, JOIN_PROBE);
-    b.connect(scp_join, scp_store, 0);
-    b.build().expect("path plan is well-formed")
-}
-
-/// Oracle program: identical cascade, with the cycle-avoidance filter
-/// `x ∉ p1 ∨ x = y` in the recursive rule (positive costs make simple paths
-/// sufficient for every aggregate view, and the oracle must terminate).
-///
-/// Hand-written, unlike the `reachable` and `regions` oracles: that filter
-/// is a disjunction, and `netrec-datalog`'s rule bodies are conjunctions.
-pub fn program(plan: &Plan) -> Program {
-    let link = plan.catalog.id("link").expect("link");
-    let path = plan.catalog.id("path").expect("path");
-    let min_cost = plan.catalog.id("minCost").expect("minCost");
-    let min_hops = plan.catalog.id("minHops").expect("minHops");
-    let cheapest = plan.catalog.id("cheapestPath").expect("cheapestPath");
-    let fewest = plan.catalog.id("fewestHops").expect("fewestHops");
-    let scp = plan.catalog.id("shortestCheapestPath").expect("scp");
-    Program {
-        rules: vec![
-            // path base
-            Rule {
-                head: path,
-                head_exprs: vec![
-                    Expr::col(0),
-                    Expr::col(1),
-                    Expr::MakeList(vec![Expr::col(0), Expr::col(1)]),
-                    Expr::col(2),
-                    Expr::int(1),
-                ],
-                body: vec![Atom {
-                    rel: link,
-                    terms: vec![Term::Var(0), Term::Var(1), Term::Var(2)],
-                }],
-                preds: vec![],
-                nvars: 3,
-            },
-            // path recursive, cycle-free: vars x=0,z=1,c0=2,y=3,p1=4,c1=5,l1=6
-            Rule {
-                head: path,
-                head_exprs: vec![
-                    Expr::col(0),
-                    Expr::col(3),
-                    Expr::Prepend(Box::new(Expr::col(0)), Box::new(Expr::col(4))),
-                    Expr::add_cols(2, 5),
-                    Expr::Add(Box::new(Expr::int(1)), Box::new(Expr::col(6))),
-                ],
-                body: vec![
-                    Atom {
-                        rel: link,
-                        terms: vec![Term::Var(0), Term::Var(1), Term::Var(2)],
-                    },
-                    Atom {
-                        rel: path,
-                        terms: vec![
-                            Term::Var(1),
-                            Term::Var(3),
-                            Term::Var(4),
-                            Term::Var(5),
-                            Term::Var(6),
-                        ],
-                    },
-                ],
-                // Simple paths plus simple cycles: x may close the walk
-                // (x = y) but not appear in p1's interior.
-                preds: vec![Pred::Any(vec![
-                    Pred::NotInList(Expr::col(0), Expr::col(4)),
-                    Pred::Cmp(Expr::col(0), CmpOp::Eq, Expr::col(3)),
-                ])],
-                nvars: 7,
-            },
-            // cheapestPath: vars x=0,y=1,p=2,c=3,l=4
-            Rule {
-                head: cheapest,
-                head_exprs: vec![Expr::col(0), Expr::col(1), Expr::col(2), Expr::col(3)],
-                body: vec![
-                    Atom {
-                        rel: path,
-                        terms: vec![
-                            Term::Var(0),
-                            Term::Var(1),
-                            Term::Var(2),
-                            Term::Var(3),
-                            Term::Var(4),
-                        ],
-                    },
-                    Atom {
-                        rel: min_cost,
-                        terms: vec![Term::Var(0), Term::Var(1), Term::Var(3)],
-                    },
-                ],
-                preds: vec![],
-                nvars: 5,
-            },
-            // fewestHops
-            Rule {
-                head: fewest,
-                head_exprs: vec![Expr::col(0), Expr::col(1), Expr::col(2), Expr::col(4)],
-                body: vec![
-                    Atom {
-                        rel: path,
-                        terms: vec![
-                            Term::Var(0),
-                            Term::Var(1),
-                            Term::Var(2),
-                            Term::Var(3),
-                            Term::Var(4),
-                        ],
-                    },
-                    Atom {
-                        rel: min_hops,
-                        terms: vec![Term::Var(0), Term::Var(1), Term::Var(4)],
-                    },
-                ],
-                preds: vec![],
-                nvars: 5,
-            },
-            // shortestCheapestPath: x=0,y=1,p1=2,c=3,p2=4,l=5
-            Rule {
-                head: scp,
-                head_exprs: vec![
-                    Expr::col(0),
-                    Expr::col(1),
-                    Expr::col(2),
-                    Expr::col(3),
-                    Expr::col(4),
-                    Expr::col(5),
-                ],
-                body: vec![
-                    Atom {
-                        rel: cheapest,
-                        terms: vec![Term::Var(0), Term::Var(1), Term::Var(2), Term::Var(3)],
-                    },
-                    Atom {
-                        rel: fewest,
-                        terms: vec![Term::Var(0), Term::Var(1), Term::Var(4), Term::Var(5)],
-                    },
-                ],
-                preds: vec![],
-                nvars: 6,
-            },
-        ],
-        aggs: vec![
-            AggClause {
-                head: min_cost,
-                source: path,
-                group_cols: vec![0, 1],
-                agg: AggFn::Min,
-                agg_col: 3,
-            },
-            AggClause {
-                head: min_hops,
-                source: path,
-                group_cols: vec![0, 1],
-                agg: AggFn::Min,
-                agg_col: 4,
-            },
-        ],
-    }
+    super::compile(include_str!("paths.dl"), prune)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netrec_engine::expr::Pred;
+    use netrec_engine::reference::Db;
+    use netrec_topo::{link_tuples, transit_stub, TransitStubParams};
 
+    /// Sixteen operators, and with aggregate selection an AggSel before
+    /// the recursive rule's MinShip, pruning by the same spec as `path`'s
+    /// Store.
     #[test]
     fn plan_shapes() {
-        for choice in [
-            AggSelChoice::Multi,
-            AggSelChoice::SingleCost,
-            AggSelChoice::None,
+        let multi = r#"[("link", 0), ("path", 0), ("minCost", 0), ("minHops", 0), ("cheapestPath", 0), ("fewestHops", 0), ("shortestCheapestPath", 0), ("__agg2", 0), ("__agg4", 0), ("__map9", 0), ("__join10", 0), ("__join14", 0), ("__join15", 0), ("__join16", 0)]
+0 Ingress { rel: rel#0, dests: [Dest { op: OpId(9), input: 0 }, Dest { op: OpId(11), input: 0 }] }
+1 Store { rel: rel#1, is_view: true, aggsel: Some(AggSelSpec { group_cols: [0, 1], aggs: [(3, Min), (4, Min)] }), dests: [Dest { op: OpId(10), input: 1 }, Dest { op: OpId(2), input: 0 }, Dest { op: OpId(4), input: 0 }, Dest { op: OpId(14), input: 1 }, Dest { op: OpId(15), input: 1 }] }
+2 Aggregate { group_cols: [0, 1], agg: Min, agg_col: 3, out_rel: rel#7, dests: [Dest { op: OpId(3), input: 0 }, Dest { op: OpId(14), input: 0 }] }
+3 Store { rel: rel#2, is_view: true, aggsel: None, dests: [] }
+4 Aggregate { group_cols: [0, 1], agg: Min, agg_col: 4, out_rel: rel#8, dests: [Dest { op: OpId(5), input: 0 }, Dest { op: OpId(15), input: 0 }] }
+5 Store { rel: rel#3, is_view: true, aggsel: None, dests: [] }
+6 Store { rel: rel#4, is_view: true, aggsel: None, dests: [Dest { op: OpId(16), input: 0 }] }
+7 Store { rel: rel#5, is_view: true, aggsel: None, dests: [Dest { op: OpId(16), input: 1 }] }
+8 Store { rel: rel#6, is_view: true, aggsel: None, dests: [] }
+9 Map { exprs: [Col(0), Col(1), MakeList([Col(0), Col(1)]), Col(2), Const(1)], preds: [], out_rel: rel#9, dests: [Dest { op: OpId(1), input: 0 }] }
+10 Join { build_key: [1], probe_key: [0], preds: [], emit: [Col(0), Col(4), Prepend(Col(0), Col(5)), Add(Col(2), Col(6)), Add(Const(1), Col(7))], out_rel: rel#10, rule_id: 0, dests: [Dest { op: OpId(13), input: 0 }] }
+11 Exchange { route_col: Some(1), dest: Dest { op: OpId(10), input: 0 } }
+12 MinShip { route_col: Some(0), dest: Dest { op: OpId(1), input: 0 } }
+13 AggSel { spec: AggSelSpec { group_cols: [0, 1], aggs: [(3, Min), (4, Min)] }, dests: [Dest { op: OpId(12), input: 0 }] }
+14 Join { build_key: [0, 1, 2], probe_key: [0, 1, 3], preds: [], emit: [Col(0), Col(1), Col(5), Col(2)], out_rel: rel#11, rule_id: 1, dests: [Dest { op: OpId(6), input: 0 }] }
+15 Join { build_key: [0, 1, 2], probe_key: [0, 1, 4], preds: [], emit: [Col(0), Col(1), Col(5), Col(2)], out_rel: rel#12, rule_id: 2, dests: [Dest { op: OpId(7), input: 0 }] }
+16 Join { build_key: [0, 1], probe_key: [0, 1], preds: [], emit: [Col(0), Col(1), Col(2), Col(3), Col(6), Col(7)], out_rel: rel#13, rule_id: 3, dests: [Dest { op: OpId(8), input: 0 }] }
+"#;
+        let none = r#"[("link", 0), ("path", 0), ("minCost", 0), ("minHops", 0), ("cheapestPath", 0), ("fewestHops", 0), ("shortestCheapestPath", 0), ("__agg2", 0), ("__agg4", 0), ("__map9", 0), ("__join10", 0), ("__join13", 0), ("__join14", 0), ("__join15", 0)]
+0 Ingress { rel: rel#0, dests: [Dest { op: OpId(9), input: 0 }, Dest { op: OpId(11), input: 0 }] }
+1 Store { rel: rel#1, is_view: true, aggsel: None, dests: [Dest { op: OpId(10), input: 1 }, Dest { op: OpId(2), input: 0 }, Dest { op: OpId(4), input: 0 }, Dest { op: OpId(13), input: 1 }, Dest { op: OpId(14), input: 1 }] }
+2 Aggregate { group_cols: [0, 1], agg: Min, agg_col: 3, out_rel: rel#7, dests: [Dest { op: OpId(3), input: 0 }, Dest { op: OpId(13), input: 0 }] }
+3 Store { rel: rel#2, is_view: true, aggsel: None, dests: [] }
+4 Aggregate { group_cols: [0, 1], agg: Min, agg_col: 4, out_rel: rel#8, dests: [Dest { op: OpId(5), input: 0 }, Dest { op: OpId(14), input: 0 }] }
+5 Store { rel: rel#3, is_view: true, aggsel: None, dests: [] }
+6 Store { rel: rel#4, is_view: true, aggsel: None, dests: [Dest { op: OpId(15), input: 0 }] }
+7 Store { rel: rel#5, is_view: true, aggsel: None, dests: [Dest { op: OpId(15), input: 1 }] }
+8 Store { rel: rel#6, is_view: true, aggsel: None, dests: [] }
+9 Map { exprs: [Col(0), Col(1), MakeList([Col(0), Col(1)]), Col(2), Const(1)], preds: [], out_rel: rel#9, dests: [Dest { op: OpId(1), input: 0 }] }
+10 Join { build_key: [1], probe_key: [0], preds: [], emit: [Col(0), Col(4), Prepend(Col(0), Col(5)), Add(Col(2), Col(6)), Add(Const(1), Col(7))], out_rel: rel#10, rule_id: 0, dests: [Dest { op: OpId(12), input: 0 }] }
+11 Exchange { route_col: Some(1), dest: Dest { op: OpId(10), input: 0 } }
+12 MinShip { route_col: Some(0), dest: Dest { op: OpId(1), input: 0 } }
+13 Join { build_key: [0, 1, 2], probe_key: [0, 1, 3], preds: [], emit: [Col(0), Col(1), Col(5), Col(2)], out_rel: rel#11, rule_id: 1, dests: [Dest { op: OpId(6), input: 0 }] }
+14 Join { build_key: [0, 1, 2], probe_key: [0, 1, 4], preds: [], emit: [Col(0), Col(1), Col(5), Col(2)], out_rel: rel#12, rule_id: 2, dests: [Dest { op: OpId(7), input: 0 }] }
+15 Join { build_key: [0, 1], probe_key: [0, 1], preds: [], emit: [Col(0), Col(1), Col(2), Col(3), Col(6), Col(7)], out_rel: rel#13, rule_id: 3, dests: [Dest { op: OpId(8), input: 0 }] }
+"#;
+        let single = multi.replace("(3, Min), (4, Min)", "(3, Min)");
+        for (choice, golden) in [
+            (AggSelChoice::Multi, multi),
+            (AggSelChoice::SingleCost, &single),
+            (AggSelChoice::None, none),
         ] {
-            let p = plan(choice);
+            let (p, _) = compile(choice);
             assert!(p.is_recursive());
             assert_eq!(p.views.len(), 6, "path + 5 derived views");
+            assert_eq!(super::super::dump(&p), golden, "{choice:?}");
         }
     }
 
     #[test]
     fn oracle_program_builds() {
-        let p = plan(AggSelChoice::Multi);
-        let prog = program(&p);
+        let (p, prog) = compile(AggSelChoice::Multi);
         assert_eq!(prog.rules.len(), 5);
         assert_eq!(prog.aggs.len(), 2);
+        assert_eq!(prog.rules[0].head, p.catalog.id("path").unwrap());
+    }
+
+    /// `(view, size, some of its rows)`, as the hand-written oracle this
+    /// rule text replaced computed them.
+    type Pins = [(&'static str, usize, [&'static str; 3]); 6];
+
+    /// On a 5-node transit-stub, whose every link is two tuples, after the
+    /// load.
+    const LOADED: Pins = [
+        (
+            "path",
+            1080,
+            [
+                "(n0,n0,[n0,n1,n0],20,2)",
+                "(n0,n0,[n0,n1,n0,n3,n0],40,4)",
+                "(n4,n4,[n4,n3,n4,n2,n4,n1,n4],44,6)",
+            ],
+        ),
+        ("minCost", 25, ["(n0,n0,20)", "(n0,n2,12)", "(n4,n4,4)"]),
+        ("minHops", 25, ["(n0,n0,2)", "(n1,n2,1)", "(n4,n4,2)"]),
+        (
+            "cheapestPath",
+            26,
+            [
+                "(n0,n0,[n0,n1,n0],20)",
+                "(n0,n2,[n0,n1,n2],12)",
+                "(n4,n4,[n4,n3,n4],4)",
+            ],
+        ),
+        (
+            "fewestHops",
+            40,
+            [
+                "(n0,n0,[n0,n1,n0],2)",
+                "(n1,n2,[n1,n2],1)",
+                "(n4,n4,[n4,n3,n4],2)",
+            ],
+        ),
+        (
+            "shortestCheapestPath",
+            42,
+            [
+                "(n0,n0,[n0,n1,n0],20,[n0,n1,n0],2)",
+                "(n1,n2,[n1,n2],2,[n1,n2],1)",
+                "(n4,n4,[n4,n3,n4],4,[n4,n3,n4],2)",
+            ],
+        ),
+    ];
+
+    /// After deleting the link tuple `(n1,n2,2)`.
+    const DELETED: Pins = [
+        (
+            "path",
+            754,
+            [
+                "(n0,n0,[n0,n1,n0],20,2)",
+                "(n0,n0,[n0,n1,n0,n3,n0],40,4)",
+                "(n4,n4,[n4,n3,n4,n2,n4,n1,n4],44,6)",
+            ],
+        ),
+        ("minCost", 25, ["(n0,n0,20)", "(n0,n2,20)", "(n4,n4,4)"]),
+        ("minHops", 25, ["(n0,n0,2)", "(n1,n2,2)", "(n4,n4,2)"]),
+        (
+            "cheapestPath",
+            30,
+            [
+                "(n0,n0,[n0,n1,n0],20)",
+                "(n1,n2,[n1,n4,n2],20)",
+                "(n4,n4,[n4,n3,n4],4)",
+            ],
+        ),
+        (
+            "fewestHops",
+            38,
+            [
+                "(n0,n0,[n0,n1,n0],2)",
+                "(n1,n2,[n1,n3,n2],2)",
+                "(n4,n4,[n4,n3,n4],2)",
+            ],
+        ),
+        (
+            "shortestCheapestPath",
+            50,
+            [
+                "(n0,n0,[n0,n1,n0],20,[n0,n1,n0],2)",
+                "(n1,n2,[n1,n3,n2],20,[n1,n4,n2],2)",
+                "(n4,n4,[n4,n3,n4],4,[n4,n3,n4],2)",
+            ],
+        ),
+    ];
+
+    /// The compiled oracle reproduces the hand-written one's views. Its
+    /// rows starting `(n0,n0,` are cycles, which only the guard's `X == Y`
+    /// admits; without its `X notin P1` the oracle enumerates walks and
+    /// never returns, so the guard's presence is asserted first.
+    #[test]
+    fn oracle_reproduces_pinned_views() {
+        let (plan, oracle) = compile(AggSelChoice::Multi);
+        let recursive = oracle.rules.iter().find(|r| r.body.len() == 2);
+        let preds = &recursive.expect("the recursive path rule").preds;
+        assert!(matches!(&preds[..], [Pred::Any(alts)] if alts.len() == 2));
+
+        let topo = transit_stub(
+            TransitStubParams {
+                transits_per_domain: 1,
+                stubs_per_transit: 2,
+                nodes_per_stub: 2,
+                ..Default::default()
+            },
+            42,
+        );
+        let links = link_tuples(&topo);
+        assert_eq!(format!("{:?}", links[0]), "(n1,n2,2)");
+        let link = plan.catalog.id("link").unwrap();
+        let check = |base: &Db, pins: Pins| {
+            let db = oracle.evaluate(base);
+            for (view, size, rows) in pins {
+                let got = &db[&plan.catalog.id(view).unwrap()];
+                let got: Vec<String> = got.iter().map(|t| format!("{t:?}")).collect();
+                assert_eq!(got.len(), size, "{view}");
+                for row in rows {
+                    assert!(got.iter().any(|r| r == row), "{view} lacks {row}");
+                }
+            }
+        };
+        let mut base = Db::new();
+        base.insert(link, links.iter().cloned().collect());
+        check(&base, LOADED);
+        base.get_mut(&link).unwrap().remove(&links[0]);
+        check(&base, DELETED);
     }
 }

@@ -16,7 +16,7 @@ use netrec_engine::reference::Program;
 /// The distributed plan and its oracle program, compiled from the rules
 /// above (`reachable.dl`).
 pub fn compile() -> (Plan, Program) {
-    super::compile(include_str!("reachable.dl"))
+    super::compile(include_str!("reachable.dl"), &[])
 }
 
 #[cfg(test)]

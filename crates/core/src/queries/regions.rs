@@ -23,7 +23,7 @@ use netrec_engine::reference::Program;
 /// The distributed plan and its oracle program, compiled from the rules
 /// above (`regions.dl`).
 pub fn compile() -> (Plan, Program) {
-    super::compile(include_str!("regions.dl"))
+    super::compile(include_str!("regions.dl"), &[])
 }
 
 #[cfg(test)]

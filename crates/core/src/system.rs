@@ -40,8 +40,7 @@ impl System {
 
     /// Query 2: shortest/cheapest paths with the chosen aggregate selection.
     pub fn shortest_paths(cfg: SystemConfig, choice: AggSelChoice) -> System {
-        let plan = paths::plan(choice);
-        let oracle = paths::program(&plan);
+        let (plan, oracle) = paths::compile(choice);
         System::build(plan, oracle, cfg)
     }
 

@@ -109,10 +109,21 @@ pub enum BodyLit {
     Atom(AstAtom),
     /// Assignment `V := expr`.
     Assign(String, BodyExpr),
+    /// A filter both the plan and the oracle apply.
+    Filter(Filter),
+    /// `guard F`: a filter only the oracle applies; the plan skips it.
+    Guard(Filter),
+}
+
+/// A body filter.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Filter {
     /// Comparison `a op b`.
     Compare(BodyExpr, Cmp, BodyExpr),
     /// Membership filter `X notin P` (cycle avoidance).
     NotIn(BodyExpr, BodyExpr),
+    /// Disjunction `(A ; B ; …)`: at least one alternative holds.
+    Any(Vec<Filter>),
 }
 
 /// One rule `head :- body.`

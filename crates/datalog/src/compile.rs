@@ -8,7 +8,7 @@ use netrec_engine::plan::Plan;
 use netrec_engine::reference::{AggClause, Atom, Program, Rule, Term};
 use netrec_types::{Catalog, Value};
 
-use crate::ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp};
+use crate::ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp, Filter};
 
 /// Compilation errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,9 +31,13 @@ pub enum CompileError {
     },
     /// A variable in an expression is not bound by any body atom.
     UnboundVar(String),
-    /// Aggregate rules must have exactly one body atom and no other literals,
-    /// and an aggregate head exactly one rule.
+    /// An aggregate head must have exactly one rule, whose body is one atom
+    /// and whose head is variables from that atom plus exactly one aggregate.
     AggregateShape(String),
+    /// An aggregate head named for aggregate selection is not a `min`/`max`
+    /// over a recursive relation, or does not share the other named heads'
+    /// relation and group.
+    AggSelTarget(String),
     /// An aggregate argument appears in a non-head position.
     MisplacedAggregate(String),
     /// The rule has no body atoms at all.
@@ -67,12 +71,16 @@ impl std::fmt::Display for CompileError {
                 write!(f, "head variable `{var}` of `{relation}` is unbound")
             }
             CompileError::UnboundVar(v) => write!(f, "variable `{v}` is unbound"),
-            CompileError::AggregateShape(r) => {
-                write!(
-                    f,
-                    "aggregate rule for `{r}` must have exactly one body atom"
-                )
-            }
+            CompileError::AggregateShape(r) => write!(
+                f,
+                "aggregate head `{r}` must have one rule, its body one atom and \
+                 nothing else, its head variables of that atom and one aggregate"
+            ),
+            CompileError::AggSelTarget(r) => write!(
+                f,
+                "cannot prune by `{r}`: aggregate selection takes `min`/`max` heads \
+                 over one recursive relation, all with the same group"
+            ),
             CompileError::MisplacedAggregate(r) => {
                 write!(f, "aggregate argument outside a head in rule for `{r}`")
             }
@@ -109,7 +117,6 @@ pub(crate) struct RelInfo {
 pub struct Compiled {
     plan: Plan,
     oracle: Program,
-    views: Vec<String>,
 }
 
 impl Compiled {
@@ -126,11 +133,6 @@ impl Compiled {
     /// The oracle program (shares relation ids with the plan's catalog).
     pub fn oracle(&self) -> &Program {
         &self.oracle
-    }
-
-    /// Names of the derived relations (all IDB relations are views).
-    pub fn views(&self) -> &[String] {
-        &self.views
     }
 }
 
@@ -229,6 +231,24 @@ pub(crate) fn lower_expr(
     })
 }
 
+fn lower_filter(
+    filter: &Filter,
+    bind: &HashMap<String, usize>,
+    assigns: &HashMap<String, Expr>,
+) -> Result<Pred, CompileError> {
+    let lower = |e| lower_expr(e, bind, assigns);
+    Ok(match filter {
+        Filter::Compare(a, op, b) => Pred::Cmp(lower(a)?, cmp_op(*op), lower(b)?),
+        Filter::NotIn(elem, list) => Pred::NotInList(lower(elem)?, lower(list)?),
+        Filter::Any(alternatives) => Pred::Any(
+            alternatives
+                .iter()
+                .map(|alt| lower_filter(alt, bind, assigns))
+                .collect::<Result<_, _>>()?,
+        ),
+    })
+}
+
 pub(crate) fn cmp_op(c: Cmp) -> CmpOp {
     match c {
         Cmp::Eq => CmpOp::Eq,
@@ -249,12 +269,13 @@ pub(crate) fn agg_fn(a: Aggregate) -> AggFn {
     }
 }
 
-/// Lower a rule's filters (comparisons, `notin`) and head over a row whose
-/// variables `bind` maps to columns; assignments resolve in body order, and
-/// later ones may reference earlier ones.
+/// Lower a rule's filters and head over a row whose variables `bind` maps
+/// to columns; assignments resolve in body order, and later ones may
+/// reference earlier ones. Guards are lowered only for the oracle.
 pub(crate) fn lower_rule(
     rule: &AstRule,
     bind: &HashMap<String, usize>,
+    oracle: bool,
 ) -> Result<(Vec<Pred>, Vec<Expr>), CompileError> {
     let mut assigns: HashMap<String, Expr> = HashMap::new();
     let mut preds = Vec::new();
@@ -265,18 +286,9 @@ pub(crate) fn lower_rule(
                 let lowered = lower_expr(e, bind, &assigns)?;
                 assigns.insert(name.clone(), lowered);
             }
-            BodyLit::Compare(a, op, b) => {
-                preds.push(Pred::Cmp(
-                    lower_expr(a, bind, &assigns)?,
-                    cmp_op(*op),
-                    lower_expr(b, bind, &assigns)?,
-                ));
-            }
-            BodyLit::NotIn(elem, list) => {
-                preds.push(Pred::NotInList(
-                    lower_expr(elem, bind, &assigns)?,
-                    lower_expr(list, bind, &assigns)?,
-                ));
+            BodyLit::Guard(_) if !oracle => {}
+            BodyLit::Filter(filter) | BodyLit::Guard(filter) => {
+                preds.push(lower_filter(filter, bind, &assigns)?)
             }
         }
     }
@@ -303,15 +315,17 @@ pub(crate) fn lower_rule(
 
 /// Compile a parsed program to `(plan, oracle)`.
 pub fn compile(ast: &AstProgram) -> Result<Compiled, CompileError> {
+    compile_with_aggsel(ast, &[])
+}
+
+/// Compile with aggregate selection (§6): the recursive relation that the
+/// `min`/`max` heads named in `prune` all read is pruned by them, before
+/// each MinShip into it and in its Store.
+pub fn compile_with_aggsel(ast: &AstProgram, prune: &[&str]) -> Result<Compiled, CompileError> {
     let rels = analyse(ast)?;
-    let plan = crate::planner::build_plan(ast, &rels)?;
+    let plan = crate::planner::build_plan(ast, &rels, prune)?;
     let oracle = oracle(ast, &plan.catalog)?;
-    let views = ast.idb_relations();
-    Ok(Compiled {
-        plan,
-        oracle,
-        views,
-    })
+    Ok(Compiled { plan, oracle })
 }
 
 /// The oracle program, over the relation ids of the plan's `catalog`.
@@ -356,7 +370,7 @@ fn oracle(ast: &AstProgram, catalog: &Catalog) -> Result<Program, CompileError> 
                 terms,
             });
         }
-        let (preds, head_exprs) = lower_rule(rule, &bind)?;
+        let (preds, head_exprs) = lower_rule(rule, &bind, true)?;
         rules.push(Rule {
             head: id(&rule.head.name),
             head_exprs,
@@ -385,23 +399,25 @@ pub(crate) fn aggregate_shape(
             .ok_or_else(|| CompileError::UnboundVar(v.to_string()))
     };
     let mut group_cols = Vec::new();
-    let mut agg = None;
+    let mut aggs = Vec::new();
     for arg in &rule.head.args {
         match arg {
             Arg::Var { name, .. } => group_cols.push(pos_of(name)?),
-            Arg::Agg(f, v) => agg = Some((agg_fn(*f), pos_of(v)?)),
+            Arg::Agg(f, v) => aggs.push((agg_fn(*f), pos_of(v)?)),
             _ => return Err(CompileError::AggregateShape(rule.head.name.clone())),
         }
     }
-    let (func, agg_col) =
-        agg.ok_or_else(|| CompileError::AggregateShape(rule.head.name.clone()))?;
-    Ok((atom, group_cols, func, agg_col))
+    match aggs[..] {
+        [(func, agg_col)] => Ok((atom, group_cols, func, agg_col)),
+        _ => Err(CompileError::AggregateShape(rule.head.name.clone())),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse_program;
+    use netrec_engine::plan::OpSpec;
 
     #[test]
     fn arity_mismatch_detected() {
@@ -423,11 +439,87 @@ mod tests {
 
     #[test]
     fn aggregate_shape_enforced() {
-        let ast = parse_program("m(X, min<C>) :- s(X, C), t(X).").unwrap();
-        assert!(matches!(
-            compile(&ast),
-            Err(CompileError::AggregateShape(_))
-        ));
+        let shape = CompileError::AggregateShape("m".into());
+        for src in [
+            "m(X, min<C>) :- s(X, C), t(X).",  // a second body atom
+            "m(X, min<C>) :- s(X, C), C > 0.", // a filter
+            "m(X, min<C>) :- s(X, C).\nm(X, C) :- t(X, C).", // a second rule
+            "m(1, min<C>) :- s(X, C).",        // a constant in the head
+            "m(min<X>, max<C>) :- s(X, C).",   // two aggregates
+        ] {
+            let err = compile(&parse_program(src).unwrap()).err();
+            assert_eq!(err.as_ref(), Some(&shape), "{src}");
+        }
+        // A head without an aggregate is no aggregate rule.
+        let rule = &parse_program("m(X) :- s(X).").unwrap().rules[0];
+        assert_eq!(aggregate_shape(rule).err().as_ref(), Some(&shape));
+        let message = shape.to_string();
+        for part in ["one rule", "one atom and nothing else", "one aggregate"] {
+            assert!(message.contains(part), "{message}");
+        }
+    }
+
+    /// The recursive rule of a path query: a disjunction the plan keeps,
+    /// and a guard only the oracle applies.
+    const GUARDED: &str = "path(@X, Y, P) :- link(@X, Y), P := [X, Y].\n\
+        path(@X, Y, P) :- link(@X, Z), path(@Z, Y, P1), P := [X | P1], \
+        (X != Y ; Y == Z), guard (X notin P1 ; X == Y).\n\
+        hops(@X, Y, min<P>) :- path(@X, Y, P).";
+
+    #[test]
+    fn disjunctions_lower_to_any_and_guards_only_to_the_oracle() {
+        let c = compile(&parse_program(GUARDED).unwrap()).unwrap();
+        // Both rows are `link(X, Z) ++ path(Z, Y, P1)`: X, Y, P1 and Z are
+        // columns 0, 3, 4 and 1.
+        let col = Expr::col;
+        let disjunction = Pred::Any(vec![
+            Pred::Cmp(col(0), CmpOp::Ne, col(3)),
+            Pred::Cmp(col(3), CmpOp::Eq, col(1)),
+        ]);
+        let guard = Pred::Any(vec![
+            Pred::NotInList(col(0), col(4)),
+            Pred::Cmp(col(0), CmpOp::Eq, col(3)),
+        ]);
+        assert_eq!(c.oracle().rules[1].preds, [disjunction.clone(), guard]);
+        let plan_preds: Vec<&Pred> = c
+            .plan()
+            .ops
+            .iter()
+            .flat_map(|op| match op {
+                OpSpec::Map { preds, .. } | OpSpec::Join { preds, .. } => &preds[..],
+                _ => &[],
+            })
+            .collect();
+        assert_eq!(plan_preds, [&disjunction]);
+    }
+
+    #[test]
+    fn aggsel_targets_are_min_or_max_over_one_recursive_relation() {
+        let ast = parse_program(GUARDED).unwrap();
+        let plan = compile_with_aggsel(&ast, &["hops"]).unwrap().into_parts().0;
+        let sels = plan
+            .ops
+            .iter()
+            .filter(|op| matches!(op, OpSpec::AggSel { .. }));
+        assert_eq!(sels.count(), 1);
+        let rejected = |src: &str, prune: &[&str], head: &str| {
+            let err = compile_with_aggsel(&parse_program(src).unwrap(), prune).err();
+            assert_eq!(
+                err,
+                Some(CompileError::AggSelTarget(head.into())),
+                "{prune:?}"
+            );
+        };
+        let regions = "active(@S, R) :- seed(@S, R).\n\
+            active(@Y, R) :- active(@X, R), near(@X, Y).\n\
+            sizes(@R, count<S>) :- active(@S, R).\n\
+            cheapest(@X, min<C>) :- link(@X, Y, C).";
+        rejected(regions, &["sizes"], "sizes"); // not min/max
+        rejected(regions, &["cheapest"], "cheapest"); // over a base relation
+        rejected(regions, &["active"], "active"); // not an aggregate
+        rejected(regions, &["nowhere"], "nowhere");
+        let two_groups = format!("{GUARDED}\nfirst(@X, min<P>) :- path(@X, Y, P).");
+        rejected(&two_groups, &["hops", "first"], "first");
     }
 
     #[test]
@@ -439,7 +531,9 @@ mod tests {
         .unwrap();
         let compiled = compile(&ast).unwrap();
         assert!(compiled.plan().is_recursive());
-        assert_eq!(compiled.views(), &["reachable".to_string()]);
+        let plan = compiled.plan();
+        let view = plan.catalog.schema(plan.views[0].0);
+        assert_eq!((plan.views.len(), view.name.as_str()), (1, "reachable"));
         assert_eq!(compiled.oracle().rules.len(), 2);
     }
 

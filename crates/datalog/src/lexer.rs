@@ -27,6 +27,8 @@ pub enum Tok {
     Pipe,
     /// `,`
     Comma,
+    /// `;` (disjunction)
+    Semi,
     /// `.`
     Dot,
     /// `@`
@@ -97,6 +99,10 @@ pub fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
             }
             ',' => {
                 out.push(Tok::Comma);
+                i += 1;
+            }
+            ';' => {
+                out.push(Tok::Semi);
                 i += 1;
             }
             '.' => {

@@ -8,15 +8,17 @@
 //! * a hand-rolled lexer/parser for that dialect ([`parse_program`]),
 //!   including aggregate heads (`min<C>`, `max<C>`, `count<X>`, `sum<C>`),
 //!   assignments (`C := C0 + C1`), list construction (`[X, Y]`, `[X | P]`),
-//!   comparisons, and `@` location specifiers;
+//!   comparisons, disjunctions (`(X notin P ; X == Y)`), oracle-only
+//!   `guard` filters, and `@` location specifiers;
 //! * a compiler to the centralized reference evaluator
 //!   ([`Compiled::oracle`]);
 //! * a distributed planner ([`Compiled::plan`]) that lowers every rule to
 //!   the engine's operator graph in the paper's Fig. 4 shape: pipelined
 //!   hash joins from the recursive atom, an Exchange only where a stream
 //!   must move, a MinShip closing each recursive rule, and group aggregates
-//!   for aggregate heads. `netrec-core`'s `reachable` and `regions` are
-//!   compiled by it.
+//!   for aggregate heads. [`compile_with_aggsel`] adds §6 aggregate
+//!   selection: the recursive relation the named `min`/`max` heads read is
+//!   pruned by them. Every `netrec-core` query is compiled by it.
 //!
 //! ```
 //! let program = netrec_datalog::parse_program(r#"
@@ -36,6 +38,6 @@ mod lexer;
 mod parser;
 mod planner;
 
-pub use ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp};
-pub use compile::{compile, CompileError, Compiled};
+pub use ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp, Filter};
+pub use compile::{compile, compile_with_aggsel, CompileError, Compiled};
 pub use parser::{parse_program, ParseError};

@@ -1,6 +1,6 @@
 //! Recursive-descent parser.
 
-use crate::ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp};
+use crate::ast::{Aggregate, Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Cmp, Filter};
 use crate::lexer::{lex, LexError, Tok};
 
 /// Parse error.
@@ -125,12 +125,8 @@ fn parse_arg(p: &mut Parser, allow_agg: bool) -> Result<Arg, ParseError> {
         Some(Tok::Int(v)) => Ok(Arg::Int(v)),
         Some(Tok::Str(s)) => Ok(Arg::Str(s)),
         Some(Tok::Ident(agg)) if allow_agg => {
-            let func = match agg.as_str() {
-                "min" => Aggregate::Min,
-                "max" => Aggregate::Max,
-                "count" => Aggregate::Count,
-                "sum" => Aggregate::Sum,
-                _ => return Err(unexpected(Some(Tok::Ident(agg)), "aggregate function")),
+            let Some(func) = aggregate(&agg) else {
+                return Err(unexpected(Some(Tok::Ident(agg)), "aggregate function"));
             };
             p.expect(&Tok::Lt, "`<`")?;
             let var = match p.next() {
@@ -144,11 +140,27 @@ fn parse_arg(p: &mut Parser, allow_agg: bool) -> Result<Arg, ParseError> {
     }
 }
 
+/// The aggregate a name denotes. A body atom may not take one of these
+/// names: aggregates belong in heads.
+fn aggregate(name: &str) -> Option<Aggregate> {
+    match name {
+        "min" => Some(Aggregate::Min),
+        "max" => Some(Aggregate::Max),
+        "count" => Some(Aggregate::Count),
+        "sum" => Some(Aggregate::Sum),
+        _ => None,
+    }
+}
+
 fn parse_body_lit(p: &mut Parser) -> Result<BodyLit, ParseError> {
-    // Lookahead: Ident `(` → atom; Var `:=` → assignment; Var `notin` → NotIn;
-    // otherwise a comparison expression.
+    // Lookahead: `guard` → oracle-only filter; Ident `(` → atom; Var `:=` →
+    // assignment; otherwise a filter.
     match (p.peek().cloned(), p.toks.get(p.pos + 1).cloned()) {
-        (Some(Tok::Ident(name)), Some(Tok::LParen)) if name != "min" => {
+        (Some(Tok::Ident(kw)), _) if kw == "guard" => {
+            p.pos += 1;
+            parse_filter(p).map(BodyLit::Guard)
+        }
+        (Some(Tok::Ident(name)), Some(Tok::LParen)) if aggregate(&name).is_none() => {
             parse_atom(p, false).map(BodyLit::Atom)
         }
         (Some(Tok::Var(v)), Some(Tok::Assign)) => {
@@ -156,10 +168,25 @@ fn parse_body_lit(p: &mut Parser) -> Result<BodyLit, ParseError> {
             let e = parse_expr(p)?;
             Ok(BodyLit::Assign(v, e))
         }
+        _ => parse_filter(p).map(BodyLit::Filter),
+    }
+}
+
+/// A filter: `(F ; F ; …)`, `X notin P`, or a comparison.
+fn parse_filter(p: &mut Parser) -> Result<Filter, ParseError> {
+    if p.eat(&Tok::LParen) {
+        let mut alternatives = vec![parse_filter(p)?];
+        while p.eat(&Tok::Semi) {
+            alternatives.push(parse_filter(p)?);
+        }
+        p.expect(&Tok::RParen, "`;` or `)`")?;
+        return Ok(Filter::Any(alternatives));
+    }
+    match (p.peek().cloned(), p.toks.get(p.pos + 1).cloned()) {
         (Some(Tok::Var(v)), Some(Tok::Ident(kw))) if kw == "notin" => {
             p.pos += 2;
             let list = parse_expr(p)?;
-            Ok(BodyLit::NotIn(BodyExpr::Var(v), list))
+            Ok(Filter::NotIn(BodyExpr::Var(v), list))
         }
         _ => {
             let lhs = parse_expr(p)?;
@@ -173,7 +200,7 @@ fn parse_body_lit(p: &mut Parser) -> Result<BodyLit, ParseError> {
                 other => return Err(unexpected(other, "comparison operator")),
             };
             let rhs = parse_expr(p)?;
-            Ok(BodyLit::Compare(lhs, op, rhs))
+            Ok(Filter::Compare(lhs, op, rhs))
         }
     }
 }
@@ -251,7 +278,7 @@ mod tests {
         assert!(prog.rules[1]
             .body
             .iter()
-            .any(|l| matches!(l, BodyLit::NotIn(..))));
+            .any(|l| matches!(l, BodyLit::Filter(Filter::NotIn(..)))));
     }
 
     #[test]
@@ -260,7 +287,7 @@ mod tests {
         let cmps = prog.rules[0]
             .body
             .iter()
-            .filter(|l| matches!(l, BodyLit::Compare(..)))
+            .filter(|l| matches!(l, BodyLit::Filter(Filter::Compare(..))))
             .count();
         assert_eq!(cmps, 2);
     }
@@ -269,8 +296,33 @@ mod tests {
     fn rejects_malformed() {
         assert!(parse_program("reachable(X, Y)").is_err()); // missing :- body
         assert!(parse_program("r(X) :- s(X)").is_err()); // missing final dot
-        assert!(parse_program("r(X) :- min(X).").is_err()); // agg in body
+        for agg in ["min", "max", "count", "sum"] {
+            // An aggregate is a head argument, never a body atom.
+            assert!(
+                parse_program(&format!("r(X) :- {agg}(X).")).is_err(),
+                "{agg}"
+            );
+        }
         assert!(parse_program("r(bogus<X>) :- s(X).").is_err());
+    }
+
+    #[test]
+    fn parses_disjunctions_and_guards() {
+        let prog =
+            parse_program("r(X) :- s(X, P, Y), (X notin P ; X == Y), guard (X > 1 ; (Y < 2)).")
+                .unwrap();
+        let [_, BodyLit::Filter(Filter::Any(any)), BodyLit::Guard(Filter::Any(guard))] =
+            &prog.rules[0].body[..]
+        else {
+            panic!(
+                "atom, disjunction, guarded disjunction: {:?}",
+                prog.rules[0].body
+            );
+        };
+        assert!(matches!(any[..], [Filter::NotIn(..), Filter::Compare(..)]));
+        assert!(matches!(&guard[1], Filter::Any(inner) if inner.len() == 1));
+        assert!(parse_program("r(X) :- s(X), (X > 1 ; ).").is_err());
+        assert!(parse_program("r(X) :- s(X), guard s(X).").is_err());
     }
 
     #[test]

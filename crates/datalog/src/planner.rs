@@ -1,14 +1,15 @@
 //! Lowering rules to the distributed operator graph in the shape of the
-//! paper's Fig. 4 plan, by the five rules DESIGN.md "Planner" states:
-//! placement, join order, projection, routing and aggregate heads.
+//! paper's Fig. 4 plan, by the six rules DESIGN.md "Planner" states:
+//! placement, join order, projection, routing, aggregate heads, and
+//! aggregate selection and guards.
 
 use std::collections::{HashMap, HashSet};
 
-use netrec_engine::expr::{CmpOp, Expr, Pred};
-use netrec_engine::plan::{OpId, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
+use netrec_engine::expr::{AggFn, CmpOp, Expr, Pred};
+use netrec_engine::plan::{AggSelSpec, OpId, Plan, PlanBuilder, JOIN_BUILD, JOIN_PROBE};
 use netrec_types::Value;
 
-use crate::ast::{Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit};
+use crate::ast::{Arg, AstAtom, AstProgram, AstRule, BodyExpr, BodyLit, Filter};
 use crate::compile::{aggregate_shape, body_atoms, lower_rule, CompileError, RelInfo};
 
 /// The peer a stream's tuples live on.
@@ -63,8 +64,13 @@ fn col(cols: &[String], name: &str) -> usize {
     cols.iter().position(|c| c == name).expect("a named column")
 }
 
-/// Build the distributed plan.
-pub(crate) fn build_plan(ast: &AstProgram, rels: &[RelInfo]) -> Result<Plan, CompileError> {
+/// Build the distributed plan, pruning by the aggregate heads in `prune`.
+pub(crate) fn build_plan(
+    ast: &AstProgram,
+    rels: &[RelInfo],
+    prune: &[&str],
+) -> Result<Plan, CompileError> {
+    let aggsel = aggsel(ast, prune)?;
     let mut b = PlanBuilder::new();
     let ids: Vec<_> = rels
         .iter()
@@ -83,6 +89,7 @@ pub(crate) fn build_plan(ast: &AstProgram, rels: &[RelInfo]) -> Result<Plan, Com
         ast,
         rels: HashMap::new(),
         sources: HashMap::new(),
+        aggsel,
     };
     for (info, id) in rels.iter().zip(ids) {
         let name = info.name.as_str();
@@ -100,7 +107,7 @@ pub(crate) fn build_plan(ast: &AstProgram, rels: &[RelInfo]) -> Result<Plan, Com
             wire(&mut b, agg, (store, 0), stays, info.location);
             agg
         } else {
-            b.store(id, true, None)
+            b.store(id, true, p.aggsel_of(name))
         };
         p.sources.insert(name, source);
     }
@@ -125,9 +132,16 @@ struct Planner<'a> {
     /// or an aggregate head's Aggregate. A non-aggregate rule's head goes
     /// to its Store.
     sources: HashMap<&'a str, OpId>,
+    /// The relation aggregate selection prunes, and how.
+    aggsel: Option<(&'a str, AggSelSpec)>,
 }
 
 impl Planner<'_> {
+    fn aggsel_of(&self, rel: &str) -> Option<AggSelSpec> {
+        let (target, spec) = self.aggsel.as_ref()?;
+        (*target == rel).then(|| spec.clone())
+    }
+
     /// The stream an atom reads. A constant, or a repeat of a variable
     /// within the atom, gets a fresh `#n` column, pinned in the rule's
     /// `pins` to what the atom wrote there.
@@ -178,12 +192,13 @@ impl Planner<'_> {
         for (col, arg) in &pins {
             needed.extend([Some(col.as_str()), arg.var_name()].into_iter().flatten());
         }
-        let exprs = rule.body.iter().flat_map(|lit| match lit {
-            BodyLit::Atom(_) => vec![],
-            BodyLit::Assign(_, e) => vec![e],
-            BodyLit::Compare(x, _, y) | BodyLit::NotIn(x, y) => vec![x, y],
-        });
-        exprs.for_each(|e| expr_vars(e, &mut needed));
+        for lit in &rule.body {
+            match lit {
+                BodyLit::Assign(_, e) => expr_vars(e, &mut needed),
+                BodyLit::Filter(f) => filter_vars(f, &mut needed),
+                BodyLit::Atom(_) | BodyLit::Guard(_) => {}
+            }
+        }
 
         if rest.is_empty() {
             let (exprs, preds) = finish(rule, &acc.cols, &pins)?;
@@ -228,6 +243,11 @@ impl Planner<'_> {
         let at = self.rels[rule.head.name.as_str()].location;
         if recursive.is_some() {
             let ship = b.minship(Some(at.unwrap_or(0)));
+            if let Some(spec) = self.aggsel_of(&rule.head.name) {
+                let sel = b.aggsel(spec);
+                b.connect(acc.op, sel, 0);
+                acc.op = sel;
+            }
             b.connect(acc.op, ship, 0);
             b.connect(ship, store, 0);
         } else {
@@ -263,9 +283,45 @@ fn finish(
             Pred::Cmp(Expr::col(bind[c]), CmpOp::Eq, value)
         })
         .collect();
-    let (user_preds, exprs) = lower_rule(rule, &bind)?;
+    let (user_preds, exprs) = lower_rule(rule, &bind, false)?;
     preds.extend(user_preds);
     Ok((exprs, preds))
+}
+
+/// The aggregate selection the heads in `prune` ask for: the one recursive
+/// relation their `min`/`max` aggregates all read, grouped alike, and the
+/// spec that prunes it by each of them in order.
+fn aggsel<'a>(
+    ast: &'a AstProgram,
+    prune: &[&str],
+) -> Result<Option<(&'a str, AggSelSpec)>, CompileError> {
+    let mut out: Option<(&str, AggSelSpec)> = None;
+    for &head in prune {
+        let reject = || CompileError::AggSelTarget(head.to_string());
+        let rule = ast.rules.iter().find(|r| r.head.name == head);
+        let rule = rule.filter(|r| r.is_aggregate()).ok_or_else(reject)?;
+        let (atom, group_cols, func, agg_col) = aggregate_shape(rule)?;
+        let recursive = ast
+            .rules
+            .iter()
+            .filter(|r| r.head.name == atom.name)
+            .any(|r| body_atoms(r).any(|a| derives_from(ast, &a.name, &atom.name)));
+        if !recursive || !matches!(func, AggFn::Min | AggFn::Max) {
+            return Err(reject());
+        }
+        let (rel, spec) = out.get_or_insert_with(|| {
+            let spec = AggSelSpec {
+                group_cols: group_cols.clone(),
+                aggs: Vec::new(),
+            };
+            (&atom.name, spec)
+        });
+        if *rel != atom.name || spec.group_cols != group_cols {
+            return Err(reject());
+        }
+        spec.aggs.push((agg_col, func));
+    }
+    Ok(out)
 }
 
 /// Whether relation `from` is `to`, or is derived from it through rules.
@@ -283,6 +339,16 @@ fn derives_from(ast: &AstProgram, from: &str, to: &str) -> bool {
         }
     }
     false
+}
+
+fn filter_vars<'e>(filter: &'e Filter, out: &mut HashSet<&'e str>) {
+    match filter {
+        Filter::Compare(x, _, y) | Filter::NotIn(x, y) => {
+            expr_vars(x, out);
+            expr_vars(y, out);
+        }
+        Filter::Any(alternatives) => alternatives.iter().for_each(|a| filter_vars(a, out)),
+    }
 }
 
 fn expr_vars<'e>(e: &'e BodyExpr, out: &mut HashSet<&'e str>) {
@@ -330,7 +396,7 @@ mod tests {
         .unwrap();
         let c = compile(&ast).unwrap();
         assert!(c.plan().is_recursive());
-        assert_eq!(c.views().len(), 4);
+        assert_eq!(c.plan().views.len(), 4);
         assert_eq!(c.oracle().aggs.len(), 2);
     }
 

@@ -1,9 +1,9 @@
 //! Author views in the NDlog-style Datalog dialect and let the planner
 //! distribute them — the declarative-networking workflow from the paper's
-//! §2, end to end. The same planner compiles `netrec-core`'s `reachable` and
-//! `regions` queries to the paper's Fig. 4 plans: here `twoHop` joins at the
-//! owner of `Y` and is exchanged to the owner of `X`, and `bestTwoHop`
-//! aggregates where `twoHop` is stored.
+//! §2, end to end. The same planner compiles every `netrec-core` query
+//! (`reachable`, `paths`, `regions`) to the paper's Fig. 4 plans: here
+//! `twoHop` joins at the owner of `Y` and is exchanged to the owner of `X`,
+//! and `bestTwoHop` aggregates where `twoHop` is stored.
 //!
 //! ```text
 //! cargo run --release --example datalog_views
