@@ -225,13 +225,27 @@ fn fig09_region_insertions() {
             );
         }
     }
-    for panel in [prov, comm, state, time] {
+    for panel in [prov, comm, time] {
         at_most(
             &fig,
             "Absorption Lazy",
             "Absorption Eager",
             panel,
             "absorption lazy is the best annotated scheme",
+        );
+    }
+    // Deviation in state above 50 %: lazy keeps each buffered alternative
+    // derivation in MinShip's `Pins` by construction, and eager's flush
+    // frees them. With the static relations carrying `true`, annotations
+    // are small enough for those entries to decide the panel.
+    for i in 0..fig.xs.len() {
+        let lazy = at(&fig, "Absorption Lazy", i, state);
+        let eager = at(&fig, "Absorption Eager", i, state);
+        assert!(
+            (lazy <= eager) == (i == 0),
+            "fig09: absorption lazy holds no more state than eager at 50 %; above it \
+             (deviation) more — at x = {}: {lazy} MB vs {eager} MB",
+            fig.xs[i]
         );
     }
     // Both figures trigger/insert 50, 75 and 100 % of their base tuples.

@@ -42,14 +42,16 @@ pub enum AggSelChoice {
 
 /// The relations in id order with their partition columns, then each
 /// operator's `{:?}`: kind, route column, join keys, emits and wired
-/// destinations. Each query's `plan_shape` test pins it.
+/// destinations, and `is_static` on a static ingress only. Each query's
+/// `plan_shape` test pins it.
 #[cfg(test)]
 fn dump(plan: &Plan) -> String {
     let rels = plan.catalog.rel_ids().map(|r| plan.catalog.schema(r));
     let rels: Vec<_> = rels.map(|s| (&s.name, s.partition_col)).collect();
     let mut out = format!("{rels:?}\n");
     for (i, op) in plan.ops.iter().enumerate() {
-        out += &format!("{i} {op:?}\n");
+        let op = format!("{op:?}").replace(", is_static: false", "");
+        out += &format!("{i} {op}\n");
     }
     out
 }

@@ -30,14 +30,15 @@ pub fn compile() -> (Plan, Program) {
 mod tests {
     use super::*;
 
-    /// The compiled plan is the one once built by hand: twenty operators.
+    /// The compiled plan is the one once built by hand, twenty operators,
+    /// with the three never-deleted base relations' ingresses static.
     #[test]
     fn plan_shape() {
         let golden = r#"[("mainSensorInRegion", 0), ("isTriggered", 0), ("sensor", 0), ("near", 0), ("activeRegion", 0), ("regionSizes", 0), ("largestRegions", 0), ("largestRegion", 0), ("__agg5", 0), ("__agg8", 0), ("__join10", 0), ("__join11", 0), ("__join12", 0), ("__join13", 0), ("__join16", 0)]
-0 Ingress { rel: rel#0, dests: [Dest { op: OpId(10), input: 0 }] }
+0 Ingress { rel: rel#0, is_static: true, dests: [Dest { op: OpId(10), input: 0 }] }
 1 Ingress { rel: rel#1, dests: [Dest { op: OpId(10), input: 1 }, Dest { op: OpId(12), input: 0 }] }
-2 Ingress { rel: rel#2, dests: [Dest { op: OpId(11), input: 1 }] }
-3 Ingress { rel: rel#3, dests: [Dest { op: OpId(13), input: 0 }] }
+2 Ingress { rel: rel#2, is_static: true, dests: [Dest { op: OpId(11), input: 1 }] }
+3 Ingress { rel: rel#3, is_static: true, dests: [Dest { op: OpId(13), input: 0 }] }
 4 Store { rel: rel#4, is_view: true, aggsel: None, dests: [Dest { op: OpId(12), input: 1 }, Dest { op: OpId(15), input: 0 }] }
 5 Aggregate { group_cols: [1], agg: Count, agg_col: 0, out_rel: rel#8, dests: [Dest { op: OpId(6), input: 0 }, Dest { op: OpId(17), input: 0 }, Dest { op: OpId(19), input: 0 }] }
 6 Store { rel: rel#5, is_view: true, aggsel: None, dests: [] }

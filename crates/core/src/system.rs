@@ -66,10 +66,13 @@ impl System {
         kind: UpdateKind,
         ttl: Option<netrec_types::Duration>,
     ) {
+        // The runner refuses an operation before queueing it; only then
+        // does the oracle's base state follow.
+        self.runner.inject(rel, tuple.clone(), kind, ttl);
         let rel_id = self.runner.plan().catalog.id(rel).expect("known relation");
         match kind {
             UpdateKind::Insert => {
-                self.base.entry(rel_id).or_default().insert(tuple.clone());
+                self.base.entry(rel_id).or_default().insert(tuple);
             }
             UpdateKind::Delete => {
                 if let Some(set) = self.base.get_mut(&rel_id) {
@@ -77,7 +80,6 @@ impl System {
                 }
             }
         }
-        self.runner.inject(rel, tuple, kind, ttl);
     }
 
     /// Run to quiescence (or budget) and report.
@@ -147,6 +149,65 @@ mod tests {
         let rep = sys.run("churn");
         assert!(rep.converged());
         assert_eq!(sys.view("reachable"), sys.oracle_view("reachable"));
+    }
+
+    /// A loaded regions system on 25 sensors and its first `near` pair.
+    fn loaded_regions() -> (System, Tuple) {
+        let grid = netrec_topo::SensorGrid::generate(
+            netrec_topo::SensorGridParams {
+                sensors: 25,
+                seeds: 2,
+                ..Default::default()
+            },
+            7,
+        );
+        let mut sys = System::regions(SystemConfig::new(Strategy::absorption_lazy(), 3));
+        for ops in [grid.sensor_ops(), grid.near_ops(), grid.seed_ops()] {
+            sys.apply(&ops);
+        }
+        sys.apply(&grid.trigger_ops(1.0, 7));
+        assert!(sys.run("load").converged());
+        let near = grid.near_ops().ops[0].tuple.clone();
+        (sys, near)
+    }
+
+    #[test]
+    #[should_panic(expected = "relation `near` is static: a delete is refused")]
+    fn static_relation_refuses_a_delete() {
+        let (mut sys, near) = loaded_regions();
+        sys.inject("near", near, UpdateKind::Delete, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "relation `near` is static: a TTL is refused")]
+    fn static_relation_refuses_a_ttl() {
+        let (mut sys, near) = loaded_regions();
+        let ttl = Some(netrec_types::Duration::from_millis(5));
+        sys.inject("near", near, UpdateKind::Insert, ttl);
+    }
+
+    /// A refused operation touches neither the engine nor the oracle's base
+    /// state, so a caller that catches the refusal still reads agreeing
+    /// views.
+    #[test]
+    fn refused_delete_leaves_views_and_oracle_unchanged() {
+        let (mut sys, near) = loaded_regions();
+        let views = ["activeRegion", "regionSizes"];
+        let before: Vec<_> = views
+            .iter()
+            .map(|v| (sys.view(v), sys.oracle_view(v)))
+            .collect();
+        let base = sys.base_state().clone();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.inject("near", near, UpdateKind::Delete, None)
+        }));
+        assert!(refused.is_err(), "a delete on `near` was accepted");
+        assert!(sys.base_state() == &base, "the oracle's base state moved");
+        assert!(sys.run("after refusal").converged());
+        for (view, (engine, oracle)) in views.iter().zip(before) {
+            assert_eq!(sys.view(view), engine, "{view}");
+            assert_eq!(sys.oracle_view(view), oracle, "{view}");
+        }
     }
 
     #[test]

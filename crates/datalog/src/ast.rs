@@ -147,6 +147,9 @@ impl AstRule {
 pub struct AstProgram {
     /// Rules in source order.
     pub rules: Vec<AstRule>,
+    /// Base relations declared `static`: never deleted, so their tuples
+    /// carry no provenance variable.
+    pub statics: Vec<String>,
 }
 
 impl AstProgram {

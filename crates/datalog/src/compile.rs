@@ -40,6 +40,8 @@ pub enum CompileError {
     AggSelTarget(String),
     /// An aggregate argument appears in a non-head position.
     MisplacedAggregate(String),
+    /// A name declared `static` is a derived relation, or no rule reads it.
+    StaticTarget(String),
     /// The rule has no body atoms at all.
     EmptyBody(String),
     /// One atom marks two columns with `@`, or a relation's atoms mark two
@@ -81,6 +83,10 @@ impl std::fmt::Display for CompileError {
                 "cannot prune by `{r}`: aggregate selection takes `min`/`max` heads \
                  over one recursive relation, all with the same group"
             ),
+            CompileError::StaticTarget(r) => write!(
+                f,
+                "cannot declare `{r}` static: only a base relation some rule reads can be"
+            ),
             CompileError::MisplacedAggregate(r) => {
                 write!(f, "aggregate argument outside a head in rule for `{r}`")
             }
@@ -109,6 +115,8 @@ pub(crate) struct RelInfo {
     /// The column an atom of the relation marks with `@`, if any does.
     pub(crate) location: Option<usize>,
     pub(crate) is_edb: bool,
+    /// Declared `static`: a base relation that is never deleted.
+    pub(crate) is_static: bool,
     /// Defined by an aggregate rule (its only rule).
     pub(crate) aggregate: bool,
 }
@@ -136,8 +144,8 @@ impl Compiled {
     }
 }
 
-/// Analyse relation arities and locations: base relations first, then
-/// derived ones, each in order of first appearance.
+/// Analyse relation arities, locations and `static` declarations: base
+/// relations first, then derived ones, each in order of first appearance.
 pub(crate) fn analyse(ast: &AstProgram) -> Result<Vec<RelInfo>, CompileError> {
     let idb = ast.idb_relations();
     let mut rels: Vec<RelInfo> = Vec::new();
@@ -163,6 +171,7 @@ pub(crate) fn analyse(ast: &AstProgram) -> Result<Vec<RelInfo>, CompileError> {
                     arity: atom.args.len(),
                     location,
                     is_edb: !idb.contains(&atom.name),
+                    is_static: false,
                     aggregate: ast
                         .rules
                         .iter()
@@ -184,6 +193,12 @@ pub(crate) fn analyse(ast: &AstProgram) -> Result<Vec<RelInfo>, CompileError> {
                 (None, Some(_)) => info.location = location,
                 _ => {}
             }
+        }
+    }
+    for name in &ast.statics {
+        match rels.iter_mut().find(|r| &r.name == name) {
+            Some(info) if info.is_edb => info.is_static = true,
+            _ => return Err(CompileError::StaticTarget(name.clone())),
         }
     }
     rels.sort_by_key(|r| !r.is_edb);
@@ -566,6 +581,28 @@ mod tests {
         let c = compile(&parse_program("r(@X, Y) :- s(X, @Y), s(Y, X).").unwrap()).unwrap();
         let catalog = &c.plan().catalog;
         assert_eq!(catalog.schema(catalog.id("s").unwrap()).partition_col, 1);
+    }
+
+    #[test]
+    fn static_declares_base_relations_only() {
+        let src = "r(@X) :- s(@X), t(@X).";
+        let c = compile(&parse_program(&format!("static s.\n{src}")).unwrap()).unwrap();
+        let statics: Vec<bool> = c
+            .plan()
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                OpSpec::Ingress { is_static, .. } => Some(*is_static),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(statics, [true, false]);
+        for (name, decl) in [("r", "static r."), ("u", "static s, u.")] {
+            let err = compile(&parse_program(&format!("{decl}\n{src}")).unwrap()).err();
+            assert_eq!(err, Some(CompileError::StaticTarget(name.into())), "{decl}");
+        }
+        let message = CompileError::StaticTarget("r".into()).to_string();
+        assert!(message.contains("base relation"), "{message}");
     }
 
     #[test]

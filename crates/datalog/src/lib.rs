@@ -9,7 +9,8 @@
 //!   including aggregate heads (`min<C>`, `max<C>`, `count<X>`, `sum<C>`),
 //!   assignments (`C := C0 + C1`), list construction (`[X, Y]`, `[X | P]`),
 //!   comparisons, disjunctions (`(X notin P ; X == Y)`), oracle-only
-//!   `guard` filters, and `@` location specifiers;
+//!   `guard` filters, `@` location specifiers, and `static a, b.`
+//!   declarations of base relations that are never deleted;
 //! * a compiler to the centralized reference evaluator
 //!   ([`Compiled::oracle`]);
 //! * a distributed planner ([`Compiled::plan`]) that lowers every rule to

@@ -72,15 +72,37 @@ fn unexpected(found: Option<Tok>, expected: &'static str) -> ParseError {
     }
 }
 
-/// Parse a whole program (a sequence of rules terminated by `.`).
+/// Parse a whole program: a sequence of rules and `static` declarations,
+/// each terminated by `.`.
 pub fn parse_program(src: &str) -> Result<AstProgram, ParseError> {
     let toks = lex(src).map_err(ParseError::Lex)?;
     let mut p = Parser { toks, pos: 0 };
-    let mut rules = Vec::new();
+    let mut prog = AstProgram::default();
     while p.peek().is_some() {
-        rules.push(parse_rule(&mut p)?);
+        // `static` before a name declares; before `(` it names a relation.
+        match (p.peek(), p.toks.get(p.pos + 1)) {
+            (Some(Tok::Ident(kw)), Some(Tok::Ident(_))) if kw == "static" => {
+                p.pos += 1;
+                parse_static(&mut p, &mut prog.statics)?;
+            }
+            _ => prog.rules.push(parse_rule(&mut p)?),
+        }
     }
-    Ok(AstProgram { rules })
+    Ok(prog)
+}
+
+/// The names of `static a, b.` after its keyword.
+fn parse_static(p: &mut Parser, out: &mut Vec<String>) -> Result<(), ParseError> {
+    loop {
+        match p.next() {
+            Some(Tok::Ident(name)) => out.push(name),
+            other => return Err(unexpected(other, "relation name")),
+        }
+        if p.eat(&Tok::Comma) {
+            continue;
+        }
+        return p.expect(&Tok::Dot, "`,` or `.`");
+    }
 }
 
 fn parse_rule(p: &mut Parser) -> Result<AstRule, ParseError> {
@@ -304,6 +326,20 @@ mod tests {
             );
         }
         assert!(parse_program("r(bogus<X>) :- s(X).").is_err());
+        for decl in ["static a", "static a b.", "static a,.", "static a(X)."] {
+            assert!(parse_program(decl).is_err(), "{decl}");
+        }
+    }
+
+    #[test]
+    fn parses_static_declarations() {
+        let prog = parse_program("static a, b.\nr(X) :- a(X), b(X).").unwrap();
+        assert_eq!(prog.statics, ["a", "b"]);
+        assert_eq!(prog.rules.len(), 1);
+        // A relation may still be called `static`.
+        let prog = parse_program("static(X) :- s(X).").unwrap();
+        assert_eq!(prog.rules[0].head.name, "static");
+        assert!(prog.statics.is_empty());
     }
 
     #[test]

@@ -94,7 +94,9 @@ pub(crate) fn build_plan(
     for (info, id) in rels.iter().zip(ids) {
         let name = info.name.as_str();
         p.rels.insert(name, info);
-        let source = if info.is_edb {
+        let source = if info.is_static {
+            b.static_ingress(id)
+        } else if info.is_edb {
             b.ingress(id)
         } else if info.aggregate {
             let rule = ast.rules.iter().find(|r| r.head.name == name);

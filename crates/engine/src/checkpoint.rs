@@ -611,7 +611,7 @@ mod tests {
         // variable), then the next TTL id.
         let ingress = |ttls: &[u8]| {
             let bytes = [&[0], ttls, &[6]].concat();
-            IngressOp::new(RelId(0), 0, Vec::new()).restore(&mut Reader::new(&bytes, None))
+            IngressOp::new(RelId(0), 0, Vec::new(), false).restore(&mut Reader::new(&bytes, None))
         };
         let two = |a: &[u8], b: &[u8]| [&[2], a, b].concat();
         let ttl = |id: u8| [&[id], &t1[..], &[0]].concat();

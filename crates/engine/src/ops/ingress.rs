@@ -1,12 +1,16 @@
 //! EDB ingress: variable allocation, set-semantics dedup, soft-state TTLs,
 //! deletion origination, and DRed re-derivation.
+//!
+//! A relation declared `static` is never deleted, so under absorption its
+//! tuples carry `true` rather than a variable (DESIGN.md "Substitution
+//! ledger"): a variable that is never set false is `true` from the start.
 
 use std::sync::Arc;
 
 use netrec_bdd::Var;
 use netrec_prov::{Prov, ProvMode, VarAllocator, VarTable};
 use netrec_types::wire::WireError;
-use netrec_types::{Duration, FxHashMap, RelId, Tuple, UpdateKind};
+use netrec_types::{Duration, FxHashMap, FxHashSet, RelId, Tuple, UpdateKind};
 
 use crate::checkpoint::{Field, Reader};
 use crate::plan::Dest;
@@ -23,6 +27,10 @@ pub struct IngressOp {
     /// Live base tuples → provenance variable (annotation modes) —
     /// also the set-semantics dedup table (every mode).
     vars: VarTable,
+    /// A static relation's live tuples under absorption, where each carries
+    /// `true`: its dedup table in place of `vars`. `None` for every other
+    /// relation and mode (relative provenance has no true leaf).
+    fixed: Option<FxHashSet<Tuple>>,
     /// TTL bookkeeping: timer id → (tuple, var-at-arming). Expiry is ignored
     /// if the tuple was deleted (and possibly re-inserted with a new var)
     /// in the meantime.
@@ -31,13 +39,15 @@ pub struct IngressOp {
 }
 
 impl IngressOp {
-    /// New ingress for `rel`, partitioned on `part_col`, feeding `dests`.
-    pub fn new(rel: RelId, part_col: usize, dests: Vec<Dest>) -> IngressOp {
+    /// New ingress for `rel`, partitioned on `part_col`, feeding `dests`;
+    /// `fixed` when its tuples carry `true` rather than a variable.
+    pub fn new(rel: RelId, part_col: usize, dests: Vec<Dest>, fixed: bool) -> IngressOp {
         IngressOp {
             rel,
             part_col,
             dests,
             vars: VarTable::new(),
+            fixed: fixed.then(FxHashSet::default),
             pending_ttl: FxHashMap::default(),
             next_ttl: 0,
         }
@@ -48,16 +58,22 @@ impl IngressOp {
         self.rel
     }
 
-    /// Provenance variable of a live base tuple (tests, provenance explorer).
+    /// Provenance variable of a live base tuple (tests, provenance explorer);
+    /// `None` for a tuple that carries `true`.
     pub fn var_of(&self, t: &Tuple) -> Option<Var> {
         self.vars.get(self.rel, t)
     }
 
     /// Live base tuples (used by tests and the DRed driver).
     pub fn live(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self.vars.iter().map(|(_, t, _)| t.clone()).collect();
+        let mut v: Vec<Tuple> = self.tuples().cloned().collect();
         v.sort();
         v
+    }
+
+    fn tuples(&self) -> impl Iterator<Item = &Tuple> {
+        let fixed = self.fixed.iter().flatten();
+        self.vars.iter().map(|(_, t, _)| t).chain(fixed)
     }
 
     /// Handle an external base operation. Returns the TTL timer request (if
@@ -72,6 +88,13 @@ impl IngressOp {
     ) -> Option<(u32, Duration)> {
         match kind {
             UpdateKind::Insert => {
+                if let Some(fixed) = &mut self.fixed {
+                    if fixed.insert(tuple.clone()) {
+                        let up = Update::ins(self.rel, tuple, Prov::Bdd(ectx.mgr.one()));
+                        ectx.emit_local(&self.dests, vec![up]);
+                    }
+                    return None; // `Runner::inject` refuses a TTL here
+                }
                 // The partition value places the variable in the order; a
                 // key this peer does not own (a tuple handed to the wrong
                 // peer) is withheld, so another peer's block is never used.
@@ -149,28 +172,33 @@ impl IngressOp {
         ectx.emit_local(&self.dests, ups);
     }
 
-    /// Resident state bytes.
+    /// Resident state bytes: a tuple that carries `true` is charged as if
+    /// it held a variable.
     pub fn state_bytes(&self) -> usize {
-        self.vars
-            .iter()
-            .map(|(_, t, _)| t.encoded_len() + 4 + 48)
-            .sum()
+        self.tuples().map(|t| t.encoded_len() + 4 + 48).sum()
     }
 
     /// Serialise the live-tuple table and TTL bookkeeping. At a converged
     /// barrier no TTL timer is pending (quiescence drains timers), so
     /// `pending_ttl` holds nothing a restored substrate would need to
     /// re-arm; it is carried anyway for exactness, as is `next_ttl` so
-    /// restored runs never reuse a timer id.
+    /// restored runs never reuse a timer id. A static relation's tuple set
+    /// stands where the variable table would.
     pub(crate) fn checkpoint(&self, out: &mut Vec<u8>) {
-        self.vars.put(out);
+        match &self.fixed {
+            Some(fixed) => fixed.put(out),
+            None => self.vars.put(out),
+        }
         self.pending_ttl.put(out);
         self.next_ttl.put(out);
     }
 
     /// Install a checkpointed blob into this freshly-built operator.
     pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        self.vars = r.get()?;
+        match &mut self.fixed {
+            Some(fixed) => *fixed = r.get()?,
+            None => self.vars = r.get()?,
+        }
         self.pending_ttl = r.get()?;
         self.next_ttl = r.get()?;
         Ok(())
@@ -200,7 +228,8 @@ mod tests {
         for (i, (before, after)) in fields.iter().enumerate() {
             let restore = |v: &[u8]| {
                 let bytes = [before, v, after].concat();
-                IngressOp::new(RelId(0), 0, Vec::new()).restore(&mut Reader::new(&bytes, None))
+                IngressOp::new(RelId(0), 0, Vec::new(), false)
+                    .restore(&mut Reader::new(&bytes, None))
             };
             assert_eq!(restore(&[7]), Ok(()), "field {i}");
             assert!(

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use netrec_bdd::{BddManager, Var};
-use netrec_prov::{Prov, VarAllocator};
+use netrec_prov::{Prov, ProvMode, VarAllocator};
 use netrec_sim::{NetApi, Partitioner, PeerId, PeerNode, Port};
 use netrec_types::wire::WireError;
 use netrec_types::{FxHashSet, Tuple, UpdateKind};
@@ -53,10 +53,15 @@ impl EnginePeer {
             .ops
             .iter()
             .map(|spec| match spec {
-                OpSpec::Ingress { rel, dests } => OpState::Ingress(IngressOp::new(
+                OpSpec::Ingress {
+                    rel,
+                    is_static,
+                    dests,
+                } => OpState::Ingress(IngressOp::new(
                     *rel,
                     plan.catalog.schema(*rel).partition_col,
                     dests.clone(),
+                    *is_static && strategy.mode == ProvMode::Absorption,
                 )),
                 OpSpec::Map {
                     exprs,

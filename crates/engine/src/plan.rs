@@ -55,6 +55,9 @@ pub enum OpSpec {
     Ingress {
         /// The base relation.
         rel: RelId,
+        /// Declared `static`: never deleted, so an absorption tuple carries
+        /// `true` rather than a variable, and a delete or TTL is refused.
+        is_static: bool,
         /// Downstream edges.
         dests: Vec<Dest>,
     },
@@ -357,8 +360,18 @@ impl PlanBuilder {
 
     /// Add the ingress for a base relation.
     pub fn ingress(&mut self, rel: RelId) -> OpId {
+        self.add_ingress(rel, false)
+    }
+
+    /// Add the ingress for a base relation that is never deleted.
+    pub fn static_ingress(&mut self, rel: RelId) -> OpId {
+        self.add_ingress(rel, true)
+    }
+
+    fn add_ingress(&mut self, rel: RelId, is_static: bool) -> OpId {
         let id = self.push(OpSpec::Ingress {
             rel,
+            is_static,
             dests: Vec::new(),
         });
         let prev = self.ingress_of.insert(rel, id);

@@ -21,7 +21,7 @@ use netrec_types::{Duration, RelId, SimTime, Tuple, UpdateKind};
 use crate::ckptstore::{self, CheckpointBackend};
 use crate::ops::OpState;
 use crate::peer::EnginePeer;
-use crate::plan::Plan;
+use crate::plan::{OpSpec, Plan};
 use crate::strategy::Strategy;
 use crate::update::Msg;
 
@@ -662,6 +662,11 @@ impl Runner {
     /// Queue one base-relation operation at its owning peer's ingress. The
     /// operation enters at the substrate's current frontier (after
     /// everything already executed).
+    ///
+    /// # Panics
+    ///
+    /// On an unknown relation, and on a delete or a TTL for a relation
+    /// declared `static`, before anything is queued or logged.
     pub fn inject(
         &mut self,
         rel_name: &str,
@@ -679,6 +684,19 @@ impl Runner {
             .ingress_of
             .get(&rel)
             .unwrap_or_else(|| panic!("relation `{rel_name}` has no ingress"));
+        if let OpSpec::Ingress {
+            is_static: true, ..
+        } = self.plan.ops[ingress.0 as usize]
+        {
+            assert!(
+                kind == UpdateKind::Insert,
+                "relation `{rel_name}` is static: a delete is refused"
+            );
+            assert!(
+                ttl.is_none(),
+                "relation `{rel_name}` is static: a TTL is refused"
+            );
+        }
         let key_col = self.plan.catalog.schema(rel).partition_col;
         let peer = self.cfg.partitioner.place_value(tuple.try_get(key_col));
         let port = Plan::port(ingress, 0);

@@ -13,6 +13,7 @@
 //! wholesale on error — there is no partially-restored state by
 //! construction).
 
+use netrec_core::System;
 use netrec_engine::ckptstore::encode_checkpoint;
 use netrec_engine::peer::EnginePeer;
 use netrec_engine::plan::Plan;
@@ -22,6 +23,7 @@ use netrec_prov::ProvMode;
 use netrec_sim::{PeerId, RuntimeKind};
 use netrec_testutil::churn::ChurnCase;
 use netrec_testutil::fixtures::{link as fixtures_link, reachable_plan, twohop_plan};
+use netrec_topo::{SensorGrid, SensorGridParams};
 use netrec_types::wire::crc32;
 use proptest::prelude::*;
 
@@ -269,6 +271,78 @@ fn dead_variable_beyond_32_bits_is_rejected() {
         with_dead(&[0x80, 0x80, 0x80, 0x80, 0x10]),
         Err(netrec_types::wire::WireError::Corrupt(_))
     ));
+}
+
+fn peer_blobs(runner: &Runner) -> Vec<Vec<u8>> {
+    (0..runner.peer_count())
+        .map(|p| runner.with_peer(PeerId(p), |peer| peer.checkpoint()))
+        .collect()
+}
+
+/// The regions plan declares `sensor`, `near` and `mainSensorInRegion`
+/// static, so under absorption those ingresses checkpoint a tuple set in
+/// place of a variable table. Restored at a post-churn boundary, every
+/// peer re-encodes to the same bytes, a duplicate static insert changes no
+/// peer's state, and churn continues to oracle-equal views.
+#[test]
+fn regions_restore_at_a_post_churn_boundary() {
+    let grid = SensorGrid::generate(
+        SensorGridParams {
+            sensors: 25,
+            seeds: 2,
+            ..Default::default()
+        },
+        7,
+    );
+    let strategy = Strategy::absorption_lazy();
+    let cfg = RunnerConfig::new(strategy, 4).with_runtime(RuntimeKind::des());
+    let mut sys = System::regions(cfg);
+    for ops in [grid.sensor_ops(), grid.near_ops(), grid.seed_ops()] {
+        sys.apply(&ops);
+    }
+    sys.apply(&grid.trigger_ops(0.8, 7));
+    assert!(sys.run("load").converged());
+    sys.apply(&grid.untrigger_ops(0.8, 0.5, 7));
+    assert!(sys.run("untrigger").converged());
+    let views = ["activeRegion", "regionSizes", "largestRegions"];
+    let agrees = |sys: &System, phase: &str| {
+        for view in views {
+            assert_eq!(sys.view(view), sys.oracle_view(view), "{phase}: {view}");
+        }
+    };
+    agrees(&sys, "untrigger");
+
+    let runner = sys.runner();
+    runner.enable_checkpointing(1);
+    let blobs = peer_blobs(runner);
+    let partitioner = runner.config().partitioner;
+    for (p, blob) in blobs.iter().enumerate() {
+        let restored =
+            EnginePeer::restore(PeerId(p as u32), runner.plan(), strategy, partitioner, blob)
+                .unwrap_or_else(|e| panic!("peer {p} restore failed: {e}"));
+        assert_eq!(&restored.checkpoint(), blob, "peer {p}: not canonical");
+    }
+    runner
+        .recover()
+        .expect("the post-churn checkpoint restores");
+    assert_eq!(peer_blobs(runner), blobs, "recovery moved peer state");
+    let near = grid.near_ops().ops[0].tuple.clone();
+    let seed = grid.trigger_ops(0.8, 7).ops[0].tuple.clone();
+    assert_eq!(runner.base_var("near", &near), None, "a static tuple");
+    assert!(runner.base_var("isTriggered", &seed).is_some());
+
+    sys.inject("near", near, netrec_types::UpdateKind::Insert, None);
+    let duplicate = sys.run("duplicate static insert");
+    assert!(duplicate.converged());
+    assert_eq!(duplicate.msgs, 0, "a duplicate static insert shipped");
+    assert_eq!(peer_blobs(sys.runner()), blobs, "a duplicate moved state");
+
+    sys.apply(&grid.trigger_ops(0.8, 7));
+    assert!(sys.run("retrigger").converged());
+    agrees(&sys, "retrigger");
+    sys.apply(&grid.untrigger_ops(0.8, 1.0, 7));
+    assert!(sys.run("untrigger all").converged());
+    agrees(&sys, "untrigger all");
 }
 
 proptest! {

@@ -2,7 +2,7 @@
 //! distributed maintained views equal a from-scratch centralized evaluation,
 //! across maintenance strategies — the system's core correctness contract.
 
-use netrec::core::{AggSelChoice, System, SystemConfig};
+use netrec::core::{AggSelChoice, RunBudget, System, SystemConfig};
 use netrec::engine::strategy::Strategy;
 use netrec::topo::{random_graph, SensorGrid, SensorGridParams, Workload};
 use netrec_types::UpdateKind;
@@ -45,6 +45,84 @@ fn relative_strategies_on_regions_match_oracle() {
             }
         }
     }
+}
+
+/// The regions plan at `sensors` sensors on 8 peers: half the non-seed
+/// sensors triggered, then 20 `isTriggered` flaps (untrigger, re-trigger),
+/// every phase converged and its views equal to the oracle's. Variables on
+/// the `sensor`, `near` and `mainSensorInRegion` tuples widened every
+/// region annotation until, at 64 sensors, one flap ran for minutes and
+/// gigabytes; the static relations carry none. So the session gets
+/// `max_events` DES events in all (they count across phases), about three
+/// times what it needs, and each phase 10 s of wall time, which a flap
+/// needs a few milliseconds of and the annotated relations ran past.
+fn regions_flap_within_budget(sensors: usize, max_events: u64) {
+    let grid = SensorGrid::generate(
+        SensorGridParams {
+            sensors,
+            ..Default::default()
+        },
+        42,
+    );
+    let budget = RunBudget {
+        max_events,
+        max_wall: std::time::Duration::from_secs(10),
+        ..RunBudget::default()
+    };
+    let config = SystemConfig::new(Strategy::absorption_lazy(), 8).with_budget(budget);
+    let mut sys = System::regions(config);
+    for ops in [grid.sensor_ops(), grid.near_ops(), grid.seed_ops()] {
+        sys.apply(&ops);
+    }
+    let triggers = grid.trigger_ops(0.5, 3);
+    sys.apply(&triggers);
+    let flaps = triggers
+        .ops
+        .iter()
+        .map(|op| op.tuple.clone())
+        .filter(|t| t.get(0).as_addr().is_some_and(|a| !grid.seeds.contains(&a)))
+        .take(20);
+    let mut phases = vec![("load".to_string(), None)];
+    for (i, t) in flaps.enumerate() {
+        phases.push((
+            format!("untrigger {i}"),
+            Some((UpdateKind::Delete, t.clone())),
+        ));
+        phases.push((format!("retrigger {i}"), Some((UpdateKind::Insert, t))));
+    }
+    assert_eq!(phases.len(), 41, "{sensors} sensors: 20 flaps");
+    for (label, op) in phases {
+        if let Some((kind, t)) = op {
+            sys.inject("isTriggered", t, kind, None);
+        }
+        let report = sys.run(label.as_str());
+        assert!(
+            report.converged(),
+            "{sensors} sensors, {label}: out of budget after {} events",
+            report.events
+        );
+        for view in ["activeRegion", "regionSizes", "largestRegions"] {
+            assert_eq!(
+                sys.view(view),
+                sys.oracle_view(view),
+                "{sensors} sensors, {label}: {view}"
+            );
+        }
+    }
+}
+
+/// Needs 19 436 events.
+#[test]
+fn regions_flap_at_64_sensors() {
+    regions_flap_within_budget(64, 60_000);
+}
+
+/// The sensor ladder's next rung: needs 16 217 events, but about 25 s
+/// unoptimised, so CI runs it in release.
+#[test]
+#[ignore = "release-mode gate"]
+fn regions_flap_at_81_sensors() {
+    regions_flap_within_budget(81, 50_000);
 }
 
 proptest! {
