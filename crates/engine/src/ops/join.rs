@@ -29,6 +29,10 @@ struct Side {
     /// sort per arriving update — and the outer map probes via the tuples'
     /// cached Fx hash.
     by_key: FxHashMap<Tuple, BTreeSet<Tuple>>,
+    /// Tuple → annotation (`pR`/`pS`), without a variable index: a
+    /// cause-delete restricts the one tuple it names
+    /// (`restrict_cause_tuple`), and nothing here reads an index, so no
+    /// merge pays a support walk to keep one.
     prov: ProvTable,
 }
 
@@ -41,7 +45,7 @@ impl Side {
         Side {
             key_cols,
             by_key: FxHashMap::default(),
-            prov: ProvTable::new(mode, true),
+            prov: ProvTable::new(mode, false),
         }
     }
 

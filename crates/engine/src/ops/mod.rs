@@ -199,6 +199,12 @@ pub enum Restricted {
 
 /// The shared `tuple → provenance` table with optional variable index.
 ///
+/// A table is indexed only where [`ProvTable::restrict_cause`] reads the
+/// index: Store, AggSel and Aggregate restrict table-wide by a cause. A
+/// join side restricts the one tuple a cause-delete names, and MinShip's
+/// `sent` mirror is indexed by its ship ledger instead, so neither keeps one;
+/// MinShip's `pins` is small and takes the unindexed pass.
+///
 /// Keyed with Fx hashing: tuples carry a cached hash, so a probe costs one
 /// 64-bit mix instead of SipHash over the value vector. Resident-size
 /// accounting is maintained incrementally (`state_bytes` is O(1)); all map
@@ -213,9 +219,11 @@ pub struct ProvTable {
     mode: ProvMode,
     /// Incrementally-maintained total of per-entry costs (see `entry_cost`).
     bytes: usize,
-    /// Entries examined so far by the unindexed [`ProvTable::restrict_cause`]
-    /// scan — a deterministic work count (tests pin it; see
-    /// `MinShipOp::mirror_scan_steps`).
+    /// Entries examined so far by cause restriction — a deterministic work
+    /// count: the table's length per unindexed [`ProvTable::restrict_cause`]
+    /// scan, one per [`ProvTable::restrict_cause_tuple`]. MinShip reads it
+    /// for `pins` (one scan per dead variable) and `sent` (one visit per
+    /// ledger entry of it); tests pin it (see `MinShipOp::mirror_scan_steps`).
     scan_steps: u64,
 }
 
@@ -493,8 +501,10 @@ impl ProvTable {
         self.iter().any(|(_, p)| depends_on_any(p, vars, &dead_set))
     }
 
-    /// Entries examined so far by the unindexed [`ProvTable::restrict_cause`]
-    /// scan (0 for an indexed table).
+    /// Entries examined so far by cause restriction: the table's length per
+    /// unindexed [`ProvTable::restrict_cause`] call (none for an indexed
+    /// table), and one per [`ProvTable::restrict_cause_tuple`] call, which
+    /// visits only the tuple it names.
     pub fn scan_steps(&self) -> u64 {
         self.scan_steps
     }
@@ -504,6 +514,7 @@ impl ProvTable {
     /// absent or unaffected — idempotence is what terminates cascaded
     /// deletion propagation.
     pub fn restrict_cause_tuple(&mut self, t: &Tuple, cause: &[Var]) -> Option<Restricted> {
+        self.scan_steps += 1;
         self.restrict_entry(t, cause, &relative_dead_set(self.mode, cause))
     }
 

@@ -57,8 +57,9 @@ impl StoreOp {
         StoreOp {
             rel,
             is_view,
-            // Indexed: Algorithm 1's cause-restrict touches the affected
-            // entries, not the whole partition.
+            // Indexed: Algorithm 1's cause-restrict (`restrict_cause`, the
+            // index's reader) touches the affected entries, not the whole
+            // partition.
             table: ProvTable::new(mode, true),
             aggsel: aggsel.map(|s| AggSelState::new(s.clone(), mode)),
             dests,

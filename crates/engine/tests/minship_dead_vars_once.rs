@@ -1,7 +1,9 @@
 //! A peer applies a dead variable to its MinShip mirrors exactly once —
 //! when it first learns of the death, in `MinShipOp::on_dead_vars` — and
 //! never again per cause-delete update (DESIGN.md "Deletion propagation",
-//! invariants I1–I3). Pinned on a deterministic work count, not a clock.
+//! invariants I1–I3). That once costs one pass over `pins` and a visit to
+//! each `sent` entry the dead variables' ship-ledger entries name, not a
+//! pass over `sent`. Pinned on a deterministic work count, not a clock.
 
 use std::sync::Arc;
 
@@ -42,15 +44,19 @@ fn minship(peer: &EnginePeer) -> &netrec_engine::ops::MinShipOp {
 
 /// An [`EnginePeer`] behind an independent bookkeeper: it replays the
 /// peer's "is any cause variable of this message new to me?" decision from
-/// the message stream alone and, whenever the answer is yes, records how
-/// many mirror entries the MinShip holds at that moment — the work one
-/// `on_dead_vars` pass is allowed to do.
+/// the message stream alone and, whenever the answer is yes, records the
+/// work one `on_dead_vars` pass is allowed to do at that moment: every
+/// buffered entry, plus the ship-ledger entries of the new variables.
 struct Probe {
     peer: EnginePeer,
     minship_port: Port,
     dead: FxHashSet<Var>,
-    /// Σ over fresh-variable messages of `|pins| + |sent|` just before.
+    /// Σ over fresh-variable messages of `|pins|` plus the ledger entries
+    /// naming a fresh variable, just before.
     allowed_steps: u64,
+    /// Σ over fresh-variable messages of `|sent|` less the ledger entries
+    /// naming a fresh variable: at most what a pass over `sent` would add.
+    sent_skipped: u64,
     /// Messages that taught this peer a new dead variable.
     learned: u64,
     /// Cause-carrying deletes delivered to the MinShip's own input.
@@ -60,18 +66,22 @@ struct Probe {
 impl PeerNode<Msg> for Probe {
     fn on_message(&mut self, port: Port, msg: Msg, net: &mut NetApi<Msg>) {
         if let Msg::Updates(ups) = &msg {
-            let mut fresh = false;
+            let mut fresh: Vec<Var> = Vec::new();
             for u in ups.iter().filter(|u| u.is_delete() && !u.cause.is_empty()) {
                 if port == self.minship_port {
                     self.cause_deletes += 1;
                 }
                 for v in u.cause.iter() {
-                    fresh |= self.dead.insert(*v);
+                    if self.dead.insert(*v) {
+                        fresh.push(*v);
+                    }
                 }
             }
-            if fresh {
+            if !fresh.is_empty() {
                 let m = minship(&self.peer);
-                self.allowed_steps += (m.pins_len() + m.sent_len()) as u64;
+                let allowed = m.pins_len() + m.ledger_mentions(&fresh);
+                self.allowed_steps += allowed as u64;
+                self.sent_skipped += m.sent_len().saturating_sub(m.ledger_mentions(&fresh)) as u64;
                 self.learned += 1;
             }
         }
@@ -85,9 +95,10 @@ impl PeerNode<Msg> for Probe {
 
 /// Sparse reachability on 24 nodes over 3 peers: load, then five single
 /// link deletions, each run to quiescence. On every peer the mirror
-/// entries examined by table-wide restriction must equal what the
+/// entries examined by cause restriction must equal what the
 /// `on_dead_vars` passes account for — independent of how many
-/// cause-delete updates flowed through the operator.
+/// cause-delete updates flowed through the operator, and short of a pass
+/// over `sent` on some peer.
 fn scan_steps_are_per_dead_variable(strategy: Strategy) {
     const PEERS: u32 = 3;
     let plan = reachable_plan();
@@ -99,6 +110,7 @@ fn scan_steps_are_per_dead_variable(strategy: Strategy) {
             minship_port,
             dead: FxHashSet::default(),
             allowed_steps: 0,
+            sent_skipped: 0,
             learned: 0,
             cause_deletes: 0,
         })
@@ -150,6 +162,7 @@ fn scan_steps_are_per_dead_variable(strategy: Strategy) {
 
     let mut cause_deletes = 0;
     let mut learned = 0;
+    let mut skipped = 0;
     for (p, probe) in sim.peers().iter().enumerate() {
         assert_eq!(
             minship(&probe.peer).mirror_scan_steps(),
@@ -162,7 +175,13 @@ fn scan_steps_are_per_dead_variable(strategy: Strategy) {
         assert!(probe.allowed_steps > 0, "peer {p} never restricted");
         cause_deletes += probe.cause_deletes;
         learned += probe.learned;
+        skipped += probe.sent_skipped;
     }
+    // `mirror_scan_steps` reads the tables' own visit counters, so a pass
+    // over `sent` would have added every entry that mentions no fresh
+    // variable too; there are such entries, so the equality above rules a
+    // pass out.
+    assert!(skipped > 0, "every sent entry mentioned a fresh variable");
     // The scenario separates the two rules: a per-update scan would have
     // run many times more often than the per-variable one.
     assert!(
@@ -262,28 +281,33 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
     let rel = RelId(7); // MinShip re-emits whatever tag its stream carries
     let a = reach(0, 5); // owned by peer 0
     let b = reach(1, 6); // owned by peer 1
+    let d = reach(1, 9); // a bystander: never mentions the dead variable
 
-    // Load the mirrors through the MinShip's own stream: `a` and `b` ship
-    // (sent), a second derivation of `b` buffers (pins).
+    // Load the mirrors through the MinShip's own stream: `a`, `b` and `d`
+    // ship (sent), a second derivation of `b` buffers (pins).
     let sent = deliver(
         &mut peer,
         ship_port,
         vec![
             Update::ins(rel, a.clone(), Prov::Bdd(x(1).or(&x(2)))),
             Update::ins(rel, b.clone(), Prov::Bdd(x(1))),
+            Update::ins(rel, d, Prov::Bdd(x(6))),
             Update::ins(rel, b.clone(), Prov::Bdd(x(1).or(&x(4)))),
         ],
     );
-    assert_eq!(sent.len(), 2, "{sent:#?}");
+    assert_eq!(sent.len(), 3, "{sent:#?}");
     assert_eq!(
         (minship(&peer).sent_len(), minship(&peer).pins_len()),
-        (2, 1)
+        (3, 1)
     );
+    assert_eq!(minship(&peer).ledger_mentions(&[1]), 2, "`a` and `b`");
 
     // (1) Variable 1 dies; the news arrives on the join's *probe* input,
     // for a tuple the join has no partner for. The join emits nothing, yet
-    // the MinShip has already restricted both mirrors (one pass: 3 entries),
-    // forwarded the cause along its ledger and released `b`'s alternative.
+    // the MinShip has already restricted both mirrors (3 entries: the one
+    // pin, and the two sent entries variable 1's ledger entries name — `d`
+    // is never visited), forwarded the cause along its ledger and released
+    // `b`'s alternative.
     let dead: Arc<[Var]> = Arc::from(&[1][..]);
     let first = deliver(
         &mut peer,
@@ -294,7 +318,7 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
     assert_eq!(minship(&peer).mirror_scan_steps(), 3);
     assert_eq!(
         (minship(&peer).sent_len(), minship(&peer).pins_len()),
-        (2, 0)
+        (3, 0)
     );
     // `a` survived in `sent` with a shrunk annotation, so it is already
     // dirty: a new derivation ships instead of buffering.
@@ -339,8 +363,8 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
     assert_eq!(third, GOLDEN_THIRD);
     assert_eq!(
         minship(&peer).sent_len(),
-        3,
-        "a, b, c — the dead insert never landed"
+        4,
+        "a, b, c, d — the dead insert never landed"
     );
 
     // A further delete for the same cause still finds clean mirrors (the
@@ -350,7 +374,8 @@ fn cause_on_another_port_restricts_mirrors_before_the_stream_delivers_it() {
 }
 
 /// Emissions captured from the parent commit (`6016cba`) with this same
-/// script (port 8 is the view store's input). Every tuple, cause, peer and
+/// script, before the bystander `d` joined its load — `d` ships nothing
+/// after it (port 8 is the view store's input). Every tuple, cause, peer and
 /// port is as captured; deletes are rendered without the annotation they
 /// then carried.
 const GOLDEN_FIRST: &[&str] = &[
