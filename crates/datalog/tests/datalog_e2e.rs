@@ -165,18 +165,6 @@ fn datalog_filters_and_constants() {
 }
 
 #[test]
-fn datalog_counting_non_recursive() {
-    // The counting algorithm is valid for non-recursive views.
-    let src = "pair(@X, Z) :- edge(@X, Y), edge(@Y, Z).";
-    let facts: Vec<(&str, Tuple)> = [(0u32, 1u32), (1, 2), (1, 3), (2, 3)]
-        .iter()
-        .map(|&(a, b)| ("edge", Tuple::new(vec![addr(a), addr(b)])))
-        .collect();
-    let dels: Vec<(&str, Tuple)> = vec![("edge", Tuple::new(vec![addr(1), addr(2)]))];
-    run_and_check(src, Strategy::counting(), 2, &facts, &dels, &["pair"]);
-}
-
-#[test]
 fn datalog_horizon_query() {
     // §2's "horizon query": properties of nodes within a bounded number of
     // hops — here, hop-bounded reachability with the bound as a filter.

@@ -263,8 +263,7 @@ impl Field for VarTable {
     }
 }
 
-/// Append a provenance table: the map tuple → annotation (a counting-mode
-/// multiplicity is its annotation).
+/// Append a provenance table: the map tuple → annotation.
 pub(crate) fn put_table(out: &mut Vec<u8>, table: &ProvTable) {
     put_map(out, table.iter());
 }
@@ -374,9 +373,10 @@ impl<A: Field, B: Field> Field for (A, B) {
 
 // --- Annotations ------------------------------------------------------------
 
-/// Prov variant tags on the wire.
+/// Prov variant tags on the wire. Tag 1 must stay unassigned: it belonged
+/// to a retired annotation, and a stale checkpoint or frame carrying it has
+/// to fail as a bad tag.
 const PROV_NONE: u8 = 0;
-const PROV_COUNT: u8 = 1;
 const PROV_BDD: u8 = 2;
 const PROV_REL: u8 = 3;
 
@@ -389,10 +389,6 @@ impl Field for Prov {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
             Prov::None => out.push(PROV_NONE),
-            Prov::Count(c) => {
-                out.push(PROV_COUNT);
-                wire::put_varint(out, *c as u64);
-            }
             Prov::Bdd(b) => {
                 out.push(PROV_BDD);
                 put_bytes(out, &b.encode());
@@ -416,7 +412,6 @@ impl Field for Prov {
     fn get(r: &mut Reader<'_>) -> Result<Prov, WireError> {
         match r.byte()? {
             PROV_NONE => Ok(Prov::None),
-            PROV_COUNT => Ok(Prov::Count(r.get::<u64>()? as i64)),
             PROV_BDD => {
                 let bytes = r.bytes()?;
                 let prov = match r.mgr {
@@ -435,7 +430,7 @@ impl Field for Prov {
 mod tests {
     use super::*;
     use crate::ops::aggsel::AggSelState;
-    use crate::ops::{DeleteOutcome, IngressOp, MergeOutcome, MinShipOp};
+    use crate::ops::{IngressOp, MinShipOp};
     use crate::peer::EnginePeer;
     use crate::plan::{AggSelSpec, Dest, OpId, PlanBuilder};
     use crate::strategy::Strategy;
@@ -462,8 +457,6 @@ mod tests {
         let mgr = BddManager::new();
         let cases = [
             Prov::None,
-            Prov::Count(42),
-            Prov::Count(-3),
             Prov::Bdd(mgr.var(7).or(&mgr.var(9))),
             Prov::base(ProvMode::Relative, 5, &mgr),
         ];
@@ -476,56 +469,15 @@ mod tests {
             assert_eq!(back.encoded_len(), p.encoded_len());
             match (p, &back) {
                 (Prov::None, Prov::None) => {}
-                (Prov::Count(a), Prov::Count(b)) => assert_eq!(a, b),
                 (Prov::Bdd(a), Prov::Bdd(b)) => assert_eq!(a, b),
                 (Prov::Rel(a), Prov::Rel(b)) => assert_eq!(a.support(), b.support()),
                 _ => panic!("variant changed across roundtrip"),
             }
         }
-    }
-
-    #[test]
-    fn table_roundtrip_preserves_counts_and_bytes() {
-        let mgr = BddManager::new();
-        let mut pt = ProvTable::new(ProvMode::Counting, false);
-        pt.merge_ins(&t(1), &Prov::Count(2));
-        pt.merge_ins(&t(1), &Prov::Count(3));
-        pt.merge_ins(&t(2), &Prov::Count(1));
-        let back = roundtrip_table(&pt, &mgr);
-        assert_eq!(back.len(), pt.len());
-        assert_eq!(back.state_bytes(), pt.state_bytes());
-        assert_eq!(back.get(&t(1)).unwrap().count(), 5);
-        // The multiplicities are live again: a retract below the floor kills.
-        let mut back = back;
-        assert!(back.retract(&t(2), &Prov::Count(1)).is_some());
-        assert!(!back.contains(&t(2)));
-    }
-
-    /// A multiplicity that sums to 0 without a retract leaves its entry
-    /// behind, which the table treats as absent — and still does after a
-    /// checkpoint round trip, which used to restore the entry without its
-    /// count.
-    #[test]
-    fn zero_multiplicity_is_absent_across_a_roundtrip() {
-        let mgr = BddManager::new();
-        let zero_sum = || {
-            let mut pt = ProvTable::new(ProvMode::Counting, false);
-            pt.merge_ins(&t(1), &Prov::Count(2));
-            pt.merge_ins(&t(1), &Prov::Count(-2));
-            pt
-        };
-        for mut table in [zero_sum(), roundtrip_table(&zero_sum(), &mgr)] {
-            assert!(matches!(
-                table.merge_ins(&t(1), &Prov::Count(1)),
-                MergeOutcome::New(Prov::Count(1))
-            ));
-        }
-        for mut table in [zero_sum(), roundtrip_table(&zero_sum(), &mgr)] {
-            assert!(matches!(
-                table.retract(&t(1), &Prov::Count(1)),
-                Some(DeleteOutcome::Died(Prov::Count(0)))
-            ));
-            assert!(table.is_empty());
+        // The retired tag 1 is no variant, in a checkpoint or on a link.
+        for mgr in [Some(&mgr), None] {
+            let mut r = Reader::new(&[1, 5], mgr);
+            assert!(matches!(r.get::<Prov>(), Err(WireError::BadTag(1))));
         }
     }
 
@@ -536,6 +488,8 @@ mod tests {
         pt.merge_ins(&t(1), &Prov::Bdd(mgr.var(1).or(&mgr.var(2))));
         pt.merge_ins(&t(2), &Prov::Bdd(mgr.var(1)));
         let mut back = roundtrip_table(&pt, &mgr);
+        assert_eq!(back.len(), pt.len());
+        assert_eq!(back.state_bytes(), pt.state_bytes());
         let outcomes = back.restrict_cause(&[1]);
         assert_eq!(outcomes.len(), 2, "index must find both dependents");
         assert!(!back.contains(&t(2)) && back.contains(&t(1)));

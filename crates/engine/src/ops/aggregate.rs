@@ -125,7 +125,6 @@ impl AggregateOp {
                 }
             }
             (_, ProvMode::Absorption) => Prov::Bdd(mgr.one()),
-            (_, ProvMode::Counting) => Prov::Count(1),
             (_, ProvMode::Relative) => Prov::Rel(std::sync::Arc::new(netrec_prov::RelProv::base(
                 netrec_bdd::Var::MAX,
             ))),
@@ -137,7 +136,6 @@ impl AggregateOp {
     fn prov_eq(a: &Prov, b: &Prov) -> bool {
         match (a, b) {
             (Prov::None, Prov::None) => true,
-            (Prov::Count(x), Prov::Count(y)) => x == y,
             (Prov::Bdd(x), Prov::Bdd(y)) => x == y,
             // Relative annotations: compare by size (graphs are canonical
             // enough for revision detection).

@@ -136,10 +136,6 @@ impl IngressOp {
                 let up = Update::del_retract(self.rel, tuple, Prov::None);
                 ectx.emit_local(&self.dests, vec![up]);
             }
-            ProvMode::Counting => {
-                let up = Update::del_retract(self.rel, tuple, Prov::Count(1));
-                ectx.emit_local(&self.dests, vec![up]);
-            }
             ProvMode::Absorption | ProvMode::Relative => {
                 let cause: Arc<[Var]> = Arc::from(vec![var].into_boxed_slice());
                 let up = Update::del_cause(self.rel, tuple, cause);

@@ -126,7 +126,6 @@ impl JoinOp {
     fn out_prov(&self, mode: ProvMode, delta: &Prov, other: &Prov, out_tuple: &Tuple) -> Prov {
         match mode {
             ProvMode::Set => Prov::None,
-            ProvMode::Counting => delta.and(other),
             ProvMode::Absorption => delta.and(other),
             ProvMode::Relative => Prov::rel_derive(
                 self.rule_id,
@@ -226,8 +225,8 @@ impl JoinOp {
                     });
                 }
                 UpdateKind::Delete => {
-                    // Retract path (set semantics / counting / aggregate
-                    // revisions flowing through a join).
+                    // Retract path (set semantics / aggregate revisions
+                    // flowing through a join).
                     let mine = self.arrival(from_build);
                     let Some(outcome) = mine.prov.retract(&u.tuple, &u.prov) else {
                         continue;

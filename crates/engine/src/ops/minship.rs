@@ -385,7 +385,7 @@ impl MinShipOp {
                         let absorbed = match (&u.prov, self.sent.get(&u.tuple)) {
                             (Prov::Bdd(pv), Some(Prov::Bdd(sent))) => pv.implies(sent),
                             (Prov::Rel(pv), Some(Prov::Rel(sent))) => !sent.would_change(pv),
-                            _ => true, // set/counting: nothing new to say
+                            _ => true, // set: nothing new to say
                         };
                         if crate::trace::matches(&u.tuple) {
                             eprintln!(

@@ -211,7 +211,6 @@ pub enum Restricted {
 /// mutations therefore go through `ProvTable::store` / `ProvTable::evict`.
 pub struct ProvTable {
     /// Tuple → (annotation, its [`entry_cost`], priced once when stored).
-    /// In counting mode an entry's multiplicity is its `Prov::Count`.
     map: FxHashMap<Tuple, (Prov, usize)>,
     /// Variable → tuples whose annotation mentioned it when merged. Unordered:
     /// [`ProvTable::restrict_cause`] sorts the candidates it draws, once.
@@ -372,18 +371,6 @@ impl ProvTable {
                 } else {
                     self.store(t.clone(), Prov::None);
                     MergeOutcome::New(Prov::None)
-                }
-            }
-            ProvMode::Counting => {
-                let c = prov.count();
-                // A multiplicity that summed to 0 without a retract left
-                // its entry behind; the next merge treats it as absent.
-                let was = self.count_of(t);
-                self.store(t.clone(), Prov::Count(was + c));
-                if was == 0 {
-                    MergeOutcome::New(Prov::Count(c))
-                } else {
-                    MergeOutcome::Changed(Prov::Count(c))
                 }
             }
             ProvMode::Absorption => match self.get(t) {
@@ -557,21 +544,11 @@ impl ProvTable {
         }
     }
 
-    /// Apply a retraction (aggregate revision, set-mode delete, counting
-    /// decrement) to one tuple.
+    /// Apply a retraction (aggregate revision, set-mode delete) to one
+    /// tuple.
     pub fn retract(&mut self, t: &Tuple, prov: &Prov) -> Option<DeleteOutcome> {
         match self.mode {
             ProvMode::Set => self.evict(t).map(DeleteOutcome::Died),
-            ProvMode::Counting => {
-                let c = prov.count();
-                let now = self.get(t)?.count() - c;
-                if now <= 0 {
-                    self.evict(t).map(DeleteOutcome::Died)
-                } else {
-                    self.store(t.clone(), Prov::Count(now));
-                    Some(DeleteOutcome::Shrunk(Prov::Count(c)))
-                }
-            }
             ProvMode::Absorption => {
                 let old = self.get(t)?;
                 let new = old.bdd().diff(prov.bdd());
@@ -592,11 +569,6 @@ impl ProvTable {
                 self.evict(t).map(DeleteOutcome::Died)
             }
         }
-    }
-
-    /// Counting-mode multiplicity of `t` (0 when absent).
-    fn count_of(&self, t: &Tuple) -> i64 {
-        self.get(t).map_or(0, Prov::count)
     }
 
     /// Install one checkpointed entry, rebuilding every derived structure
@@ -766,27 +738,6 @@ mod tests {
             Some(DeleteOutcome::Died(_))
         ));
         assert!(pt.retract(&t(1), &Prov::None).is_none());
-    }
-
-    #[test]
-    fn counting_mode_counts() {
-        let mut pt = ProvTable::new(ProvMode::Counting, false);
-        assert!(matches!(
-            pt.merge_ins(&t(1), &Prov::Count(2)),
-            MergeOutcome::New(_)
-        ));
-        assert!(matches!(
-            pt.merge_ins(&t(1), &Prov::Count(3)),
-            MergeOutcome::Changed(_)
-        ));
-        assert!(matches!(
-            pt.retract(&t(1), &Prov::Count(4)),
-            Some(DeleteOutcome::Shrunk(_))
-        ));
-        assert!(matches!(
-            pt.retract(&t(1), &Prov::Count(1)),
-            Some(DeleteOutcome::Died(_))
-        ));
     }
 
     #[test]
@@ -1034,22 +985,6 @@ mod tests {
         pt.retract(&t(1), &Prov::Bdd(x(4).and(&x(5)).and(&x(7)))); // shrinks
         check(&pt);
         pt.retract(&t(1), &Prov::Bdd(x(4)));
-        check(&pt);
-        assert_eq!(pt.state_bytes(), 0);
-
-        let mut pt = ProvTable::new(ProvMode::Counting, false);
-        pt.merge_ins(&t(1), &Prov::Count(2));
-        pt.merge_ins(&t(1), &Prov::Count(300)); // varint growth on overwrite
-        pt.merge(&t(2), &Prov::Count(1));
-        check(&pt);
-        drain_and_restore(&mut pt);
-        pt.restrict_cause(&[1]);
-        check(&pt);
-        pt.retract(&t(1), &Prov::Count(1));
-        check(&pt);
-        pt.retract(&t(1), &Prov::Count(301));
-        check(&pt);
-        pt.retract(&t(2), &Prov::Count(1));
         check(&pt);
         assert_eq!(pt.state_bytes(), 0);
 

@@ -266,17 +266,10 @@ impl Plan {
     }
 
     /// Whether any store's output can reach one of its own inputs — i.e. the
-    /// plan is recursive. The counting strategy refuses recursive plans
-    /// (`Runner` construction panics).
+    /// plan is recursive.
     pub fn is_recursive(&self) -> bool {
-        self.recursive_store().is_some()
-    }
-
-    /// The relation of the first store that feeds itself, if any.
-    pub(crate) fn recursive_store(&self) -> Option<RelId> {
-        self.ops.iter().enumerate().find_map(|(i, op)| match op {
-            OpSpec::Store { rel, .. } if self.reaches(OpId(i as u16), OpId(i as u16)) => Some(*rel),
-            _ => None,
+        self.ops.iter().enumerate().any(|(i, op)| {
+            matches!(op, OpSpec::Store { .. }) && self.reaches(OpId(i as u16), OpId(i as u16))
         })
     }
 

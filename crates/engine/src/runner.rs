@@ -395,19 +395,7 @@ pub struct Runner {
 
 impl Runner {
     /// Instantiate `plan` on the substrate selected by `cfg.runtime`.
-    ///
-    /// # Panics
-    /// If `cfg` asks the counting strategy to maintain a recursive plan.
     pub fn new(plan: Plan, cfg: RunnerConfig) -> Runner {
-        if cfg.strategy.mode == netrec_prov::ProvMode::Counting {
-            if let Some(rel) = plan.recursive_store() {
-                // Derivation counts grow without bound around a cycle.
-                panic!(
-                    "the counting strategy cannot maintain a recursive plan: store `{}` feeds itself",
-                    plan.catalog.name(rel)
-                );
-            }
-        }
         let peers = cfg.partitioner.peers();
         let nodes = (0..peers)
             .map(|p| EnginePeer::new(PeerId(p), &plan, cfg.strategy, cfg.partitioner))

@@ -85,20 +85,10 @@ impl Strategy {
         }
     }
 
-    /// Counting algorithm (non-recursive plans only: a runner refuses to
-    /// build it over a recursive plan).
-    pub fn counting() -> Strategy {
-        Strategy {
-            mode: ProvMode::Counting,
-            ship: ShipPolicy::Immediate,
-        }
-    }
-
     /// Human-readable label used by the bench harnesses.
     pub fn label(&self) -> String {
         let mode = match self.mode {
             ProvMode::Set => "Set",
-            ProvMode::Counting => "Counting",
             ProvMode::Absorption => "Absorption",
             ProvMode::Relative => "Relative",
         };
@@ -125,7 +115,6 @@ mod tests {
         ));
         assert_eq!(Strategy::relative_lazy().mode, ProvMode::Relative);
         assert_eq!(Strategy::set().mode, ProvMode::Set);
-        assert_eq!(Strategy::counting().mode, ProvMode::Counting);
     }
 
     #[test]

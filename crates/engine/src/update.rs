@@ -27,8 +27,8 @@ pub struct Update {
     /// update. Non-empty ⇒ *cause-restrict* semantics (stateful operators
     /// substitute `false` for these variables, and the update carries no
     /// annotation); empty ⇒ *retract* semantics (subtract `prov` from the
-    /// stored annotation), used by aggregate revisions and set- and
-    /// counting-mode deletions.
+    /// stored annotation), used by aggregate revisions and set-mode
+    /// deletions.
     pub cause: Arc<[Var]>,
 }
 

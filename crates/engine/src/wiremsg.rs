@@ -182,7 +182,7 @@ mod tests {
                 tup([Value::Str("x".into())]),
                 Arc::from(&[1u32][..]),
             ),
-            Update::del_retract(RelId(0), tup([Value::Int(9)]), Prov::Count(-2)),
+            Update::del_retract(RelId(0), tup([Value::Int(9)]), Prov::None),
         ]));
         match roundtrip(&updates) {
             Msg::Updates(us) => {
@@ -196,7 +196,8 @@ mod tests {
                 assert_eq!(mgr.decode(shipped), Ok(mgr.var(4)));
                 assert_eq!(us[1].cause.as_ref(), &[1]);
                 assert!(matches!(us[1].prov, Prov::None));
-                assert!(matches!(us[2].prov, Prov::Count(-2)));
+                assert_eq!(us[2].kind, UpdateKind::Delete);
+                assert!(us[2].cause.is_empty() && matches!(us[2].prov, Prov::None));
                 // Byte-size accounting is part of the protocol: the decoded
                 // update must cost exactly what the sender charged.
                 assert_eq!(us[0].encoded_len(), updates_len(&updates, 0));

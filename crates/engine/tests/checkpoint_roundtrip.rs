@@ -7,7 +7,7 @@
 //! re-encode it, and the bytes must be identical. The runner-level
 //! crash-recovery suite proves the *behavioral* half (a restored peer
 //! continues byte-identically); this file proves the codec half on
-//! proptest-generated states across all four provenance modes, plus the
+//! proptest-generated states across all three provenance modes, plus the
 //! fail-loudly half: truncated or structurally corrupted blobs error out
 //! and never half-apply (restore builds into a fresh peer that is dropped
 //! wholesale on error — there is no partially-restored state by
@@ -16,13 +16,12 @@
 use netrec_core::System;
 use netrec_engine::ckptstore::encode_checkpoint;
 use netrec_engine::peer::EnginePeer;
-use netrec_engine::plan::Plan;
 use netrec_engine::runner::{Runner, RunnerConfig};
 use netrec_engine::strategy::Strategy;
 use netrec_prov::ProvMode;
 use netrec_sim::{PeerId, RuntimeKind};
 use netrec_testutil::churn::ChurnCase;
-use netrec_testutil::fixtures::{link as fixtures_link, reachable_plan, twohop_plan};
+use netrec_testutil::fixtures::reachable_plan;
 use netrec_topo::{SensorGrid, SensorGridParams};
 use netrec_types::wire::crc32;
 use proptest::prelude::*;
@@ -39,7 +38,6 @@ fn cases_from_env() -> u32 {
 fn strategies() -> Vec<Strategy> {
     vec![
         Strategy::set(),
-        Strategy::counting(),
         Strategy::absorption_lazy(),
         Strategy::absorption_eager(),
         Strategy::relative_lazy(),
@@ -47,35 +45,11 @@ fn strategies() -> Vec<Strategy> {
     ]
 }
 
-/// The plan a strategy is exercised on: counting refuses recursive plans
-/// (derivation counts grow without bound around a cycle), so its table/count
-/// codec paths run on the non-recursive two-hop self-join.
-fn plan_for(strategy: Strategy) -> Plan {
-    if strategy.mode == ProvMode::Counting {
-        twohop_plan()
-    } else {
-        reachable_plan()
-    }
-}
-
 /// Drive the churn case to a converged boundary (load, plus the deletion
 /// pass when the strategy maintains deletions) and return the runner.
-/// Counting loads a forward chain instead.
 fn boundary_runner(case: &ChurnCase, strategy: Strategy) -> Runner {
     let cfg = RunnerConfig::new(strategy, case.peers).with_runtime(RuntimeKind::des());
-    let mut runner = Runner::new(plan_for(strategy), cfg);
-    if strategy.mode == ProvMode::Counting {
-        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)] {
-            runner.inject(
-                "link",
-                fixtures_link(a, b),
-                netrec_types::UpdateKind::Insert,
-                None,
-            );
-        }
-        assert!(runner.run_phase("load").converged());
-        return runner;
-    }
+    let mut runner = Runner::new(reachable_plan(), cfg);
     let (load, dels) = case.scripts();
     for op in &load {
         runner.inject(&op.rel, op.tuple.clone(), op.kind, op.ttl);
@@ -94,7 +68,7 @@ fn boundary_runner(case: &ChurnCase, strategy: Strategy) -> Runner {
 /// the re-encoded bytes are identical. Returns the blobs for reuse.
 fn assert_roundtrip_idempotent(runner: &Runner, strategy: Strategy, ctx: &str) -> Vec<Vec<u8>> {
     let peers = runner.peer_count();
-    let plan = plan_for(strategy);
+    let plan = reachable_plan();
     let partitioner = runner.config().partitioner;
     (0..peers)
         .map(|p| {
@@ -111,7 +85,7 @@ fn assert_roundtrip_idempotent(runner: &Runner, strategy: Strategy, ctx: &str) -
         .collect()
 }
 
-/// Pinned coverage of all six strategies (all four provenance modes) on the
+/// Pinned coverage of all five strategies (all three provenance modes) on the
 /// pinned churn case, at a post-churn boundary where every operator holds
 /// live state (provenance tables, ship ledgers, pending deletions, emitted
 /// aggregates).
@@ -140,7 +114,7 @@ fn checkpoint_bytes_are_pinned() {
     // the ingress table stores a variable per live base tuple in every
     // mode, and the annotations and dead-variable sets carry the new
     // variables.
-    const BLOBS: [(&str, [(usize, u32); 4]); 6] = [
+    const BLOBS: [(&str, [(usize, u32); 4]); 5] = [
         (
             "Set Immediate",
             [
@@ -148,15 +122,6 @@ fn checkpoint_bytes_are_pinned() {
                 (121, 940671682),
                 (151, 1031303390),
                 (123, 134772800),
-            ],
-        ),
-        (
-            "Counting Immediate",
-            [
-                (97, 1819365704),
-                (68, 1718122286),
-                (78, 2437224920),
-                (60, 312481048),
             ],
         ),
         (

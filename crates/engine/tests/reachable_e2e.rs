@@ -215,15 +215,6 @@ fn cascading_deletions_match_oracle() {
     }
 }
 
-/// Derivation counts grow without bound around a cycle, so the counting
-/// strategy is refused on the recursive plan when the runner is built —
-/// not discovered as a diverging run.
-#[test]
-#[should_panic(expected = "counting strategy cannot maintain a recursive plan: store `reachable`")]
-fn counting_on_the_recursive_plan_fails_at_construction() {
-    run_fig3(Strategy::counting());
-}
-
 #[test]
 fn dred_over_delete_and_rederive() {
     // Fig. 5: deleting link(C,B) under DRed empties and rebuilds the view.

@@ -22,8 +22,7 @@
 //!
 //! This is the acceptance gate for the concurrent runtime: the executor's
 //! one routing point, global in-flight accounting, and shard-metrics folding via
-//! `NetMetrics::merge` must reproduce the DES numbers exactly. (Counting
-//! mode is excluded: it is defined for non-recursive plans only.)
+//! `NetMetrics::merge` must reproduce the DES numbers exactly.
 //!
 //! It is also the gate for **transport batching** (`netrec_sim::coalesce`):
 //! the harness pins the physical envelope matrices

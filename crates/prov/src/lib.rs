@@ -3,7 +3,7 @@
 //! The paper's central idea is to annotate every view tuple with enough
 //! derivability bookkeeping that a base-tuple deletion can be applied
 //! *directly*, without DRed's over-delete/re-derive scan. This crate
-//! implements the three annotation schemes compared in the evaluation:
+//! implements the two annotation schemes compared in the evaluation:
 //!
 //! * [`absorption`] — **absorption provenance** (§4): a Boolean expression
 //!   over base-tuple variables, physically a ROBDD ([`netrec_bdd`]), so
@@ -15,9 +15,9 @@
 //!   Derivability after deletion requires a least-fixpoint traversal, and the
 //!   annotations ship whole derivation subgraphs — which is exactly why the
 //!   paper finds it heavier than absorption on every metric.
-//! * Counting (embedded in [`Prov::Count`]) — the classical counting
-//!   algorithm (Gupta–Mumick–Subrahmanian, SIGMOD'93), sound only for
-//!   non-recursive views; included as the related-work baseline.
+//!
+//! The third mode, set semantics ([`Prov::None`]), carries no annotation;
+//! DRed's over-delete/re-derive protocol runs on top of it.
 //!
 //! DESIGN.md: "Deletion propagation" describes how these annotations drive
 //! cause-set deletions; "Relative-provenance cap" documents the relative

@@ -13,9 +13,6 @@ pub enum ProvMode {
     /// Plain set semantics: no annotations. Deletions cannot be maintained
     /// incrementally (DRed's two-phase protocol sits on top of this mode).
     Set,
-    /// Counting algorithm: an integer multiplicity per tuple. Sound for
-    /// non-recursive views only (Gupta et al., SIGMOD'93).
-    Counting,
     /// Absorption provenance over BDDs (the paper's contribution).
     Absorption,
     /// Relative provenance derivation graphs (the heavier baseline).
@@ -30,8 +27,6 @@ pub enum ProvMode {
 pub enum Prov {
     /// No annotation (set semantics / DRed).
     None,
-    /// Multiplicity (counting algorithm).
-    Count(i64),
     /// Absorption provenance: a Boolean function of base variables, as a
     /// handle into the BDD manager of the peer holding it. A handle never
     /// leaves that peer.
@@ -53,7 +48,6 @@ impl Prov {
     pub fn base(mode: ProvMode, var: Var, mgr: &BddManager) -> Prov {
         match mode {
             ProvMode::Set => Prov::None,
-            ProvMode::Counting => Prov::Count(1),
             ProvMode::Absorption => Prov::Bdd(mgr.var(var)),
             ProvMode::Relative => Prov::Rel(Arc::new(RelProv::base(var))),
         }
@@ -69,7 +63,6 @@ impl Prov {
     pub fn and(&self, other: &Prov) -> Prov {
         match (self, other) {
             (Prov::None, Prov::None) => Prov::None,
-            (Prov::Count(a), Prov::Count(b)) => Prov::Count(a * b),
             (Prov::Bdd(a), Prov::Bdd(b)) => Prov::Bdd(a.and(b)),
             (a, b) => panic!("Prov::and on mismatched/unsupported variants {a:?} vs {b:?}"),
         }
@@ -79,7 +72,6 @@ impl Prov {
     pub fn or(&self, other: &Prov) -> Prov {
         match (self, other) {
             (Prov::None, Prov::None) => Prov::None,
-            (Prov::Count(a), Prov::Count(b)) => Prov::Count(a + b),
             (Prov::Bdd(a), Prov::Bdd(b)) => Prov::Bdd(a.or(b)),
             (Prov::Rel(a), Prov::Rel(b)) => Prov::Rel(Arc::new(a.merge(b))),
             (a, b) => panic!("Prov::or on mismatched variants {a:?} vs {b:?}"),
@@ -133,21 +125,11 @@ impl Prov {
         }
     }
 
-    /// Multiplicity inside a counting annotation; panics otherwise.
-    pub fn count(&self) -> i64 {
-        match self {
-            Prov::Count(c) => *c,
-            other => panic!("expected counting provenance, got {other:?}"),
-        }
-    }
-
     /// Bytes this annotation adds to a shipped tuple — the paper's
-    /// "per-tuple provenance overhead" metric. `None`/`Count` are one tag
-    /// byte (and a varint for the count).
+    /// "per-tuple provenance overhead" metric. `None` is one tag byte.
     pub fn encoded_len(&self) -> usize {
         match self {
             Prov::None => 1,
-            Prov::Count(c) => 1 + netrec_types::wire::varint_len(c.unsigned_abs()),
             Prov::Bdd(b) => 1 + b.encoded_len(),
             Prov::Wire(bytes) => 1 + bytes.len(),
             Prov::Rel(r) => 1 + r.encoded_len(),
@@ -187,20 +169,9 @@ impl Prov {
     pub fn is_dead(&self) -> bool {
         match self {
             Prov::None => false,
-            Prov::Count(c) => *c <= 0,
             Prov::Bdd(b) => b.is_false(),
             Prov::Wire(_) => panic!("wire-form annotation asked a question before it landed"),
             Prov::Rel(_) => false, // death decided by RelProv::kill_vars
-        }
-    }
-
-    /// The mode this annotation belongs to (diagnostics).
-    pub fn mode(&self) -> ProvMode {
-        match self {
-            Prov::None => ProvMode::Set,
-            Prov::Count(_) => ProvMode::Counting,
-            Prov::Bdd(_) | Prov::Wire(_) => ProvMode::Absorption,
-            Prov::Rel(_) => ProvMode::Relative,
         }
     }
 }
@@ -214,7 +185,6 @@ mod tests {
     fn base_per_mode() {
         let mgr = BddManager::new();
         assert!(matches!(Prov::base(ProvMode::Set, 0, &mgr), Prov::None));
-        assert_eq!(Prov::base(ProvMode::Counting, 0, &mgr).count(), 1);
         assert_eq!(Prov::base(ProvMode::Absorption, 3, &mgr).bdd(), &mgr.var(3));
         assert_eq!(
             Prov::base(ProvMode::Relative, 3, &mgr).rel().support(),
@@ -229,10 +199,6 @@ mod tests {
         let b = Prov::base(ProvMode::Absorption, 2, &mgr);
         assert_eq!(a.and(&b).bdd(), &mgr.var(1).and(&mgr.var(2)));
         assert_eq!(a.or(&b).bdd(), &mgr.var(1).or(&mgr.var(2)));
-        let c1 = Prov::Count(2);
-        let c2 = Prov::Count(3);
-        assert_eq!(c1.and(&c2).count(), 6);
-        assert_eq!(c1.or(&c2).count(), 5);
         assert!(matches!(Prov::None.and(&Prov::None), Prov::None));
     }
 
@@ -277,8 +243,6 @@ mod tests {
         assert!(matches!(&w, Prov::Wire(bytes) if bytes[..] == p.bdd().encode()[..]));
         assert_eq!(w.encoded_len(), p.encoded_len());
         assert_eq!(w.reanchor(&m2).bdd(), q.bdd());
-        // non-BDD annotations unchanged
-        assert_eq!(Prov::Count(3).reanchor(&m2).count(), 3);
     }
 
     #[test]
@@ -286,7 +250,6 @@ mod tests {
         let mgr = BddManager::new();
         assert!(Prov::Bdd(mgr.zero()).is_dead());
         assert!(!Prov::Bdd(mgr.var(1)).is_dead());
-        assert!(Prov::Count(0).is_dead());
         assert!(!Prov::None.is_dead());
     }
 
@@ -294,6 +257,6 @@ mod tests {
     #[should_panic(expected = "mismatched")]
     fn mixed_variants_panic() {
         let mgr = BddManager::new();
-        let _ = Prov::Count(1).or(&Prov::Bdd(mgr.one()));
+        let _ = Prov::None.or(&Prov::Bdd(mgr.one()));
     }
 }

@@ -90,29 +90,6 @@ pub mod fixtures {
         b.connect(store, join, JOIN_PROBE);
         b.build().expect("reachable plan is well-formed")
     }
-
-    /// Non-recursive self-join over the same `link` relation:
-    /// `twohop(x,z) :- link(x,y), link(y,z)` — the plan the counting
-    /// strategy (which refuses recursive plans) is exercised on.
-    pub fn twohop_plan() -> Plan {
-        let mut b = PlanBuilder::new();
-        let link = b.edb("link", &["src", "dst", "cost"], 0);
-        let twohop = b.idb("twohop", &["src", "dst"], 0);
-        let ing = b.ingress(link);
-        let store = b.store(twohop, true, None);
-        // row = link(x,y,c) ++ link(y,z,c2); emit (x, z).
-        let join = b.join(vec![1], vec![0], vec![], vec![Expr::col(0), Expr::col(4)]);
-        let ex_build = b.exchange(Some(1));
-        b.connect(ex_build, join, JOIN_BUILD);
-        let ex_probe = b.exchange(Some(0));
-        b.connect(ex_probe, join, JOIN_PROBE);
-        let ship = b.minship(Some(0));
-        b.connect(ship, store, 0);
-        b.connect(ing, ex_build, 0);
-        b.connect(ing, ex_probe, 0);
-        b.connect(join, ship, 0);
-        b.build().expect("twohop plan is well-formed")
-    }
 }
 
 pub mod churn {

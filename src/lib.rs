@@ -10,7 +10,7 @@
 //! |---|---|
 //! | [`bdd`] | ROBDD engine (absorption provenance substrate) |
 //! | [`types`] | values, tuples, schemas, wire format, simulated time |
-//! | [`prov`] | absorption / relative / counting provenance algebras |
+//! | [`prov`] | absorption / relative provenance algebras |
 //! | [`topo`] | transit-stub + sensor-grid generators, workloads |
 //! | [`sim`] | discrete-event cluster simulator + the concurrent runtime: one event loop per shard, shards joined by channels or TCP |
 //! | [`engine`] | Fixpoint, PipelinedHashJoin, MinShip, AggSel, DRed, oracle |

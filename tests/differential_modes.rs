@@ -1,5 +1,5 @@
 //! Randomized differential test: the distributed pipeline vs `reference.rs`
-//! in all four provenance modes.
+//! in all three provenance modes.
 //!
 //! The same randomized insert/delete workloads run through the optimized
 //! operator pipeline and through the centralized from-scratch evaluator, and
@@ -8,21 +8,18 @@
 //! shared batch emission) against emission-order regressions: any ordering
 //! the operators rely on must hold by construction, for every mode.
 //!
-//! Counting is sound for non-recursive plans only, so it runs against a
-//! two-hop (self-join) query; the recursive reachable query covers the other
-//! three modes, with DRed driving set-mode deletions.
+//! Two queries: the recursive reachable query, and a non-recursive two-hop
+//! self-join. DRed drives set-mode deletions in both.
 
 use std::collections::BTreeSet;
 
 use netrec::core::{System, SystemConfig};
+use netrec::datalog;
 use netrec::engine::dred;
-use netrec::engine::expr::Expr;
-use netrec::engine::plan::Plan;
-use netrec::engine::reference::{Atom, Db, Program, Rule, Term};
+use netrec::engine::reference::Db;
 use netrec::engine::runner::{Runner, RunnerConfig};
 use netrec::engine::strategy::Strategy;
 use netrec::topo::{link_tuples, random_graph};
-use netrec_testutil::fixtures::twohop_plan;
 use netrec_types::{Tuple, UpdateKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -104,46 +101,28 @@ fn reachable_all_modes_match_reference() {
     }
 }
 
-fn twohop_program(plan: &Plan) -> Program {
-    let link = plan.catalog.id("link").expect("link");
-    let twohop = plan.catalog.id("twohop").expect("twohop");
-    Program {
-        rules: vec![Rule {
-            head: twohop,
-            head_exprs: vec![Expr::col(0), Expr::col(3)],
-            body: vec![
-                Atom {
-                    rel: link,
-                    terms: vec![Term::Var(0), Term::Var(1), Term::Var(2)],
-                },
-                Atom {
-                    rel: link,
-                    terms: vec![Term::Var(1), Term::Var(3), Term::Var(4)],
-                },
-            ],
-            preds: vec![],
-            nvars: 5,
-        }],
-        aggs: vec![],
-    }
-}
+/// The two-hop self-join, one rule text for the plan and its oracle.
+const TWOHOP: &str = "twohop(@X, Z) :- link(@X, Y, C), link(@Y, Z, C2).";
 
-/// All four modes on the non-recursive plan — including Counting, whose
-/// multiplicity bookkeeping is exact here.
+/// The non-recursive self-join: set (DRed deletions), absorption and
+/// relative modes against the oracle compiled from the same rule.
 #[test]
 fn twohop_all_modes_match_reference() {
+    let ast = datalog::parse_program(TWOHOP).expect("twohop parses");
     for seed in [7u64, 19, 83] {
         let c = case(seed);
         let strategies: Vec<Strategy> = vec![
             Strategy::set(),
-            Strategy::counting(),
             Strategy::absorption_lazy(),
             Strategy::relative_lazy(),
         ];
         for strategy in strategies {
             let label = format!("seed {seed}, {}", strategy.label());
-            let plan = twohop_plan();
-            let program = twohop_program(&plan);
+            let (plan, program) = datalog::compile(&ast)
+                .expect("twohop compiles")
+                .into_parts();
+            assert!(!plan.is_recursive());
+            let twohop_id = plan.catalog.id("twohop").expect("twohop");
             let link_id = plan.catalog.id("link").expect("link");
             let mut runner = Runner::new(plan, RunnerConfig::new(strategy, c.peers));
             let mut base: BTreeSet<Tuple> = BTreeSet::new();
@@ -156,7 +135,6 @@ fn twohop_all_modes_match_reference() {
             let oracle = |base: &BTreeSet<Tuple>| {
                 let mut edb = Db::new();
                 edb.insert(link_id, base.clone());
-                let twohop_id = program.rules[0].head;
                 program
                     .evaluate(&edb)
                     .get(&twohop_id)
